@@ -334,14 +334,10 @@ let make_dual ~interval () =
 
 (* Symmetric round-robin over the same mixed contexts, for comparison. *)
 let run_symmetric { kv; scav } =
-  let counters = Stallhide_pmu.Counters.create () in
+  let ops, count_ops = Baselines.op_counter () in
   let recorder = Latency.recorder () in
   let engine =
-    {
-      Engine.default_config with
-      Engine.hooks =
-        Events.compose [ Stallhide_pmu.Counters.hooks counters; Latency.hooks recorder ];
-    }
+    { Engine.default_config with Engine.hooks = Events.compose [ count_ops; Latency.hooks recorder ] }
   in
   let kv_ctx = Workload.context kv ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
@@ -354,7 +350,7 @@ let run_symmetric { kv; scav } =
       (Array.append [| kv_ctx |] s_ctxs)
   in
   let m =
-    Metrics.of_sched ~label:"symmetric RR" ~ops:counters.Stallhide_pmu.Counters.ops
+    Metrics.of_sched ~label:"symmetric RR" ~ops:!ops
       ~latency:(Latency.summarize (Latency.all recorder))
       r
   in
@@ -619,28 +615,24 @@ let c13 () =
         let run_plain w = Baselines.run_sequential w in
         let run_sfi (w : Workload.t) =
           let w = Workload.with_program w sfi_prog in
-          let counters = Stallhide_pmu.Counters.create () in
-          let engine =
-            { Engine.default_config with Engine.hooks = Stallhide_pmu.Counters.hooks counters }
-          in
+          let ops, count_ops = Baselines.op_counter () in
+          let engine = { Engine.default_config with Engine.hooks = count_ops } in
           let ctxs = sandboxed w (Workload.contexts w) in
           let r = Scheduler.run_sequential ~engine (Hierarchy.create Memconfig.default) w.Workload.image ctxs in
-          Metrics.of_sched ~label:(name ^ "/sfi") ~ops:counters.Stallhide_pmu.Counters.ops r
+          Metrics.of_sched ~label:(name ^ "/sfi") ~ops:!ops r
         in
         let run_sfi_pgo (w : Workload.t) =
           let w = Workload.with_program w sfi_prog in
           let profiled = Pipeline.profile w in
           let w', _ = Pipeline.instrument profiled w in
-          let counters = Stallhide_pmu.Counters.create () in
-          let engine =
-            { Engine.default_config with Engine.hooks = Stallhide_pmu.Counters.hooks counters }
-          in
+          let ops, count_ops = Baselines.op_counter () in
+          let engine = { Engine.default_config with Engine.hooks = count_ops } in
           let ctxs = sandboxed w' (Workload.contexts w') in
           let r =
             Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine
               (Hierarchy.create Memconfig.default) w'.Workload.image ctxs
           in
-          Metrics.of_sched ~label:(name ^ "/sfi+pgo") ~ops:counters.Stallhide_pmu.Counters.ops r
+          Metrics.of_sched ~label:(name ^ "/sfi+pgo") ~ops:!ops r
         in
         let plain = run_plain (mk ()) in
         let sfi = run_sfi (mk ()) in

@@ -1,6 +1,5 @@
 open Stallhide_cpu
 open Stallhide_mem
-open Stallhide_pmu
 open Stallhide_runtime
 open Stallhide_workloads
 
@@ -30,20 +29,25 @@ let make_hier opts =
   opts.prepare_hier hier;
   hier
 
-(* Counters + latency recorder (+ telemetry when requested) composed
-   onto the caller's hooks. *)
+let op_counter () =
+  let ops = ref 0 in
+  (ops, { Events.nop with Events.on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr ops) })
+
+(* Op counter + latency recorder (+ telemetry when requested) composed
+   onto the caller's hooks. The first two watch only opmarks, so an arm
+   without [obs] or caller hooks keeps the decoded-µop loop. *)
 let instrumented_engine opts =
-  let counters = Counters.create () in
+  let ops, count_ops = op_counter () in
   let recorder = Latency.recorder () in
   let hooks =
     Events.compose
-      ([ opts.engine.Engine.hooks; Counters.hooks counters; Latency.hooks recorder ]
+      ([ opts.engine.Engine.hooks; count_ops; Latency.hooks recorder ]
       @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
   in
-  (counters, recorder, { opts.engine with Engine.hooks = hooks })
+  (ops, recorder, { opts.engine with Engine.hooks = hooks })
 
 let run_sequential ?label ?(opts = default_opts) w =
-  let counters, recorder, engine = instrumented_engine opts in
+  let ops, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let ctxs = Workload.contexts w in
   let r =
@@ -51,7 +55,7 @@ let run_sequential ?label ?(opts = default_opts) w =
       w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/none" in
-  Metrics.of_sched ~label ~ops:counters.Counters.ops
+  Metrics.of_sched ~label ~ops:!ops
     ~latency:(Latency.summarize (Latency.all recorder))
     r
 
@@ -61,10 +65,10 @@ let run_ooo ?label ?(opts = default_opts) ~window w =
   run_sequential ~label ~opts w
 
 let run_smt ?label ?(opts = default_opts) w =
-  let counters = Counters.create () in
+  let ops, count_ops = op_counter () in
   let hooks =
     Events.compose
-      ([ opts.engine.Engine.hooks; Counters.hooks counters ]
+      ([ opts.engine.Engine.hooks; count_ops ]
       @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
   in
   let hier = make_hier opts in
@@ -79,10 +83,10 @@ let run_smt ?label ?(opts = default_opts) w =
     | Some l -> l
     | None -> Printf.sprintf "%s/smt-%d" w.Workload.name (Workload.lane_count w)
   in
-  Metrics.of_smt ~label ~ops:counters.Counters.ops r
+  Metrics.of_smt ~label ~ops:!ops r
 
 let run_round_robin ?label ?(opts = default_opts) w =
-  let counters, recorder, engine = instrumented_engine opts in
+  let ops, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let ctxs = Workload.contexts w in
   let r =
@@ -90,7 +94,7 @@ let run_round_robin ?label ?(opts = default_opts) w =
       ~switch:opts.switch hier w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/rr" in
-  Metrics.of_sched ~label ~ops:counters.Counters.ops
+  Metrics.of_sched ~label ~ops:!ops
     ~latency:(Latency.summarize (Latency.all recorder))
     r
 
@@ -197,7 +201,7 @@ type dual_result = {
 let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   if primary.Workload.image != scavengers.Workload.image then
     invalid_arg "Baselines.run_dual: primary and scavengers must share one memory image";
-  let counters, recorder, engine = instrumented_engine opts in
+  let ops, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let p_ctx = Workload.context primary ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
@@ -217,7 +221,7 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   in
   {
     metrics =
-      Metrics.of_sched ~label ~ops:counters.Counters.ops
+      Metrics.of_sched ~label ~ops:!ops
         ~latency:(Latency.summarize (Latency.all recorder))
         r.Dual_mode.sched;
     primary_latency = Latency.summarize (Latency.of_ctx recorder 0);

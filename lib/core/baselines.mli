@@ -1,8 +1,10 @@
 (** Runners for every mechanism compared in the paper.
 
     Each runner builds a fresh cache hierarchy from [mem_cfg], attaches
-    counters and a latency recorder, executes the workload, and returns
-    {!Metrics.t}:
+    an op counter and a latency recorder, executes the workload, and
+    returns {!Metrics.t}. Both watch only opmarks, so unless [obs] or
+    the caller's engine hooks observe more, the run takes the
+    decoded-µop loop:
 
     - {!run_sequential} — no hiding at all ("none"): every stall paid.
     - {!run_ooo} — sequential with an out-of-order overlap window
@@ -40,6 +42,12 @@ type opts = {
 }
 
 val default_opts : opts
+
+(** [op_counter ()] is a count of retired [Opmark]s and the hooks that
+    keep it. Every other field is {!Events.nop}'s, so composing it onto
+    an engine keeps {!Engine.fast_engaged}. Every runner here counts
+    ops this way. *)
+val op_counter : unit -> int ref * Events.t
 
 val run_sequential : ?label:string -> ?opts:opts -> Workload.t -> Metrics.t
 

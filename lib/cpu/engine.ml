@@ -342,11 +342,12 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
 
 (* The fast path: one monolithic loop over the decoded micro-op arrays,
    no per-cycle heap allocation (no closures, no tuples, no hook
-   records). Engaged by [run] only when hooks are off ([Events.nop] by
-   physical equality) and no stall shape is armed, so nothing
-   observable differs from [run_reference]: the cycle accounting below
-   mirrors the reference instruction-for-instruction, and
-   [test_engine_diff] holds the two bit-identical.
+   records). Engaged by [run] only when every per-instruction hook is
+   [Events.nop]'s (by physical equality) and no stall shape is armed, so
+   nothing observable differs from [run_reference]: the cycle
+   accounting below mirrors the reference instruction-for-instruction,
+   and [test_engine_diff] holds the two bit-identical. The one hook it
+   does fire is [on_opmark], with the arguments [step] passes.
 
    [load_block_threshold] needs no special casing here: at run level a
    [Blocked_until] is waited out immediately, which lands the same
@@ -363,6 +364,8 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   and utarget = u.Uop.target in
   let plen = u.Uop.len in
   let regs = ctx.regs in
+  let id = ctx.id in
+  let on_opmark = cfg.hooks.Events.on_opmark in
   let mcfg = Hierarchy.config hier in
   let l1_latency = mcfg.Memconfig.l1.latency in
   let pf_cost = mcfg.Memconfig.prefetch_issue_cost in
@@ -579,7 +582,12 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           exec (now + Array.unsafe_get ucost pc + paid) (pc + 1)
         end
       end
-      else if op = Uop.op_opmark then exec now (pc + 1)
+      else if op = Uop.op_opmark then begin
+        (* [now] is already past any front-end stall, as [!clock] is
+           when [step] fires the hook. *)
+        on_opmark ~ctx:id ~pc ~cycle:now;
+        exec now (pc + 1)
+      end
       else if op = Uop.op_nop then exec (now + Array.unsafe_get ucost pc) (pc + 1)
       else begin
         (* halt *)
@@ -597,8 +605,15 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   | Context.Ready -> exec !clock ctx.pc
 
 let fast_engaged cfg =
-  cfg.fast && cfg.hooks == Events.nop
-  && (match cfg.stall_shape with None -> true | Some _ -> false)
+  let h = cfg.hooks and n = Events.nop in
+  cfg.fast
+  && h.on_retire == n.on_retire
+  && h.on_load == n.on_load
+  && h.on_branch == n.on_branch
+  && h.on_stall == n.on_stall
+  && h.on_frontend_stall == n.on_frontend_stall
+  && h.on_yield == n.on_yield
+  && match cfg.stall_shape with None -> true | Some _ -> false
 
 let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
   if fast_engaged cfg then run_fast cfg hier mem ~clock ~deadline ctx

@@ -32,12 +32,14 @@ type config = {
   fast : bool;
       (** default [true]. Allow {!run} to take the decoded-µop fast
           path — a zero-allocation-per-cycle loop over {!Uop} arrays —
-          whenever nothing observable is configured (hooks are
-          {!Events.nop} by physical equality and no [stall_shape] is
-          armed). Architectural results are bit-identical to the
-          reference interpreter ([test_engine_diff] is the gate); set
-          [false] to force the reference path, e.g. as the baseline arm
-          of the C25 speed bench. *)
+          whenever {!fast_engaged} holds: no per-instruction hook is
+          set and no [stall_shape] is armed. An [on_opmark] observer
+          (an op counter, a latency recorder) does not stop it; the
+          fast loop fires [on_opmark] itself.
+          Architectural results and every hook call are bit-identical
+          to the reference interpreter ([test_engine_diff] is the
+          gate); set [false] to force the reference path, e.g. as the
+          baseline arm of the C25 speed bench. *)
 }
 
 val default_config : config
@@ -87,7 +89,13 @@ val run_reference :
   Context.t ->
   stop
 
-(** Would {!run} take the fast path under this config? *)
+(** Would {!run} take the fast path under this config? It does when
+    [fast] is set, no [stall_shape] is armed, and [on_retire],
+    [on_load], [on_branch], [on_stall], [on_frontend_stall] and
+    [on_yield] are each physically {!Events.nop}'s field — as
+    {!Events.compose} leaves every field no element observes.
+    [on_opmark] may be anything: the fast loop calls it at each
+    [Opmark] with the same [~ctx ~pc ~cycle] as {!step}. *)
 val fast_engaged : config -> bool
 
 val pp_stop : Format.formatter -> stop -> unit

@@ -32,21 +32,66 @@ let nop =
     on_yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ());
   }
 
+(* Per field, only the elements that observe it are called: a field no
+   element sets stays [nop]'s closure, which is what
+   [Engine.fast_engaged] tests by physical equality, and a lone observer
+   is called directly. Several observers are fired in order by a loop
+   over an array, so firing allocates nothing. *)
 let compose hs =
+  let fire field many =
+    match List.filter (fun f -> f != field nop) (List.map field hs) with
+    | [] -> field nop
+    | [ f ] -> f
+    | fs -> many (Array.of_list fs)
+  in
   {
     on_retire =
-      (fun ~ctx ~pc ~instr ~cycle -> List.iter (fun h -> h.on_retire ~ctx ~pc ~instr ~cycle) hs);
-    on_load = (fun info -> List.iter (fun h -> h.on_load info) hs);
+      fire
+        (fun h -> h.on_retire)
+        (fun fs ~ctx ~pc ~instr ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~instr ~cycle
+          done);
+    on_load =
+      fire
+        (fun h -> h.on_load)
+        (fun fs info ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) info
+          done);
     on_branch =
-      (fun ~ctx ~pc ~target ~taken ~cycle ->
-        List.iter (fun h -> h.on_branch ~ctx ~pc ~target ~taken ~cycle) hs);
+      fire
+        (fun h -> h.on_branch)
+        (fun fs ~ctx ~pc ~target ~taken ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~target ~taken ~cycle
+          done);
     on_stall =
-      (fun ~ctx ~pc ~cycles ~cycle -> List.iter (fun h -> h.on_stall ~ctx ~pc ~cycles ~cycle) hs);
+      fire
+        (fun h -> h.on_stall)
+        (fun fs ~ctx ~pc ~cycles ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~cycles ~cycle
+          done);
     on_frontend_stall =
-      (fun ~ctx ~pc ~cycles ~cycle ->
-        List.iter (fun h -> h.on_frontend_stall ~ctx ~pc ~cycles ~cycle) hs);
-    on_opmark = (fun ~ctx ~pc ~cycle -> List.iter (fun h -> h.on_opmark ~ctx ~pc ~cycle) hs);
+      fire
+        (fun h -> h.on_frontend_stall)
+        (fun fs ~ctx ~pc ~cycles ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~cycles ~cycle
+          done);
+    on_opmark =
+      fire
+        (fun h -> h.on_opmark)
+        (fun fs ~ctx ~pc ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~cycle
+          done);
     on_yield =
-      (fun ~ctx ~pc ~kind ~fired ~cycle ->
-        List.iter (fun h -> h.on_yield ~ctx ~pc ~kind ~fired ~cycle) hs);
+      fire
+        (fun h -> h.on_yield)
+        (fun fs ~ctx ~pc ~kind ~fired ~cycle ->
+          for i = 0 to Array.length fs - 1 do
+            fs.(i) ~ctx ~pc ~kind ~fired ~cycle
+          done);
   }

@@ -36,5 +36,12 @@ type t = {
 (** Hooks that do nothing. *)
 val nop : t
 
-(** [compose hs] fires every hook of every element, in order. *)
+(** [compose hs] fires every hook of every element, in list order.
+
+    A field that no element observes (each element's field is [nop]'s)
+    stays physically equal to [nop]'s field, and a field with exactly
+    one observer is that observer's closure. {!Engine.fast_engaged}
+    reads these fields by physical equality, so composing observers
+    that watch only opmarks keeps the decoded-µop loop engaged.
+    [compose []] is field-for-field [nop]. *)
 val compose : t list -> t

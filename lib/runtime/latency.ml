@@ -5,20 +5,28 @@ type recorder = { last : (int, int) Hashtbl.t; lats : (int, int Vec.t) Hashtbl.t
 
 let recorder () = { last = Hashtbl.create 16; lats = Hashtbl.create 16 }
 
+(* The lookups below run at every opmark, often on the decoded-µop
+   loop: [find] with [exception Not_found] allocates nothing where
+   [find_opt] boxes a [Some]. A context enters [lats] at its second
+   opmark, with its first latency; that fixes the order [all] folds
+   in. *)
 let vec_of r ctx =
-  match Hashtbl.find_opt r.lats ctx with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find r.lats ctx with
+  | v -> v
+  | exception Not_found ->
       let v = Vec.create () in
       Hashtbl.add r.lats ctx v;
       v
 
 let hooks r =
   let on_opmark ~ctx ~pc:_ ~cycle =
-    (match Hashtbl.find_opt r.last ctx with
-    | Some prev -> Vec.push (vec_of r ctx) (cycle - prev)
-    | None -> ()  (* first opmark arms the recorder: no defined start *));
-    Hashtbl.replace r.last ctx cycle
+    match Hashtbl.find r.last ctx with
+    | prev ->
+        Vec.push (vec_of r ctx) (cycle - prev);
+        Hashtbl.replace r.last ctx cycle
+    | exception Not_found ->
+        (* first opmark arms the recorder: no defined start *)
+        Hashtbl.add r.last ctx cycle
   in
   { Events.nop with on_opmark }
 
@@ -37,31 +45,42 @@ type summary = {
   max : int;
 }
 
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.stable_sort Int.compare a;
+  a
+
 (* Linear interpolation between closest ranks (numpy's "linear" /
    "inclusive" method): rank = q*(n-1); interpolate between the samples
    at floor(rank) and ceil(rank), then round to the nearest cycle. This
    replaced nearest-rank, whose step discontinuities made one-sample
-   shifts look like whole-bucket p99 jumps in the differential sweeps. *)
+   shifts look like whole-bucket p99 jumps in the differential sweeps.
+   [a] is sorted ascending and non-empty. *)
+let percentile_sorted a q =
+  let n = Array.length a in
+  let rank = q *. float_of_int (n - 1) in
+  let rank = Float.max 0.0 (Float.min (float_of_int (n - 1)) rank) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = min (n - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  let v = float_of_int a.(lo) +. (frac *. float_of_int (a.(hi) - a.(lo))) in
+  int_of_float (Float.round v)
+
 let percentile xs q =
   match xs with
   | [] -> invalid_arg "Latency.percentile: empty"
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let rank = q *. float_of_int (n - 1) in
-      let rank = Float.max 0.0 (Float.min (float_of_int (n - 1)) rank) in
-      let lo = int_of_float (Float.floor rank) in
-      let hi = min (n - 1) (lo + 1) in
-      let frac = rank -. float_of_int lo in
-      let v = float_of_int a.(lo) +. (frac *. float_of_int (a.(hi) - a.(lo))) in
-      int_of_float (Float.round v)
+  | _ -> percentile_sorted (sorted xs) q
 
+(* One integer sort serves every order statistic. The [sq_dev] fold
+   stays over [xs] in its given order: float addition is not
+   associative, so folding in sorted order could move stddev in the
+   last bit. *)
 let summarize xs =
   match xs with
   | [] -> None
   | _ ->
-      let n = List.length xs in
+      let a = sorted xs in
+      let n = Array.length a in
       let sum = List.fold_left ( + ) 0 xs in
       let mean = float_of_int sum /. float_of_int n in
       let sq_dev =
@@ -76,11 +95,11 @@ let summarize xs =
           count = n;
           mean;
           stddev = sqrt (sq_dev /. float_of_int n);
-          p50 = percentile xs 0.50;
-          p90 = percentile xs 0.90;
-          p99 = percentile xs 0.99;
-          p999 = percentile xs 0.999;
-          max = List.fold_left max min_int xs;
+          p50 = percentile_sorted a 0.50;
+          p90 = percentile_sorted a 0.90;
+          p99 = percentile_sorted a 0.99;
+          p999 = percentile_sorted a 0.999;
+          max = a.(n - 1);
         }
 
 let empty_summary =

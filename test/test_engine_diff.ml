@@ -1,12 +1,13 @@
 (* The differential wall in front of the decoded-µop fast path: the
    fast loop must be architecturally bit-identical to the reference
    interpreter — registers, memory, Mem_stats, instruction/stall/cycle
-   counts — on every workload, on hundreds of generated programs, and
-   through the whole SMP harness in every placement mode. The
+   counts — on every workload, on hundreds of generated programs,
+   through every [Baselines] runner with its opmark observers attached,
+   and through the whole SMP harness in every placement mode. The
    zero-allocation regression keeps the fast path actually fast: its
    per-simulated-cycle minor-heap delta must be zero (only a small
    per-[Engine.run]-call constant is allowed, for the returned [stop]
-   value). *)
+   value), with or without an opmark observer. *)
 
 open Stallhide_mem
 open Stallhide_cpu
@@ -21,18 +22,35 @@ let fast_engine = Engine.default_config
 
 let ref_engine = { Engine.default_config with Engine.fast = false }
 
-(* The nine workloads, fresh per arm (runs mutate the image). *)
-let makers : (string * (int -> Workload.t)) list =
+(* The nine workloads, fresh per arm (runs mutate the image), on their
+   own image unless given one to share. *)
+type maker = ?image:Address_space.t -> int -> Workload.t
+
+let makers : (string * maker) list =
   [
-    ("pointer-chase", fun seed -> Pointer_chase.make ~seed ());
-    ("hash-probe", fun seed -> Hash_probe.make ~seed ());
-    ("array-scan", fun seed -> Array_scan.make ~seed ());
-    ("btree", fun seed -> Btree.make ~seed ());
-    ("graph-bfs", fun seed -> Graph_bfs.make ~seed ());
-    ("group-by", fun seed -> Group_by.make ~seed ());
-    ("hash-join", fun seed -> Hash_join.make ~seed ());
-    ("kv-server", fun seed -> Kv_server.make ~seed ());
-    ("offload", fun seed -> Offload.make ~seed ());
+    ("pointer-chase", fun ?image seed -> Pointer_chase.make ?image ~seed ());
+    ("hash-probe", fun ?image seed -> Hash_probe.make ?image ~seed ());
+    ("array-scan", fun ?image seed -> Array_scan.make ?image ~seed ());
+    ("btree", fun ?image seed -> Btree.make ?image ~seed ());
+    ("graph-bfs", fun ?image seed -> Graph_bfs.make ?image ~seed ());
+    ("group-by", fun ?image seed -> Group_by.make ?image ~seed ());
+    ("hash-join", fun ?image seed -> Hash_join.make ?image ~seed ());
+    ("kv-server", fun ?image seed -> Kv_server.make ?image ~seed ());
+    ("offload", fun ?image seed -> Offload.make ?image ~seed ());
+  ]
+
+(* A maker with its seed fixed. *)
+type fixed_maker = ?image:Address_space.t -> unit -> Workload.t
+
+(* The hand-instrumented (manual) variants, which exercise the yield
+   opcodes on the fast path. *)
+let manual_makers : (string * fixed_maker) list =
+  [
+    ("pointer-chase", fun ?image () -> Pointer_chase.make ?image ~manual:true ~seed:42 ());
+    ("hash-probe", fun ?image () -> Hash_probe.make ?image ~manual:true ~seed:42 ());
+    ("group-by", fun ?image () -> Group_by.make ?image ~manual:true ~seed:42 ());
+    ("kv-server", fun ?image () -> Kv_server.make ?image ~manual:true ~seed:42 ());
+    ("offload", fun ?image () -> Offload.make ?image ~manual:true ~seed:42 ());
   ]
 
 let check_mem_stats label (a : Mem_stats.t) (b : Mem_stats.t) =
@@ -84,18 +102,51 @@ let diff_one label ~make =
     cr cf
 
 let test_workloads_diff () =
-  List.iter (fun (name, make) -> diff_one name ~make:(fun () -> make 42)) makers;
-  (* and the hand-instrumented (manual) variants, which exercise the
-     yield opcodes on the fast path *)
+  List.iter (fun (name, (make : maker)) -> diff_one name ~make:(fun () -> make 42)) makers;
   List.iter
-    (fun (name, mk) -> diff_one (name ^ "/manual") ~make:mk)
-    [
-      ("pointer-chase", fun () -> Pointer_chase.make ~manual:true ~seed:42 ());
-      ("hash-probe", fun () -> Hash_probe.make ~manual:true ~seed:42 ());
-      ("group-by", fun () -> Group_by.make ~manual:true ~seed:42 ());
-      ("kv-server", fun () -> Kv_server.make ~manual:true ~seed:42 ());
-      ("offload", fun () -> Offload.make ~manual:true ~seed:42 ());
-    ]
+    (fun (name, (mk : fixed_maker)) -> diff_one (name ^ "/manual") ~make:(fun () -> mk ()))
+    manual_makers
+
+(* --- the [Baselines] runners: they attach an op counter and a latency
+   recorder, both opmark observers, so their fast arm runs the µop loop
+   with hooks firing. Every figure they report, down to the last bit of
+   the latency mean and stddev, must match the reference arm. --- *)
+
+let metrics = Alcotest.testable Stallhide.Metrics.pp ( = )
+
+let latency = Alcotest.(option (testable Latency.pp_summary ( = )))
+
+let baselines_opts fast =
+  { Stallhide.Baselines.default_opts with
+    Stallhide.Baselines.engine = { Engine.default_config with Engine.fast } }
+
+let diff_baselines label ~(make : fixed_maker) =
+  let module B = Stallhide.Baselines in
+  let both run = (run (baselines_opts false), run (baselines_opts true)) in
+  let r, f = both (fun opts -> B.run_sequential ~opts (make ())) in
+  Alcotest.check metrics (label ^ ": run_sequential") r f;
+  let r, f = both (fun opts -> B.run_round_robin ~opts (make ())) in
+  Alcotest.check metrics (label ^ ": run_round_robin") r f;
+  (* dual mode: the workload's lanes scavenge behind one kv-server
+     primary lane on a shared image *)
+  let r, f =
+    both (fun opts ->
+        let image = Address_space.create ~bytes:(1 lsl 24) in
+        let primary = Kv_server.make ~image ~requests:200 ~seed:42 () in
+        B.run_dual ~opts ~primary ~scavengers:(make ~image ()) ())
+  in
+  Alcotest.check metrics (label ^ ": run_dual") r.B.metrics f.B.metrics;
+  Alcotest.check latency (label ^ ": run_dual primary latency") r.B.primary_latency
+    f.B.primary_latency;
+  Alcotest.(check int)
+    (label ^ ": run_dual scavenger switches")
+    r.B.scavenger_switches f.B.scavenger_switches
+
+let test_baselines_diff () =
+  List.iter
+    (fun (name, (make : maker)) -> diff_baselines name ~make:(fun ?image () -> make ?image 42))
+    makers;
+  List.iter (fun (name, mk) -> diff_baselines (name ^ "/manual") ~make:mk) manual_makers
 
 (* 500 generated programs, raw and scavenger-instrumented: the fast
    path must agree with the reference on programs it has never seen. *)
@@ -107,17 +158,47 @@ let test_gen_programs_diff () =
   done
 
 let test_fast_engaged_sanity () =
+  let engaged hooks = Engine.fast_engaged { fast_engine with Engine.hooks } in
   Alcotest.(check bool) "default engages" true (Engine.fast_engaged fast_engine);
   Alcotest.(check bool) "fast=false disengages" false (Engine.fast_engaged ref_engine);
-  Alcotest.(check bool) "hooks disengage" false
-    (Engine.fast_engaged
-       {
-         fast_engine with
-         Engine.hooks = Stallhide_obs.Stream.hooks (Stallhide_obs.Stream.create ());
-       });
+  Alcotest.(check bool) "stream hooks disengage" false
+    (engaged (Stallhide_obs.Stream.hooks (Stallhide_obs.Stream.create ())));
   Alcotest.(check bool) "stall_shape disengages" false
     (Engine.fast_engaged
-       { fast_engine with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) })
+       { fast_engine with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) });
+  (* any one per-instruction observer, or a yield observer, needs the
+     reference interpreter *)
+  let n = Events.nop in
+  List.iter
+    (fun (field, hooks) -> Alcotest.(check bool) (field ^ " disengages") false (engaged hooks))
+    [
+      ("on_retire", { n with Events.on_retire = (fun ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ -> ()) });
+      ("on_load", { n with Events.on_load = (fun _ -> ()) });
+      ( "on_branch",
+        { n with Events.on_branch = (fun ~ctx:_ ~pc:_ ~target:_ ~taken:_ ~cycle:_ -> ()) } );
+      ("on_stall", { n with Events.on_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ()) });
+      ( "on_frontend_stall",
+        { n with Events.on_frontend_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ()) } );
+      ( "on_yield",
+        { n with Events.on_yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ()) } );
+    ];
+  (* opmark observers ride the fast loop, alone or composed *)
+  let r = Latency.recorder () in
+  Alcotest.(check bool) "latency recorder engages" true (engaged (Latency.hooks r));
+  Alcotest.(check bool) "composed with nop engages" true
+    (engaged (Events.compose [ Events.nop; Latency.hooks r ]));
+  Alcotest.(check bool) "composed op counter + recorder engages" true
+    (engaged (Events.compose [ snd (Stallhide.Baselines.op_counter ()); Latency.hooks r ]));
+  (* compose leaves unobserved fields physically nop's *)
+  let c = Events.compose [] in
+  let same field a b = Alcotest.(check bool) ("compose [] keeps nop's " ^ field) true (a == b) in
+  same "on_retire" c.Events.on_retire n.Events.on_retire;
+  same "on_load" c.Events.on_load n.Events.on_load;
+  same "on_branch" c.Events.on_branch n.Events.on_branch;
+  same "on_stall" c.Events.on_stall n.Events.on_stall;
+  same "on_frontend_stall" c.Events.on_frontend_stall n.Events.on_frontend_stall;
+  same "on_opmark" c.Events.on_opmark n.Events.on_opmark;
+  same "on_yield" c.Events.on_yield n.Events.on_yield
 
 (* --- whole-machine differential: the SMP harness in every placement
    mode, fast (trace off) vs reference (trace on). The trace flag only
@@ -198,38 +279,49 @@ let test_harness_placements_diff () =
    delta is bounded by a small constant per [Engine.run] call (the
    returned [stop] value) — i.e. zero words per simulated cycle. *)
 
+let zero_alloc_run label engine (w : Workload.t) =
+  let hier = Hierarchy.create memcfg in
+  let ctxs = Workload.contexts w in
+  let clock = ref 0 in
+  (* warm-up: first entry decodes the µop cache (allocates once) *)
+  Array.iter
+    (fun c -> ignore (Engine.run engine hier w.Workload.image ~clock ~deadline:(!clock + 1) c))
+    ctxs;
+  let deadline = !clock + 10_000 in
+  let calls = ref 0 in
+  let rec drive c =
+    incr calls;
+    match Engine.run engine hier w.Workload.image ~clock ~deadline c with
+    | Engine.Yielded _ -> if !clock < deadline then drive c
+    | Engine.Halted | Engine.Out_of_budget | Engine.Fault _ -> ()
+  in
+  let m0 = Gc.minor_words () in
+  Array.iter drive ctxs;
+  let m1 = Gc.minor_words () in
+  let words = m1 -. m0 in
+  (* 48 words/call covers the per-[run]-entry constant: the fast
+     loop's two local closures and the [Yielded]/[stop] result.
+     Anything per-cycle or per-instruction would show up as thousands
+     of words over a 10k-cycle window. *)
+  let allowance = float_of_int ((!calls * 48) + 64) in
+  if words > allowance then
+    Alcotest.failf "%s: fast path allocated %.0f minor words over %d cycles (%d calls)" label
+      words !clock !calls
+
+(* Opmark observers that allocate nothing must not cost the loop an
+   allocation either: the fast loop calls them in place, and [compose]
+   fires several from an array, with no boxing. *)
 let test_zero_alloc () =
   List.iter
-    (fun (name, make) ->
-      let w = make 7 in
-      let hier = Hierarchy.create memcfg in
-      let ctxs = Workload.contexts w in
-      let clock = ref 0 in
-      (* warm-up: first entry decodes the µop cache (allocates once) *)
-      Array.iter
-        (fun c ->
-          ignore (Engine.run fast_engine hier w.Workload.image ~clock ~deadline:(!clock + 1) c))
-        ctxs;
-      let deadline = !clock + 10_000 in
-      let calls = ref 0 in
-      let rec drive c =
-        incr calls;
-        match Engine.run fast_engine hier w.Workload.image ~clock ~deadline c with
-        | Engine.Yielded _ -> if !clock < deadline then drive c
-        | Engine.Halted | Engine.Out_of_budget | Engine.Fault _ -> ()
-      in
-      let m0 = Gc.minor_words () in
-      Array.iter drive ctxs;
-      let m1 = Gc.minor_words () in
-      let words = m1 -. m0 in
-      (* 48 words/call covers the per-[run]-entry constant: the fast
-         loop's two local closures and the [Yielded]/[stop] result.
-         Anything per-cycle or per-instruction would show up as
-         thousands of words over a 10k-cycle window. *)
-      let allowance = float_of_int ((!calls * 48) + 64) in
-      if words > allowance then
-        Alcotest.failf "%s: fast path allocated %.0f minor words over %d cycles (%d calls)"
-          name words (!clock) !calls)
+    (fun (name, (make : maker)) ->
+      zero_alloc_run name fast_engine (make 7);
+      let ops_a, count_a = Stallhide.Baselines.op_counter () in
+      let ops_b, count_b = Stallhide.Baselines.op_counter () in
+      zero_alloc_run (name ^ " + two opmark counters")
+        { fast_engine with Engine.hooks = Events.compose [ count_a; count_b ] }
+        (make 7);
+      if !ops_a = 0 || !ops_a <> !ops_b then
+        Alcotest.failf "%s: opmark counters fired %d and %d times" name !ops_a !ops_b)
     makers
 
 let () =
@@ -240,6 +332,7 @@ let () =
           Alcotest.test_case "fast_engaged gating" `Quick test_fast_engaged_sanity;
           Alcotest.test_case "nine workloads (+manual variants)" `Quick test_workloads_diff;
           Alcotest.test_case "500 generated programs" `Slow test_gen_programs_diff;
+          Alcotest.test_case "Baselines runners (+manual variants)" `Quick test_baselines_diff;
         ] );
       ( "whole-machine",
         [

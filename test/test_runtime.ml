@@ -58,6 +58,35 @@ let test_summarize () =
       Alcotest.(check int) "max" 40 s.Latency.max
   | None -> Alcotest.fail "no summary"
 
+(* [summarize] reads every order statistic from one sort: it must agree
+   with [percentile] at each quantile it reports and with a plain fold
+   for count, max, mean and stddev, bit for bit. Small ranges force
+   duplicates; negatives and length 1 are in range. *)
+let qcheck_summarize_agrees =
+  QCheck.Test.make ~name:"summarize agrees with percentile and plain folds" ~count:500
+    QCheck.(list_of_size Gen.(1 -- 300) (int_range (-1000) 1000))
+    (fun xs ->
+      match Latency.summarize xs with
+      | None -> false
+      | Some s ->
+          let n = List.length xs in
+          let mean = float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int n in
+          let sq =
+            List.fold_left
+              (fun a x ->
+                let d = float_of_int x -. mean in
+                a +. (d *. d))
+              0.0 xs
+          in
+          s.Latency.count = n
+          && s.Latency.max = List.fold_left max min_int xs
+          && Float.equal s.Latency.mean mean
+          && Float.equal s.Latency.stddev (sqrt (sq /. float_of_int n))
+          && s.Latency.p50 = Latency.percentile xs 0.50
+          && s.Latency.p90 = Latency.percentile xs 0.90
+          && s.Latency.p99 = Latency.percentile xs 0.99
+          && s.Latency.p999 = Latency.percentile xs 0.999)
+
 let test_recorder_skips_first () =
   let r = Latency.recorder () in
   let h = Latency.hooks r in
@@ -300,6 +329,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "percentile small-n" `Quick test_percentile_small_n;
           Alcotest.test_case "summarize" `Quick test_summarize;
+          QCheck_alcotest.to_alcotest qcheck_summarize_agrees;
           Alcotest.test_case "recorder" `Quick test_recorder_skips_first;
         ] );
       ( "scheduler",
