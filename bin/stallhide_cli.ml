@@ -888,23 +888,26 @@ let smp_cmd =
         requests_per_core;
         interarrival;
         skew;
+        (* the per-core streams are read only for the Perfetto export *)
+        trace = trace_out <> None;
       }
     in
     let r = Smp.Harness.run params in
     (* single-core reference of the same config, for scaling numbers *)
     let base =
-      if cores = 1 then r else Smp.Harness.run (Smp.Harness.reference_params params)
+      if cores = 1 then r
+      else Smp.Harness.run { (Smp.Harness.reference_params params) with trace = false }
     in
     let speedup = Smp.Harness.speedup ~base r in
     let efficiency = Smp.Harness.efficiency ~base r in
     let reg = Obs.Registry.create () in
     Smp.Machine.counters_into reg r.Smp.Harness.result;
-    Array.iter
-      (fun (c : Smp.Machine.core_result) ->
-        warn_dropped (Printf.sprintf "core%d" c.Smp.Machine.core_id) c.Smp.Machine.stream)
-      r.Smp.Harness.result.Smp.Machine.per_core;
     (match trace_out with
     | Some path ->
+        Array.iter
+          (fun (c : Smp.Machine.core_result) ->
+            warn_dropped (Printf.sprintf "core%d" c.Smp.Machine.core_id) c.Smp.Machine.stream)
+          r.Smp.Harness.result.Smp.Machine.per_core;
         write_file path (fun path ->
             Obs.Perfetto.write_tracks ~path
               (Array.to_list
@@ -1038,7 +1041,9 @@ let smp_cmd =
   let trace_out_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write a Perfetto trace with one named track per core to $(docv).")
+             ~doc:
+               "Trace the run (which selects the slower, hooked interpreter) and write a \
+                Perfetto trace with one named track per core to $(docv).")
   in
   let term =
     Term.(

@@ -306,6 +306,20 @@ let run c ~node:make_impl ~requests =
     live
   in
   Array.iter (fun nd -> nd.live <- Some (create_live nd)) nodes;
+  (* Each machine's next-action time, [max_int] when it has none or is
+     down. It depends only on that machine's own state, which only a
+     step, a delivery, a crash or a rebuild changes, so the entry is
+     refreshed at exactly those four points instead of re-polling
+     every machine per loop iteration. *)
+  let next_at = Array.make c.machines max_int in
+  let refresh m =
+    next_at.(m) <-
+      (match nodes.(m).live with
+      | Some l when not nodes.(m).crashed -> (
+          match Machine.Live.next_action l with Some t -> t | None -> max_int)
+      | _ -> max_int)
+  in
+  Array.iteri (fun m _ -> refresh m) nodes;
   let backlog_of m =
     match nodes.(m).live with Some l when not nodes.(m).crashed -> Machine.Live.backlog l | _ -> 0
   in
@@ -431,6 +445,7 @@ let run c ~node:make_impl ~requests =
               in
               Machine.Live.submit live
                 (Machine.request ~rid ~key:r.spec.key ~home ~arrival:now ctx);
+              refresh m;
               eval_brownout ()
             end)
     | Respond { rid; aix; m } -> (
@@ -522,6 +537,7 @@ let run c ~node:make_impl ~requests =
           | Some l -> nd.snapshots <- Machine.Live.finish l :: nd.snapshots
           | None -> ());
           nd.live <- None;
+          refresh m;
           Hashtbl.reset nd.inflight;
           if down > 0 then Heap.push heap (now + down) (RecoverAt m)
         end
@@ -533,27 +549,28 @@ let run c ~node:make_impl ~requests =
           let impl = make_impl ~machine:m ~restart:nd.restarts in
           nd.impl <- { impl with config = wrap_slow m impl.config };
           nd.crashed <- false;
-          nd.live <- Some (create_live nd)
+          nd.live <- Some (create_live nd);
+          refresh m
         end
   in
   (* --- main loop: interleave machine stepping with event delivery,
      always acting at the globally smallest time --- *)
   let finished = ref false in
   let last_event_time = ref 0 in
+  let step m =
+    ignore (Machine.Live.step (Option.get nodes.(m).live));
+    refresh m
+  in
   while (not !finished) && !unresolved > 0 do
     let t_ev = Heap.peek_time heap in
+    (* lowest next-action time, lowest id on ties *)
     let best = ref (-1) and best_t = ref max_int in
-    Array.iter
-      (fun nd ->
-        match nd.live with
-        | Some l when not nd.crashed -> (
-            match Machine.Live.next_action l with
-            | Some tm when tm < !best_t ->
-                best := nd.nid;
-                best_t := tm
-            | _ -> ())
-        | _ -> ())
-      nodes;
+    for m = 0 to c.machines - 1 do
+      if next_at.(m) < !best_t then begin
+        best := m;
+        best_t := next_at.(m)
+      end
+    done;
     match (t_ev, !best) with
     | None, -1 -> finished := true
     | Some t, -1 ->
@@ -563,9 +580,7 @@ let run c ~node:make_impl ~requests =
           last_event_time := max !last_event_time t;
           handle t ev
         end
-    | None, m ->
-        if !best_t > c.horizon then finished := true
-        else ignore (Machine.Live.step (Option.get nodes.(m).live))
+    | None, m -> if !best_t > c.horizon then finished := true else step m
     | Some t, m ->
         if min t !best_t > c.horizon then finished := true
         else if t <= !best_t then begin
@@ -573,7 +588,7 @@ let run c ~node:make_impl ~requests =
           last_event_time := max !last_event_time t;
           handle t ev
         end
-        else ignore (Machine.Live.step (Option.get nodes.(m).live))
+        else step m
   done;
   (* Drain surviving replicas to quiescence so [cycles] is the makespan
      of all admitted work — scavenger batches, losing hedge attempts —

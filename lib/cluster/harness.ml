@@ -100,13 +100,16 @@ let node_factory ?kv_program ?scav_program p =
         lane)
       home_of
   in
-  let line = 64 in
   let scav_lanes = p.scav_per_core * p.cores in
+  (* exactly what each incarnation's generators allocate into its image *)
   let bytes =
-    2
-    * ((p.cores * ((p.table_slots * line) + (total * p.req_ops * 8) + 4096))
-      + (scav_lanes * ((p.scav_tuples * 16) + (p.scav_groups * line) + 1024))
-      + 65536)
+    Array.fold_left
+      (fun acc lanes ->
+        if lanes = 0 then acc
+        else acc + Kv_server.image_bytes ~lanes ~table_slots:p.table_slots ~requests:p.req_ops)
+      0 per_shard
+    + (if scav_lanes = 0 then 0
+       else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
   in
   fun ~machine:_ ~restart:_ ->
     let image = Address_space.create ~bytes in
@@ -169,7 +172,7 @@ let node_factory ?kv_program ?scav_program p =
         max_cycles = p.horizon;
         prepare_core = (fun _ _ -> ());
         sync = Machine.Interleaved;
-        trace = true;
+        trace = false;
       }
     in
     {

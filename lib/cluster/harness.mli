@@ -51,7 +51,9 @@ val trace : params -> Cluster.spec list
 
 (** The replica factory (optionally serving instrumented programs);
     exposed for the fuzz oracle, which runs the same factory's output
-    through a single machine. *)
+    through a single machine. Nodes are untraced
+    ({!Stallhide_smp.Machine.config.trace} is [false]): nothing in the
+    cluster reads their event streams. *)
 val node_factory :
   ?kv_program:Stallhide_isa.Program.t ->
   ?scav_program:Stallhide_isa.Program.t ->

@@ -35,27 +35,29 @@ let breakdown ~events (r : request) =
             switch := !switch + cost
         | _ -> ())
       events;
-    let latency = r.finished - r.arrival in
-    let queueing =
-      if !first_dispatch = max_int then latency
-      else max 0 (min latency (!first_dispatch - r.arrival))
-    in
-    let stall = !stall in
-    let switch = !switch in
-    let compute = max 0 (!oncore - stall - switch) in
-    let offcore = max 0 (latency - queueing - compute - stall - switch) in
-    Some
-      {
-        rid = r.rid;
-        core = r.core;
-        latency;
-        queueing;
-        compute;
-        stall;
-        contention = min !contention stall;
-        switch;
-        offcore;
-      }
+    (* a finished request with no dispatch slice ran untraced or had its
+       events dropped: there is nothing to decompose *)
+    if !first_dispatch = max_int then None
+    else begin
+      let latency = r.finished - r.arrival in
+      let queueing = max 0 (min latency (!first_dispatch - r.arrival)) in
+      let stall = !stall in
+      let switch = !switch in
+      let compute = max 0 (!oncore - stall - switch) in
+      let offcore = max 0 (latency - queueing - compute - stall - switch) in
+      Some
+        {
+          rid = r.rid;
+          core = r.core;
+          latency;
+          queueing;
+          compute;
+          stall;
+          contention = min !contention stall;
+          switch;
+          offcore;
+        }
+    end
   end
 
 type totals = {

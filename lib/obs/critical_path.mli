@@ -41,7 +41,9 @@ type breakdown = {
 
 (** [breakdown ~events request] — [events] is the run's merged event
     list (any order; filtered by [request.ctx] internally). Requests
-    that never finished yield [None]. *)
+    that never finished yield [None], and so do finished requests with
+    no [Dispatch] slice in [events]: their run was untraced or their
+    events were dropped. *)
 val breakdown : events:Event.t list -> request -> breakdown option
 
 type totals = {

@@ -78,7 +78,7 @@ let default_params =
     memcfg = Memconfig.default;
     prepare_core = (fun _ _ -> ());
     sync = Machine.Interleaved;
-    trace = true;
+    trace = false;
     engine_fast = true;
   }
 
@@ -178,18 +178,21 @@ let run params =
   in
   let per_shard = Array.make p.cores 0 in
   Array.iter (fun (_, _, home, _) -> per_shard.(home) <- per_shard.(home) + 1) trace;
-  (* One shared image big enough for every shard's table and key
-     arrays plus the scavenger regions (x2 slack for generator guard
-     lines and alignment). *)
-  let line = 64 in
+  (* One shared image holding exactly what the generators below
+     allocate into it: every shard's table and key arrays, then the
+     scavenger regions. *)
   let scav_lanes = p.scav_per_core * p.cores in
   let bytes =
-    2
-    * ((p.cores * ((p.table_slots * line) + (p.requests_per_core * p.cores * p.req_ops * 8) + 4096))
-      + (scav_lanes * ((p.scav_tuples * 16) + (p.scav_groups * line) + 1024))
-      + 65536)
+    Array.fold_left
+      (fun acc lanes ->
+        if lanes = 0 then acc
+        else acc + Kv_server.image_bytes ~lanes ~table_slots:p.table_slots ~requests:p.req_ops)
+      0 per_shard
+    + (if scav_lanes = 0 then 0
+       else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
   in
-  let image = Address_space.create ~bytes in
+  (* an empty run still needs an image *)
+  let image = Address_space.create ~bytes:(max 1 bytes) in
   (* PGO: instrument twin programs once (identical program text). *)
   let kv_program, scav_program, verify_programs, verify_errors, verify_warnings =
     if not p.pgo then (None, None, 0, 0, 0)

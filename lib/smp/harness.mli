@@ -69,9 +69,11 @@ type params = {
   sync : Machine.sync;
       (** forwarded to {!Machine.config.sync} (default [Interleaved]) *)
   trace : bool;
-      (** forwarded to {!Machine.config.trace} (default [true]);
-          [false] drops per-instruction event streams so the decoded-µop
-          fast path engages *)
+      (** forwarded to {!Machine.config.trace} (default [false]: the
+          decoded-µop fast path runs and the per-core streams carry
+          only steals); [true] records the per-instruction, per-slice
+          and per-request events the critical path and Perfetto export
+          read *)
   engine_fast : bool;
       (** {!Stallhide_cpu.Engine.config.fast} on every core (default
           [true]); [false] pins the reference interpreter — the

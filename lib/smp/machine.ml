@@ -30,7 +30,7 @@ let default_config =
     max_cycles = max_int;
     prepare_core = (fun _ _ -> ());
     sync = Interleaved;
-    trace = true;
+    trace = false;
   }
 
 type request = {
@@ -78,6 +78,7 @@ module Live = struct
     scheds : Core_sched.t array;
     sojourns : int Vec.t array;
     by_ctx : (int, request) Hashtbl.t;
+    depths : int array;  (* scratch for dispatch decisions *)
     pending : request Queue.t;
     submitted : request Vec.t;
     mutable last_arrival : int;
@@ -166,6 +167,7 @@ module Live = struct
         scheds;
         sojourns = Array.init n (fun _ -> Vec.create ());
         by_ctx = Hashtbl.create 64;
+        depths = Array.make n 0;
         pending = Queue.create ();
         submitted = Vec.create ();
         last_arrival = min_int;
@@ -178,9 +180,10 @@ module Live = struct
             match Hashtbl.find_opt t.by_ctx ctx.Context.id with
             | Some r ->
                 r.finished_at <- now;
-                Stallhide_obs.Stream.record streams.(i)
-                  (Stallhide_obs.Event.Span_close
-                     { ctx = ctx.Context.id; name = "request"; cycle = now });
+                if config.trace then
+                  Stallhide_obs.Stream.record streams.(i)
+                    (Stallhide_obs.Event.Span_close
+                       { ctx = ctx.Context.id; name = "request"; cycle = now });
                 Vec.push t.sojourns.(i) (now - r.arrival);
                 (match t.on_complete with Some f -> f r ~core:i ~now | None -> ())
             | None -> ()))
@@ -212,19 +215,26 @@ module Live = struct
 
   let clock t = core_clock t (argmin t)
 
-  let release_upto t now =
-    let due () =
-      match Queue.peek_opt t.pending with Some r -> r.arrival <= now | None -> false
-    in
-    while due () do
-      let r = Queue.pop t.pending in
-      let depths = Array.init t.n (fun i -> Core_sched.queue_depth t.scheds.(i)) in
-      let target = Dispatch.choose t.policy ~home:r.home ~depths in
-      r.served_by <- target;
+  (* Steer [r] over the live queue depths and mark it served there;
+     the caller submits it. Only a traced machine opens its span. *)
+  let dispatch t r =
+    for i = 0 to t.n - 1 do
+      t.depths.(i) <- Core_sched.queue_depth t.scheds.(i)
+    done;
+    let target = Dispatch.choose t.policy ~home:r.home ~depths:t.depths in
+    r.served_by <- target;
+    if t.config.trace then
       Stallhide_obs.Stream.record t.streams.(target)
         (Stallhide_obs.Event.Span_open
            { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
-      Core_sched.submit t.scheds.(target) r.ctx
+    target
+
+  let due t now = (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).arrival <= now
+
+  let release_upto t now =
+    while due t now do
+      let r = Queue.pop t.pending in
+      Core_sched.submit t.scheds.(dispatch t r) r.ctx
     done
 
   let all_quiescent t =
@@ -302,17 +312,9 @@ module Live = struct
        primary-quiescent targets (whose clocks park where they went
        idle) need the jump — this preserves served-at >= arrival. *)
     let release_due start =
-      let due () =
-        match Queue.peek_opt t.pending with Some r -> r.arrival <= start | None -> false
-      in
-      while due () do
+      while due t start do
         let r = Queue.pop t.pending in
-        let depths = Array.init t.n (fun i -> Core_sched.queue_depth t.scheds.(i)) in
-        let target = Dispatch.choose t.policy ~home:r.home ~depths in
-        r.served_by <- target;
-        Stallhide_obs.Stream.record t.streams.(target)
-          (Stallhide_obs.Event.Span_open
-             { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
+        let target = dispatch t r in
         if Core_sched.quiescent t.scheds.(target) then
           Core_sched.advance_clock t.scheds.(target) r.arrival;
         Core_sched.submit t.scheds.(target) r.ctx

@@ -55,11 +55,14 @@ type config = {
           core deterministically (default: no-op) *)
   sync : sync;  (** default [Interleaved] *)
   trace : bool;
-      (** default [true]: compose each core's event stream into the
-          engine hooks and record per-slice dispatch events. [false]
-          leaves the engine hooks untouched (normally {!Events.nop}) so
-          the decoded-µop fast path engages — the per-core event
-          streams then carry only request spans and steals. *)
+      (** default [false]: the engine hooks stay as given (normally
+          {!Events.nop}) so the decoded-µop fast path engages, and the
+          per-core event streams carry only [Steal] events. [true]
+          composes each core's event stream into the engine hooks and
+          records per-slice dispatch events and per-request
+          [Span_open]/[Span_close] — what the critical-path extractor
+          and Perfetto export read. Simulated statistics are the same
+          either way. *)
 }
 
 (** 4 cores, default memory geometry, window 32 / budget 16,
@@ -83,7 +86,7 @@ type core_result = {
   cycles : int;  (** this core's final local clock *)
   stats : Core_sched.stats;
   mem : Mem_stats.t;
-  stream : Stallhide_obs.Stream.t;
+  stream : Stallhide_obs.Stream.t;  (** only steals unless [config.trace] *)
   sojourns : int list;  (** completion - arrival, for requests finished here *)
   faults : string list;
 }
@@ -137,7 +140,10 @@ module Live : sig
 
   (** When the machine would next do productive work: its clock while
       any core is busy, the next pending arrival when drained, [None]
-      when {!quiescent}. The cluster's min-time loop keys on this. *)
+      when {!quiescent}. The cluster's min-time loop keys on this. It
+      depends only on this machine's own state, which only {!submit},
+      {!step} and {!run_barrier} change — so a caller may cache it
+      between those calls ({!set_scavengers_enabled} does not move it). *)
   val next_action : t -> int option
 
   (** No pending or in-flight request on any core. *)

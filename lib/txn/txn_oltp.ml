@@ -80,8 +80,6 @@ let zipf_sample st cdf =
   done;
   !lo
 
-let round_line bytes = (bytes + line - 1) / line * line
-
 let find image lay key =
   let rec go addr steps =
     if steps > lay.slots then raise Not_found;
@@ -100,8 +98,8 @@ let make ?image ?(manual = false) ?(lanes = 8) ?(txns = 64) ?(batch = 4) ?(mix =
   if keys < 4 * batch then invalid_arg "Txn_oltp.make: keys too small for batch";
   let st = Random.State.make [| seed; 0x5bd1e995 |] in
   let slots = 2 * keys in
-  let stream_bytes = round_line (txns * (1 + batch) * 8) in
-  let scratch_bytes = round_line (8 + (16 * batch)) in
+  let stream_bytes = Gen_util.round_line (txns * (1 + batch) * 8) in
+  let scratch_bytes = Gen_util.round_line (8 + (16 * batch)) in
   let record_bytes = txns * line in
   let bytes =
     (slots * line) + (2 * line)

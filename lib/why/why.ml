@@ -458,7 +458,8 @@ type critical = { requests : int; all : Critical_path.totals; tail : Critical_pa
 let critical cfg =
   if cfg.workload <> "kv-server" then None
   else
-    let r = Harness.run (smp_params cfg cfg.seed) in
+    (* the decomposition reads the per-core event streams *)
+    let r = Harness.run { (smp_params cfg cfg.seed) with Harness.trace = true } in
     let events =
       Array.fold_left
         (fun acc (c : Machine.core_result) -> acc @ Stream.events c.Machine.stream)

@@ -13,6 +13,8 @@ let permutation st n =
 
 let line = 64
 
+let round_line bytes = (bytes + line - 1) / line * line
+
 let emit_compute b reg cycles =
   let open Stallhide_isa in
   for _ = 1 to cycles / 12 do

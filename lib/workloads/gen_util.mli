@@ -9,6 +9,11 @@ val permutation : Random.State.t -> int -> int array
 (** Line size used by all generators (64 bytes). *)
 val line : int
 
+(** [round_line bytes] rounds up to whole lines: the room a region of
+    [bytes] takes in an image, since
+    {!Stallhide_mem.Address_space.alloc} line-aligns every region. *)
+val round_line : int -> int
+
 (** [emit_compute b reg cycles] emits ALU work on [reg] costing exactly
     [cycles] base cycles, using 12-cycle divides plus 1-cycle adds so
     instruction count stays proportional to [cycles]/12. *)

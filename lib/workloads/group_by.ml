@@ -1,11 +1,16 @@
 open Stallhide_isa
 open Stallhide_mem
 
+(* key word + value word *)
+let tuple_bytes = 16
+
+let image_bytes ~lanes ~groups ~tuples =
+  Gen_util.line
+  + (lanes * (Gen_util.round_line (tuples * tuple_bytes) + (groups * Gen_util.line)))
+
 let make ?image ?(manual = false) ?(lanes = 8) ?(groups = 4096) ?(tuples = 1000) ~seed () =
   if lanes <= 0 || groups <= 1 || tuples <= 0 then invalid_arg "Group_by.make: bad parameters";
   let st = Random.State.make [| seed; 0xc2b2ae35 |] in
-  let tuple_bytes = 16 in
-  (* key word + value word *)
   let bytes =
     (lanes * ((tuples * tuple_bytes) + (groups * Gen_util.line))) + (8 * Gen_util.line)
   in

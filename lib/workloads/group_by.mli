@@ -11,6 +11,11 @@
     Registers: r1 = tuple cursor, r2 = remaining tuples,
     r3 = accumulator base, r7 = group count, r15 = tuples done. *)
 
+(** Bytes {!make} allocates into a shared [image] for these parameters:
+    a guard line, then per lane its tuples and its accumulators, each
+    region rounded up to a line. *)
+val image_bytes : lanes:int -> groups:int -> tuples:int -> int
+
 val make :
   ?image:Stallhide_mem.Address_space.t ->
   ?manual:bool ->

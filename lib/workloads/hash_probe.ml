@@ -3,17 +3,19 @@ open Stallhide_mem
 
 let hash_const = 2654435761
 
+(* each lane's keys: one word per op, whole lines *)
+let key_bytes ~ops = Gen_util.round_line (ops * 8)
+
+let image_bytes ~lanes ~table_slots ~ops =
+  Gen_util.line + (table_slots * Gen_util.line) + (lanes * key_bytes ~ops)
+
 let make ?image ?(name = "hash-probe") ?(manual = false) ?(lanes = 8) ?(table_slots = 8192)
     ?(fill = 0.5) ?(ops = 2000) ?(compute = 0) ~seed () =
   if lanes <= 0 || table_slots <= 1 || ops <= 0 then invalid_arg "Hash_probe.make: bad parameters";
   if fill <= 0.0 || fill > 0.9 then invalid_arg "Hash_probe.make: fill must be in (0, 0.9]";
   let st = Random.State.make [| seed; 0x517cc1b7 |] in
   let n_keys = int_of_float (float_of_int table_slots *. fill) in
-  let key_lines_per_lane = (ops + 7) / 8 in
-  let bytes =
-    (table_slots * Gen_util.line) + (lanes * key_lines_per_lane * Gen_util.line)
-    + (4 * Gen_util.line)
-  in
+  let bytes = (table_slots * Gen_util.line) + (lanes * key_bytes ~ops) + (4 * Gen_util.line) in
   let image = match image with Some im -> im | None -> Address_space.create ~bytes in
   let (_ : int) = Address_space.alloc image ~bytes:Gen_util.line in
   let table = Address_space.alloc image ~bytes:(table_slots * Gen_util.line) in
@@ -38,7 +40,7 @@ let make ?image ?(name = "hash-probe") ?(manual = false) ?(lanes = 8) ?(table_sl
   Array.iter insert keys;
   let lane_inits =
     Array.init lanes (fun _ ->
-        let base = Address_space.alloc image ~bytes:(key_lines_per_lane * Gen_util.line) in
+        let base = Address_space.alloc image ~bytes:(key_bytes ~ops) in
         for i = 0 to ops - 1 do
           Address_space.store image (base + (i * 8)) keys.(Random.State.int st n_keys)
         done;

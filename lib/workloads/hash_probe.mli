@@ -17,6 +17,11 @@
 
 val hash_const : int
 
+(** Bytes {!make} allocates into a shared [image] for these parameters:
+    a guard line, the table, and each lane's key array, each region
+    rounded up to a line. *)
+val image_bytes : lanes:int -> table_slots:int -> ops:int -> int
+
 val make :
   ?image:Stallhide_mem.Address_space.t ->
   ?name:string ->

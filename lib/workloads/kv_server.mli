@@ -2,6 +2,10 @@
     service compute, used as the high-priority *primary* coroutine in
     the asymmetric-concurrency experiments (§3.3). *)
 
+(** Bytes {!make} allocates into a shared [image] for these parameters
+    ({!Hash_probe.image_bytes}). *)
+val image_bytes : lanes:int -> table_slots:int -> requests:int -> int
+
 val make :
   ?image:Stallhide_mem.Address_space.t ->
   ?manual:bool ->

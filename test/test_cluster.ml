@@ -388,6 +388,109 @@ let test_quarantine_probe_readmission () =
     res.Cluster.acked;
   Alcotest.(check int) "failover lost no acked request" 0 res.Cluster.lost_acked
 
+(* --- Tracing parity: streams on or off, the same cluster --- *)
+
+(* [Cluster.Harness.run] from its public parts, with every node's
+   [Machine.config.trace] forced to [trace] *)
+let run_traced ~trace (p : CH.params) =
+  let module SH = Stallhide_smp.Harness in
+  let module W = Stallhide_workloads in
+  let kv_program, _, _ =
+    SH.instrument_twin
+      ~twin:
+        (W.Kv_server.make ~lanes:8 ~table_slots:p.CH.table_slots ~requests:64
+           ~service_compute:p.CH.service_compute ~seed:(p.CH.seed + 1) ())
+      ~placement:SH.Pgo ~mem ()
+  in
+  let scav_program, _, _ =
+    SH.instrument_twin
+      ~twin:
+        (W.Group_by.make ~lanes:4 ~groups:p.CH.scav_groups ~tuples:(max 400 p.CH.scav_tuples)
+           ~seed:(p.CH.seed + 2) ())
+      ~placement:SH.Pgo ~mem ~scavenger_interval:p.CH.scav_interval ()
+  in
+  let factory = CH.node_factory ~kv_program ~scav_program p in
+  let node ~machine ~restart =
+    let impl = factory ~machine ~restart in
+    { impl with Cluster.config = { impl.Cluster.config with Stallhide_smp.Machine.trace } }
+  in
+  let config =
+    {
+      Cluster.machines = p.CH.machines;
+      policy = p.CH.policy;
+      lb = p.CH.lb;
+      net = p.CH.net;
+      defense = p.CH.defense;
+      slo_deadline = p.CH.slo_deadline;
+      seed = p.CH.seed;
+      faults = p.CH.faults;
+      horizon = p.CH.horizon;
+    }
+  in
+  Cluster.run config ~node ~requests:(CH.trace p)
+
+let check_trace_parity (p : CH.params) =
+  let module M = Stallhide_smp.Machine in
+  let on = run_traced ~trace:true p and off = run_traced ~trace:false p in
+  let same label eq = Alcotest.(check bool) label true eq in
+  Alcotest.(check int) "cycles" on.Cluster.cycles off.Cluster.cycles;
+  same "outcome counts"
+    ((on.Cluster.acked, on.Cluster.expired, on.Cluster.shed, on.Cluster.unanswered,
+      on.Cluster.lost_acked)
+    = (off.Cluster.acked, off.Cluster.expired, off.Cluster.shed, off.Cluster.unanswered,
+       off.Cluster.lost_acked));
+  same "latency split" (on.Cluster.split = off.Cluster.split);
+  same "counters" (on.Cluster.counters = off.Cluster.counters);
+  Array.iteri
+    (fun i (a : Cluster.node_view) ->
+      let b = off.Cluster.nodes.(i) in
+      let node label = Printf.sprintf "node %d %s" i label in
+      same (node "completed, cycles")
+        ((a.Cluster.completed, a.Cluster.cycles, a.Cluster.restarts)
+        = (b.Cluster.completed, b.Cluster.cycles, b.Cluster.restarts));
+      same (node "nic counts")
+        ((a.Cluster.nic_rx, a.Cluster.nic_fast, a.Cluster.nic_overflow, a.Cluster.nic_tx)
+        = (b.Cluster.nic_rx, b.Cluster.nic_fast, b.Cluster.nic_overflow, b.Cluster.nic_tx));
+      match (a.Cluster.result, b.Cluster.result) with
+      | None, None -> ()
+      | Some ra, Some rb ->
+          Array.iteri
+            (fun c (ca : M.core_result) ->
+              let cb = rb.M.per_core.(c) in
+              let core label = node (Printf.sprintf "core %d %s" c label) in
+              Alcotest.(check int) (core "cycles") ca.M.cycles cb.M.cycles;
+              same (core "scheduler stats") (ca.M.stats = cb.M.stats);
+              same (core "memory stats") (ca.M.mem = cb.M.mem);
+              Alcotest.(check (list int)) (core "sojourns") ca.M.sojourns cb.M.sojourns)
+            ra.M.per_core
+      | _ -> Alcotest.fail (node "crashed in one arm only"))
+    on.Cluster.nodes;
+  on
+
+let test_trace_parity_default () =
+  let r = check_trace_parity CH.default_params in
+  Alcotest.(check int) "all acked" CH.default_params.CH.requests r.Cluster.acked
+
+let test_trace_parity_crash_mix () =
+  let defense, slo = CH.calibrate CH.default_params in
+  let p =
+    {
+      CH.default_params with
+      CH.defense = Some defense;
+      slo_deadline = slo;
+      faults =
+        [
+          Faults.Crash { machine = 0; at = 40; percent = true; down = 20_000 };
+          Faults.Slownode { machine = 1; mult = 6 };
+        ];
+    }
+  in
+  let r = check_trace_parity p in
+  let count k = List.assoc k r.Cluster.counters in
+  Alcotest.(check int) "a crash" 1 (count "faults.crashes");
+  Alcotest.(check int) "and a rebuild" 1 (count "faults.recoveries");
+  Alcotest.(check int) "failover lost no acked request" 0 r.Cluster.lost_acked
+
 let () =
   Alcotest.run "cluster"
     [
@@ -425,5 +528,8 @@ let () =
             test_hedge_cancel_on_first_response;
           Alcotest.test_case "quarantine, probe, re-admission" `Quick
             test_quarantine_probe_readmission;
+          Alcotest.test_case "tracing parity, default params" `Quick test_trace_parity_default;
+          Alcotest.test_case "tracing parity, defended crash + slow node" `Quick
+            test_trace_parity_crash_mix;
         ] );
     ]

@@ -270,8 +270,9 @@ let test_machine_completes () =
 
 let test_steal_correctness () =
   (* batch work is enqueued on core 0 only (scav_home_cores = 1): the
-     other cores must steal to hide their primaries' stalls *)
-  let r = Harness.run small_params in
+     other cores must steal to hide their primaries' stalls; the
+     dispatch spans checked below are recorded only when traced *)
+  let r = Harness.run { small_params with Harness.trace = true } in
   let res = r.Harness.result in
   Alcotest.(check bool) "steals happened" true (res.Machine.steals > 0);
   Alcotest.(check int) "every steal is one donation" res.Machine.steals res.Machine.donations;
@@ -305,6 +306,27 @@ let test_steal_correctness () =
       cores_running false
   in
   Alcotest.(check bool) "a stolen scavenger ran remotely" true migrated
+
+(* an untraced machine records no per-request spans and no per-slice
+   or per-instruction events: its streams hold only the steals *)
+let test_untraced_streams () =
+  Alcotest.(check bool) "machines are untraced by default" false
+    Machine.default_config.Machine.trace;
+  let r = Harness.run { small_params with Harness.trace = false } in
+  let res = r.Harness.result in
+  Alcotest.(check bool) "steals happened" true (res.Machine.steals > 0);
+  let recorded = ref 0 in
+  Array.iter
+    (fun (c : Machine.core_result) ->
+      Stallhide_obs.Stream.iter
+        (function
+          | Stallhide_obs.Event.Steal _ -> incr recorded
+          | e ->
+              Alcotest.failf "core %d recorded a non-steal event at cycle %d" c.Machine.core_id
+                (Stallhide_obs.Event.cycle_of e))
+        c.Machine.stream)
+    res.Machine.per_core;
+  Alcotest.(check int) "one event per steal" res.Machine.steals !recorded
 
 let test_no_steal_means_none () =
   let r = Harness.run { small_params with Harness.steal = false } in
@@ -357,6 +379,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_machine_determinism;
           Alcotest.test_case "serves all requests" `Quick test_machine_completes;
           Alcotest.test_case "steal correctness" `Quick test_steal_correctness;
+          Alcotest.test_case "untraced streams hold only steals" `Quick test_untraced_streams;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
         ] );

@@ -87,6 +87,9 @@ let test_critical_kv_only () =
         t.latency
         (t.queueing + t.compute + t.stall + t.switch + t.offcore);
       Alcotest.(check bool) "contention within stall" true (t.contention <= t.stall);
+      (* on-core time is decomposed, not all booked as queueing *)
+      Alcotest.(check bool) "on-core compute decomposed" true (t.compute > 0);
+      Alcotest.(check bool) "on-core stall decomposed" true (t.stall > 0);
       Alcotest.(check bool) "tail is a subset" true
         (c.Why.tail.n <= t.n && c.Why.tail.latency <= t.latency)
 

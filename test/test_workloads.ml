@@ -388,6 +388,47 @@ let test_shared_image_too_small () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "overflowing shared image accepted"
 
+(* The serving harnesses size one shared image as the sum of the
+   generators' [image_bytes], built in their order: the kv shards
+   (empty shards skipped), then the group-by lanes. Every region must
+   fit, with nothing left over. *)
+let qcheck_image_bytes_exact =
+  let gen =
+    QCheck.Gen.(
+      let* shards = list_size (int_range 1 4) (int_range 0 5) in
+      let* table_slots = int_range 2 1024 in
+      let* requests = int_range 1 40 in
+      let* scav_lanes = int_range 0 4 in
+      let* groups = int_range 2 300 in
+      (* mostly counts whose 16-byte tuples end mid-line *)
+      let* tuples = int_range 1 100 in
+      return (shards, table_slots, requests, (scav_lanes, groups, tuples)))
+  in
+  let print (shards, table_slots, requests, (scav_lanes, groups, tuples)) =
+    Printf.sprintf "shards=[%s] table_slots=%d requests=%d scav_lanes=%d groups=%d tuples=%d"
+      (String.concat ";" (List.map string_of_int shards))
+      table_slots requests scav_lanes groups tuples
+  in
+  QCheck.Test.make ~name:"summed image_bytes hold exactly what the generators allocate"
+    ~count:100 (QCheck.make ~print gen)
+    (fun (shards, table_slots, requests, (scav_lanes, groups, tuples)) ->
+      let shards = List.filter (fun lanes -> lanes > 0) shards in
+      let bytes =
+        List.fold_left
+          (fun acc lanes -> acc + Kv_server.image_bytes ~lanes ~table_slots ~requests)
+          0 shards
+        + if scav_lanes = 0 then 0 else Group_by.image_bytes ~lanes:scav_lanes ~groups ~tuples
+      in
+      QCheck.assume (bytes > 0);
+      let image = Address_space.create ~bytes in
+      List.iteri
+        (fun s lanes ->
+          ignore (Kv_server.make ~image ~lanes ~table_slots ~requests ~seed:(100 + s) ()))
+        shards;
+      if scav_lanes > 0 then
+        ignore (Group_by.make ~image ~lanes:scav_lanes ~groups ~tuples ~seed:3 ());
+      Address_space.used_bytes image = bytes)
+
 (* --- workload API --- *)
 
 let test_workload_api () =
@@ -492,6 +533,7 @@ let () =
         [
           Alcotest.test_case "two workloads" `Quick test_shared_image;
           Alcotest.test_case "too small" `Quick test_shared_image_too_small;
+          QCheck_alcotest.to_alcotest qcheck_image_bytes_exact;
         ] );
       ("api", [ Alcotest.test_case "workload accessors" `Quick test_workload_api ]);
       ("determinism", [ Alcotest.test_case "same seed same run" `Quick test_determinism ]);
