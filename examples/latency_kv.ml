@@ -40,7 +40,7 @@ let show_timeline () =
         Workload.context analytics ~lane:l ~id:(l + 1) ~mode:Stallhide_cpu.Context.Scavenger)
   in
   let (_ : Dual_mode.result) =
-    Dual_mode.run ~max_cycles:4000 ~tracer
+    Dual_mode.run ~max_cycles:4000 ~obs:(Tracer.stream tracer)
       (Hierarchy.create Memconfig.default)
       kv.Workload.image ~primary:p_ctx ~scavengers:s_ctxs
   in

@@ -157,22 +157,10 @@ let node_factory ?kv_program ?scav_program p =
     in
     let config =
       {
+        Machine.default_config with
         Machine.cores = p.cores;
-        memcfg = Memconfig.default;
-        l3_window = 32;
-        l3_budget = 16;
-        core =
-          {
-            Core_sched.engine = Engine.default_config;
-            switch = Switch_cost.coroutine;
-            steal_budget = 2;
-            steal_cost = 24;
-          };
-        steal = true;
+        core = { Core_sched.default_config with Core_sched.steal_budget = 2 };
         max_cycles = p.horizon;
-        prepare_core = (fun _ _ -> ());
-        sync = Machine.Interleaved;
-        trace = false;
       }
     in
     {
@@ -192,6 +180,7 @@ let node_factory ?kv_program ?scav_program p =
 
 let run p =
   if p.machines <= 0 then invalid_arg "Cluster.Harness.run: machines must be positive";
+  if p.cores <= 0 then invalid_arg "Cluster.Harness.run: cores must be positive";
   if p.requests <= 0 then invalid_arg "Cluster.Harness.run: requests must be positive";
   let kv_program, scav_program =
     if not p.pgo then (None, None)

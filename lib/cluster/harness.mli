@@ -62,6 +62,8 @@ val node_factory :
   restart:int ->
   Cluster.node_impl
 
+(** @raise Invalid_argument if [machines], [cores] or [requests] is not
+    positive. *)
 val run : params -> run
 
 (** [calibrate p] tunes a defense from the fault-free undefended run of

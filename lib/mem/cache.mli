@@ -41,12 +41,6 @@ val resident : t -> now:int -> int -> bool
     miss. *)
 val invalidate : t -> int -> bool
 
-(** [copy_state ~src ~dst] blits tags/ready/LRU state (not statistics)
-    from [src] into [dst]. The barrier-parallel SMP mode uses this to
-    re-sync per-core shared-L3 replicas at window boundaries.
-    @raise Invalid_argument on geometry mismatch. *)
-val copy_state : src:t -> dst:t -> unit
-
 val hits : t -> int
 
 val misses : t -> int

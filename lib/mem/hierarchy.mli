@@ -46,24 +46,7 @@ val create : Memconfig.t -> t
     lines. Per-core [Mem_stats] stay private. *)
 val create_core : Memconfig.t -> shared:Shared_l3.t -> t
 
-(** Like {!create_core}, but the L3 level aliases this core's private
-    {e replica} of the shared cache behind a {!Shared_l3.wport}: L3
-    lookups/fills/stores are logged for barrier replay and admission
-    draws on the core's static budget share. Used by the
-    barrier-parallel SMP mode so OCaml [Domain]s never share mutable
-    cache state inside a window. *)
-val create_core_windowed : Memconfig.t -> shared:Shared_l3.t -> t
-
-(** The windowed port of a {!create_core_windowed} hierarchy. *)
-val wport : t -> Shared_l3.wport option
-
 val config : t -> Memconfig.t
-
-(** This hierarchy's core id on its shared port; [None] for the
-    single-core hierarchies built by [create]. *)
-val core_id : t -> int option
-
-val shared_port : t -> Shared_l3.t option
 
 (** Arm a latency spike. In-flight fills keep the price they were
     issued at; only new below-L2 service inside the window is scaled.
@@ -86,26 +69,14 @@ val clear_spike : t -> unit
     @raise Invalid_argument if [percent < 0]. *)
 val set_level_scale : t -> level -> percent:int -> unit
 
-val clear_level_scale : t -> unit
-
 val spike_active : t -> now:int -> bool
 
 val access : t -> now:int -> int -> result
 
 (** Allocation-free [access] for the fast step loop: performs the same
     demand load (identical fills, admission, statistics — [access] is
-    implemented on top of it) but returns only the total latency,
-    leaving the serving level and queueing delay readable via
-    {!last_level} / {!last_queued} until the next access. *)
+    implemented on top of it) but returns only the total latency. *)
 val access_latency : t -> now:int -> int -> int
-
-(** Level code ({!level_code}) of the last {!access_latency} /
-    [access]. *)
-val last_level : t -> int
-
-(** Shared-L3 queueing delay of the last {!access_latency} /
-    [access]. *)
-val last_queued : t -> int
 
 val prefetch : t -> now:int -> int -> unit
 

@@ -102,9 +102,6 @@ let stealable t =
     (fun acc s -> if Context.is_ready s && s.Context.started_at < 0 then acc + 1 else acc)
     0 t.pool
 
-let ready_scavengers t =
-  Array.fold_left (fun acc s -> if Context.is_ready s then acc + 1 else acc) 0 t.pool
-
 let donate t =
   let n = Array.length t.pool in
   let rec find i =
@@ -128,8 +125,6 @@ let set_on_complete t f = t.on_complete <- Some f
 
 let set_scavengers_enabled t enabled = t.scav_enabled <- enabled
 
-let scavengers_enabled t = t.scav_enabled
-
 type outcome = Worked | Idle
 
 let emit t event =
@@ -149,15 +144,9 @@ let charge t ~from_ctx ~at_pc cost =
   | None -> ());
   t.clock := !(t.clock) + cost
 
-(* Install a scavenger pulled from another core, paying the steal
-   toll; the cycles are spent inside the stall being hidden, so they
-   land in switch accounting. *)
-let accept_stolen t s =
-  t.stats.steals <- t.stats.steals + 1;
-  t.stats.switch_cycles <- t.stats.switch_cycles + t.cfg.steal_cost;
-  t.clock := !(t.clock) + t.cfg.steal_cost;
-  add_scavenger t s
-
+(* Pull a scavenger from another core through the steal source,
+   paying the steal toll; the cycles are spent inside the stall being
+   hidden, so they land in switch accounting. *)
 let try_steal t =
   match t.steal_source with
   | None -> false
@@ -165,7 +154,10 @@ let try_steal t =
       match f () with
       | None -> false
       | Some s ->
-          accept_stolen t s;
+          t.stats.steals <- t.stats.steals + 1;
+          t.stats.switch_cycles <- t.stats.switch_cycles + t.cfg.steal_cost;
+          t.clock := !(t.clock) + t.cfg.steal_cost;
+          add_scavenger t s;
           true)
 
 (* First ready scavenger at or after the cursor, without advancing it:

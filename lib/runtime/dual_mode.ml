@@ -29,8 +29,7 @@ type result = {
   watchdog_quarantined : int;
 }
 
-let run ?(config = default_config) ?(max_cycles = max_int) ?tracer ?obs hier mem ~primary
-    ~scavengers =
+let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem ~primary ~scavengers =
   primary.Context.mode <- Context.Primary;
   Array.iter (fun s -> s.Context.mode <- Context.Scavenger) scavengers;
   let n = Array.length scavengers in
@@ -130,7 +129,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?tracer ?obs hier mem
           let s = scavengers.(j) in
           let dispatched_at = !clock in
           let outcome =
-            Scheduler.traced ?tracer ?obs config.engine hier mem ~clock ~deadline:max_cycles s
+            Scheduler.traced ?obs config.engine hier mem ~clock ~deadline:max_cycles s
           in
           watchdog_check j ~elapsed:(!clock - dispatched_at);
           match outcome with
@@ -156,7 +155,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?tracer ?obs hier mem
   let rec primary_loop () =
     if !clock < max_cycles then
       match
-        Scheduler.traced ?tracer ?obs config.engine hier mem ~clock ~deadline:max_cycles primary
+        Scheduler.traced ?obs config.engine hier mem ~clock ~deadline:max_cycles primary
       with
       | Engine.Yielded (_, pc) ->
           charge ~from_ctx:primary.Context.id ~at_pc:pc
@@ -177,7 +176,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?tracer ?obs hier mem
       | j -> (
           let s = scavengers.(j) in
           match
-            Scheduler.traced ?tracer ?obs config.engine hier mem ~clock ~deadline:max_cycles s
+            Scheduler.traced ?obs config.engine hier mem ~clock ~deadline:max_cycles s
           with
           | Engine.Yielded (_, pc) ->
               incr scav_switches;

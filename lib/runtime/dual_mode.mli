@@ -63,7 +63,6 @@ type result = {
 val run :
   ?config:config ->
   ?max_cycles:int ->
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   Stallhide_mem.Hierarchy.t ->
   Stallhide_mem.Address_space.t ->

@@ -33,7 +33,6 @@ val efficiency : result -> float
 val run_sequential :
   ?engine:Engine.config ->
   ?max_cycles:int ->
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   Stallhide_mem.Hierarchy.t ->
   Stallhide_mem.Address_space.t ->
@@ -43,7 +42,6 @@ val run_sequential :
 val run_round_robin :
   ?engine:Engine.config ->
   ?max_cycles:int ->
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   switch:Switch_cost.t ->
   Stallhide_mem.Hierarchy.t ->
@@ -53,13 +51,13 @@ val run_round_robin :
 
 val pp_result : Format.formatter -> result -> unit
 
-(** [traced ?tracer ?obs engine hier mem ~clock ~deadline ctx] runs the
-    engine and records the dispatch span into the tracer and/or the
-    telemetry stream (scheduler building block). Scheduling-level
-    events ([Dispatch], [Context_switch], [Scavenger_escalation]) go to
-    [obs]; the engine-level hooks in [engine] are independent of it. *)
+(** [traced ?obs engine hier mem ~clock ~deadline ctx] runs the engine
+    and records the dispatch span into the telemetry stream [obs]
+    (scheduler building block). Scheduling-level events ([Dispatch],
+    [Context_switch], [Scavenger_escalation]) go to [obs]; the
+    engine-level hooks in [engine] are independent of it. To draw a
+    timeline, pass a tracer's stream ({!Tracer.stream}). *)
 val traced :
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   Engine.config ->
   Stallhide_mem.Hierarchy.t ->

@@ -44,7 +44,6 @@ type params = {
   max_cycles : int;
   memcfg : Memconfig.t;
   prepare_core : int -> Hierarchy.t -> unit;
-  sync : Machine.sync;
   trace : bool;
   engine_fast : bool;  (* Engine.config.fast on every core *)
 }
@@ -77,7 +76,6 @@ let default_params =
     max_cycles = 200_000_000;
     memcfg = Memconfig.default;
     prepare_core = (fun _ _ -> ());
-    sync = Machine.Interleaved;
     trace = false;
     engine_fast = true;
   }
@@ -162,6 +160,7 @@ let instrument_twin ~twin ~placement ~mem ?scavenger_interval () =
 let run params =
   let p = params in
   if p.cores <= 0 then invalid_arg "Harness.run: cores must be positive";
+  if p.requests_per_core < 0 then invalid_arg "Harness.run: requests_per_core must be >= 0";
   let total = p.requests_per_core * p.cores in
   let st = Random.State.make [| p.seed; 0xC19 |] in
   (* Draw the request trace: Zipfian keys, key-hash homes, jittered
@@ -281,6 +280,7 @@ let run params =
   in
   let config =
     {
+      Machine.default_config with
       Machine.cores = p.cores;
       memcfg = p.memcfg;
       l3_window = p.l3_window;
@@ -295,7 +295,6 @@ let run params =
       steal = p.steal;
       max_cycles = p.max_cycles;
       prepare_core = p.prepare_core;
-      sync = p.sync;
       trace = p.trace;
     }
   in

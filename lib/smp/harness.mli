@@ -66,8 +66,6 @@ type params = {
           and latencies through this *)
   prepare_core : int -> Stallhide_mem.Hierarchy.t -> unit;
       (** forwarded to {!Machine.config.prepare_core} (default no-op) *)
-  sync : Machine.sync;
-      (** forwarded to {!Machine.config.sync} (default [Interleaved]) *)
   trace : bool;
       (** forwarded to {!Machine.config.trace} (default [false]: the
           decoded-µop fast path runs and the per-core streams carry
@@ -110,6 +108,7 @@ type run = {
   verify_warnings : int;
 }
 
+(** @raise Invalid_argument if [cores <= 0] or [requests_per_core < 0]. *)
 val run : params -> run
 
 (** [speedup ~base r] and [efficiency ~base r]: throughput relative to

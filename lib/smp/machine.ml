@@ -4,7 +4,7 @@ open Stallhide_mem
 open Stallhide_runtime
 open Stallhide_sched
 
-type sync = Interleaved | Barrier of { window : int; domains : int }
+type sync = Interleaved
 
 type config = {
   cores : int;
@@ -96,11 +96,7 @@ module Live = struct
     let streams = Array.init n (fun _ -> Stallhide_obs.Stream.create ()) in
     let scheds =
       Array.init n (fun i ->
-          let hier =
-            match config.sync with
-            | Interleaved -> Hierarchy.create_core config.memcfg ~shared
-            | Barrier _ -> Hierarchy.create_core_windowed config.memcfg ~shared
-          in
+          let hier = Hierarchy.create_core config.memcfg ~shared in
           config.prepare_core i hier;
           (* [trace = false] keeps the engine hooks exactly as given
              (normally [Events.nop]) and drops the per-slice dispatch
@@ -123,10 +119,7 @@ module Live = struct
           Core_sched.create ~config:{ config.core with Core_sched.engine } ?obs hier mem)
     in
     Array.iteri (fun i scavs -> List.iter (Core_sched.add_scavenger scheds.(i)) scavs) scavengers;
-    (* In barrier mode stealing happens at the barrier (sequential
-       phase): a steal_source closure would mutate a victim scheduler
-       from another domain mid-window. *)
-    if config.steal && config.sync = Interleaved then
+    if config.steal then
       Array.iteri
         (fun i thief ->
           Core_sched.set_steal_source thief (fun () ->
@@ -215,26 +208,21 @@ module Live = struct
 
   let clock t = core_clock t (argmin t)
 
-  (* Steer [r] over the live queue depths and mark it served there;
-     the caller submits it. Only a traced machine opens its span. *)
-  let dispatch t r =
-    for i = 0 to t.n - 1 do
-      t.depths.(i) <- Core_sched.queue_depth t.scheds.(i)
-    done;
-    let target = Dispatch.choose t.policy ~home:r.home ~depths:t.depths in
-    r.served_by <- target;
-    if t.config.trace then
-      Stallhide_obs.Stream.record t.streams.(target)
-        (Stallhide_obs.Event.Span_open
-           { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
-    target
-
-  let due t now = (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).arrival <= now
-
+  (* Release every arrival due by [now], each steered over the live
+     queue depths. Only a traced machine opens the request's span. *)
   let release_upto t now =
-    while due t now do
+    while (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).arrival <= now do
       let r = Queue.pop t.pending in
-      Core_sched.submit t.scheds.(dispatch t r) r.ctx
+      for i = 0 to t.n - 1 do
+        t.depths.(i) <- Core_sched.queue_depth t.scheds.(i)
+      done;
+      let target = Dispatch.choose t.policy ~home:r.home ~depths:t.depths in
+      r.served_by <- target;
+      if t.config.trace then
+        Stallhide_obs.Stream.record t.streams.(target)
+          (Stallhide_obs.Event.Span_open
+             { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
+      Core_sched.submit t.scheds.(target) r.ctx
     done
 
   let all_quiescent t =
@@ -283,135 +271,6 @@ module Live = struct
           end
           else Core_sched.Idle
         end
-
-  (* Barrier-parallel drive loop. Simulated time is cut into fixed
-     windows; inside a window every core steps independently against
-     its own private state (scheduler, L1/L2, shared-L3 replica +
-     wport log), so the windows can be run on OCaml [Domain]s. At each
-     barrier — always sequential, always in core-index order — the
-     wport logs are replayed onto the canonical L3, cold scavengers
-     migrate to starved thieves, and arrivals due in the next window
-     are released. Nothing in the merged state depends on how the
-     cores were chunked over domains, so 1 domain and N domains
-     produce bit-identical machines. *)
-  let run_barrier t ~window ~domains =
-    if window <= 0 then invalid_arg "Machine: barrier window must be positive";
-    if domains <= 0 then invalid_arg "Machine: barrier domains must be positive";
-    let domains = min domains t.n in
-    let ports =
-      Array.map
-        (fun s ->
-          match Hierarchy.wport (Core_sched.hierarchy s) with
-          | Some w -> w
-          | None -> invalid_arg "Machine.run_barrier: core lacks a windowed L3 port")
-        t.scheds
-    in
-    let max_cycles = t.config.max_cycles in
-    (* Release every arrival due by the window start. A busy core's
-       clock is always >= the previous horizon >= the arrival, so only
-       primary-quiescent targets (whose clocks park where they went
-       idle) need the jump — this preserves served-at >= arrival. *)
-    let release_due start =
-      while due t start do
-        let r = Queue.pop t.pending in
-        let target = dispatch t r in
-        if Core_sched.quiescent t.scheds.(target) then
-          Core_sched.advance_clock t.scheds.(target) r.arrival;
-        Core_sched.submit t.scheds.(target) r.ctx
-      done
-    in
-    let drive horizon s =
-      let continue = ref true in
-      while !continue do
-        if Core_sched.clock s >= horizon then continue := false
-        else
-          match Core_sched.step s ~deadline:horizon with
-          | Core_sched.Worked -> ()
-          | Core_sched.Idle -> continue := false
-      done
-    in
-    let parallel_window horizon =
-      if domains = 1 then Array.iter (drive horizon) t.scheds
-      else begin
-        let workers =
-          Array.init (domains - 1) (fun d ->
-              Domain.spawn (fun () ->
-                  let d = d + 1 in
-                  Array.iteri (fun i s -> if i mod domains = d then drive horizon s) t.scheds))
-        in
-        Array.iteri (fun i s -> if i mod domains = 0 then drive horizon s) t.scheds;
-        Array.iter Domain.join workers
-      end
-    in
-    (* Barrier stealing: refill each thief whose pool ran dry while it
-       still holds request work, from the most-loaded victim — the same
-       victim rule as the interleaved steal_source, migrated to the
-       sequential phase. *)
-    let barrier_steal () =
-      if t.config.steal then
-        Array.iteri
-          (fun i thief ->
-            if Core_sched.ready_scavengers thief = 0 && not (Core_sched.quiescent thief)
-            then begin
-              let best = ref (-1) in
-              let best_n = ref 0 in
-              for j = 0 to t.n - 1 do
-                if j <> i then begin
-                  let s = Core_sched.stealable t.scheds.(j) in
-                  if s > !best_n then begin
-                    best := j;
-                    best_n := s
-                  end
-                end
-              done;
-              if !best >= 0 then
-                match Core_sched.donate t.scheds.(!best) with
-                | Some ctx ->
-                    Stallhide_obs.Stream.record t.streams.(i)
-                      (Stallhide_obs.Event.Steal
-                         {
-                           ctx = ctx.Context.id;
-                           from_core = !best;
-                           to_core = i;
-                           cycle = Core_sched.clock thief;
-                         });
-                    Core_sched.accept_stolen thief ctx
-                | None -> ()
-            end)
-          t.scheds
-    in
-    (* Idle machine: no primaries anywhere and no scavenger a core
-       would run — safe to jump over the empty windows to the next
-       arrival. *)
-    let machine_idle () =
-      all_quiescent t
-      && Array.for_all
-           (fun s ->
-             (not (Core_sched.scavengers_enabled s)) || Core_sched.ready_scavengers s = 0)
-           t.scheds
-    in
-    let horizon = ref window in
-    let running = ref true in
-    while !running do
-      release_due (!horizon - window);
-      parallel_window (min !horizon max_cycles);
-      Shared_l3.merge_wports t.shared ports;
-      barrier_steal ();
-      if quiescent t then running := false
-      else if !horizon >= max_cycles then running := false
-      else begin
-        let next =
-          if machine_idle () then
-            match Queue.peek_opt t.pending with
-            | Some r ->
-                (* smallest window whose start covers the arrival *)
-                (((max r.arrival !horizon + window - 1) / window) * window) + window
-            | None -> !horizon + window
-          else !horizon + window
-        in
-        horizon := next
-      end
-    done
 
   let finish t =
     let reqs = Vec.to_array t.submitted in
@@ -465,15 +324,12 @@ let run ?(config = default_config) ~policy ~mem ~requests ~scavengers () =
     reqs;
   let live = Live.create ~config ~policy ~mem ~scavengers () in
   Array.iter (Live.submit live) reqs;
-  (match config.sync with
-  | Interleaved ->
-      let running = ref true in
-      while !running do
-        if Live.clock live >= config.max_cycles then running := false
-        else if Live.quiescent live then running := false
-        else ignore (Live.step live)
-      done
-  | Barrier { window; domains } -> Live.run_barrier live ~window ~domains);
+  let running = ref true in
+  while !running do
+    if Live.clock live >= config.max_cycles then running := false
+    else if Live.quiescent live then running := false
+    else ignore (Live.step live)
+  done;
   Live.finish live
 
 let throughput r =

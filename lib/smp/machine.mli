@@ -16,29 +16,11 @@ open Stallhide_mem
 open Stallhide_runtime
 open Stallhide_sched
 
-(** How the N cores advance relative to each other.
-
-    [Interleaved] is the classic mode: one global loop always steps the
-    lowest-clock core, so every shared-L3 admission and steal happens
-    in a single deterministic order.
-
-    [Barrier { window; domains }] cuts simulated time into fixed
-    [window]-cycle slices. Inside a slice each core runs against purely
-    private state — its scheduler, L1/L2, and a {e replica} of the
-    shared L3 behind a {!Stallhide_mem.Shared_l3.wport} op log — so the
-    slice can execute on [domains] OCaml 5 [Domain]s in parallel. At
-    each barrier (sequential, core-index order) the logs are replayed
-    onto the canonical L3, replicas re-sync, cold scavengers migrate to
-    starved cores, and arrivals due in the next slice are released.
-    The merged state depends only on core order, never on the domain
-    chunking, so 1 domain and N domains are bit-identical — the
-    [test_smp_domains] property. Cross-core L3/coherence effects are
-    deferred to the next barrier (bounded staleness of one window);
-    barrier mode is therefore its own timing model, not a bit-identical
-    reimplementation of [Interleaved]. Parallel windows require
-    write-disjoint workload data (cores must not store to addresses
-    other domains touch mid-window). *)
-type sync = Interleaved | Barrier of { window : int; domains : int }
+(** How the N cores advance: one global loop always steps the
+    lowest-clock core. [Interleaved] is the only mode. The type and the
+    [config.sync] field remain only because [perfbench/serving.ml]
+    builds a full {!config} literal that names it. *)
+type sync = Interleaved
 
 type config = {
   cores : int;
@@ -53,7 +35,7 @@ type config = {
           any request runs — the hook fault injection and causal
           counterfactuals use to arm spikes or level scaling on every
           core deterministically (default: no-op) *)
-  sync : sync;  (** default [Interleaved] *)
+  sync : sync;  (** always [Interleaved] *)
   trace : bool;
       (** default [false]: the engine hooks stay as given (normally
           {!Events.nop}) so the decoded-µop fast path engages, and the
@@ -141,9 +123,9 @@ module Live : sig
   (** When the machine would next do productive work: its clock while
       any core is busy, the next pending arrival when drained, [None]
       when {!quiescent}. The cluster's min-time loop keys on this. It
-      depends only on this machine's own state, which only {!submit},
-      {!step} and {!run_barrier} change — so a caller may cache it
-      between those calls ({!set_scavengers_enabled} does not move it). *)
+      depends only on this machine's own state, which only {!submit}
+      and {!step} change — so a caller may cache it between those calls
+      ({!set_scavengers_enabled} does not move it). *)
   val next_action : t -> int option
 
   (** No pending or in-flight request on any core. *)
@@ -154,18 +136,8 @@ module Live : sig
   val backlog : t -> int
 
   (** Release due arrivals and step the lowest-clock core once;
-      [Idle] only when {!quiescent} (or past [max_cycles]). Interleaved
-      semantics — an outer loop driving a [Barrier] machine should use
-      {!run_barrier} instead. *)
+      [Idle] only when {!quiescent} (or past [max_cycles]). *)
   val step : t -> Stallhide_runtime.Core_sched.outcome
-
-  (** Drive a [Barrier]-mode machine to completion: parallel
-      fixed-window stepping with sequential barriers (L3 log merge,
-      steals, releases). Requires every core to have been built with a
-      windowed L3 port, i.e. [config.sync = Barrier _].
-      @raise Invalid_argument on non-windowed cores or a non-positive
-      window/domain count. *)
-  val run_barrier : t -> window:int -> domains:int -> unit
 
   (** Called after internal bookkeeping whenever a request completes —
       the cluster's completion-to-response hook. *)

@@ -248,6 +248,11 @@ let small_params =
 
 let counter r k = try List.assoc k r.CH.result.Cluster.counters with Not_found -> 0
 
+let test_harness_validation () =
+  Alcotest.check_raises "cores = 0"
+    (Invalid_argument "Cluster.Harness.run: cores must be positive") (fun () ->
+      ignore (CH.run { small_params with CH.cores = 0 }))
+
 let test_replay_determinism () =
   let defense, slo = CH.calibrate small_params in
   let p =
@@ -522,6 +527,7 @@ let () =
       ("latency", [ Alcotest.test_case "censored split" `Quick test_censored_split ]);
       ( "cluster",
         [
+          Alcotest.test_case "harness validation" `Quick test_harness_validation;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "retry-budget exhaustion" `Quick test_retry_budget_exhaustion;
           Alcotest.test_case "hedge cancel on first response" `Quick

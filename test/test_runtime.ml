@@ -204,8 +204,8 @@ let test_tracer_scheduler_integration () =
   let mem, ctxs = chase ~lanes:4 ~hops:50 () in
   let tracer = Tracer.create () in
   let r =
-    Scheduler.run_round_robin ~tracer ~switch:Switch_cost.coroutine (Hierarchy.create cfg) mem
-      ctxs
+    Scheduler.run_round_robin ~obs:(Tracer.stream tracer) ~switch:Switch_cost.coroutine
+      (Hierarchy.create cfg) mem ctxs
   in
   Alcotest.(check int) "all complete" 4 r.Scheduler.completed;
   (* at least one dispatch span per yield and per context *)

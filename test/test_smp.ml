@@ -342,11 +342,18 @@ let test_machine_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "cores = 0 accepted");
-  match
-    Machine.run ~policy:Dispatch.Jbsq ~mem ~requests:[] ~scavengers:[| []; [] |] ()
-  with
+  (match
+     Machine.run ~policy:Dispatch.Jbsq ~mem ~requests:[] ~scavengers:[| []; [] |] ()
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "scavenger arity mismatch accepted"
+  | _ -> Alcotest.fail "scavenger arity mismatch accepted");
+  (* the serving harness names a bad size before drawing any traffic *)
+  Alcotest.check_raises "harness cores = 0"
+    (Invalid_argument "Harness.run: cores must be positive") (fun () ->
+      ignore (Harness.run { small_params with Harness.cores = 0 }));
+  Alcotest.check_raises "harness requests_per_core < 0"
+    (Invalid_argument "Harness.run: requests_per_core must be >= 0") (fun () ->
+      ignore (Harness.run { small_params with Harness.requests_per_core = -1 }))
 
 let () =
   Alcotest.run "smp"
