@@ -1,5 +1,4 @@
 open Stallhide_isa
-open Stallhide_cpu
 open Stallhide_mem
 open Stallhide_binopt
 

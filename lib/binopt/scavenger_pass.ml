@@ -1,5 +1,4 @@
 open Stallhide_isa
-open Stallhide_cpu
 
 type opts = {
   target_interval : int;

@@ -18,7 +18,6 @@ type t = {
   mutable domain : (int * int) option;
   mutable accel_done_at : int;  (* -1 = no operation outstanding *)
   mutable accel_result : int;
-  mutable uops : Uop.t option;  (* decoded micro-op cache, lazily built *)
   mutable instructions : int;
   mutable stall_cycles : int;
   mutable cond_checks : int;
@@ -45,7 +44,6 @@ let create ~id ~mode program =
     domain = None;
     accel_done_at = -1;
     accel_result = 0;
-    uops = None;
     instructions = 0;
     stall_cycles = 0;
     cond_checks = 0;
@@ -68,14 +66,6 @@ let regs_equal a b =
     if a.regs.{i} <> b.regs.{i} then eq := false
   done;
   !eq
-
-let uops t =
-  match t.uops with
-  | Some u -> u
-  | None ->
-      let u = Uop.decode t.program in
-      t.uops <- Some u;
-      u
 
 let call_depth t = t.call_sp
 

@@ -35,9 +35,6 @@ type t = {
       (** completion cycle of the outstanding accelerator operation;
           [-1] when none is pending *)
   mutable accel_result : int;
-  mutable uops : Uop.t option;
-      (** decoded micro-op cache for [program], built on first fast-path
-          dispatch (see {!uops}) *)
   (* accounting *)
   mutable instructions : int;
   mutable stall_cycles : int;
@@ -64,9 +61,6 @@ val regs_array : t -> int array
 
 (** Register files bit-identical? *)
 val regs_equal : t -> t -> bool
-
-(** The context's decoded micro-op cache, built on first use. *)
-val uops : t -> Uop.t
 
 val call_depth : t -> int
 

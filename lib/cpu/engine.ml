@@ -355,7 +355,7 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
    full cost, paid stall accounted either way) — the split only
    matters to an SMT scheduler driving [step] itself. *)
 let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
-  let u = Context.uops ctx in
+  let u = Program.uops ctx.program in
   let ops = u.Uop.op
   and ra = u.Uop.a
   and rb = u.Uop.b

@@ -9,6 +9,7 @@ type t = {
   labels_at : string list array;  (* labels attached to each pc, source order *)
   trailing_labels : string list;  (* labels after the last instruction *)
   annots : annot array;
+  mutable uops : Uop.t option;  (* decode shared by every context; see [uops] *)
 }
 
 exception Error of string
@@ -52,7 +53,7 @@ let assemble items =
       code
   in
   let annots = Array.init n_ins (fun _ -> { live_regs = None }) in
-  { code; targets; labels; labels_at; trailing_labels; annots }
+  { code; targets; labels; labels_at; trailing_labels; annots; uops = None }
 
 let length t = Array.length t.code
 
@@ -66,6 +67,16 @@ let label_index t l =
 let has_label t l = Hashtbl.mem t.labels l
 
 let annot t pc = t.annots.(pc)
+
+(* Kept only once decode succeeds, so a program with a bad register
+   raises again at every later call. *)
+let uops t =
+  match t.uops with
+  | Some u -> u
+  | None ->
+      let u = Uop.decode t.code ~targets:t.targets in
+      t.uops <- Some u;
+      u
 
 let to_items t =
   let items = ref [] in

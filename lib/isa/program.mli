@@ -39,6 +39,13 @@ val has_label : t -> string -> bool
 
 val annot : t -> int -> annot
 
+(** The program's decoded micro-ops, built on the first call and shared
+    by every later one: all contexts running this program read the same
+    arrays.
+    @raise Invalid_argument (from {!Uop.decode}) at every call while a
+    register operand is out of range; nothing is cached then. *)
+val uops : t -> Uop.t
+
 (** Round-trips the program back to an item list (labels precede the
     instruction they mark; trailing labels are preserved). *)
 val to_items : t -> item list

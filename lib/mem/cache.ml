@@ -9,6 +9,11 @@ type t = {
   ready : arr;
   stamp : arr;  (* LRU timestamps *)
   mutable tick : int;
+  (* The slot [insert] would fill with [miss_line], recorded by the
+     last lookup that missed it so the fill after a miss skips a
+     second scan of the set; [-1] once any slot changes. *)
+  mutable miss_line : int;
+  mutable miss_slot : int;
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -37,6 +42,8 @@ let create ~name ~line_bytes (cfg : Memconfig.level_cfg) =
     ready = make_arr lines 0;
     stamp = make_arr lines 0;
     tick = 0;
+    miss_line = 0;
+    miss_slot = -1;
     hit_count = 0;
     miss_count = 0;
   }
@@ -62,42 +69,55 @@ let find t line =
 
 let touch t slot =
   t.tick <- t.tick + 1;
+  t.miss_slot <- -1;
   Bigarray.Array1.unsafe_set t.stamp slot t.tick
 
-(* LRU victim scan, tail-recursive at top level (alloc-free): empty way
-   first, else the oldest stamp. *)
-let rec pick_victim (tags : arr) (stamp : arr) s stop victim =
-  if s = stop then victim
+(* One pass over a set serves both lookup and fill: the line's slot,
+   or [lnot victim] (negative) when absent, where the victim — the slot
+   a fill evicts — is the first empty way, else the first least
+   recently used one. Top-level recursion like [find_from]. *)
+let rec scan_from (tags : arr) (stamp : arr) line s stop victim vtag vstamp =
+  if s = stop then lnot victim
   else
-    let ts = Bigarray.Array1.unsafe_get tags s
-    and tv = Bigarray.Array1.unsafe_get tags victim in
-    let victim =
-      if ts = -1 && tv <> -1 then s
-      else if
-        ts <> -1 && tv <> -1
-        && Bigarray.Array1.unsafe_get stamp s < Bigarray.Array1.unsafe_get stamp victim
-      then s
-      else victim
-    in
-    pick_victim tags stamp (s + 1) stop victim
+    let ts = Bigarray.Array1.unsafe_get tags s in
+    if ts = line then s
+    else if vtag <> -1 && (ts = -1 || Bigarray.Array1.unsafe_get stamp s < vstamp) then
+      scan_from tags stamp line (s + 1) stop s ts (Bigarray.Array1.unsafe_get stamp s)
+    else scan_from tags stamp line (s + 1) stop victim vtag vstamp
+
+let scan t line =
+  let base = (line land (t.sets - 1)) * t.ways in
+  scan_from t.tags t.stamp line base (base + t.ways) base
+    (Bigarray.Array1.unsafe_get t.tags base)
+    (Bigarray.Array1.unsafe_get t.stamp base)
+
+(* Shared by [lookup_code] and [prefetch_code]; [touch_ready] says
+   whether a present, ready line counts as a hit and refreshes LRU. *)
+let classify t ~now ~touch_ready addr =
+  let line = line_of t addr in
+  let r = scan t line in
+  if r < 0 then begin
+    t.miss_count <- t.miss_count + 1;
+    t.miss_line <- line;
+    t.miss_slot <- lnot r;
+    -1
+  end
+  else
+    let ra = Bigarray.Array1.unsafe_get t.ready r in
+    if ra <= now && not touch_ready then 0
+    else begin
+      t.hit_count <- t.hit_count + 1;
+      touch t r;
+      if ra <= now then 0 else ra
+    end
 
 (* Packed classification: [-1] miss, [0] ready hit, [ready_at > 0] an
    in-flight fill completing at that cycle. In-flight implies
    [ready_at > now >= 0], so the codes cannot collide. Refreshes LRU
    and hit/miss counters exactly like [lookup]. *)
-let lookup_code t ~now addr =
-  let line = line_of t addr in
-  let slot = find t line in
-  if slot < 0 then begin
-    t.miss_count <- t.miss_count + 1;
-    -1
-  end
-  else begin
-    t.hit_count <- t.hit_count + 1;
-    touch t slot;
-    let ra = Bigarray.Array1.unsafe_get t.ready slot in
-    if ra <= now then 0 else ra
-  end
+let lookup_code t ~now addr = classify t ~now ~touch_ready:true addr
+
+let prefetch_code t ~now addr = classify t ~now ~touch_ready:false addr
 
 let lookup t ~now addr =
   let c = lookup_code t ~now addr in
@@ -106,16 +126,15 @@ let lookup t ~now addr =
 let insert t ~now ~ready_at addr =
   ignore now;
   let line = line_of t addr in
-  let slot = find t line in
-  if slot >= 0 then begin
+  let r = if t.miss_slot >= 0 && t.miss_line = line then lnot t.miss_slot else scan t line in
+  if r >= 0 then begin
     (* Refill of a present line: keep the earlier availability. *)
-    if ready_at < Bigarray.Array1.unsafe_get t.ready slot then
-      Bigarray.Array1.unsafe_set t.ready slot ready_at;
-    touch t slot
+    if ready_at < Bigarray.Array1.unsafe_get t.ready r then
+      Bigarray.Array1.unsafe_set t.ready r ready_at;
+    touch t r
   end
   else begin
-    let base = (line land (t.sets - 1)) * t.ways in
-    let victim = pick_victim t.tags t.stamp (base + 1) (base + t.ways) base in
+    let victim = lnot r in
     Bigarray.Array1.unsafe_set t.tags victim line;
     Bigarray.Array1.unsafe_set t.ready victim ready_at;
     touch t victim
@@ -131,6 +150,7 @@ let invalidate t addr =
   let slot = find t line in
   if slot < 0 then false
   else begin
+    t.miss_slot <- -1;
     t.tags.{slot} <- -1;
     t.ready.{slot} <- 0;
     t.stamp.{slot} <- 0;

@@ -28,7 +28,16 @@ val lookup : t -> now:int -> int -> lookup
     LRU state and hit/miss counters identically to [lookup]. *)
 val lookup_code : t -> now:int -> int -> int
 
-(** [insert t ~now ~ready_at addr] fills the line (evicting LRU). *)
+(** [prefetch_code t ~now addr] is [lookup_code] for a prefetch: a
+    line already present and ready gives [0] without counting a hit or
+    refreshing LRU state (the prefetch is useless); a miss or an
+    in-flight line is handled exactly as by [lookup_code]. *)
+val prefetch_code : t -> now:int -> int -> int
+
+(** [insert t ~now ~ready_at addr] fills the line (evicting LRU). Right
+    after a [lookup_code]/[prefetch_code] that missed the same line,
+    with the cache untouched since, it reuses the victim that lookup
+    found instead of scanning the set again. *)
 val insert : t -> now:int -> ready_at:int -> int -> unit
 
 (** Presence test without touching LRU state (used by the §4.1

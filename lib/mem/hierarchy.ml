@@ -122,9 +122,30 @@ let dram_latency t ~now =
   | Some s when now >= s.from_cycle && now < s.until_cycle -> t.cfg.dram_latency * s.dram_mult
   | _ -> t.cfg.dram_latency
 
-(* Classify an access without filling: serving level, total latency, and
-   whether the wait came from an in-flight fill — written into the
-   [p_*] scratch fields so the hot path allocates nothing. *)
+(* Classify an access that missed L1 without filling: serving level,
+   total latency, and whether the wait came from an in-flight fill —
+   written into the [p_*] scratch fields so the hot path allocates
+   nothing. *)
+let probe_below_l1 t ~now addr =
+  let c2 = Cache.lookup_code t.l2 ~now addr in
+  if c2 >= 0 then begin
+    t.p_level <- code_l2;
+    t.p_latency <- (if c2 = 0 then t.cfg.l2.latency else max t.cfg.l2.latency (c2 - now));
+    t.p_inflight <- c2 > 0
+  end
+  else
+    let c3 = Cache.lookup_code t.l3 ~now addr in
+    if c3 >= 0 then begin
+      t.p_level <- code_l3;
+      t.p_latency <- (if c3 = 0 then l3_latency t ~now else max t.cfg.l3.latency (c3 - now));
+      t.p_inflight <- c3 > 0
+    end
+    else begin
+      t.p_level <- code_dram;
+      t.p_latency <- dram_latency t ~now;
+      t.p_inflight <- false
+    end
+
 let probe_into t ~now addr =
   let c1 = Cache.lookup_code t.l1 ~now addr in
   if c1 >= 0 then begin
@@ -132,27 +153,10 @@ let probe_into t ~now addr =
     t.p_latency <- (if c1 = 0 then t.cfg.l1.latency else max t.cfg.l1.latency (c1 - now));
     t.p_inflight <- c1 > 0
   end
-  else
-    let c2 = Cache.lookup_code t.l2 ~now addr in
-    if c2 >= 0 then begin
-      t.p_level <- code_l2;
-      t.p_latency <- (if c2 = 0 then t.cfg.l2.latency else max t.cfg.l2.latency (c2 - now));
-      t.p_inflight <- c2 > 0
-    end
-    else
-      let c3 = Cache.lookup_code t.l3 ~now addr in
-      if c3 >= 0 then begin
-        t.p_level <- code_l3;
-        t.p_latency <- (if c3 = 0 then l3_latency t ~now else max t.cfg.l3.latency (c3 - now));
-        t.p_inflight <- c3 > 0
-      end
-      else begin
-        t.p_level <- code_dram;
-        t.p_latency <- dram_latency t ~now;
-        t.p_inflight <- false
-      end
+  else probe_below_l1 t ~now addr
 
-(* Fill all levels above the serving one. *)
+(* Fill all levels above the serving one. Each of them just missed in
+   the probe, so [Cache.insert] reuses the victim that lookup found. *)
 let fill t ~ready_at ~now lcode addr =
   if lcode >= code_l2 then Cache.insert t.l1 ~now ~ready_at addr;
   if lcode >= code_l3 then Cache.insert t.l2 ~now ~ready_at addr;
@@ -200,18 +204,17 @@ let access t ~now addr =
 let prefetch t ~now addr =
   let s = t.stats in
   s.prefetches <- s.prefetches + 1;
-  if Cache.resident t.l1 ~now addr then s.useless_prefetches <- s.useless_prefetches + 1
-  else begin
-    probe_into t ~now addr;
+  (* One L1 scan: a ready line makes the prefetch useless, a line in
+     flight into L1 keeps its earlier fill, and a miss probes on. *)
+  let c1 = Cache.prefetch_code t.l1 ~now addr in
+  if c1 = 0 then s.useless_prefetches <- s.useless_prefetches + 1
+  else if c1 < 0 then begin
+    probe_below_l1 t ~now addr;
     let lcode = t.p_level in
-    if lcode > code_l1 then begin
-      (* an L1 classification here means in flight into L1 already:
-         keep the earlier fill *)
-      let latency =
-        counterfactual t lcode (t.p_latency + admission t ~now lcode ~inflight:t.p_inflight)
-      in
-      fill t ~ready_at:(now + latency) ~now lcode addr
-    end
+    let latency =
+      counterfactual t lcode (t.p_latency + admission t ~now lcode ~inflight:t.p_inflight)
+    in
+    fill t ~ready_at:(now + latency) ~now lcode addr
   end
 
 let write t ~now:_ addr =

@@ -10,7 +10,11 @@ type t = {
   l3 : Cache.t;
   win : int;
   bud : int;  (* <= 0 = unlimited *)
-  used : (int, int) Hashtbl.t;  (* window index -> services admitted *)
+  (* Admission table: [used.(w - base)] services admitted in window
+     [w]; windows outside [base, base + length used) have none. Empty
+     until the first admission, then grown by doubling. *)
+  mutable base : int;
+  mutable used : int array;
   mutable invalidators : (int -> int) array;
   stats : stats;
 }
@@ -22,16 +26,13 @@ let create ?(window = 32) ?(budget = 16) (cfg : Memconfig.t) =
     l3 = Cache.create ~name:"L3" ~line_bytes:cfg.line_bytes cfg.l3;
     win = window;
     bud = budget;
-    used = Hashtbl.create 256;
+    base = 0;
+    used = [||];
     invalidators = [||];
     stats = { admitted = 0; queued = 0; queue_cycles = 0; writes = 0; invalidations = 0 };
   }
 
 let cache t = t.l3
-
-let window t = t.win
-
-let budget t = t.bud
 
 let attach t ~invalidate =
   let core = Array.length t.invalidators in
@@ -40,22 +41,49 @@ let attach t ~invalidate =
 
 let cores t = Array.length t.invalidators
 
-(* Top-level recursion (no closure capture — [admit] sits on the SMP
-   fast path): first window at or after [w0] with budget room. *)
-let rec place used bud w =
-  let u = match Hashtbl.find_opt used w with Some u -> u | None -> 0 in
-  if u < bud then begin
-    Hashtbl.replace used w (u + 1);
-    w
+(* Make window [w] addressable, doubling the table (at least 64
+   windows) and putting the new room on the side [w] lies. *)
+let grow t w =
+  let len = Array.length t.used in
+  if len = 0 then begin
+    t.base <- w;
+    t.used <- Array.make 64 0
   end
-  else place used bud (w + 1)
+  else begin
+    let lo = min w t.base and hi = max (w + 1) (t.base + len) in
+    let n = ref (2 * len) in
+    while !n < hi - lo do
+      n := 2 * !n
+    done;
+    let base = if w < t.base then hi - !n else t.base in
+    let used = Array.make !n 0 in
+    Array.blit t.used 0 used (t.base - base) len;
+    t.base <- base;
+    t.used <- used
+  end
+
+(* Top-level recursion (no closure capture — [admit] sits on the SMP
+   fast path): first window at or after [w] with budget room. *)
+let rec place t w =
+  let i = w - t.base in
+  if i < 0 || i >= Array.length t.used then begin
+    grow t w;
+    place t w
+  end
+  else
+    let u = Array.unsafe_get t.used i in
+    if u < t.bud then begin
+      Array.unsafe_set t.used i (u + 1);
+      w
+    end
+    else place t (w + 1)
 
 let admit t ~now =
   t.stats.admitted <- t.stats.admitted + 1;
   if t.bud <= 0 then 0
   else begin
     let w0 = now / t.win in
-    let w = place t.used t.bud w0 in
+    let w = place t w0 in
     if w = w0 then 0
     else begin
       let delay = (w * t.win) - now in
@@ -67,16 +95,9 @@ let admit t ~now =
 
 let write t ~core ~addr =
   t.stats.writes <- t.stats.writes + 1;
-  Array.iteri
-    (fun i inv ->
-      if i <> core then t.stats.invalidations <- t.stats.invalidations + inv addr)
-    t.invalidators
+  for i = 0 to Array.length t.invalidators - 1 do
+    if i <> core then
+      t.stats.invalidations <- t.stats.invalidations + t.invalidators.(i) addr
+  done
 
 let stats t = t.stats
-
-let reset_stats t =
-  t.stats.admitted <- 0;
-  t.stats.queued <- 0;
-  t.stats.queue_cycles <- 0;
-  t.stats.writes <- 0;
-  t.stats.invalidations <- 0

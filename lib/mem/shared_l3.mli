@@ -15,7 +15,17 @@
       measurable cost. The L3 copy itself survives (write-back to LLC).
 
     Everything is deterministic: admission depends only on the order of
-    calls, which the SMP machine makes deterministic. *)
+    calls, which the SMP machine makes deterministic.
+
+    Admission keeps one int per window in a flat table indexed by
+    window offset from the first window admitted into, so [admit]
+    allocates nothing. The table starts at 64 windows on the first
+    admission and doubles whenever a call lands outside it (calls
+    need not come in time order; the table grows downwards too). Its
+    memory therefore follows the span of windows a machine touches —
+    8 bytes per 32-cycle window spanned with the defaults, up to twice
+    that for doubling headroom — not the absolute cycle count: a
+    machine built at cycle 10^9 pays nothing for the cycles before. *)
 
 type stats = {
   mutable admitted : int;  (** below-L2 services that went through the port *)
@@ -36,10 +46,6 @@ val create : ?window:int -> ?budget:int -> Memconfig.t -> t
 (** The one shared L3 cache array. Per-core hierarchies alias it. *)
 val cache : t -> Cache.t
 
-val window : t -> int
-
-val budget : t -> int
-
 (** [attach t ~invalidate] registers a core's private-hierarchy
     invalidator ([invalidate addr] kills the line in that core's L1/L2
     and returns how many lines it removed) and returns the core id used
@@ -59,5 +65,3 @@ val admit : t -> now:int -> int
 val write : t -> core:int -> addr:int -> unit
 
 val stats : t -> stats
-
-val reset_stats : t -> unit

@@ -1,5 +1,4 @@
 open Stallhide_isa
-open Stallhide_cpu
 
 type load_stat = {
   mutable exec_samples : int;

@@ -38,6 +38,7 @@ type t = {
   queue : Context.t Queue.t;
   mutable current : Context.t option;
   mutable pool : Context.t array;
+  mutable cold : int;  (* pool entries that are ready and never started *)
   mutable rr : int;
   mutable steal_source : (unit -> Context.t option) option;
   mutable on_complete : (Context.t -> now:int -> unit) option;
@@ -56,6 +57,7 @@ let create ?(config = default_config) ?obs hier mem =
     queue = Queue.create ();
     current = None;
     pool = [||];
+    cold = 0;
     rr = 0;
     steal_source = None;
     on_complete = None;
@@ -93,22 +95,19 @@ let submit t ctx =
 
 let queue_depth t = Queue.length t.queue + match t.current with Some _ -> 1 | None -> 0
 
+let is_cold s = Context.is_ready s && s.Context.started_at < 0
+
 let add_scavenger t ctx =
   ctx.Context.mode <- Context.Scavenger;
+  if is_cold ctx then t.cold <- t.cold + 1;
   t.pool <- Array.append t.pool [| ctx |]
 
-let stealable t =
-  Array.fold_left
-    (fun acc s -> if Context.is_ready s && s.Context.started_at < 0 then acc + 1 else acc)
-    0 t.pool
+let stealable t = t.cold
 
 let donate t =
   let n = Array.length t.pool in
   let rec find i =
-    if i = n then None
-    else
-      let s = t.pool.(i) in
-      if Context.is_ready s && s.Context.started_at < 0 then Some i else find (i + 1)
+    if i = n then None else if is_cold t.pool.(i) then Some i else find (i + 1)
   in
   match find 0 with
   | None -> None
@@ -116,6 +115,7 @@ let donate t =
       let s = t.pool.(i) in
       t.pool <- Array.init (n - 1) (fun k -> if k < i then t.pool.(k) else t.pool.(k + 1));
       if t.rr > i then t.rr <- t.rr - 1;
+      t.cold <- t.cold - 1;
       t.stats.donated <- t.stats.donated + 1;
       Some s
 
@@ -127,14 +127,11 @@ let set_scavengers_enabled t enabled = t.scav_enabled <- enabled
 
 type outcome = Worked | Idle
 
-let emit t event =
-  match t.obs with Some s -> Stallhide_obs.Stream.record s event | None -> ()
-
 let charge t ~from_ctx ~at_pc cost =
   t.stats.switches <- t.stats.switches + 1;
   t.stats.switch_cycles <- t.stats.switch_cycles + cost;
-  (* Build the event under the match: [emit t (Context_switch {...})]
-     would allocate the record on every switch even with no observer
+  (* Build the event under the match: building it first would
+     allocate the record on every switch even with no observer
      attached, and switches dominate the hot scheduling path. *)
   (match t.obs with
   | Some s ->
@@ -163,20 +160,18 @@ let try_steal t =
 (* First ready scavenger at or after the cursor, without advancing it:
    scavengers are served depth-first (the same one resumes until it
    halts or escalates), so later pool entries stay cold — and therefore
-   stealable — as long as possible. *)
-let next_scavenger t =
-  let n = Array.length t.pool in
-  let rec loop k =
-    if k = n then None
-    else
-      let j = (t.rr + k) mod n in
-      if Context.is_ready t.pool.(j) then begin
-        t.rr <- j;
-        Some j
-      end
-      else loop (k + 1)
-  in
-  if n = 0 then None else loop 0
+   stealable — as long as possible. Returns its pool index, or -1. *)
+let rec next_from t n k =
+  if k = n then -1
+  else
+    let j = (t.rr + k) mod n in
+    if Context.is_ready t.pool.(j) then begin
+      t.rr <- j;
+      j
+    end
+    else next_from t n (k + 1)
+
+let next_scavenger t = next_from t (Array.length t.pool) 0
 
 (* The current scavenger is done with (halted, escalated, faulted):
    move the cursor past it. *)
@@ -185,44 +180,63 @@ let retire_scavenger t j = t.rr <- (j + 1) mod max 1 (Array.length t.pool)
 let run_slice t ~deadline ctx =
   Scheduler.traced ?obs:t.obs t.cfg.engine t.hier t.mem ~clock:t.clock ~deadline ctx
 
+(* A scavenger slice, keeping [cold] current: a cold scavenger's first
+   slice normally starts it, unless the deadline stops it first. *)
+let run_scavenger t ~deadline s =
+  t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
+  if s.Context.started_at >= 0 then run_slice t ~deadline s
+  else begin
+    let r = run_slice t ~deadline s in
+    if not (is_cold s) then t.cold <- t.cold - 1;
+    r
+  end
+
 (* Fill the current primary's stall: scavenger slices until a timely
    scavenger-phase yield, escalating past ones that hit their own
-   misses; steal when the local pool runs dry. *)
-let hide t ~deadline =
-  let steals_left = ref t.cfg.steal_budget in
-  let rec go budget =
-    if budget = 0 || !(t.clock) >= deadline then ()
-    else
-      match next_scavenger t with
-      | None -> if !steals_left > 0 && try_steal t then begin decr steals_left; go budget end
-      | Some j -> (
-          let s = t.pool.(j) in
-          t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
-          match run_slice t ~deadline s with
-          | Engine.Yielded (Instr.Scavenger, pc) ->
-              charge t ~from_ctx:s.Context.id ~at_pc:pc
-                (Switch_cost.at_site t.cfg.switch s.Context.program pc)
-          | Engine.Yielded (Instr.Primary, pc) ->
-              t.stats.escalations <- t.stats.escalations + 1;
-              emit t
+   misses; steal (at most [steals] more times) when the local pool runs
+   dry. Top-level recursion: [hide] runs after every primary yield. *)
+let rec hide_loop t ~deadline steals budget =
+  if budget = 0 || !(t.clock) >= deadline then ()
+  else
+    let j = next_scavenger t in
+    if j < 0 then begin
+      if steals > 0 && try_steal t then hide_loop t ~deadline (steals - 1) budget
+    end
+    else begin
+      let s = t.pool.(j) in
+      match run_scavenger t ~deadline s with
+      | Engine.Yielded (Instr.Scavenger, pc) ->
+          charge t ~from_ctx:s.Context.id ~at_pc:pc
+            (Switch_cost.at_site t.cfg.switch s.Context.program pc)
+      | Engine.Yielded (Instr.Primary, pc) ->
+          t.stats.escalations <- t.stats.escalations + 1;
+          (* Build the event under the match, as [charge] does: no
+             record when nothing listens. *)
+          (match t.obs with
+          | Some o ->
+              Stallhide_obs.Stream.record o
                 (Stallhide_obs.Event.Scavenger_escalation
-                   { ctx = s.Context.id; pc; cycle = !(t.clock) });
-              charge t ~from_ctx:s.Context.id ~at_pc:pc
-                (Switch_cost.at_site t.cfg.switch s.Context.program pc);
-              retire_scavenger t j;
-              go (budget - 1)
-          | Engine.Halted ->
-              charge t ~from_ctx:s.Context.id ~at_pc:(-1) t.cfg.switch.Switch_cost.base;
-              retire_scavenger t j;
-              go (budget - 1)
-          | Engine.Out_of_budget -> ()
-          | Engine.Fault m ->
-              t.faults <- m :: t.faults;
-              t.stats.fault_count <- t.stats.fault_count + 1;
-              retire_scavenger t j;
-              go (budget - 1))
-  in
-  if t.scav_enabled then go (2 * max 1 (Array.length t.pool))
+                   { ctx = s.Context.id; pc; cycle = !(t.clock) })
+          | None -> ());
+          charge t ~from_ctx:s.Context.id ~at_pc:pc
+            (Switch_cost.at_site t.cfg.switch s.Context.program pc);
+          retire_scavenger t j;
+          hide_loop t ~deadline steals (budget - 1)
+      | Engine.Halted ->
+          charge t ~from_ctx:s.Context.id ~at_pc:(-1) t.cfg.switch.Switch_cost.base;
+          retire_scavenger t j;
+          hide_loop t ~deadline steals (budget - 1)
+      | Engine.Out_of_budget -> ()
+      | Engine.Fault m ->
+          t.faults <- m :: t.faults;
+          t.stats.fault_count <- t.stats.fault_count + 1;
+          retire_scavenger t j;
+          hide_loop t ~deadline steals (budget - 1)
+    end
+
+let hide t ~deadline =
+  if t.scav_enabled then
+    hide_loop t ~deadline t.cfg.steal_budget (2 * max 1 (Array.length t.pool))
 
 let quiescent t = t.current = None && Queue.is_empty t.queue
 
@@ -258,22 +272,22 @@ let step t ~deadline =
     | None when not t.scav_enabled -> Idle
     | None -> (
         (* Batch-only period: burn down scavengers depth-first. *)
-        match next_scavenger t with
-        | Some j -> (
-            let s = t.pool.(j) in
-            t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
-            match run_slice t ~deadline s with
-            | Engine.Yielded (_, pc) ->
-                charge t ~from_ctx:s.Context.id ~at_pc:pc
-                  (Switch_cost.at_site t.cfg.switch s.Context.program pc);
-                Worked
-            | Engine.Halted | Engine.Out_of_budget ->
-                retire_scavenger t j;
-                Worked
-            | Engine.Fault m ->
-                t.faults <- m :: t.faults;
-                t.stats.fault_count <- t.stats.fault_count + 1;
-                retire_scavenger t j;
-                Worked)
-        | None -> if try_steal t then Worked else Idle)
+        let j = next_scavenger t in
+        if j < 0 then if try_steal t then Worked else Idle
+        else begin
+          let s = t.pool.(j) in
+          match run_scavenger t ~deadline s with
+          | Engine.Yielded (_, pc) ->
+              charge t ~from_ctx:s.Context.id ~at_pc:pc
+                (Switch_cost.at_site t.cfg.switch s.Context.program pc);
+              Worked
+          | Engine.Halted | Engine.Out_of_budget ->
+              retire_scavenger t j;
+              Worked
+          | Engine.Fault m ->
+              t.faults <- m :: t.faults;
+              t.stats.fault_count <- t.stats.fault_count + 1;
+              retire_scavenger t j;
+              Worked
+        end)
   end

@@ -76,7 +76,9 @@ val queue_depth : t -> int
 
 val add_scavenger : t -> Context.t -> unit
 
-(** Ready, never-started scavengers — what {!donate} can give away. *)
+(** Ready, never-started scavengers — what {!donate} can give away.
+    O(1): the count is kept current on add, donate and each
+    scavenger's first dispatch. *)
 val stealable : t -> int
 
 (** Remove and return one cold scavenger, or [None]. *)

@@ -157,7 +157,10 @@ let instrument_twin ~twin ~placement ~mem ?scavenger_interval () =
     Stallhide_verify.Verify.errors outcome,
     Stallhide_verify.Verify.warnings outcome )
 
-let run params =
+(* Everything [run] hands to the machine: its config, the shared
+   image, the requests in arrival order, each core's scavengers, and
+   the verifier counts. *)
+let setup params =
   let p = params in
   if p.cores <= 0 then invalid_arg "Harness.run: cores must be positive";
   if p.requests_per_core < 0 then invalid_arg "Harness.run: requests_per_core must be >= 0";
@@ -298,7 +301,19 @@ let run params =
       trace = p.trace;
     }
   in
-  let result = Machine.run ~config ~policy:p.policy ~mem:image ~requests ~scavengers () in
+  (config, image, requests, scavengers, (verify_programs, verify_errors, verify_warnings))
+
+let live params =
+  let config, mem, requests, scavengers, _ = setup params in
+  let live = Machine.Live.create ~config ~policy:params.policy ~mem ~scavengers () in
+  List.iter (Machine.Live.submit live) requests;
+  live
+
+let run params =
+  let config, mem, requests, scavengers, (verify_programs, verify_errors, verify_warnings) =
+    setup params
+  in
+  let result = Machine.run ~config ~policy:params.policy ~mem ~requests ~scavengers () in
   {
     params;
     result;

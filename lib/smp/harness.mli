@@ -111,6 +111,12 @@ type run = {
 (** @raise Invalid_argument if [cores <= 0] or [requests_per_core < 0]. *)
 val run : params -> run
 
+(** The machine {!run} drives, built the same way with every request
+    submitted and nothing stepped yet, for callers that step it
+    themselves.
+    @raise Invalid_argument as {!run}. *)
+val live : params -> Machine.Live.t
+
 (** [speedup ~base r] and [efficiency ~base r]: throughput relative to
     [base] (the single-core run of the same configuration), raw and
     divided by [r]'s core count. *)

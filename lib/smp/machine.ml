@@ -225,10 +225,10 @@ module Live = struct
       Core_sched.submit t.scheds.(target) r.ctx
     done
 
-  let all_quiescent t =
-    let q = ref true in
-    Array.iter (fun s -> if not (Core_sched.quiescent s) then q := false) t.scheds;
-    !q
+  let rec quiescent_from scheds i =
+    i = Array.length scheds || (Core_sched.quiescent scheds.(i) && quiescent_from scheds (i + 1))
+
+  let all_quiescent t = quiescent_from t.scheds 0
 
   let quiescent t = Queue.is_empty t.pending && all_quiescent t
 

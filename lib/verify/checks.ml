@@ -1,7 +1,6 @@
 open Stallhide_isa
 open Stallhide_util
 open Stallhide_binopt
-open Stallhide_cpu
 module D = Diagnostic
 module A = Stallhide_analysis
 

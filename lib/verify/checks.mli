@@ -60,7 +60,7 @@ val prefetch_pairing :
     (default slack = [target], matching the pass's worst case of
     deferring an insertion past a read-modify-write window). [cost]
     defaults to the scavenger pass's static estimate
-    ({!Stallhide_cpu.Cost.base} + 4 extra cycles per load). The witness
+    ({!Stallhide_isa.Cost.base} + 4 extra cycles per load). The witness
     of a too-long path is the chain of block-entry pcs ending at the
     instruction where the bound is exceeded. *)
 val interval_bound :

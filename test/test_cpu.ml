@@ -656,6 +656,43 @@ done:
 |};
   check_parity "jump and fallthrough" "jmp skip\nmov r1, 1\nskip:\nmov r2, 2\nhalt"
 
+(* --- µop decode: once per program --- *)
+
+(* Serving builds one context per request from one program: all of
+   them must run on the program's one decode, not a copy each. *)
+let test_decode_shared () =
+  let prog = Asm.parse "mov r1, 3\nloop:\nsub r1, r1, 1\nbr gt r1, 0, loop\nhalt" in
+  let mem = Address_space.create ~bytes:(1 lsl 16) in
+  let hier = Hierarchy.create cfg in
+  let a = Context.create ~id:0 ~mode:Context.Primary prog in
+  let b = Context.create ~id:1 ~mode:Context.Primary prog in
+  let clock = ref 0 in
+  check_stop "first context" "halted" (Engine.run Engine.default_config hier mem ~clock a);
+  let u = Program.uops a.Context.program in
+  check_stop "second context" "halted" (Engine.run Engine.default_config hier mem ~clock b);
+  let v = Program.uops b.Context.program in
+  Alcotest.(check bool) "one decode for both contexts" true (u == v);
+  Alcotest.(check bool) "same opcode array" true (u.Uop.op == v.Uop.op);
+  Alcotest.(check bool) "same operand arrays" true
+    (u.Uop.a == v.Uop.a && u.Uop.b == v.Uop.b && u.Uop.c == v.Uop.c)
+
+(* [Reg.t] is an open int alias, so a hand-built program can name a
+   register the register file lacks; the fast loop reads registers
+   unchecked, so decode must refuse it for every context, not only
+   the first one to run. *)
+let test_decode_bad_register () =
+  let prog =
+    Program.assemble [ Program.Ins (Instr.Mov (Reg.count, Instr.Imm 1)); Program.Ins Instr.Halt ]
+  in
+  let mem = Address_space.create ~bytes:(1 lsl 16) in
+  let hier = Hierarchy.create cfg in
+  for id = 0 to 2 do
+    let ctx = Context.create ~id ~mode:Context.Primary prog in
+    match Engine.run Engine.default_config hier mem ~clock:(ref 0) ctx with
+    | exception Invalid_argument _ -> ()
+    | stop -> Alcotest.failf "context %d ran to %s" id (Format.asprintf "%a" Engine.pp_stop stop)
+  done
+
 let () =
   Alcotest.run "cpu"
     [
@@ -721,5 +758,11 @@ let () =
           Alcotest.test_case "call depth overflow" `Quick test_parity_call_depth_overflow;
           Alcotest.test_case "prefetch/opmark" `Quick test_parity_prefetch_opmark;
           Alcotest.test_case "branches and jumps" `Quick test_parity_branches;
+        ] );
+      ( "decode",
+        [
+          Alcotest.test_case "contexts share the program's decode" `Quick test_decode_shared;
+          Alcotest.test_case "bad register refused on every context" `Quick
+            test_decode_bad_register;
         ] );
     ]

@@ -283,7 +283,7 @@ let zero_alloc_run label engine (w : Workload.t) =
   let hier = Hierarchy.create memcfg in
   let ctxs = Workload.contexts w in
   let clock = ref 0 in
-  (* warm-up: first entry decodes the µop cache (allocates once) *)
+  (* warm-up: the first entry decodes the program (allocates once) *)
   Array.iter
     (fun c -> ignore (Engine.run engine hier w.Workload.image ~clock ~deadline:(!clock + 1) c))
     ctxs;

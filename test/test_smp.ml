@@ -1,4 +1,6 @@
+open Stallhide_isa
 open Stallhide_mem
+open Stallhide_cpu
 open Stallhide_runtime
 open Stallhide_sched
 open Stallhide_smp
@@ -23,6 +25,95 @@ let test_l3_unlimited () =
   for _ = 1 to 100 do
     Alcotest.(check int) "no contention" 0 (Shared_l3.admit l3 ~now:0)
   done
+
+(* The admission table as it was before it became a flat array: a
+   Hashtbl of per-window counts, searched forward from [now]'s window. *)
+module Admission_model = struct
+  type t = {
+    win : int;
+    bud : int;
+    used : (int, int) Hashtbl.t;
+    mutable admitted : int;
+    mutable queued : int;
+    mutable queue_cycles : int;
+  }
+
+  let create ~window ~budget =
+    { win = window; bud = budget; used = Hashtbl.create 16; admitted = 0; queued = 0; queue_cycles = 0 }
+
+  let rec place m w =
+    let u = Option.value ~default:0 (Hashtbl.find_opt m.used w) in
+    if u < m.bud then begin
+      Hashtbl.replace m.used w (u + 1);
+      w
+    end
+    else place m (w + 1)
+
+  let admit m ~now =
+    m.admitted <- m.admitted + 1;
+    if m.bud <= 0 then 0
+    else
+      let w0 = now / m.win in
+      let w = place m w0 in
+      if w = w0 then 0
+      else begin
+        let delay = (w * m.win) - now in
+        m.queued <- m.queued + 1;
+        m.queue_cycles <- m.queue_cycles + delay;
+        delay
+      end
+end
+
+(* A call sequence for [admit]: small steps either way (cores' clocks
+   interleave out of order), bursts at one cycle past the budget, and
+   jumps that force the table to grow, downwards too. *)
+type admission_op = Step of int | Burst of int | Jump of int
+
+let show_admission_op = function
+  | Step d -> Printf.sprintf "step %d" d
+  | Burst k -> Printf.sprintf "burst %d" k
+  | Jump d -> Printf.sprintf "jump %d" d
+
+let admission_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun d -> Step d) (int_range (-300) 300));
+        (2, map (fun k -> Burst k) (int_range 2 40));
+        (1, map (fun d -> Jump d) (int_range (-5_000) 20_000));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (budget, window, start, ops) ->
+      Printf.sprintf "budget %d, window %d, start %d: %s" budget window start
+        (String.concat "; " (List.map show_admission_op ops)))
+    (quad (oneofl [ 0; 1; 2; 16 ]) (oneofl [ 1; 32 ]) (int_range 0 1_000_000)
+       (list_size (int_range 1 200) op))
+
+let qcheck_admission_model =
+  QCheck.Test.make ~name:"admission table matches the Hashtbl model" ~count:300 admission_case
+    (fun (budget, window, start, ops) ->
+      let l3 = Shared_l3.create ~window ~budget cfg in
+      let m = Admission_model.create ~window ~budget in
+      let now = ref start in
+      let agree () =
+        let got = Shared_l3.admit l3 ~now:!now and want = Admission_model.admit m ~now:!now in
+        got = want || QCheck.Test.fail_reportf "now %d: delay %d, model %d" !now got want
+      in
+      let ok =
+        List.for_all
+          (function
+            | Step d | Jump d ->
+                now := max 0 (!now + d);
+                agree ()
+            | Burst k -> List.for_all agree (List.init k (fun _ -> ())))
+          ops
+      in
+      let s = Shared_l3.stats l3 in
+      ok
+      && (s.Shared_l3.admitted, s.Shared_l3.queued, s.Shared_l3.queue_cycles)
+         = (m.Admission_model.admitted, m.Admission_model.queued, m.Admission_model.queue_cycles))
 
 (* --- Shared L3: cross-core invalidation through Hierarchy --- *)
 
@@ -226,6 +317,79 @@ let test_perfetto_tracks () =
       | _ -> Alcotest.fail "traceEvents is not a list")
   | _ -> Alcotest.fail "trace is not an object"
 
+(* --- Core_sched: the stealable count --- *)
+
+type sched_op = Add of int | Sched_step | Donate | Submit
+
+let show_sched_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Sched_step -> "step"
+  | Donate -> "donate"
+  | Submit -> "submit"
+
+(* Scavengers that hide (scavenger yields) or escalate (primary
+   yields), and a primary whose yields open stalls to hide. *)
+let hiding = Asm.parse "mov r1, 3\nloop:\nsub r1, r1, 1\nsyield\nbr gt r1, 0, loop\nhalt"
+
+let escalating = Asm.parse "mov r1, 2\nloop:\nsub r1, r1, 1\nyield\nbr gt r1, 0, loop\nhalt"
+
+let primary = Asm.parse "mov r1, 2\nloop:\nsub r1, r1, 1\nyield\nbr gt r1, 0, loop\nhalt"
+
+(* [Add k]: 0 and 1 a cold hiding or escalating scavenger, 2 one
+   already started elsewhere, 3 one already done — neither stealable. *)
+let qcheck_stealable =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Add k) (int_range 0 3));
+          (4, return Sched_step);
+          (2, return Donate);
+          (1, return Submit);
+        ])
+  in
+  QCheck.Test.make ~name:"stealable equals a scan of the core's scavengers" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sched_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let core =
+        Core_sched.create (Hierarchy.create cfg) (Address_space.create ~bytes:65536)
+      in
+      let placed = ref [] and ids = ref 0 in
+      let fresh prog mode =
+        incr ids;
+        Context.create ~id:!ids ~mode prog
+      in
+      let cold () =
+        List.length
+          (List.filter (fun c -> Context.is_ready c && c.Context.started_at < 0) !placed)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add k ->
+              let c = fresh (if k = 1 then escalating else hiding) Context.Scavenger in
+              if k = 2 then c.Context.started_at <- 0;
+              if k = 3 then c.Context.status <- Context.Done;
+              Core_sched.add_scavenger core c;
+              placed := c :: !placed
+          | Sched_step -> ignore (Core_sched.step core ~deadline:max_int)
+          | Donate -> (
+              let before = cold () in
+              match Core_sched.donate core with
+              | Some c ->
+                  if not (List.memq c !placed) then
+                    QCheck.Test.fail_report "donated a context the core never had";
+                  placed := List.filter (fun x -> x != c) !placed
+              | None -> if before > 0 then QCheck.Test.fail_report "donate refused a cold scavenger")
+          | Submit -> Core_sched.submit core (fresh primary Context.Primary));
+          let got = Core_sched.stealable core and want = cold () in
+          got = want
+          || QCheck.Test.fail_reportf "after %s: stealable %d, scan %d" (show_sched_op op) got
+               want)
+        ops)
+
 (* --- Machine: determinism and stealing --- *)
 
 let small_params =
@@ -355,6 +519,30 @@ let test_machine_validation () =
     (Invalid_argument "Harness.run: requests_per_core must be >= 0") (fun () ->
       ignore (Harness.run { small_params with Harness.requests_per_core = -1 }))
 
+(* Host work per dispatch slice of an untraced machine: the µop decode
+   is per program and the scheduler's hide path allocates no closures,
+   so what is left is the fast loop's per-slice entry cost. *)
+let test_minor_words_per_slice () =
+  let live = Harness.live Harness.default_params in
+  let w0 = Gc.minor_words () in
+  while not (Machine.Live.quiescent live) do
+    ignore (Machine.Live.step live)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let r = Machine.Live.finish live in
+  let slices =
+    Array.fold_left
+      (fun a (c : Machine.core_result) ->
+        a + c.Machine.stats.Core_sched.dispatches + c.Machine.stats.Core_sched.scav_dispatches)
+      0 r.Machine.per_core
+  in
+  Alcotest.(check int) "all requests served"
+    (Harness.default_params.Harness.requests_per_core * Harness.default_params.Harness.cores)
+    r.Machine.completed;
+  let per_slice = words /. float_of_int slices in
+  if per_slice > 40.0 then
+    Alcotest.failf "%.1f minor words per slice over %d slices (bound 40)" per_slice slices
+
 let () =
   Alcotest.run "smp"
     [
@@ -363,6 +551,7 @@ let () =
           Alcotest.test_case "windowed admission" `Quick test_l3_admission;
           Alcotest.test_case "unlimited budget" `Quick test_l3_unlimited;
           Alcotest.test_case "cross-core invalidation" `Quick test_l3_invalidation;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_admission_model;
         ] );
       ( "latency-merge",
         [
@@ -389,5 +578,7 @@ let () =
           Alcotest.test_case "untraced streams hold only steals" `Quick test_untraced_streams;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
+          Alcotest.test_case "minor words per slice" `Quick test_minor_words_per_slice;
         ] );
+      ("core-sched", [ QCheck_alcotest.to_alcotest ~long:false qcheck_stealable ]);
     ]
