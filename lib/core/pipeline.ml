@@ -64,20 +64,18 @@ let profile ?(config = default_profile_config) ?(mem_cfg = Memconfig.default) w 
       Option.iter (fun f -> Pebs.degrade f spec) frontend
   | None -> ());
   let lbr = Lbr.create ~snapshot_period:config.lbr_snapshot_period () in
-  let hooks =
-    Events.compose
-      ([ Pebs.hooks exec; Pebs.hooks miss; Pebs.hooks stall; Lbr.hooks lbr ]
-      @ match frontend with Some f -> [ Pebs.hooks f ] | None -> [])
-  in
-  let engine = { Engine.default_config with hooks } in
+  let units = exec :: miss :: stall :: Option.to_list frontend in
+  (* The samplers ride the decoded-µop loop on a probe. *)
+  let probe = Probe.create () in
+  List.iter (fun u -> Pebs.attach u probe) units;
+  Lbr.attach lbr probe;
+  let engine = { Engine.default_config with probe = Some probe } in
   let ctxs = Workload.contexts w in
   let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
   let p = Profile.build ~program:w.Workload.program ~exec ~miss ~stall ?frontend ~lbr () in
   (* leave the image as we found it for the measured run *)
   w.Workload.reset ();
-  let overhead_cycles =
-    Pebs.overhead_cycles exec + Pebs.overhead_cycles miss + Pebs.overhead_cycles stall
-  in
+  let overhead_cycles = List.fold_left (fun acc u -> acc + Pebs.overhead_cycles u) 0 units in
   {
     profile = p;
     run_cycles = r.Scheduler.cycles;
@@ -87,25 +85,20 @@ let profile ?(config = default_profile_config) ?(mem_cfg = Memconfig.default) w 
 
 let ground_truth ?(mem_cfg = Memconfig.default) w =
   let hier = Hierarchy.create mem_cfg in
-  let table : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
-  let on_load (info : Events.load_info) =
-    let execs, misses, stall =
-      match Hashtbl.find_opt table info.Events.pc with Some t -> t | None -> (0, 0, 0)
-    in
-    let is_miss =
-      match info.Events.level with
-      | Hierarchy.L3 | Hierarchy.Dram -> true
-      | Hierarchy.L1 | Hierarchy.L2 -> false
-    in
-    Hashtbl.replace table info.Events.pc
-      ( execs + 1,
-        (misses + if is_miss then 1 else 0),
-        stall + info.Events.stall )
-  in
-  let engine = { Engine.default_config with hooks = { Events.nop with on_load } } in
+  let n = Program.length w.Workload.program in
+  let probe = Probe.create () in
+  Probe.tally probe ~length:n;
+  let engine = { Engine.default_config with probe = Some probe } in
   let ctxs = Workload.contexts w in
   let (_ : Scheduler.result) = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
   w.Workload.reset ();
+  let execs = Probe.load_execs probe
+  and misses = Probe.load_misses probe
+  and stalls = Probe.load_stalls probe in
+  let table : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
+  for pc = 0 to n - 1 do
+    if execs.(pc) > 0 then Hashtbl.replace table pc (execs.(pc), misses.(pc), stalls.(pc))
+  done;
   table
 
 let oracle_estimates ?mem_cfg w = Gain_cost.of_ground_truth (ground_truth ?mem_cfg w)

@@ -37,15 +37,24 @@ type profiled = {
   run_cycles : int;  (** length of the profiling run *)
   samples : int;  (** samples collected across all units *)
   overhead_cycles : int;
-      (** estimated PMU overhead of the run (per-sample cost × samples);
-          divide by [run_cycles] for the §3.2 overhead ratio *)
+      (** estimated PMU overhead of the run: per-sample cost × samples
+          taken or dropped, over every PEBS unit the run arms
+          (FRONTEND_STALLS included); divide by [run_cycles] for the
+          §3.2 overhead ratio *)
 }
 
-(** Profiling run: all lanes sequentially, uninstrumented, PMU attached. *)
+(** Profiling run: all lanes sequentially, uninstrumented, PMU attached.
+    The PEBS units and the LBR are fed from a {!Stallhide_cpu.Probe} on
+    the decoded-µop loop, not from per-instruction hooks: the samples,
+    snapshots and simulated cycles are exactly those the hooked
+    reference interpreter gives (a differential test holds them
+    equal), at a fraction of the host cost. *)
 val profile : ?config:profile_config -> ?mem_cfg:Memconfig.t -> Workload.t -> profiled
 
 (** Full-trace per-load statistics [pc -> (executions, misses, stall
-    cycles)] where a miss is a load served beyond L2. *)
+    cycles)] where a miss is a load served beyond L2 and the stall is
+    the paid stall. Counted per pc by the probe's tally on the µop
+    loop, like {!profile}'s samplers. *)
 val ground_truth : ?mem_cfg:Memconfig.t -> Workload.t -> (int, int * int * int) Hashtbl.t
 
 val oracle_estimates : ?mem_cfg:Memconfig.t -> Workload.t -> Gain_cost.estimates

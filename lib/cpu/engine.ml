@@ -8,6 +8,7 @@ type config = {
   load_block_threshold : int option;
   stall_shape : (pc:int -> stall:int -> int) option;
   fast : bool;
+  probe : Probe.t option;
 }
 
 let default_config =
@@ -18,6 +19,7 @@ let default_config =
     load_block_threshold = None;
     stall_shape = None;
     fast = true;
+    probe = None;
   }
 
 let shape_stall cfg ~pc stall =
@@ -340,6 +342,19 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
   in
   loop ()
 
+(* Exit of the fast loop on a fault: sync the clock and pc back. *)
+let fast_fault ~clock (ctx : Context.t) now pc msg =
+  clock := now;
+  ctx.pc <- pc;
+  ctx.status <- Context.Faulted msg;
+  Fault msg
+
+(* A taken control transfer in the fast loop, for the probe's LBRs. *)
+let[@inline] probe_branch probe (ctx : Context.t) ~pc ~target ~cycle =
+  match probe with
+  | Some p -> Probe.branch p ~instructions:ctx.instructions ~from_pc:pc ~to_pc:target ~cycle
+  | None -> ()
+
 (* The fast path: one monolithic loop over the decoded micro-op arrays,
    no per-cycle heap allocation (no closures, no tuples, no hook
    records). Engaged by [run] only when every per-instruction hook is
@@ -353,7 +368,14 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
    [Blocked_until] is waited out immediately, which lands the same
    clock and stall_cycles as the unblocked branch (issue cost + wait =
    full cost, paid stall accounted either way) — the split only
-   matters to an SMT scheduler driving [step] itself. *)
+   matters to an SMT scheduler driving [step] itself. The probe, which
+   does see the split, gets the threshold in [Probe.start].
+
+   A probe is read at loads, paid stalls and taken branches only, with
+   the cycle [step] would pass its hooks; without one each of those
+   paths pays one test of [probe]. [exec] is allocated per call, so
+   every value it captures costs a word per call: read rarely used
+   ones through [ctx] or [hier] instead. *)
 let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let u = Program.uops ctx.program in
   let ops = u.Uop.op
@@ -364,12 +386,11 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   and utarget = u.Uop.target in
   let plen = u.Uop.len in
   let regs = ctx.regs in
-  let id = ctx.id in
   let on_opmark = cfg.hooks.Events.on_opmark in
+  let probe = cfg.probe in
   let mcfg = Hierarchy.config hier in
   let l1_latency = mcfg.Memconfig.l1.latency in
   let pf_cost = mcfg.Memconfig.prefetch_issue_cost in
-  let accel_latency = mcfg.Memconfig.accel_latency in
   let cond_cost = cfg.cond_check_cost in
   let ooo = cfg.ooo_window in
   (* With the icache disabled (the default) [Hierarchy.fetch] always
@@ -378,26 +399,26 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   (* [now] and [pc] ride in registers through the tail-recursive loop
      instead of bouncing off the [clock] ref and [ctx.pc] field on
      every instruction; every exit point below syncs them back. *)
-  let stop_fault now pc msg =
-    clock := now;
-    ctx.pc <- pc;
-    ctx.status <- Context.Faulted msg;
-    Fault msg
-  in
   let rec exec now pc =
     if now >= deadline then begin
       clock := now;
       ctx.pc <- pc;
       Out_of_budget
     end
-    else if pc < 0 || pc >= plen then stop_fault now pc (Printf.sprintf "pc %d out of range" pc)
+    else if pc < 0 || pc >= plen then
+      fast_fault ~clock ctx now pc (Printf.sprintf "pc %d out of range" pc)
     else begin
       if ctx.started_at < 0 then ctx.started_at <- now;
       ctx.instructions <- ctx.instructions + 1;
       let now =
         if fetch_on then begin
           let fstall = Hierarchy.fetch hier ~now pc in
-          if fstall > 0 then ctx.stall_cycles <- ctx.stall_cycles + fstall;
+          if fstall > 0 then begin
+            ctx.stall_cycles <- ctx.stall_cycles + fstall;
+            match probe with
+            | Some p -> Probe.frontend p ~pc ~stall:fstall ~cycle:(now + fstall)
+            | None -> ()
+          end;
           now + fstall
         end
         else now
@@ -410,7 +431,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         let rhs = if op >= Uop.op_binop_imm then c else Bigarray.Array1.unsafe_get regs c in
         let bi = if op >= Uop.op_binop_imm then op - Uop.op_binop_imm else op in
         if bi >= 3 && bi <= 4 && rhs = 0 then
-          stop_fault now pc (Printf.sprintf "division by zero at pc %d" pc)
+          fast_fault ~clock ctx now pc (Printf.sprintf "division by zero at pc %d" pc)
         else begin
           let v =
             match bi with
@@ -445,9 +466,13 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           | 4 -> lhs > rhs
           | _ -> lhs >= rhs
         in
-        exec
-          (now + Array.unsafe_get ucost pc)
-          (if taken then Array.unsafe_get utarget pc else pc + 1)
+        let now = now + Array.unsafe_get ucost pc in
+        if taken then begin
+          let target = Array.unsafe_get utarget pc in
+          probe_branch probe ctx ~pc ~target ~cycle:now;
+          exec now target
+        end
+        else exec now (pc + 1)
       end
       else if op = Uop.op_mov_r then begin
         Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc)
@@ -461,7 +486,8 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       else if op = Uop.op_load then begin
         let addr = Bigarray.Array1.unsafe_get regs (Array.unsafe_get rb pc) + Array.unsafe_get rc pc in
         if not (Address_space.valid_addr mem addr) then
-          stop_fault now pc (Printf.sprintf "load from invalid address %d at pc %d" addr pc)
+          fast_fault ~clock ctx now pc
+            (Printf.sprintf "load from invalid address %d at pc %d" addr pc)
         else begin
           let latency = Hierarchy.access_latency hier ~now addr in
           let stall = latency - l1_latency in
@@ -471,13 +497,19 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc)
             (Address_space.unsafe_load mem addr);
           ctx.stall_cycles <- ctx.stall_cycles + paid;
-          exec (now + Array.unsafe_get ucost pc + latency - hidden) (pc + 1)
+          let now = now + Array.unsafe_get ucost pc + latency - hidden in
+          (match probe with
+          | Some p ->
+              Probe.load p ~pc ~addr ~level:(Hierarchy.last_level hier) ~stall:paid ~cycle:now
+          | None -> ());
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_store then begin
         let addr = Bigarray.Array1.unsafe_get regs (Array.unsafe_get rb pc) + Array.unsafe_get rc pc in
         if not (Address_space.valid_addr mem addr) then
-          stop_fault now pc (Printf.sprintf "store to invalid address %d at pc %d" addr pc)
+          fast_fault ~clock ctx now pc
+            (Printf.sprintf "store to invalid address %d at pc %d" addr pc)
         else begin
           Address_space.unsafe_store mem addr
             (Bigarray.Array1.unsafe_get regs (Array.unsafe_get ra pc));
@@ -490,20 +522,32 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         if Address_space.valid_addr mem addr then Hierarchy.prefetch hier ~now addr;
         exec (now + pf_cost) (pc + 1)
       end
-      else if op = Uop.op_jump then
-        exec (now + Array.unsafe_get ucost pc) (Array.unsafe_get utarget pc)
+      else if op = Uop.op_jump then begin
+        let target = Array.unsafe_get utarget pc in
+        let now = now + Array.unsafe_get ucost pc in
+        probe_branch probe ctx ~pc ~target ~cycle:now;
+        exec now target
+      end
       else if op = Uop.op_call then begin
         if Context.call_depth ctx >= max_call_depth then
-          stop_fault now pc (Printf.sprintf "call stack overflow at pc %d" pc)
+          fast_fault ~clock ctx now pc (Printf.sprintf "call stack overflow at pc %d" pc)
         else begin
           Context.push_call ctx (pc + 1);
-          exec (now + Array.unsafe_get ucost pc) (Array.unsafe_get utarget pc)
+          let target = Array.unsafe_get utarget pc in
+          let now = now + Array.unsafe_get ucost pc in
+          probe_branch probe ctx ~pc ~target ~cycle:now;
+          exec now target
         end
       end
       else if op = Uop.op_ret then begin
         if Context.call_depth ctx = 0 then
-          stop_fault now pc (Printf.sprintf "ret with empty call stack at pc %d" pc)
-        else exec (now + Array.unsafe_get ucost pc) (Context.pop_call ctx)
+          fast_fault ~clock ctx now pc (Printf.sprintf "ret with empty call stack at pc %d" pc)
+        else begin
+          let target = Context.pop_call ctx in
+          let now = now + Array.unsafe_get ucost pc in
+          probe_branch probe ctx ~pc ~target ~cycle:now;
+          exec now target
+        end
       end
       else if op = Uop.op_yield_primary then begin
         ctx.yields <- ctx.yields + 1;
@@ -550,27 +594,28 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         in
         if ok then exec now (pc + 1)
         else
-          stop_fault now pc
+          fast_fault ~clock ctx now pc
             (Printf.sprintf "sfi violation: address %d outside domain at pc %d" addr pc)
       end
       else if op = Uop.op_accel_issue then begin
         if ctx.accel_done_at >= 0 then
-          stop_fault now pc (Printf.sprintf "accelerator busy at pc %d" pc)
+          fast_fault ~clock ctx now pc (Printf.sprintf "accelerator busy at pc %d" pc)
         else
           let addr = Bigarray.Array1.unsafe_get regs (Array.unsafe_get rb pc) + Array.unsafe_get rc pc in
           if not (Address_space.valid_addr mem addr) then
-            stop_fault now pc
+            fast_fault ~clock ctx now pc
               (Printf.sprintf "accelerator operand at invalid address %d (pc %d)" addr pc)
           else begin
             let now = now + Array.unsafe_get ucost pc in
             ctx.accel_result <- accel_transform (Address_space.unsafe_load mem addr);
-            ctx.accel_done_at <- now + accel_latency;
+            ctx.accel_done_at <- now + (Hierarchy.config hier).accel_latency;
             exec now (pc + 1)
           end
       end
       else if op = Uop.op_accel_wait then begin
         if ctx.accel_done_at < 0 then
-          stop_fault now pc (Printf.sprintf "accelerator wait with no operation at pc %d" pc)
+          fast_fault ~clock ctx now pc
+            (Printf.sprintf "accelerator wait with no operation at pc %d" pc)
         else begin
           let remaining = ctx.accel_done_at - now in
           let remaining = if remaining > 0 then remaining else 0 in
@@ -579,13 +624,15 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc) ctx.accel_result;
           ctx.accel_done_at <- -1;
           ctx.stall_cycles <- ctx.stall_cycles + paid;
-          exec (now + Array.unsafe_get ucost pc + paid) (pc + 1)
+          let now = now + Array.unsafe_get ucost pc + paid in
+          (match probe with Some p -> Probe.wait p ~pc ~stall:paid ~cycle:now | None -> ());
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_opmark then begin
         (* [now] is already past any front-end stall, as [!clock] is
            when [step] fires the hook. *)
-        on_opmark ~ctx:id ~pc ~cycle:now;
+        on_opmark ~ctx:ctx.id ~pc ~cycle:now;
         exec now (pc + 1)
       end
       else if op = Uop.op_nop then exec (now + Array.unsafe_get ucost pc) (pc + 1)
@@ -602,7 +649,20 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   match ctx.status with
   | Context.Done -> Halted
   | Context.Faulted msg -> Fault msg
-  | Context.Ready -> exec !clock ctx.pc
+  | Context.Ready -> (
+      match probe with
+      | None -> exec !clock ctx.pc
+      | Some p ->
+          let block = match cfg.load_block_threshold with Some t -> t | None -> max_int in
+          Probe.start p ~instructions:ctx.instructions ~length:plen ~block;
+          let stop = exec !clock ctx.pc in
+          (* Every fault but "pc out of range" counted an instruction
+             that never retired. *)
+          let unretired =
+            match stop with Fault _ when ctx.pc >= 0 && ctx.pc < plen -> 1 | _ -> 0
+          in
+          Probe.finish p ~retired:(ctx.instructions - unretired);
+          stop)
 
 let fast_engaged cfg =
   let h = cfg.hooks and n = Events.nop in
@@ -615,12 +675,31 @@ let fast_engaged cfg =
   && h.on_yield == n.on_yield
   && match cfg.stall_shape with None -> true | Some _ -> false
 
+(* A probe is read only by the µop loop; anywhere else it would be
+   silently ignored. Checked once per call. *)
+let refuse_probe name cfg =
+  match cfg.probe with
+  | Some _ ->
+      invalid_arg
+        (name
+       ^ ": a probe needs the decoded-µop loop (fast, no stall_shape, no per-instruction \
+          hook)")
+  | None -> ()
+
 let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
   if fast_engaged cfg then run_fast cfg hier mem ~clock ~deadline ctx
-  else run_reference cfg hier mem ~clock ~deadline ctx
+  else begin
+    refuse_probe "Engine.run" cfg;
+    run_reference cfg hier mem ~clock ~deadline ctx
+  end
 
 let run_reference cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
+  refuse_probe "Engine.run_reference" cfg;
   run_reference cfg hier mem ~clock ~deadline ctx
+
+let step cfg hier mem ~clock (ctx : Context.t) =
+  refuse_probe "Engine.step" cfg;
+  step cfg hier mem ~clock ctx
 
 let pp_stop fmt = function
   | Halted -> Format.pp_print_string fmt "halted"

@@ -35,11 +35,27 @@ type config = {
           whenever {!fast_engaged} holds: no per-instruction hook is
           set and no [stall_shape] is armed. An [on_opmark] observer
           (an op counter, a latency recorder) does not stop it; the
-          fast loop fires [on_opmark] itself.
-          Architectural results and every hook call are bit-identical
-          to the reference interpreter ([test_engine_diff] is the
-          gate); set [false] to force the reference path, e.g. as the
-          baseline arm of the C25 speed bench. *)
+          fast loop fires [on_opmark] itself, and a [probe] rides it
+          too. Architectural results and every hook call are
+          bit-identical to the reference interpreter
+          ([test_engine_diff] is the gate); set [false] to force the
+          reference path, e.g. as the baseline arm of the C25 speed
+          bench. *)
+  probe : Probe.t option;
+      (** default [None]. The sampling fabric of the µop loop: PEBS
+          countdowns, LBR rings and the per-pc ground-truth tally
+          ({!Probe}). The loop touches it only at loads, paid stalls
+          and taken branches, with the same pc, address, stall and
+          cycle the reference interpreter passes [on_load],
+          [on_stall], [on_frontend_stall] and [on_branch]; LBR
+          snapshots, due every so many retired instructions, are taken
+          at the next ring push or at the end of the run, which is
+          exact because a snapshot depends only on the ring (see
+          {!Probe}). A probe is read by nothing else: {!run} raises
+          [Invalid_argument] when it is set and {!fast_engaged} does
+          not hold, and {!run_reference} and {!step} whenever it is
+          set. Only [Pipeline.profile] and [Pipeline.ground_truth] set
+          it. *)
 }
 
 val default_config : config
@@ -60,7 +76,8 @@ val accel_transform : int -> int
 (** Execute exactly one instruction of [ctx], advancing [clock] by its
     cost. This is the resumable interface the SMP machine interleaves:
     each core owns its own [clock] and contexts, so N engines can be
-    stepped against a shared L3 in any deterministic order. *)
+    stepped against a shared L3 in any deterministic order.
+    @raise Invalid_argument if [config.probe] is set. *)
 val step :
   config -> Hierarchy.t -> Address_space.t -> clock:int ref -> Context.t -> step_result
 
@@ -68,7 +85,9 @@ val step :
     [deadline]. With [load_block_threshold] set, blocked periods are
     simply waited out (single-context fallback). Dispatches to the
     decoded-µop fast loop when {!fast_engaged} holds, else to
-    {!run_reference}. *)
+    {!run_reference}.
+    @raise Invalid_argument if [config.probe] is set and
+    {!fast_engaged} does not hold. *)
 val run :
   config ->
   Hierarchy.t ->
@@ -79,7 +98,8 @@ val run :
   stop
 
 (** The original variant-matching interpreter, kept reachable as the
-    differential-test reference arm regardless of [config.fast]. *)
+    differential-test reference arm regardless of [config.fast].
+    @raise Invalid_argument if [config.probe] is set. *)
 val run_reference :
   config ->
   Hierarchy.t ->
@@ -95,7 +115,9 @@ val run_reference :
     [on_yield] are each physically {!Events.nop}'s field — as
     {!Events.compose} leaves every field no element observes.
     [on_opmark] may be anything: the fast loop calls it at each
-    [Opmark] with the same [~ctx ~pc ~cycle] as {!step}. *)
+    [Opmark] with the same [~ctx ~pc ~cycle] as {!step}. [probe] does
+    not enter into it: a probe needs the fast loop, it does not choose
+    it. *)
 val fast_engaged : config -> bool
 
 val pp_stop : Format.formatter -> stop -> unit

@@ -192,6 +192,8 @@ let access_latency t ~now addr =
   fill t ~ready_at:now ~now lcode addr;
   latency
 
+let last_level t = t.p_level
+
 let access t ~now addr =
   let latency = access_latency t ~now addr in
   {

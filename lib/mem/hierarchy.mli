@@ -78,6 +78,11 @@ val access : t -> now:int -> int -> result
     implemented on top of it) but returns only the total latency. *)
 val access_latency : t -> now:int -> int -> int
 
+(** Level code ({!level_code}) that served the last {!access} or
+    {!access_latency}, for the fast loop's load samplers. Allocation
+    free; a {!prefetch} in between overwrites it. *)
+val last_level : t -> int
+
 val prefetch : t -> now:int -> int -> unit
 
 (** [write t ~now addr] records a store. On a shared-L3 core this

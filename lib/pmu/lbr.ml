@@ -3,67 +3,84 @@ open Stallhide_util
 
 type record = { from_pc : int; to_pc : int; cycle : int }
 
+(* Snapshots are kept flat, back to back, one vector per field;
+   [starts] holds each one's first record. A profiling run keeps
+   thousands, and records would each be a block for the GC to promote
+   and scan. *)
 type t = {
-  depth : int;
-  ring : record array;
-  mutable filled : int;  (* number of valid entries, <= depth *)
-  mutable head : int;  (* next slot to write *)
-  snapshot_period : int;
-  mutable countdown : int;
+  ring : Probe.ring;
+  retires : Probe.countdown;  (* retired instructions until the next snapshot *)
   max_snapshots : int;
-  snaps : record array Vec.t;
+  starts : Int_vec.t;
+  froms : Int_vec.t;
+  tos : Int_vec.t;
+  cycles : Int_vec.t;
 }
-
-let dummy = { from_pc = -1; to_pc = -1; cycle = 0 }
 
 let create ?(depth = 32) ?(max_snapshots = 1 lsl 16) ~snapshot_period () =
   if snapshot_period <= 0 then invalid_arg "Lbr.create: period must be positive";
+  if depth <= 0 then invalid_arg "Lbr.create: depth must be positive";
   {
-    depth;
-    ring = Array.make depth dummy;
-    filled = 0;
-    head = 0;
-    snapshot_period;
-    countdown = snapshot_period;
+    ring = Probe.ring ~depth;
+    retires = Probe.countdown ~period:snapshot_period;
     max_snapshots;
-    snaps = Vec.create ();
+    starts = Int_vec.create ();
+    froms = Int_vec.create ();
+    tos = Int_vec.create ();
+    cycles = Int_vec.create ();
   }
 
-let push t r =
-  t.ring.(t.head) <- r;
-  t.head <- (t.head + 1) mod t.depth;
-  if t.filled < t.depth then t.filled <- t.filled + 1
+let snapshot_count t = Int_vec.length t.starts
+
+let record_count t = Int_vec.length t.froms
 
 let snapshot t =
-  if t.filled > 0 && Vec.length t.snaps < t.max_snapshots then begin
-    let out = Array.make t.filled dummy in
-    (* Oldest entry sits at [head] once the ring has wrapped. *)
-    let start = if t.filled = t.depth then t.head else 0 in
-    for i = 0 to t.filled - 1 do
-      out.(i) <- t.ring.((start + i) mod t.depth)
-    done;
-    Vec.push t.snaps out
+  let n = Probe.ring_length t.ring in
+  if n > 0 && snapshot_count t < t.max_snapshots then begin
+    Int_vec.push t.starts (record_count t);
+    Probe.copy_ring t.ring ~from_pc:t.froms ~to_pc:t.tos ~cycle:t.cycles
   end
 
+let attach t probe = Probe.record_branches probe t.ring t.retires (fun () -> snapshot t)
+
+(* The reference arm: a push per taken branch and a countdown step per
+   retire, through per-instruction hooks. *)
 let hooks t =
   let on_branch ~ctx:_ ~pc ~target ~taken ~cycle =
-    if taken then push t { from_pc = pc; to_pc = target; cycle }
+    if taken then Probe.push t.ring ~from_pc:pc ~to_pc:target ~cycle
   in
   let on_retire ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ =
-    t.countdown <- t.countdown - 1;
-    if t.countdown <= 0 then begin
-      snapshot t;
-      t.countdown <- t.snapshot_period
-    end
+    for _ = 1 to Probe.count t.retires 1 do
+      snapshot t
+    done
   in
   { Events.nop with on_branch; on_retire }
 
-let snapshots t = Vec.to_list t.snaps
+let snapshot_start t s =
+  if s < 0 || s >= snapshot_count t then invalid_arg "Lbr: snapshot index out of range";
+  Int_vec.get t.starts s
 
-let snapshot_count t = Vec.length t.snaps
+let snapshot_length t s =
+  let stop = if s + 1 < snapshot_count t then Int_vec.get t.starts (s + 1) else record_count t in
+  stop - snapshot_start t s
+
+let from_pc t r = Int_vec.get t.froms r
+
+let to_pc t r = Int_vec.get t.tos r
+
+let cycle t r = Int_vec.get t.cycles r
+
+let snapshots t =
+  List.init (snapshot_count t) (fun s ->
+      let first = snapshot_start t s in
+      Array.init (snapshot_length t s) (fun i ->
+          let r = first + i in
+          { from_pc = from_pc t r; to_pc = to_pc t r; cycle = cycle t r }))
 
 let clear t =
-  t.filled <- 0;
-  t.head <- 0;
-  t.countdown <- t.snapshot_period;
-  Vec.clear t.snaps
+  Probe.clear_ring t.ring;
+  Probe.reset t.retires;
+  Int_vec.clear t.starts;
+  Int_vec.clear t.froms;
+  Int_vec.clear t.tos;
+  Int_vec.clear t.cycles

@@ -2,7 +2,12 @@ open Stallhide_cpu
 open Stallhide_mem
 open Stallhide_util
 
-type event = Loads_all | L2_miss_loads | L3_miss_loads | Stall_cycles | Frontend_stalls
+type event = Probe.event =
+  | Loads_all
+  | L2_miss_loads
+  | L3_miss_loads
+  | Stall_cycles
+  | Frontend_stalls
 
 let event_name = function
   | Loads_all -> "LOADS_ALL"
@@ -26,14 +31,17 @@ type degradation = {
   mutable misattributed : int;
 }
 
+(* Samples are kept flat, four ints each (pc, addr, stall, cycle): a
+   profiling run keeps tens of thousands, and records would each be a
+   block for the GC to promote and scan. *)
+let fields = 4
+
 type t = {
   ev : event;
-  sample_period : int;
+  counter : Probe.countdown;
   capacity : int;
-  buf : sample Vec.t;
-  mutable countdown : int;
+  buf : Int_vec.t;
   mutable dropped : int;
-  mutable occurrences : int;
   mutable degradation : degradation option;
 }
 
@@ -41,18 +49,16 @@ let create ?(buffer_capacity = 1 lsl 20) ~event ~period () =
   if period <= 0 then invalid_arg "Pebs.create: period must be positive";
   {
     ev = event;
-    sample_period = period;
+    counter = Probe.countdown ~period;
     capacity = buffer_capacity;
-    buf = Vec.create ();
-    countdown = period;
+    buf = Int_vec.create ();
     dropped = 0;
-    occurrences = 0;
     degradation = None;
   }
 
 let event t = t.ev
 
-let period t = t.sample_period
+let period t = Probe.period t.counter
 
 let degrade t spec =
   if spec.loss < 0.0 || spec.loss > 1.0 then invalid_arg "Pebs.degrade: loss must be in [0,1]";
@@ -77,92 +83,100 @@ let degradation_injected t =
   | None -> (0, 0, 0)
   | Some d -> (d.lost, d.skidded, d.misattributed)
 
-let push_sample t s =
-  if Vec.length t.buf < t.capacity then Vec.push t.buf s else t.dropped <- t.dropped + 1
+let sample_count t = Int_vec.length t.buf / fields
+
+let push_sample t ~pc ~addr ~stall ~cycle =
+  if sample_count t < t.capacity then begin
+    Int_vec.push t.buf pc;
+    Int_vec.push t.buf addr;
+    Int_vec.push t.buf stall;
+    Int_vec.push t.buf cycle
+  end
+  else t.dropped <- t.dropped + 1
 
 (* Apply the configured degradation to one hardware sample: drop it
    (sample loss), displace its pc forward (skid), or stamp it with a
    recently-sampled unrelated pc (misattribution) — the three failure
    modes of real PEBS/IBS units the causality-analysis literature
    documents. Deterministic per seed. *)
-let record t s =
+let record t ~pc ~addr ~stall ~cycle =
   match t.degradation with
-  | None -> push_sample t s
+  | None -> push_sample t ~pc ~addr ~stall ~cycle
   | Some d ->
-      d.recent.(d.recent_at) <- s.pc;
+      d.recent.(d.recent_at) <- pc;
       d.recent_at <- (d.recent_at + 1) mod Array.length d.recent;
       if d.recent_len < Array.length d.recent then d.recent_len <- d.recent_len + 1;
       if d.spec.loss > 0.0 && Random.State.float d.st 1.0 < d.spec.loss then
         d.lost <- d.lost + 1
       else begin
-        let s =
+        let pc =
           if d.spec.misattr > 0.0 && Random.State.float d.st 1.0 < d.spec.misattr then begin
             let donor = d.recent.(Random.State.int d.st d.recent_len) in
-            if donor <> s.pc then d.misattributed <- d.misattributed + 1;
-            { s with pc = donor }
+            if donor <> pc then d.misattributed <- d.misattributed + 1;
+            donor
           end
           else if d.spec.skid > 0 then begin
             let delta = Random.State.int d.st (d.spec.skid + 1) in
             if delta > 0 then d.skidded <- d.skidded + 1;
-            { s with pc = s.pc + delta }
+            pc + delta
           end
-          else s
+          else pc
         in
-        push_sample t s
+        push_sample t ~pc ~addr ~stall ~cycle
       end
 
-(* [count t n sample] advances the event counter by [n] occurrences and
+(* [count t n ...] advances the event counter by [n] occurrences and
    records one sample per period boundary crossed. *)
-let count t n sample =
-  t.occurrences <- t.occurrences + n;
-  if n >= t.countdown then begin
-    (* an increment spanning k period boundaries fires k samples *)
-    let k = 1 + ((n - t.countdown) / t.sample_period) in
-    for _ = 1 to k do
-      record t sample
-    done;
-    let rem = (n - t.countdown) mod t.sample_period in
-    t.countdown <- t.sample_period - rem
-  end
-  else t.countdown <- t.countdown - n
+let count t n ~pc ~addr ~stall ~cycle =
+  for _ = 1 to Probe.count t.counter n do
+    record t ~pc ~addr ~stall ~cycle
+  done
 
+let attach t probe = Probe.sample probe t.ev t.counter (record t)
+
+(* The reference arm: the same events through per-instruction hooks,
+   which keep the run on the reference interpreter. *)
 let hooks t =
   let on_load (info : Events.load_info) =
-    let sample = { pc = info.pc; addr = info.addr; stall = info.stall; cycle = info.cycle } in
+    let sample () = count t 1 ~pc:info.pc ~addr:info.addr ~stall:info.stall ~cycle:info.cycle in
     match (t.ev, info.level) with
-    | Loads_all, _ -> count t 1 sample
-    | L2_miss_loads, (Hierarchy.L3 | Hierarchy.Dram) -> count t 1 sample
-    | L3_miss_loads, Hierarchy.Dram -> count t 1 sample
+    | Loads_all, _ -> sample ()
+    | L2_miss_loads, (Hierarchy.L3 | Hierarchy.Dram) -> sample ()
+    | L3_miss_loads, Hierarchy.Dram -> sample ()
     | (L2_miss_loads | L3_miss_loads), (Hierarchy.L1 | Hierarchy.L2) -> ()
     | L3_miss_loads, Hierarchy.L3 -> ()
     | (Stall_cycles | Frontend_stalls), _ -> ()
   in
   let on_stall ~ctx:_ ~pc ~cycles ~cycle =
     match t.ev with
-    | Stall_cycles -> count t cycles { pc; addr = 0; stall = cycles; cycle }
+    | Stall_cycles -> count t cycles ~pc ~addr:0 ~stall:cycles ~cycle
     | Loads_all | L2_miss_loads | L3_miss_loads | Frontend_stalls -> ()
   in
   let on_frontend_stall ~ctx:_ ~pc ~cycles ~cycle =
     (* the generic stalled-cycles event cannot tell causes apart *)
     match t.ev with
-    | Stall_cycles | Frontend_stalls -> count t cycles { pc; addr = 0; stall = cycles; cycle }
+    | Stall_cycles | Frontend_stalls -> count t cycles ~pc ~addr:0 ~stall:cycles ~cycle
     | Loads_all | L2_miss_loads | L3_miss_loads -> ()
   in
   { Events.nop with on_load; on_stall; on_frontend_stall }
 
-let samples t = Vec.to_list t.buf
+let sample_pc t i =
+  if i < 0 || i >= sample_count t then invalid_arg "Pebs.sample_pc: index out of range";
+  Int_vec.get t.buf (fields * i)
 
-let sample_count t = Vec.length t.buf
+let samples t =
+  List.init (sample_count t) (fun i ->
+      let f k = Int_vec.get t.buf ((fields * i) + k) in
+      { pc = f 0; addr = f 1; stall = f 2; cycle = f 3 })
 
 let dropped t = t.dropped
 
-let occurrences t = t.occurrences
+let occurrences t = Probe.occurrences t.counter
 
 let clear t =
-  Vec.clear t.buf;
-  t.countdown <- t.sample_period;
+  Int_vec.clear t.buf;
+  Probe.reset t.counter;
   t.dropped <- 0;
-  t.occurrences <- 0;
   match t.degradation with
   | None -> ()
   | Some d ->
@@ -170,4 +184,4 @@ let clear t =
       d.skidded <- 0;
       d.misattributed <- 0
 
-let overhead_cycles ?(per_sample = 40) t = per_sample * (Vec.length t.buf + t.dropped)
+let overhead_cycles ?(per_sample = 40) t = per_sample * (sample_count t + t.dropped)

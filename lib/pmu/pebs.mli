@@ -16,9 +16,23 @@
       them to the stalling pc.
     - [Frontend_stalls] — counts only instruction-fetch stall cycles;
       §3.2's "additional events ... to filter out stalls due to other
-      reasons" subtracts these from [Stall_cycles]. *)
+      reasons" subtracts these from [Stall_cycles].
 
-type event = Loads_all | L2_miss_loads | L3_miss_loads | Stall_cycles | Frontend_stalls
+    A unit is fed one of two ways. {!attach} arms it on a
+    {!Stallhide_cpu.Probe}, which the decoded-µop loop updates at loads
+    and paid stalls: a sample record is built only when the countdown
+    fires. {!hooks} feeds it from per-instruction {!Stallhide_cpu.Events}
+    hooks, which keep the run on the reference interpreter; it is kept
+    as the reference arm of the differential test. Both count on the
+    same {!Stallhide_cpu.Probe.countdown} and record through the same
+    buffer and degradation rules, so they give identical samples. *)
+
+type event = Stallhide_cpu.Probe.event =
+  | Loads_all
+  | L2_miss_loads
+  | L3_miss_loads
+  | Stall_cycles
+  | Frontend_stalls
 
 val event_name : event -> string
 
@@ -54,9 +68,21 @@ val event : t -> event
 
 val period : t -> int
 
+(** Count this unit's event on the probe. Attach a unit to one probe,
+    and feed it either from a probe or from {!hooks}, not both. *)
+val attach : t -> Stallhide_cpu.Probe.t -> unit
+
+(** Per-instruction hooks counting this unit's event (the reference
+    arm; a run with them takes the reference interpreter). *)
 val hooks : t -> Stallhide_cpu.Events.t
 
+(** The buffered samples, oldest first. The buffer keeps them flat;
+    this builds the records. *)
 val samples : t -> sample list
+
+(** [sample_pc t i] is the pc of the [i]-th buffered sample,
+    [0 <= i < sample_count t], without building it. *)
+val sample_pc : t -> int -> int
 
 val sample_count : t -> int
 

@@ -1,163 +1,207 @@
 open Stallhide_isa
 
-type load_stat = {
-  mutable exec_samples : int;
-  mutable miss_samples : int;
-  mutable stall_sampled : int;  (* stall cycles represented by samples at this pc *)
-  mutable frontend_sampled : int;  (* known front-end portion, to subtract *)
-}
+(* Edge keys are small distinct ints already: hash them as themselves. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
 
+  let equal = Int.equal
+
+  let hash k = k land max_int
+end)
+
+(* Per-pc load statistics, flat. A pc has a [load] line in [save] once
+   any unit sampled it (or a loaded profile listed it): [seen]. Arrays
+   cover the program and any pc a skidded sample landed past its end. *)
 type t = {
   program : Program.t;
-  loads : (int, load_stat) Hashtbl.t;
+  seen : bool array;
+  exec_samples : int array;
+  miss_samples : int array;
+  stall_sampled : int array;  (* stall cycles represented by samples at this pc *)
+  frontend_sampled : int array;  (* known front-end portion, to subtract *)
   exec_period : int;
   miss_period : int;
   stall_period : int;
   lbr_cycles : float array;  (* attributed cycles per pc *)
   lbr_execs : float array;  (* attributed executions per pc *)
-  edges : (int * int, int ref) Hashtbl.t;
+  edges : int ref Int_tbl.t;  (* [edge_key] -> taken count *)
   mutable samples : int;
 }
 
-let stat t pc =
-  match Hashtbl.find_opt t.loads pc with
-  | Some s -> s
-  | None ->
-      let s = { exec_samples = 0; miss_samples = 0; stall_sampled = 0; frontend_sampled = 0 } in
-      Hashtbl.add t.loads pc s;
-      s
+let make ~program ~pcs ~exec_period ~miss_period ~stall_period =
+  let n = Program.length program in
+  {
+    program;
+    seen = Array.make pcs false;
+    exec_samples = Array.make pcs 0;
+    miss_samples = Array.make pcs 0;
+    stall_sampled = Array.make pcs 0;
+    frontend_sampled = Array.make pcs 0;
+    exec_period;
+    miss_period;
+    stall_period;
+    lbr_cycles = Array.make n 0.0;
+    lbr_execs = Array.make n 0.0;
+    edges = Int_tbl.create 64;
+    samples = 0;
+  }
 
-let add_run t ~head ~tail ~latency =
+(* Edges run from a pc of the program to a pc of it or one past its
+   end (a return to the call after the last instruction). *)
+let edge_key t from_pc to_pc =
+  let n = Program.length t.program in
+  if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then
+    invalid_arg
+      (Printf.sprintf "Profile: edge %d -> %d outside a %d-instruction program" from_pc to_pc n);
+  (from_pc * (n + 1)) + to_pc
+
+let add_edge t from_pc to_pc =
+  let k = edge_key t from_pc to_pc in
+  match Int_tbl.find t.edges k with
+  | r -> incr r
+  | exception Not_found -> Int_tbl.add t.edges k (ref 1)
+
+(* Static per-pc facts [add_run] needs: each instruction's base cost
+   (at least 1) and whether it loads, with prefix sums of both so a
+   run's totals cost two subtractions. *)
+type statics = {
+  cost : int array;
+  is_load : bool array;
+  cost_upto : int array;
+  loads_upto : int array;
+}
+
+let statics program =
+  let n = Program.length program in
+  let cost = Array.make n 0 and is_load = Array.make n false in
+  let cost_upto = Array.make (n + 1) 0 and loads_upto = Array.make (n + 1) 0 in
+  for pc = 0 to n - 1 do
+    let i = Program.instr program pc in
+    cost.(pc) <- max 1 (Cost.base i);
+    is_load.(pc) <- Instr.is_load i;
+    cost_upto.(pc + 1) <- cost_upto.(pc) + cost.(pc);
+    loads_upto.(pc + 1) <- (loads_upto.(pc) + if is_load.(pc) then 1 else 0)
+  done;
+  { cost; is_load; cost_upto; loads_upto }
+
+let add_run t st ~head ~tail ~latency =
   (* A straight-line run [head..tail]: every instruction gets its static
      base cost, and the run's excess latency (the memory time) is
      attributed to the loads, which is where it was spent. *)
   let n = Program.length t.program in
   if head >= 0 && tail >= head && tail < n then begin
-    let base_sum = ref 0 in
-    let loads = ref 0 in
-    for pc = head to tail do
-      let i = Program.instr t.program pc in
-      base_sum := !base_sum + max 1 (Cost.base i);
-      if Instr.is_load i then incr loads
-    done;
-    let excess = float_of_int (max 0 (latency - !base_sum)) in
-    let per_load = if !loads = 0 then 0.0 else excess /. float_of_int !loads in
+    let base_sum = st.cost_upto.(tail + 1) - st.cost_upto.(head) in
+    let loads = st.loads_upto.(tail + 1) - st.loads_upto.(head) in
+    let excess = float_of_int (max 0 (latency - base_sum)) in
+    let per_load = if loads = 0 then 0.0 else excess /. float_of_int loads in
     let scale =
       (* no loads to blame: spread the excess over everything *)
-      if !loads = 0 && !base_sum > 0 then
-        float_of_int (max latency !base_sum) /. float_of_int !base_sum
+      if loads = 0 && base_sum > 0 then
+        float_of_int (max latency base_sum) /. float_of_int base_sum
       else 1.0
     in
+    (* [head..tail] lies in the program, as every array here does *)
     for pc = head to tail do
-      let i = Program.instr t.program pc in
-      let b = float_of_int (max 1 (Cost.base i)) *. scale in
-      let attributed = if Instr.is_load i then b +. per_load else b in
-      t.lbr_cycles.(pc) <- t.lbr_cycles.(pc) +. attributed;
-      t.lbr_execs.(pc) <- t.lbr_execs.(pc) +. 1.0
+      let b = float_of_int (Array.unsafe_get st.cost pc) *. scale in
+      let attributed = if Array.unsafe_get st.is_load pc then b +. per_load else b in
+      Array.unsafe_set t.lbr_cycles pc (Array.unsafe_get t.lbr_cycles pc +. attributed);
+      Array.unsafe_set t.lbr_execs pc (Array.unsafe_get t.lbr_execs pc +. 1.0)
     done
   end
 
-let add_edge t from_pc to_pc =
-  match Hashtbl.find_opt t.edges (from_pc, to_pc) with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.edges (from_pc, to_pc) (ref 1)
-
 let build ~program ?exec ?miss ?stall ?frontend ?lbr () =
-  let n = Program.length program in
+  let units = List.filter_map Fun.id [ exec; miss; stall; frontend ] in
+  (* skid may push a sample past the last pc *)
+  let pcs =
+    List.fold_left
+      (fun acc p ->
+        let m = ref acc in
+        for i = 0 to Pebs.sample_count p - 1 do
+          m := max !m (Pebs.sample_pc p i + 1)
+        done;
+        !m)
+      (Program.length program) units
+  in
+  let period = function Some p -> Pebs.period p | None -> 1 in
   let t =
-    {
-      program;
-      loads = Hashtbl.create 64;
-      exec_period = (match exec with Some p -> Pebs.period p | None -> 1);
-      miss_period = (match miss with Some p -> Pebs.period p | None -> 1);
-      stall_period = (match stall with Some p -> Pebs.period p | None -> 1);
-      lbr_cycles = Array.make n 0.0;
-      lbr_execs = Array.make n 0.0;
-      edges = Hashtbl.create 64;
-      samples = 0;
-    }
+    make ~program ~pcs ~exec_period:(period exec) ~miss_period:(period miss)
+      ~stall_period:(period stall)
   in
-  let eat unit f =
-    match unit with
-    | None -> ()
-    | Some p ->
-        List.iter
-          (fun s ->
-            t.samples <- t.samples + 1;
-            f s)
-          (Pebs.samples p)
-  in
-  eat exec (fun (s : Pebs.sample) -> (stat t s.pc).exec_samples <- (stat t s.pc).exec_samples + 1);
-  eat miss (fun (s : Pebs.sample) -> (stat t s.pc).miss_samples <- (stat t s.pc).miss_samples + 1);
-  eat stall (fun (s : Pebs.sample) ->
-      (stat t s.pc).stall_sampled <- (stat t s.pc).stall_sampled + t.stall_period);
-  (match frontend with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun (s : Pebs.sample) ->
+  (* each sample adds [weight] to its pc's [column] *)
+  let eat unit column weight =
+    Option.iter
+      (fun p ->
+        for i = 0 to Pebs.sample_count p - 1 do
+          let pc = Pebs.sample_pc p i in
           t.samples <- t.samples + 1;
-          (stat t s.Pebs.pc).frontend_sampled <-
-            (stat t s.Pebs.pc).frontend_sampled + Pebs.period p)
-        (Pebs.samples p));
+          t.seen.(pc) <- true;
+          column.(pc) <- column.(pc) + weight
+        done)
+      unit
+  in
+  eat exec t.exec_samples 1;
+  eat miss t.miss_samples 1;
+  eat stall t.stall_sampled t.stall_period;
+  eat frontend t.frontend_sampled (period frontend);
   (match lbr with
   | None -> ()
   | Some l ->
-      List.iter
-        (fun snap ->
-          t.samples <- t.samples + 1;
-          let len = Array.length snap in
-          for i = 0 to len - 2 do
-            let r1 = snap.(i) and r2 = snap.(i + 1) in
-            add_edge t r1.Lbr.from_pc r1.Lbr.to_pc;
-            if r2.Lbr.from_pc >= r1.Lbr.to_pc then
-              add_run t ~head:r1.Lbr.to_pc ~tail:r2.Lbr.from_pc
-                ~latency:(r2.Lbr.cycle - r1.Lbr.cycle)
-          done;
-          if len > 0 then
-            let last = snap.(len - 1) in
-            add_edge t last.Lbr.from_pc last.Lbr.to_pc)
-        (Lbr.snapshots l));
+      let st = statics program in
+      for s = 0 to Lbr.snapshot_count l - 1 do
+        t.samples <- t.samples + 1;
+        (* consecutive records [r], [r + 1] of one snapshot *)
+        let first = Lbr.snapshot_start l s in
+        let last = first + Lbr.snapshot_length l s - 1 in
+        for r = first to last - 1 do
+          let head = Lbr.to_pc l r and tail = Lbr.from_pc l (r + 1) in
+          add_edge t (Lbr.from_pc l r) head;
+          if tail >= head then
+            add_run t st ~head ~tail ~latency:(Lbr.cycle l (r + 1) - Lbr.cycle l r)
+        done;
+        if last >= first then add_edge t (Lbr.from_pc l last) (Lbr.to_pc l last)
+      done);
   t
 
+let in_table t pc = pc >= 0 && pc < Array.length t.seen
+
 let miss_probability t pc =
-  match Hashtbl.find_opt t.loads pc with
-  | None -> None
-  | Some s ->
-      if s.exec_samples = 0 then None
-      else
-        let execs = float_of_int (s.exec_samples * t.exec_period) in
-        let misses = float_of_int (s.miss_samples * t.miss_period) in
-        Some (min 1.0 (misses /. execs))
+  if (not (in_table t pc)) || t.exec_samples.(pc) = 0 then None
+  else
+    let execs = float_of_int (t.exec_samples.(pc) * t.exec_period) in
+    let misses = float_of_int (t.miss_samples.(pc) * t.miss_period) in
+    Some (min 1.0 (misses /. execs))
 
 (* The generic stalled-cycles event counts front-end stalls too; when a
    FRONTEND_STALLS unit ran, subtract its estimate (§3.2's filtering). *)
-let memory_stall (s : load_stat) = max 0 (s.stall_sampled - s.frontend_sampled)
+let stalls_at t pc =
+  if in_table t pc then max 0 (t.stall_sampled.(pc) - t.frontend_sampled.(pc)) else 0
+
+let raw_stalls_at t pc = if in_table t pc then t.stall_sampled.(pc) else 0
 
 let stall_per_miss t pc =
-  match Hashtbl.find_opt t.loads pc with
-  | None -> None
-  | Some s ->
-      let misses = s.miss_samples * t.miss_period in
-      if misses = 0 || memory_stall s = 0 then None
-      else Some (float_of_int (memory_stall s) /. float_of_int misses)
-
-let stalls_at t pc =
-  match Hashtbl.find_opt t.loads pc with Some s -> memory_stall s | None -> 0
-
-let raw_stalls_at t pc =
-  match Hashtbl.find_opt t.loads pc with Some s -> s.stall_sampled | None -> 0
+  if not (in_table t pc) then None
+  else
+    let misses = t.miss_samples.(pc) * t.miss_period in
+    let memory = stalls_at t pc in
+    if misses = 0 || memory = 0 then None
+    else Some (float_of_int memory /. float_of_int misses)
 
 let candidate_loads t =
-  Hashtbl.fold (fun pc s acc -> if s.miss_samples > 0 then pc :: acc else acc) t.loads []
-  |> List.sort compare
+  let acc = ref [] in
+  for pc = Array.length t.miss_samples - 1 downto 0 do
+    if t.miss_samples.(pc) > 0 then acc := pc :: !acc
+  done;
+  !acc
 
 let pc_cycles t pc =
   if pc < 0 || pc >= Array.length t.lbr_cycles || t.lbr_execs.(pc) = 0.0 then None
   else Some (t.lbr_cycles.(pc) /. t.lbr_execs.(pc))
 
 let edge_heat t from_pc to_pc =
-  match Hashtbl.find_opt t.edges (from_pc, to_pc) with Some r -> !r | None -> 0
+  let n = Program.length t.program in
+  if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then 0
+  else
+    match Int_tbl.find_opt t.edges (edge_key t from_pc to_pc) with Some r -> !r | None -> 0
 
 let total_samples t = t.samples
 
@@ -181,43 +225,34 @@ let save t =
   Buffer.add_string buf
     (Printf.sprintf "periods exec=%d miss=%d stall=%d\n" t.exec_period t.miss_period
        t.stall_period);
-  let pcs = List.sort compare (Hashtbl.fold (fun pc _ acc -> pc :: acc) t.loads []) in
-  List.iter
-    (fun pc ->
-      let s = Hashtbl.find t.loads pc in
-      Buffer.add_string buf
-        (Printf.sprintf "load pc=%d exec=%d miss=%d stall=%d frontend=%d\n" pc s.exec_samples
-           s.miss_samples s.stall_sampled s.frontend_sampled))
-    pcs;
+  Array.iteri
+    (fun pc seen ->
+      if seen then
+        Buffer.add_string buf
+          (Printf.sprintf "load pc=%d exec=%d miss=%d stall=%d frontend=%d\n" pc
+             t.exec_samples.(pc) t.miss_samples.(pc) t.stall_sampled.(pc)
+             t.frontend_sampled.(pc)))
+    t.seen;
   Array.iteri
     (fun pc execs ->
       if execs > 0.0 then
         Buffer.add_string buf
           (Printf.sprintf "lbr pc=%d cycles=%h execs=%h\n" pc t.lbr_cycles.(pc) execs))
     t.lbr_execs;
-  let edges = List.sort compare (Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.edges []) in
+  (* keys order edges by (from, to) *)
+  let stride = Program.length t.program + 1 in
+  let edges = List.sort compare (Int_tbl.fold (fun k v acc -> (k, !v) :: acc) t.edges []) in
   List.iter
-    (fun ((f, to_), c) ->
-      Buffer.add_string buf (Printf.sprintf "edge from=%d to=%d count=%d\n" f to_ c))
+    (fun (k, c) ->
+      Buffer.add_string buf
+        (Printf.sprintf "edge from=%d to=%d count=%d\n" (k / stride) (k mod stride) c))
     edges;
   Buffer.contents buf
 
 let load ~program text =
   let fail fmt = Printf.ksprintf failwith fmt in
   let n = Program.length program in
-  let t =
-    {
-      program;
-      loads = Hashtbl.create 64;
-      exec_period = 1;
-      miss_period = 1;
-      stall_period = 1;
-      lbr_cycles = Array.make n 0.0;
-      lbr_execs = Array.make n 0.0;
-      edges = Hashtbl.create 64;
-      samples = 0;
-    }
-  in
+  let t = make ~program ~pcs:n ~exec_period:1 ~miss_period:1 ~stall_period:1 in
   let exec_period = ref 1 and miss_period = ref 1 and stall_period = ref 1 in
   let field line kv key =
     match String.split_on_char '=' kv with
@@ -245,19 +280,22 @@ let load ~program text =
         | [ "load"; pc; e; m; st; fe ] ->
             let pc = int_of_string (field line pc "pc") in
             if pc < 0 || pc >= n then fail "Profile.load: load pc %d out of range" pc;
-            let s = stat t pc in
-            s.exec_samples <- int_of_string (field line e "exec");
-            s.miss_samples <- int_of_string (field line m "miss");
-            s.stall_sampled <- int_of_string (field line st "stall");
-            s.frontend_sampled <- int_of_string (field line fe "frontend")
+            t.seen.(pc) <- true;
+            t.exec_samples.(pc) <- int_of_string (field line e "exec");
+            t.miss_samples.(pc) <- int_of_string (field line m "miss");
+            t.stall_sampled.(pc) <- int_of_string (field line st "stall");
+            t.frontend_sampled.(pc) <- int_of_string (field line fe "frontend")
         | [ "lbr"; pc; cyc; ex ] ->
             let pc = int_of_string (field line pc "pc") in
             if pc < 0 || pc >= n then fail "Profile.load: lbr pc %d out of range" pc;
             t.lbr_cycles.(pc) <- float_of_string (field line cyc "cycles");
             t.lbr_execs.(pc) <- float_of_string (field line ex "execs")
         | [ "edge"; f; to_; c ] ->
-            Hashtbl.replace t.edges
-              (int_of_string (field line f "from"), int_of_string (field line to_ "to"))
+            let from_pc = int_of_string (field line f "from") in
+            let to_pc = int_of_string (field line to_ "to") in
+            if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then
+              fail "Profile.load: edge %d -> %d out of range" from_pc to_pc;
+            Int_tbl.replace t.edges (edge_key t from_pc to_pc)
               (ref (int_of_string (field line c "count")))
         | _ -> fail "Profile.load: cannot parse line %S" line)
     lines;

@@ -11,12 +11,24 @@
     - per-pc latency from LBR straight-line runs, apportioned over the
       run's instructions proportionally to their static base cost (the
       standard AutoFDO-style attribution);
-    - edge heat (taken-branch counts) for hot-path detection. *)
+    - edge heat (taken-branch counts) for hot-path detection.
+
+    The database is flat: per-pc arrays of sample counts, LBR cycles
+    and executions, and taken-branch counts under one int key per edge.
+    {!build} reads the units' flat sample and snapshot buffers in place
+    ({!Pebs.sample_pc}, {!Lbr.from_pc} ...), and totals each LBR
+    straight-line run from per-pc prefix sums of base cost and load
+    count. The per-pc cycle sums are floats accumulated run by run in
+    snapshot order: {!save} prints them exactly ([%h]), so that order
+    is part of the format. *)
 
 open Stallhide_isa
 
 type t
 
+(** Aggregate the units' samples and snapshots.
+    @raise Invalid_argument if an LBR record leaves the program (a
+    branch from outside it, or to a pc past one beyond its end). *)
 val build :
   program:Program.t ->
   ?exec:Pebs.t ->

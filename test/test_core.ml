@@ -324,12 +324,85 @@ let test_metrics_row_shape () =
     (List.length Experiment.metrics_header)
     (List.length (Experiment.metrics_row m))
 
+(* --- pinned profiles ---
+
+   [Pipeline.profile] samples on the µop loop and builds the profile
+   over flat per-pc arrays. Neither may move a sample or a float: the
+   MD5 of [Profile.save], the profiling run's length and its PMU
+   overhead are pinned for the ten registered workloads and both
+   serving twins at seed 1, as the hooked interpreter and the
+   Hashtbl-based build produced them. *)
+
+module Smp_harness = Stallhide_smp.Harness
+
+let kv_twin () =
+  let hp = Smp_harness.default_params in
+  Kv_server.make ~lanes:8 ~table_slots:hp.Smp_harness.table_slots ~requests:64
+    ~service_compute:hp.Smp_harness.service_compute ~seed:2 ()
+
+let scav_twin () =
+  let hp = Smp_harness.default_params in
+  Group_by.make ~lanes:4 ~groups:hp.Smp_harness.scav_groups
+    ~tuples:(max 400 hp.Smp_harness.scav_tuples) ~seed:3 ()
+
+let pinned_profiles =
+  [
+    ("pointer-chase", "fc90a53343fa17fb8a09136518abf30b", 32480, 10400);
+    ("hash-probe", "d497ea9dcc400f85118c503f7459658a", 46056, 13520);
+    ("btree", "a143495fd65197164e297658d7dbde97", 300355, 92680);
+    ("array-scan", "4c1a54547f1d67760586e00e5a62bab2", 343520, 95200);
+    ("hash-join", "0377c828ad99cdbadbf6fb83592d52e0", 148310, 46800);
+    ("kv-server", "f8f356761f0557dce806696203d92515", 50546, 13960);
+    ("graph-bfs", "3f8d40846dacbbb2a400b69df9c51e41", 1202414, 264800);
+    ("group-by", "f032a1a2690a7566aa38418409f47741", 44924, 13320);
+    ("offload", "8ee17e295f6e715af8ab4406e778d5c0", 29520, 7720);
+    ("txn-oltp", "d390f3f87224c750f217e527d591d204", 20764, 5840);
+    ("kv-twin", "339c20d9121ca734554440b30393a6b4", 159526, 40720);
+    ("scav-twin", "cdb597aa2d2f4e37472ee2355fcc1f63", 423562, 125240);
+  ]
+
+let pinned_workload = function
+  | "kv-twin" -> kv_twin ()
+  | "scav-twin" -> scav_twin ()
+  | name -> Stallhide_why.Why.make_workload name ~lanes:4 ~ops:40 ~manual:false ~seed:1
+
+let test_profiles_pinned () =
+  List.iter
+    (fun (name, digest, run_cycles, overhead) ->
+      let p = Pipeline.profile (pinned_workload name) in
+      Alcotest.(check string)
+        (name ^ ": Profile.save digest")
+        digest
+        (Digest.to_hex (Digest.string (Stallhide_pmu.Profile.save p.Pipeline.profile)));
+      Alcotest.(check int) (name ^ ": run cycles") run_cycles p.Pipeline.run_cycles;
+      Alcotest.(check int) (name ^ ": overhead cycles") overhead p.Pipeline.overhead_cycles)
+    pinned_profiles
+
+(* Profiling allocates only when a sampler fires, and keeps samples
+   in flat chunks: far below one minor word per profiled instruction.
+   Per-instruction hooks on the reference interpreter take about 27. *)
+let test_profile_allocation () =
+  let w = kv_twin () in
+  let r =
+    Stallhide_runtime.Scheduler.run_sequential (Hierarchy.create Memconfig.default)
+      w.Workload.image (Workload.contexts w)
+  in
+  let w = kv_twin () in
+  let m0 = Gc.minor_words () in
+  let (_ : Pipeline.profiled) = Pipeline.profile w in
+  let instructions = r.Stallhide_runtime.Scheduler.instructions in
+  let per_instr = (Gc.minor_words () -. m0) /. float_of_int instructions in
+  if per_instr > 6.0 then
+    Alcotest.failf "%.1f minor words per profiled instruction (bound 6)" per_instr
+
 let () =
   Alcotest.run "core"
     [
       ( "pipeline",
         [
           Alcotest.test_case "profile finds miss site" `Quick test_profile_finds_miss_site;
+          Alcotest.test_case "profiles pinned" `Quick test_profiles_pinned;
+          Alcotest.test_case "profile allocation" `Quick test_profile_allocation;
           Alcotest.test_case "oracle matches profile" `Quick test_oracle_matches_profile;
           Alcotest.test_case "resident loop left alone" `Quick test_resident_loop_left_alone;
           Alcotest.test_case "instrument artifacts" `Quick test_instrument_artifacts;

@@ -693,6 +693,59 @@ let test_decode_bad_register () =
     | stop -> Alcotest.failf "context %d ran to %s" id (Format.asprintf "%a" Engine.pp_stop stop)
   done
 
+(* --- a probe is refused where it would be silently ignored --- *)
+
+let probed engine = { engine with Engine.probe = Some (Probe.create ()) }
+
+let refused name f =
+  match f () with
+  | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:(name ^ ": ") msg) then
+        Alcotest.failf "%s: unnamed Invalid_argument %S" name msg
+  | _ -> Alcotest.failf "%s accepted a probe it would ignore" name
+
+let probe_src = {|
+  load r2, [r1]
+  br eq r2, 0, done
+done:
+  halt
+|}
+
+let test_probe_refused_off_the_loop () =
+  let n = Events.nop in
+  let off_loop =
+    [
+      ("fast = false", { Engine.default_config with Engine.fast = false });
+      ( "stall_shape",
+        { Engine.default_config with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) } );
+      ( "on_retire hook",
+        {
+          Engine.default_config with
+          Engine.hooks = { n with Events.on_retire = (fun ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ -> ()) };
+        } );
+      ( "on_load hook",
+        { Engine.default_config with Engine.hooks = { n with Events.on_load = (fun _ -> ()) } } );
+    ]
+  in
+  List.iter
+    (fun (label, engine) ->
+      let _, mem, hier, ctx = setup probe_src in
+      refused "Engine.run" (fun () -> Engine.run (probed engine) hier mem ~clock:(ref 0) ctx);
+      Alcotest.(check int) (label ^ ": nothing ran") 0 ctx.Context.instructions)
+    off_loop;
+  (* on the loop it runs *)
+  let env = setup probe_src in
+  let stop, _ = run ~engine:(probed Engine.default_config) env in
+  check_stop "probe on the µop loop" "halted" stop
+
+let test_probe_refused_by_reference_and_step () =
+  let _, mem, hier, ctx = setup probe_src in
+  refused "Engine.run_reference" (fun () ->
+      Engine.run_reference (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
+  refused "Engine.step" (fun () ->
+      Engine.step (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
+  Alcotest.(check int) "nothing ran" 0 ctx.Context.instructions
+
 let () =
   Alcotest.run "cpu"
     [
@@ -758,6 +811,12 @@ let () =
           Alcotest.test_case "call depth overflow" `Quick test_parity_call_depth_overflow;
           Alcotest.test_case "prefetch/opmark" `Quick test_parity_prefetch_opmark;
           Alcotest.test_case "branches and jumps" `Quick test_parity_branches;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "refused off the µop loop" `Quick test_probe_refused_off_the_loop;
+          Alcotest.test_case "refused by run_reference and step" `Quick
+            test_probe_refused_by_reference_and_step;
         ] );
       ( "decode",
         [

@@ -2,6 +2,8 @@ open Stallhide_isa
 open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_pmu
+module W = Stallhide_workloads.Workload
+module Gen = Stallhide_check.Gen
 
 let cfg = Memconfig.default
 
@@ -232,20 +234,23 @@ let test_profile_load_rejects () =
 
 (* --- front-end filtering (§3.2 footnote) --- *)
 
-let test_frontend_filtering () =
-  (* a hot loop bigger than the icache: every stall is front-end *)
-  let icfg =
-    { cfg with Memconfig.icache = Some { Memconfig.size_bytes = 1024; ways = 4; latency = 14 } }
-  in
+(* A hot loop bigger than the icache: every stall is front-end. *)
+let thrash_cfg =
+  { cfg with Memconfig.icache = Some { Memconfig.size_bytes = 1024; ways = 4; latency = 14 } }
+
+let thrash_prog () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "loop:\n";
   for _ = 1 to 300 do
     Buffer.add_string b "add r1, r1, 1\n"
   done;
   Buffer.add_string b "sub r2, r2, 1\nbr gt r2, 0, loop\nhalt";
-  let prog = Asm.parse (Buffer.contents b) in
+  Asm.parse (Buffer.contents b)
+
+let test_frontend_filtering () =
+  let prog = thrash_prog () in
   let mem = Address_space.create ~bytes:1024 in
-  let hier = Hierarchy.create icfg in
+  let hier = Hierarchy.create thrash_cfg in
   let stall = Pebs.create ~event:Pebs.Stall_cycles ~period:13 () in
   let fe = Pebs.create ~event:Pebs.Frontend_stalls ~period:13 () in
   let hooks = Events.compose [ Pebs.hooks stall; Pebs.hooks fe ] in
@@ -279,6 +284,335 @@ let test_frontend_filtering () =
   in
   Alcotest.(check bool) "raw keeps the generic estimate" true (raw_total >= unfiltered_total / 2)
 
+(* §3.2 overhead: 40 cycles per sample taken or dropped, on every unit
+   the profiling run arms, FRONTEND_STALLS included. *)
+let test_overhead_counts_every_unit () =
+  let workload () =
+    {
+      W.name = "icache-thrash";
+      program = thrash_prog ();
+      image = Address_space.create ~bytes:1024;
+      lanes = [| [ (Reg.r2, 50) ] |];
+      ops_per_lane = 0;
+      reset = W.no_reset;
+    }
+  in
+  let profiled = Stallhide.Pipeline.profile ~mem_cfg:thrash_cfg (workload ()) in
+  let pc = Stallhide.Pipeline.default_profile_config in
+  let frontend =
+    Pebs.create ~event:Pebs.Frontend_stalls ~period:(Option.get pc.frontend_period) ()
+  in
+  let units =
+    [
+      Pebs.create ~event:Pebs.Loads_all ~period:pc.exec_period ();
+      Pebs.create ~event:Pebs.L2_miss_loads ~period:pc.miss_period ();
+      Pebs.create ~event:Pebs.Stall_cycles ~period:pc.stall_period ();
+      frontend;
+    ]
+  in
+  let w = workload () in
+  let engine =
+    { Engine.default_config with Engine.hooks = Events.compose (List.map Pebs.hooks units) }
+  in
+  ignore
+    (Stallhide_runtime.Scheduler.run_sequential ~engine (Hierarchy.create thrash_cfg)
+       w.W.image (W.contexts w));
+  Alcotest.(check bool) "front-end samples taken" true (Pebs.sample_count frontend > 0);
+  let want =
+    List.fold_left (fun a u -> a + (40 * (Pebs.sample_count u + Pebs.dropped u))) 0 units
+  in
+  Alcotest.(check int) "overhead over all four units" want
+    profiled.Stallhide.Pipeline.overhead_cycles
+
+(* --- the probe on the µop loop vs the hooks on the reference ---
+
+   [Pebs.attach]/[Lbr.attach] feed the units from a probe on the
+   decoded-µop loop; [Pebs.hooks]/[Lbr.hooks] feed identical units from
+   per-instruction hooks on the reference interpreter. Every sample,
+   drop, occurrence, injected degradation and LBR snapshot must agree. *)
+
+(* Tiny private caches, so small programs also hit in L2 and L3. *)
+let mem_of ~icache ~small =
+  let cfg =
+    if small then
+      {
+        cfg with
+        Memconfig.l1 = { cfg.Memconfig.l1 with Memconfig.size_bytes = 256; ways = 2 };
+        l2 = { cfg.Memconfig.l2 with Memconfig.size_bytes = 1024; ways = 2 };
+      }
+    else cfg
+  in
+  if icache then
+    { cfg with Memconfig.icache = Some { Memconfig.size_bytes = 256; ways = 2; latency = 14 } }
+  else cfg
+
+(* Calls, returns, jumps, prefetches, conditional and plain yields and
+   accelerator waits, ending by lane: r3 = 0 halts, 1 divides by zero,
+   2 runs off the end of the program. *)
+let control_src =
+  {|
+  mov r5, 0
+top:
+  call body
+  sub r2, r2, 1
+  br gt r2, 0, top
+  br eq r3, 0, done
+  br eq r3, 1, divz
+  jmp tail
+divz:
+  div r4, r4, r5
+done:
+  halt
+body:
+  load r6, [r1]
+  prefetch [r1+4096]
+  cyield [r1+8192]
+  aissue [r1]
+  add r1, r1, 64
+  await r7
+  yield
+  ret
+tail:
+  nop
+|}
+
+let control_workload () =
+  let image = Address_space.create ~bytes:(1 lsl 16) in
+  let base = Address_space.alloc image ~bytes:(1 lsl 15) in
+  {
+    W.name = "control";
+    program = Asm.parse control_src;
+    image;
+    lanes =
+      Array.init 3 (fun lane -> [ (Reg.r1, base + (lane * 64)); (Reg.r2, 12); (Reg.r3, lane) ]);
+    ops_per_lane = 0;
+    reset = W.no_reset;
+  }
+
+(* A generated program whose [lane] starts with its arena and data
+   bases out of the image: its first memory access faults. *)
+let with_faulting_lane (w : W.t) lane =
+  let lane = lane mod Array.length w.W.lanes in
+  let lanes =
+    Array.mapi (fun i regs -> if i = lane then regs @ [ (Reg.r0, -64); (Reg.r1, -64) ] else regs)
+      w.W.lanes
+  in
+  { w with W.lanes }
+
+type probe_case = {
+  seed : int;
+  source : int;  (* 0 generated, 1 generated + faulting lane, 2 control, 3.. a workload *)
+  periods : int list;  (* loads, beyond-L2, DRAM, stall cycles, front-end stalls *)
+  lbr_period : int;
+  depth : int;
+  buffer : int option;
+  max_snapshots : int option;
+  degrade : bool;
+  icache : bool;
+  small_caches : bool;
+  block : int option;
+  ooo : int;
+}
+
+let events =
+  [ Pebs.Loads_all; Pebs.L2_miss_loads; Pebs.L3_miss_loads; Pebs.Stall_cycles; Pebs.Frontend_stalls ]
+
+let probe_case_of seed =
+  let st = Random.State.make [| seed; 0x9b0e |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let maybe x = if Random.State.int st 3 = 0 then Some x else None in
+  {
+    seed;
+    source =
+      (if Random.State.int st 5 = 0 then 2 + Random.State.int st 4 else Random.State.int st 2);
+    periods = List.map (fun _ -> pick [ 1; 2; 3; 17; 31; 127 ]) events;
+    lbr_period = pick [ 1; 7; 211 ];
+    depth = pick [ 1; 4; 32 ];
+    buffer = maybe 8;
+    max_snapshots = maybe 3;
+    degrade = Random.State.bool st;
+    icache = Random.State.bool st;
+    small_caches = Random.State.bool st;
+    block = maybe 40;
+    ooo = pick [ 0; 0; 24 ];
+  }
+
+let show_probe_case c =
+  Printf.sprintf
+    "seed %d source %d periods [%s] lbr %d depth %d buffer %s max_snapshots %s degrade %b \
+     icache %b small caches %b block %s ooo %d"
+    c.seed c.source
+    (String.concat ";" (List.map string_of_int c.periods))
+    c.lbr_period c.depth
+    (Option.fold ~none:"-" ~some:string_of_int c.buffer)
+    (Option.fold ~none:"-" ~some:string_of_int c.max_snapshots)
+    c.degrade c.icache c.small_caches
+    (Option.fold ~none:"-" ~some:string_of_int c.block)
+    c.ooo
+
+let case_workload c =
+  let gen () =
+    let case = Gen.case ~seed:c.seed () in
+    Gen.workload ~prog:case.Gen.program case.Gen.cfg
+  in
+  match c.source with
+  | 0 -> gen ()
+  | 1 -> with_faulting_lane (gen ()) c.seed
+  | 2 -> control_workload ()
+  | 3 -> Stallhide_workloads.Offload.make ~lanes:2 ~ops:6 ~seed:c.seed ()
+  | 4 -> Stallhide_workloads.Pointer_chase.make ~manual:true ~lanes:2 ~hops:20 ~seed:c.seed ()
+  | _ -> Stallhide_txn.Txn_oltp.workload ~lanes:2 ~txns:3 ~seed:c.seed ()
+
+(* One arm: the five PEBS units and an LBR, fed from a probe on the µop
+   loop or from hooks on the reference interpreter. *)
+let pmu_arm ~probe c =
+  let w = case_workload c in
+  let units =
+    List.map2
+      (fun event period -> Pebs.create ?buffer_capacity:c.buffer ~event ~period ())
+      events c.periods
+  in
+  if c.degrade then
+    List.iteri
+      (fun i u -> Pebs.degrade u { Pebs.loss = 0.2; skid = 2; misattr = 0.2; seed = c.seed + i })
+      units;
+  let lbr =
+    Lbr.create ~depth:c.depth ?max_snapshots:c.max_snapshots ~snapshot_period:c.lbr_period ()
+  in
+  let engine =
+    {
+      Engine.default_config with
+      Engine.ooo_window = c.ooo;
+      load_block_threshold = c.block;
+    }
+  in
+  let engine =
+    if probe then begin
+      let p = Probe.create () in
+      List.iter (fun u -> Pebs.attach u p) units;
+      Lbr.attach lbr p;
+      { engine with Engine.probe = Some p }
+    end
+    else { engine with Engine.hooks = Events.compose (Lbr.hooks lbr :: List.map Pebs.hooks units) }
+  in
+  let hier = Hierarchy.create (mem_of ~icache:c.icache ~small:c.small_caches) in
+  let r =
+    Stallhide_runtime.Scheduler.run_sequential ~engine hier w.W.image (W.contexts w)
+  in
+  (r, units, lbr)
+
+let probe_matches_hooks c =
+  let rr, ur, lr = pmu_arm ~probe:false c in
+  let rf, uf, lf = pmu_arm ~probe:true c in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let module S = Stallhide_runtime.Scheduler in
+  if rr.S.cycles <> rf.S.cycles || rr.S.faults <> rf.S.faults then
+    fail "runs differ: %d vs %d cycles" rr.S.cycles rf.S.cycles;
+  List.iter2
+    (fun r f ->
+      let name = Pebs.event_name (Pebs.event r) in
+      if Pebs.samples r <> Pebs.samples f then
+        fail "%s: %d hooked samples, %d probed, or they differ" name (Pebs.sample_count r)
+          (Pebs.sample_count f);
+      if Pebs.dropped r <> Pebs.dropped f then
+        fail "%s: dropped %d vs %d" name (Pebs.dropped r) (Pebs.dropped f);
+      if Pebs.occurrences r <> Pebs.occurrences f then
+        fail "%s: occurrences %d vs %d" name (Pebs.occurrences r) (Pebs.occurrences f);
+      if Pebs.degradation_injected r <> Pebs.degradation_injected f then
+        fail "%s: degradation differs" name)
+    ur uf;
+  if Lbr.snapshots lr <> Lbr.snapshots lf then
+    fail "LBR: %d hooked snapshots, %d probed, or they differ" (Lbr.snapshot_count lr)
+      (Lbr.snapshot_count lf);
+  true
+
+let qcheck_probe_matches_hooks =
+  QCheck.Test.make ~name:"probe on the µop loop = hooks on the reference" ~count:400
+    (QCheck.make
+       ~print:(fun seed -> show_probe_case (probe_case_of seed))
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed -> probe_matches_hooks (probe_case_of seed))
+
+(* The deferred snapshot's two faulting exits, pinned: a fault after the
+   pc check (division by zero) retires one instruction fewer than it
+   counts; running off the end counts none. *)
+let test_probe_fault_exits () =
+  List.iter
+    (fun lbr_period ->
+      let c =
+        {
+          seed = 0;
+          source = 2;
+          periods = [ 1; 2; 3; 17; 31 ];
+          lbr_period;
+          depth = 4;
+          buffer = None;
+          max_snapshots = None;
+          degrade = false;
+          icache = true;
+          small_caches = false;
+          block = None;
+          ooo = 0;
+        }
+      in
+      let r, units, l = pmu_arm ~probe:true c in
+      Alcotest.(check int) "two lanes fault" 2 (List.length r.Stallhide_runtime.Scheduler.faults);
+      Alcotest.(check bool) "snapshots taken" true (Lbr.snapshot_count l > 0);
+      Alcotest.(check bool) "loads sampled" true (Pebs.sample_count (List.hd units) > 0);
+      ignore (probe_matches_hooks c : bool))
+    [ 1; 2; 7 ]
+
+(* [Pipeline.ground_truth] tallies per pc on the probe; an [on_load]
+   hook on the reference interpreter builds the reference table. *)
+let hooked_ground_truth (w : W.t) =
+  let table = Hashtbl.create 64 in
+  let on_load (info : Events.load_info) =
+    let execs, misses, stall =
+      Option.value (Hashtbl.find_opt table info.Events.pc) ~default:(0, 0, 0)
+    in
+    let miss = match info.Events.level with Hierarchy.L3 | Hierarchy.Dram -> 1 | _ -> 0 in
+    Hashtbl.replace table info.Events.pc (execs + 1, misses + miss, stall + info.Events.stall)
+  in
+  let engine = { Engine.default_config with Engine.hooks = { Events.nop with Events.on_load } } in
+  let hier = Hierarchy.create cfg in
+  ignore (Stallhide_runtime.Scheduler.run_sequential ~engine hier w.W.image (W.contexts w));
+  table
+
+let test_ground_truth_matches_hook () =
+  let bindings t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  let load_pcs = ref 0 in
+  let check label make =
+    let want = bindings (hooked_ground_truth (make ())) in
+    let got = bindings (Stallhide.Pipeline.ground_truth (make ())) in
+    load_pcs := !load_pcs + List.length want;
+    Alcotest.(check (list (pair int (triple int int int)))) label want got
+  in
+  for seed = 0 to 59 do
+    let case = Gen.case ~seed () in
+    check (Printf.sprintf "gen %d" seed) (fun () ->
+        Gen.workload ~prog:case.Gen.program case.Gen.cfg)
+  done;
+  check "gen + faulting lane" (fun () ->
+      let case = Gen.case ~seed:5 () in
+      with_faulting_lane (Gen.workload ~prog:case.Gen.program case.Gen.cfg) 0);
+  check "control" control_workload;
+  List.iter
+    (fun name ->
+      check name (fun () ->
+          Stallhide_why.Why.make_workload name ~lanes:2 ~ops:12 ~manual:false ~seed:3))
+    Stallhide_why.Why.workload_names;
+  Alcotest.(check bool) "load pcs compared" true (!load_pcs > 200)
+
+let test_probe_tally_too_short () =
+  let prog, mem, ctx = build_chase ~hops:3 in
+  let p = Probe.create () in
+  Probe.tally p ~length:(Program.length prog - 1);
+  Alcotest.check_raises "short tally"
+    (Invalid_argument "Probe.start: tally holds 5 pcs, program has 6") (fun () ->
+      ignore
+        (Engine.run { Engine.default_config with Engine.probe = Some p } (Hierarchy.create cfg)
+           mem ~clock:(ref 0) ctx))
+
 let () =
   Alcotest.run "pmu"
     [
@@ -305,5 +639,13 @@ let () =
           Alcotest.test_case "frontend filtering" `Quick test_frontend_filtering;
           Alcotest.test_case "save/load roundtrip" `Quick test_profile_roundtrip;
           Alcotest.test_case "load rejects bad input" `Quick test_profile_load_rejects;
+          Alcotest.test_case "overhead counts every unit" `Quick test_overhead_counts_every_unit;
+        ] );
+      ( "probe",
+        [
+          QCheck_alcotest.to_alcotest ~long:false qcheck_probe_matches_hooks;
+          Alcotest.test_case "faulting exits" `Quick test_probe_fault_exits;
+          Alcotest.test_case "ground truth = on_load table" `Quick test_ground_truth_matches_hook;
+          Alcotest.test_case "tally shorter than the program" `Quick test_probe_tally_too_short;
         ] );
     ]
