@@ -1156,6 +1156,11 @@ let cluster_cmd =
     in
     let r = CH.run params in
     let res = r.CH.result in
+    if res.Cl.truncated > 0 then
+      Printf.eprintf
+        "stallhide: warning: %d of %d request(s) still pending at the %d-cycle horizon \
+         (truncated, not answered)\n"
+        res.Cl.truncated res.Cl.offered params.CH.horizon;
     let doc =
       J.Obj
         (("schema_version", J.Int 1)
@@ -1176,10 +1181,10 @@ let cluster_cmd =
       | [] -> Printf.printf "faults: none\n"
       | fs -> Printf.printf "faults: %s\n" (String.concat ", " (List.map F.describe fs)));
       Printf.printf
-        "requests: %d offered -> %d acked, %d expired, %d shed, %d unanswered (%d cycles, \
-         %.3f acked/kcycle)\n"
-        res.Cl.offered res.Cl.acked res.Cl.expired res.Cl.shed res.Cl.unanswered res.Cl.cycles
-        r.CH.goodput_rpk;
+        "requests: %d offered -> %d acked, %d expired, %d shed, %d unanswered, %d truncated (%d \
+         cycles, %.3f acked/kcycle)\n"
+        res.Cl.offered res.Cl.acked res.Cl.expired res.Cl.shed res.Cl.unanswered res.Cl.truncated
+        res.Cl.cycles r.CH.goodput_rpk;
       Printf.printf "slo: %.2f%% violations (deadline %d cycles); lost acked: %d\n"
         (100.0 *. L.violation_rate split)
         params.CH.slo_deadline res.Cl.lost_acked;

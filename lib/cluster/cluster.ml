@@ -77,7 +77,7 @@ type attempt = {
   mutable a_timed : bool;
 }
 
-type outcome = Pending | Acked | Expired | Shed | Unanswered
+type outcome = Pending | Acked | Expired | Shed | Unanswered | Truncated
 
 let outcome_name = function
   | Pending -> "pending"
@@ -85,6 +85,7 @@ let outcome_name = function
   | Expired -> "expired"
   | Shed -> "shed"
   | Unanswered -> "unanswered"
+  | Truncated -> "truncated"
 
 type rq = {
   spec : spec;
@@ -151,6 +152,7 @@ type result = {
   expired : int;
   shed : int;
   unanswered : int;
+  truncated : int;
   lost_acked : int;
   split : Latency.split;
   requests : rq array;
@@ -465,7 +467,7 @@ let run c ~node:make_impl ~requests =
             if att.a_kind = Hedge then incr hedge_wins;
             eval_brownout ()
         | Acked -> incr hedge_losses
-        | Expired | Shed | Unanswered -> incr late_responses)
+        | Expired | Shed | Unanswered | Truncated -> incr late_responses)
     | Timeout { rid; aix } -> (
         let r = Hashtbl.find rq_of rid in
         let att = attempt_of r aix in
@@ -555,7 +557,11 @@ let run c ~node:make_impl ~requests =
   in
   (* --- main loop: interleave machine stepping with event delivery,
      always acting at the globally smallest time --- *)
-  let finished = ref false in
+  let finished = ref false and at_horizon = ref false in
+  let horizon_stop () =
+    finished := true;
+    at_horizon := true
+  in
   let last_event_time = ref 0 in
   let step m =
     ignore (Machine.Live.step (Option.get nodes.(m).live));
@@ -574,15 +580,15 @@ let run c ~node:make_impl ~requests =
     match (t_ev, !best) with
     | None, -1 -> finished := true
     | Some t, -1 ->
-        if t > c.horizon then finished := true
+        if t > c.horizon then horizon_stop ()
         else begin
           let t, ev = Heap.pop heap in
           last_event_time := max !last_event_time t;
           handle t ev
         end
-    | None, m -> if !best_t > c.horizon then finished := true else step m
+    | None, m -> if !best_t > c.horizon then horizon_stop () else step m
     | Some t, m ->
-        if min t !best_t > c.horizon then finished := true
+        if min t !best_t > c.horizon then horizon_stop ()
         else if t <= !best_t then begin
           let t, ev = Heap.pop heap in
           last_event_time := max !last_event_time t;
@@ -607,14 +613,20 @@ let run c ~node:make_impl ~requests =
           done
       | _ -> ())
     nodes;
-  (* unresolved requests at drain/horizon were never answered *)
-  let unanswered = ref 0 in
+  (* Requests still pending were never answered. If the run stopped at
+     the horizon with work left, they were cut off, not lost. *)
+  let unanswered = ref 0 and truncated = ref 0 in
   Array.iter
     (fun r ->
-      if r.outcome = Pending then begin
-        r.outcome <- Unanswered;
-        incr unanswered
-      end)
+      if r.outcome = Pending then
+        if !at_horizon then begin
+          r.outcome <- Truncated;
+          incr truncated
+        end
+        else begin
+          r.outcome <- Unanswered;
+          incr unanswered
+        end)
     rqs;
   (* the acked-payload invariant: every acked response corresponds to a
      context that actually ran to completion *)
@@ -658,7 +670,7 @@ let run c ~node:make_impl ~requests =
     |> List.filter_map (fun r ->
            if r.outcome = Acked then Some (r.done_at - r.spec.send) else None)
   in
-  let dropped = !expired + !shed + !unanswered in
+  let dropped = !expired + !shed + !unanswered + !truncated in
   let split = Latency.split ~censor:c.slo_deadline ~dropped answered in
   {
     cycles;
@@ -667,6 +679,7 @@ let run c ~node:make_impl ~requests =
     expired = !expired;
     shed = !shed;
     unanswered = !unanswered;
+    truncated = !truncated;
     lost_acked = !lost_acked;
     split;
     requests = rqs;
@@ -678,6 +691,7 @@ let run c ~node:make_impl ~requests =
         ("client.expired", !expired);
         ("client.shed", !shed);
         ("client.unanswered", !unanswered);
+        ("client.truncated", !truncated);
         ("client.retries", !retries);
         ("client.hedges", !hedges);
         ("client.hedge_wins", !hedge_wins);
@@ -712,6 +726,7 @@ let to_json r =
       ("expired", Json.Int r.expired);
       ("shed", Json.Int r.shed);
       ("unanswered", Json.Int r.unanswered);
+      ("truncated", Json.Int r.truncated);
       ("lost_acked", Json.Int r.lost_acked);
       ("brownout_engaged", Json.Int r.brownout_engaged);
       ("split", Latency.split_to_json r.split);

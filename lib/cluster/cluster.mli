@@ -45,7 +45,10 @@ type attempt = {
   mutable a_timed : bool;
 }
 
-type outcome = Pending | Acked | Expired | Shed | Unanswered
+(** [Unanswered]: still pending when nothing was left to run (its
+    attempts were lost). [Truncated]: still pending when the run stopped
+    at [config.horizon] with work left. *)
+type outcome = Pending | Acked | Expired | Shed | Unanswered | Truncated
 
 val outcome_name : outcome -> string
 
@@ -63,8 +66,8 @@ type rq = {
 }
 
 (** One replica incarnation recipe. The factory is called again with a
-    higher [restart] after each crash recovery — a fresh image, fresh
-    contexts, same logical service. *)
+    higher [restart] after each crash recovery — a fresh image (one no
+    other incarnation writes), fresh contexts, same logical service. *)
 type node_impl = {
   config : Stallhide_smp.Machine.config;
   mem : Stallhide_mem.Address_space.t;
@@ -94,7 +97,9 @@ type config = {
   slo_deadline : int;  (** censor point for dropped requests *)
   seed : int;
   faults : Stallhide_faults.Faults.fault list;
-  horizon : int;  (** hard stop in cycles *)
+  horizon : int;
+      (** hard stop in cycles; requests it cuts off count as
+          [truncated], and as dropped in the latency split *)
 }
 
 type result = {
@@ -104,6 +109,7 @@ type result = {
   expired : int;
   shed : int;
   unanswered : int;
+  truncated : int;  (** pending when the run stopped at the horizon *)
   lost_acked : int;
       (** acked requests whose winning context did not actually run to
           [Done] — must be 0 (the failover-correctness invariant) *)

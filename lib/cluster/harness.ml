@@ -86,7 +86,10 @@ let trace p =
    harness. Replica seeds do NOT depend on the machine id or the
    restart count: every incarnation of every machine computes
    bit-identical payloads — the property the cluster fuzz oracle and
-   the failover-correctness invariant check. *)
+   the failover-correctness invariant check. So the image and both
+   workloads are generated once, here, and each incarnation runs on an
+   [Address_space.fork] of that image with fresh scavenger contexts;
+   it copies only the chunks its scavengers write. *)
 let node_factory ?kv_program ?scav_program p =
   let reqs = Array.of_list (trace p) in
   let total = Array.length reqs in
@@ -101,7 +104,7 @@ let node_factory ?kv_program ?scav_program p =
       home_of
   in
   let scav_lanes = p.scav_per_core * p.cores in
-  (* exactly what each incarnation's generators allocate into its image *)
+  (* exactly what the generators allocate into the image *)
   let bytes =
     Array.fold_left
       (fun acc lanes ->
@@ -111,72 +114,62 @@ let node_factory ?kv_program ?scav_program p =
     + (if scav_lanes = 0 then 0
        else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
   in
+  let image = Address_space.create ~bytes in
+  let shard_wl =
+    Array.init p.cores (fun s ->
+        if per_shard.(s) = 0 then None
+        else begin
+          let wl =
+            Kv_server.make ~image ~lanes:per_shard.(s) ~table_slots:p.table_slots
+              ~requests:p.req_ops ~service_compute:p.service_compute ~seed:(p.seed + 100 + s) ()
+          in
+          Some (match kv_program with Some prog -> Workload.with_program wl prog | None -> wl)
+        end)
+  in
+  let scav_wl =
+    if scav_lanes = 0 then None
+    else begin
+      let wl =
+        Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
+          ~seed:(p.seed + 3) ()
+      in
+      let wl = match scav_program with Some prog -> Workload.with_program wl prog | None -> wl in
+      (* one shared accumulator array, as in the C19 harness *)
+      let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
+      Some
+        {
+          wl with
+          Workload.lanes =
+            Array.map
+              (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
+              wl.Workload.lanes;
+        }
+    end
+  in
+  let config =
+    {
+      Machine.default_config with
+      Machine.cores = p.cores;
+      core = { Core_sched.default_config with Core_sched.steal_budget = 2 };
+      max_cycles = p.horizon;
+    }
+  in
+  let make_ctx ~rid ~attempt =
+    let wl = match shard_wl.(home_of.(rid)) with Some w -> w | None -> assert false in
+    (* id is unique per (rid, attempt) so concurrent attempts on
+       different machines never collide in a completion table *)
+    Workload.context wl ~lane:lane_of.(rid) ~id:((8 * rid) + min attempt 7) ~mode:Context.Primary
+  in
   fun ~machine:_ ~restart:_ ->
-    let image = Address_space.create ~bytes in
-    let shard_wl =
-      Array.init p.cores (fun s ->
-          if per_shard.(s) = 0 then None
-          else begin
-            let wl =
-              Kv_server.make ~image ~lanes:per_shard.(s) ~table_slots:p.table_slots
-                ~requests:p.req_ops ~service_compute:p.service_compute ~seed:(p.seed + 100 + s)
-                ()
-            in
-            Some (match kv_program with Some prog -> Workload.with_program wl prog | None -> wl)
-          end)
-    in
-    let scavengers =
-      if scav_lanes = 0 then Array.make p.cores []
-      else begin
-        let wl =
-          Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
-            ~seed:(p.seed + 3) ()
-        in
-        let wl =
-          match scav_program with Some prog -> Workload.with_program wl prog | None -> wl
-        in
-        (* one shared accumulator array, as in the C19 harness *)
-        let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
-        let wl =
-          {
-            wl with
-            Workload.lanes =
-              Array.map
-                (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
-                wl.Workload.lanes;
-          }
-        in
-        wl.Workload.reset ();
-        let per_core = Array.make p.cores [] in
+    let scavengers = Array.make p.cores [] in
+    Option.iter
+      (fun wl ->
         for k = scav_lanes - 1 downto 0 do
           let ctx = Workload.context wl ~lane:k ~id:(8 * (total + k)) ~mode:Context.Scavenger in
-          per_core.(0) <- ctx :: per_core.(0)
-        done;
-        per_core
-      end
-    in
-    let config =
-      {
-        Machine.default_config with
-        Machine.cores = p.cores;
-        core = { Core_sched.default_config with Core_sched.steal_budget = 2 };
-        max_cycles = p.horizon;
-      }
-    in
-    {
-      Cluster.config;
-      mem = image;
-      scavengers;
-      make_ctx =
-        (fun ~rid ~attempt ->
-          let wl =
-            match shard_wl.(home_of.(rid)) with Some w -> w | None -> assert false
-          in
-          (* id is unique per (rid, attempt) so concurrent attempts on
-             different machines never collide in a completion table *)
-          Workload.context wl ~lane:lane_of.(rid) ~id:((8 * rid) + min attempt 7)
-            ~mode:Context.Primary);
-    }
+          scavengers.(0) <- ctx :: scavengers.(0)
+        done)
+      scav_wl;
+    { Cluster.config; mem = Address_space.fork image; scavengers; make_ctx }
 
 let run p =
   if p.machines <= 0 then invalid_arg "Cluster.Harness.run: machines must be positive";

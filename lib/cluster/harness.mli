@@ -50,10 +50,12 @@ type run = {
 val trace : params -> Cluster.spec list
 
 (** The replica factory (optionally serving instrumented programs);
-    exposed for the fuzz oracle, which runs the same factory's output
-    through a single machine. Nodes are untraced
+    exposed so that callers can time node builds or replay one
+    incarnation through a single machine. Nodes are untraced
     ({!Stallhide_smp.Machine.config.trace} is [false]): nothing in the
-    cluster reads their event streams. *)
+    cluster reads their event streams. Applying it to [params]
+    generates the replica image once; each incarnation gets its own
+    {!Stallhide_mem.Address_space.fork} of it. *)
 val node_factory :
   ?kv_program:Stallhide_isa.Program.t ->
   ?scav_program:Stallhide_isa.Program.t ->

@@ -4,14 +4,21 @@
     all loads/stores must be word-aligned. Workload generators allocate
     regions with {!alloc} (line-aligned, bump allocation) and fill them
     with data; pointers are stored byte addresses, so pointer-chasing
-    programs really dereference this image. *)
+    programs really dereference this image.
+
+    The image is held in 32 KiB chunks. {!fork} shares every chunk
+    between a space and its copy until one side stores into it; that
+    store copies the one chunk first. *)
 
 type t
 
 val word_bytes : int
 
-(** [create ~bytes] makes a zero-filled space of capacity [bytes]
-    (rounded up to a whole word). *)
+(** [create ~bytes] makes a space of capacity [bytes] (rounded up to a
+    whole word) that reads as zeros everywhere. It fills nothing up
+    front: every chunk starts on one shared, never-written zero chunk,
+    and {!alloc} (or the first store) gives a chunk its own zeroed
+    storage. *)
 val create : bytes:int -> t
 
 val capacity_bytes : t -> int
@@ -23,6 +30,13 @@ val used_bytes : t -> int
     returns its base address.
     @raise Failure when the space is exhausted. *)
 val alloc : t -> bytes:int -> int
+
+(** [fork t] is a copy of [t] (contents, {!used_bytes},
+    {!capacity_bytes}) that costs one pointer per chunk. [t] and the
+    copy share every chunk until either side stores into it; the first
+    such store copies that chunk for the side that made it, so a store
+    into one is never seen by the other. *)
+val fork : t -> t
 
 (** @raise Invalid_argument on unaligned or out-of-range addresses. *)
 val load : t -> int -> int

@@ -268,7 +268,6 @@ let setup params =
           }
         end
       in
-      wl.Workload.reset ();
       (* Batch jobs land on [scav_home_cores] cores, like a batch queue
          drained where it was enqueued; spreading them is exactly what
          cross-core stealing is for. *)

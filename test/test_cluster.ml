@@ -393,6 +393,57 @@ let test_quarantine_probe_readmission () =
     res.Cluster.acked;
   Alcotest.(check int) "failover lost no acked request" 0 res.Cluster.lost_acked
 
+(* --- Replica images and the horizon --- *)
+
+(* Incarnations share one generated image until they write it: running
+   the first to completion (its scavengers write lane 0's accumulators)
+   must leave the second's image as the first read before it ran. *)
+let test_incarnation_isolation () =
+  let p = { CH.default_params with CH.requests = 64 } in
+  let node = CH.node_factory p in
+  let first = node ~machine:0 ~restart:0 and second = node ~machine:1 ~restart:0 in
+  let image (impl : Cluster.node_impl) =
+    let m = impl.Cluster.mem in
+    Array.init ((Address_space.used_bytes m + 7) / 8) (fun w -> Address_space.load m (8 * w))
+  in
+  let before = image first in
+  let module M = Stallhide_smp.Machine in
+  let requests =
+    List.map
+      (fun (q : Cluster.spec) ->
+        M.request ~rid:q.Cluster.rid ~key:q.Cluster.key
+          ~home:(Stallhide_sched.Dispatch.home ~shards:p.CH.cores q.Cluster.key)
+          ~arrival:q.Cluster.send
+          (first.Cluster.make_ctx ~rid:q.Cluster.rid ~attempt:0))
+      (CH.trace p)
+  in
+  let r =
+    M.run ~config:first.Cluster.config ~policy:p.CH.policy ~mem:first.Cluster.mem ~requests
+      ~scavengers:first.Cluster.scavengers ()
+  in
+  Alcotest.(check int) "the first ran to completion" p.CH.requests r.M.completed;
+  Alcotest.(check bool) "its scavengers wrote its image" true (image first <> before);
+  Alcotest.(check (array int)) "the second still reads the generated image" before (image second);
+  Alcotest.(check bool) "distinct images" true (first.Cluster.mem != second.Cluster.mem)
+
+(* A run the horizon cuts off reports the requests it left pending as
+   truncated, not unanswered, and drops them in the latency split. *)
+let test_horizon_truncates () =
+  let cut = CH.run { small_params with CH.machines = 1; horizon = 20_000 } in
+  let r = cut.CH.result in
+  Alcotest.(check bool) "requests cut off" true (r.Cluster.truncated > 0);
+  Alcotest.(check int) "none unanswered" 0 r.Cluster.unanswered;
+  Alcotest.(check int) "outcomes" r.Cluster.truncated
+    (Array.fold_left
+       (fun n (q : Cluster.rq) -> if q.Cluster.outcome = Cluster.Truncated then n + 1 else n)
+       0 r.Cluster.requests);
+  Alcotest.(check int) "counter" r.Cluster.truncated (counter cut "client.truncated");
+  Alcotest.(check int) "dropped in the split"
+    (r.Cluster.expired + r.Cluster.shed + r.Cluster.truncated)
+    r.Cluster.split.Latency.dropped;
+  Alcotest.(check int) "a default-size run is not truncated" 0
+    (CH.run small_params).CH.result.Cluster.truncated
+
 (* --- Tracing parity: streams on or off, the same cluster --- *)
 
 (* [Cluster.Harness.run] from its public parts, with every node's
@@ -441,9 +492,9 @@ let check_trace_parity (p : CH.params) =
   Alcotest.(check int) "cycles" on.Cluster.cycles off.Cluster.cycles;
   same "outcome counts"
     ((on.Cluster.acked, on.Cluster.expired, on.Cluster.shed, on.Cluster.unanswered,
-      on.Cluster.lost_acked)
+      on.Cluster.truncated, on.Cluster.lost_acked)
     = (off.Cluster.acked, off.Cluster.expired, off.Cluster.shed, off.Cluster.unanswered,
-       off.Cluster.lost_acked));
+       off.Cluster.truncated, off.Cluster.lost_acked));
   same "latency split" (on.Cluster.split = off.Cluster.split);
   same "counters" (on.Cluster.counters = off.Cluster.counters);
   Array.iteri
@@ -534,6 +585,8 @@ let () =
             test_hedge_cancel_on_first_response;
           Alcotest.test_case "quarantine, probe, re-admission" `Quick
             test_quarantine_probe_readmission;
+          Alcotest.test_case "incarnations fork one image" `Quick test_incarnation_isolation;
+          Alcotest.test_case "horizon stop is truncation" `Quick test_horizon_truncates;
           Alcotest.test_case "tracing parity, default params" `Quick test_trace_parity_default;
           Alcotest.test_case "tracing parity, defended crash + slow node" `Quick
             test_trace_parity_crash_mix;

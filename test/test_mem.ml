@@ -47,6 +47,190 @@ let test_alloc_exhaustion_boundary () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "alloc beyond capacity accepted"
 
+(* --- Forked images --- *)
+
+let chunk = 32 * 1024
+
+let load = Address_space.load
+
+let test_fork_isolation () =
+  let src = Address_space.create ~bytes:(3 * chunk) in
+  let a = Address_space.alloc src ~bytes:(2 * chunk) in
+  Address_space.store src a 1;
+  Address_space.store src (a + chunk) 2;
+  let dst = Address_space.fork src in
+  Address_space.store dst a 10;
+  Alcotest.(check int) "a fork's store is not seen by its source" 1 (load src a);
+  Alcotest.(check int) "the fork reads its own store" 10 (load dst a);
+  Address_space.store src (a + chunk) 20;
+  Alcotest.(check int) "a source's store is not seen by its fork" 2 (load dst (a + chunk));
+  Alcotest.(check int) "the source reads its own store" 20 (load src (a + chunk));
+  (* capacity no alloc has covered *)
+  let far = (2 * chunk) + 8 in
+  Address_space.store dst far 7;
+  Alcotest.(check int) "an unbacked store stays in the fork" 0 (load src far);
+  Alcotest.(check int) "and reads back there" 7 (load dst far)
+
+let test_fork_of_fork () =
+  let a = Address_space.create ~bytes:(2 * chunk) in
+  let base = Address_space.alloc a ~bytes:64 in
+  Address_space.store a base 1;
+  let b = Address_space.fork a in
+  Address_space.store b base 2;
+  let c = Address_space.fork b in
+  Alcotest.(check int) "a fork of a fork starts from its parent" 2 (load c base);
+  Address_space.store c base 3;
+  Address_space.store b (base + 8) 4;
+  Address_space.store a (base + 16) 5;
+  let words sp = List.map (fun d -> load sp (base + d)) [ 0; 8; 16 ] in
+  Alcotest.(check (list int)) "the root" [ 1; 0; 5 ] (words a);
+  Alcotest.(check (list int)) "the fork" [ 2; 4; 0 ] (words b);
+  Alcotest.(check (list int)) "the fork of the fork" [ 3; 0; 0 ] (words c)
+
+let test_beyond_brk_reads_zero () =
+  let sp = Address_space.create ~bytes:((2 * chunk) + 40) in
+  let cap = Address_space.capacity_bytes sp in
+  Alcotest.(check int) "a fresh space's last word" 0 (load sp (cap - 8));
+  let a = Address_space.alloc sp ~bytes:100 in
+  for w = 0 to 12 do
+    Address_space.store sp (a + (8 * w)) (w + 1)
+  done;
+  let f = Address_space.fork sp in
+  List.iter
+    (fun addr ->
+      Alcotest.(check int) (Printf.sprintf "space, word at %d" addr) 0 (load sp addr);
+      Alcotest.(check int) (Printf.sprintf "fork, word at %d" addr) 0 (load f addr))
+    [ 104; chunk - 8; chunk; cap - 8 ]
+
+let test_fork_sizes () =
+  let sp = Address_space.create ~bytes:(chunk + 12) in
+  let (_ : int) = Address_space.alloc sp ~bytes:100 in
+  let f = Address_space.fork sp in
+  Alcotest.(check int) "capacity survives fork" (chunk + 16) (Address_space.capacity_bytes f);
+  Alcotest.(check int) "used bytes survive fork" 100 (Address_space.used_bytes f);
+  Alcotest.(check int) "a fork allocates after its source's brk" 128
+    (Address_space.alloc f ~bytes:8);
+  Alcotest.(check int) "without moving the source's" 100 (Address_space.used_bytes sp);
+  Alcotest.(check int) "the source's capacity" (chunk + 16) (Address_space.capacity_bytes sp)
+
+let test_error_messages () =
+  Alcotest.check_raises "empty space"
+    (Invalid_argument "Address_space.create: bytes must be positive") (fun () ->
+      ignore (Address_space.create ~bytes:0));
+  let sp = Address_space.create ~bytes:1024 in
+  List.iter
+    (fun (label, t) ->
+      let raises what exn f = Alcotest.check_raises (label ^ ": " ^ what) exn f in
+      raises "unaligned load" (Invalid_argument "Address_space: unaligned address 4") (fun () ->
+          ignore (Address_space.load t 4));
+      raises "unaligned negative load" (Invalid_argument "Address_space: unaligned address -4")
+        (fun () -> ignore (Address_space.load t (-4)));
+      raises "unaligned store" (Invalid_argument "Address_space: unaligned address 12") (fun () ->
+          Address_space.store t 12 0);
+      raises "load past capacity" (Invalid_argument "Address_space: address 1024 out of range")
+        (fun () -> ignore (Address_space.load t 1024));
+      raises "negative load" (Invalid_argument "Address_space: address -8 out of range") (fun () ->
+          ignore (Address_space.load t (-8)));
+      raises "store past capacity" (Invalid_argument "Address_space: address 2048 out of range")
+        (fun () -> Address_space.store t 2048 0);
+      raises "empty alloc" (Invalid_argument "Address_space.alloc: bytes must be positive")
+        (fun () -> ignore (Address_space.alloc t ~bytes:0));
+      raises "oversized alloc"
+        (Failure "Address_space.alloc: out of memory (want 100000 at 0, capacity 1024)")
+        (fun () -> ignore (Address_space.alloc t ~bytes:100000)))
+    [ ("space", sp); ("fork", Address_space.fork sp) ]
+
+(* Model test: random allocs, stores, loads and forks over a family of
+   spaces, each checked against a flat int array plus a brk. The
+   capacities straddle the 32 KiB chunk size, and word indexes cluster
+   at chunk edges and just past the capacity. *)
+type op =
+  | Alloc of int * int  (* space, bytes *)
+  | Store of int * int * int  (* space, word, value *)
+  | Load of int * int  (* space, word *)
+  | Fork of int  (* space *)
+
+let pp_op = function
+  | Alloc (s, b) -> Printf.sprintf "alloc s%d %d" s b
+  | Store (s, w, v) -> Printf.sprintf "store s%d w%d %d" s w v
+  | Load (s, w) -> Printf.sprintf "load s%d w%d" s w
+  | Fork s -> Printf.sprintf "fork s%d" s
+
+let max_spaces = 6
+
+let model_case =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 8; chunk - 8; chunk; chunk + 8; (3 * chunk) + 40 ] >>= fun cap ->
+    let words = cap / 8 in
+    let word =
+      oneof
+        [
+          int_bound (words + 1);
+          map2 (fun k d -> max 0 ((k * (chunk / 8)) + d)) (int_bound 3) (int_range (-2) 2);
+          map (fun d -> words - 2 + d) (int_bound 3);
+        ]
+    in
+    let space = int_bound (max_spaces - 1) in
+    let op =
+      frequency
+        [
+          (2, map2 (fun s b -> Alloc (s, 1 + b)) space (oneof [ int_bound 200; int_bound cap ]));
+          (5, map3 (fun s w v -> Store (s, w, v)) space word int);
+          (4, map2 (fun s w -> Load (s, w)) space word);
+          (2, map (fun s -> Fork s) space);
+        ]
+    in
+    pair (return cap) (list_size (int_range 1 80) op)
+  in
+  QCheck.make gen ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map pp_op ops)))
+
+let qcheck_fork_model =
+  QCheck.Test.make ~name:"forked spaces match flat models" ~count:300 model_case
+    (fun (cap, ops) ->
+      let words = cap / 8 in
+      let inside w = w >= 0 && w < words in
+      let spaces = ref [| (Address_space.create ~bytes:cap, Array.make words 0, ref 0) |] in
+      let pick s = !spaces.(s mod Array.length !spaces) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (function
+          | Alloc (s, bytes) -> (
+              let sp, _, brk = pick s in
+              let base = (!brk + 63) / 64 * 64 in
+              match Address_space.alloc sp ~bytes with
+              | got ->
+                  expect (base + bytes <= cap && got = base);
+                  brk := base + bytes
+              | exception Failure _ -> expect (base + bytes > cap))
+          | Store (s, w, v) -> (
+              let sp, m, _ = pick s in
+              match Address_space.store sp (8 * w) v with
+              | () ->
+                  expect (inside w);
+                  m.(w) <- v
+              | exception Invalid_argument _ -> expect (not (inside w)))
+          | Load (s, w) -> (
+              let sp, m, _ = pick s in
+              match Address_space.load sp (8 * w) with
+              | v -> expect (inside w && v = m.(w))
+              | exception Invalid_argument _ -> expect (not (inside w)))
+          | Fork s ->
+              if Array.length !spaces < max_spaces then begin
+                let sp, m, brk = pick s in
+                spaces := Array.append !spaces [| (Address_space.fork sp, Array.copy m, ref !brk) |]
+              end)
+        ops;
+      Array.iter
+        (fun (sp, m, brk) ->
+          expect (Address_space.used_bytes sp = !brk);
+          expect (Address_space.capacity_bytes sp = cap);
+          Array.iteri (fun w v -> expect (Address_space.load sp (8 * w) = v)) m)
+        !spaces;
+      !ok)
+
 (* --- Cache --- *)
 
 let mk_cache ?(size = 8 * 64) ?(ways = 2) () =
@@ -242,6 +426,12 @@ let () =
           Alcotest.test_case "load/store" `Quick test_load_store;
           Alcotest.test_case "errors" `Quick test_addr_errors;
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion_boundary;
+          Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
+          Alcotest.test_case "fork of a fork" `Quick test_fork_of_fork;
+          Alcotest.test_case "beyond brk reads zero" `Quick test_beyond_brk_reads_zero;
+          Alcotest.test_case "fork keeps sizes" `Quick test_fork_sizes;
+          Alcotest.test_case "error messages" `Quick test_error_messages;
+          QCheck_alcotest.to_alcotest qcheck_fork_model;
         ] );
       ( "cache",
         [
