@@ -79,6 +79,10 @@ val check : name -> Gen.cfg -> Program.t -> verdict
 
 val check_case : name -> Gen.case -> verdict
 
+(** The memory geometries the [Soundness] oracle samples from, one per
+    case ([Memconfig.default] first). *)
+val mem_samples : Stallhide_mem.Memconfig.t list
+
 (** The [Mutant] oracle's miscompile: inserts [mov rd, 0] after every
     load (destroying the loaded value), exposed so tests can build the
     broken binary directly. *)

@@ -5,9 +5,18 @@ type t = {
   line_shift : int;
   sets : int;
   ways : int;
+  (* [create] allocates these three without writing them. A set's
+     [tags] are defined from its first [scan] on, which first writes
+     every way to [-1] ([warm]); [find] treats a [cold] set as empty.
+     Invariant: the values of [ready] and [stamp] count only at slots
+     whose tag this cache has written with a line, so they need no
+     initialisation — [scan_from]'s [||] skips [stamp] at an empty
+     slot, and [vstamp] counts only while [vtag <> -1]. The cache
+     model test in test_mem guards this. *)
   tags : arr;  (* sets*ways; -1 = invalid *)
   ready : arr;
   stamp : arr;  (* LRU timestamps *)
+  cold : Bytes.t;  (* one byte per set: ['\001'] until its tags are written *)
   mutable tick : int;
   (* The slot [insert] would fill with [miss_line], recorded by the
      last lookup that missed it so the fill after a miss skips a
@@ -24,23 +33,22 @@ let log2 n =
   let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
   loop n 0
 
-let make_arr len v =
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  Bigarray.Array1.fill a v;
-  a
-
 let create ~name ~line_bytes (cfg : Memconfig.level_cfg) =
-  let lines = cfg.size_bytes / line_bytes in
-  let sets = lines / cfg.ways in
-  if sets <= 0 then invalid_arg "Cache.create: zero sets";
+  if cfg.ways < 1 then invalid_arg "Cache.create: ways must be positive";
+  if not (Memconfig.is_pow2 line_bytes) then
+    invalid_arg "Cache.create: line_bytes must be a power of two";
+  let sets = cfg.size_bytes / line_bytes / cfg.ways in
+  if not (Memconfig.is_pow2 sets) then invalid_arg "Cache.create: set count must be a power of two";
+  let arr () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (sets * cfg.ways) in
   {
     cname = name;
     line_shift = log2 line_bytes;
     sets;
     ways = cfg.ways;
-    tags = make_arr lines (-1);
-    ready = make_arr lines 0;
-    stamp = make_arr lines 0;
+    tags = arr ();
+    ready = arr ();
+    stamp = arr ();
+    cold = Bytes.make sets '\001';
     tick = 0;
     miss_line = 0;
     miss_slot = -1;
@@ -62,10 +70,14 @@ let rec find_from (tags : arr) line s stop =
   else if Bigarray.Array1.unsafe_get tags s = line then s
   else find_from tags line (s + 1) stop
 
-(* Returns the way slot index of the line in its set, or -1. *)
+(* Returns the way slot index of the line in its set, or -1. A cold
+   set holds no line and stays cold. *)
 let find t line =
-  let base = (line land (t.sets - 1)) * t.ways in
-  find_from t.tags line base (base + t.ways)
+  let set = line land (t.sets - 1) in
+  if Bytes.unsafe_get t.cold set <> '\000' then -1
+  else
+    let base = set * t.ways in
+    find_from t.tags line base (base + t.ways)
 
 let touch t slot =
   t.tick <- t.tick + 1;
@@ -85,8 +97,17 @@ let rec scan_from (tags : arr) (stamp : arr) line s stop victim vtag vstamp =
       scan_from tags stamp line (s + 1) stop s ts (Bigarray.Array1.unsafe_get stamp s)
     else scan_from tags stamp line (s + 1) stop victim vtag vstamp
 
+(* Out of line: runs once per set, the hot path only tests the mark. *)
+let[@inline never] warm t set base =
+  for s = base to base + t.ways - 1 do
+    Bigarray.Array1.unsafe_set t.tags s (-1)
+  done;
+  Bytes.unsafe_set t.cold set '\000'
+
 let scan t line =
-  let base = (line land (t.sets - 1)) * t.ways in
+  let set = line land (t.sets - 1) in
+  let base = set * t.ways in
+  if Bytes.unsafe_get t.cold set <> '\000' then warm t set base;
   scan_from t.tags t.stamp line base (base + t.ways) base
     (Bigarray.Array1.unsafe_get t.tags base)
     (Bigarray.Array1.unsafe_get t.stamp base)
@@ -152,8 +173,6 @@ let invalidate t addr =
   else begin
     t.miss_slot <- -1;
     t.tags.{slot} <- -1;
-    t.ready.{slot} <- 0;
-    t.stamp.{slot} <- 0;
     true
   end
 

@@ -11,6 +11,17 @@ type lookup =
   | In_flight of int  (** present, fill completes at the given cycle *)
   | Miss
 
+(** [create ~name ~line_bytes cfg] is an empty cache of
+    [cfg.size_bytes / line_bytes] lines in [cfg.ways]-way sets. It
+    allocates its tag, ready-time and LRU-stamp arrays off the OCaml
+    heap without writing them, plus one cold mark per set, so it costs
+    O(sets), not O(lines). A set's tags are written at its first
+    lookup, prefetch or insert; until then [resident] and [invalidate]
+    treat it as empty. Invariant: a slot's ready time and LRU stamp
+    count only once this cache has written a line's tag into that
+    slot, so neither is ever initialised.
+    @raise Invalid_argument when [ways < 1], or when [line_bytes] or
+    the set count is not a power of two. *)
 val create : name:string -> line_bytes:int -> Memconfig.level_cfg -> t
 
 val name : t -> string

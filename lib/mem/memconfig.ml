@@ -30,6 +30,7 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let validate t =
   if not (is_pow2 t.line_bytes) then invalid_arg "Memconfig: line_bytes must be a power of two";
   let check name (c : level_cfg) =
+    if c.ways <= 0 then invalid_arg (Printf.sprintf "Memconfig: %s ways must be positive" name);
     if c.size_bytes mod (t.line_bytes * c.ways) <> 0 then
       invalid_arg (Printf.sprintf "Memconfig: %s size not divisible by ways*line" name);
     if not (is_pow2 (c.size_bytes / (t.line_bytes * c.ways))) then

@@ -29,6 +29,9 @@ val default : t
     used by the Figure-1 spectrum experiment to sweep event duration. *)
 val with_dram_latency : t -> int -> t
 
+(** [is_pow2 n]: [n] is a positive power of two. *)
+val is_pow2 : int -> bool
+
 (** Sanity checks (power-of-two geometry, monotone cache latencies;
     [dram_latency] may sit below [l3.latency] for event-duration sweeps).
     @raise Invalid_argument when violated. *)

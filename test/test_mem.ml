@@ -287,6 +287,205 @@ let test_cache_lru () =
   | Cache.Hit -> ()
   | _ -> Alcotest.fail "MRU line evicted"
 
+(* Model test: random lookups, prefetches, fills, invalidations and
+   residency probes on small caches, with the clock rising, each step
+   checked against a list of lines per set. A fill comes cold or right
+   after its own lookup or prefetch (the path that reuses that scan's
+   victim). [create] leaves the storage unwritten and malloc recycles
+   it between cases, so a stale tag that reads as a line fails here
+   too. *)
+type cache_op =
+  | Lookup of bool * int  (* prefetch?, address *)
+  | Fill of bool option * int * int
+      (* the lookup (prefetch?) it follows at the same cycle, if any;
+         address; ready delay *)
+  | Invalidate of int
+  | Resident of int
+
+let pp_cache_op =
+  let lookup p = if p then "prefetch" else "lookup" in
+  function
+  | Lookup (p, a) -> Printf.sprintf "%s %d" (lookup p) a
+  | Fill (after, a, d) ->
+      let after = match after with Some p -> " after " ^ lookup p | None -> "" in
+      Printf.sprintf "fill%s %d +%d" after a d
+  | Invalidate a -> Printf.sprintf "invalidate %d" a
+  | Resident a -> Printf.sprintf "resident %d" a
+
+module Cache_model = struct
+  type line = { tag : int; ready : int; stamp : int }
+
+  type t = {
+    sets : line list array;
+    ways : int;
+    line_bytes : int;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~line_bytes ~sets ~ways =
+    { sets = Array.make sets []; ways; line_bytes; tick = 0; hits = 0; misses = 0 }
+
+  let set t line = line mod Array.length t.sets
+
+  let find t addr =
+    let line = addr / t.line_bytes in
+    (line, List.find_opt (fun l -> l.tag = line) t.sets.(set t line))
+
+  let update t line f =
+    let s = set t line in
+    t.sets.(s) <- List.map (fun l -> if l.tag = line then f l else l) t.sets.(s)
+
+  let touch t line =
+    t.tick <- t.tick + 1;
+    update t line (fun l -> { l with stamp = t.tick })
+
+  let classify t ~now ~touch_ready addr =
+    match find t addr with
+    | _, None ->
+        t.misses <- t.misses + 1;
+        -1
+    | _, Some l when l.ready <= now && not touch_ready -> 0
+    | line, Some l ->
+        t.hits <- t.hits + 1;
+        touch t line;
+        if l.ready <= now then 0 else l.ready
+
+  (* Refill keeps the earlier ready time; a new line takes an empty way,
+     else evicts the least recently used one. *)
+  let insert t ~ready_at addr =
+    match find t addr with
+    | line, Some _ ->
+        update t line (fun l -> { l with ready = min l.ready ready_at });
+        touch t line
+    | line, None ->
+        let s = set t line in
+        let kept =
+          match t.sets.(s) with
+          | l0 :: rest when List.length t.sets.(s) = t.ways ->
+              let lru = List.fold_left (fun a l -> if l.stamp < a.stamp then l else a) l0 rest in
+              List.filter (fun l -> l.tag <> lru.tag) t.sets.(s)
+          | ls -> ls
+        in
+        t.tick <- t.tick + 1;
+        t.sets.(s) <- { tag = line; ready = ready_at; stamp = t.tick } :: kept
+
+  let resident t ~now addr =
+    match find t addr with _, Some l -> l.ready <= now | _, None -> false
+
+  let invalidate t addr =
+    match find t addr with
+    | line, Some _ ->
+        let s = set t line in
+        t.sets.(s) <- List.filter (fun l -> l.tag <> line) t.sets.(s);
+        true
+    | _, None -> false
+end
+
+let cache_model_case =
+  let open QCheck.Gen in
+  let gen =
+    triple (int_range 1 8) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 64; 128 ]) >>= fun (ways, sets, lb) ->
+    (* twice the capacity, so sets overflow and lines get evicted *)
+    let line = int_bound ((2 * sets * ways) - 1) in
+    let addr = map2 (fun l off -> (l * lb) + off) line (int_bound (lb - 1)) in
+    let op =
+      frequency
+        [
+          (6, map2 (fun p a -> Lookup (p, a)) bool addr);
+          (4, map3 (fun after a d -> Fill (after, a, d)) (opt bool) addr (int_bound 40));
+          (1, map (fun a -> Invalidate a) addr);
+          (1, map (fun a -> Resident a) addr);
+        ]
+    in
+    let ops = list_size (int_range 1 120) (pair (int_bound 6) op) in
+    map (fun ops -> (ways, sets, lb, ops)) ops
+  in
+  let pp (dt, op) = Printf.sprintf "+%d %s" dt (pp_cache_op op) in
+  QCheck.make gen ~print:(fun (ways, sets, lb, ops) ->
+      Printf.sprintf "%d ways, %d sets, %d B lines: %s" ways sets lb
+        (String.concat "; " (List.map pp ops)))
+
+let qcheck_cache_model =
+  QCheck.Test.make ~name:"cache matches a per-set list model" ~count:300 cache_model_case
+    (fun (ways, sets, line_bytes, ops) ->
+      let c =
+        Cache.create ~name:"t" ~line_bytes
+          { Memconfig.size_bytes = sets * ways * line_bytes; ways; latency = 4 }
+      in
+      let m = Cache_model.create ~line_bytes ~sets ~ways in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let now = ref 0 in
+      let lookup prefetch a =
+        let now = !now in
+        let code = if prefetch then Cache.prefetch_code else Cache.lookup_code in
+        expect (code c ~now a = Cache_model.classify m ~now ~touch_ready:(not prefetch) a)
+      in
+      List.iter
+        (fun (dt, op) ->
+          now := !now + dt;
+          let now = !now in
+          (match op with
+          | Lookup (p, a) -> lookup p a
+          | Fill (after, a, d) ->
+              Option.iter (fun p -> lookup p a) after;
+              Cache.insert c ~now ~ready_at:(now + d) a;
+              Cache_model.insert m ~ready_at:(now + d) a
+          | Invalidate a -> expect (Cache.invalidate c a = Cache_model.invalidate m a)
+          | Resident a -> expect (Cache.resident c ~now a = Cache_model.resident m ~now a));
+          expect (Cache.hits c = m.Cache_model.hits);
+          expect (Cache.misses c = m.Cache_model.misses);
+          for line = 0 to (2 * sets * ways) - 1 do
+            let a = line * line_bytes in
+            expect (Cache.resident c ~now a = Cache_model.resident m ~now a)
+          done)
+        ops;
+      !ok)
+
+(* A dropped cache's storage goes back to malloc, which hands it to the
+   next cache of the same size with the old tags still in it. None of
+   them may read as a line: no old line is resident, and every first
+   lookup misses. Covers every level of every geometry the soundness
+   oracle samples ([Memconfig.default] among them). *)
+let[@inline never] fill_and_drop ~line_bytes level =
+  let c = Cache.create ~name:"old" ~line_bytes level in
+  for line = 0 to Cache.lines c - 1 do
+    Cache.insert c ~now:0 ~ready_at:0 (line * line_bytes)
+  done;
+  for line = 0 to Cache.lines c - 1 do
+    if not (Cache.resident c ~now:0 (line * line_bytes)) then
+      Alcotest.failf "line %d not filled" line
+  done
+
+let test_cache_storage_reuse () =
+  let geometries =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (m : Memconfig.t) ->
+           List.map (fun l -> (m.line_bytes, l)) ([ m.l1; m.l2; m.l3 ] @ Option.to_list m.icache))
+         (Memconfig.default :: Stallhide_check.Oracle.mem_samples))
+  in
+  List.iter
+    (fun (line_bytes, (level : Memconfig.level_cfg)) ->
+      fill_and_drop ~line_bytes level;
+      Gc.full_major ();
+      let c = Cache.create ~name:"new" ~line_bytes level in
+      let where line =
+        Printf.sprintf "%d B / %d-way / %d B lines, line %d" level.size_bytes level.ways line_bytes
+          line
+      in
+      for line = 0 to Cache.lines c - 1 do
+        if Cache.resident c ~now:max_int (line * line_bytes) then
+          Alcotest.failf "stale line resident: %s" (where line)
+      done;
+      for line = 0 to Cache.lines c - 1 do
+        if Cache.lookup_code c ~now:0 (line * line_bytes) <> -1 then
+          Alcotest.failf "stale line hit: %s" (where line)
+      done)
+    geometries
+
 (* --- Hierarchy --- *)
 
 let test_hierarchy_levels () =
@@ -371,9 +570,28 @@ let test_config_validation () =
   let bad_ic =
     { cfg with Memconfig.icache = Some { Memconfig.size_bytes = 100; ways = 3; latency = 14 } }
   in
-  match Memconfig.validate bad_ic with
+  (match Memconfig.validate bad_ic with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad icache geometry accepted"
+  | _ -> Alcotest.fail "bad icache geometry accepted");
+  let rejects what msg f =
+    match f () with
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let no_ways = { cfg with Memconfig.l1 = { cfg.Memconfig.l1 with Memconfig.ways = 0 } } in
+  rejects "zero-way l1" "Memconfig: l1 ways must be positive" (fun () ->
+      Memconfig.validate no_ways);
+  rejects "zero-way hierarchy" "Memconfig: l1 ways must be positive" (fun () ->
+      ignore (Hierarchy.create no_ways));
+  let cache ~line_bytes size_bytes ways () =
+    ignore (Cache.create ~name:"t" ~line_bytes { Memconfig.size_bytes; ways; latency = 4 })
+  in
+  rejects "zero-way cache" "Cache.create: ways must be positive" (cache ~line_bytes:64 512 0);
+  rejects "48-byte lines" "Cache.create: line_bytes must be a power of two"
+    (cache ~line_bytes:48 (8 * 48) 2);
+  rejects "3 sets" "Cache.create: set count must be a power of two"
+    (cache ~line_bytes:64 (3 * 2 * 64) 2);
+  rejects "0 sets" "Cache.create: set count must be a power of two" (cache ~line_bytes:64 64 2)
 
 let qcheck_access_then_hit =
   QCheck.Test.make ~name:"access then immediate re-access hits L1" ~count:200
@@ -439,6 +657,8 @@ let () =
           Alcotest.test_case "in-flight" `Quick test_cache_inflight;
           Alcotest.test_case "refill keeps earlier" `Quick test_cache_refill_keeps_earlier;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
+          QCheck_alcotest.to_alcotest qcheck_cache_model;
+          Alcotest.test_case "reused storage reads empty" `Quick test_cache_storage_reuse;
         ] );
       ( "hierarchy",
         [
