@@ -10,7 +10,7 @@ type opts = {
   max_cycles : int;
   obs : Stallhide_obs.Stream.t option;
   prepare_hier : Hierarchy.t -> unit;
-  watchdog : Dual_mode.watchdog option;
+  watchdog : Core_sched.watchdog option;
 }
 
 let default_opts =
@@ -226,8 +226,8 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
         r.Dual_mode.sched;
     primary_latency = Latency.summarize (Latency.of_ctx recorder 0);
     primary_done_at = r.Dual_mode.primary_done_at;
-    scavenger_switches = r.Dual_mode.scavenger_switches;
-    watchdog_strikes = r.Dual_mode.watchdog_strikes;
-    watchdog_demotions = r.Dual_mode.watchdog_demotions;
-    watchdog_quarantined = r.Dual_mode.watchdog_quarantined;
+    scavenger_switches = r.Dual_mode.stats.Core_sched.scav_dispatches;
+    watchdog_strikes = r.Dual_mode.stats.Core_sched.watchdog_strikes;
+    watchdog_demotions = r.Dual_mode.stats.Core_sched.watchdog_demotions;
+    watchdog_quarantined = r.Dual_mode.stats.Core_sched.watchdog_quarantined;
   }

@@ -37,7 +37,7 @@ type opts = {
       (** called on every freshly built hierarchy before the run —
           the fault-injection hook (arm a latency spike here); default
           [ignore] *)
-  watchdog : Dual_mode.watchdog option;
+  watchdog : Core_sched.watchdog option;
       (** scheduler watchdog for {!run_dual}; [None] (default) disables *)
 }
 
@@ -121,7 +121,7 @@ type dual_result = {
   primary_latency : Latency.summary option;  (** per-request latency of the primary *)
   primary_done_at : int;
   scavenger_switches : int;
-  watchdog_strikes : int;  (** see {!Dual_mode.result} *)
+  watchdog_strikes : int;  (** see {!Core_sched.stats} *)
   watchdog_demotions : int;
   watchdog_quarantined : int;
 }

@@ -276,10 +276,10 @@ let run_rogue ~opts ~workload ~count ~compute fault =
       split = None;
       counters =
         [
-          ("watchdog.strikes", r.Dual_mode.watchdog_strikes);
-          ("watchdog.demotions", r.Dual_mode.watchdog_demotions);
-          ("watchdog.quarantines", r.Dual_mode.watchdog_quarantined);
-          ("scavenger.switches", r.Dual_mode.scavenger_switches);
+          ("watchdog.strikes", r.Dual_mode.stats.Core_sched.watchdog_strikes);
+          ("watchdog.demotions", r.Dual_mode.stats.Core_sched.watchdog_demotions);
+          ("watchdog.quarantines", r.Dual_mode.stats.Core_sched.watchdog_quarantined);
+          ("scavenger.switches", r.Dual_mode.stats.Core_sched.scav_dispatches);
         ];
     }
   in
@@ -287,7 +287,7 @@ let run_rogue ~opts ~workload ~count ~compute fault =
     mk "fault-free" (arm ~rogue:false ~watchdog:None) None;
     mk "undefended" (arm ~rogue:true ~watchdog:None) (Some fault);
     mk "defended"
-      (arm ~rogue:true ~watchdog:(Some Dual_mode.default_watchdog))
+      (arm ~rogue:true ~watchdog:(Some Core_sched.default_watchdog))
       (Some fault);
   ]
 

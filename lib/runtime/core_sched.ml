@@ -17,6 +17,10 @@ let default_config =
     steal_cost = 24;
   }
 
+type watchdog = { bound : int; strikes : int; backoff : int; quarantine_after : int }
+
+let default_watchdog = { bound = 512; strikes = 2; backoff = 2048; quarantine_after = 2 }
+
 type stats = {
   mutable dispatches : int;
   mutable scav_dispatches : int;
@@ -27,6 +31,18 @@ type stats = {
   mutable escalations : int;
   mutable completions : int;
   mutable fault_count : int;
+  mutable watchdog_strikes : int;
+  mutable watchdog_demotions : int;
+  mutable watchdog_quarantined : int;
+}
+
+(* A pool entry: the scavenger and the watchdog's verdicts on it, kept
+   together so they move as one when [donate] takes an entry out. *)
+type slot = {
+  ctx : Context.t;
+  mutable overruns : int;  (* strikes since its last demotion *)
+  mutable demotions : int;
+  mutable benched_until : int;  (* 0 when admitted; [max_int] once quarantined *)
 }
 
 type t = {
@@ -37,9 +53,11 @@ type t = {
   clock : int ref;
   queue : Context.t Queue.t;
   mutable current : Context.t option;
-  mutable pool : Context.t array;
+  mutable pool : slot array;
   mutable cold : int;  (* pool entries that are ready and never started *)
   mutable rr : int;
+  rotate : bool;
+  mutable watchdog : watchdog option;
   mutable steal_source : (unit -> Context.t option) option;
   mutable on_complete : (Context.t -> now:int -> unit) option;
   mutable faults : string list;
@@ -47,7 +65,7 @@ type t = {
   stats : stats;
 }
 
-let create ?(config = default_config) ?obs hier mem =
+let create ?(config = default_config) ?obs ?(rotate = false) hier mem =
   {
     cfg = config;
     hier;
@@ -59,6 +77,8 @@ let create ?(config = default_config) ?obs hier mem =
     pool = [||];
     cold = 0;
     rr = 0;
+    rotate;
+    watchdog = None;
     steal_source = None;
     on_complete = None;
     faults = [];
@@ -74,6 +94,9 @@ let create ?(config = default_config) ?obs hier mem =
         escalations = 0;
         completions = 0;
         fault_count = 0;
+        watchdog_strikes = 0;
+        watchdog_demotions = 0;
+        watchdog_quarantined = 0;
       };
   }
 
@@ -100,14 +123,14 @@ let is_cold s = Context.is_ready s && s.Context.started_at < 0
 let add_scavenger t ctx =
   ctx.Context.mode <- Context.Scavenger;
   if is_cold ctx then t.cold <- t.cold + 1;
-  t.pool <- Array.append t.pool [| ctx |]
+  t.pool <- Array.append t.pool [| { ctx; overruns = 0; demotions = 0; benched_until = 0 } |]
 
 let stealable t = t.cold
 
 let donate t =
   let n = Array.length t.pool in
   let rec find i =
-    if i = n then None else if is_cold t.pool.(i) then Some i else find (i + 1)
+    if i = n then None else if is_cold t.pool.(i).ctx then Some i else find (i + 1)
   in
   match find 0 with
   | None -> None
@@ -117,13 +140,15 @@ let donate t =
       if t.rr > i then t.rr <- t.rr - 1;
       t.cold <- t.cold - 1;
       t.stats.donated <- t.stats.donated + 1;
-      Some s
+      Some s.ctx
 
 let set_steal_source t f = t.steal_source <- Some f
 
 let set_on_complete t f = t.on_complete <- Some f
 
 let set_scavengers_enabled t enabled = t.scav_enabled <- enabled
+
+let set_watchdog t w = t.watchdog <- Some w
 
 type outcome = Worked | Idle
 
@@ -157,16 +182,60 @@ let try_steal t =
           add_scavenger t s;
           true)
 
-(* First ready scavenger at or after the cursor, without advancing it:
-   scavengers are served depth-first (the same one resumes until it
-   halts or escalates), so later pool entries stay cold — and therefore
-   stealable — as long as possible. Returns its pool index, or -1. *)
+let verdict t s action =
+  match t.obs with
+  | Some o ->
+      Stallhide_obs.Stream.record o
+        (Stallhide_obs.Event.Watchdog { ctx = s.ctx.Context.id; action; cycle = !(t.clock) })
+  | None -> ()
+
+(* The watchdog's admission test: a benched scavenger sits out until
+   [benched_until], then is readmitted. Nothing is benched while the
+   watchdog is unarmed, so the first comparison settles it. *)
+let admitted t s =
+  s.benched_until = 0
+  || (s.benched_until <= !(t.clock)
+     && begin
+          s.benched_until <- 0;
+          verdict t s Stallhide_obs.Event.Readmit;
+          true
+        end)
+
+(* Judge a dispatch that filled a primary's stall. *)
+let judge t w s ~elapsed =
+  if elapsed > w.bound then begin
+    t.stats.watchdog_strikes <- t.stats.watchdog_strikes + 1;
+    verdict t s Stallhide_obs.Event.Strike;
+    s.overruns <- s.overruns + 1;
+    if s.overruns >= w.strikes then begin
+      s.overruns <- 0;
+      let nth = s.demotions in
+      s.demotions <- nth + 1;
+      if s.demotions >= w.quarantine_after then begin
+        s.benched_until <- max_int;
+        t.stats.watchdog_quarantined <- t.stats.watchdog_quarantined + 1;
+        verdict t s Stallhide_obs.Event.Quarantine
+      end
+      else begin
+        s.benched_until <- !(t.clock) + (w.backoff lsl min nth 20);
+        t.stats.watchdog_demotions <- t.stats.watchdog_demotions + 1;
+        verdict t s Stallhide_obs.Event.Demote
+      end
+    end
+  end
+
+(* First ready, admitted scavenger at or after the cursor. Depth-first
+   (the default) leaves the cursor on it, so the same scavenger resumes
+   until it halts, escalates or faults and later pool entries stay
+   cold, and therefore stealable, as long as possible; [rotate] moves
+   the cursor past it. Returns its pool index, or -1. *)
 let rec next_from t n k =
   if k = n then -1
   else
     let j = (t.rr + k) mod n in
-    if Context.is_ready t.pool.(j) then begin
-      t.rr <- j;
+    let s = t.pool.(j) in
+    if Context.is_ready s.ctx && admitted t s then begin
+      t.rr <- (if t.rotate then (j + 1) mod n else j);
       j
     end
     else next_from t n (k + 1)
@@ -194,7 +263,8 @@ let run_scavenger t ~deadline s =
 (* Fill the current primary's stall: scavenger slices until a timely
    scavenger-phase yield, escalating past ones that hit their own
    misses; steal (at most [steals] more times) when the local pool runs
-   dry. Top-level recursion: [hide] runs after every primary yield. *)
+   dry. An armed watchdog judges these slices and no others. Top-level
+   recursion: [hide] runs after every primary yield. *)
 let rec hide_loop t ~deadline steals budget =
   if budget = 0 || !(t.clock) >= deadline then ()
   else
@@ -203,8 +273,12 @@ let rec hide_loop t ~deadline steals budget =
       if steals > 0 && try_steal t then hide_loop t ~deadline (steals - 1) budget
     end
     else begin
-      let s = t.pool.(j) in
-      match run_scavenger t ~deadline s with
+      let slot = t.pool.(j) in
+      let s = slot.ctx in
+      let start = !(t.clock) in
+      let stop = run_scavenger t ~deadline s in
+      (match t.watchdog with Some w -> judge t w slot ~elapsed:(!(t.clock) - start) | None -> ());
+      match stop with
       | Engine.Yielded (Instr.Scavenger, pc) ->
           charge t ~from_ctx:s.Context.id ~at_pc:pc
             (Switch_cost.at_site t.cfg.switch s.Context.program pc)
@@ -275,7 +349,7 @@ let step t ~deadline =
         let j = next_scavenger t in
         if j < 0 then if try_steal t then Worked else Idle
         else begin
-          let s = t.pool.(j) in
+          let s = t.pool.(j).ctx in
           match run_scavenger t ~deadline s with
           | Engine.Yielded (_, pc) ->
               charge t ~from_ctx:s.Context.id ~at_pc:pc

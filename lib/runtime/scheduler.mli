@@ -51,6 +51,17 @@ val run_round_robin :
 
 val pp_result : Format.formatter -> result -> unit
 
+(** [collect ctxs ~clock ~switches ~switch_cycles ~faults] builds a
+    result: [stall], [instructions] and [completed] are summed over
+    [ctxs], the rest is given. *)
+val collect :
+  Context.t array ->
+  clock:int ->
+  switches:int ->
+  switch_cycles:int ->
+  faults:string list ->
+  result
+
 (** [traced ?obs engine hier mem ~clock ~deadline ctx] runs the engine
     and records the dispatch span into the telemetry stream [obs]
     (scheduler building block). Scheduling-level events ([Dispatch],

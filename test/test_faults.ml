@@ -279,7 +279,7 @@ let test_dual_scale_up_on_early_yields () =
   (* cold rings: the first scavenger's own miss-yield forces the pool
      to scale up past it *)
   Alcotest.(check bool) "escalated" true (escalations stream > 0);
-  Alcotest.(check bool) "pool used" true (r.Dual_mode.scavenger_switches > 0);
+  Alcotest.(check bool) "pool used" true (r.Dual_mode.stats.Core_sched.scav_dispatches > 0);
   Alcotest.(check int) "everyone halts" 5 r.Dual_mode.sched.Scheduler.completed
 
 let test_dual_scale_down_on_timely_yields () =
@@ -289,7 +289,8 @@ let test_dual_scale_down_on_timely_yields () =
   (* compute-only scavengers always return timely: one dispatch per
      primary stall suffices, the pool never escalates *)
   Alcotest.(check int) "no escalation" 0 (escalations stream);
-  Alcotest.(check bool) "still fills stalls" true (r.Dual_mode.scavenger_switches > 0);
+  Alcotest.(check bool) "still fills stalls" true
+    (r.Dual_mode.stats.Core_sched.scav_dispatches > 0);
   Alcotest.(check int) "everyone halts" 5 r.Dual_mode.sched.Scheduler.completed
 
 (* --- watchdog --- *)
@@ -309,30 +310,31 @@ let rogue_arm ~watchdog ~bursts ~compute =
   (r, stream)
 
 let test_watchdog_quarantines_rogue () =
-  let w = { Dual_mode.bound = 256; strikes = 1; backoff = 1024; quarantine_after = 1 } in
+  let w = { Core_sched.bound = 256; strikes = 1; backoff = 1024; quarantine_after = 1 } in
   let r, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
-  Alcotest.(check bool) "struck" true (r.Dual_mode.watchdog_strikes >= 1);
+  Alcotest.(check bool) "struck" true (r.Dual_mode.stats.Core_sched.watchdog_strikes >= 1);
   (* quarantine_after = 1: straight to quarantine, no bench in between *)
-  Alcotest.(check int) "no benching" 0 r.Dual_mode.watchdog_demotions;
-  Alcotest.(check int) "quarantined" 1 r.Dual_mode.watchdog_quarantined;
+  Alcotest.(check int) "no benching" 0 r.Dual_mode.stats.Core_sched.watchdog_demotions;
+  Alcotest.(check int) "quarantined" 1 r.Dual_mode.stats.Core_sched.watchdog_quarantined;
   let reg = Stallhide_obs.Stream.registry stream in
-  Alcotest.(check int) "counter mirrors result" r.Dual_mode.watchdog_strikes
+  Alcotest.(check int) "counter mirrors result" r.Dual_mode.stats.Core_sched.watchdog_strikes
     (Stallhide_obs.Registry.total reg "watchdog.strikes");
   Alcotest.(check int) "quarantine counted" 1
     (Stallhide_obs.Registry.total reg "watchdog.quarantines")
 
 let test_watchdog_backoff_readmits () =
-  let w = { Dual_mode.bound = 256; strikes = 1; backoff = 512; quarantine_after = 1000 } in
+  let w = { Core_sched.bound = 256; strikes = 1; backoff = 512; quarantine_after = 1000 } in
   let r, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
-  Alcotest.(check bool) "repeat demotions" true (r.Dual_mode.watchdog_demotions >= 2);
-  Alcotest.(check int) "never quarantined" 0 r.Dual_mode.watchdog_quarantined;
+  Alcotest.(check bool) "repeat demotions" true
+    (r.Dual_mode.stats.Core_sched.watchdog_demotions >= 2);
+  Alcotest.(check int) "never quarantined" 0 r.Dual_mode.stats.Core_sched.watchdog_quarantined;
   Alcotest.(check bool) "readmitted between demotions" true
     (Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry stream) "watchdog.readmissions"
     >= 1)
 
 let test_watchdog_off_by_default () =
   let r, stream = rogue_arm ~watchdog:None ~bursts:64 ~compute:2000 in
-  Alcotest.(check int) "no strikes" 0 r.Dual_mode.watchdog_strikes;
+  Alcotest.(check int) "no strikes" 0 r.Dual_mode.stats.Core_sched.watchdog_strikes;
   Alcotest.(check int) "no events" 0
     (Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry stream) "watchdog.strikes")
 

@@ -283,7 +283,8 @@ let test_dual_mode_runs () =
   let r = Dual_mode.run (Hierarchy.create cfg) mem ~primary ~scavengers in
   Alcotest.(check int) "all complete" 5 r.Dual_mode.sched.Scheduler.completed;
   Alcotest.(check bool) "primary finished" true (r.Dual_mode.primary_done_at > 0);
-  Alcotest.(check bool) "scavengers dispatched" true (r.Dual_mode.scavenger_switches > 100);
+  Alcotest.(check bool) "scavengers dispatched" true
+    (r.Dual_mode.stats.Core_sched.scav_dispatches > 100);
   Alcotest.(check (list string)) "no faults" [] r.Dual_mode.sched.Scheduler.faults
 
 let test_dual_mode_beats_sequential_efficiency () =
@@ -315,6 +316,176 @@ let test_dual_mode_no_scavengers () =
   let mem, primary, _ = dual_setup ~scavs:1 ~hops:50 in
   let r = Dual_mode.run (Hierarchy.create cfg) mem ~primary ~scavengers:[||] in
   Alcotest.(check int) "primary completes alone" 1 r.Dual_mode.sched.Scheduler.completed
+
+(* --- Cursor rule: which scavenger runs next --- *)
+
+(* Three scavengers of five dispatches each (four scavenger-phase
+   yields, then the halt), behind a primary that yields six times. *)
+let cursor_setup () =
+  let mem = Address_space.create ~bytes:4096 in
+  let sprog =
+    Asm.parse
+      "mov r2, 4\nloop:\n  add r3, r3, 1\n  syield\n  sub r2, r2, 1\n  br gt r2, 0, loop\n  halt"
+  in
+  let pprog = Asm.parse "mov r2, 6\nloop:\n  yield\n  sub r2, r2, 1\n  br gt r2, 0, loop\n  halt" in
+  let primary = Context.create ~id:0 ~mode:Context.Primary pprog in
+  let scavengers =
+    Array.init 3 (fun i -> Context.create ~id:(i + 1) ~mode:Context.Scavenger sprog)
+  in
+  (mem, primary, scavengers)
+
+let scavenger_dispatches obs =
+  List.filter_map
+    (function Stallhide_obs.Event.Dispatch { ctx; _ } when ctx > 0 -> Some ctx | _ -> None)
+    (Stallhide_obs.Stream.events obs)
+
+let test_dual_mode_rotates () =
+  let mem, primary, scavengers = cursor_setup () in
+  let obs = Stallhide_obs.Stream.create () in
+  let (_ : Dual_mode.result) = Dual_mode.run ~obs (Hierarchy.create cfg) mem ~primary ~scavengers in
+  Alcotest.(check (list int))
+    "every dispatch moves the cursor on"
+    (List.init 15 (fun i -> (i mod 3) + 1))
+    (scavenger_dispatches obs)
+
+let test_machine_core_depth_first () =
+  let mem, primary, scavengers = cursor_setup () in
+  let obs = Stallhide_obs.Stream.create () in
+  let core = Core_sched.create ~obs (Hierarchy.create cfg) mem in
+  Array.iter (Core_sched.add_scavenger core) scavengers;
+  Core_sched.submit core primary;
+  while Core_sched.step core ~deadline:max_int = Core_sched.Worked do
+    ()
+  done;
+  Alcotest.(check (list int))
+    "one scavenger resumes until it halts"
+    (List.init 15 (fun i -> (i / 5) + 1))
+    (scavenger_dispatches obs)
+
+(* --- Watchdog on a core that gives scavengers away --- *)
+
+(* [donate] takes an entry out of the front of the pool [A; R; B]; the
+   watchdog's verdicts must stay with the scavenger they judge. *)
+let test_watchdog_through_donate () =
+  let mem, primary, scavs = dual_setup ~scavs:2 ~hops:100 in
+  let a = scavs.(0) and b = scavs.(1) in
+  let rogue =
+    Context.create ~id:9 ~mode:Context.Scavenger
+      (Stallhide_faults.Faults.rogue_program ~bursts:16 ~compute:1000 ())
+  in
+  let obs = Stallhide_obs.Stream.create () in
+  let core = Core_sched.create ~obs (Hierarchy.create cfg) mem in
+  List.iter (Core_sched.add_scavenger core) [ a; rogue; b ];
+  Core_sched.set_watchdog core
+    { Core_sched.bound = 256; strikes = 1; backoff = 512; quarantine_after = 2 };
+  (match Core_sched.donate core with
+  | Some c -> Alcotest.(check int) "A donated" a.Context.id c.Context.id
+  | None -> Alcotest.fail "nothing donated");
+  Core_sched.submit core primary;
+  while
+    (not (Core_sched.quiescent core)) && Core_sched.step core ~deadline:max_int = Core_sched.Worked
+  do
+    ()
+  done;
+  let reg = Stallhide_obs.Stream.registry obs in
+  let verdicts name = Stallhide_obs.Registry.by_ctx reg name in
+  let rogue_only name =
+    Alcotest.(check (list int)) (name ^ " judge R alone") [ rogue.Context.id ]
+      (List.map fst (verdicts name))
+  in
+  List.iter rogue_only [ "watchdog.strikes"; "watchdog.demotions"; "watchdog.readmissions" ];
+  Alcotest.(check (list (pair int int))) "R quarantined" [ (rogue.Context.id, 1) ]
+    (verdicts "watchdog.quarantines");
+  Alcotest.(check bool) "B served" true (b.Context.instructions > 0);
+  Alcotest.(check bool) "A never ran here" true (a.Context.started_at < 0);
+  let st = Core_sched.stats core in
+  let total = Stallhide_obs.Registry.total reg in
+  Alcotest.(check int) "strikes" (total "watchdog.strikes") st.Core_sched.watchdog_strikes;
+  Alcotest.(check int) "demotions" (total "watchdog.demotions") st.Core_sched.watchdog_demotions;
+  Alcotest.(check int) "quarantines" (total "watchdog.quarantines")
+    st.Core_sched.watchdog_quarantined
+
+(* --- Dual mode, pinned --- *)
+
+(* [Dual_mode.run]'s whole result, and the stream it feeds: the
+   scheduling counters, the event count and a digest of every event in
+   order. The values come from an independent implementation, the loop
+   [Dual_mode] kept before it drove a [Core_sched]; they differ only in
+   [scav], which now also counts each drain dispatch that ends in a
+   halt (default 180, rogue 124 and faulty 123 there). *)
+let dual_pin ?config ?max_cycles ~primary ~scavengers mem =
+  let obs = Stallhide_obs.Stream.create () in
+  let r = Dual_mode.run ?config ?max_cycles ~obs (Hierarchy.create cfg) mem ~primary ~scavengers in
+  let s = r.Dual_mode.sched and st = r.Dual_mode.stats in
+  let total = Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry obs) in
+  let events = Buffer.create 4096 in
+  Stallhide_obs.Stream.iter
+    (fun e -> Buffer.add_string events (Format.asprintf "%a\n" Stallhide_obs.Event.pp e))
+    obs;
+  Printf.sprintf
+    "cycles=%d stall=%d switch=%d/%d instr=%d completed=%d faults=%d done_at=%d scav=%d \
+     wd=%d/%d/%d | switch.count=%d escalations=%d wd.*=%d/%d/%d/%d events=%d %s"
+    s.Scheduler.cycles s.Scheduler.stall s.Scheduler.switch_cycles s.Scheduler.switches
+    s.Scheduler.instructions s.Scheduler.completed
+    (List.length s.Scheduler.faults)
+    r.Dual_mode.primary_done_at st.Core_sched.scav_dispatches st.Core_sched.watchdog_strikes
+    st.Core_sched.watchdog_demotions st.Core_sched.watchdog_quarantined (total "switch.count")
+    (total "scavenger.escalations") (total "watchdog.strikes") (total "watchdog.demotions")
+    (total "watchdog.quarantines") (total "watchdog.readmissions")
+    (Stallhide_obs.Stream.length obs)
+    (Digest.to_hex (Digest.string (Buffer.contents events)))
+
+let test_dual_mode_pinned () =
+  let run ?config ?max_cycles ?(scavs = 3) ?(extra = [||]) () =
+    let mem, primary, scavengers = dual_setup ~scavs ~hops:30 in
+    dual_pin ?config ?max_cycles ~primary ~scavengers:(Array.append scavengers extra) mem
+  in
+  let rogue =
+    Context.create ~id:9 ~mode:Context.Scavenger
+      (Stallhide_faults.Faults.rogue_program ~bursts:16 ~compute:1000 ())
+  in
+  let watchdog = { Core_sched.bound = 256; strikes = 2; backoff = 512; quarantine_after = 2 } in
+  let faulty =
+    Context.create ~id:7 ~mode:Context.Scavenger
+      (Asm.parse
+         "mov r2, 2\nloop:\n  add r3, r3, 1\n  syield\n  sub r2, r2, 1\n  br gt r2, 0, loop\n  ret")
+  in
+  List.iter
+    (fun (name, want, got) -> Alcotest.(check string) name want got)
+    [
+      ( "default",
+        "cycles=12334 stall=6574 switch=4620/210 instr=904 completed=4 faults=0 done_at=6628 \
+         scav=183 wd=0/0/0 | switch.count=210 escalations=30 wd.*=0/0/0/0 events=454 \
+         f2fd9008cb6f4ac72b0ee64b76e43f4e",
+        run () );
+      ( "no drain",
+        "cycles=6628 stall=4114 switch=1980/90 instr=415 completed=1 faults=0 done_at=6628 \
+         scav=60 wd=0/0/0 | switch.count=90 escalations=30 wd.*=0/0/0/0 events=211 \
+         cccc4c5a83ce0096161f928c5714c524",
+        run ~config:{ Dual_mode.default_config with Dual_mode.drain = false } () );
+      ( "watchdog on a rogue",
+        "cycles=14543 stall=6304 switch=3388/154 instr=4678 completed=3 faults=0 done_at=10187 \
+         scav=126 wd=4/1/1 | switch.count=154 escalations=26 wd.*=4/1/1/1 events=344 \
+         47b3f867ed1e17735181d4501a981e5f",
+        run ~scavs:2 ~extra:[| rogue |]
+          ~config:{ Dual_mode.default_config with Dual_mode.watchdog = Some watchdog }
+          () );
+      ( "max_cycles cuts the primary short",
+        "cycles=4000 stall=2470 switch=1210/55 instr=249 completed=0 faults=0 done_at=-1 \
+         scav=37 wd=0/0/0 | switch.count=55 escalations=18 wd.*=0/0/0/0 events=129 \
+         4d68107bd390e592043ea1ca448890b7",
+        run ~max_cycles:4000 () );
+      ( "a scavenger faults",
+        "cycles=10892 stall=6701 switch=3344/152 instr=673 completed=3 faults=1 done_at=6792 \
+         scav=125 wd=0/0/0 | switch.count=152 escalations=28 wd.*=0/0/0/0 events=336 \
+         a8bdedcfd5b92dd118d2e8c7f6b28e8f",
+        run ~scavs:2 ~extra:[| faulty |] () );
+      ( "empty pool",
+        "cycles=6090 stall=5190 switch=660/30 instr=181 completed=1 faults=0 done_at=6090 \
+         scav=0 wd=0/0/0 | switch.count=30 escalations=0 wd.*=0/0/0/0 events=61 \
+         0ad8ce5cb22155788212456393cc8c2e",
+        run ~scavs:0 () );
+    ]
 
 let () =
   Alcotest.run "runtime"
@@ -352,5 +523,9 @@ let () =
           Alcotest.test_case "efficiency win" `Quick test_dual_mode_beats_sequential_efficiency;
           Alcotest.test_case "primary latency bounded" `Quick test_dual_mode_primary_latency_bounded;
           Alcotest.test_case "empty pool" `Quick test_dual_mode_no_scavengers;
+          Alcotest.test_case "rotates scavengers" `Quick test_dual_mode_rotates;
+          Alcotest.test_case "machine core is depth-first" `Quick test_machine_core_depth_first;
+          Alcotest.test_case "pinned results" `Quick test_dual_mode_pinned;
+          Alcotest.test_case "watchdog through donate" `Quick test_watchdog_through_donate;
         ] );
     ]
