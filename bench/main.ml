@@ -274,8 +274,7 @@ let c6 () =
     List.map
       (fun (name, mk) ->
         let w : Workload.t = mk () in
-        let profiled = Pipeline.profile w in
-        let w', inst = Pipeline.instrument profiled w in
+        let w', inst = Pipeline.place w in
         let with_lv = Baselines.run_round_robin ~label:"liveness" w' in
         strip_liveness w'.Workload.program;
         let without = Baselines.run_round_robin ~label:"full save" w' in
@@ -326,10 +325,8 @@ let make_dual ~interval () =
   let im = Address_space.create ~bytes:(1 lsl 25) in
   let kv = Kv_server.make ~image:im ~requests:1000 ~service_compute:30 ~seed () in
   let scav = chase ~image:im ~lanes:8 ~hops:1500 ~compute:250 () in
-  let kvp = Pipeline.profile kv in
-  let kv', _ = Pipeline.instrument ~scavenger_interval:interval kvp kv in
-  let scp = Pipeline.profile scav in
-  let scav', _ = Pipeline.instrument ~scavenger_interval:interval scp scav in
+  let kv', _ = Pipeline.place ~scavenger_interval:interval kv in
+  let scav', _ = Pipeline.place ~scavenger_interval:interval scav in
   { kv = kv'; scav = scav' }
 
 (* Symmetric round-robin over the same mixed contexts, for comparison. *)
@@ -401,7 +398,7 @@ let c8 () =
           p50;
           p99;
           pct d.Baselines.metrics.Metrics.efficiency;
-          fi d.Baselines.scavenger_switches;
+          fi d.Baselines.stats.Core_sched.scav_dispatches;
         ])
       [ 50; 100; 150; 200; 250; 300; 400 ]
   in
@@ -537,9 +534,9 @@ let c12_tasks ~interarrival =
   let im = Address_space.create ~bytes:(1 lsl 25) in
   (* instrumented task kernels produced by the real pipeline *)
   let kv = Kv_server.make ~image:im ~lanes:8 ~requests:30 ~service_compute:60 ~seed () in
-  let kv', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile kv) kv in
+  let kv', _ = Pipeline.place ~scavenger_interval:150 kv in
   let an = chase ~image:im ~lanes:24 ~nodes:512 ~hops:60 ~compute:150 () in
-  let an', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile an) an in
+  let an', _ = Pipeline.place ~scavenger_interval:150 an in
   let tasks = ref [] in
   let next_id = ref 0 in
   let add class_ w lane arrival =
@@ -623,8 +620,7 @@ let c13 () =
         in
         let run_sfi_pgo (w : Workload.t) =
           let w = Workload.with_program w sfi_prog in
-          let profiled = Pipeline.profile w in
-          let w', _ = Pipeline.instrument profiled w in
+          let w', _ = Pipeline.place w in
           let ops, count_ops = Baselines.op_counter () in
           let engine = { Engine.default_config with Engine.hooks = count_ops } in
           let ctxs = sandboxed w' (Workload.contexts w') in
@@ -1083,8 +1079,8 @@ let c22 () =
         let w () = c22_make name ~lanes ~ops in
         let none = Baselines.run_sequential (w ()) in
         let pgo, _ = Baselines.run_pgo (w ()) in
-        let static, _ = Baselines.run_static (w ()) in
-        let hybrid, _ = Baselines.run_hybrid (w ()) in
+        let static, _ = Baselines.run_pgo ~placement:Pipeline.Static (w ()) in
+        let hybrid, _ = Baselines.run_pgo ~placement:Pipeline.Hybrid (w ()) in
         (name, none, pgo, static, hybrid))
       c22_workloads
   in
@@ -1120,8 +1116,7 @@ let c22 () =
     List.map
       (fun workload ->
         let train = H.make ~workload ~lanes:8 ~ops:1000 ~manual:false ~seed:42 ~ws_scale:1 () in
-        let profiled = Pipeline.profile train in
-        let _, inst = Pipeline.instrument profiled train in
+        let _, inst = Pipeline.place train in
         let drifted () =
           H.make ~workload ~lanes:8 ~ops:1000 ~manual:false ~seed:42 ~ws_scale:shrink ()
         in
@@ -1131,7 +1126,9 @@ let c22 () =
             (Workload.with_program (drifted ()) inst.Pipeline.program)
         in
         let fresh, _ = Baselines.run_pgo ~label:(workload ^ "/fresh-pgo") (drifted ()) in
-        let static, _ = Baselines.run_static ~label:(workload ^ "/static") (drifted ()) in
+        let static, _ =
+          Baselines.run_pgo ~label:(workload ^ "/static") ~placement:Pipeline.Static (drifted ())
+        in
         (workload, seq, stale, fresh, static))
       [ "pointer-chase"; "hash-probe" ]
   in

@@ -98,9 +98,7 @@ let instrument_workload ?profile_file ?scavenger_interval ~primary ~verify w =
       let wait_stalls pc = Stallhide_pmu.Profile.stalls_at profile pc in
       Pipeline.instrument_with ~estimates ~pc_cycles ~wait_stalls ~primary ?scavenger_interval
         ~verify w.Workload.program
-  | None ->
-      let profiled = Pipeline.profile w in
-      snd (Pipeline.instrument ~primary ?scavenger_interval ~verify profiled w)
+  | None -> snd (Pipeline.place ~primary ?scavenger_interval ~verify w)
 
 (* run *)
 
@@ -111,9 +109,13 @@ let mechanism_arg =
   Arg.(value & opt (enum (List.map (fun m -> (m, m)) mechanisms)) "pgo"
        & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
 
+let placements =
+  Arg.enum
+    (List.map (fun p -> (Pipeline.placement_name p, p)) Pipeline.[ Pgo; Static; Hybrid ])
+
 let placement_arg =
   Arg.(value
-       & opt (enum [ ("pgo", "pgo"); ("static", "static"); ("hybrid", "hybrid") ]) "pgo"
+       & opt placements Pipeline.Pgo
        & info [ "placement" ] ~docv:"MODE"
            ~doc:
              "Yield-site placement evidence for the pgo mechanism: $(b,pgo) \
@@ -140,11 +142,12 @@ let run_cmd =
       Printf.eprintf "stallhide: --attribution needs --mechanism pgo (got %s)\n" mechanism;
       exit 2
     end;
-    if attribution && placement <> "pgo" then begin
-      Printf.eprintf "stallhide: --attribution needs --placement pgo (got %s)\n" placement;
+    if attribution && placement <> Pipeline.Pgo then begin
+      Printf.eprintf "stallhide: --attribution needs --placement pgo (got %s)\n"
+        (Pipeline.placement_name placement);
       exit 2
     end;
-    if placement <> "pgo" && mechanism <> "pgo" then begin
+    if placement <> Pipeline.Pgo && mechanism <> "pgo" then begin
       Printf.eprintf "stallhide: --placement applies to --mechanism pgo (got %s)\n" mechanism;
       exit 2
     end;
@@ -183,21 +186,9 @@ let run_cmd =
             Some a.Baselines.inst,
             Some a.Baselines.attribution,
             Some a.Baselines.stream )
-      | "pgo" when placement = "static" ->
-          let m, i =
-            Baselines.run_static ~opts ~primary ?scavenger_interval:interval
-              ~verify:(not no_verify) (w false)
-          in
-          (m, Some i, None, stream)
-      | "pgo" when placement = "hybrid" ->
-          let m, i =
-            Baselines.run_hybrid ~opts ~primary ?scavenger_interval:interval
-              ~verify:(not no_verify) (w false)
-          in
-          (m, Some i, None, stream)
       | "pgo" ->
           let m, i =
-            Baselines.run_pgo ~opts ~primary ?scavenger_interval:interval
+            Baselines.run_pgo ~opts ~placement ~primary ?scavenger_interval:interval
               ~verify:(not no_verify) (w false)
           in
           (m, Some i, None, stream)
@@ -250,7 +241,7 @@ let run_cmd =
                  ("schema_version", Stallhide_util.Json.Int 1);
                  ("workload", Stallhide_util.Json.String workload);
                  ("mechanism", Stallhide_util.Json.String mechanism);
-                 ("placement", Stallhide_util.Json.String placement);
+                 ("placement", Stallhide_util.Json.String (Pipeline.placement_name placement));
                  ("metrics", Metrics.to_json metrics);
                ]
               @ telemetry @ attr_json)))
@@ -617,8 +608,7 @@ let trace_cmd =
     check_workload workload;
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
-    let profiled = Pipeline.profile w in
-    let w', _ = Pipeline.instrument ?scavenger_interval:interval profiled w in
+    let w', _ = Pipeline.place ?scavenger_interval:interval w in
     (* one stream carries both the engine events (hooks) and the
        scheduler events (?obs); the ASCII chart is a view over it *)
     let stream = Obs.Stream.create () in
@@ -639,9 +629,7 @@ let trace_cmd =
         write_file path (fun path -> Obs.Perfetto.write ~path stream);
         Printf.printf "trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n" path
     | _ -> (
-        let chart =
-          Stallhide_runtime.Tracer.render ~width (Stallhide_runtime.Tracer.of_stream stream)
-        in
+        let chart = Obs.Stream.timeline ~width stream in
         match output with
         | Some path ->
             write_file path (fun path ->
@@ -872,14 +860,6 @@ let smp_cmd =
           Printf.eprintf "stallhide: unknown policy %S (available: d-fcfs, jbsq)\n" policy;
           exit 2
     in
-    let placement =
-      match Smp.Harness.placement_of_string placement with
-      | Some p -> p
-      | None ->
-          Printf.eprintf "stallhide: unknown placement %S (available: pgo, static, hybrid)\n"
-            placement;
-          exit 2
-    in
     let params =
       {
         Smp.Harness.default_params with
@@ -949,7 +929,7 @@ let smp_cmd =
         (Stallhide_sched.Dispatch.policy_name policy)
         (if steal then "on" else "off")
         (if pgo then "on" else "off")
-        (Smp.Harness.placement_name placement)
+        (Pipeline.placement_name placement)
         seed;
       Printf.printf "requests: %d completed, %d faulted in %d cycles (%.3f req/kcycle)\n"
         res.Smp.Machine.completed res.Smp.Machine.faulted res.Smp.Machine.cycles
@@ -1018,7 +998,7 @@ let smp_cmd =
   in
   let smp_placement_arg =
     Arg.(value
-         & opt (enum [ ("pgo", "pgo"); ("static", "static"); ("hybrid", "hybrid") ]) "pgo"
+         & opt placements Pipeline.Pgo
          & info [ "placement" ] ~docv:"MODE"
              ~doc:
                "Site-selection evidence for the served programs: $(b,pgo) | $(b,static) | \

@@ -19,10 +19,8 @@ let build interval =
   let analytics =
     Pointer_chase.make ~image ~lanes:8 ~nodes_per_lane:2048 ~hops:1200 ~compute:250 ~seed ()
   in
-  let kv', _ = Pipeline.instrument ~scavenger_interval:interval (Pipeline.profile kv) kv in
-  let an', _ =
-    Pipeline.instrument ~scavenger_interval:interval (Pipeline.profile analytics) analytics
-  in
+  let kv', _ = Pipeline.place ~scavenger_interval:interval kv in
+  let an', _ = Pipeline.place ~scavenger_interval:interval analytics in
   (kv', an')
 
 let lat = function
@@ -33,19 +31,19 @@ let lat = function
    scavengers fill its miss windows. *)
 let show_timeline () =
   let kv, analytics = build 200 in
-  let tracer = Tracer.create () in
+  let stream = Stallhide_obs.Stream.create () in
   let p_ctx = Workload.context kv ~lane:0 ~id:0 ~mode:Stallhide_cpu.Context.Primary in
   let s_ctxs =
     Array.init 4 (fun l ->
         Workload.context analytics ~lane:l ~id:(l + 1) ~mode:Stallhide_cpu.Context.Scavenger)
   in
   let (_ : Dual_mode.result) =
-    Dual_mode.run ~max_cycles:4000 ~obs:(Tracer.stream tracer)
+    Dual_mode.run ~max_cycles:4000 ~obs:stream
       (Hierarchy.create Memconfig.default)
       kv.Workload.image ~primary:p_ctx ~scavengers:s_ctxs
   in
   print_newline ();
-  print_string (Tracer.render ~width:72 tracer)
+  print_string (Stallhide_obs.Stream.timeline ~width:72 stream)
 
 let () =
   let alone =

@@ -22,11 +22,11 @@ let seed = 17
 let make_tasks ~interarrival =
   let im = Address_space.create ~bytes:(1 lsl 25) in
   let kv = Kv_server.make ~image:im ~lanes:8 ~requests:25 ~service_compute:60 ~seed () in
-  let kv', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile kv) kv in
+  let kv', _ = Pipeline.place ~scavenger_interval:150 kv in
   let an =
     Pointer_chase.make ~image:im ~lanes:24 ~nodes_per_lane:512 ~hops:50 ~compute:150 ~seed ()
   in
-  let an', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile an) an in
+  let an', _ = Pipeline.place ~scavenger_interval:150 an in
   let tasks = ref [] in
   let kv_lane = ref 0 and an_lane = ref 0 in
   for i = 0 to 31 do

@@ -49,11 +49,6 @@ type classifier = {
 
 type placement = Pgo | Static of classifier | Hybrid of classifier
 
-let placement_name = function
-  | Pgo -> "pgo"
-  | Static _ -> "static"
-  | Hybrid _ -> "hybrid"
-
 let place placement est =
   match placement with
   | Pgo -> est

@@ -60,8 +60,6 @@ type placement =
       (** proven facts override the profile; priors back-fill unsampled
           pcs *)
 
-val placement_name : placement -> string
-
 (** Combine profile estimates with the placement mode's classifier. *)
 val place : placement -> estimates -> estimates
 

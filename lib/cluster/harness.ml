@@ -1,5 +1,4 @@
 open Stallhide_util
-open Stallhide_isa
 open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_runtime
@@ -80,16 +79,32 @@ let trace p =
       t := !t + (gap / 2) + Random.State.int st (max 1 gap);
       { Cluster.rid; key; send = !t })
 
+(* A replica in the single-machine harness's terms: the twins and the
+   node builder read only these fields. *)
+let smp_params p =
+  {
+    Harness.default_params with
+    Harness.cores = p.cores;
+    req_ops = p.req_ops;
+    service_compute = p.service_compute;
+    table_slots = p.table_slots;
+    scav_per_core = p.scav_per_core;
+    scav_tuples = p.scav_tuples;
+    scav_groups = p.scav_groups;
+    scav_interval = p.scav_interval;
+    seed = p.seed;
+  }
+
 (* Every machine must be able to serve any request (retries and hedges
    go to machines the request has not tried), so a replica hosts a lane
    for every rid, sharded by key hash exactly like the single-machine
    harness. Replica seeds do NOT depend on the machine id or the
    restart count: every incarnation of every machine computes
    bit-identical payloads — the property the cluster fuzz oracle and
-   the failover-correctness invariant check. So the image and both
-   workloads are generated once, here, and each incarnation runs on an
-   [Address_space.fork] of that image with fresh scavenger contexts;
-   it copies only the chunks its scavengers write. *)
+   the failover-correctness invariant check. So the node is built
+   once, here, and each incarnation runs on an [Address_space.fork] of
+   its image with fresh scavenger contexts; it copies only the chunks
+   its scavengers write. *)
 let node_factory ?kv_program ?scav_program p =
   let reqs = Array.of_list (trace p) in
   let total = Array.length reqs in
@@ -103,49 +118,7 @@ let node_factory ?kv_program ?scav_program p =
         lane)
       home_of
   in
-  let scav_lanes = p.scav_per_core * p.cores in
-  (* exactly what the generators allocate into the image *)
-  let bytes =
-    Array.fold_left
-      (fun acc lanes ->
-        if lanes = 0 then acc
-        else acc + Kv_server.image_bytes ~lanes ~table_slots:p.table_slots ~requests:p.req_ops)
-      0 per_shard
-    + (if scav_lanes = 0 then 0
-       else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
-  in
-  let image = Address_space.create ~bytes in
-  let shard_wl =
-    Array.init p.cores (fun s ->
-        if per_shard.(s) = 0 then None
-        else begin
-          let wl =
-            Kv_server.make ~image ~lanes:per_shard.(s) ~table_slots:p.table_slots
-              ~requests:p.req_ops ~service_compute:p.service_compute ~seed:(p.seed + 100 + s) ()
-          in
-          Some (match kv_program with Some prog -> Workload.with_program wl prog | None -> wl)
-        end)
-  in
-  let scav_wl =
-    if scav_lanes = 0 then None
-    else begin
-      let wl =
-        Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
-          ~seed:(p.seed + 3) ()
-      in
-      let wl = match scav_program with Some prog -> Workload.with_program wl prog | None -> wl in
-      (* one shared accumulator array, as in the C19 harness *)
-      let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
-      Some
-        {
-          wl with
-          Workload.lanes =
-            Array.map
-              (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
-              wl.Workload.lanes;
-        }
-    end
-  in
+  let node = Harness.node ?kv_program ?scav_program (smp_params p) ~per_shard in
   let config =
     {
       Machine.default_config with
@@ -155,21 +128,14 @@ let node_factory ?kv_program ?scav_program p =
     }
   in
   let make_ctx ~rid ~attempt =
-    let wl = match shard_wl.(home_of.(rid)) with Some w -> w | None -> assert false in
+    let wl = match node.Harness.shards.(home_of.(rid)) with Some w -> w | None -> assert false in
     (* id is unique per (rid, attempt) so concurrent attempts on
        different machines never collide in a completion table *)
     Workload.context wl ~lane:lane_of.(rid) ~id:((8 * rid) + min attempt 7) ~mode:Context.Primary
   in
   fun ~machine:_ ~restart:_ ->
-    let scavengers = Array.make p.cores [] in
-    Option.iter
-      (fun wl ->
-        for k = scav_lanes - 1 downto 0 do
-          let ctx = Workload.context wl ~lane:k ~id:(8 * (total + k)) ~mode:Context.Scavenger in
-          scavengers.(0) <- ctx :: scavengers.(0)
-        done)
-      scav_wl;
-    { Cluster.config; mem = Address_space.fork image; scavengers; make_ctx }
+    let scavengers = Harness.scavengers node ~id:(fun k -> 8 * (total + k)) in
+    { Cluster.config; mem = Address_space.fork node.Harness.image; scavengers; make_ctx }
 
 let run p =
   if p.machines <= 0 then invalid_arg "Cluster.Harness.run: machines must be positive";
@@ -177,24 +143,9 @@ let run p =
   if p.requests <= 0 then invalid_arg "Cluster.Harness.run: requests must be positive";
   let kv_program, scav_program =
     if not p.pgo then (None, None)
-    else begin
-      let kv_twin =
-        Kv_server.make ~lanes:8 ~table_slots:p.table_slots ~requests:64
-          ~service_compute:p.service_compute ~seed:(p.seed + 1) ()
-      in
-      let kvp, _, _ =
-        Harness.instrument_twin ~twin:kv_twin ~placement:Harness.Pgo ~mem:Memconfig.default ()
-      in
-      let scav_twin =
-        Group_by.make ~lanes:4 ~groups:p.scav_groups ~tuples:(max 400 p.scav_tuples)
-          ~seed:(p.seed + 2) ()
-      in
-      let scp, _, _ =
-        Harness.instrument_twin ~twin:scav_twin ~placement:Harness.Pgo ~mem:Memconfig.default
-          ~scavenger_interval:p.scav_interval ()
-      in
+    else
+      let kvp, scp, _, _ = Harness.instrument_twins (smp_params p) in
       (Some kvp, Some scp)
-    end
   in
   let node = node_factory ?kv_program ?scav_program p in
   let config =

@@ -49,6 +49,14 @@ type run = {
     by every arm of an experiment. *)
 val trace : params -> Cluster.spec list
 
+(** A replica's shape as {!Stallhide_smp.Harness.params}: [cores], the
+    request and table sizes, the scavenger sizes, [scav_interval] and
+    [seed], with [Pgo] placement and the default memory. The replica
+    twins are {!Stallhide_smp.Harness.instrument_twins} of it, and
+    {!node_factory} builds every node with
+    {!Stallhide_smp.Harness.node}. *)
+val smp_params : params -> Stallhide_smp.Harness.params
+
 (** The replica factory (optionally serving instrumented programs);
     exposed so that callers can time node builds or replay one
     incarnation through a single machine. Nodes are untraced

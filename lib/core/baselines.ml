@@ -9,8 +9,6 @@ type opts = {
   engine : Engine.config;
   max_cycles : int;
   obs : Stallhide_obs.Stream.t option;
-  prepare_hier : Hierarchy.t -> unit;
-  watchdog : Core_sched.watchdog option;
 }
 
 let default_opts =
@@ -20,14 +18,7 @@ let default_opts =
     engine = Engine.default_config;
     max_cycles = max_int;
     obs = None;
-    prepare_hier = ignore;
-    watchdog = None;
   }
-
-let make_hier opts =
-  let hier = Hierarchy.create opts.mem_cfg in
-  opts.prepare_hier hier;
-  hier
 
 let op_counter () =
   let ops = ref 0 in
@@ -48,7 +39,7 @@ let instrumented_engine opts =
 
 let run_sequential ?label ?(opts = default_opts) w =
   let ops, recorder, engine = instrumented_engine opts in
-  let hier = make_hier opts in
+  let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
   let r =
     Scheduler.run_sequential ~engine ~max_cycles:opts.max_cycles ?obs:opts.obs hier
@@ -71,13 +62,9 @@ let run_smt ?label ?(opts = default_opts) w =
       ([ opts.engine.Engine.hooks; count_ops ]
       @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
   in
-  let hier = make_hier opts in
+  let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
-  let r =
-    Smt.run
-      ~config:{ Smt.hooks; threshold = 0 }
-      hier w.Workload.image ctxs ~max_cycles:opts.max_cycles
-  in
+  let r = Smt.run ~hooks hier w.Workload.image ctxs ~max_cycles:opts.max_cycles in
   let label =
     match label with
     | Some l -> l
@@ -87,7 +74,7 @@ let run_smt ?label ?(opts = default_opts) w =
 
 let run_round_robin ?label ?(opts = default_opts) w =
   let ops, recorder, engine = instrumented_engine opts in
-  let hier = make_hier opts in
+  let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
   let r =
     Scheduler.run_round_robin ~engine ~max_cycles:opts.max_cycles ?obs:opts.obs
@@ -98,53 +85,17 @@ let run_round_robin ?label ?(opts = default_opts) w =
     ~latency:(Latency.summarize (Latency.all recorder))
     r
 
-let run_pgo ?label ?opts ?profile_config ?primary ?scavenger_interval ?verify w =
-  let o = match opts with Some o -> o | None -> default_opts in
-  let profiled = Pipeline.profile ?config:profile_config ~mem_cfg:o.mem_cfg w in
-  let w', inst = Pipeline.instrument ?primary ?scavenger_interval ?verify profiled w in
-  let label = match label with Some l -> l | None -> w.Workload.name ^ "/pgo" in
-  (run_round_robin ~label ?opts w', inst)
-
-(* Profile-free placement: the static must/may analysis classifies the
-   loads, its taint priors price the rest — no profiling run at all. *)
-let run_static ?label ?opts ?(primary = Stallhide_binopt.Primary_pass.default_opts)
+let run_pgo ?label ?opts ?(placement = Pipeline.Pgo) ?profile_config ?primary
     ?scavenger_interval ?verify w =
-  let o = match opts with Some o -> o | None -> default_opts in
-  let analysis = Stallhide_analysis.Analysis.run ~mem:o.mem_cfg w.Workload.program in
-  let classifier = Stallhide_analysis.Analysis.to_classifier analysis in
-  let primary =
-    { primary with
-      Stallhide_binopt.Primary_pass.placement = Stallhide_binopt.Gain_cost.Static classifier }
+  let mem_cfg = (match opts with Some o -> o | None -> default_opts).mem_cfg in
+  let w', inst =
+    Pipeline.place ~placement ?profile_config ~mem_cfg ?primary ?scavenger_interval ?verify w
   in
-  let no_estimates =
-    {
-      Stallhide_binopt.Gain_cost.miss_probability = (fun _ -> None);
-      stall_per_miss = (fun _ -> None);
-    }
+  let label =
+    match label with
+    | Some l -> l
+    | None -> w.Workload.name ^ "/" ^ Pipeline.placement_name placement
   in
-  let inst =
-    Pipeline.instrument_with ~estimates:no_estimates ~primary ?scavenger_interval
-      ?verify w.Workload.program
-  in
-  let w' = Workload.with_program w inst.Pipeline.program in
-  let label = match label with Some l -> l | None -> w.Workload.name ^ "/static" in
-  (run_round_robin ~label ?opts w', inst)
-
-(* Hybrid: proven static facts override the profile; priors back-fill
-   pcs the profile never sampled. *)
-let run_hybrid ?label ?opts ?profile_config
-    ?(primary = Stallhide_binopt.Primary_pass.default_opts) ?scavenger_interval
-    ?verify w =
-  let o = match opts with Some o -> o | None -> default_opts in
-  let analysis = Stallhide_analysis.Analysis.run ~mem:o.mem_cfg w.Workload.program in
-  let classifier = Stallhide_analysis.Analysis.to_classifier analysis in
-  let primary =
-    { primary with
-      Stallhide_binopt.Primary_pass.placement = Stallhide_binopt.Gain_cost.Hybrid classifier }
-  in
-  let profiled = Pipeline.profile ?config:profile_config ~mem_cfg:o.mem_cfg w in
-  let w', inst = Pipeline.instrument ~primary ?scavenger_interval ?verify profiled w in
-  let label = match label with Some l -> l | None -> w.Workload.name ^ "/hybrid" in
   (run_round_robin ~label ?opts w', inst)
 
 type attributed = {
@@ -191,18 +142,14 @@ let run_pgo_attributed ?label ?opts ?profile_config ?(primary = Stallhide_binopt
 type dual_result = {
   metrics : Metrics.t;
   primary_latency : Latency.summary option;
-  primary_done_at : int;
-  scavenger_switches : int;
-  watchdog_strikes : int;
-  watchdog_demotions : int;
-  watchdog_quarantined : int;
+  stats : Core_sched.stats;
 }
 
 let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   if primary.Workload.image != scavengers.Workload.image then
     invalid_arg "Baselines.run_dual: primary and scavengers must share one memory image";
   let ops, recorder, engine = instrumented_engine opts in
-  let hier = make_hier opts in
+  let hier = Hierarchy.create opts.mem_cfg in
   let p_ctx = Workload.context primary ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
     Array.init (Workload.lane_count scavengers) (fun lane ->
@@ -210,7 +157,7 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   in
   let r =
     Dual_mode.run
-      ~config:{ Dual_mode.engine; switch = opts.switch; drain = true; watchdog = opts.watchdog }
+      ~config:{ Dual_mode.default_config with Dual_mode.engine; switch = opts.switch }
       ~max_cycles:opts.max_cycles ?obs:opts.obs hier primary.Workload.image ~primary:p_ctx
       ~scavengers:s_ctxs
   in
@@ -225,9 +172,5 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
         ~latency:(Latency.summarize (Latency.all recorder))
         r.Dual_mode.sched;
     primary_latency = Latency.summarize (Latency.of_ctx recorder 0);
-    primary_done_at = r.Dual_mode.primary_done_at;
-    scavenger_switches = r.Dual_mode.stats.Core_sched.scav_dispatches;
-    watchdog_strikes = r.Dual_mode.stats.Core_sched.watchdog_strikes;
-    watchdog_demotions = r.Dual_mode.stats.Core_sched.watchdog_demotions;
-    watchdog_quarantined = r.Dual_mode.stats.Core_sched.watchdog_quarantined;
+    stats = r.Dual_mode.stats;
   }

@@ -33,12 +33,6 @@ type opts = {
       (** telemetry stream; when set, the engine hooks and the
           scheduler feed it (cycle counts are unaffected — hooks never
           touch the clock) *)
-  prepare_hier : Hierarchy.t -> unit;
-      (** called on every freshly built hierarchy before the run —
-          the fault-injection hook (arm a latency spike here); default
-          [ignore] *)
-  watchdog : Core_sched.watchdog option;
-      (** scheduler watchdog for {!run_dual}; [None] (default) disables *)
 }
 
 val default_opts : opts
@@ -57,35 +51,15 @@ val run_smt : ?label:string -> ?opts:opts -> Workload.t -> Metrics.t
 
 val run_round_robin : ?label:string -> ?opts:opts -> Workload.t -> Metrics.t
 
-(** Profile, instrument and run. Returns the metrics and the
-    instrumentation artifacts (reports, pc map). *)
+(** Place, instrument and run: {!Pipeline.place} under [placement]
+    (default [Pgo], the §3.2 profile-guided flow; [Static] and [Hybrid]
+    bring in the must/may cache analysis), then round-robin. The default
+    label is [<name>/pgo], [<name>/static] or [<name>/hybrid]. Returns
+    the metrics and the instrumentation artifacts (reports, pc map). *)
 val run_pgo :
   ?label:string ->
   ?opts:opts ->
-  ?profile_config:Pipeline.profile_config ->
-  ?primary:Stallhide_binopt.Primary_pass.opts ->
-  ?scavenger_interval:int ->
-  ?verify:bool ->
-  Workload.t ->
-  Metrics.t * Pipeline.instrumented
-
-(** Profile-free placement: runs the static must/may cache analysis
-    ({!Stallhide_analysis}) instead of a profiling pass, instruments
-    with [placement = Static], and measures under round-robin. *)
-val run_static :
-  ?label:string ->
-  ?opts:opts ->
-  ?primary:Stallhide_binopt.Primary_pass.opts ->
-  ?scavenger_interval:int ->
-  ?verify:bool ->
-  Workload.t ->
-  Metrics.t * Pipeline.instrumented
-
-(** {!run_pgo} with [placement = Hybrid]: proven static facts override
-    the profile, taint priors back-fill unsampled pcs. *)
-val run_hybrid :
-  ?label:string ->
-  ?opts:opts ->
+  ?placement:Pipeline.placement ->
   ?profile_config:Pipeline.profile_config ->
   ?primary:Stallhide_binopt.Primary_pass.opts ->
   ?scavenger_interval:int ->
@@ -119,11 +93,7 @@ val run_pgo_attributed :
 type dual_result = {
   metrics : Metrics.t;
   primary_latency : Latency.summary option;  (** per-request latency of the primary *)
-  primary_done_at : int;
-  scavenger_switches : int;
-  watchdog_strikes : int;  (** see {!Core_sched.stats} *)
-  watchdog_demotions : int;
-  watchdog_quarantined : int;
+  stats : Core_sched.stats;  (** the core's counters ({!Dual_mode.result.stats}) *)
 }
 
 (** [run_dual ~primary ~scavengers] runs lane 0 of [primary] in primary

@@ -209,3 +209,34 @@ let instrument ?primary ?scavenger_interval ?verify (p : profiled) w =
       ?verify w.Workload.program
   in
   (Workload.with_program w inst.program, inst)
+
+type placement = Pgo | Static | Hybrid
+
+let placement_name = function Pgo -> "pgo" | Static -> "static" | Hybrid -> "hybrid"
+
+(* Static placement reads the classifier's priors and ignores the
+   estimates; it is handed none so no profile can leak in. *)
+let no_estimates =
+  { Gain_cost.miss_probability = (fun _ -> None); stall_per_miss = (fun _ -> None) }
+
+let place ?(placement = Pgo) ?profile_config ?(mem_cfg = Memconfig.default)
+    ?(primary = Primary_pass.default_opts) ?scavenger_interval ?verify w =
+  let classifier () =
+    Stallhide_analysis.Analysis.to_classifier
+      (Stallhide_analysis.Analysis.run ~mem:mem_cfg w.Workload.program)
+  in
+  let profiled () = profile ?config:profile_config ~mem_cfg w in
+  match placement with
+  | Pgo ->
+      let primary = { primary with Primary_pass.placement = Gain_cost.Pgo } in
+      instrument ~primary ?scavenger_interval ?verify (profiled ()) w
+  | Static ->
+      let primary = { primary with Primary_pass.placement = Gain_cost.Static (classifier ()) } in
+      let inst =
+        instrument_with ~estimates:no_estimates ~primary ?scavenger_interval ?verify
+          w.Workload.program
+      in
+      (Workload.with_program w inst.program, inst)
+  | Hybrid ->
+      let primary = { primary with Primary_pass.placement = Gain_cost.Hybrid (classifier ()) } in
+      instrument ~primary ?scavenger_interval ?verify (profiled ()) w

@@ -110,3 +110,31 @@ val instrument :
   profiled ->
   Workload.t ->
   Workload.t * instrumented
+
+(** Where the yield/prefetch sites come from: [Pgo] profiles the
+    workload (§3.2); [Static] places purely from the must/may cache
+    analysis ({!Stallhide_analysis}), with no profiling run at all;
+    [Hybrid] profiles and lets proven static facts override the
+    samples. *)
+type placement = Pgo | Static | Hybrid
+
+(** ["pgo"], ["static"], ["hybrid"]. *)
+val placement_name : placement -> string
+
+(** [place w] is the one step from a placement to a program:
+    it gathers the evidence [placement] calls for (default [Pgo]) —
+    a {!profile} run under [profile_config] and [mem_cfg], the static
+    analysis under [mem_cfg], or both — sets [primary]'s placement from
+    it, and instruments ({!instrument} / {!instrument_with}, so
+    translation-validated unless [~verify:false]). Returns the
+    workload rebound to the new program. Callers that read the profile
+    itself call {!profile} and {!instrument} instead. *)
+val place :
+  ?placement:placement ->
+  ?profile_config:profile_config ->
+  ?mem_cfg:Memconfig.t ->
+  ?primary:Primary_pass.opts ->
+  ?scavenger_interval:int ->
+  ?verify:bool ->
+  Workload.t ->
+  Workload.t * instrumented

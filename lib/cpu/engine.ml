@@ -1,9 +1,10 @@
 open Stallhide_isa
 open Stallhide_mem
 
+let cond_check_cost = 1
+
 type config = {
   hooks : Events.t;
-  cond_check_cost : int;
   ooo_window : int;
   load_block_threshold : int option;
   stall_shape : (pc:int -> stall:int -> int) option;
@@ -14,7 +15,6 @@ type config = {
 let default_config =
   {
     hooks = Events.nop;
-    cond_check_cost = 1;
     ooo_window = 0;
     load_block_threshold = None;
     stall_shape = None;
@@ -224,7 +224,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
         else begin
           (* Conditional yield switched off: pay the check and move on. *)
           ctx.cond_checks <- ctx.cond_checks + 1;
-          advance cfg.cond_check_cost;
+          advance cond_check_cost;
           next ();
           cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Scavenger ~fired:false ~cycle:!clock;
           retire ();
@@ -233,7 +233,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
     | Instr.Yield_cond (rs, disp) ->
         let addr = ctx.regs.{rs} + disp in
         ctx.cond_checks <- ctx.cond_checks + 1;
-        advance cfg.cond_check_cost;
+        advance cond_check_cost;
         let resident =
           (not (Address_space.valid_addr mem addr))
           ||
@@ -391,7 +391,6 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let mcfg = Hierarchy.config hier in
   let l1_latency = mcfg.Memconfig.l1.latency in
   let pf_cost = mcfg.Memconfig.prefetch_issue_cost in
-  let cond_cost = cfg.cond_check_cost in
   let ooo = cfg.ooo_window in
   (* With the icache disabled (the default) [Hierarchy.fetch] always
      returns 0; hoisting the test saves a call per instruction. *)
@@ -564,13 +563,13 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         end
         else begin
           ctx.cond_checks <- ctx.cond_checks + 1;
-          exec (now + cond_cost) (pc + 1)
+          exec (now + cond_check_cost) (pc + 1)
         end
       end
       else if op = Uop.op_yield_cond then begin
         let addr = Bigarray.Array1.unsafe_get regs (Array.unsafe_get rb pc) + Array.unsafe_get rc pc in
         ctx.cond_checks <- ctx.cond_checks + 1;
-        let now = now + cond_cost in
+        let now = now + cond_check_cost in
         let resident =
           (not (Address_space.valid_addr mem addr))
           ||

@@ -16,9 +16,12 @@
 open Stallhide_isa
 open Stallhide_mem
 
+(** Cycles an untaken conditional yield costs: the [Yield_cond]
+    residency check, or a scavenger yield in a primary context. *)
+val cond_check_cost : int
+
 type config = {
   hooks : Events.t;
-  cond_check_cost : int;  (** cost of an untaken conditional yield (default 1) *)
   ooo_window : int;  (** default 0 (in-order) *)
   load_block_threshold : int option;  (** default [None] (loads stall) *)
   stall_shape : (pc:int -> stall:int -> int) option;

@@ -1,20 +1,11 @@
 
-type config = { hooks : Events.t; threshold : int }
-
-let default_config = { hooks = Events.nop; threshold = 0 }
-
 type result = { cycles : int; busy : int; idle : int; instructions : int; faults : string list }
 
-let run ?(config = default_config) hier mem (ctxs : Context.t array) ~max_cycles =
+let run ?(hooks = Events.nop) hier mem (ctxs : Context.t array) ~max_cycles =
   let n = Array.length ctxs in
   if n = 0 then invalid_arg "Smt.run: no contexts";
-  let engine_cfg =
-    {
-      Engine.default_config with
-      hooks = config.hooks;
-      load_block_threshold = Some config.threshold;
-    }
-  in
+  (* every load that would stall blocks its context instead *)
+  let engine_cfg = { Engine.default_config with hooks; load_block_threshold = Some 0 } in
   let clock = ref 0 in
   let wake = Array.make n 0 in
   let busy = ref 0 in

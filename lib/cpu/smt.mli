@@ -1,7 +1,7 @@
 (** Simultaneous-multithreading model.
 
     K hardware contexts share one core. A context that would stall on a
-    load longer than [threshold] cycles instead *blocks* (its data
+    load instead *blocks* (its data
     arrives later) and the core issues from the next ready context —
     a zero-cost hardware switch. When every context is blocked the core
     idles, which is exactly the situation the paper points at: with only
@@ -9,15 +9,6 @@
 
     Yield instructions are invisible to hardware and are executed as
     ordinary (free) instructions. *)
-
-
-
-type config = {
-  hooks : Events.t;
-  threshold : int;  (** block instead of stalling when stall exceeds this (default 0) *)
-}
-
-val default_config : config
 
 type result = {
   cycles : int;  (** total wall-clock cycles *)
@@ -27,9 +18,10 @@ type result = {
   faults : string list;
 }
 
-(** Run all contexts to completion (or until [max_cycles]). *)
+(** Run all contexts to completion (or until [max_cycles]), firing
+    [hooks] (default {!Events.nop}). *)
 val run :
-  ?config:config ->
+  ?hooks:Events.t ->
   Stallhide_mem.Hierarchy.t ->
   Stallhide_mem.Address_space.t ->
   Context.t array ->

@@ -129,3 +129,28 @@ let spans t =
   List.filter_map
     (function Event.Dispatch { ctx; start; stop } -> Some (ctx, start, stop) | _ -> None)
     (events t)
+
+let timeline ?(width = 72) t =
+  let spans = spans t in
+  if spans = [] then ""
+  else begin
+    let t_end = List.fold_left (fun acc (_, _, stop) -> max acc stop) 0 spans in
+    let ids = List.sort_uniq compare (List.map (fun (ctx, _, _) -> ctx) spans) in
+    let scale = max 1 ((t_end + width - 1) / width) in
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf (Printf.sprintf "timeline: %d cycles, %d cycles/col\n" t_end scale);
+    List.iter
+      (fun id ->
+        let row = Bytes.make width '.' in
+        List.iter
+          (fun (ctx, start, stop) ->
+            if ctx = id then
+              for col = start / scale to min (width - 1) ((stop - 1) / scale) do
+                Bytes.set row col '#'
+              done)
+          spans;
+        Buffer.add_string buf (Printf.sprintf "ctx %3d  %s\n" id (Bytes.to_string row)))
+      ids;
+    if t.dropped > 0 then Buffer.add_string buf (Printf.sprintf "(+%d dropped)\n" t.dropped);
+    Buffer.contents buf
+  end

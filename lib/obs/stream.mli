@@ -54,3 +54,16 @@ val switch_cycles_by_pc : t -> (int, int) Hashtbl.t
 
 (** Dispatch spans as [(ctx, start, stop)], recording order. *)
 val spans : t -> (int * int * int) list
+
+(** [timeline ?width t] draws the dispatch spans as an ASCII Gantt
+    chart, one row per context and time left to right over [width]
+    columns (default 72), so interleaving (round-robin fairness,
+    dual-mode detours, scavenger scaling) is directly visible; a
+    ["(+N dropped)"] line follows when the buffer overflowed. [""] when
+    [t] holds no span.
+
+    {v
+    ctx 0  ##....##....##....
+    ctx 1  ..##....##....##..
+    v} *)
+val timeline : ?width:int -> t -> string

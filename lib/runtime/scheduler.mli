@@ -66,8 +66,9 @@ val collect :
     and records the dispatch span into the telemetry stream [obs]
     (scheduler building block). Scheduling-level events ([Dispatch],
     [Context_switch], [Scavenger_escalation]) go to [obs]; the
-    engine-level hooks in [engine] are independent of it. To draw a
-    timeline, pass a tracer's stream ({!Tracer.stream}). *)
+    engine-level hooks in [engine] are independent of it. An empty
+    dispatch (no cycle elapsed) records no span.
+    {!Stallhide_obs.Stream.timeline} draws the spans. *)
 val traced :
   ?obs:Stallhide_obs.Stream.t ->
   Engine.config ->

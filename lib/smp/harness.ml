@@ -7,15 +7,7 @@ open Stallhide_sched
 open Stallhide_workloads
 open Stallhide
 
-type placement = Pgo | Static | Hybrid
-
-let placement_name = function Pgo -> "pgo" | Static -> "static" | Hybrid -> "hybrid"
-
-let placement_of_string = function
-  | "pgo" -> Some Pgo
-  | "static" -> Some Static
-  | "hybrid" -> Some Hybrid
-  | _ -> None
+type placement = Pipeline.placement = Pgo | Static | Hybrid
 
 type params = {
   cores : int;
@@ -28,10 +20,8 @@ type params = {
   service_compute : int;
   table_slots : int;
   scav_per_core : int;
-  scav_home_cores : int;  (* batch work is enqueued on this many cores *)
   scav_tuples : int;
   scav_groups : int;
-  share_scav_accs : bool;
   scav_interval : int;
   skew : float;
   key_universe : int;
@@ -60,10 +50,8 @@ let default_params =
     service_compute = 40;
     table_slots = 4096;
     scav_per_core = 6;
-    scav_home_cores = 1;
     scav_tuples = 120;
     scav_groups = 2048;
-    share_scav_accs = true;
     scav_interval = 150;
     skew = 1.1;
     key_universe = 512;
@@ -111,51 +99,112 @@ let zipf_sample cdf st =
   in
   bisect 0 (n - 1)
 
-(* Profile + instrument once on a small twin workload with the same
-   program text, then rebind the instrumented program to the serving
-   workloads. Returns the program to serve with plus the re-validation
-   diagnostic counts. [placement] selects the site-selection evidence:
-   PGO profiles the twin; Static skips profiling entirely and places
-   from the must/may cache analysis; Hybrid does both, proven facts
-   overriding the profile. *)
+(* Place once on a small twin workload with the same program text,
+   then re-validate with the counting verifier; callers rebind the
+   program to the serving workloads. *)
 let instrument_twin ~twin ~placement ~mem ?scavenger_interval () =
-  let orig = twin.Workload.program in
-  let classifier () =
-    Stallhide_analysis.Analysis.to_classifier
-      (Stallhide_analysis.Analysis.run ~mem orig)
-  in
-  let primary_with placement =
-    { Stallhide_binopt.Primary_pass.default_opts with placement }
-  in
-  let inst =
-    match placement with
-    | Pgo ->
-        let profiled = Pipeline.profile ~mem_cfg:mem twin in
-        snd (Pipeline.instrument ?scavenger_interval profiled twin)
-    | Static ->
-        let no_estimates =
-          {
-            Stallhide_binopt.Gain_cost.miss_probability = (fun _ -> None);
-            stall_per_miss = (fun _ -> None);
-          }
-        in
-        Pipeline.instrument_with ~estimates:no_estimates
-          ~primary:(primary_with (Stallhide_binopt.Gain_cost.Static (classifier ())))
-          ?scavenger_interval orig
-    | Hybrid ->
-        let profiled = Pipeline.profile ~mem_cfg:mem twin in
-        snd
-          (Pipeline.instrument
-             ~primary:(primary_with (Stallhide_binopt.Gain_cost.Hybrid (classifier ())))
-             ?scavenger_interval profiled twin)
-  in
+  let _, inst = Pipeline.place ~placement ~mem_cfg:mem ?scavenger_interval twin in
   let outcome =
-    Stallhide_verify.Verify.validate ~orig ~orig_of_new:inst.Pipeline.orig_of_new
-      inst.Pipeline.program
+    Stallhide_verify.Verify.validate ~orig:twin.Workload.program
+      ~orig_of_new:inst.Pipeline.orig_of_new inst.Pipeline.program
   in
   ( inst.Pipeline.program,
     Stallhide_verify.Verify.errors outcome,
     Stallhide_verify.Verify.warnings outcome )
+
+(* The twins must be big enough to collect PEBS samples; request count
+   and table base live in registers, so the program text is identical
+   to the serving shards' regardless of lane count. *)
+let kv_twin p =
+  Kv_server.make ~lanes:8 ~table_slots:p.table_slots ~requests:64
+    ~service_compute:p.service_compute ~seed:(p.seed + 1) ()
+
+let scav_twin p =
+  Group_by.make ~lanes:4 ~groups:p.scav_groups ~tuples:(max 400 p.scav_tuples)
+    ~seed:(p.seed + 2) ()
+
+let instrument_twins p =
+  let kvp, kve, kvw =
+    instrument_twin ~twin:(kv_twin p) ~placement:p.placement ~mem:p.memcfg ()
+  in
+  let scp, sce, scw =
+    instrument_twin ~twin:(scav_twin p) ~placement:p.placement ~mem:p.memcfg
+      ~scavenger_interval:p.scav_interval ()
+  in
+  (kvp, scp, kve + sce, kvw + scw)
+
+type node = {
+  image : Address_space.t;
+  shards : Workload.t option array;
+  scav : Workload.t option;
+}
+
+let node ?kv_program ?scav_program p ~per_shard =
+  (* One image holding exactly what the generators below allocate into
+     it: every shard's table and key arrays, then the scavenger
+     regions. *)
+  let scav_lanes = p.scav_per_core * p.cores in
+  let bytes =
+    Array.fold_left
+      (fun acc lanes ->
+        if lanes = 0 then acc
+        else acc + Kv_server.image_bytes ~lanes ~table_slots:p.table_slots ~requests:p.req_ops)
+      0 per_shard
+    + (if scav_lanes = 0 then 0
+       else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
+  in
+  (* an empty run still needs an image *)
+  let image = Address_space.create ~bytes:(max 1 bytes) in
+  let rebind program wl =
+    match program with Some prog -> Workload.with_program wl prog | None -> wl
+  in
+  (* each shard owns a table in the image; lane j of shard s serves the
+     j-th request homed to s *)
+  let shards =
+    Array.init p.cores (fun s ->
+        if per_shard.(s) = 0 then None
+        else
+          Some
+            (rebind kv_program
+               (Kv_server.make ~image ~lanes:per_shard.(s) ~table_slots:p.table_slots
+                  ~requests:p.req_ops ~service_compute:p.service_compute
+                  ~seed:(p.seed + 100 + s) ())))
+  in
+  (* GROUP-BY lanes all aggregating into lane 0's accumulator array:
+     scavenger stores on different cores invalidate each other's lines *)
+  let scav =
+    if scav_lanes = 0 then None
+    else begin
+      let wl =
+        rebind scav_program
+          (Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
+             ~seed:(p.seed + 3) ())
+      in
+      let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
+      Some
+        {
+          wl with
+          Workload.lanes =
+            Array.map
+              (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
+              wl.Workload.lanes;
+        }
+    end
+  in
+  { image; shards; scav }
+
+(* Batch jobs land on core 0, like a batch queue drained where it was
+   enqueued; spreading them is exactly what cross-core stealing is
+   for. *)
+let scavengers node ~id =
+  let per_core = Array.make (Array.length node.shards) [] in
+  Option.iter
+    (fun wl ->
+      for k = Workload.lane_count wl - 1 downto 0 do
+        per_core.(0) <- Workload.context wl ~lane:k ~id:(id k) ~mode:Context.Scavenger :: per_core.(0)
+      done)
+    node.scav;
+  per_core
 
 (* Everything [run] hands to the machine: its config, the shared
    image, the requests in arrival order, each core's scavengers, and
@@ -180,106 +229,26 @@ let setup params =
   in
   let per_shard = Array.make p.cores 0 in
   Array.iter (fun (_, _, home, _) -> per_shard.(home) <- per_shard.(home) + 1) trace;
-  (* One shared image holding exactly what the generators below
-     allocate into it: every shard's table and key arrays, then the
-     scavenger regions. *)
-  let scav_lanes = p.scav_per_core * p.cores in
-  let bytes =
-    Array.fold_left
-      (fun acc lanes ->
-        if lanes = 0 then acc
-        else acc + Kv_server.image_bytes ~lanes ~table_slots:p.table_slots ~requests:p.req_ops)
-      0 per_shard
-    + (if scav_lanes = 0 then 0
-       else Group_by.image_bytes ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples)
-  in
-  (* an empty run still needs an image *)
-  let image = Address_space.create ~bytes:(max 1 bytes) in
-  (* PGO: instrument twin programs once (identical program text). *)
   let kv_program, scav_program, verify_programs, verify_errors, verify_warnings =
     if not p.pgo then (None, None, 0, 0, 0)
-    else begin
-      (* The twin must be big enough to collect PEBS samples; request
-         count and table base live in registers, so the program text is
-         identical to the serving shards' regardless of lane count. *)
-      let kv_twin =
-        Kv_server.make ~lanes:8 ~table_slots:p.table_slots ~requests:64
-          ~service_compute:p.service_compute ~seed:(p.seed + 1) ()
-      in
-      let kvp, kve, kvw = instrument_twin ~twin:kv_twin ~placement:p.placement ~mem:p.memcfg () in
-      let scav_twin =
-        Group_by.make ~lanes:4 ~groups:p.scav_groups ~tuples:(max 400 p.scav_tuples)
-          ~seed:(p.seed + 2) ()
-      in
-      let scp, sce, scw =
-        instrument_twin ~twin:scav_twin ~placement:p.placement ~mem:p.memcfg
-          ~scavenger_interval:p.scav_interval ()
-      in
-      (Some kvp, Some scp, 2, kve + sce, kvw + scw)
-    end
+    else
+      let kvp, scp, errors, warnings = instrument_twins p in
+      (Some kvp, Some scp, 2, errors, warnings)
   in
-  (* Per-shard serving workloads: each owns a table in the shared image;
-     lane j of shard s is the j-th request homed to s. *)
-  let shard_wl =
-    Array.init p.cores (fun s ->
-        if per_shard.(s) = 0 then None
-        else begin
-          let wl =
-            Kv_server.make ~image ~lanes:per_shard.(s) ~table_slots:p.table_slots
-              ~requests:p.req_ops ~service_compute:p.service_compute
-              ~seed:(p.seed + 100 + s) ()
-          in
-          Some (match kv_program with Some prog -> Workload.with_program wl prog | None -> wl)
-        end)
-  in
+  let node = node ?kv_program ?scav_program p ~per_shard in
   let next_lane = Array.make p.cores 0 in
   let requests =
     Array.to_list
       (Array.map
          (fun (rid, key, home, arrival) ->
-           let wl = match shard_wl.(home) with Some w -> w | None -> assert false in
+           let wl = match node.shards.(home) with Some w -> w | None -> assert false in
            let lane = next_lane.(home) in
            next_lane.(home) <- lane + 1;
            let ctx = Workload.context wl ~lane ~id:rid ~mode:Context.Primary in
            Machine.request ~rid ~key ~home ~arrival ctx)
          trace)
   in
-  (* Scavengers: GROUP-BY lanes, optionally all aggregating into lane
-     0's accumulator array (cross-core write sharing), round-robin over
-     cores. *)
-  let scavengers =
-    if scav_lanes = 0 then Array.make p.cores []
-    else begin
-      let wl =
-        Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
-          ~seed:(p.seed + 3) ()
-      in
-      let wl = match scav_program with Some prog -> Workload.with_program wl prog | None -> wl in
-      let wl =
-        if not p.share_scav_accs then wl
-        else begin
-          let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
-          {
-            wl with
-            Workload.lanes =
-              Array.map
-                (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
-                wl.Workload.lanes;
-          }
-        end
-      in
-      (* Batch jobs land on [scav_home_cores] cores, like a batch queue
-         drained where it was enqueued; spreading them is exactly what
-         cross-core stealing is for. *)
-      let homes = max 1 (min p.scav_home_cores p.cores) in
-      let per_core = Array.make p.cores [] in
-      for k = scav_lanes - 1 downto 0 do
-        let ctx = Workload.context wl ~lane:k ~id:(total + k) ~mode:Context.Scavenger in
-        per_core.(k mod homes) <- ctx :: per_core.(k mod homes)
-      done;
-      per_core
-    end
-  in
+  let scavengers = scavengers node ~id:(fun k -> total + k) in
   let config =
     {
       Machine.default_config with
@@ -300,7 +269,7 @@ let setup params =
       trace = p.trace;
     }
   in
-  (config, image, requests, scavengers, (verify_programs, verify_errors, verify_warnings))
+  (config, node.image, requests, scavengers, (verify_programs, verify_errors, verify_warnings))
 
 let live params =
   let config, mem, requests, scavengers, _ = setup params in
@@ -340,7 +309,7 @@ let to_json r =
       ("policy", Json.String (Dispatch.policy_name p.policy));
       ("steal", Json.Bool p.steal);
       ("pgo", Json.Bool p.pgo);
-      ("placement", Json.String (placement_name p.placement));
+      ("placement", Json.String (Pipeline.placement_name p.placement));
       ("seed", Json.Int p.seed);
       ("requests", Json.Int (p.requests_per_core * p.cores));
       ("cycles", Json.Int r.result.Machine.cycles);

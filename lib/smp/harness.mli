@@ -8,30 +8,28 @@
     d-FCFS dispatch gives perfect locality but inherits the key skew,
     while JBSQ steers around the hot shard at the price of serving a
     request against a remote shard's table. Scavengers are GROUP-BY
-    lanes ({!Stallhide_workloads.Group_by}); with
-    [share_scav_accs] they all aggregate into one accumulator array,
-    so scavenger stores on different cores invalidate each other's
-    private lines — the cross-core sharing cost the shared L3 models.
+    lanes ({!Stallhide_workloads.Group_by}) that all aggregate into one
+    accumulator array, so scavenger stores on different cores
+    invalidate each other's private lines — the cross-core sharing
+    cost the shared L3 models.
 
     With [pgo] on, both programs go through the §3.2 pipeline
-    (profile → instrument → verify, fail-fast) once, on small twin
-    workloads with the same program text; the instrumented program is
-    then rebound to every serving shard. [verify_errors] and
-    [verify_warnings] re-validate the rebound programs so callers can
-    assert verifier-cleanliness without trusting the fail-fast path. *)
+    ({!Stallhide.Pipeline.place}: evidence → instrument → verify,
+    fail-fast) once, on small twin workloads with the same program
+    text; the instrumented program is then rebound to every serving
+    shard. [verify_errors] and [verify_warnings] re-validate the
+    rebound programs so callers can assert verifier-cleanliness
+    without trusting the fail-fast path.
+
+    {!node} is what a kv-serving machine is made of; the cluster
+    harness builds its replicas with it. *)
 
 open Stallhide_sched
+open Stallhide_workloads
 
-(** How yield/prefetch sites are chosen when [pgo] is on: [Pgo]
-    profiles the twin workload (§3.2), [Static] places purely from the
-    must/may cache analysis ({!Stallhide_analysis}) with no profiling
-    run at all, [Hybrid] profiles and lets proven static facts override
-    the samples. *)
-type placement = Pgo | Static | Hybrid
-
-val placement_name : placement -> string
-
-val placement_of_string : string -> placement option
+(** {!Stallhide.Pipeline.placement}. The re-export remains only because
+    [perfbench/serving.ml] names [Harness.Pgo]. *)
+type placement = Stallhide.Pipeline.placement = Pgo | Static | Hybrid
 
 type params = {
   cores : int;
@@ -43,13 +41,9 @@ type params = {
   req_ops : int;  (** GET probes per request *)
   service_compute : int;  (** ALU work per GET *)
   table_slots : int;  (** per-shard hash-table slots *)
-  scav_per_core : int;
-  scav_home_cores : int;
-      (** batch work is enqueued on this many cores (default 1);
-          stealing spreads it to the rest *)
+  scav_per_core : int;  (** all enqueued on core 0; stealing spreads them *)
   scav_tuples : int;
   scav_groups : int;
-  share_scav_accs : bool;  (** scavengers share one accumulator array *)
   scav_interval : int;  (** scavenger-pass yield interval under PGO *)
   skew : float;  (** Zipf exponent over the key universe *)
   key_universe : int;
@@ -87,17 +81,59 @@ val zipf_cdf : universe:int -> skew:float -> float array
 
 val zipf_sample : float array -> Random.State.t -> int
 
-(** Profile + instrument once on a small twin workload with the same
-    program text; callers rebind the returned program to every serving
-    workload ({!Stallhide_workloads.Workload.with_program}). Returns
+(** {!Stallhide.Pipeline.place} once on a small twin workload with the
+    same program text, then the counting re-validation; callers rebind
+    the returned program to every serving workload
+    ({!Workload.with_program}). Returns
     [(program, verify_errors, verify_warnings)]. *)
 val instrument_twin :
-  twin:Stallhide_workloads.Workload.t ->
+  twin:Workload.t ->
   placement:placement ->
   mem:Stallhide_mem.Memconfig.t ->
   ?scavenger_interval:int ->
   unit ->
   Stallhide_isa.Program.t * int * int
+
+(** The twins of [p]'s serving programs: a kv-server of 8 lanes and 64
+    requests at [seed + 1] (reads [table_slots] and [service_compute]),
+    and a GROUP-BY of 4 lanes and [max 400 scav_tuples] tuples at
+    [seed + 2] (reads [scav_groups]). *)
+val kv_twin : params -> Workload.t
+
+val scav_twin : params -> Workload.t
+
+(** Both twins through {!instrument_twin} under [p.placement] and
+    [p.memcfg], the GROUP-BY one at [scav_interval]: the kv program,
+    the scavenger program, and the summed verifier errors and
+    warnings. *)
+val instrument_twins : params -> Stallhide_isa.Program.t * Stallhide_isa.Program.t * int * int
+
+(** A kv-serving machine's workloads, all in one image. *)
+type node = {
+  image : Stallhide_mem.Address_space.t;  (** sized to exactly what the generators allocate *)
+  shards : Workload.t option array;
+      (** core [s]'s kv-server, one lane per request homed there; [None]
+          when no request is *)
+  scav : Workload.t option;
+      (** [scav_per_core × cores] GROUP-BY lanes, every one aggregating
+          into lane 0's accumulator array; [None] when there are none *)
+}
+
+(** [node p ~per_shard] builds a node for [per_shard.(s)] requests homed
+    to each of [p.cores] shards, serving [kv_program] and
+    [scav_program] when given (the generators' programs otherwise).
+    Reads [cores], [table_slots], [req_ops], [service_compute],
+    [scav_per_core], [scav_groups], [scav_tuples] and [seed]. *)
+val node :
+  ?kv_program:Stallhide_isa.Program.t ->
+  ?scav_program:Stallhide_isa.Program.t ->
+  params ->
+  per_shard:int array ->
+  node
+
+(** Per-core scavenger lists, one per shard: every lane of [node.scav]
+    on core 0, in lane order, lane [k] with context id [id k]. *)
+val scavengers : node -> id:(int -> int) -> Stallhide_cpu.Context.t list array
 
 type run = {
   params : params;

@@ -134,10 +134,9 @@ let run_smp ?(cores = 4) ?(scavengers_per_core = 2) mode p =
     | Seq | Interleaved -> (fst insts.(0)).Workload.program
     | Interleaved_pgo ->
         let wl0 = fst insts.(0) in
-        let profiled = Pipeline.profile wl0 in
-        let wl0', _inst = Pipeline.instrument profiled wl0 in
+        let _, inst = Pipeline.place wl0 in
         wl0.Workload.reset ();
-        wl0'.Workload.program
+        inst.Pipeline.program
   in
   let requests =
     List.concat

@@ -131,8 +131,7 @@ type prepared = {
 
 let prepare cfg =
   let wl = make_workload cfg.workload ~lanes:cfg.lanes ~ops:cfg.ops ~manual:false ~seed:cfg.seed in
-  let profiled = Pipeline.profile wl in
-  let _wl, inst = Pipeline.instrument profiled wl in
+  let _, inst = Pipeline.place wl in
   let sites =
     Attribution.covering_sites inst.Pipeline.program ~orig_of_new:inst.Pipeline.orig_of_new
       ~selected:inst.Pipeline.primary.selected

@@ -449,22 +449,7 @@ let test_horizon_truncates () =
 (* [Cluster.Harness.run] from its public parts, with every node's
    [Machine.config.trace] forced to [trace] *)
 let run_traced ~trace (p : CH.params) =
-  let module SH = Stallhide_smp.Harness in
-  let module W = Stallhide_workloads in
-  let kv_program, _, _ =
-    SH.instrument_twin
-      ~twin:
-        (W.Kv_server.make ~lanes:8 ~table_slots:p.CH.table_slots ~requests:64
-           ~service_compute:p.CH.service_compute ~seed:(p.CH.seed + 1) ())
-      ~placement:SH.Pgo ~mem ()
-  in
-  let scav_program, _, _ =
-    SH.instrument_twin
-      ~twin:
-        (W.Group_by.make ~lanes:4 ~groups:p.CH.scav_groups ~tuples:(max 400 p.CH.scav_tuples)
-           ~seed:(p.CH.seed + 2) ())
-      ~placement:SH.Pgo ~mem ~scavenger_interval:p.CH.scav_interval ()
-  in
+  let kv_program, scav_program, _, _ = Stallhide_smp.Harness.instrument_twins (CH.smp_params p) in
   let factory = CH.node_factory ~kv_program ~scav_program p in
   let node ~machine ~restart =
     let impl = factory ~machine ~restart in

@@ -335,15 +335,12 @@ let test_metrics_row_shape () =
 
 module Smp_harness = Stallhide_smp.Harness
 
-let kv_twin () =
-  let hp = Smp_harness.default_params in
-  Kv_server.make ~lanes:8 ~table_slots:hp.Smp_harness.table_slots ~requests:64
-    ~service_compute:hp.Smp_harness.service_compute ~seed:2 ()
+(* the serving harness's twins at seed 1 (so workload seeds 2 and 3) *)
+let twin_params = { Smp_harness.default_params with Smp_harness.seed = 1 }
 
-let scav_twin () =
-  let hp = Smp_harness.default_params in
-  Group_by.make ~lanes:4 ~groups:hp.Smp_harness.scav_groups
-    ~tuples:(max 400 hp.Smp_harness.scav_tuples) ~seed:3 ()
+let kv_twin () = Smp_harness.kv_twin twin_params
+
+let scav_twin () = Smp_harness.scav_twin twin_params
 
 let pinned_profiles =
   [
@@ -378,6 +375,98 @@ let test_profiles_pinned () =
       Alcotest.(check int) (name ^ ": overhead cycles") overhead p.Pipeline.overhead_cycles)
     pinned_profiles
 
+(* --- pinned placements ---
+
+   [Pipeline.place] is the one step from a placement to an instrumented
+   program. For the workloads above, under each placement, it must give
+   what [Baselines.run_pgo], [run_static] and [run_hybrid] (and, for the
+   twins, [Smp.Harness.instrument_twin]) gave before it replaced their
+   three copies: MD5s of the program listing and of [orig_of_new], the
+   primary yield sites, and the scavenger pass's insertions (-1 when
+   the pass did not run). The scavenger twin is placed at the serving
+   harness's scavenger interval, 150. *)
+
+let pinned_placements =
+  [
+    ("pointer-chase", Pipeline.Pgo, "a4a0870fd626c03da9a67fcd67e36e2c", "d0e155b1ff9ec89c40aa895901f28c9b", 1, -1);
+    ("pointer-chase", Pipeline.Static, "4c444922992b6c2ecb5f3a559569f405", "01bed3f4cb83a4433a0f20fb7eb78aa3", 1, -1);
+    ("pointer-chase", Pipeline.Hybrid, "a4a0870fd626c03da9a67fcd67e36e2c", "d0e155b1ff9ec89c40aa895901f28c9b", 1, -1);
+    ("hash-probe", Pipeline.Pgo, "b9946ec4d6e8703d8cc0871757d9293e", "c31b9e99b01c67a33d62c6e5db6caa81", 1, -1);
+    ("hash-probe", Pipeline.Static, "9027066975c0925658cf043447ddca43", "563e90a36c5ab1e5802d5dc737106146", 2, -1);
+    ("hash-probe", Pipeline.Hybrid, "b9946ec4d6e8703d8cc0871757d9293e", "c31b9e99b01c67a33d62c6e5db6caa81", 1, -1);
+    ("btree", Pipeline.Pgo, "6af3e97b187bbc31fdbd5cb10afd7033", "46535f147d67f4ca39c4b4660813f5e0", 1, -1);
+    ("btree", Pipeline.Static, "12e73af6ef11fe0667332fc7b7c2b593", "9f7083b0ade140bf73ac4789dc76060b", 5, -1);
+    ("btree", Pipeline.Hybrid, "6af3e97b187bbc31fdbd5cb10afd7033", "46535f147d67f4ca39c4b4660813f5e0", 1, -1);
+    ("array-scan", Pipeline.Pgo, "d8ae332d47dd2bf56a9512a5e6e7294d", "982fda07351eb1e92dab2e53f614c13b", 1, -1);
+    ("array-scan", Pipeline.Static, "6494686d45eae60fe46f53842db75934", "a890635d7987109737c27a9354ae9802", 1, -1);
+    ("array-scan", Pipeline.Hybrid, "d8ae332d47dd2bf56a9512a5e6e7294d", "982fda07351eb1e92dab2e53f614c13b", 1, -1);
+    ("hash-join", Pipeline.Pgo, "53a8a45aaa940bb8f0b151e09a0a9685", "df2774f2380c9fda24010239f30fd29e", 2, -1);
+    ("hash-join", Pipeline.Static, "ad6721013f834b833732752fd649cb8e", "67ef95ffc591ed604e8649cb897c3116", 6, -1);
+    ("hash-join", Pipeline.Hybrid, "53a8a45aaa940bb8f0b151e09a0a9685", "df2774f2380c9fda24010239f30fd29e", 2, -1);
+    ("kv-server", Pipeline.Pgo, "528be2da3fa34b18a8e64fb02ffb6b57", "4fce305daf7791b75865a20ede933d7f", 2, -1);
+    ("kv-server", Pipeline.Static, "0dcb08d56ac11b6dad4a6b3f61c09680", "1adb88b86e1d1e8684a00ea0c054ee74", 2, -1);
+    ("kv-server", Pipeline.Hybrid, "528be2da3fa34b18a8e64fb02ffb6b57", "4fce305daf7791b75865a20ede933d7f", 2, -1);
+    ("graph-bfs", Pipeline.Pgo, "4e5383cbcd223d58c58b33fd1b9d1e3a", "4553df2bdb47d478ce9e911bc2276a8a", 0, -1);
+    ("graph-bfs", Pipeline.Static, "7a098ddd41e23fc893c956f87bbfd41a", "6cd86c111871396b74960eabf423ee33", 5, -1);
+    ("graph-bfs", Pipeline.Hybrid, "4e5383cbcd223d58c58b33fd1b9d1e3a", "4553df2bdb47d478ce9e911bc2276a8a", 0, -1);
+    ("group-by", Pipeline.Pgo, "fae3ae9405b329fec6c46ff4b5998777", "a2384164546bae91f9d1cac53011ebef", 2, -1);
+    ("group-by", Pipeline.Static, "892ad186cb95ab631b2d4db1ec5a82e3", "15a0faa44ee15f148c3b4c604c2cc79e", 2, -1);
+    ("group-by", Pipeline.Hybrid, "fae3ae9405b329fec6c46ff4b5998777", "a2384164546bae91f9d1cac53011ebef", 2, -1);
+    ("offload", Pipeline.Pgo, "df9dc3cb6c6b176c23c063d231c4779d", "c3d5b5bdf8d3b828ac273926f7481e8c", 2, -1);
+    ("offload", Pipeline.Static, "673408e0f4891a9213e18bfcd2bf2272", "245f08fb32f6671021b2795135e7bdee", 2, -1);
+    ("offload", Pipeline.Hybrid, "df9dc3cb6c6b176c23c063d231c4779d", "c3d5b5bdf8d3b828ac273926f7481e8c", 2, -1);
+    ("txn-oltp", Pipeline.Pgo, "f6297f5f173c3aea68bbba3c6f42b363", "fb95195624cfd806970dc0edb080afa4", 0, -1);
+    ("txn-oltp", Pipeline.Static, "11009a8d058678fa1c3f6cb14118817a", "28374d9e63cb292b91dc79329dc069c1", 48, -1);
+    ("txn-oltp", Pipeline.Hybrid, "f066fcf9489d65e5f9f4c0c2b736050a", "7124e19734309a16faf67880b0dc06ab", 34, -1);
+    ("kv-twin", Pipeline.Pgo, "3fdf2c1f8dd83fc6722a5afd1c261738", "edb631d85bdbf28932520600e309ec76", 1, -1);
+    ("kv-twin", Pipeline.Static, "967cc9cbb011a015e1d3e6805ccdd734", "6e73f26eac0d6d5eb84a472b5185b5ea", 2, -1);
+    ("kv-twin", Pipeline.Hybrid, "3fdf2c1f8dd83fc6722a5afd1c261738", "edb631d85bdbf28932520600e309ec76", 1, -1);
+    ("scav-twin", Pipeline.Pgo, "fae3ae9405b329fec6c46ff4b5998777", "a2384164546bae91f9d1cac53011ebef", 2, 0);
+    ("scav-twin", Pipeline.Static, "892ad186cb95ab631b2d4db1ec5a82e3", "15a0faa44ee15f148c3b4c604c2cc79e", 2, 0);
+    ("scav-twin", Pipeline.Hybrid, "fae3ae9405b329fec6c46ff4b5998777", "a2384164546bae91f9d1cac53011ebef", 2, 0);
+  ]
+
+let listing_digest p =
+  Digest.to_hex (Digest.string (Format.asprintf "%a" Stallhide_isa.Program.pp_listing p))
+
+let map_digest m =
+  Digest.to_hex (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int m))))
+
+let test_placements_pinned () =
+  List.iter
+    (fun (name, placement, listing, map, yield_sites, scav_inserted) ->
+      let label = name ^ "/" ^ Pipeline.placement_name placement in
+      let scavenger_interval =
+        if name = "scav-twin" then Some twin_params.Smp_harness.scav_interval else None
+      in
+      let _, inst = Pipeline.place ~placement ?scavenger_interval (pinned_workload name) in
+      Alcotest.(check string) (label ^ ": listing") listing (listing_digest inst.Pipeline.program);
+      Alcotest.(check string) (label ^ ": orig_of_new") map (map_digest inst.Pipeline.orig_of_new);
+      Alcotest.(check int) (label ^ ": yield sites") yield_sites
+        inst.Pipeline.primary.Primary_pass.yield_sites;
+      Alcotest.(check int) (label ^ ": scavenger insertions") scav_inserted
+        (match inst.Pipeline.scavenger with
+        | Some r -> r.Stallhide_binopt.Scavenger_pass.inserted
+        | None -> -1))
+    pinned_placements;
+  (* the serving harness places both twins the same way, verifier-clean *)
+  List.iter
+    (fun placement ->
+      let pinned name =
+        let _, _, listing, _, _, _ =
+          List.find (fun (n, p, _, _, _, _) -> n = name && p = placement) pinned_placements
+        in
+        listing
+      in
+      let kv, scav, errors, warnings =
+        Smp_harness.instrument_twins { twin_params with Smp_harness.placement }
+      in
+      let label = "harness/" ^ Pipeline.placement_name placement in
+      Alcotest.(check string) (label ^ ": kv twin") (pinned "kv-twin") (listing_digest kv);
+      Alcotest.(check string) (label ^ ": scav twin") (pinned "scav-twin") (listing_digest scav);
+      Alcotest.(check int) (label ^ ": diagnostics") 0 (errors + warnings))
+    Pipeline.[ Pgo; Static; Hybrid ]
+
 (* Profiling allocates only when a sampler fires, and keeps samples
    in flat chunks: far below one minor word per profiled instruction.
    Per-instruction hooks on the reference interpreter take about 27. *)
@@ -402,6 +491,7 @@ let () =
         [
           Alcotest.test_case "profile finds miss site" `Quick test_profile_finds_miss_site;
           Alcotest.test_case "profiles pinned" `Quick test_profiles_pinned;
+          Alcotest.test_case "placements pinned" `Quick test_placements_pinned;
           Alcotest.test_case "profile allocation" `Quick test_profile_allocation;
           Alcotest.test_case "oracle matches profile" `Quick test_oracle_matches_profile;
           Alcotest.test_case "resident loop left alone" `Quick test_resident_loop_left_alone;

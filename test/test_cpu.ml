@@ -176,7 +176,7 @@ let test_scavenger_yield_by_mode () =
   let env = setup "syield\nhalt" in
   let stop, cycles = run env in
   check_stop "off in primary mode" "halted" stop;
-  Alcotest.(check int) "one check cycle" Engine.default_config.Engine.cond_check_cost cycles;
+  Alcotest.(check int) "one check cycle" Engine.cond_check_cost cycles;
   let _, _, _, ctx = env in
   Alcotest.(check int) "check counted" 1 ctx.Context.cond_checks;
   Alcotest.(check int) "no yield" 0 ctx.Context.yields;
@@ -207,12 +207,6 @@ let test_yield_cond () =
   check_stop "warm cyield falls through" "halted" stop2
 
 (* --- engine configuration knobs --- *)
-
-let test_cond_check_cost_config () =
-  let engine = { Engine.default_config with Engine.cond_check_cost = 5 } in
-  let env = setup "syield\nsyield\nhalt" in
-  let _, cycles = run ~engine env in
-  Alcotest.(check int) "configurable check cost" 10 cycles
 
 let test_yield_cond_invalid_addr_falls_through () =
   (* like prefetch, a conditional yield on a junk address is a no-op *)
@@ -777,7 +771,6 @@ let () =
         ] );
       ( "config",
         [
-          Alcotest.test_case "cond check cost" `Quick test_cond_check_cost_config;
           Alcotest.test_case "cyield bad addr" `Quick test_yield_cond_invalid_addr_falls_through;
           Alcotest.test_case "ooo on accel wait" `Quick test_ooo_covers_accel_wait;
         ] );

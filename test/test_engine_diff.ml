@@ -140,7 +140,7 @@ let diff_baselines label ~(make : fixed_maker) =
     f.B.primary_latency;
   Alcotest.(check int)
     (label ^ ": run_dual scavenger switches")
-    r.B.scavenger_switches f.B.scavenger_switches
+    r.B.stats.Core_sched.scav_dispatches f.B.stats.Core_sched.scav_dispatches
 
 let test_baselines_diff () =
   List.iter
@@ -266,7 +266,7 @@ let check_harness_equal label (a : Harness.run) (b : Harness.run) =
 let test_harness_placements_diff () =
   List.iter
     (fun placement ->
-      let label = "harness/" ^ Harness.placement_name placement in
+      let label = "harness/" ^ Stallhide.Pipeline.placement_name placement in
       let r_ref = Harness.run (harness_params ~placement ~fast:false) in
       let r_fast = Harness.run (harness_params ~placement ~fast:true) in
       check_harness_equal label r_ref r_fast)
