@@ -742,7 +742,7 @@ let inject_cmd =
             Printf.eprintf "stallhide: %s\n" msg;
             exit 2
         in
-        let opts = { H.default_opts with H.lanes; ops; seed } in
+        let opts = { H.lanes; ops; seed } in
         H.run_plan ~opts ~workloads:(List.filter (fun w -> w <> "kv-cluster") workloads) plan
       end
     in

@@ -181,19 +181,12 @@ let strict_violations t =
       && match s.cls with Cache_domain.Unknown _ -> true | _ -> false)
     t.sites
 
-type priors = {
-  p_ptr : float;  (** miss probability prior for pointer-chasing loads *)
-  p_strided : float;  (** for streaming/induction loads *)
-  p_opaque : float;  (** no information at all *)
-}
-
-(* Pointer chases miss nearly always in the paper's workloads; streams
-   miss once per line (64B line / 8B element); opaque splits the
-   difference. These only steer the cost model when nothing is proven,
-   and the Cost_benefit policy prices them against switch costs. *)
-let default_priors = { p_ptr = 0.85; p_strided = 0.125; p_opaque = 0.55 }
-
-let to_classifier ?(priors = default_priors) t =
+(* Miss-probability priors. Pointer chases miss nearly always in the
+   paper's workloads; streams miss once per line (64B line / 8B
+   element); opaque splits the difference. These only steer the cost
+   model when nothing is proven, and the Cost_benefit policy prices
+   them against switch costs. *)
+let to_classifier t =
   let cls_tbl = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -215,9 +208,9 @@ let to_classifier ?(priors = default_priors) t =
     match cls_at pc with
     | Some Gain_cost.Hit -> Some 0.0
     | Some Gain_cost.Miss -> Some 1.0
-    | Some Gain_cost.Unknown_ptr -> Some priors.p_ptr
-    | Some Gain_cost.Unknown_strided -> Some priors.p_strided
-    | Some Gain_cost.Unknown_opaque -> Some priors.p_opaque
+    | Some Gain_cost.Unknown_ptr -> Some 0.85
+    | Some Gain_cost.Unknown_strided -> Some 0.125
+    | Some Gain_cost.Unknown_opaque -> Some 0.55
     | None -> None
   in
   {

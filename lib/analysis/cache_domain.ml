@@ -228,16 +228,3 @@ let prefetch (mem : Memconfig.t) t ~base ~disp =
           else age_others ~ways:w3 k t.l3
         in
         { l1; l2; l3; seen = Kset.add k t.seen; seen_top = t.seen_top }
-
-let pp_level fmt m =
-  Format.fprintf fmt "{%s}"
-    (String.concat ", "
-       (List.map
-          (fun (k, a) -> Printf.sprintf "%s@%d" (Key.to_string k) a)
-          (Kmap.bindings m)))
-
-let pp fmt t =
-  Format.fprintf fmt "l1=%a l2=%a l3=%a seen=%s%s" pp_level t.l1 pp_level t.l2
-    pp_level t.l3
-    (String.concat "," (List.map Key.to_string (Kset.elements t.seen)))
-    (if t.seen_top then "+top" else "")

@@ -26,11 +26,10 @@ module Key : sig
           line on any given run; [Sym] alignment is unknown, so equality
           is the only same-line proof. *)
 
-  val compare : t -> t -> int
-
   val equal : t -> t -> bool
 
-  (** Could the two keys fall on the same cache line? *)
+  (** Could the two keys fall on the same cache line?
+      Exported for [test_analysis] only. *)
   val may_alias : line_bytes:int -> t -> t -> bool
 
   val to_string : t -> string
@@ -74,7 +73,8 @@ val join : t -> t -> t
 
 val equal : t -> t -> bool
 
-(** Provably the first-ever access to [k]'s line. *)
+(** Provably the first-ever access to [k]'s line.
+    Exported for [test_analysis] only. *)
 val cold : t -> line_bytes:int -> Key.t -> bool
 
 (** Classification of a demand access at this program point (the state
@@ -88,5 +88,3 @@ val load : Memconfig.t -> t -> base:Value.t -> disp:int -> t
 (** Transfer of a software prefetch — no-op when must-resident in L1,
     mirroring [Hierarchy.prefetch]. *)
 val prefetch : Memconfig.t -> t -> base:Value.t -> disp:int -> t
-
-val pp : Format.formatter -> t -> unit

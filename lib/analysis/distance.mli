@@ -13,11 +13,13 @@ open Stallhide_mem
 open Stallhide_binopt
 
 (** Cycles the instruction is guaranteed to occupy the core (loads pay
-    at least the L1 latency). *)
+    at least the L1 latency).
+    Exported for [test_analysis] only. *)
 val min_cost : Memconfig.t -> Instr.t -> int
 
 (** Worst-case cycles (loads pay DRAM, accelerator waits pay the full
-    operation latency). *)
+    operation latency).
+    Exported for [test_analysis] only. *)
 val max_cost : Memconfig.t -> Instr.t -> int
 
 (** Guaranteed cycles between a prefetch issuing at [prefetch_pc] and

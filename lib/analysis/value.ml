@@ -152,11 +152,3 @@ let block_envs (cfg : Stallhide_binopt.Cfg.t) =
     done
   done;
   { ins; outs }
-
-let to_string = function
-  | Top -> "top"
-  | Const c -> Printf.sprintf "const %d" c
-  | Init (r, 0) -> Printf.sprintf "init(%s)" (Reg.name r)
-  | Init (r, o) -> Printf.sprintf "init(%s)%+d" (Reg.name r) o
-  | Affine r -> Printf.sprintf "init(%s)+k" (Reg.name r)
-  | Loaded -> "loaded"

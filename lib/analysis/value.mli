@@ -32,6 +32,7 @@ type t =
     value, [Init (r, 0)]. *)
 val entry_env : unit -> t array
 
+(** Exported for [test_analysis] only. *)
 val equal : t -> t -> bool
 
 val env_equal : t array -> t array -> bool
@@ -42,8 +43,6 @@ val join : t -> t -> t
     changed. *)
 val join_env : t array -> t array -> bool
 
-val operand : t array -> Instr.operand -> t
-
 (** Abstract transfer of one instruction's register effects, in place.
     [Call] clobbers every register (no interprocedural edges). *)
 val step : t array -> Instr.t -> unit
@@ -53,5 +52,3 @@ type envs = { ins : t array option array; outs : t array option array }
 (** Per-block entry/exit environments (value-only fixpoint over the
     CFG), indexed by block id; [None] for unreachable blocks. *)
 val block_envs : Stallhide_binopt.Cfg.t -> envs
-
-val to_string : t -> string

@@ -72,10 +72,3 @@ let block t id = t.blocks.(id)
 let block_of_pc t pc = t.blocks.(t.owner.(pc))
 
 let is_leader t pc = (block_of_pc t pc).first = pc
-
-let pp fmt t =
-  Array.iter
-    (fun b ->
-      Format.fprintf fmt "B%d [%d..%d] -> %s@." b.id b.first b.last
-        (String.concat "," (List.map (fun s -> "B" ^ string_of_int s) (List.sort compare b.succs))))
-    t.blocks

@@ -29,7 +29,6 @@ val block : t -> int -> block
 (** Block containing [pc]. *)
 val block_of_pc : t -> int -> block
 
-(** Whether [pc] starts a basic block. *)
+(** Whether [pc] starts a basic block.
+    Exported for [test_binopt] only. *)
 val is_leader : t -> int -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,6 @@
 open Stallhide_isa
 open Stallhide_util
 
-let is_load_at prog pc = Instr.is_load (Program.instr prog pc)
-
 let groups cfg ~selected ~max_group =
   if max_group < 1 then invalid_arg "Depend.groups: max_group must be >= 1";
   let prog = Cfg.program cfg in

@@ -10,12 +10,7 @@
     control effects intervened ([Store], [Call], yields, block
     boundaries close the group). *)
 
-open Stallhide_isa
-
 (** [groups cfg ~selected ~max_group] returns groups of load pcs in
     program order; every pc with [selected pc = true] that is a load
     appears in exactly one group. Groups never span basic blocks. *)
 val groups : Cfg.t -> selected:(int -> bool) -> max_group:int -> int list list
-
-(** Convenience: true when the instruction at [pc] is a [Load]. *)
-val is_load_at : Program.t -> int -> bool

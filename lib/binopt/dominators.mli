@@ -11,13 +11,15 @@ type t
 val compute : Cfg.t -> t
 
 (** Immediate dominator of block [b]; the entry block (and any
-    unreachable block) maps to itself. *)
+    unreachable block) maps to itself.
+    Exported for [test_binopt] only. *)
 val idom : t -> int -> int
 
 (** [dominates t a b]: does block [a] dominate block [b]? *)
 val dominates : t -> int -> int -> bool
 
-(** Blocks unreachable from the entry. *)
+(** Blocks unreachable from the entry.
+    Exported for [test_binopt] only. *)
 val unreachable : t -> int list
 
 type loop = {

@@ -76,11 +76,6 @@ let place placement est =
 
 type policy = Always | Threshold of float | Cost_benefit
 
-let policy_name = function
-  | Always -> "always"
-  | Threshold t -> Printf.sprintf "threshold(%.2f)" t
-  | Cost_benefit -> "cost-benefit"
-
 let switch_cost m ~live_regs =
   m.switch_base +. (m.switch_per_reg *. float_of_int live_regs)
 

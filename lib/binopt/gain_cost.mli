@@ -68,12 +68,11 @@ type policy =
   | Threshold of float  (** instrument when estimated miss probability >= t *)
   | Cost_benefit  (** instrument when expected gain is positive *)
 
-val policy_name : policy -> string
-
 (** Modeled cost of one switch at a site with [live_regs] live. *)
 val switch_cost : machine -> live_regs:int -> float
 
-(** Expected cycles saved per execution by instrumenting a site. *)
+(** Expected cycles saved per execution by instrumenting a site.
+    Exported for [test_binopt] only. *)
 val expected_gain : machine -> live_regs:int -> p_miss:float -> stall:float -> float
 
 (** Load pcs chosen for primary instrumentation, ascending. *)

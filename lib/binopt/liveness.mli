@@ -18,7 +18,8 @@ val live_out : t -> int -> int
 val live_in : t -> int -> int
 
 (** Number of registers a switch at the yield instruction [pc] must
-    save: the registers live after it. *)
+    save: the registers live after it.
+    Exported for [test_binopt] only. *)
 val regs_to_save : t -> int -> int
 
 (** Set [Program.annot pc.live_regs] at every [Yield]/[Yield_cond]. *)

@@ -6,7 +6,6 @@ type opts = {
   coalesce : bool;
   max_group : int;
   conditional : bool;
-  accel_waits : bool;
   placement : Gain_cost.placement;
 }
 
@@ -17,7 +16,6 @@ let default_opts =
     coalesce = true;
     max_group = 8;
     conditional = false;
-    accel_waits = true;
     placement = Gain_cost.Pgo;
   }
 
@@ -87,16 +85,15 @@ let run ?(wait_stalls = fun _ -> 1) opts est prog =
   end
   else List.iter plan_single selected;
   let wait_sites = ref [] in
-  if opts.accel_waits then
-    Array.iteri
-      (fun pc i ->
-        match i with
-        | Instr.Accel_wait _ when wait_stalls pc > 0 ->
-            incr yield_sites;
-            wait_sites := pc :: !wait_sites;
-            Hashtbl.replace insertions pc [ Instr.Yield Instr.Primary ]
-        | _ -> ())
-      (Program.code prog);
+  Array.iteri
+    (fun pc i ->
+      match i with
+      | Instr.Accel_wait _ when wait_stalls pc > 0 ->
+          incr yield_sites;
+          wait_sites := pc :: !wait_sites;
+          Hashtbl.replace insertions pc [ Instr.Yield Instr.Primary ]
+      | _ -> ())
+    (Program.code prog);
   let selected = selected @ List.rev !wait_sites in
   let prog', map =
     Rewrite.insert_before prog (fun pc ->

@@ -7,7 +7,9 @@
     share a single yield: all their prefetches are hoisted to the group
     head. With [conditional] on, a [Yield_cond] is emitted instead —
     the §4.1 hardware-supported variant that tests residency first
-    (conditional sites are not coalesced).
+    (conditional sites are not coalesced). Every [Accel_wait] the
+    profile saw stalling also gets a yield, with no prefetch: the
+    operation is already in flight.
 
     Under [Static] placement the choice is per site: loads the analysis
     proved [Always_miss] keep the unconditional [prefetch; yield]
@@ -27,10 +29,6 @@ type opts = {
   coalesce : bool;
   max_group : int;
   conditional : bool;
-  accel_waits : bool;
-      (** also place a yield before every [Accel_wait] the profile saw
-          stalling ([stalls_at] via [wait_stalls]); the operation is
-          already in flight, so no prefetch is needed (default true) *)
   placement : Gain_cost.placement;
       (** where site estimates come from: the supplied profile
           estimates ([Pgo], default), the static analysis alone

@@ -3,17 +3,17 @@ open Stallhide_isa
 type opts = {
   target_interval : int;
   pc_cycles : int -> float option;
-  load_static_latency : int;
   loop_bounds : int -> int option;
 }
 
 let default_opts =
-  {
-    target_interval = 200;
-    pc_cycles = (fun _ -> None);
-    load_static_latency = 4;
-    loop_bounds = (fun _ -> None);
-  }
+  { target_interval = 200; pc_cycles = (fun _ -> None); loop_bounds = (fun _ -> None) }
+
+let static_cost prog pc =
+  let i = Program.instr prog pc in
+  float_of_int (Cost.base i + if Instr.is_load i then 4 else 0)
+
+let bound ~target = 2 * target
 
 type report = { inserted : int; sites : int list; uncovered_loops : int }
 
@@ -22,21 +22,16 @@ let run opts prog =
   let cfg = Cfg.build prog in
   let nb = Cfg.block_count cfg in
   let target = float_of_int opts.target_interval in
-  let cost pc =
-    match opts.pc_cycles pc with
-    | Some c -> c
-    | None ->
-        let i = Program.instr prog pc in
-        let static = Cost.base i + if Instr.is_load i then opts.load_static_latency else 0 in
-        float_of_int static
-  in
+  let bound = float_of_int (bound ~target:opts.target_interval) in
+  let cost pc = match opts.pc_cycles pc with Some c -> c | None -> static_cost prog pc in
   let planned = Hashtbl.create 32 in
   (* Cooperative atomicity: code written for coroutines relies on no
      yield occurring between a load and the store that completes its
      read-modify-write. Mark the pcs strictly inside such windows
      (same base register and displacement, base not redefined) so the
      planner defers insertion past the store. *)
-  let no_insert = Array.make (Program.length prog) false in
+  let n = Program.length prog in
+  let no_insert = Array.make n false in
   for id = 0 to nb - 1 do
     let b = Cfg.block cfg id in
     let open_windows : (int * int, int) Hashtbl.t = Hashtbl.create 4 in
@@ -105,10 +100,22 @@ let run opts prog =
           Hashtbl.replace planned site ())
     (Dominators.unyielded_loops cfg);
   let dist_out = Array.make nb 0.0 in
+  (* Cost of a window's opening load through the end of the no-insert
+     run after it: its own window and any window overlapping it. *)
+  let window_cost start =
+    let c = ref (cost start) and k = ref (start + 1) in
+    while !k < n && no_insert.(!k) do
+      c := !c +. cost !k;
+      incr k
+    done;
+    !c
+  in
   (* Walk a block with incoming distance [d0], greedily planning a yield
-     before any instruction that would push the distance past target.
-     Existing yields and planned yields reset the distance. *)
-  let walk_block plan b d0 =
+     before any instruction that would push the distance past target,
+     and before a window's opening load when the window would push the
+     distance past the bound (no yield can go inside it). Existing
+     yields and planned yields reset the distance. *)
+  let walk_block b d0 =
     let d = ref d0 in
     let first = b.Cfg.first and last = b.Cfg.last in
     for pc = first to last do
@@ -117,11 +124,10 @@ let run opts prog =
       | Instr.Yield _ | Instr.Yield_cond _ -> d := 0.0
       | _ ->
           let c = cost pc in
-          if
-            plan && !d +. c > target
-            && (not (Hashtbl.mem planned pc))
-            && not no_insert.(pc)
-          then begin
+          let over =
+            !d +. c > target || (pc + 1 < n && no_insert.(pc + 1) && !d +. window_cost pc > bound)
+          in
+          if over && (not (Hashtbl.mem planned pc)) && not no_insert.(pc) then begin
             Hashtbl.replace planned pc ();
             d := c
           end
@@ -149,7 +155,7 @@ let run opts prog =
         +. budget.(id)
       in
       let before = Hashtbl.length planned in
-      let out = walk_block true b d0 in
+      let out = walk_block b d0 in
       if Hashtbl.length planned <> before || abs_float (out -. dist_out.(id)) > 1e-9 then begin
         dist_out.(id) <- out;
         changed := true

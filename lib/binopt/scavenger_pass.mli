@@ -13,7 +13,9 @@
     yield between a load and the store that completes its
     read-modify-write of the same address (coroutine code relies on
     runs between yields being atomic), deferring the yield past the
-    store instead.
+    store instead. When a window would run the distance past {!bound},
+    the yield goes before the load that opens it; a window whose own
+    cost passes the bound still overruns it.
 
     Runs after the primary pass; [pc_cycles] is queried with *current*
     program pcs (compose with the rewrite map as needed). *)
@@ -22,8 +24,8 @@ open Stallhide_isa
 
 type opts = {
   target_interval : int;  (** desired inter-yield distance, cycles *)
-  pc_cycles : int -> float option;  (** LBR estimate per execution of a pc *)
-  load_static_latency : int;  (** static fallback added to a load's base cost *)
+  pc_cycles : int -> float option;
+      (** LBR estimate per execution of a pc; {!static_cost} where [None] *)
   loop_bounds : int -> int option;
       (** proven trip count of the yield-free loop whose header starts
           at the given pc (e.g. [Stallhide_analysis.Loop_bounds.trips_at]
@@ -34,6 +36,17 @@ type opts = {
 }
 
 val default_opts : opts
+
+(** The static worst-case cost of the instruction at a pc (§3.3):
+    {!Stallhide_isa.Cost.base} plus 4 cycles for a load. The pass plans
+    with it where no LBR estimate exists, and
+    {!Stallhide_verify.Checks.interval_bound} prices every path with it. *)
+val static_cost : Program.t -> int -> float
+
+(** The longest yield-free path the pass promises for a target: the
+    target plus one target of slack, which a yield deferred past a
+    read-modify-write window may use. The verifier checks this bound. *)
+val bound : target:int -> int
 
 type report = {
   inserted : int;

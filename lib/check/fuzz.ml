@@ -53,7 +53,7 @@ let shrunken oracle cfg program =
   in
   (prog, Shrink.instruction_count minimal, detail)
 
-let run ?(progress = fun _ -> ()) (opts : opts) =
+let run (opts : opts) =
   let counterexamples = ref [] in
   let invalid = ref [] in
   let checks = ref 0 in
@@ -91,8 +91,7 @@ let run ?(progress = fun _ -> ()) (opts : opts) =
                 repro_path;
               }
               :: !counterexamples)
-      opts.oracles;
-    progress (i + 1)
+      opts.oracles
   done;
   {
     cases = opts.cases;

@@ -42,9 +42,8 @@ type report = {
 
 val ok : report -> bool
 
-(** [run ?progress opts] executes the campaign; [progress] is called
-    after each case with the number of cases finished. *)
-val run : ?progress:(int -> unit) -> opts -> report
+(** Execute the campaign. *)
+val run : opts -> report
 
 val report_to_json : report -> Stallhide_util.Json.t
 

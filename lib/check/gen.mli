@@ -45,8 +45,6 @@ type cfg = {
   seed : int;
 }
 
-val default_cfg : cfg
-
 type case = { cfg : cfg; program : Program.t }
 
 (** Deterministic program for this configuration (drawn from

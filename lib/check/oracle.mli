@@ -80,10 +80,6 @@ val check : name -> Gen.cfg -> Program.t -> verdict
 val check_case : name -> Gen.case -> verdict
 
 (** The memory geometries the [Soundness] oracle samples from, one per
-    case ([Memconfig.default] first). *)
+    case ([Memconfig.default] first).
+    Exported for [test_mem] only. *)
 val mem_samples : Stallhide_mem.Memconfig.t list
-
-(** The [Mutant] oracle's miscompile: inserts [mov rd, 0] after every
-    load (destroying the loaded value), exposed so tests can build the
-    broken binary directly. *)
-val clobber_loads : Program.t -> Program.t

@@ -19,12 +19,15 @@ type t = {
 
 val make : oracle:Oracle.name -> cfg:Gen.cfg -> program:Program.t -> detail:string -> t
 
-(** @raise Asm.Parse_error on a corrupted listing. *)
+(** Exported for [test_check] only.
+    @raise Asm.Parse_error on a corrupted listing. *)
 val program : t -> Program.t
 
+(** Exported for [test_check] only. *)
 val to_json : t -> Stallhide_util.Json.t
 
-(** @raise Invalid_argument on a malformed encoding. *)
+(** Exported for [test_check] only.
+    @raise Invalid_argument on a malformed encoding. *)
 val of_json : Stallhide_util.Json.t -> t
 
 (** [save ~dir t] writes [repro-<oracle>-seed<seed>.json] under [dir]

@@ -21,8 +21,6 @@ let capture ~mem ctxs =
   let words = Address_space.used_bytes mem / Address_space.word_bytes in
   { ctxs; mem = Array.init words (fun w -> Address_space.load mem (w * Address_space.word_bytes)) }
 
-let equal a b = a.ctxs = b.ctxs && a.mem = b.mem
-
 let diff a b =
   let rec ctx_diff = function
     | [], [] -> None
@@ -59,11 +57,3 @@ let diff a b =
         done;
         !d
       end
-
-let first_fault t =
-  List.find_map
-    (fun c ->
-      match c.fault with
-      | Some m -> Some (Printf.sprintf "ctx %d faulted: %s" c.id m)
-      | None -> None)
-    t.ctxs

@@ -17,13 +17,7 @@ type t
     contexts are keyed by id. *)
 val capture : mem:Address_space.t -> Context.t array -> t
 
-val equal : t -> t -> bool
-
 (** First observable difference, human-readable — [None] when equal.
     The order of comparison (statuses, then registers, then memory) is
     stable so shrunken counterexamples report the same mismatch. *)
 val diff : t -> t -> string option
-
-(** Any context that ended [Faulted]; well-formed generated programs
-    never trap, so a fault in any arm is itself a counterexample. *)
-val first_fault : t -> string option

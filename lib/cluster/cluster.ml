@@ -79,14 +79,6 @@ type attempt = {
 
 type outcome = Pending | Acked | Expired | Shed | Unanswered | Truncated
 
-let outcome_name = function
-  | Pending -> "pending"
-  | Acked -> "acked"
-  | Expired -> "expired"
-  | Shed -> "shed"
-  | Unanswered -> "unanswered"
-  | Truncated -> "truncated"
-
 type rq = {
   spec : spec;
   mutable attempts : attempt list;  (* in dispatch (a_ix) order *)

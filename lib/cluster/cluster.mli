@@ -50,8 +50,6 @@ type attempt = {
     at [config.horizon] with work left. *)
 type outcome = Pending | Acked | Expired | Shed | Unanswered | Truncated
 
-val outcome_name : outcome -> string
-
 type rq = {
   spec : spec;
   mutable attempts : attempt list;

@@ -33,6 +33,7 @@ val create : policy -> machines:int -> seed:int -> t
 
 val health : t -> int -> health
 
+(** Exported for [test_cluster] only. *)
 val healthy : t -> int -> bool
 
 (** [strike t m ~threshold] — one more consecutive failure signal for
@@ -42,9 +43,6 @@ val strike : t -> int -> threshold:int -> bool
 (** A successful interaction with [m] (a response or probe reply)
     clears its strikes. *)
 val clear_strikes : t -> int -> unit
-
-(** Force quarantine; true when [m] was previously up. *)
-val quarantine : t -> int -> bool
 
 (** Probe success: readmit [m]; true when it was quarantined. *)
 val readmit : t -> int -> bool

@@ -1,8 +1,11 @@
 open Stallhide_isa
 
-type config = { min_fires : int; loss_threshold : int; stale_fraction : float }
+(* A site needs this many firings to be judged; a judged site loses
+   when its measured gain is negative; the profile is stale once this
+   share of the judged sites loses. *)
+let min_fires = 4
 
-let default_config = { min_fires = 4; loss_threshold = 0; stale_fraction = 0.25 }
+let stale_fraction = 0.25
 
 type verdict = {
   losing : Stallhide_obs.Attribution.site list;
@@ -11,18 +14,14 @@ type verdict = {
   stale : bool;
 }
 
-let losing_pcs v = List.map (fun s -> s.Stallhide_obs.Attribution.yield_pc) v.losing
-
-let assess ?(config = default_config) ?obs (report : Stallhide_obs.Attribution.report) =
+let assess ?obs (report : Stallhide_obs.Attribution.report) =
   let judged =
     List.filter
-      (fun s -> s.Stallhide_obs.Attribution.fires >= config.min_fires)
+      (fun s -> s.Stallhide_obs.Attribution.fires >= min_fires)
       report.Stallhide_obs.Attribution.sites
   in
   let losing =
-    List.filter
-      (fun s -> s.Stallhide_obs.Attribution.measured_gain < -config.loss_threshold)
-      judged
+    List.filter (fun s -> s.Stallhide_obs.Attribution.measured_gain < 0) judged
   in
   let lost_cycles =
     List.fold_left (fun acc s -> acc - s.Stallhide_obs.Attribution.measured_gain) 0 losing
@@ -31,7 +30,7 @@ let assess ?(config = default_config) ?obs (report : Stallhide_obs.Attribution.r
   let n_losing = List.length losing in
   let stale =
     n_judged > 0
-    && float_of_int n_losing /. float_of_int n_judged >= config.stale_fraction
+    && float_of_int n_losing /. float_of_int n_judged >= stale_fraction
   in
   (match obs with
   | Some s ->
@@ -100,11 +99,13 @@ let deinstrument ?obs ?(protect = fun _ -> false) program ~pcs =
   | None -> ());
   program'
 
-let adapt ?config ?obs ?protect report program =
-  let v = assess ?config ?obs report in
+let adapt ?obs ?protect report program =
+  let v = assess ?obs report in
   let program' =
     match v.losing with
     | [] -> program
-    | _ -> deinstrument ?obs ?protect program ~pcs:(losing_pcs v)
+    | losing ->
+        deinstrument ?obs ?protect program
+          ~pcs:(List.map (fun s -> s.Stallhide_obs.Attribution.yield_pc) losing)
   in
   (program', v)

@@ -6,14 +6,14 @@
     path moves — the bet goes bad: the loads hit, no stall is hidden,
     and every firing pays the switch for nothing. The drift detector
     closes the loop from {!Stallhide_obs.Attribution}: sites whose
-    *measured* gain is negative (with enough firings to count as
+    *measured* gain is negative (with at least 4 firings to count as
     evidence) are declared losing and their yields replaced by [Nop] —
     de-instrumentation back toward the uninstrumented binary, which is
     exactly the fallback the paper's software-only stance makes cheap.
 
-    When the losing fraction of judged sites passes [stale_fraction],
-    the whole profile is flagged stale ([verdict.stale]) — the signal to
-    re-profile rather than keep patching.
+    When a quarter or more of the judged sites lose, the whole profile
+    is flagged stale ([verdict.stale]) — the signal to re-profile
+    rather than keep patching.
 
     De-instrumentation defers to the static analysis: a yield covering
     a load proven [Always_miss] ({!Stallhide_analysis}) is useful on
@@ -28,46 +28,21 @@
 
 open Stallhide_isa
 
-type config = {
-  min_fires : int;  (** firings below this = not enough evidence to judge *)
-  loss_threshold : int;
-      (** a site loses when [measured_gain < -loss_threshold] cycles *)
-  stale_fraction : float;
-      (** losing/judged ratio at which the profile is declared stale *)
-}
-
-(** min_fires 4, loss_threshold 0, stale_fraction 0.25. *)
-val default_config : config
-
 type verdict = {
   losing : Stallhide_obs.Attribution.site list;  (** sites to de-instrument *)
-  judged : int;  (** sites with at least [min_fires] firings *)
+  judged : int;  (** sites with at least 4 firings *)
   lost_cycles : int;  (** total cycles the losing sites cost (≥ 0) *)
-  stale : bool;  (** losing fraction passed [stale_fraction] *)
+  stale : bool;  (** at least a quarter of the judged sites lose *)
 }
 
-(** Instrumented-program pcs of the losing yields. *)
-val losing_pcs : verdict -> int list
-
-val assess : ?config:config -> ?obs:Stallhide_obs.Stream.t -> Stallhide_obs.Attribution.report -> verdict
-
-(** Replace the yields at [pcs] with [Nop], preserving program length,
-    pc numbering and liveness annotations (the paired prefetches stay:
-    prefetching a resident line is nearly free). Non-yield pcs are left
-    untouched. [protect pc] (instrumented coordinates) pins a yield:
-    it is kept even when listed in [pcs], counted in
-    [drift.protected]. *)
-val deinstrument :
-  ?obs:Stallhide_obs.Stream.t ->
-  ?protect:(int -> bool) ->
-  Program.t ->
-  pcs:int list ->
-  Program.t
-
-(** [assess] + [deinstrument] of the losing sites in one step; returns
-    the program unchanged when nothing is losing. *)
+(** Judge every site of [report], then replace the losing sites'
+    yields with [Nop], keeping program length, pc numbering and
+    liveness annotations (the paired prefetches stay: prefetching a
+    resident line is nearly free). [protect pc] (instrumented
+    coordinates) pins a yield: it is kept even when losing, counted in
+    [drift.protected]. Returns the program unchanged when nothing is
+    losing. *)
 val adapt :
-  ?config:config ->
   ?obs:Stallhide_obs.Stream.t ->
   ?protect:(int -> bool) ->
   Stallhide_obs.Attribution.report ->

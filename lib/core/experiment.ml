@@ -40,10 +40,6 @@ let group id =
 let record key json =
   match !current with Some g -> g.extra <- (key, json) :: g.extra | None -> ()
 
-let reset_recording () =
-  recorded := [];
-  current := None
-
 let record_table ~title ~note ~header rows =
   match !current with
   | None -> ()

@@ -21,9 +21,7 @@ val group : string -> unit
     to the current group. No-op without an open group. *)
 val record : string -> Stallhide_util.Json.t -> unit
 
-val reset_recording : unit -> unit
-
-(** Write everything recorded since startup/reset:
+(** Write everything recorded since startup:
     [{schema_version; tool; groups: {<id>: {tables; ...extras}}}]. *)
 val write_json : path:string -> unit
 

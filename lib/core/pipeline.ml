@@ -167,8 +167,7 @@ let instrument_with_unchecked ~estimates ~pc_cycles ?wait_stalls ~primary
       in
       let opts =
         {
-          Scavenger_pass.default_opts with
-          target_interval = interval;
+          Scavenger_pass.target_interval = interval;
           pc_cycles = adjusted_pc_cycles;
           loop_bounds =
             (fun header_pc ->

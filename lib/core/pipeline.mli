@@ -60,7 +60,8 @@ val ground_truth : ?mem_cfg:Memconfig.t -> Workload.t -> (int, int * int * int) 
 val oracle_estimates : ?mem_cfg:Memconfig.t -> Workload.t -> Gain_cost.estimates
 
 (** Load pcs a perfect profiler would instrument (misses / execs >= the
-    threshold, default 0.5) — the reference set for precision/recall. *)
+    threshold, default 0.5) — the reference set for precision/recall.
+    Exported for [test_core] only. *)
 val oracle_sites : ?mem_cfg:Memconfig.t -> ?threshold:float -> Workload.t -> int list
 
 (** Sites a given policy would choose with full-trace (oracle)

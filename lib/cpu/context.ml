@@ -52,20 +52,9 @@ let create ~id ~mode program =
     finished_at = -1;
   }
 
-let reg t r = t.regs.{r}
-
-let set_reg t r v = t.regs.{r} <- v
-
 let set_regs t l = List.iter (fun (r, v) -> t.regs.{r} <- v) l
 
 let regs_array t = Array.init Reg.count (fun i -> t.regs.{i})
-
-let regs_equal a b =
-  let eq = ref true in
-  for i = 0 to Reg.count - 1 do
-    if a.regs.{i} <> b.regs.{i} then eq := false
-  done;
-  !eq
 
 let call_depth t = t.call_sp
 
@@ -85,7 +74,7 @@ let pop_call t =
 
 let is_ready t = match t.status with Ready -> true | Done | Faulted _ -> false
 
-let reset ?regs t =
+let reset t =
   t.pc <- 0;
   t.status <- Ready;
   t.call_sp <- 0;
@@ -96,5 +85,4 @@ let reset ?regs t =
   t.cond_checks <- 0;
   t.yields <- 0;
   t.started_at <- -1;
-  t.finished_at <- -1;
-  match regs with None -> () | Some l -> set_regs t l
+  t.finished_at <- -1

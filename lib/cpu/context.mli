@@ -47,20 +47,11 @@ type t = {
 (** [create ~id ~mode program] starts at pc 0 with zeroed registers. *)
 val create : id:int -> mode:mode -> Program.t -> t
 
-(** Read one register. *)
-val reg : t -> Reg.t -> int
-
-(** Write one register. *)
-val set_reg : t -> Reg.t -> int -> unit
-
 (** Initialise registers, e.g. a lane's start pointer. *)
 val set_regs : t -> (Reg.t * int) list -> unit
 
 (** Snapshot the register file as a plain int array. *)
 val regs_array : t -> int array
-
-(** Register files bit-identical? *)
-val regs_equal : t -> t -> bool
 
 val call_depth : t -> int
 
@@ -72,6 +63,7 @@ val pop_call : t -> int
 
 val is_ready : t -> bool
 
-(** Reset pc/status/stack/accounting for a fresh run (registers keep
-    their current values unless [regs] is given). *)
-val reset : ?regs:(Reg.t * int) list -> t -> unit
+(** Reset pc/status/stack/accounting for a fresh run; registers keep
+    their current values.
+    Exported for [test_cpu] only. *)
+val reset : t -> unit

@@ -17,7 +17,8 @@ open Stallhide_isa
 open Stallhide_mem
 
 (** Cycles an untaken conditional yield costs: the [Yield_cond]
-    residency check, or a scavenger yield in a primary context. *)
+    residency check, or a scavenger yield in a primary context.
+    Exported for [test_cpu] only. *)
 val cond_check_cost : int
 
 type config = {
@@ -73,7 +74,8 @@ type step_result = Normal | Blocked_until of int | Stop of stop
 
 (** The accelerator's deterministic transform ([Accel_issue] computes
     [accel_transform mem\[rs+disp\]]); exposed so tests and workload
-    oracles can recompute results host-side. *)
+    oracles can recompute results host-side.
+    Exported for [test_cpu], [test_workloads] only. *)
 val accel_transform : int -> int
 
 (** Execute exactly one instruction of [ctx], advancing [clock] by its
@@ -102,6 +104,7 @@ val run :
 
 (** The original variant-matching interpreter, kept reachable as the
     differential-test reference arm regardless of [config.fast].
+    Exported for [test_cpu] only.
     @raise Invalid_argument if [config.probe] is set. *)
 val run_reference :
   config ->
@@ -120,7 +123,9 @@ val run_reference :
     [on_opmark] may be anything: the fast loop calls it at each
     [Opmark] with the same [~ctx ~pc ~cycle] as {!step}. [probe] does
     not enter into it: a probe needs the fast loop, it does not choose
-    it. *)
+    it.
+    Exported for [test_engine_diff] only. *)
 val fast_engaged : config -> bool
 
+(** Exported for [test_binopt], [test_core], [test_cpu], [test_pmu] only. *)
 val pp_stop : Format.formatter -> stop -> unit

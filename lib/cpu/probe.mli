@@ -117,8 +117,9 @@ val load_stalls : t -> int array
     @raise Invalid_argument if the tally is shorter than the program. *)
 val start : t -> instructions:int -> length:int -> block:int -> unit
 
-(** A retired load: serving level code ({!Stallhide_mem.Hierarchy.level_code}),
-    paid stall, and the cycle after its cost. *)
+(** A retired load: serving level code
+    ({!Stallhide_mem.Hierarchy.last_level}), paid stall, and the cycle
+    after its cost. *)
 val load : t -> pc:int -> addr:int -> level:int -> stall:int -> cycle:int -> unit
 
 (** A paid accelerator wait, with the cycle after its cost. *)

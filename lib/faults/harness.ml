@@ -7,18 +7,9 @@ open Stallhide
 module Obs = Stallhide_obs
 module Json = Stallhide_util.Json
 
-type opts = {
-  lanes : int;
-  ops : int;
-  seed : int;
-  tasks : int;
-  task_ops : int;
-  interarrival : int;
-  latency_every : int;
-}
+type opts = { lanes : int; ops : int; seed : int }
 
-let default_opts =
-  { lanes = 8; ops = 1000; seed = 42; tasks = 40; task_ops = 6; interarrival = 600; latency_every = 4 }
+let default_opts = { lanes = 8; ops = 1000; seed = 42 }
 
 let workload_names = [ "pointer-chase"; "hash-probe"; "btree"; "kv-server"; "txn-oltp" ]
 
@@ -293,17 +284,17 @@ let run_rogue ~opts ~workload ~count ~compute fault =
 
 (* --- spike: latency storm vs overload protection --- *)
 
+(* 40 open-loop requests of 6 operations, one every 600 cycles; every
+   4th is latency-class. *)
 let run_spike ~opts ~workload fault =
-  let { tasks; task_ops; interarrival; latency_every; seed; _ } = opts in
+  let tasks = 40 and seed = opts.seed in
   let build () =
-    let w = make ~workload ~lanes:tasks ~ops:task_ops ~manual:true ~seed ~ws_scale:1 () in
+    let w = make ~workload ~lanes:tasks ~ops:6 ~manual:true ~seed ~ws_scale:1 () in
     let ts =
       List.init tasks (fun i ->
           let ctx = Workload.context w ~lane:i ~id:i ~mode:Context.Primary in
-          let class_ =
-            if latency_every > 0 && i mod latency_every = 0 then Task.Latency else Task.Batch
-          in
-          Task.create ~id:i ~class_ ~arrival:(i * interarrival) ctx)
+          let class_ = if i mod 4 = 0 then Task.Latency else Task.Batch in
+          Task.create ~id:i ~class_ ~arrival:(i * 600) ctx)
     in
     (w, ts)
   in

@@ -18,14 +18,11 @@ type opts = {
   lanes : int;  (** lanes for drift/pebs/rogue scenarios *)
   ops : int;  (** per-lane operations *)
   seed : int;  (** master seed; injector sub-seeds derive from it *)
-  tasks : int;  (** spike scenario: open-loop request count *)
-  task_ops : int;  (** spike scenario: operations per request *)
-  interarrival : int;  (** spike scenario: cycles between arrivals *)
-  latency_every : int;  (** spike scenario: every k-th task is Latency-class *)
 }
 
-(** lanes 8, ops 1000, seed 42; tasks 40 × 6 ops every 600 cycles,
-    every 4th latency-class. *)
+(** lanes 8, ops 1000, seed 42. The spike scenario always runs 40
+    open-loop requests of 6 operations, one every 600 cycles, every
+    4th latency-class. *)
 val default_opts : opts
 
 val workload_names : string list
@@ -63,8 +60,6 @@ type row = {
           dropping cannot occur *)
   counters : (string * int) list;  (** defense counters ([watchdog.*], [drift.*], [server.*]) *)
 }
-
-val row_to_json : row -> Stallhide_util.Json.t
 
 val rows_to_json : row list -> Stallhide_util.Json.t
 

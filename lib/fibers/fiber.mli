@@ -10,10 +10,12 @@
     current fiber and resumes the next runnable one. *)
 
 (** [yield ()] suspends the calling fiber.
+    Exported for [test_fibers] only.
     @raise Failure if called outside {!run}. *)
 val yield : unit -> unit
 
-(** [run fns] drives all fibers to completion, round-robin at yields. *)
+(** [run fns] drives all fibers to completion, round-robin at yields.
+    Exported for [test_fibers] only. *)
 val run : (unit -> unit) list -> unit
 
 (** [ping_pong ~rounds] runs two fibers that alternately yield to each
@@ -21,5 +23,6 @@ val run : (unit -> unit) list -> unit
     standard switch-cost microbenchmark shape. *)
 val ping_pong : rounds:int -> unit
 
-(** Number of yields executed since the program started (test hook). *)
+(** Number of yields executed since the program started (test hook).
+    Exported for [test_fibers] only. *)
 val yield_count : unit -> int

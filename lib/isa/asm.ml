@@ -126,8 +126,6 @@ let parse_items_annotated src =
   in
   List.rev rev_items
 
-let parse_items src = List.map snd (parse_items_annotated src)
-
 (* [Program.assemble] reports duplicate/undefined labels without
    positions; re-derive them here first so [Parse_error] carries the
    offending line. *)

@@ -27,5 +27,3 @@ exception Parse_error of int * string
     the offending statement; residual assembly errors use line 0. *)
 
 val parse : string -> Program.t
-
-val parse_items : string -> Program.item list

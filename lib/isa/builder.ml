@@ -20,8 +20,6 @@ let store t rs d rv = ins t (Instr.Store (rs, d, rv))
 let prefetch t rs d = ins t (Instr.Prefetch (rs, d))
 let branch t c rs o l = ins t (Instr.Branch (c, rs, o, l))
 let jump t l = ins t (Instr.Jump l)
-let call t l = ins t (Instr.Call l)
-let ret t = ins t Instr.Ret
 let yield t k = ins t (Instr.Yield k)
 let opmark t = ins t Instr.Opmark
 let halt t = ins t Instr.Halt

@@ -26,12 +26,8 @@ val store : t -> Reg.t -> int -> Reg.t -> unit
 val prefetch : t -> Reg.t -> int -> unit
 val branch : t -> Instr.cond -> Reg.t -> Instr.operand -> string -> unit
 val jump : t -> string -> unit
-val call : t -> string -> unit
-val ret : t -> unit
 val yield : t -> Instr.yield_kind -> unit
 val opmark : t -> unit
 val halt : t -> unit
-
-val items : t -> Program.item list
 
 val assemble : t -> Program.t

@@ -74,6 +74,7 @@ val ends_block : t -> bool
 
 val equal : t -> t -> bool
 
+(** Exported for [test_isa] only. *)
 val pp : Format.formatter -> t -> unit
 
 (** Assembly-like rendering, e.g. ["load r1, [r2+8]"]. *)

@@ -116,10 +116,3 @@ let pp_listing fmt t =
       Format.fprintf fmt "%4d  %s@." pc (Instr.to_string i))
     t.code;
   List.iter (fun l -> Format.fprintf fmt "%s:@." l) t.trailing_labels
-
-let fresh_label t prefix =
-  let rec loop i =
-    let l = Printf.sprintf "%s_%d" prefix i in
-    if Hashtbl.mem t.labels l then loop (i + 1) else l
-  in
-  if Hashtbl.mem t.labels prefix then loop 0 else prefix

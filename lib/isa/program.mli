@@ -56,15 +56,14 @@ val code : t -> Instr.t array
 (** Indices of the [Load] instructions. *)
 val load_sites : t -> int list
 
-(** Number of [Yield]/[Yield_cond] instructions. *)
+(** Number of [Yield]/[Yield_cond] instructions.
+    Exported for [test_binopt], [test_core], [test_faults], [test_isa], [test_workloads] only. *)
 val yield_count : t -> int
 
 (** Disassembly that {!Asm.parse} accepts back (labels + instructions,
     no pc numbers). *)
 val pp : Format.formatter -> t -> unit
 
-(** Debug listing with pc numbers. *)
+(** Debug listing with pc numbers.
+    Exported for [test_core] only. *)
 val pp_listing : Format.formatter -> t -> unit
-
-(** Fresh label unused in the program, built from [prefix]. *)
-val fresh_label : t -> string -> string

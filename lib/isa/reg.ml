@@ -32,5 +32,3 @@ let of_string s =
     match int_of_string_opt (String.sub s 1 (n - 1)) with
     | Some i when i >= 0 && i < count -> Some i
     | Some _ | None -> None
-
-let pp fmt r = Format.pp_print_string fmt (name r)

@@ -11,6 +11,7 @@ type t = int
 val count : int
 
 (** [make i] checks the range and returns register [i].
+    Exported for [test_isa] only.
     @raise Invalid_argument if [i] is out of range. *)
 val make : int -> t
 
@@ -36,5 +37,3 @@ val name : t -> string
 
 (** Parse ["rN"]. Returns [None] for anything else. *)
 val of_string : string -> t option
-
-val pp : Format.formatter -> t -> unit

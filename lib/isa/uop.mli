@@ -20,8 +20,6 @@
     [op_branch_reg + cond_index] (Eq..Ge = 0..5) or
     [op_branch_imm + ...]. *)
 
-val op_binop_reg : int
-
 val op_binop_imm : int
 
 val op_mov_r : int
@@ -60,8 +58,6 @@ val op_opmark : int
 
 val op_nop : int
 
-val op_halt : int
-
 type t = {
   len : int;
   op : int array;
@@ -71,10 +67,6 @@ type t = {
   cost : int array;  (** precomputed {!Cost.base} *)
   target : int array;  (** resolved control-flow target, -1 if none *)
 }
-
-val binop_index : Instr.binop -> int
-
-val cond_index : Instr.cond -> int
 
 (** [decode code ~targets] lowers [code], whose resolved control-flow
     targets are [targets] (same length, -1 where none).

@@ -1,7 +1,6 @@
 type arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  cname : string;
   line_shift : int;
   sets : int;
   ways : int;
@@ -33,7 +32,7 @@ let log2 n =
   let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
   loop n 0
 
-let create ~name ~line_bytes (cfg : Memconfig.level_cfg) =
+let create ~line_bytes (cfg : Memconfig.level_cfg) =
   if cfg.ways < 1 then invalid_arg "Cache.create: ways must be positive";
   if not (Memconfig.is_pow2 line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
@@ -41,7 +40,6 @@ let create ~name ~line_bytes (cfg : Memconfig.level_cfg) =
   if not (Memconfig.is_pow2 sets) then invalid_arg "Cache.create: set count must be a power of two";
   let arr () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (sets * cfg.ways) in
   {
-    cname = name;
     line_shift = log2 line_bytes;
     sets;
     ways = cfg.ways;
@@ -55,8 +53,6 @@ let create ~name ~line_bytes (cfg : Memconfig.level_cfg) =
     hit_count = 0;
     miss_count = 0;
   }
-
-let name t = t.cname
 
 let lines t = t.sets * t.ways
 

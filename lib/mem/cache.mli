@@ -22,15 +22,15 @@ type lookup =
     slot, so neither is ever initialised.
     @raise Invalid_argument when [ways < 1], or when [line_bytes] or
     the set count is not a power of two. *)
-val create : name:string -> line_bytes:int -> Memconfig.level_cfg -> t
+val create : line_bytes:int -> Memconfig.level_cfg -> t
 
-val name : t -> string
-
-(** Number of lines. *)
+(** Number of lines.
+    Exported for [test_mem] only. *)
 val lines : t -> int
 
 (** [lookup t ~now addr] classifies the access and, on [Hit]/[In_flight],
-    refreshes LRU state. *)
+    refreshes LRU state.
+    Exported for [test_mem] only. *)
 val lookup : t -> now:int -> int -> lookup
 
 (** Allocation-free [lookup] for the fast path: [-1] = miss, [0] = hit,
@@ -61,8 +61,10 @@ val resident : t -> now:int -> int -> bool
     miss. *)
 val invalidate : t -> int -> bool
 
+(** Exported for [test_mem] only. *)
 val hits : t -> int
 
+(** Exported for [test_mem] only. *)
 val misses : t -> int
 
 val reset_stats : t -> unit

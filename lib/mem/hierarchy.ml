@@ -47,7 +47,7 @@ let make cfg ~l1 ~l2 ~l3 ~port =
     l3;
     icache =
       (match cfg.Memconfig.icache with
-      | Some c -> Some (Cache.create ~name:"I" ~line_bytes:cfg.Memconfig.line_bytes c)
+      | Some c -> Some (Cache.create ~line_bytes:cfg.Memconfig.line_bytes c)
       | None -> None);
     stats = Mem_stats.create ();
     spike = None;
@@ -62,15 +62,15 @@ let make cfg ~l1 ~l2 ~l3 ~port =
 let create cfg =
   Memconfig.validate cfg;
   make cfg
-    ~l1:(Cache.create ~name:"L1" ~line_bytes:cfg.line_bytes cfg.l1)
-    ~l2:(Cache.create ~name:"L2" ~line_bytes:cfg.line_bytes cfg.l2)
-    ~l3:(Cache.create ~name:"L3" ~line_bytes:cfg.line_bytes cfg.l3)
+    ~l1:(Cache.create ~line_bytes:cfg.line_bytes cfg.l1)
+    ~l2:(Cache.create ~line_bytes:cfg.line_bytes cfg.l2)
+    ~l3:(Cache.create ~line_bytes:cfg.line_bytes cfg.l3)
     ~port:Private
 
 let create_core cfg ~shared =
   Memconfig.validate cfg;
-  let l1 = Cache.create ~name:"L1" ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l1 in
-  let l2 = Cache.create ~name:"L2" ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l2 in
+  let l1 = Cache.create ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l1 in
+  let l2 = Cache.create ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l2 in
   let invalidate addr =
     let k1 = if Cache.invalidate l1 addr then 1 else 0 in
     let k2 = if Cache.invalidate l2 addr then 1 else 0 in
@@ -87,8 +87,6 @@ let inject_spike t ~from_cycle ~until_cycle ~l3_mult ~dram_mult =
   if l3_mult < 1 || dram_mult < 1 then
     invalid_arg "Hierarchy.inject_spike: multipliers must be >= 1";
   t.spike <- Some { from_cycle; until_cycle; l3_mult; dram_mult }
-
-let clear_spike t = t.spike <- None
 
 let set_level_scale t lvl ~percent =
   if percent < 0 then invalid_arg "Hierarchy.set_level_scale: percent must be >= 0";

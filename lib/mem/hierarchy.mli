@@ -11,12 +11,6 @@ type level = L1 | L2 | L3 | Dram
 
 val level_name : level -> string
 
-(** Dense level codes used by the allocation-free fast path:
-    [0 = L1], [1 = L2], [2 = L3], [3 = Dram]. *)
-val level_code : level -> int
-
-val level_of_code : int -> level
-
 type result = {
   level : level;  (** level that served the access *)
   latency : int;  (** total load-to-use cycles *)
@@ -54,8 +48,6 @@ val config : t -> Memconfig.t
 val inject_spike :
   t -> from_cycle:int -> until_cycle:int -> l3_mult:int -> dram_mult:int -> unit
 
-val clear_spike : t -> unit
-
 (** Arm a causal counterfactual: scale the beyond-L1 portion of every
     access *served by* [level] to [percent]% of its real cost (the L1
     access cost is always still paid). [percent = 0] literalizes a
@@ -69,6 +61,8 @@ val clear_spike : t -> unit
     @raise Invalid_argument if [percent < 0]. *)
 val set_level_scale : t -> level -> percent:int -> unit
 
+(** Whether an injected spike covers cycle [now]. Exported for
+    [test_faults] only, which checks the window's edges with it. *)
 val spike_active : t -> now:int -> bool
 
 val access : t -> now:int -> int -> result
@@ -78,9 +72,9 @@ val access : t -> now:int -> int -> result
     implemented on top of it) but returns only the total latency. *)
 val access_latency : t -> now:int -> int -> int
 
-(** Level code ({!level_code}) that served the last {!access} or
-    {!access_latency}, for the fast loop's load samplers. Allocation
-    free; a {!prefetch} in between overwrites it. *)
+(** Level code ([0 = L1], [1 = L2], [2 = L3], [3 = Dram]) that served
+    the last {!access} or {!access_latency}, for the fast loop's load
+    samplers. Allocation free; a {!prefetch} in between overwrites it. *)
 val last_level : t -> int
 
 val prefetch : t -> now:int -> int -> unit
@@ -103,7 +97,8 @@ val resident_code : t -> now:int -> int -> int
 
 val stats : t -> Mem_stats.t
 
-(** Clears statistics but not cache contents (used to exclude warmup). *)
+(** Clears statistics but not cache contents (used to exclude warmup).
+    Exported for [test_mem] only. *)
 val reset_stats : t -> unit
 
 (** [fetch t ~now pc] models instruction fetch of the instruction at

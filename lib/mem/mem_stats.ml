@@ -30,9 +30,3 @@ let reset t =
   t.inflight_hits <- 0;
   t.prefetches <- 0;
   t.useless_prefetches <- 0
-
-let pp fmt t =
-  Format.fprintf fmt
-    "demand=%d l1=%d l2=%d l3=%d dram=%d inflight=%d prefetch=%d useless_prefetch=%d"
-    t.demand_accesses t.l1_hits t.l2_hits t.l3_hits t.dram_accesses t.inflight_hits t.prefetches
-    t.useless_prefetches

@@ -14,5 +14,3 @@ type t = {
 val create : unit -> t
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

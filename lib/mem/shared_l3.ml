@@ -23,7 +23,7 @@ let create ?(window = 32) ?(budget = 16) (cfg : Memconfig.t) =
   if window <= 0 then invalid_arg "Shared_l3.create: window must be positive";
   Memconfig.validate cfg;
   {
-    l3 = Cache.create ~name:"L3" ~line_bytes:cfg.line_bytes cfg.l3;
+    l3 = Cache.create ~line_bytes:cfg.line_bytes cfg.l3;
     win = window;
     bud = budget;
     base = 0;

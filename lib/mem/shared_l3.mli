@@ -52,7 +52,8 @@ val cache : t -> Cache.t
     by [write]. *)
 val attach : t -> invalidate:(int -> int) -> int
 
-(** Number of attached cores. *)
+(** Number of attached cores.
+    Exported for [test_smp] only. *)
 val cores : t -> int
 
 (** [admit t ~now] charges one below-L2 service starting at [now]

@@ -31,7 +31,8 @@ val validate : t -> unit
 
 val lean : t -> bytes:int -> bool
 
-(** Cycles to land [bytes] of payload through DMA. *)
+(** Cycles to land [bytes] of payload through DMA.
+    Exported for [test_cluster] only. *)
 val dma_cost : t -> Stallhide_mem.Memconfig.t -> bytes:int -> int
 
 (** Client-to-server delivery: wire + DMA + rx processing (lean or

@@ -1,5 +1,5 @@
 type t = {
-  mutable depth : int;
+  depth : int;
   mutable rx : int;
   mutable fast : int;
   mutable overflow : int;
@@ -7,8 +7,6 @@ type t = {
 }
 
 let create ~depth = { depth; rx = 0; fast = 0; overflow = 0; tx = 0 }
-
-let set_depth t depth = t.depth <- depth
 
 let admit t ~backlog ~lean =
   if t.depth > 0 && backlog >= t.depth then begin

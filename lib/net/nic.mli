@@ -11,8 +11,6 @@ type t
 
 val create : depth:int -> t
 
-val set_depth : t -> int -> unit
-
 (** [admit t ~backlog ~lean] — [false] means dropped (overflow). *)
 val admit : t -> backlog:int -> lean:bool -> bool
 

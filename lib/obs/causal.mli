@@ -59,7 +59,8 @@ val ranked : ?kind:kind -> Sweep.metric -> report -> contribution list
 val rank_of : Sweep.metric -> report -> id:string -> int option
 
 (** Contribution as a fraction of the base metric (0 when the base
-    is 0). *)
+    is 0).
+    Exported for [test_obs] only. *)
 val share : Sweep.metric -> report -> contribution -> float
 
 val pp : metric:Sweep.metric -> Format.formatter -> report -> unit

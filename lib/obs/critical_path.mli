@@ -69,7 +69,8 @@ val tail : frac:float -> breakdown list -> breakdown list
     one core's stream and close on another's after a steal). Returns
     [(ctx, name, open_cycle, close_cycle option)] in open order;
     [None] marks an unbalanced open. Unmatched closes are dropped.
-    Multiple concurrent opens of the same key close in FIFO order. *)
+    Multiple concurrent opens of the same key close in FIFO order.
+    Exported for [test_obs] only. *)
 val pair_spans : Event.t list -> (int * string * int * int option) list
 
 val pp_totals : Format.formatter -> totals -> unit

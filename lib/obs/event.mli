@@ -74,4 +74,5 @@ val cycle_of : t -> int
 (** ["primary"] or ["scavenger"]. *)
 val kind_name : Instr.yield_kind -> string
 
+(** Exported for [test_runtime] only. *)
 val pp : Format.formatter -> t -> unit

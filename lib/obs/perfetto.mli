@@ -10,6 +10,7 @@
     Timestamps are simulated cycles (declared as ns — the unit
     Perfetto displays; cycles are the only clock the simulator has). *)
 
+(** Exported for [test_obs] only. *)
 val to_json : Stream.t -> Stallhide_util.Json.t
 
 val write : path:string -> Stream.t -> unit
@@ -19,7 +20,8 @@ val write : path:string -> Stream.t -> unit
     parallel core lanes instead of one interleaved lane. Dispatch spans
     keep their context id in the event {e name} ("ctx 7"), which is how
     a migrated (stolen) coroutine shows up on two different lanes'
-    labels but only ever runs on one. *)
+    labels but only ever runs on one.
+    Exported for [test_smp] only. *)
 val to_json_tracks : (string * Stream.t) list -> Stallhide_util.Json.t
 
 val write_tracks : path:string -> (string * Stream.t) list -> unit

@@ -56,8 +56,6 @@ let observe h v =
   let i = slot_of v in
   s.(i) <- s.(i) + 1
 
-let counter_value c = c.v
-
 let total t name =
   Hashtbl.fold (fun (n, _) c acc -> if String.equal n name then acc + c.v else acc) t.counters 0
 

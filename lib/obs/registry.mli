@@ -28,29 +28,26 @@ val observe : histogram -> int -> unit
 
 (** {2 Reading} *)
 
-val counter_value : counter -> int
-
 (** Sum of a counter across all contexts; 0 when never written. *)
 val total : t -> string -> int
 
-(** Per-context values of a counter, sorted by context id. *)
+(** Per-context values of a counter, sorted by context id.
+    Exported for [test_runtime] only. *)
 val by_ctx : t -> string -> (int * int) list
 
 (** Bucket-wise merge of a histogram across all contexts; [None] when
-    never written. *)
+    never written.
+    Exported for [test_obs] only. *)
 val merged : t -> string -> histogram option
 
+(** Exported for [test_obs] only. *)
 val hist_count : histogram -> int
 
+(** Exported for [test_obs] only. *)
 val hist_sum : histogram -> int
 
-val hist_max : histogram -> int
-
-(** Upper bound of the bucket containing quantile [q] in [0,1] — an
-    approximation good to 2x, like any log-bucketed sketch. *)
-val hist_quantile : histogram -> float -> int
-
-(** All registered series names (counters and histograms), sorted. *)
+(** All registered series names (counters and histograms), sorted.
+    Exported for [test_smp] only. *)
 val names : t -> string list
 
 val reset : t -> unit
@@ -63,14 +60,17 @@ val reset : t -> unit
     without the writer having to maintain both. *)
 
 (** Indices [i] for which some ["<prefix><i>.<name>"] series exists,
-    sorted. *)
+    sorted.
+    Exported for [test_smp] only. *)
 val namespace_indices : t -> prefix:string -> int list
 
-(** Bare series names appearing under the namespace, sorted. *)
+(** Bare series names appearing under the namespace, sorted.
+    Exported for [test_smp] only. *)
 val namespace_names : t -> prefix:string -> string list
 
 (** [namespace_total t ~prefix name] sums ["<prefix><i>.<name>"] over
-    all indices (counters; 0 when absent). *)
+    all indices (counters; 0 when absent).
+    Exported for [test_smp] only. *)
 val namespace_total : t -> prefix:string -> string -> int
 
 (** [{aggregate: {name: total}, per: {"<i>": {name: total}}}] over the

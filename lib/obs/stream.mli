@@ -25,6 +25,7 @@ val length : t -> int
 
 val dropped : t -> int
 
+(** Exported for [test_obs] only. *)
 val reset : t -> unit
 
 (** The registry fed by this stream (yield fired/skipped and load-level
@@ -52,7 +53,8 @@ val yields_by_pc : t -> (int, int * int) Hashtbl.t
     with [at_pc >= 0]). *)
 val switch_cycles_by_pc : t -> (int, int) Hashtbl.t
 
-(** Dispatch spans as [(ctx, start, stop)], recording order. *)
+(** Dispatch spans as [(ctx, start, stop)], recording order.
+    Exported for [test_runtime] only. *)
 val spans : t -> (int * int * int) list
 
 (** [timeline ?width t] draws the dispatch spans as an ASCII Gantt

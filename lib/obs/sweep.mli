@@ -33,8 +33,6 @@ val metric_of_string : string -> metric option
 
 val metric_name : metric -> string
 
-val metric_value : metric -> sample -> float
-
 (** A statistic across repeated seeds: the across-seed mean and a
     normal-approximation 95% confidence half-width
     ([1.96 * sd / sqrt n], sample standard deviation; 0 when [n = 1]).

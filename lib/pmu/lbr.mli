@@ -34,11 +34,13 @@ val create : ?depth:int -> ?max_snapshots:int -> snapshot_period:int -> unit -> 
 val attach : t -> Stallhide_cpu.Probe.t -> unit
 
 (** Per-instruction hooks (the reference arm; a run with them takes
-    the reference interpreter). *)
+    the reference interpreter).
+    Exported for [test_pmu] only. *)
 val hooks : t -> Stallhide_cpu.Events.t
 
 (** Each snapshot lists records oldest-first. The unit keeps them
-    flat; this builds the records. *)
+    flat; this builds the records.
+    Exported for [test_pmu] only. *)
 val snapshots : t -> record array list
 
 val snapshot_count : t -> int
@@ -59,4 +61,5 @@ val to_pc : t -> int -> int
 
 val cycle : t -> int -> int
 
+(** Exported for [test_pmu] only. *)
 val clear : t -> unit

@@ -184,4 +184,4 @@ let clear t =
       d.skidded <- 0;
       d.misattributed <- 0
 
-let overhead_cycles ?(per_sample = 40) t = per_sample * (sample_count t + t.dropped)
+let overhead_cycles t = 40 * (sample_count t + t.dropped)

@@ -34,6 +34,7 @@ type event = Stallhide_cpu.Probe.event =
   | Stall_cycles
   | Frontend_stalls
 
+(** Exported for [test_pmu] only. *)
 val event_name : event -> string
 
 type sample = { pc : int; addr : int; stall : int; cycle : int }
@@ -61,9 +62,11 @@ val create : ?buffer_capacity:int -> event:event -> period:int -> unit -> t
     skid. *)
 val degrade : t -> degradation_spec -> unit
 
-(** [(lost, skidded, misattributed)] counts injected so far. *)
+(** [(lost, skidded, misattributed)] counts injected so far.
+    Exported for [test_pmu] only. *)
 val degradation_injected : t -> int * int * int
 
+(** Exported for [test_pmu] only. *)
 val event : t -> event
 
 val period : t -> int
@@ -73,11 +76,13 @@ val period : t -> int
 val attach : t -> Stallhide_cpu.Probe.t -> unit
 
 (** Per-instruction hooks counting this unit's event (the reference
-    arm; a run with them takes the reference interpreter). *)
+    arm; a run with them takes the reference interpreter).
+    Exported for [test_pmu] only. *)
 val hooks : t -> Stallhide_cpu.Events.t
 
 (** The buffered samples, oldest first. The buffer keeps them flat;
-    this builds the records. *)
+    this builds the records.
+    Exported for [test_pmu] only. *)
 val samples : t -> sample list
 
 (** [sample_pc t i] is the pc of the [i]-th buffered sample,
@@ -86,16 +91,19 @@ val sample_pc : t -> int -> int
 
 val sample_count : t -> int
 
-(** Samples lost to buffer overflow. *)
+(** Samples lost to buffer overflow.
+    Exported for [test_pmu] only. *)
 val dropped : t -> int
 
-(** Total event occurrences observed (for overhead accounting). *)
+(** Total event occurrences observed (for overhead accounting).
+    Exported for [test_pmu] only. *)
 val occurrences : t -> int
 
+(** Exported for [test_pmu] only. *)
 val clear : t -> unit
 
 (** Estimated profiling-run overhead in cycles: samples taken times the
-    per-sample microcode/drain cost (default 40 cycles, the published
+    per-sample microcode/drain cost (40 cycles, the published
     PEBS ballpark). This is the quantity the paper's sampling-frequency
     trade-off (§3.2) balances against profile freshness. *)
-val overhead_cycles : ?per_sample:int -> t -> int
+val overhead_cycles : t -> int

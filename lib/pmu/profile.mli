@@ -56,13 +56,16 @@ val stalls_at : t -> int -> int
 (** Same, without the front-end subtraction (the raw generic event). *)
 val raw_stalls_at : t -> int -> int
 
-(** Load pcs with at least one miss sample, ascending. *)
+(** Load pcs with at least one miss sample, ascending.
+    Exported for [test_pmu] only. *)
 val candidate_loads : t -> int list
 
 (** LBR-estimated cycles per execution of the instruction at [pc]. *)
 val pc_cycles : t -> int -> float option
 
-(** Taken count estimate of the branch edge [from_pc -> to_pc]. *)
+(** Taken count estimate of the branch edge [from_pc -> to_pc].
+    Exported for [test_pmu] only, which checks the edge counts and
+    their save/load round trip with it. *)
 val edge_heat : t -> int -> int -> int
 
 (** Total samples aggregated (all units). *)

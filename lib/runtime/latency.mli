@@ -64,8 +64,6 @@ val merge : summary list -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val summary_to_json : summary -> Stallhide_util.Json.t
-
 (** Goodput vs offered accounting for runs that drop work.
 
     A request shed by overload protection, expired past its deadline or

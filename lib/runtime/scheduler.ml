@@ -106,8 +106,3 @@ let run_round_robin ?(engine = Engine.default_config) ?(max_cycles = max_int) ?o
   done;
   collect ctxs ~clock:!clock ~switches:!switches ~switch_cycles:!switch_cycles
     ~faults:(List.rev !faults)
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "cycles=%d busy=%d stall=%d switch=%d (%d switches) instr=%d completed=%d eff=%.3f" r.cycles
-    (busy r) r.stall r.switch_cycles r.switches r.instructions r.completed (efficiency r)

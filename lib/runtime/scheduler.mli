@@ -49,8 +49,6 @@ val run_round_robin :
   Context.t array ->
   result
 
-val pp_result : Format.formatter -> result -> unit
-
 (** [collect ctxs ~clock ~switches ~switch_cycles ~faults] builds a
     result: [stall], [instructions] and [completed] are summed over
     [ctxs], the rest is given. *)

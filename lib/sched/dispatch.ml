@@ -8,8 +8,6 @@ let policy_of_string s =
   | "jbsq" -> Some Jbsq
   | _ -> None
 
-let all_policies = [ D_fcfs; Jbsq ]
-
 let alternate = function D_fcfs -> Jbsq | Jbsq -> D_fcfs
 
 let home ~shards key =

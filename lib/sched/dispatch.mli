@@ -16,10 +16,6 @@ val policy_name : policy -> string
 
 val policy_of_string : string -> policy option
 
-(** Every policy, in a stable order — what the sensitivity sweep
-    enumerates when it flips the dispatch-policy knob. *)
-val all_policies : policy list
-
 (** The other policy: the one-factor perturbation of a dispatch
     configuration. *)
 val alternate : policy -> policy

@@ -22,8 +22,6 @@ let length t = List.length t.front + List.length t.back
 
 let is_empty t = t.front = [] && t.back = []
 
-let push_front t x = t.front <- x :: t.front
-
 let peek_all t = t.front @ List.rev t.back
 
 let clear t =

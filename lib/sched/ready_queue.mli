@@ -15,10 +15,6 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** Front-of-queue reinsertion (used when a dispatched task must give
-    the core back immediately). *)
-val push_front : 'a t -> 'a -> unit
-
 (** Oldest-first snapshot; does not consume. *)
 val peek_all : 'a t -> 'a list
 

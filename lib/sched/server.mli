@@ -50,7 +50,8 @@ type protection = {
   seed : int;
 }
 
-(** deadline 4096, 2 retries, backoff 1024, queue bound 64. *)
+(** deadline 4096, 2 retries, backoff 1024, queue bound 64.
+    Exported for [test_faults] only. *)
 val default_protection : protection
 
 type config = {

@@ -16,7 +16,3 @@ let create ~id ~class_ ~arrival ctx =
   { id; ctx; class_; arrival; started_at = -1; finished_at = -1 }
 
 let sojourn t = if t.finished_at < 0 then None else Some (t.finished_at - t.arrival)
-
-let is_done t = match t.ctx.Context.status with Context.Done -> true | _ -> false
-
-let class_name = function Latency -> "latency" | Batch -> "batch"

@@ -21,7 +21,3 @@ val create : id:int -> class_:class_ -> arrival:int -> Context.t -> t
 
 (** [finished - arrival]; [None] until completion. *)
 val sojourn : t -> int option
-
-val is_done : t -> bool
-
-val class_name : class_ -> string

@@ -110,9 +110,10 @@ type smp_outcome = {
 (* Each core gets its own table instance (shared-word mutation is only
    cooperative within a core), [txns] single-transaction lanes submitted
    as requests with K-deep staggered arrivals, and scavenger scans to
-   hide yields. The program is address-free, so the interleaved-pgo leg
+   hide yields (two per core). The program is address-free, so the interleaved-pgo leg
    instruments core 0's twin once and rebinds it everywhere. *)
-let run_smp ?(cores = 4) ?(scavengers_per_core = 2) mode p =
+let run_smp ?(cores = 4) mode p =
+  let scavengers_per_core = 2 in
   let manual = mode = Interleaved in
   let reqs_per_core = p.txns in
   let per_core_bytes =

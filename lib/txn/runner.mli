@@ -40,7 +40,8 @@ type counters = {
 
 type outcome = { mode : mode; metrics : Stallhide.Metrics.t; counters : counters }
 
-(** Read the engine counters out of a finished run's image and layout. *)
+(** Read the engine counters out of a finished run's image and layout.
+    Exported for [test_txn] only. *)
 val read_counters : Stallhide_mem.Address_space.t -> Txn_oltp.layout -> counters
 
 (** Build the workload for [params] and measure it under [mode].
@@ -51,14 +52,6 @@ val run : ?opts:Stallhide.Baselines.opts -> mode -> params -> outcome
 (** Publish [txn.*] counters (commits, aborts, latch waits,
     group-prefetch hits) into an obs registry. *)
 val counters_into : Stallhide_obs.Registry.t -> outcome -> unit
-
-(** Scavenger-instrumented analytics scans bound to [image] — the batch
-    work dual-mode schedules under transaction stalls. *)
-val scan_scavengers :
-  image:Stallhide_mem.Address_space.t ->
-  count:int ->
-  seed:int ->
-  Stallhide_cpu.Context.t list
 
 type smp_outcome = {
   smp_mode : mode;
@@ -75,6 +68,6 @@ type smp_outcome = {
 (** The {!Stallhide_smp.Machine} leg: per-core table instances (one
     [Txn_oltp.make] each — cooperative atomicity holds only within a
     core), [txns] single-transaction requests per core with staggered
-    arrivals, and analytics-scan scavengers hiding transaction yields in
-    the interleaved modes. *)
-val run_smp : ?cores:int -> ?scavengers_per_core:int -> mode -> params -> smp_outcome
+    arrivals, and two analytics-scan scavengers per core hiding
+    transaction yields in the interleaved modes. *)
+val run_smp : ?cores:int -> mode -> params -> smp_outcome

@@ -11,12 +11,6 @@
 
 open Stallhide_mem
 
-val hash_const : int
-
-(** Busy-latch observations a transaction tolerates before it aborts,
-    releases and retries. *)
-val max_spin : int
-
 type layout = {
   table : int;
   slots : int;

@@ -8,8 +8,6 @@ let add mask i = mask lor (1 lsl i)
 
 let remove mask i = mask land lnot (1 lsl i)
 
-let union a b = a lor b
-
 let diff a b = a land lnot b
 
 let all n = (1 lsl n) - 1

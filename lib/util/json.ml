@@ -237,8 +237,6 @@ let of_string s =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
-let to_list_opt = function List xs -> Some xs | _ -> None
-
 let to_int_opt = function Int i -> Some i | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None

@@ -31,8 +31,6 @@ val of_string : string -> t
 (** Accessors used by the tests; [None] on shape mismatch. *)
 val member : string -> t -> t option
 
-val to_list_opt : t -> t list option
-
 val to_int_opt : t -> int option
 
 val to_string_opt : t -> string option

@@ -227,16 +227,9 @@ let prefetch_pairing ?(is_inserted = fun _ -> false)
 
 (* --- Scavenger interval bound --- *)
 
-(* The scavenger pass's static fallback: base cost plus a nominal 4
-   extra cycles per load (Scavenger_pass.default_opts.load_static_latency). *)
-let static_cost prog pc =
-  let i = Program.instr prog pc in
-  float_of_int (Cost.base i + if Instr.is_load i then 4 else 0)
-
-let interval_bound ~target ?slack ?cost prog =
+let interval_bound ~target prog =
   if target <= 0 then invalid_arg "Checks.interval_bound: target must be positive";
-  let slack = match slack with Some s -> s | None -> target in
-  let cost = match cost with Some c -> c | None -> static_cost prog in
+  let cost = Scavenger_pass.static_cost prog in
   let cfg = Cfg.build prog in
   (* Yield-free loops are only unbounded when no iteration bound can be
      proven: re-derive the bounds here (never trusting the pass) and
@@ -267,8 +260,8 @@ let interval_bound ~target ?slack ?cost prog =
         "irreducible yield-free cycle: inter-yield interval is unbounded"
       :: !diags;
   if r.A.Distance.unproven = [] && r.A.Distance.converged then begin
-    let bound = float_of_int (target + slack) in
-    if r.A.Distance.worst > bound +. 1e-9 then begin
+    let bound = Scavenger_pass.bound ~target in
+    if r.A.Distance.worst > float_of_int bound +. 1e-9 then begin
       let budget_note =
         match r.A.Distance.budgeted with
         | [] -> ""
@@ -278,7 +271,7 @@ let interval_bound ~target ?slack ?cost prog =
       diags :=
         D.error D.Interval ~pc:r.A.Distance.worst_pc ~witness:r.A.Distance.witness
           (Printf.sprintf "yield-free path of %.0f cycles exceeds target %d (+%d slack)%s"
-             r.A.Distance.worst target slack budget_note)
+             r.A.Distance.worst target (bound - target) budget_note)
         :: !diags
     end
   end;

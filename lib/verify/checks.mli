@@ -56,19 +56,12 @@ val prefetch_pairing :
     trusted from the pass), in which case the loop is charged a budget
     of (trips - 1) x body cost; a yield-free cycle with no proven bound
     is an error with the loop body as witness. The maximum-cost
-    yield-free path, budgets included, must not exceed [target + slack]
-    (default slack = [target], matching the pass's worst case of
-    deferring an insertion past a read-modify-write window). [cost]
-    defaults to the scavenger pass's static estimate
-    ({!Stallhide_isa.Cost.base} + 4 extra cycles per load). The witness
+    yield-free path, budgets included and priced with
+    {!Stallhide_binopt.Scavenger_pass.static_cost}, must not exceed
+    {!Stallhide_binopt.Scavenger_pass.bound}. The witness
     of a too-long path is the chain of block-entry pcs ending at the
     instruction where the bound is exceeded. *)
-val interval_bound :
-  target:int ->
-  ?slack:int ->
-  ?cost:(int -> float) ->
-  Program.t ->
-  Diagnostic.t list
+val interval_bound : target:int -> Program.t -> Diagnostic.t list
 
 (** Guard completeness for SFI-transformed programs: every load/store/
     accelerator-issue must have a [Guard] for its (base register, line)

@@ -10,8 +10,6 @@ let check_id = function
   | Sfi -> "sfi"
   | Atomicity -> "atomicity"
 
-let all_checks = [ Cfg_equiv; Liveness; Pairing; Interval; Sfi; Atomicity ]
-
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
 type t = {

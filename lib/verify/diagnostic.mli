@@ -21,8 +21,6 @@ type check =
     ["atomicity"]. *)
 val check_id : check -> string
 
-val all_checks : check list
-
 val severity_name : severity -> string
 
 type t = {

@@ -6,18 +6,14 @@ type against = { orig : Program.t; orig_of_new : int array }
 type config = {
   against : against option;
   target_interval : int option;
-  interval_slack : int option;
   expect_sfi : bool;
-  check_atomicity : bool;
 }
 
 let default_config =
   {
     against = None;
     target_interval = None;
-    interval_slack = None;
     expect_sfi = false;
-    check_atomicity = true;
   }
 
 type outcome = { diags : D.t list; checks_run : D.check list }
@@ -80,10 +76,10 @@ let run ?(config = default_config) ?registry prog =
   ran D.Pairing (Checks.prefetch_pairing ~is_inserted prog);
   (match config.target_interval with
   | Some target ->
-      ran D.Interval (Checks.interval_bound ~target ?slack:config.interval_slack prog)
+      ran D.Interval (Checks.interval_bound ~target prog)
   | None -> ());
   if config.expect_sfi then ran D.Sfi (Checks.sfi_completeness prog);
-  if config.check_atomicity then ran D.Atomicity (Checks.atomicity prog);
+  ran D.Atomicity (Checks.atomicity prog);
   let outcome = { diags = List.sort D.compare !diags; checks_run = List.rev !checks } in
   (match registry with
   | Some reg ->
@@ -99,15 +95,9 @@ let run ?(config = default_config) ?registry prog =
   | None -> ());
   outcome
 
-let run_exn ?config ?registry prog =
-  let o = run ?config ?registry prog in
-  if not (ok o) then raise (Rejected o);
-  o
-
 let validate ~orig ~orig_of_new ?target_interval ?expect_sfi ?registry prog =
   let config =
     {
-      default_config with
       against = Some { orig; orig_of_new };
       target_interval;
       expect_sfi = (match expect_sfi with Some b -> b | None -> false);

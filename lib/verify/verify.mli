@@ -23,13 +23,10 @@ type config = {
   against : against option;
       (** enables the cfg-equiv check and upgrades pairing findings at
           inserted pcs to errors *)
-  target_interval : int option;  (** enables the interval-bound check *)
-  interval_slack : int option;
-      (** extra cycles tolerated over [target_interval]; default =
-          the target itself (the pass's worst case when it defers an
-          insertion past a read-modify-write window) *)
+  target_interval : int option;
+      (** enables the interval-bound check, against
+          {!Stallhide_binopt.Scavenger_pass.bound} of this target *)
   expect_sfi : bool;  (** enables the guard-completeness check *)
-  check_atomicity : bool;  (** default [true] *)
 }
 
 (** Liveness, pairing and atomicity only — the checks meaningful for
@@ -56,18 +53,14 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val outcome_to_json : outcome -> Stallhide_util.Json.t
 
 exception Rejected of outcome
-(** Raised by {!run_exn} when any error-severity diagnostic is found.
-    A printer is registered, so an uncaught rejection shows the
-    diagnostics. *)
+(** Raised by {!Stallhide.Pipeline.instrument_with} when any
+    error-severity diagnostic is found. A printer is registered, so an
+    uncaught rejection shows the diagnostics. *)
 
 (** Run the configured checks; diagnostics are also counted in
     [registry] when given (counters [verify.programs], [verify.checks],
     [verify.errors]/[warnings]/[infos] and [verify.diag.<check-id>]). *)
 val run :
-  ?config:config -> ?registry:Stallhide_obs.Registry.t -> Program.t -> outcome
-
-(** Like {!run} but raises {!Rejected} when {!ok} is false. *)
-val run_exn :
   ?config:config -> ?registry:Stallhide_obs.Registry.t -> Program.t -> outcome
 
 (** Convenience for validating a pass output against its input:

@@ -39,8 +39,6 @@ type injection =
     the spike is armed for the whole run). *)
 val injection_of_string : string -> (injection, string) result
 
-val injection_name : injection -> string
-
 type config = {
   workload : string;  (** a [workload_names] entry *)
   lanes : int;

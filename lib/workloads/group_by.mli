@@ -26,5 +26,6 @@ val make :
   unit ->
   Workload.t
 
-(** Accumulator base address of a lane (for checksum tests). *)
+(** Accumulator base address of a lane (for checksum tests).
+    Exported for [test_workloads] only. *)
 val acc_base : Workload.t -> lane:int -> int

@@ -11,6 +11,7 @@
     Registers: r1 = probe cursor, r2 = remaining ops, r3 = table base,
     r4–r7 = batch keys/addresses, r8 = scratch, r15 = accumulator. *)
 
+(** Exported for [test_workloads] only. *)
 val batch : int
 
 val make :

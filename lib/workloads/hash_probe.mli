@@ -15,8 +15,6 @@
     r7 = slot count, r9 = hash constant, r10 = table end,
     r15 = accumulator. *)
 
-val hash_const : int
-
 (** Bytes {!make} allocates into a shared [image] for these parameters:
     a guard line, the table, and each lane's key array, each region
     rounded up to a line. *)

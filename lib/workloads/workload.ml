@@ -13,8 +13,6 @@ type t = {
 
 let lane_count t = Array.length t.lanes
 
-let total_ops t = lane_count t * t.ops_per_lane
-
 let context t ~lane ~id ~mode =
   if lane < 0 || lane >= lane_count t then invalid_arg "Workload.context: lane out of range";
   let ctx = Context.create ~id ~mode t.program in

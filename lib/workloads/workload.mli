@@ -31,8 +31,6 @@ type t = {
 
 val lane_count : t -> int
 
-val total_ops : t -> int
-
 (** [context t ~lane ~id ~mode] builds a ready context for one lane.
     @raise Invalid_argument if [lane] is out of range. *)
 val context : t -> lane:int -> id:int -> mode:Context.mode -> Context.t

@@ -49,9 +49,6 @@ let test_nic_ring () =
   Alcotest.(check int) "overflow counted" 1 (Nic.overflow nic);
   Nic.sent nic;
   Alcotest.(check int) "tx counted" 1 (Nic.tx nic);
-  (* the nicdrop fault path: shrinking the ring drops what used to fit *)
-  Nic.set_depth nic 1;
-  Alcotest.(check bool) "shrunk ring drops backlog 1" false (Nic.admit nic ~backlog:1 ~lean:true);
   (* depth <= 0 is unbounded *)
   let open_nic = Nic.create ~depth:0 in
   Alcotest.(check bool) "unbounded ring admits any backlog" true

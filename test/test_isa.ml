@@ -103,13 +103,6 @@ let test_load_sites_yield_count () =
   Alcotest.(check (list int)) "load sites" [ 0; 2 ] (Program.load_sites p);
   Alcotest.(check int) "yield count" 3 (Program.yield_count p)
 
-let test_fresh_label () =
-  let p = Program.assemble simple_items in
-  let l = Program.fresh_label p "loop" in
-  Alcotest.(check bool) "fresh differs" true (l <> "loop");
-  Alcotest.(check bool) "fresh unused" false (Program.has_label p l);
-  Alcotest.(check string) "unused prefix kept" "zzz" (Program.fresh_label p "zzz")
-
 (* --- Builder --- *)
 
 let test_builder () =
@@ -265,7 +258,6 @@ let () =
           Alcotest.test_case "assemble errors" `Quick test_assemble_errors;
           Alcotest.test_case "items roundtrip" `Quick test_items_roundtrip;
           Alcotest.test_case "load sites / yields" `Quick test_load_sites_yield_count;
-          Alcotest.test_case "fresh label" `Quick test_fresh_label;
         ] );
       ("builder", [ Alcotest.test_case "emit" `Quick test_builder ]);
       ( "asm",

@@ -234,7 +234,7 @@ let qcheck_fork_model =
 (* --- Cache --- *)
 
 let mk_cache ?(size = 8 * 64) ?(ways = 2) () =
-  Cache.create ~name:"t" ~line_bytes:64 { Memconfig.size_bytes = size; ways; latency = 4 }
+  Cache.create ~line_bytes:64 { Memconfig.size_bytes = size; ways; latency = 4 }
 
 let test_cache_hit_miss () =
   let c = mk_cache () in
@@ -411,7 +411,7 @@ let qcheck_cache_model =
   QCheck.Test.make ~name:"cache matches a per-set list model" ~count:300 cache_model_case
     (fun (ways, sets, line_bytes, ops) ->
       let c =
-        Cache.create ~name:"t" ~line_bytes
+        Cache.create ~line_bytes
           { Memconfig.size_bytes = sets * ways * line_bytes; ways; latency = 4 }
       in
       let m = Cache_model.create ~line_bytes ~sets ~ways in
@@ -450,7 +450,7 @@ let qcheck_cache_model =
    lookup misses. Covers every level of every geometry the soundness
    oracle samples ([Memconfig.default] among them). *)
 let[@inline never] fill_and_drop ~line_bytes level =
-  let c = Cache.create ~name:"old" ~line_bytes level in
+  let c = Cache.create ~line_bytes level in
   for line = 0 to Cache.lines c - 1 do
     Cache.insert c ~now:0 ~ready_at:0 (line * line_bytes)
   done;
@@ -471,7 +471,7 @@ let test_cache_storage_reuse () =
     (fun (line_bytes, (level : Memconfig.level_cfg)) ->
       fill_and_drop ~line_bytes level;
       Gc.full_major ();
-      let c = Cache.create ~name:"new" ~line_bytes level in
+      let c = Cache.create ~line_bytes level in
       let where line =
         Printf.sprintf "%d B / %d-way / %d B lines, line %d" level.size_bytes level.ways line_bytes
           line
@@ -584,7 +584,7 @@ let test_config_validation () =
   rejects "zero-way hierarchy" "Memconfig: l1 ways must be positive" (fun () ->
       ignore (Hierarchy.create no_ways));
   let cache ~line_bytes size_bytes ways () =
-    ignore (Cache.create ~name:"t" ~line_bytes { Memconfig.size_bytes; ways; latency = 4 })
+    ignore (Cache.create ~line_bytes { Memconfig.size_bytes; ways; latency = 4 })
   in
   rejects "zero-way cache" "Cache.create: ways must be positive" (cache ~line_bytes:64 512 0);
   rejects "48-byte lines" "Cache.create: line_bytes must be a power of two"
@@ -624,7 +624,7 @@ let qcheck_lru_survival =
       let ways = 2 + extra in
       let sets = 8 in
       let c =
-        Cache.create ~name:"t" ~line_bytes:64
+        Cache.create ~line_bytes:64
           { Memconfig.size_bytes = sets * ways * 64; ways; latency = 4 }
       in
       let addr l = l * 64 in

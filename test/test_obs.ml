@@ -64,9 +64,9 @@ let test_trace_json_roundtrip () =
   let (_ : Metrics.t) = Baselines.run_round_robin ~opts (chase ~lanes:4 ~hops:100 ()) in
   let j = Json.of_string (Json.to_string (Obs.Perfetto.to_json s)) in
   let events =
-    match Option.bind (Json.member "traceEvents" j) Json.to_list_opt with
-    | Some l -> l
-    | None -> Alcotest.fail "no traceEvents array"
+    match Json.member "traceEvents" j with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents array"
   in
   Alcotest.(check bool) "trace non-empty" true (List.length events > 0);
   let last_ts = Hashtbl.create 8 in

@@ -16,8 +16,6 @@ let test_queue_fifo () =
   Alcotest.(check int) "length" 3 (Ready_queue.length q);
   Alcotest.(check (list int)) "peek order" [ 1; 2; 3 ] (Ready_queue.peek_all q);
   Alcotest.(check (option int)) "pop" (Some 1) (Ready_queue.pop_opt q);
-  Ready_queue.push_front q 0;
-  Alcotest.(check (option int)) "front" (Some 0) (Ready_queue.pop_opt q);
   Alcotest.(check (option int)) "then 2" (Some 2) (Ready_queue.pop_opt q);
   Alcotest.(check (option int)) "then 3" (Some 3) (Ready_queue.pop_opt q);
   Alcotest.(check (option int)) "drained" None (Ready_queue.pop_opt q)
@@ -31,16 +29,12 @@ let test_queue_interleaved () =
   Alcotest.(check (list int)) "peek after wrap" [ 2; 3 ] (Ready_queue.peek_all q)
 
 (* model-based check: the queue behaves like a list under a random
-   push/pop/push_front script *)
+   push/pop script *)
 let qcheck_queue_model =
   let gen_op =
     QCheck.Gen.(
       frequency
-        [
-          (3, map (fun n -> `Push n) small_int);
-          (3, return `Pop);
-          (1, map (fun n -> `Push_front n) small_int);
-        ])
+        [ (3, map (fun n -> `Push n) small_int); (3, return `Pop) ])
   in
   QCheck.Test.make ~name:"ready queue matches list model" ~count:300
     (QCheck.make QCheck.Gen.(small_list gen_op))
@@ -53,10 +47,6 @@ let qcheck_queue_model =
           | `Push n ->
               Ready_queue.push q n;
               model := !model @ [ n ];
-              true
-          | `Push_front n ->
-              Ready_queue.push_front q n;
-              model := n :: !model;
               true
           | `Pop -> (
               match (Ready_queue.pop_opt q, !model) with
@@ -78,7 +68,6 @@ let test_task () =
   Alcotest.(check (option int)) "no sojourn yet" None (Task.sojourn t);
   t.Task.finished_at <- 350;
   Alcotest.(check (option int)) "sojourn" (Some 250) (Task.sojourn t);
-  Alcotest.(check string) "class name" "latency" (Task.class_name Task.Latency);
   match Task.create ~id:0 ~class_:Task.Batch ~arrival:(-1) (dummy_ctx 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative arrival accepted"

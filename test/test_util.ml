@@ -44,7 +44,6 @@ let test_bits_basic () =
   Alcotest.(check bool) "not mem" false (Bits.mem 0b100 1);
   Alcotest.(check int) "add" 0b110 (Bits.add 0b100 1);
   Alcotest.(check int) "remove" 0b100 (Bits.remove 0b110 1);
-  Alcotest.(check int) "union" 0b111 (Bits.union 0b101 0b011);
   Alcotest.(check int) "diff" 0b100 (Bits.diff 0b101 0b011)
 
 let test_bits_fold () =

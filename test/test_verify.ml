@@ -222,6 +222,169 @@ let test_interval_bad_target () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "target 0 accepted"
 
+(* The bound is twice the target: a yield-free path of static cost
+   2 x target passes, one cycle more fails. *)
+let test_interval_bound_is_twice_target () =
+  let straight n =
+    let b = Builder.create () in
+    for _ = 1 to n do
+      Builder.addi b Reg.r1 Reg.r1 1
+    done;
+    Builder.halt b;
+    Builder.assemble b
+  in
+  Alcotest.(check (list string)) "cost 20 within target 10" []
+    (List.map (Format.asprintf "%a" D.pp) (Checks.interval_bound ~target:10 (straight 20)));
+  Alcotest.(check bool) "cost 21 over target 10" true
+    (has_error D.Interval (Checks.interval_bound ~target:10 (straight 21)))
+
+(* Shrunk fuzz programs (scavenger oracle, one case each) where a
+   read-modify-write window entered with the budget part-spent ran the
+   pass's rewrite past the bound: (seed, target, program). *)
+let rmw_windows =
+  [
+    ( 3041, 32,
+      {|
+  div r7, r5, 1
+  load r5, [r1+176]
+  load r2, [r0]
+  load r7, [r1]
+  rem r6, r7, 1
+  load r4, [r1]
+  load r3, [r3]
+  load r2, [r2]
+  load r3, [r2]
+  load r5, [r1]
+  store [r1+176], r5
+  halt
+|} );
+    ( 6373, 38,
+      {|
+  mul r5, r7, 1
+  load r2, [r3]
+  load r4, [r1+208]
+  load r5, [r1]
+  load r3, [r3]
+  mov r7, 0
+  load r5, [r1]
+  or r6, r4, 1
+  load r6, [r1]
+  sub r5, r7, 1
+  load r2, [r2]
+  store [r1], r2
+  load r5, [r1]
+  div r6, r6, 1
+  rem r5, r5, 1
+  load r5, [r1]
+  store [r1+208], r4
+  halt
+|} );
+    ( 25563, 30,
+      {|
+  store [r1], r6
+  load r2, [r3]
+  load r2, [r0]
+  load r7, [r1+360]
+  add r7, r6, 1
+  load r2, [r2]
+  load r5, [r1]
+  mov r4, 0
+  store [r1], r7
+  store [r1], r5
+  mov r5, 0
+  shl r6, r7, 1
+  rem r6, r4, 1
+  load r6, [r1]
+  shl r6, r5, 0
+  load r6, [r1]
+  store [r1], r6
+  store [r1+360], r2
+  halt
+|} );
+    ( 74794, 32,
+      {|
+  div r6, r5, 1
+  load r4, [r1]
+  load r4, [r1+80]
+  rem r4, r6, 1
+  load r7, [r1]
+  rem r5, r4, 1
+  div r4, r4, 1
+  mov r4, 0
+  store [r1+80], r4
+  halt
+|} );
+    ( 101421, 30,
+      {|
+  load r2, [r2]
+  load r5, [r1]
+  load r2, [r3]
+  load r7, [r1+32]
+  mov r6, 0
+  rem r4, r4, 1
+  div r4, r4, 1
+  load r6, [r1]
+  load r4, [r1]
+  load r3, [r0]
+  store [r1+32], r3
+  halt
+|} );
+    ( 115461, 32,
+      {|
+  mul r4, r4, 1
+  br gt r6, r7, skip_0
+  and r4, r7, 1
+skip_0:
+  div r6, r4, 1
+  sub r4, r4, 1
+  load r4, [r1]
+  load r4, [r1+56]
+  load r5, [r1]
+  load r4, [r1]
+  load r3, [r3]
+  store [r1], r4
+  div r7, r5, 1
+  shl r4, r4, 1
+  store [r1], r4
+  shr r7, r5, 0
+  store [r1], r5
+  store [r1+56], r7
+  halt
+|} );
+    ( 116595, 32,
+      {|
+  load r7, [r1]
+  load r4, [r1]
+  load r5, [r1+64]
+  load r3, [r0]
+  load r3, [r0]
+  load r3, [r0]
+  mov r6, 0
+  load r3, [r0]
+  load r3, [r3]
+  load r2, [r3]
+  and r6, r6, 1
+  store [r1], r2
+  load r2, [r0]
+  load r3, [r2]
+  load r5, [r1]
+  add r4, r5, 1
+  store [r1+64], r4
+  halt
+|} );
+  ]
+
+(* The pass yields before a window's opening load when the window would
+   run the distance past the bound, so the verifier accepts its
+   rewrite. *)
+let test_interval_rmw_window (_, target, src) () =
+  let orig = Asm.parse src in
+  let opts = { Scavenger_pass.default_opts with Scavenger_pass.target_interval = target } in
+  let p', map, _ = Scavenger_pass.run opts orig in
+  let o = Verify.validate ~orig ~orig_of_new:map ~target_interval:target p' in
+  Alcotest.(check (list string)) "verifier accepts the rewrite" []
+    (List.map (Format.asprintf "%a" D.pp) o.Verify.diags)
+
 (* --- SFI completeness --- *)
 
 let diamond_mem_src =
@@ -344,21 +507,6 @@ let test_verify_run_clean () =
   Alcotest.(check (list string)) "checks run"
     [ "cfg-equiv"; "liveness"; "pairing"; "atomicity" ]
     (List.map D.check_id o.Verify.checks_run)
-
-let test_verify_run_exn_rejects () =
-  let orig = Asm.parse chase_src in
-  let inst, map =
-    Rewrite.insert_before orig (fun pc -> if pc = 0 then [ Instr.Nop ] else [])
-  in
-  let config =
-    {
-      Verify.default_config with
-      Verify.against = Some { Verify.orig; orig_of_new = map };
-    }
-  in
-  match Verify.run_exn ~config inst with
-  | exception Verify.Rejected o -> Alcotest.(check bool) "errors carried" true (Verify.errors o > 0)
-  | _ -> Alcotest.fail "defective rewrite accepted"
 
 let test_verify_registry_counters () =
   let reg = Stallhide_obs.Registry.create () in
@@ -547,7 +695,15 @@ let () =
             test_interval_rejects_yield_free_loop;
           Alcotest.test_case "rejects long path" `Quick test_interval_rejects_long_path;
           Alcotest.test_case "bad target" `Quick test_interval_bad_target;
+          Alcotest.test_case "bound is twice the target" `Quick
+            test_interval_bound_is_twice_target;
         ] );
+      ( "rmw window",
+        List.map
+          (fun ((seed, _, _) as case) ->
+            Alcotest.test_case (Printf.sprintf "fuzz seed %d" seed) `Quick
+              (test_interval_rmw_window case))
+          rmw_windows );
       ( "sfi",
         [
           Alcotest.test_case "clean on pass output" `Quick test_sfi_clean;
@@ -566,7 +722,6 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "run clean" `Quick test_verify_run_clean;
-          Alcotest.test_case "run_exn rejects" `Quick test_verify_run_exn_rejects;
           Alcotest.test_case "registry counters" `Quick test_verify_registry_counters;
           Alcotest.test_case "outcome json" `Quick test_verify_outcome_json;
           Alcotest.test_case "diagnostic ordering" `Quick test_diagnostic_ordering;

@@ -1,18 +1,23 @@
 open Stallhide_isa
 open Stallhide_mem
 open Stallhide_cpu
-open Stallhide_pmu
 open Stallhide_runtime
 open Stallhide_workloads
 
 let cfg = Memconfig.default
 
-(* Run all lanes sequentially; return the contexts and op count. *)
+(* What a run counts: retired opmarks and the hierarchy's demand
+   counters. *)
+type counts = { ops : int; mem : Mem_stats.t }
+
+(* Run all lanes sequentially; return the contexts, the counts and the
+   scheduler's result. *)
 let run_workload (w : Workload.t) =
-  let counters = Counters.create () in
-  let engine = { Engine.default_config with Engine.hooks = Counters.hooks counters } in
+  let ops, hooks = Stallhide.Baselines.op_counter () in
+  let engine = { Engine.default_config with Engine.hooks } in
+  let hier = Hierarchy.create cfg in
   let ctxs = Workload.contexts w in
-  let r = Scheduler.run_sequential ~engine (Hierarchy.create cfg) w.Workload.image ctxs in
+  let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
   Array.iter
     (fun c ->
       match c.Context.status with
@@ -20,7 +25,7 @@ let run_workload (w : Workload.t) =
       | Context.Faulted m -> Alcotest.fail ("fault: " ^ m)
       | Context.Ready -> Alcotest.fail "did not finish")
     ctxs;
-  (ctxs, counters, r)
+  (ctxs, { ops = !ops; mem = Hierarchy.stats hier }, r)
 
 let reg_init lane r =
   match List.assoc_opt r lane with Some v -> v | None -> 0
@@ -31,7 +36,7 @@ let test_pointer_chase_correct () =
   let lanes = 3 and hops = 500 in
   let w = Pointer_chase.make ~lanes ~nodes_per_lane:256 ~hops ~seed:7 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" (lanes * hops) counters.Counters.ops;
+  Alcotest.(check int) "ops" (lanes * hops) counters.ops;
   Array.iteri
     (fun i ctx ->
       (* host-side walk of the same ring *)
@@ -47,14 +52,14 @@ let test_pointer_chase_misses () =
   let _, counters, _ = run_workload w in
   (* footprint 256KB > L2; most hops miss beyond L2 *)
   Alcotest.(check bool) "mostly misses" true
-    (counters.Counters.dram_loads + counters.Counters.l3_hits > 1500)
+    (counters.mem.Mem_stats.dram_accesses + counters.mem.Mem_stats.l3_hits > 1500)
 
 let test_pointer_chase_manual_variant () =
   let w = Pointer_chase.make ~manual:true ~lanes:1 ~nodes_per_lane:64 ~hops:10 ~seed:3 () in
   Alcotest.(check bool) "has yields" true (Program.yield_count w.Workload.program > 0);
   Alcotest.(check string) "name" "pointer-chase/manual" w.Workload.name;
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops still correct" 10 counters.Counters.ops;
+  Alcotest.(check int) "ops still correct" 10 counters.ops;
   ignore ctxs
 
 let test_pointer_chase_compute_knob () =
@@ -76,7 +81,7 @@ let test_hash_probe_correct () =
   let lanes = 2 and ops = 400 in
   let w = Hash_probe.make ~lanes ~table_slots:1024 ~ops ~seed:11 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" (lanes * ops) counters.Counters.ops;
+  Alcotest.(check int) "ops" (lanes * ops) counters.ops;
   Array.iteri
     (fun i ctx ->
       let base = reg_init w.Workload.lanes.(i) Reg.r1 in
@@ -119,7 +124,7 @@ let test_btree_correct () =
   let lanes = 2 and ops = 300 in
   let w = Btree.make ~lanes ~keys:2048 ~ops ~seed:5 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" (lanes * ops) counters.Counters.ops;
+  Alcotest.(check int) "ops" (lanes * ops) counters.ops;
   Array.iteri
     (fun i ctx ->
       let base = reg_init w.Workload.lanes.(i) Reg.r1 in
@@ -134,14 +139,15 @@ let test_btree_depth_work () =
   (* Each lookup needs ~log2(keys) node visits: instruction count scales. *)
   let w = Btree.make ~lanes:1 ~keys:4096 ~ops:100 ~seed:5 () in
   let _, counters, _ = run_workload w in
-  Alcotest.(check bool) "several loads per lookup" true (counters.Counters.loads > 100 * 8)
+  Alcotest.(check bool) "several loads per lookup" true
+    (counters.mem.Mem_stats.demand_accesses > 100 * 8)
 
 (* --- array scan --- *)
 
 let test_array_scan_correct () =
   let w = Array_scan.make ~lanes:2 ~block_words:32 ~ops:50 ~seed:9 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" 100 counters.Counters.ops;
+  Alcotest.(check int) "ops" 100 counters.ops;
   Array.iteri
     (fun i ctx ->
       let base = reg_init w.Workload.lanes.(i) Reg.r1 in
@@ -156,8 +162,8 @@ let test_array_scan_cache_friendly () =
   let w = Array_scan.make ~lanes:1 ~block_words:64 ~ops:200 ~seed:9 () in
   let _, counters, _ = run_workload w in
   (* one line fill per 8 words -> miss ratio ~1/8 *)
-  let ratio = float_of_int (counters.Counters.loads - counters.Counters.l1_hits)
-              /. float_of_int counters.Counters.loads in
+  let ratio = float_of_int (counters.mem.Mem_stats.demand_accesses - counters.mem.Mem_stats.l1_hits)
+              /. float_of_int counters.mem.Mem_stats.demand_accesses in
   Alcotest.(check bool) (Printf.sprintf "miss ratio %.3f low" ratio) true (ratio < 0.2)
 
 (* --- hash join --- *)
@@ -166,7 +172,7 @@ let test_hash_join_correct () =
   let ops = 250 in
   let w = Hash_join.make ~lanes:2 ~build_rows:2048 ~ops ~seed:13 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" (2 * ops) counters.Counters.ops;
+  Alcotest.(check int) "ops" (2 * ops) counters.ops;
   Array.iteri
     (fun i ctx ->
       let base = reg_init w.Workload.lanes.(i) Reg.r1 in
@@ -218,7 +224,7 @@ let test_graph_bfs_correct () =
   let expected = host_bfs w ~lane:0 ~vertices in
   Alcotest.(check int) "ring makes all reachable" vertices expected;
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "settled = reachable, both lanes" (2 * vertices) counters.Counters.ops;
+  Alcotest.(check int) "settled = reachable, both lanes" (2 * vertices) counters.ops;
   Array.iter
     (fun ctx -> Alcotest.(check int) "settle counter" vertices ctx.Context.regs.{15})
     ctxs
@@ -227,7 +233,7 @@ let test_graph_bfs_reset () =
   let vertices = 512 in
   let w = Graph_bfs.make ~lanes:1 ~vertices ~degree:3 ~seed:32 () in
   let _, c1, _ = run_workload w in
-  Alcotest.(check int) "first run settles all" vertices c1.Counters.ops;
+  Alcotest.(check int) "first run settles all" vertices c1.ops;
   (* without reset the queue is drained and visited all set: re-running
      must do nothing; with reset it repeats the traversal *)
   let ctx = Workload.context w ~lane:0 ~id:9 ~mode:Context.Primary in
@@ -281,7 +287,7 @@ let test_group_by_correct () =
     Array.init 2 (fun lane -> expected_groups w ~lane ~groups ~tuples)
   in
   let _, counters, _ = run_workload w in
-  Alcotest.(check int) "tuples processed" (2 * tuples) counters.Counters.ops;
+  Alcotest.(check int) "tuples processed" (2 * tuples) counters.ops;
   check_groups w ~lane:0 ~groups expected.(0);
   check_groups w ~lane:1 ~groups expected.(1)
 
@@ -324,7 +330,7 @@ let test_kv_server () =
   Alcotest.(check string) "name" "kv-server" w.Workload.name;
   Alcotest.(check int) "one lane by default" 1 (Workload.lane_count w);
   let _, counters, _ = run_workload w in
-  Alcotest.(check int) "requests served" 100 counters.Counters.ops
+  Alcotest.(check int) "requests served" 100 counters.ops
 
 (* --- offload --- *)
 
@@ -332,7 +338,7 @@ let test_offload_correct () =
   let ops = 300 in
   let w = Offload.make ~lanes:2 ~ops ~overlap:24 ~seed:51 () in
   let ctxs, counters, _ = run_workload w in
-  Alcotest.(check int) "ops" (2 * ops) counters.Counters.ops;
+  Alcotest.(check int) "ops" (2 * ops) counters.ops;
   Array.iteri
     (fun i ctx ->
       let base = reg_init w.Workload.lanes.(i) Reg.r1 in
@@ -350,12 +356,13 @@ let test_offload_correct () =
 
 let test_offload_wait_stalls_exposed () =
   let w = Offload.make ~lanes:1 ~ops:200 ~overlap:24 ~seed:52 () in
-  let _, counters, _ = run_workload w in
+  let ctxs, _, _ = run_workload w in
+  let stall = Array.fold_left (fun acc c -> acc + c.Context.stall_cycles) 0 ctxs in
   (* each op stalls ~ (accel_latency - overlap - few cycles) at the wait *)
   Alcotest.(check bool)
-    (Printf.sprintf "stall %d large" counters.Counters.stall_cycles)
+    (Printf.sprintf "stall %d large" stall)
     true
-    (counters.Counters.stall_cycles > 200 * (cfg.Memconfig.accel_latency - 24 - 20))
+    (stall > 200 * (cfg.Memconfig.accel_latency - 24 - 20))
 
 let test_offload_pgo_hides_waits () =
   let mk () = Offload.make ~lanes:16 ~ops:300 ~overlap:24 ~seed:53 () in
@@ -379,8 +386,8 @@ let test_shared_image () =
   Alcotest.(check bool) "same image" true (w1.Workload.image == w2.Workload.image);
   let _, c1, _ = run_workload w1 in
   let _, c2, _ = run_workload w2 in
-  Alcotest.(check int) "kv ops" 50 c1.Counters.ops;
-  Alcotest.(check int) "chase ops" 100 c2.Counters.ops
+  Alcotest.(check int) "kv ops" 50 c1.ops;
+  Alcotest.(check int) "chase ops" 100 c2.ops
 
 let test_shared_image_too_small () =
   let im = Address_space.create ~bytes:4096 in
@@ -434,7 +441,6 @@ let qcheck_image_bytes_exact =
 let test_workload_api () =
   let w = Pointer_chase.make ~lanes:3 ~nodes_per_lane:64 ~hops:10 ~seed:1 () in
   Alcotest.(check int) "lane count" 3 (Workload.lane_count w);
-  Alcotest.(check int) "total ops" 30 (Workload.total_ops w);
   (match Workload.context w ~lane:5 ~id:0 ~mode:Context.Primary with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range lane accepted");
