@@ -30,28 +30,44 @@ let make_workload name ~lanes ~ops ~manual ~seed =
   | "txn-oltp" -> Stallhide_txn.Txn_oltp.workload ~manual ~lanes ~txns:ops ~seed ()
   | other -> invalid_arg ("unknown workload " ^ other)
 
+(* Bad input is a user error, not a library exception: one
+   [stallhide:] line and exit 2, instead of a cmdliner usage error or a
+   raw exception. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("stallhide: " ^ msg);
+      exit 2)
+    fmt
+
 let policy_of_string = function
   | "always" -> Gain_cost.Always
   | "cost-benefit" -> Gain_cost.Cost_benefit
   | s -> (
       match float_of_string_opt s with
       | Some t -> Gain_cost.Threshold t
-      | None -> invalid_arg "policy must be always | cost-benefit | <threshold float>")
+      | None -> usage_error "--policy must be always | cost-benefit | <threshold float> (got %S)" s)
 
 (* common options *)
 
 let workload_arg =
   let doc = "Workload: " ^ String.concat " | " workload_names ^ "." in
   (* plain string, checked by hand: an unknown name exits 2 with the
-     list instead of a cmdliner usage error or a raw exception *)
+     list *)
   Arg.(value & opt string "pointer-chase" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let check_workload name =
-  if not (List.mem name workload_names) then begin
-    Printf.eprintf "stallhide: unknown workload %S (available: %s)\n" name
-      (String.concat ", " workload_names);
-    exit 2
-  end
+  if not (List.mem name workload_names) then
+    usage_error "unknown workload %S (available: %s)" name (String.concat ", " workload_names)
+
+(* The workload generators and the scavenger pass raise on a size below
+   1; the single-core subcommands check first. *)
+let check_sizes ?interval ~lanes ~ops () =
+  if lanes < 1 then usage_error "--lanes must be at least 1 (got %d)" lanes;
+  if ops < 1 then usage_error "--ops must be at least 1 (got %d)" ops;
+  match interval with
+  | Some i when i < 1 -> usage_error "--scavenger-interval must be at least 1 (got %d)" i
+  | _ -> ()
 
 (* Output files are user input too: fail cleanly, not with a backtrace. *)
 let write_file path f =
@@ -88,11 +104,12 @@ let no_verify_arg =
 let instrument_workload ?profile_file ?scavenger_interval ~primary ~verify w =
   match profile_file with
   | Some path ->
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      let profile = Stallhide_pmu.Profile.load ~program:w.Workload.program text in
+      let profile =
+        try
+          Stallhide_pmu.Profile.load ~program:w.Workload.program
+            (In_channel.with_open_bin path In_channel.input_all)
+        with Sys_error msg | Failure msg -> usage_error "cannot load profile: %s" msg
+      in
       let estimates = Gain_cost.of_profile profile in
       let pc_cycles pc = Stallhide_pmu.Profile.pc_cycles profile pc in
       let wait_stalls pc = Stallhide_pmu.Profile.stalls_at profile pc in
@@ -138,6 +155,7 @@ let run_cmd =
   let run workload mechanism placement lanes ops seed policy interval json trace_out prom_out
       attribution no_verify =
     check_workload workload;
+    check_sizes ?interval ~lanes ~ops ();
     if attribution && mechanism <> "pgo" then begin
       Printf.eprintf "stallhide: --attribution needs --mechanism pgo (got %s)\n" mechanism;
       exit 2
@@ -302,6 +320,7 @@ let analyze_cmd =
   let module A = Stallhide_analysis.Analysis in
   let analyze workload lanes ops seed json strict =
     check_workload workload;
+    check_sizes ~lanes ~ops ();
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let a = A.run w.Workload.program in
     if json then print_endline (Stallhide_util.Json.to_string_pretty (A.to_json a))
@@ -351,6 +370,7 @@ let profile_file_arg =
 let disasm_cmd =
   let disasm workload lanes ops seed instrument profile_file policy interval no_verify =
     check_workload workload;
+    check_sizes ?interval ~lanes ~ops ();
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     if instrument then begin
       let primary =
@@ -380,6 +400,7 @@ let disasm_cmd =
 let instrument_cmd =
   let instrument workload lanes ops seed profile_file policy interval no_verify output =
     check_workload workload;
+    check_sizes ?interval ~lanes ~ops ();
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let primary =
       { Primary_pass.default_opts with Primary_pass.policy = policy_of_string policy }
@@ -448,6 +469,7 @@ let lint_cmd =
         [ workload ]
       end
     in
+    check_sizes ?interval ~lanes ~ops ();
     let passes = match passes with [] -> lint_passes | ps -> ps in
     let interval = match interval with Some i -> i | None -> 50 in
     let primary =
@@ -475,51 +497,30 @@ let lint_cmd =
         match pass with
         | "primary" ->
             let prog, map, _ = Primary_pass.run primary (Lazy.force estimates) orig in
-            let config =
-              { V.default_config with V.against = Some { V.orig; orig_of_new = map } }
-            in
-            (V.run ~config ~registry prog, [])
+            (V.validate ~orig ~orig_of_new:map ~registry prog, [])
         | "scavenger" ->
             let opts =
               { Scavenger_pass.default_opts with Scavenger_pass.target_interval = interval }
             in
             let prog, map, rep = Scavenger_pass.run opts orig in
-            let config =
-              {
-                V.default_config with
-                V.against = Some { V.orig; orig_of_new = map };
-                target_interval = Some interval;
-              }
-            in
-            (V.run ~config ~registry prog, uncovered_diags rep.Scavenger_pass.uncovered_loops)
+            ( V.validate ~orig ~orig_of_new:map ~target_interval:interval ~registry prog,
+              uncovered_diags rep.Scavenger_pass.uncovered_loops )
         | "sfi" ->
             let prog, map, _ = Sfi_pass.run Sfi_pass.default_opts orig in
-            let config =
-              {
-                V.default_config with
-                V.against = Some { V.orig; orig_of_new = map };
-                expect_sfi = true;
-              }
-            in
-            (V.run ~config ~registry prog, [])
+            (V.validate ~orig ~orig_of_new:map ~expect_sfi:true ~registry prog, [])
         | "pgo" ->
             let inst =
               Pipeline.instrument_with ~estimates:(Lazy.force estimates) ~primary
                 ~scavenger_interval:interval ~verify:false orig
-            in
-            let config =
-              {
-                V.default_config with
-                V.against = Some { V.orig; orig_of_new = inst.Pipeline.orig_of_new };
-                target_interval = Some interval;
-              }
             in
             let extra =
               match inst.Pipeline.scavenger with
               | Some r -> uncovered_diags r.Scavenger_pass.uncovered_loops
               | None -> []
             in
-            (V.run ~config ~registry inst.Pipeline.program, extra)
+            ( V.validate ~orig ~orig_of_new:inst.Pipeline.orig_of_new ~target_interval:interval
+                ~registry inst.Pipeline.program,
+              extra )
         | other -> invalid_arg ("unknown pass " ^ other)
       in
       { outcome with V.diags = outcome.V.diags @ extra }
@@ -606,6 +607,7 @@ let lint_cmd =
 let trace_cmd =
   let trace workload lanes ops seed interval width cycles format output =
     check_workload workload;
+    check_sizes ?interval ~lanes ~ops ();
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let w', _ = Pipeline.place ?scavenger_interval:interval w in
@@ -672,6 +674,7 @@ let trace_cmd =
 let profile_cmd =
   let profile workload lanes ops seed output =
     check_workload workload;
+    check_sizes ~lanes ~ops ();
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let profiled = Pipeline.profile w in
     Printf.printf "profiling run: %d cycles, %d samples (est. overhead %.2f%%)\n"
@@ -704,6 +707,7 @@ let inject_cmd =
   let module F = Stallhide_faults.Faults in
   let module H = Stallhide_faults.Harness in
   let inject specs workload lanes ops seed json output =
+    check_sizes ~lanes ~ops ();
     let workloads =
       if workload = "all" then H.workload_names
       else begin
@@ -1270,6 +1274,7 @@ let why_cmd =
   let module J = Stallhide_util.Json in
   let why workload lanes ops seed repeats metric injection sweep critical json =
     check_workload workload;
+    check_sizes ~lanes ~ops ();
     let metric =
       match Obs.Sweep.metric_of_string metric with
       | Some m -> m
@@ -1680,10 +1685,14 @@ let () =
       [ run_cmd; analyze_cmd; disasm_cmd; instrument_cmd; lint_cmd; profile_cmd; trace_cmd; inject_cmd; smp_cmd; cluster_cmd; txn_cmd; why_cmd; fuzz_cmd ]
   in
   (* Fail-fast contract of the pipeline: a rewrite the verifier rejects
-     never runs. Render the diagnostics instead of a backtrace. *)
-  match Cmd.eval group with
+     never runs. Render the diagnostics instead of a backtrace; any
+     other exception is a bug, reported as cmdliner would. *)
+  match Cmd.eval ~catch:false group with
   | code -> exit code
   | exception Stallhide_verify.Verify.Rejected outcome ->
       Format.eprintf "stallhide: instrumented binary rejected by the verifier@.%a"
         Stallhide_verify.Verify.pp_outcome outcome;
       exit 1
+  | exception e ->
+      Printf.eprintf "stallhide: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -12,9 +12,11 @@ type verdict = {
   judged : int;
   lost_cycles : int;
   stale : bool;
+  deinstrumented : int;
+  protected : int;
 }
 
-let assess ?obs (report : Stallhide_obs.Attribution.report) =
+let assess (report : Stallhide_obs.Attribution.report) =
   let judged =
     List.filter
       (fun s -> s.Stallhide_obs.Attribution.fires >= min_fires)
@@ -27,29 +29,20 @@ let assess ?obs (report : Stallhide_obs.Attribution.report) =
     List.fold_left (fun acc s -> acc - s.Stallhide_obs.Attribution.measured_gain) 0 losing
   in
   let n_judged = List.length judged in
-  let n_losing = List.length losing in
   let stale =
     n_judged > 0
-    && float_of_int n_losing /. float_of_int n_judged >= stale_fraction
+    && float_of_int (List.length losing) /. float_of_int n_judged >= stale_fraction
   in
-  (match obs with
-  | Some s ->
-      let r = Stallhide_obs.Stream.registry s in
-      if n_losing > 0 then
-        Stallhide_obs.Registry.incr ~by:n_losing
-          (Stallhide_obs.Registry.counter r ~ctx:(-1) "drift.losing_sites");
-      if stale then
-        Stallhide_obs.Registry.incr (Stallhide_obs.Registry.counter r ~ctx:(-1) "drift.stale")
-  | None -> ());
-  { losing; judged = n_judged; lost_cycles; stale }
+  { losing; judged = n_judged; lost_cycles; stale; deinstrumented = 0; protected = 0 }
 
 (* Nop out the yields at [pcs]. One-for-one replacement keeps every pc
    stable, so the original-pc map and the liveness annotations of the
    surviving sites stay valid; we copy the annotations over since
    reassembly resets them. The paired prefetch is left in place — a
    prefetch of an already-resident line is nearly free, while the
-   unconditional switch behind it is the cost being recovered. *)
-let deinstrument ?obs ?(protect = fun _ -> false) program ~pcs =
+   unconditional switch behind it is the cost being recovered. Returns
+   the program and how many yields were removed and kept. *)
+let deinstrument ~protect program ~pcs =
   let doomed = Hashtbl.create 16 in
   List.iter (fun pc -> Hashtbl.replace doomed pc ()) pcs;
   let removed = ref 0 in
@@ -87,25 +80,15 @@ let deinstrument ?obs ?(protect = fun _ -> false) program ~pcs =
   for i = 0 to Program.length program - 1 do
     (Program.annot program' i).Program.live_regs <- (Program.annot program i).Program.live_regs
   done;
-  (match obs with
-  | Some s ->
-      let counter name = Stallhide_obs.Registry.counter
-          (Stallhide_obs.Stream.registry s) ~ctx:(-1) name
-      in
-      if !removed > 0 then
-        Stallhide_obs.Registry.incr ~by:!removed (counter "drift.deinstrumented");
-      if !protected > 0 then
-        Stallhide_obs.Registry.incr ~by:!protected (counter "drift.protected")
-  | None -> ());
-  program'
+  (program', !removed, !protected)
 
-let adapt ?obs ?protect report program =
-  let v = assess ?obs report in
-  let program' =
-    match v.losing with
-    | [] -> program
-    | losing ->
-        deinstrument ?obs ?protect program
+let adapt ?(protect = fun _ -> false) report program =
+  let v = assess report in
+  match v.losing with
+  | [] -> (program, v)
+  | losing ->
+      let program', deinstrumented, protected =
+        deinstrument ~protect program
           ~pcs:(List.map (fun s -> s.Stallhide_obs.Attribution.yield_pc) losing)
-  in
-  (program', v)
+      in
+      (program', { v with deinstrumented; protected })

@@ -22,9 +22,8 @@
     — the stale-profile defense must never turn off provably-useful
     yields.
 
-    Counters (registry of the [obs] stream, ctx −1):
-    [drift.losing_sites], [drift.stale], [drift.deinstrumented],
-    [drift.protected]. *)
+    The {!verdict} carries every count the fault harness reports as a
+    [drift.*] counter. *)
 
 open Stallhide_isa
 
@@ -33,6 +32,8 @@ type verdict = {
   judged : int;  (** sites with at least 4 firings *)
   lost_cycles : int;  (** total cycles the losing sites cost (≥ 0) *)
   stale : bool;  (** at least a quarter of the judged sites lose *)
+  deinstrumented : int;  (** losing yields replaced by [Nop] *)
+  protected : int;  (** losing yields kept because [protect] pins them *)
 }
 
 (** Judge every site of [report], then replace the losing sites'
@@ -40,10 +41,9 @@ type verdict = {
     liveness annotations (the paired prefetches stay: prefetching a
     resident line is nearly free). [protect pc] (instrumented
     coordinates) pins a yield: it is kept even when losing, counted in
-    [drift.protected]. Returns the program unchanged when nothing is
+    [protected]. Returns the program unchanged when nothing is
     losing. *)
 val adapt :
-  ?obs:Stallhide_obs.Stream.t ->
   ?protect:(int -> bool) ->
   Stallhide_obs.Attribution.report ->
   Program.t ->

@@ -128,14 +128,7 @@ type instrumented = {
    is the escape hatch for deliberately testing defective rewrites. *)
 let validate_exn ?target_interval ~orig inst =
   let module V = Stallhide_verify.Verify in
-  let config =
-    {
-      V.default_config with
-      V.against = Some { V.orig; orig_of_new = inst.orig_of_new };
-      target_interval;
-    }
-  in
-  let outcome = V.run ~config inst.program in
+  let outcome = V.validate ~orig ~orig_of_new:inst.orig_of_new ?target_interval inst.program in
   if not (V.ok outcome) then raise (V.Rejected outcome)
 
 let instrument_with_unchecked ~estimates ~pc_cycles ?wait_stalls ~primary

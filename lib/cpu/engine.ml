@@ -6,24 +6,21 @@ let cond_check_cost = 1
 type config = {
   hooks : Events.t;
   ooo_window : int;
-  load_block_threshold : int option;
-  stall_shape : (pc:int -> stall:int -> int) option;
+  stall_shape : int array;
   fast : bool;
   probe : Probe.t option;
 }
 
 let default_config =
-  {
-    hooks = Events.nop;
-    ooo_window = 0;
-    load_block_threshold = None;
-    stall_shape = None;
-    fast = true;
-    probe = None;
-  }
+  { hooks = Events.nop; ooo_window = 0; stall_shape = [||]; fast = true; probe = None }
 
-let shape_stall cfg ~pc stall =
-  match cfg.stall_shape with Some f -> max 0 (f ~pc ~stall) | None -> stall
+(* The raw stall at [pc] plus its shape delta, clamped at 0; a delta of
+   [-max_int] cannot overflow a non-negative stall. *)
+let[@inline] shape_stall shape ~pc stall =
+  if Array.length shape = 0 then stall
+  else
+    let s = stall + Array.unsafe_get shape pc in
+    if s > 0 then s else 0
 
 type stop =
   | Halted
@@ -72,7 +69,9 @@ let eval_cond c a b =
   | Instr.Gt -> a > b
   | Instr.Ge -> a >= b
 
-let step cfg hier mem ~clock (ctx : Context.t) =
+(* [~block] holds for the exported [step], which the SMT model drives,
+   and not under [run_reference]. *)
+let step ~block cfg hier mem ~clock (ctx : Context.t) =
   let program = ctx.program in
   if ctx.pc < 0 || ctx.pc >= Program.length program then
     fault ctx "pc %d out of range" ctx.pc
@@ -99,7 +98,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
       (* The stall shape rewrites the miss penalty charged at this pc —
          counterfactual zeroing or ground-truth inflation — without
          touching cache state or control flow. *)
-      let stall = shape_stall cfg ~pc r.stall in
+      let stall = shape_stall cfg.stall_shape ~pc r.stall in
       let latency = r.latency + (stall - r.stall) in
       let hidden = min cfg.ooo_window stall in
       let paid_stall = stall - hidden in
@@ -130,25 +129,26 @@ let step cfg hier mem ~clock (ctx : Context.t) =
           let cost, paid_stall, level, queue = demand_load addr in
           ctx.regs.{rd} <- Address_space.load mem addr;
           next ();
-          match cfg.load_block_threshold with
-          | Some thr when paid_stall > thr ->
-              (* SMT: charge issue + L1 latency, block until data arrives. *)
-              let issue_cost = cost - paid_stall in
-              let data_at = !clock + cost in
-              advance issue_cost;
-              cfg.hooks.on_load
-                { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
-              retire ();
-              Blocked_until data_at
-          | Some _ | None ->
-              advance cost;
-              ctx.stall_cycles <- ctx.stall_cycles + paid_stall;
-              cfg.hooks.on_load
-                { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
-              if paid_stall > 0 then
-                cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid_stall ~cycle:!clock;
-              retire ();
-              Normal
+          if block && paid_stall > 0 then begin
+            (* SMT: charge issue + L1 latency, block until data arrives. *)
+            let issue_cost = cost - paid_stall in
+            let data_at = !clock + cost in
+            advance issue_cost;
+            cfg.hooks.on_load
+              { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
+            retire ();
+            Blocked_until data_at
+          end
+          else begin
+            advance cost;
+            ctx.stall_cycles <- ctx.stall_cycles + paid_stall;
+            cfg.hooks.on_load
+              { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
+            if paid_stall > 0 then
+              cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid_stall ~cycle:!clock;
+            retire ();
+            Normal
+          end
         end
     | Instr.Store (rs, disp, rv) ->
         let addr = ctx.regs.{rs} + disp in
@@ -272,24 +272,27 @@ let step cfg hier mem ~clock (ctx : Context.t) =
     | Instr.Accel_wait rd ->
         if ctx.accel_done_at < 0 then fault ctx "accelerator wait with no operation at pc %d" pc
         else begin
-          let remaining = shape_stall cfg ~pc (max 0 (ctx.accel_done_at - !clock)) in
+          let remaining =
+            shape_stall cfg.stall_shape ~pc (max 0 (ctx.accel_done_at - !clock))
+          in
           let hidden = min cfg.ooo_window remaining in
           let paid = remaining - hidden in
           ctx.regs.{rd} <- ctx.accel_result;
           ctx.accel_done_at <- -1;
           next ();
-          match cfg.load_block_threshold with
-          | Some thr when paid > thr ->
-              let data_at = !clock + Cost.base i + paid in
-              advance (Cost.base i);
-              retire ();
-              Blocked_until data_at
-          | Some _ | None ->
-              advance (Cost.base i + paid);
-              ctx.stall_cycles <- ctx.stall_cycles + paid;
-              if paid > 0 then cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid ~cycle:!clock;
-              retire ();
-              Normal
+          if block && paid > 0 then begin
+            let data_at = !clock + Cost.base i + paid in
+            advance (Cost.base i);
+            retire ();
+            Blocked_until data_at
+          end
+          else begin
+            advance (Cost.base i + paid);
+            ctx.stall_cycles <- ctx.stall_cycles + paid;
+            if paid > 0 then cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid ~cycle:!clock;
+            retire ();
+            Normal
+          end
         end
     | Instr.Guard (rs, disp) ->
         let addr = ctx.regs.{rs} + disp in
@@ -328,15 +331,8 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
     | Context.Ready ->
         if !clock >= deadline then Out_of_budget
         else begin
-          match step cfg hier mem ~clock ctx with
-          | Normal -> loop ()
-          | Blocked_until w ->
-              (* Single-context fallback: nothing else to run, wait it out. *)
-              if w > !clock then begin
-                ctx.stall_cycles <- ctx.stall_cycles + (w - !clock);
-                clock := w
-              end;
-              loop ()
+          match step ~block:false cfg hier mem ~clock ctx with
+          | Normal | Blocked_until _ (* never without [~block] *) -> loop ()
           | Stop s -> s
         end
   in
@@ -358,18 +354,12 @@ let[@inline] probe_branch probe (ctx : Context.t) ~pc ~target ~cycle =
 (* The fast path: one monolithic loop over the decoded micro-op arrays,
    no per-cycle heap allocation (no closures, no tuples, no hook
    records). Engaged by [run] only when every per-instruction hook is
-   [Events.nop]'s (by physical equality) and no stall shape is armed, so
-   nothing observable differs from [run_reference]: the cycle
-   accounting below mirrors the reference instruction-for-instruction,
-   and [test_engine_diff] holds the two bit-identical. The one hook it
-   does fire is [on_opmark], with the arguments [step] passes.
-
-   [load_block_threshold] needs no special casing here: at run level a
-   [Blocked_until] is waited out immediately, which lands the same
-   clock and stall_cycles as the unblocked branch (issue cost + wait =
-   full cost, paid stall accounted either way) — the split only
-   matters to an SMT scheduler driving [step] itself. The probe, which
-   does see the split, gets the threshold in [Probe.start].
+   [Events.nop]'s (by physical equality), so nothing observable differs
+   from [run_reference]: the cycle accounting below mirrors the
+   reference instruction-for-instruction, and [test_engine_diff] holds
+   the two bit-identical. The one hook it does fire is [on_opmark],
+   with the arguments [step] passes. The stall shape is read at loads
+   and accelerator waits, unchecked: [run] has checked its length.
 
    A probe is read at loads, paid stalls and taken branches only, with
    the cycle [step] would pass its hooks; without one each of those
@@ -392,6 +382,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let l1_latency = mcfg.Memconfig.l1.latency in
   let pf_cost = mcfg.Memconfig.prefetch_issue_cost in
   let ooo = cfg.ooo_window in
+  let shape = cfg.stall_shape in
   (* With the icache disabled (the default) [Hierarchy.fetch] always
      returns 0; hoisting the test saves a call per instruction. *)
   let fetch_on = match mcfg.Memconfig.icache with Some _ -> true | None -> false in
@@ -489,14 +480,15 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
             (Printf.sprintf "load from invalid address %d at pc %d" addr pc)
         else begin
           let latency = Hierarchy.access_latency hier ~now addr in
-          let stall = latency - l1_latency in
-          let stall = if stall > 0 then stall else 0 in
+          let raw = latency - l1_latency in
+          let raw = if raw > 0 then raw else 0 in
+          let stall = shape_stall shape ~pc raw in
           let hidden = if ooo < stall then ooo else stall in
           let paid = stall - hidden in
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc)
             (Address_space.unsafe_load mem addr);
           ctx.stall_cycles <- ctx.stall_cycles + paid;
-          let now = now + Array.unsafe_get ucost pc + latency - hidden in
+          let now = now + Array.unsafe_get ucost pc + latency + (stall - raw) - hidden in
           (match probe with
           | Some p ->
               Probe.load p ~pc ~addr ~level:(Hierarchy.last_level hier) ~stall:paid ~cycle:now
@@ -617,7 +609,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
             (Printf.sprintf "accelerator wait with no operation at pc %d" pc)
         else begin
           let remaining = ctx.accel_done_at - now in
-          let remaining = if remaining > 0 then remaining else 0 in
+          let remaining = shape_stall shape ~pc (if remaining > 0 then remaining else 0) in
           let hidden = if ooo < remaining then ooo else remaining in
           let paid = remaining - hidden in
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc) ctx.accel_result;
@@ -652,8 +644,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       match probe with
       | None -> exec !clock ctx.pc
       | Some p ->
-          let block = match cfg.load_block_threshold with Some t -> t | None -> max_int in
-          Probe.start p ~instructions:ctx.instructions ~length:plen ~block;
+          Probe.start p ~instructions:ctx.instructions ~length:plen;
           let stop = exec !clock ctx.pc in
           (* Every fault but "pc out of range" counted an instruction
              that never retired. *)
@@ -672,20 +663,23 @@ let fast_engaged cfg =
   && h.on_stall == n.on_stall
   && h.on_frontend_stall == n.on_frontend_stall
   && h.on_yield == n.on_yield
-  && match cfg.stall_shape with None -> true | Some _ -> false
 
-(* A probe is read only by the µop loop; anywhere else it would be
-   silently ignored. Checked once per call. *)
+(* Checked once per call, at entry: a probe is read only by the µop
+   loop, so anywhere else it would be silently ignored; a shape shorter
+   than the program would be read out of bounds. *)
 let refuse_probe name cfg =
   match cfg.probe with
   | Some _ ->
-      invalid_arg
-        (name
-       ^ ": a probe needs the decoded-µop loop (fast, no stall_shape, no per-instruction \
-          hook)")
+      invalid_arg (name ^ ": a probe needs the decoded-µop loop (fast, no per-instruction hook)")
   | None -> ()
 
+let check_shape name cfg (ctx : Context.t) =
+  let n = Array.length cfg.stall_shape and len = Program.length ctx.program in
+  if n > 0 && n < len then
+    invalid_arg (Printf.sprintf "%s: stall_shape holds %d pcs, program has %d" name n len)
+
 let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
+  check_shape "Engine.run" cfg ctx;
   if fast_engaged cfg then run_fast cfg hier mem ~clock ~deadline ctx
   else begin
     refuse_probe "Engine.run" cfg;
@@ -694,11 +688,13 @@ let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
 
 let run_reference cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
   refuse_probe "Engine.run_reference" cfg;
+  check_shape "Engine.run_reference" cfg ctx;
   run_reference cfg hier mem ~clock ~deadline ctx
 
 let step cfg hier mem ~clock (ctx : Context.t) =
   refuse_probe "Engine.step" cfg;
-  step cfg hier mem ~clock ctx
+  check_shape "Engine.step" cfg ctx;
+  step ~block:true cfg hier mem ~clock ctx
 
 let pp_stop fmt = function
   | Halted -> Format.pp_print_string fmt "halted"

@@ -8,10 +8,11 @@
     Two knobs change the timing model without changing semantics:
     - [ooo_window] — cycles of each memory stall hidden by out-of-order
       overlap with independent work (the Figure-1 OoO model);
-    - [load_block_threshold] — when set, a load whose stall exceeds the
-      threshold does not stall the pipeline but *blocks the context*
-      until the data arrives ({!step} returns [Blocked_until]); the SMT
-      model runs other hardware contexts in the gap. *)
+    - [stall_shape] — a per-pc delta on the memory and accelerator
+      stall, for counterfactual and injected-cause runs.
+
+    {!step} {e blocks} a context on a paid stall instead of stalling
+    it, for the SMT model ({!Smt}). *)
 
 open Stallhide_isa
 open Stallhide_mem
@@ -24,27 +25,31 @@ val cond_check_cost : int
 type config = {
   hooks : Events.t;
   ooo_window : int;  (** default 0 (in-order) *)
-  load_block_threshold : int option;  (** default [None] (loads stall) *)
-  stall_shape : (pc:int -> stall:int -> int) option;
-      (** default [None]. When set, rewrites the raw memory/accelerator
-          stall charged at [pc] *before* OoO hiding: the causal layer
-          uses it both to zero the stall at one yield site's covered
-          loads (a literal Coz virtual speedup) and to inflate one site
-          as injected ground truth. Cache state, residency checks and
-          control flow are unaffected — only the cycles charged move.
-          Negative returns are clamped to 0. *)
+  stall_shape : int array;
+      (** default [[||]] (no shaping). Entry [pc] is a delta added to
+          the raw memory or accelerator stall charged at [pc] {e
+          before} OoO hiding, clamped at 0; [-max_int] zeroes the
+          stall. The causal layer uses it both to zero the stall at
+          one yield site's covered loads (a literal Coz virtual
+          speedup) and to inflate one site as injected ground truth.
+          Cache state, residency checks and control flow are
+          unaffected — only the cycles charged move. Both
+          interpreters read it, so it does not choose between them.
+          A non-empty table shorter than the program is rejected when
+          {!run}, {!run_reference} or {!step} is entered
+          ([Invalid_argument]), because the µop loop reads it
+          unchecked. *)
   fast : bool;
       (** default [true]. Allow {!run} to take the decoded-µop fast
           path — a zero-allocation-per-cycle loop over {!Uop} arrays —
           whenever {!fast_engaged} holds: no per-instruction hook is
-          set and no [stall_shape] is armed. An [on_opmark] observer
-          (an op counter, a latency recorder) does not stop it; the
-          fast loop fires [on_opmark] itself, and a [probe] rides it
-          too. Architectural results and every hook call are
-          bit-identical to the reference interpreter
-          ([test_engine_diff] is the gate); set [false] to force the
-          reference path, e.g. as the baseline arm of the C25 speed
-          bench. *)
+          set. An [on_opmark] observer (an op counter, a latency
+          recorder) does not stop it; the fast loop fires [on_opmark]
+          itself, and a [probe] and a [stall_shape] ride it too.
+          Architectural results and every hook call are bit-identical
+          to the reference interpreter ([test_engine_diff] is the
+          gate); set [false] to force the reference path, e.g. as the
+          baseline arm of the C25 speed bench. *)
   probe : Probe.t option;
       (** default [None]. The sampling fabric of the µop loop: PEBS
           countdowns, LBR rings and the per-pc ground-truth tally
@@ -58,7 +63,7 @@ type config = {
           {!Probe}). A probe is read by nothing else: {!run} raises
           [Invalid_argument] when it is set and {!fast_engaged} does
           not hold, and {!run_reference} and {!step} whenever it is
-          set. Only [Pipeline.profile] and [Pipeline.ground_truth] set
+          set. [Pipeline.profile] and [Pipeline.ground_truth] set
           it. *)
 }
 
@@ -79,20 +84,29 @@ type step_result = Normal | Blocked_until of int | Stop of stop
 val accel_transform : int -> int
 
 (** Execute exactly one instruction of [ctx], advancing [clock] by its
-    cost. This is the resumable interface the SMP machine interleaves:
-    each core owns its own [clock] and contexts, so N engines can be
-    stepped against a shared L3 in any deterministic order.
-    @raise Invalid_argument if [config.probe] is set. *)
+    cost: the resumable interface the SMT model interleaves.
+
+    A load or accelerator wait with a paid stall does not stall the
+    pipeline but {e blocks the context}: [clock] advances by the issue
+    cost only, and the result is [Blocked_until] the cycle the data
+    arrives, so the caller can run another hardware context in the
+    gap.
+    @raise Invalid_argument if [config.probe] is set or
+    [config.stall_shape] is too short. *)
 val step :
-  config -> Hierarchy.t -> Address_space.t -> clock:int ref -> Context.t -> step_result
+  config ->
+  Hierarchy.t ->
+  Address_space.t ->
+  clock:int ref ->
+  Context.t ->
+  step_result
 
 (** Run [ctx] until it yields, halts, faults, or [clock] reaches
-    [deadline]. With [load_block_threshold] set, blocked periods are
-    simply waited out (single-context fallback). Dispatches to the
-    decoded-µop fast loop when {!fast_engaged} holds, else to
-    {!run_reference}.
+    [deadline]. Dispatches to the decoded-µop fast loop when
+    {!fast_engaged} holds, else to {!run_reference}.
     @raise Invalid_argument if [config.probe] is set and
-    {!fast_engaged} does not hold. *)
+    {!fast_engaged} does not hold, or if [config.stall_shape] is too
+    short. *)
 val run :
   config ->
   Hierarchy.t ->
@@ -105,7 +119,7 @@ val run :
 (** The original variant-matching interpreter, kept reachable as the
     differential-test reference arm regardless of [config.fast].
     Exported for [test_cpu] only.
-    @raise Invalid_argument if [config.probe] is set. *)
+    @raise Invalid_argument as {!step}. *)
 val run_reference :
   config ->
   Hierarchy.t ->
@@ -116,14 +130,13 @@ val run_reference :
   stop
 
 (** Would {!run} take the fast path under this config? It does when
-    [fast] is set, no [stall_shape] is armed, and [on_retire],
-    [on_load], [on_branch], [on_stall], [on_frontend_stall] and
-    [on_yield] are each physically {!Events.nop}'s field — as
-    {!Events.compose} leaves every field no element observes.
-    [on_opmark] may be anything: the fast loop calls it at each
-    [Opmark] with the same [~ctx ~pc ~cycle] as {!step}. [probe] does
-    not enter into it: a probe needs the fast loop, it does not choose
-    it.
+    [fast] is set and [on_retire], [on_load], [on_branch], [on_stall],
+    [on_frontend_stall] and [on_yield] are each physically
+    {!Events.nop}'s field — as {!Events.compose} leaves every field no
+    element observes. [on_opmark] may be anything: the fast loop calls
+    it at each [Opmark] with the same [~ctx ~pc ~cycle] as {!step}.
+    Neither [probe] nor [stall_shape] enters into it: a probe needs
+    the fast loop, and both loops apply a shape.
     Exported for [test_engine_diff] only. *)
 val fast_engaged : config -> bool
 

@@ -92,7 +92,6 @@ type t = {
   mutable execs : int array;
   mutable misses : int array;
   mutable load_stall : int array;
-  mutable block : int;
   mutable mark : int;  (* context instruction count retired so far *)
 }
 
@@ -107,7 +106,6 @@ let create () =
     execs = [||];
     misses = [||];
     load_stall = [||];
-    block = max_int;
     mark = 0;
   }
 
@@ -134,12 +132,11 @@ let load_misses p = p.misses
 
 let load_stalls p = p.load_stall
 
-let start p ~instructions ~length ~block =
+let start p ~instructions ~length =
   let tallied = Array.length p.execs in
   if tallied > 0 && tallied < length then
     invalid_arg
       (Printf.sprintf "Probe.start: tally holds %d pcs, program has %d" tallied length);
-  p.block <- block;
   p.mark <- instructions
 
 let fire ss n ~pc ~addr ~stall ~cycle =
@@ -157,19 +154,14 @@ let load p ~pc ~addr ~level ~stall ~cycle =
     if level >= 2 then p.misses.(pc) <- p.misses.(pc) + 1;
     p.load_stall.(pc) <- p.load_stall.(pc) + stall
   end;
-  (* A blocked load is sampled when it issues and pays no stall cycles:
-     the context waits instead. *)
-  let blocked = stall > p.block in
-  let at = if blocked then cycle - stall else cycle in
-  fire p.loads 1 ~pc ~addr ~stall ~cycle:at;
+  fire p.loads 1 ~pc ~addr ~stall ~cycle;
   if level >= 2 then begin
-    fire p.l2_misses 1 ~pc ~addr ~stall ~cycle:at;
-    if level >= 3 then fire p.l3_misses 1 ~pc ~addr ~stall ~cycle:at
+    fire p.l2_misses 1 ~pc ~addr ~stall ~cycle;
+    if level >= 3 then fire p.l3_misses 1 ~pc ~addr ~stall ~cycle
   end;
-  if stall > 0 && not blocked then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
+  if stall > 0 then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
 
-let wait p ~pc ~stall ~cycle =
-  if stall > 0 && stall <= p.block then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
+let wait p ~pc ~stall ~cycle = if stall > 0 then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
 
 let frontend p ~pc ~stall ~cycle =
   fire p.stalls stall ~pc ~addr:0 ~stall ~cycle;

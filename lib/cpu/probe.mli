@@ -109,13 +109,11 @@ val load_stalls : t -> int array
 
 (** {1 Called by the µop loop} *)
 
-(** [start p ~instructions ~length ~block] opens a run of a context
-    whose instruction count is [instructions], on a program of [length]
-    instructions; [block] is the load-block threshold ([max_int] when
-    unset): a paid stall above it blocks the context, which counts the
-    load at its issue cycle and no stall cycles.
+(** [start p ~instructions ~length] opens a run of a context whose
+    instruction count is [instructions], on a program of [length]
+    instructions.
     @raise Invalid_argument if the tally is shorter than the program. *)
-val start : t -> instructions:int -> length:int -> block:int -> unit
+val start : t -> instructions:int -> length:int -> unit
 
 (** A retired load: serving level code
     ({!Stallhide_mem.Hierarchy.last_level}), paid stall, and the cycle

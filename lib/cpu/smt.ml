@@ -4,8 +4,7 @@ type result = { cycles : int; busy : int; idle : int; instructions : int; faults
 let run ?(hooks = Events.nop) hier mem (ctxs : Context.t array) ~max_cycles =
   let n = Array.length ctxs in
   if n = 0 then invalid_arg "Smt.run: no contexts";
-  (* every load that would stall blocks its context instead *)
-  let engine_cfg = { Engine.default_config with hooks; load_block_threshold = Some 0 } in
+  let engine_cfg = { Engine.default_config with hooks } in
   let clock = ref 0 in
   let wake = Array.make n 0 in
   let busy = ref 0 in
@@ -42,6 +41,7 @@ let run ?(hooks = Events.nop) hier mem (ctxs : Context.t array) ~max_cycles =
         end
     | i -> (
         let before = !clock in
+        (* every load that would stall blocks its context instead *)
         let r = Engine.step engine_cfg hier mem ~clock ctxs.(i) in
         busy := !busy + (!clock - before);
         rr := (i + 1) mod n;

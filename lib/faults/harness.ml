@@ -62,15 +62,17 @@ let row_to_json r =
 
 let rows_to_json rows = Json.List (List.map row_to_json rows)
 
-let totals stream keys =
-  let r = Obs.Stream.registry stream in
-  List.map (fun k -> (k, Obs.Registry.total r k)) keys
-
 let metrics_latency (m : Metrics.t) =
   match m.Metrics.latency with Some s -> s | None -> Latency.empty_summary
 
-let drift_keys =
-  [ "drift.losing_sites"; "drift.deinstrumented"; "drift.protected"; "drift.stale" ]
+let drift_counters (v : Drift.verdict) =
+  [
+    ("drift.losing_sites", List.length v.Drift.losing);
+    ("drift.deinstrumented", v.Drift.deinstrumented);
+    ("drift.protected", v.Drift.protected);
+    ("drift.stale", Bool.to_int v.Drift.stale);
+    ("drift.judged", v.Drift.judged);
+  ]
 
 let sub ~seed salt = Faults.sub_seed (Faults.no_faults ~seed) ~salt
 
@@ -125,13 +127,9 @@ let run_drift ~opts ~workload ~shrink fault =
     && pc < Array.length inst.Pipeline.orig_of_new
     && Hashtbl.mem always_miss inst.Pipeline.orig_of_new.(pc)
   in
-  let adapted_stream = Obs.Stream.create () in
-  let prog', verdict =
-    Drift.adapt ~obs:adapted_stream ~protect attribution inst.Pipeline.program
-  in
+  let prog', verdict = Drift.adapt ~protect attribution inst.Pipeline.program in
   let adapted_m =
     Baselines.run_round_robin ~label:(workload ^ "/adapted")
-      ~opts:{ Baselines.default_opts with Baselines.obs = Some adapted_stream }
       (Workload.with_program (drifted ()) prog')
   in
   let mk arm (m : Metrics.t) fault counters =
@@ -152,8 +150,7 @@ let run_drift ~opts ~workload ~shrink fault =
     mk "fault-free" fresh_m None [];
     mk "undefended" stale_m (Some fault) [];
     mk "defended" adapted_m (Some fault)
-      (totals adapted_stream drift_keys
-      @ [ ("drift.judged", verdict.Drift.judged); ("drift.lost_cycles", verdict.Drift.lost_cycles) ]);
+      (drift_counters verdict @ [ ("drift.lost_cycles", verdict.Drift.lost_cycles) ]);
   ]
 
 (* --- pebs: degraded samples vs attribution-driven repair --- *)
@@ -177,13 +174,9 @@ let run_degraded ~opts ~workload fault =
   (* defended: the drift detector does not care *why* a site loses —
      misattributed samples and stale profiles look identical from the
      measured-gain side *)
-  let obs = Obs.Stream.create () in
-  let prog', verdict =
-    Drift.adapt ~obs a.Baselines.attribution a.Baselines.inst.Pipeline.program
-  in
+  let prog', verdict = Drift.adapt a.Baselines.attribution a.Baselines.inst.Pipeline.program in
   let adapted_m =
     Baselines.run_round_robin ~label:(workload ^ "/pgo-repaired")
-      ~opts:{ Baselines.default_opts with Baselines.obs = Some obs }
       (Workload.with_program (w ()) prog')
   in
   let mk arm (m : Metrics.t) fault counters =
@@ -203,8 +196,7 @@ let run_degraded ~opts ~workload fault =
   [
     mk "fault-free" clean_m None [];
     mk "undefended" a.Baselines.pgo_metrics (Some fault) [];
-    mk "defended" adapted_m (Some fault)
-      (totals obs drift_keys @ [ ("drift.judged", verdict.Drift.judged) ]);
+    mk "defended" adapted_m (Some fault) (drift_counters verdict);
   ]
 
 (* --- rogue: budget-blowing scavenger vs the watchdog --- *)
@@ -215,13 +207,7 @@ let run_rogue ~opts ~workload ~count ~compute fault =
   let arm ~rogue ~watchdog =
     let w = make ~workload ~lanes ~ops ~manual:true ~seed ~ws_scale:1 () in
     let recorder = Latency.recorder () in
-    let stream = Obs.Stream.create () in
-    let engine =
-      {
-        Engine.default_config with
-        Engine.hooks = Events.compose [ Latency.hooks recorder; Obs.Stream.hooks stream ];
-      }
-    in
+    let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
     let primary = Workload.context w ~lane:0 ~id:0 ~mode:Context.Primary in
     let legit =
       Array.init (lanes - 1) (fun i ->
@@ -238,7 +224,6 @@ let run_rogue ~opts ~workload ~count ~compute fault =
       Dual_mode.run
         ~config:
           { Dual_mode.engine; switch = Switch_cost.coroutine; drain = false; watchdog }
-        ~obs:stream
         (Hierarchy.create Memconfig.default)
         w.Workload.image ~primary ~scavengers:(Array.append legit rogues)
     in
@@ -302,11 +287,10 @@ let run_spike ~opts ~workload fault =
     let w, ts = build () in
     let hier = Hierarchy.create Memconfig.default in
     if spiked then Faults.prepare_hier fault hier;
-    let stream = Obs.Stream.create () in
     let config =
       { Server.default_config with Server.policy = Server.Side_integration; protection }
     in
-    (Server.run ~config ~obs:stream hier w.Workload.image ts, stream)
+    Server.run ~config hier w.Workload.image ts
   in
   (* event-agnostic baseline (every stall exposed), per spike setting:
      the reference that defines hidden cycles *)
@@ -319,7 +303,7 @@ let run_spike ~opts ~workload fault =
        hier w.Workload.image ts)
       .Server.stall
   in
-  let ff, _ = arm ~spiked:false ~protection:None in
+  let ff = arm ~spiked:false ~protection:None in
   let ff_lat = Latency.summary ff.Server.latency_sojourns in
   (* protection calibrated from the fault-free tail: a request queued
      past the healthy p99 is written off and retried after backoff *)
@@ -332,8 +316,8 @@ let run_spike ~opts ~workload fault =
       seed = sub ~seed 2;
     }
   in
-  let undef, _ = arm ~spiked:true ~protection:None in
-  let def, _ = arm ~spiked:true ~protection:(Some protection) in
+  let undef = arm ~spiked:true ~protection:None in
+  let def = arm ~spiked:true ~protection:(Some protection) in
   let base_clean = rtc_stall ~spiked:false in
   let base_spiked = rtc_stall ~spiked:true in
   (* how many latency-class tasks the trace offers: anything the server

@@ -105,9 +105,6 @@ let stall_by_pc ?(map = fun pc -> pc) t =
     | Event.Stall { pc; cycles; _ } -> Some (map pc, cycles)
     | _ -> None)
 
-let execs_by_pc ?(map = fun pc -> pc) t =
-  fold_tbl t (function Event.Cache_access { pc; _ } -> Some (map pc, 1) | _ -> None)
-
 let yields_by_pc t =
   let tbl = Hashtbl.create 32 in
   iter

@@ -42,10 +42,6 @@ val hooks : t -> Stallhide_cpu.Events.t
     re-keyed through [map] (e.g. new-pc to original-pc). *)
 val stall_by_pc : ?map:(int -> int) -> t -> (int, int) Hashtbl.t
 
-(** Per-pc demand-load executions ([Cache_access] events, hits
-    included), optionally re-keyed through [map]. *)
-val execs_by_pc : ?map:(int -> int) -> t -> (int, int) Hashtbl.t
-
 (** Per-yield-site (fires, skips) from [Yield] events, keyed by pc. *)
 val yields_by_pc : t -> (int, int * int) Hashtbl.t
 

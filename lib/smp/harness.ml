@@ -99,18 +99,18 @@ let zipf_sample cdf st =
   in
   bisect 0 (n - 1)
 
-(* Place once on a small twin workload with the same program text,
-   then re-validate with the counting verifier; callers rebind the
-   program to the serving workloads. *)
+(* Place once on a small twin workload with the same program text and
+   validate the rewrite once, fail-fast, keeping the counts; callers
+   rebind the program to the serving workloads. *)
 let instrument_twin ~twin ~placement ~mem ?scavenger_interval () =
-  let _, inst = Pipeline.place ~placement ~mem_cfg:mem ?scavenger_interval twin in
+  let module V = Stallhide_verify.Verify in
+  let _, inst = Pipeline.place ~placement ~mem_cfg:mem ?scavenger_interval ~verify:false twin in
   let outcome =
-    Stallhide_verify.Verify.validate ~orig:twin.Workload.program
-      ~orig_of_new:inst.Pipeline.orig_of_new inst.Pipeline.program
+    V.validate ~orig:twin.Workload.program ~orig_of_new:inst.Pipeline.orig_of_new
+      ?target_interval:scavenger_interval inst.Pipeline.program
   in
-  ( inst.Pipeline.program,
-    Stallhide_verify.Verify.errors outcome,
-    Stallhide_verify.Verify.warnings outcome )
+  if not (V.ok outcome) then raise (V.Rejected outcome);
+  (inst.Pipeline.program, V.errors outcome, V.warnings outcome)
 
 (* The twins must be big enough to collect PEBS samples; request count
    and table base live in registers, so the program text is identical

@@ -17,9 +17,8 @@
     ({!Stallhide.Pipeline.place}: evidence → instrument → verify,
     fail-fast) once, on small twin workloads with the same program
     text; the instrumented program is then rebound to every serving
-    shard. [verify_errors] and [verify_warnings] re-validate the
-    rebound programs so callers can assert verifier-cleanliness
-    without trusting the fail-fast path.
+    shard. [verify_errors] and [verify_warnings] are that one
+    validation's counts, so callers can assert verifier-cleanliness.
 
     {!node} is what a kv-serving machine is made of; the cluster
     harness builds its replicas with it. *)
@@ -82,10 +81,12 @@ val zipf_cdf : universe:int -> skew:float -> float array
 val zipf_sample : float array -> Random.State.t -> int
 
 (** {!Stallhide.Pipeline.place} once on a small twin workload with the
-    same program text, then the counting re-validation; callers rebind
-    the returned program to every serving workload
-    ({!Workload.with_program}). Returns
-    [(program, verify_errors, verify_warnings)]. *)
+    same program text, validated once ({!Stallhide_verify.Verify.validate}
+    at [scavenger_interval]); callers rebind the returned program to
+    every serving workload ({!Workload.with_program}). Returns
+    [(program, verify_errors, verify_warnings)].
+    @raise Stallhide_verify.Verify.Rejected on any error-severity
+    diagnostic. *)
 val instrument_twin :
   twin:Workload.t ->
   placement:placement ->

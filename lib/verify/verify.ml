@@ -1,20 +1,4 @@
-open Stallhide_isa
 module D = Diagnostic
-
-type against = { orig : Program.t; orig_of_new : int array }
-
-type config = {
-  against : against option;
-  target_interval : int option;
-  expect_sfi : bool;
-}
-
-let default_config =
-  {
-    against = None;
-    target_interval = None;
-    expect_sfi = false;
-  }
 
 type outcome = { diags : D.t list; checks_run : D.check list }
 
@@ -55,30 +39,29 @@ let () =
         Some (Format.asprintf "Stallhide_verify.Verify.Rejected@.%a" pp_outcome o)
     | _ -> None)
 
-let run ?(config = default_config) ?registry prog =
+(* [against] is the rewrite's input and pc map, when there is one. *)
+let check ?against ?target_interval ?(expect_sfi = false) ?registry prog =
   let checks = ref [] and diags = ref [] in
   let ran c ds =
     checks := c :: !checks;
     diags := !diags @ ds
   in
-  (match config.against with
-  | Some { orig; orig_of_new } ->
-      ran D.Cfg_equiv (Checks.cfg_equivalence ~orig ~orig_of_new prog)
+  (match against with
+  | Some (orig, orig_of_new) -> ran D.Cfg_equiv (Checks.cfg_equivalence ~orig ~orig_of_new prog)
   | None -> ());
   ran D.Liveness (Checks.liveness_soundness prog);
   let is_inserted =
-    match config.against with
-    | Some { orig_of_new; _ } ->
+    match against with
+    | Some (_, orig_of_new) ->
         let m = Checks.inserted_map ~orig_of_new prog in
         fun pc -> pc >= 0 && pc < Array.length m && m.(pc)
     | None -> fun _ -> false
   in
   ran D.Pairing (Checks.prefetch_pairing ~is_inserted prog);
-  (match config.target_interval with
-  | Some target ->
-      ran D.Interval (Checks.interval_bound ~target prog)
+  (match target_interval with
+  | Some target -> ran D.Interval (Checks.interval_bound ~target prog)
   | None -> ());
-  if config.expect_sfi then ran D.Sfi (Checks.sfi_completeness prog);
+  if expect_sfi then ran D.Sfi (Checks.sfi_completeness prog);
   ran D.Atomicity (Checks.atomicity prog);
   let outcome = { diags = List.sort D.compare !diags; checks_run = List.rev !checks } in
   (match registry with
@@ -95,12 +78,6 @@ let run ?(config = default_config) ?registry prog =
   | None -> ());
   outcome
 
-let validate ~orig ~orig_of_new ?target_interval ?expect_sfi ?registry prog =
-  let config =
-    {
-      against = Some { orig; orig_of_new };
-      target_interval;
-      expect_sfi = (match expect_sfi with Some b -> b | None -> false);
-    }
-  in
-  run ~config ?registry prog
+let run prog = check prog
+
+let validate ~orig ~orig_of_new = check ~against:(orig, orig_of_new)

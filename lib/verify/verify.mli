@@ -14,25 +14,6 @@
 
 open Stallhide_isa
 
-type against = {
-  orig : Program.t;  (** the pre-instrumentation program *)
-  orig_of_new : int array;  (** the rewriter's pc map, [new pc -> original pc] *)
-}
-
-type config = {
-  against : against option;
-      (** enables the cfg-equiv check and upgrades pairing findings at
-          inserted pcs to errors *)
-  target_interval : int option;
-      (** enables the interval-bound check, against
-          {!Stallhide_binopt.Scavenger_pass.bound} of this target *)
-  expect_sfi : bool;  (** enables the guard-completeness check *)
-}
-
-(** Liveness, pairing and atomicity only — the checks meaningful for
-    any program. *)
-val default_config : config
-
 type outcome = {
   diags : Diagnostic.t list;  (** sorted: errors first, then by pc *)
   checks_run : Diagnostic.check list;
@@ -57,15 +38,16 @@ exception Rejected of outcome
     error-severity diagnostic is found. A printer is registered, so an
     uncaught rejection shows the diagnostics. *)
 
-(** Run the configured checks; diagnostics are also counted in
-    [registry] when given (counters [verify.programs], [verify.checks],
-    [verify.errors]/[warnings]/[infos] and [verify.diag.<check-id>]). *)
-val run :
-  ?config:config -> ?registry:Stallhide_obs.Registry.t -> Program.t -> outcome
-
-(** Convenience for validating a pass output against its input:
-    {!run} with [against] set (and the interval/SFI checks enabled
-    when the corresponding argument is given). *)
+(** Validate a pass output against its input: cfg-equiv (against
+    [orig] through the rewriter's pc map [orig_of_new], [new pc ->
+    original pc]), liveness, pairing (findings at inserted pcs are
+    errors), atomicity, plus the interval-bound check against
+    {!Stallhide_binopt.Scavenger_pass.bound} of [target_interval] and
+    the guard-completeness check when [expect_sfi] (default [false]).
+    Diagnostics are also counted in [registry] when given (counters
+    [verify.programs], [verify.checks],
+    [verify.errors]/[warnings]/[infos] and
+    [verify.diag.<check-id>]). *)
 val validate :
   orig:Program.t ->
   orig_of_new:int array ->
@@ -74,3 +56,8 @@ val validate :
   ?registry:Stallhide_obs.Registry.t ->
   Program.t ->
   outcome
+
+(** A bare program, with no rewrite to check against: liveness,
+    pairing and atomicity only.
+    Exported for [test_check], [test_verify] only. *)
+val run : Program.t -> outcome

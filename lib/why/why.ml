@@ -3,7 +3,6 @@ module Json = Stallhide_util.Json
 module Hierarchy = Stallhide_mem.Hierarchy
 module Memconfig = Stallhide_mem.Memconfig
 module Engine = Stallhide_cpu.Engine
-module Events = Stallhide_cpu.Events
 module Latency = Stallhide_runtime.Latency
 module Scheduler = Stallhide_runtime.Scheduler
 module Switch_cost = Stallhide_runtime.Switch_cost
@@ -139,19 +138,19 @@ let prepare cfg =
   { program = inst.Pipeline.program; orig_of_new = inst.Pipeline.orig_of_new; sites }
 
 (* [pc] seen by the engine is an instrumented pc; site membership is
-   defined over the original pcs the site covers. *)
-let covered_pred prepared covered =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun pc -> Hashtbl.replace tbl pc ()) covered;
+   defined over the original pcs the site covers. Returns the
+   instrumented pcs that map to one of [covered]. *)
+let covered_pcs prepared covered =
   let oon = prepared.orig_of_new in
-  fun pc -> pc >= 0 && pc < Array.length oon && Hashtbl.mem tbl oon.(pc)
+  List.filter (fun pc -> List.mem oon.(pc) covered) (List.init (Array.length oon) Fun.id)
 
 (* One deterministic single-core run: rebuild the image at [seed],
    rebind the prepared program, arm the injection (spike on the
    hierarchy, extra stall at the injected site's loads), then apply the
    counterfactual under test (zero one level, or zero one site's
-   residual stall). *)
-let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ?stream ~seed ~zero_level
+   residual stall). Both stall edits are one per-pc shape table, so the
+   run stays on the µop loop. *)
+let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_level
     ~zero_site ~inject_site () =
   let lanes = Option.value lanes ~default:cfg.lanes in
   let wl = make_workload cfg.workload ~lanes ~ops:cfg.ops ~manual:false ~seed in
@@ -164,22 +163,23 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ?stream ~seed ~
   (match zero_level with Some l -> Hierarchy.set_level_scale hier l ~percent:0 | None -> ());
   let inject =
     match (cfg.injection, inject_site) with
-    | Some (Site_load { extra }), Some pred ->
-        fun ~pc ~stall -> if pred pc then stall + extra else stall
-    | _ -> fun ~pc:_ ~stall -> stall
+    | Some (Site_load { extra }), Some pcs -> List.map (fun pc -> (pc, extra)) pcs
+    | _ -> []
   in
-  let shape =
-    match zero_site with
-    | Some pred -> fun ~pc ~stall -> if pred pc then 0 else inject ~pc ~stall
-    | None -> inject
+  let zero = List.map (fun pc -> (pc, -max_int)) (Option.value zero_site ~default:[]) in
+  let stall_shape =
+    match inject @ zero with
+    | [] -> [||]
+    | deltas ->
+        let shape = Array.make (Stallhide_isa.Program.length prepared.program) 0 in
+        (* zeroing comes last, so it wins at a pc both touch *)
+        List.iter (fun (pc, d) -> shape.(pc) <- d) deltas;
+        shape
   in
   let recorder = Latency.recorder () in
-  let hooks =
-    match stream with
-    | Some st -> Events.compose [ Latency.hooks recorder; Stream.hooks st ]
-    | None -> Latency.hooks recorder
+  let engine =
+    { Engine.default_config with hooks = Latency.hooks recorder; stall_shape }
   in
-  let engine = { Engine.default_config with hooks; stall_shape = Some shape } in
   let _ =
     Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image
       (Workload.contexts wl)
@@ -188,28 +188,19 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ?stream ~seed ~
 
 (* The "dominant" yield site for ground-truth injection: the selected
    site whose covered loads execute the most in a clean baseline run
-   (ties go to the lowest yield pc). Deterministic given the seed. *)
+   (ties go to the lowest yield pc), counted by [Pipeline.ground_truth]
+   over the whole run. Deterministic given the seed. *)
 let pick_site cfg prepared =
   match prepared.sites with
   | [] -> None
   | sites ->
-      let st = Stream.create () in
-      let (_ : Sweep.sample) =
-        run_single
-          { cfg with injection = None }
-          prepared ~stream:st ~seed:cfg.seed ~zero_level:None ~zero_site:None ~inject_site:None
-          ()
+      let wl =
+        make_workload cfg.workload ~lanes:cfg.lanes ~ops:cfg.ops ~manual:false ~seed:cfg.seed
       in
-      let oon = prepared.orig_of_new in
-      let execs =
-        Stream.execs_by_pc
-          ~map:(fun pc -> if pc >= 0 && pc < Array.length oon then oon.(pc) else -1)
-          st
-      in
+      let truth = Pipeline.ground_truth (Workload.with_program wl prepared.program) in
+      let execs pc = match Hashtbl.find_opt truth pc with Some (e, _, _) -> e | None -> 0 in
       let score covered =
-        List.fold_left
-          (fun acc pc -> acc + (try Hashtbl.find execs pc with Not_found -> 0))
-          0 covered
+        List.fold_left (fun acc pc -> acc + execs pc) 0 (covered_pcs prepared covered)
       in
       let best =
         List.fold_left
@@ -232,10 +223,10 @@ let analyze cfg =
   let injected_site =
     match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
   in
-  let inject_pred = Option.map (fun (_pc, covered) -> covered_pred prepared covered) injected_site in
+  let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
   let seeds = seeds_of cfg in
   let base seed =
-    run_single cfg prepared ~seed ~zero_level:None ~zero_site:None ~inject_site:inject_pred ()
+    run_single cfg prepared ~seed ~zero_level:None ~zero_site:None ~inject_site:inject_pcs ()
   in
   let resource_targets =
     List.map
@@ -248,13 +239,13 @@ let analyze cfg =
           },
           fun seed ->
             run_single cfg prepared ~seed ~zero_level:(Some level) ~zero_site:None
-              ~inject_site:inject_pred () ))
+              ~inject_site:inject_pcs () ))
       [ Hierarchy.L2; Hierarchy.L3; Hierarchy.Dram ]
   in
   let site_targets =
     List.map
       (fun (pc, kind, covered) ->
-        let pred = covered_pred prepared covered in
+        let pcs = covered_pcs prepared covered in
         let kind_name =
           match kind with Stallhide_isa.Instr.Primary -> "primary" | Scavenger -> "scavenger"
         in
@@ -266,8 +257,8 @@ let analyze cfg =
                 (List.length covered);
           },
           fun seed ->
-            run_single cfg prepared ~seed ~zero_level:None ~zero_site:(Some pred)
-              ~inject_site:inject_pred () ))
+            run_single cfg prepared ~seed ~zero_level:None ~zero_site:(Some pcs)
+              ~inject_site:inject_pcs () ))
       prepared.sites
   in
   let causal = Causal.run ~seeds ~base ~targets:(resource_targets @ site_targets) in
@@ -377,8 +368,6 @@ let smp_sweep cfg =
             });
       knob "dram.latency*2" "double the DRAM latency" (fun p ->
           with_mem p (Memconfig.with_dram_latency mem (mem.Memconfig.dram_latency * 2)));
-      knob "yield.interval*2" "double the scavenger-pass yield interval" (fun p ->
-          { p with Harness.scav_interval = p.Harness.scav_interval * 2 });
       knob "scavengers/2" "halve the scavenger budget per core" (fun p ->
           { p with Harness.scav_per_core = max 0 (p.Harness.scav_per_core / 2) });
       knob "steal.off" "disable cross-core scavenger stealing" (fun p ->
@@ -397,11 +386,11 @@ let single_sweep cfg =
   let injected_site =
     match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
   in
-  let inject_pred = Option.map (fun (_pc, covered) -> covered_pred prepared covered) injected_site in
+  let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
   let seeds = seeds_of cfg in
   let run ?memcfg ?lanes seed =
     run_single cfg prepared ?memcfg ?lanes ~seed ~zero_level:None ~zero_site:None
-      ~inject_site:inject_pred ()
+      ~inject_site:inject_pcs ()
   in
   let mem = Memconfig.default in
   let knobs =

@@ -8,19 +8,21 @@
     - resource counterfactuals arm {!Stallhide_mem.Hierarchy.set_level_scale}
       so every miss charged beyond L1 at one level is re-priced to the
       L1 cost — "what if L3 (or DRAM) were free?";
-    - site counterfactuals install an
-      {!Stallhide_cpu.Engine.config.stall_shape} that zeroes the
+    - site counterfactuals install a
+      {!Stallhide_cpu.Engine.config.stall_shape} table that zeroes the
       residual stall of the loads covered by one yield site — "what if
       this site's remaining misses were hidden perfectly?";
     - ground-truth injections (for validation) either arm a whole-run
       {!Stallhide_faults.Faults.Spike} on the hierarchy or add a fixed
-      per-execution stall at one site's loads, so the recovered ranking
-      can be checked against a known cause.
+      per-execution stall at one site's loads (the same table), so the
+      recovered ranking can be checked against a known cause.
 
     Each analysis instruments the workload once (the program text is
     seed-invariant; only image contents change with the seed) and
     re-runs it per seed per arm, so reports are deterministic given the
-    configuration. *)
+    configuration. Every run of {!analyze} and {!sweep} is untraced and
+    takes the engine's decoded-µop loop; only {!critical} reads a
+    trace. *)
 
 open Stallhide_obs
 
@@ -32,7 +34,8 @@ type injection =
   | Site_load of { extra : int }
       (** add [extra] stall cycles to every execution of the loads
           covered by the dominant yield site (chosen deterministically
-          as the selected site whose loads execute most) *)
+          as the selected site whose loads execute most in a clean run,
+          every execution counted by [Pipeline.ground_truth]) *)
 
 (** ["l3"], ["dram"], ["site"], or a [Faults.parse_spec] spike spec
     ("spike:at=...,for=...,l3=...,dram=..." — the window is ignored;
@@ -83,8 +86,8 @@ val pp_analysis : Format.formatter -> analysis -> unit
 
 (** One-factor-at-a-time sensitivity sweep. For [kv-server] the runs go
     through the SMP harness and the knob set covers the machine
-    (cache sizes, L3/DRAM latency, scavenger yield interval, steal
-    budget, core count, dispatch policy); for every other workload the
+    (cache sizes, L3/DRAM latency, scavenger count, stealing, core
+    count, dispatch policy); for every other workload the
     runs are single-core and the knobs cover memory geometry and lane
     count. Any injection is armed in both arms (the sweep explores the
     injected world). *)

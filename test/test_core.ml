@@ -87,6 +87,24 @@ let test_instrument_without_scavenger () =
   let _, inst = Pipeline.instrument p w in
   Alcotest.(check bool) "no scavenger phase" true (inst.Pipeline.scavenger = None)
 
+(* An interval no placement can meet: every yield-free path through the
+   load passes target 1 + slack, so the fail-fast check rejects the
+   rewrite with an interval error; [~verify:false] hands it back. *)
+let test_instrument_rejects_interval () =
+  let module V = Stallhide_verify.Verify in
+  let module D = Stallhide_verify.Diagnostic in
+  let w = chase () in
+  let estimates = Pipeline.oracle_estimates w in
+  (match Pipeline.instrument_with ~estimates ~scavenger_interval:1 w.Workload.program with
+  | _ -> Alcotest.fail "an interval of 1 was accepted"
+  | exception V.Rejected o ->
+      Alcotest.(check bool) "an interval error" true
+        (List.exists (fun d -> d.D.check = D.Interval && d.D.severity = D.Error) o.V.diags));
+  let inst =
+    Pipeline.instrument_with ~estimates ~scavenger_interval:1 ~verify:false w.Workload.program
+  in
+  Alcotest.(check bool) "escape hatch returns the rewrite" true (inst.Pipeline.scavenger <> None)
+
 (* --- Baselines / end-to-end claims --- *)
 
 let test_pgo_beats_none () =
@@ -494,6 +512,8 @@ let () =
           Alcotest.test_case "resident loop left alone" `Quick test_resident_loop_left_alone;
           Alcotest.test_case "instrument artifacts" `Quick test_instrument_artifacts;
           Alcotest.test_case "no scavenger phase" `Quick test_instrument_without_scavenger;
+          Alcotest.test_case "unmeetable interval rejected" `Quick
+            test_instrument_rejects_interval;
         ] );
       ( "claims",
         [

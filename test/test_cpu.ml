@@ -312,8 +312,7 @@ let test_accel_faults () =
   expect_fault "mov r1, 99999999\naissue [r1]\nhalt" (* bad operand address *)
 
 let test_accel_smt_blocks () =
-  (* with a block threshold, the wait blocks the context instead of stalling *)
-  let engine = { Engine.default_config with Engine.load_block_threshold = Some 0 } in
+  (* [step] blocks the context on the wait instead of stalling *)
   let prog, mem, hier, ctx = setup "mov r1, 256\naissue [r1]\nawait r5\nhalt" in
   ignore (prog, hier);
   let clock = ref 0 in
@@ -321,7 +320,7 @@ let test_accel_smt_blocks () =
   let rec steps n =
     if n > 10 then Alcotest.fail "no block"
     else
-      match Engine.step engine hier mem ~clock ctx with
+      match Engine.step Engine.default_config hier mem ~clock ctx with
       | Engine.Blocked_until w ->
           Alcotest.(check bool) "blocked until completion" true (w > !clock)
       | Engine.Normal -> steps (n + 1)
@@ -696,7 +695,7 @@ let refused name f =
   | exception Invalid_argument msg ->
       if not (String.starts_with ~prefix:(name ^ ": ") msg) then
         Alcotest.failf "%s: unnamed Invalid_argument %S" name msg
-  | _ -> Alcotest.failf "%s accepted a probe it would ignore" name
+  | _ -> Alcotest.failf "%s accepted a config it must refuse" name
 
 let probe_src = {|
   load r2, [r1]
@@ -710,8 +709,6 @@ let test_probe_refused_off_the_loop () =
   let off_loop =
     [
       ("fast = false", { Engine.default_config with Engine.fast = false });
-      ( "stall_shape",
-        { Engine.default_config with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) } );
       ( "on_retire hook",
         {
           Engine.default_config with
@@ -738,6 +735,41 @@ let test_probe_refused_by_reference_and_step () =
       Engine.run_reference (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
   refused "Engine.step" (fun () ->
       Engine.step (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
+  Alcotest.(check int) "nothing ran" 0 ctx.Context.instructions
+
+(* --- the stall shape: a per-pc delta on the raw memory stall, before
+   OoO hiding, clamped at 0, applied alike by both loops --- *)
+
+let test_stall_shape () =
+  let src = "mov r1, 256\nload r2, [r1]\nload r3, [r1]\nhalt" in
+  let shaped ?(ooo = 0) label shape expected =
+    List.iter
+      (fun fast ->
+        let env = setup src in
+        let engine =
+          { Engine.default_config with Engine.stall_shape = shape; ooo_window = ooo; fast }
+        in
+        let _, cycles = run ~engine env in
+        let _, _, _, ctx = env in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s (fast %b): cycles, stall" label fast)
+          expected (cycles, ctx.Context.stall_cycles))
+      [ true; false ]
+  in
+  shaped "unshaped" [||] (1 + (1 + dram) + (1 + l1), dram - l1);
+  shaped "zeroed cold load" [| 0; -max_int; 0; 0 |] (1 + (1 + l1) + (1 + l1), 0);
+  shaped "clamped at zero" [| 0; -2 * dram; 0; 0 |] (1 + (1 + l1) + (1 + l1), 0);
+  shaped "inflated cold load" [| 0; 300; 0; 0 |] (1 + (1 + dram + 300) + (1 + l1), dram - l1 + 300);
+  shaped "inflated warm load" [| 0; 0; 300; 0 |] (1 + (1 + dram) + (1 + l1 + 300), dram - l1 + 300);
+  shaped ~ooo:48 "before ooo hiding" [| 0; 100; 0; 0 |]
+    (1 + (1 + dram + 100 - 48) + (1 + l1), dram - l1 + 100 - 48)
+
+let test_stall_shape_too_short () =
+  let short = { Engine.default_config with Engine.stall_shape = [| 0; 0 |] } in
+  let _, mem, hier, ctx = setup probe_src in
+  refused "Engine.run" (fun () -> Engine.run short hier mem ~clock:(ref 0) ctx);
+  refused "Engine.run_reference" (fun () -> Engine.run_reference short hier mem ~clock:(ref 0) ctx);
+  refused "Engine.step" (fun () -> Engine.step short hier mem ~clock:(ref 0) ctx);
   Alcotest.(check int) "nothing ran" 0 ctx.Context.instructions
 
 let () =
@@ -810,6 +842,11 @@ let () =
           Alcotest.test_case "refused off the µop loop" `Quick test_probe_refused_off_the_loop;
           Alcotest.test_case "refused by run_reference and step" `Quick
             test_probe_refused_by_reference_and_step;
+        ] );
+      ( "stall shape",
+        [
+          Alcotest.test_case "per-pc delta before ooo, both loops" `Quick test_stall_shape;
+          Alcotest.test_case "a short table is refused" `Quick test_stall_shape_too_short;
         ] );
       ( "decode",
         [

@@ -72,11 +72,14 @@ let run_arm engine (w : Workload.t) =
   let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
   (ctxs, hier, r)
 
-let diff_one label ~make =
+(* [shape] builds a stall-shape table for the workload's program;
+   both arms run under it. *)
+let diff_one ?(shape = fun _ -> [||]) label ~make =
   let wf = make () in
   let wr = make () in
-  let cf, hf, rf = run_arm fast_engine wf in
-  let cr, hr, rr = run_arm ref_engine wr in
+  let stall_shape = shape wf.Workload.program in
+  let cf, hf, rf = run_arm { fast_engine with Engine.stall_shape } wf in
+  let cr, hr, rr = run_arm { ref_engine with Engine.stall_shape } wr in
   let sf = State.capture ~mem:wf.Workload.image cf in
   let sr = State.capture ~mem:wr.Workload.image cr in
   (match State.diff sr sf with
@@ -99,13 +102,43 @@ let diff_one label ~make =
       Alcotest.(check int)
         (Printf.sprintf "%s: ctx %d stall_cycles" label a.Context.id)
         a.Context.stall_cycles b.Context.stall_cycles)
-    cr cf
+    cr cf;
+  rf.Scheduler.cycles
 
 let test_workloads_diff () =
-  List.iter (fun (name, (make : maker)) -> diff_one name ~make:(fun () -> make 42)) makers;
+  List.iter (fun (name, (make : maker)) -> ignore (diff_one name ~make:(fun () -> make 42))) makers;
   List.iter
-    (fun (name, (mk : fixed_maker)) -> diff_one (name ^ "/manual") ~make:(fun () -> mk ()))
+    (fun (name, (mk : fixed_maker)) ->
+      ignore (diff_one (name ^ "/manual") ~make:(fun () -> mk ())))
     manual_makers
+
+(* --- stall shapes on both loops: a table that zeroes the stall at
+   every other load and accelerator wait, and one that adds -60..+180
+   cycles by pc. Each must move the run (else the arms agree
+   trivially) and leave the two loops bit-identical. --- *)
+
+let zeroing prog =
+  let seen = ref 0 in
+  Array.init (Stallhide_isa.Program.length prog) (fun pc ->
+      match Stallhide_isa.Program.instr prog pc with
+      | Stallhide_isa.Instr.Load _ | Stallhide_isa.Instr.Accel_wait _ ->
+          incr seen;
+          if !seen mod 2 = 1 then -max_int else 0
+      | _ -> 0)
+
+let additive prog = Array.init (Stallhide_isa.Program.length prog) (fun pc -> (pc mod 7 * 40) - 60)
+
+let test_shaped_diff () =
+  let both name make =
+    let plain = diff_one name ~make in
+    List.iter
+      (fun (tname, shape) ->
+        let shaped = diff_one ~shape (name ^ " " ^ tname) ~make in
+        if shaped = plain then Alcotest.failf "%s: the %s table moved nothing" name tname)
+      [ ("zeroing", zeroing); ("additive", additive) ]
+  in
+  List.iter (fun (name, (make : maker)) -> both name (fun () -> make 42)) makers;
+  List.iter (fun (name, (mk : fixed_maker)) -> both (name ^ "/manual") (fun () -> mk ())) manual_makers
 
 (* --- the [Baselines] runners: they attach an op counter and a latency
    recorder, both opmark observers, so their fast arm runs the µop loop
@@ -154,7 +187,7 @@ let test_gen_programs_diff () =
   for seed = 0 to 499 do
     let case = Gen.case ~seed () in
     let label = Printf.sprintf "gen seed %d" seed in
-    diff_one label ~make:(fun () -> Gen.workload ~prog:case.Gen.program case.Gen.cfg)
+    ignore (diff_one label ~make:(fun () -> Gen.workload ~prog:case.Gen.program case.Gen.cfg))
   done
 
 let test_fast_engaged_sanity () =
@@ -163,9 +196,9 @@ let test_fast_engaged_sanity () =
   Alcotest.(check bool) "fast=false disengages" false (Engine.fast_engaged ref_engine);
   Alcotest.(check bool) "stream hooks disengage" false
     (engaged (Stallhide_obs.Stream.hooks (Stallhide_obs.Stream.create ())));
-  Alcotest.(check bool) "stall_shape disengages" false
-    (Engine.fast_engaged
-       { fast_engine with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) });
+  (* both loops apply a shape, so it does not choose between them *)
+  Alcotest.(check bool) "stall_shape keeps the µop loop" true
+    (Engine.fast_engaged { fast_engine with Engine.stall_shape = [| 0; -max_int; 300 |] });
   (* any one per-instruction observer, or a yield observer, needs the
      reference interpreter *)
   let n = Events.nop in
@@ -333,6 +366,8 @@ let () =
           Alcotest.test_case "nine workloads (+manual variants)" `Quick test_workloads_diff;
           Alcotest.test_case "500 generated programs" `Slow test_gen_programs_diff;
           Alcotest.test_case "Baselines runners (+manual variants)" `Quick test_baselines_diff;
+          Alcotest.test_case "stall shapes, nine workloads (+manual variants)" `Quick
+            test_shaped_diff;
         ] );
       ( "whole-machine",
         [

@@ -424,7 +424,7 @@ type probe_case = {
   degrade : bool;
   icache : bool;
   small_caches : bool;
-  block : int option;
+  shaped : bool;  (* an additive stall shape on both arms *)
   ooo : int;
 }
 
@@ -447,22 +447,21 @@ let probe_case_of seed =
     degrade = Random.State.bool st;
     icache = Random.State.bool st;
     small_caches = Random.State.bool st;
-    block = maybe 40;
+    shaped = Random.State.int st 3 = 0;
     ooo = pick [ 0; 0; 24 ];
   }
 
 let show_probe_case c =
   Printf.sprintf
     "seed %d source %d periods [%s] lbr %d depth %d buffer %s max_snapshots %s degrade %b \
-     icache %b small caches %b block %s ooo %d"
+     icache %b small caches %b shaped %b ooo %d"
     c.seed c.source
     (String.concat ";" (List.map string_of_int c.periods))
     c.lbr_period c.depth
     (Option.fold ~none:"-" ~some:string_of_int c.buffer)
     (Option.fold ~none:"-" ~some:string_of_int c.max_snapshots)
     c.degrade c.icache c.small_caches
-    (Option.fold ~none:"-" ~some:string_of_int c.block)
-    c.ooo
+    c.shaped c.ooo
 
 let case_workload c =
   let gen () =
@@ -497,7 +496,10 @@ let pmu_arm ~probe c =
     {
       Engine.default_config with
       Engine.ooo_window = c.ooo;
-      load_block_threshold = c.block;
+      stall_shape =
+        (if c.shaped then
+           Array.init (Stallhide_isa.Program.length w.W.program) (fun pc -> (pc mod 7 * 40) - 60)
+         else [||]);
     }
   in
   let engine =
@@ -565,7 +567,7 @@ let test_probe_fault_exits () =
           degrade = false;
           icache = true;
           small_caches = false;
-          block = None;
+          shaped = false;
           ooo = 0;
         }
       in
