@@ -1596,6 +1596,8 @@ let fuzz_cmd =
         (* a replay that still fails exits 1, like the campaign *)
         (match verdict with Check.Oracle.Counterexample _ -> exit 1 | _ -> ())
     | None ->
+        (* [Fuzz.run] rejects an empty campaign; say which flag *)
+        if cases < 1 then usage_error "--cases must be at least 1 (got %d)" cases;
         let oracles =
           match oracles with
           | [] | [ "all" ] -> Check.Oracle.all

@@ -54,6 +54,7 @@ let shrunken oracle cfg program =
   (prog, Shrink.instruction_count minimal, detail)
 
 let run (opts : opts) =
+  if opts.cases < 1 then invalid_arg "Fuzz.run: cases must be at least 1";
   let counterexamples = ref [] in
   let invalid = ref [] in
   let checks = ref 0 in

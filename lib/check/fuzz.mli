@@ -42,7 +42,9 @@ type report = {
 
 val ok : report -> bool
 
-(** Execute the campaign. *)
+(** Execute the campaign.
+    @raise Invalid_argument if [cases < 1]: an empty campaign checks
+    nothing, so it must not report a pass. *)
 val run : opts -> report
 
 val report_to_json : report -> Stallhide_util.Json.t

@@ -39,7 +39,7 @@ let create ~id ~mode program =
     pc = 0;
     status = Ready;
     mode;
-    call_stack = Array.make 32 0;
+    call_stack = [||];
     call_sp = 0;
     domain = None;
     accel_done_at = -1;
@@ -58,9 +58,10 @@ let regs_array t = Array.init Reg.count (fun i -> t.regs.{i})
 
 let call_depth t = t.call_sp
 
+(* No stack until the first call; then 32 slots, doubling when full. *)
 let push_call t ret_pc =
   if t.call_sp = Array.length t.call_stack then begin
-    let grown = Array.make (2 * t.call_sp) 0 in
+    let grown = Array.make (max 32 (2 * t.call_sp)) 0 in
     Array.blit t.call_stack 0 grown 0 t.call_sp;
     t.call_stack <- grown
   end;

@@ -26,7 +26,8 @@ type t = {
   mutable mode : mode;
   mutable call_stack : int array;
       (** flat return-pc stack; valid entries are [0 .. call_sp-1].
-          Grows by doubling — use {!push_call}/{!pop_call}. *)
+          Empty until the first call, which makes it 32 slots; grows by
+          doubling after that — use {!push_call}/{!pop_call}. *)
   mutable call_sp : int;
   mutable domain : (int * int) option;
       (** SFI protection domain [lo, hi): [Guard] instructions fault on

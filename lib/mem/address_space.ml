@@ -1,8 +1,9 @@
 (* The image is a table of fixed-size chunks. A chunk is written in
    place only when [owned] marks it as this space's alone; [fork] clears
    the marks on both sides, so whichever side stores first copies the
-   chunk ([unshare]). Capacity that no [alloc] has covered points at
-   [zero], which no space ever owns and so is never written. *)
+   chunk ([unshare]). A chunk no [alloc] has covered (capacity past
+   [brk], or a range only [reserve]d) points at [zero], which no space
+   ever owns and so is never written. *)
 type t = {
   chunks : int array array;
   owned : Bytes.t;  (* '\001' where [chunks.(i)] may be written in place *)
@@ -46,14 +47,22 @@ let[@inline never] unshare t ci =
   t.chunks.(ci) <- (if c == zero then Array.make (chunk_len t ci) 0 else Array.copy c);
   Bytes.set t.owned ci '\001'
 
-let alloc t ~bytes =
-  if bytes <= 0 then invalid_arg "Address_space.alloc: bytes must be positive";
+(* Moves [brk] past a fresh line-aligned region and returns its base;
+   [fn] names the caller in errors. *)
+let bump fn t ~bytes =
+  if bytes <= 0 then invalid_arg (fn ^ ": bytes must be positive");
   let base = (t.brk + line_align - 1) / line_align * line_align in
   if base + bytes > t.capacity then
     failwith
-      (Printf.sprintf "Address_space.alloc: out of memory (want %d at %d, capacity %d)" bytes base
-         t.capacity);
+      (Printf.sprintf "%s: out of memory (want %d at %d, capacity %d)" fn bytes base t.capacity);
   t.brk <- base + bytes;
+  base
+
+let reserve t ~bytes = bump "Address_space.reserve" t ~bytes
+
+(* Backing up front keeps the first stores out of timed runs. *)
+let alloc t ~bytes =
+  let base = bump "Address_space.alloc" t ~bytes in
   for ci = base lsr chunk_shift to (base + bytes - 1) lsr chunk_shift do
     if t.chunks.(ci) == zero then unshare t ci
   done;

@@ -26,10 +26,20 @@ val capacity_bytes : t -> int
 (** Bytes currently allocated. *)
 val used_bytes : t -> int
 
-(** [alloc t ~bytes] reserves a fresh 64-byte-aligned region and
-    returns its base address.
+(** [alloc t ~bytes] is {!reserve} followed by giving every chunk the
+    region touches its own zeroed storage, so no later store into the
+    region has to back a chunk first.
     @raise Failure when the space is exhausted. *)
 val alloc : t -> bytes:int -> int
+
+(** [reserve t ~bytes] takes a fresh 64-byte-aligned region exactly as
+    {!alloc} would (same base, same {!used_bytes} after) and returns its
+    base address, but backs nothing: chunks only this region covers stay
+    on the shared zero chunk, so the region reads 0 and costs no memory
+    until a store backs the one chunk it lands in. For ranges that must
+    hold an address but that no instruction is expected to touch.
+    @raise Failure when the space is exhausted. *)
+val reserve : t -> bytes:int -> int
 
 (** [fork t] is a copy of [t] (contents, {!used_bytes},
     {!capacity_bytes}) that costs one pointer per chunk. [t] and the

@@ -1,5 +1,4 @@
 open Stallhide_util
-open Stallhide_isa
 open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_runtime
@@ -174,22 +173,11 @@ let node ?kv_program ?scav_program p ~per_shard =
      scavenger stores on different cores invalidate each other's lines *)
   let scav =
     if scav_lanes = 0 then None
-    else begin
-      let wl =
-        rebind scav_program
-          (Group_by.make ~image ~lanes:scav_lanes ~groups:p.scav_groups ~tuples:p.scav_tuples
-             ~seed:(p.seed + 3) ())
-      in
-      let base0 = List.assoc Reg.r3 wl.Workload.lanes.(0) in
+    else
       Some
-        {
-          wl with
-          Workload.lanes =
-            Array.map
-              (List.map (fun (r, v) -> if r = Reg.r3 then (r, base0) else (r, v)))
-              wl.Workload.lanes;
-        }
-    end
+        (rebind scav_program
+           (Group_by.make ~image ~shared:true ~lanes:scav_lanes ~groups:p.scav_groups
+              ~tuples:p.scav_tuples ~seed:(p.seed + 3) ()))
   in
   { image; shards; scav }
 

@@ -117,14 +117,19 @@ type node = {
           when no request is *)
   scav : Workload.t option;
       (** [scav_per_core × cores] GROUP-BY lanes, every one aggregating
-          into lane 0's accumulator array; [None] when there are none *)
+          into lane 0's accumulator array (r3 is lane 0's base in every
+          lane); [None] when there are none *)
 }
 
 (** [node p ~per_shard] builds a node for [per_shard.(s)] requests homed
     to each of [p.cores] shards, serving [kv_program] and
     [scav_program] when given (the generators' programs otherwise).
     Reads [cores], [table_slots], [req_ops], [service_compute],
-    [scav_per_core], [scav_groups], [scav_tuples] and [seed]. *)
+    [scav_per_core], [scav_groups], [scav_tuples] and [seed].
+
+    The scavengers come from {!Group_by.make} [~shared:true], so the
+    image backs lane 0's accumulators only; the other lanes' ranges are
+    reserved and hold their addresses without memory. *)
 val node :
   ?kv_program:Stallhide_isa.Program.t ->
   ?scav_program:Stallhide_isa.Program.t ->

@@ -8,7 +8,8 @@ let image_bytes ~lanes ~groups ~tuples =
   Gen_util.line
   + (lanes * (Gen_util.round_line (tuples * tuple_bytes) + (groups * Gen_util.line)))
 
-let make ?image ?(manual = false) ?(lanes = 8) ?(groups = 4096) ?(tuples = 1000) ~seed () =
+let make ?image ?(manual = false) ?(shared = false) ?(lanes = 8) ?(groups = 4096) ?(tuples = 1000)
+    ~seed () =
   if lanes <= 0 || groups <= 1 || tuples <= 0 then invalid_arg "Group_by.make: bad parameters";
   let st = Random.State.make [| seed; 0xc2b2ae35 |] in
   let bytes =
@@ -17,20 +18,33 @@ let make ?image ?(manual = false) ?(lanes = 8) ?(groups = 4096) ?(tuples = 1000)
   let image = match image with Some im -> im | None -> Address_space.create ~bytes in
   let (_ : int) = Address_space.alloc image ~bytes:Gen_util.line in
   let resets = ref [] in
+  (* lane 0's accumulators when [shared]: later lanes aggregate there
+     and only reserve their own range, so every address stays put *)
+  let acc0 = ref (-1) in
   let lane_inits =
-    Array.init lanes (fun _ ->
+    Array.init lanes (fun lane ->
         let input = Address_space.alloc image ~bytes:(tuples * tuple_bytes) in
-        let acc = Address_space.alloc image ~bytes:(groups * Gen_util.line) in
+        let acc =
+          if shared && lane > 0 then begin
+            let (_ : int) = Address_space.reserve image ~bytes:(groups * Gen_util.line) in
+            !acc0
+          end
+          else begin
+            let acc = Address_space.alloc image ~bytes:(groups * Gen_util.line) in
+            acc0 := acc;
+            let init () =
+              for g = 0 to groups - 1 do
+                Address_space.store image (acc + (g * Gen_util.line)) 0
+              done
+            in
+            resets := init :: !resets;
+            acc
+          end
+        in
         for i = 0 to tuples - 1 do
           Address_space.store image (input + (i * 16)) (Random.State.int st 1000000);
           Address_space.store image (input + (i * 16) + 8) (1 + Random.State.int st 100)
         done;
-        let init () =
-          for g = 0 to groups - 1 do
-            Address_space.store image (acc + (g * Gen_util.line)) 0
-          done
-        in
-        resets := init :: !resets;
         [ (Reg.r1, input); (Reg.r2, tuples); (Reg.r3, acc); (Reg.r7, groups) ])
   in
   let b = Builder.create () in

@@ -8,17 +8,26 @@
     lose updates — the cooperative-atomicity property tests rely on.
     [reset] zeroes the accumulators.
 
+    With [~shared:true] every lane aggregates into lane 0's
+    accumulators instead (r3 is lane 0's base in every lane), the
+    cross-core sharing the serving harness models. The other lanes'
+    accumulator ranges are reserved
+    ({!Stallhide_mem.Address_space.reserve}), not backed: every address
+    and {!image_bytes} are the same either way, and [reset] zeroes lane
+    0's accumulators only.
+
     Registers: r1 = tuple cursor, r2 = remaining tuples,
     r3 = accumulator base, r7 = group count, r15 = tuples done. *)
 
-(** Bytes {!make} allocates into a shared [image] for these parameters:
-    a guard line, then per lane its tuples and its accumulators, each
-    region rounded up to a line. *)
+(** Bytes {!make} takes from a shared [image] for these parameters,
+    [shared] or not: a guard line, then per lane its tuples and its
+    accumulators, each region rounded up to a line. *)
 val image_bytes : lanes:int -> groups:int -> tuples:int -> int
 
 val make :
   ?image:Stallhide_mem.Address_space.t ->
   ?manual:bool ->
+  ?shared:bool ->
   ?lanes:int ->
   ?groups:int ->
   ?tuples:int ->
@@ -27,5 +36,5 @@ val make :
   Workload.t
 
 (** Accumulator base address of a lane (for checksum tests).
-    Exported for [test_workloads] only. *)
+    Exported for [test_smp], [test_workloads] only. *)
 val acc_base : Workload.t -> lane:int -> int

@@ -38,20 +38,23 @@ let make ?image ?(name = "hash-probe") ?(manual = false) ?(lanes = 8) ?(table_sl
     probe h 0
   in
   Array.iter insert keys;
+  (* every lane's registers but its key cursor, one list for all lanes *)
+  let tail =
+    [
+      (Reg.r2, ops);
+      (Reg.r3, table);
+      (Reg.r7, table_slots);
+      (Reg.r9, hash_const);
+      (Reg.r10, table + (table_slots * Gen_util.line));
+    ]
+  in
   let lane_inits =
     Array.init lanes (fun _ ->
         let base = Address_space.alloc image ~bytes:(key_bytes ~ops) in
         for i = 0 to ops - 1 do
           Address_space.store image (base + (i * 8)) keys.(Random.State.int st n_keys)
         done;
-        [
-          (Reg.r1, base);
-          (Reg.r2, ops);
-          (Reg.r3, table);
-          (Reg.r7, table_slots);
-          (Reg.r9, hash_const);
-          (Reg.r10, table + (table_slots * Gen_util.line));
-        ])
+        (Reg.r1, base) :: tail)
   in
   let b = Builder.create () in
   Builder.label b "next_op";

@@ -203,6 +203,15 @@ let test_campaign_green_and_deterministic () =
     (Stallhide_util.Json.to_string (Fuzz.report_to_json a))
     (Stallhide_util.Json.to_string (Fuzz.report_to_json b))
 
+(* an empty campaign checks nothing, so it must not read as a pass *)
+let test_campaign_rejects_no_cases () =
+  List.iter
+    (fun cases ->
+      Alcotest.check_raises (Printf.sprintf "%d cases" cases)
+        (Invalid_argument "Fuzz.run: cases must be at least 1") (fun () ->
+          ignore (Fuzz.run { Fuzz.default_opts with Fuzz.cases })))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "check"
     [
@@ -228,5 +237,6 @@ let () =
         [
           Alcotest.test_case "green and deterministic" `Quick
             test_campaign_green_and_deterministic;
+          Alcotest.test_case "no cases rejected" `Quick test_campaign_rejects_no_cases;
         ] );
     ]

@@ -113,6 +113,57 @@ let test_fork_sizes () =
   Alcotest.(check int) "without moving the source's" 100 (Address_space.used_bytes sp);
   Alcotest.(check int) "the source's capacity" (chunk + 16) (Address_space.capacity_bytes sp)
 
+(* A reserved range takes the addresses [alloc] would have given it
+   but no storage: it reads 0, and a store backs the one chunk it
+   lands in. *)
+let test_reserve () =
+  let bytes = (2 * chunk) + 104 in
+  let run take =
+    let sp = Address_space.create ~bytes:(5 * chunk) in
+    let a = Address_space.alloc sp ~bytes:40 in
+    let r = take sp ~bytes in
+    let next = Address_space.alloc sp ~bytes:8 in
+    (sp, a, r, next)
+  in
+  let sp, a, r, next = run Address_space.reserve in
+  let sp', a', r', next' = run Address_space.alloc in
+  Alcotest.(check (list int)) "the bases alloc gives" [ a'; r'; next' ] [ a; r; next ];
+  Alcotest.(check int) "used bytes as after alloc" (Address_space.used_bytes sp')
+    (Address_space.used_bytes sp);
+  let probes = [ r; r + chunk - 8; r + chunk; r + bytes - 8 ] in
+  List.iter
+    (fun addr -> Alcotest.(check int) (Printf.sprintf "reads 0 at %d" addr) 0 (load sp addr))
+    probes;
+  Address_space.store sp (r + chunk) 5;
+  Alcotest.(check int) "a store into a reserved chunk reads back" 5 (load sp (r + chunk));
+  Alcotest.(check int) "and leaves its neighbours 0" 0 (load sp (r + chunk + 8));
+  (* host bytes each call allocates for [bytes] of fresh chunks *)
+  let cost take =
+    let sp = Address_space.create ~bytes:(4 * chunk) in
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (take sp ~bytes:(3 * chunk)));
+    Gc.allocated_bytes () -. before
+  in
+  let reserved = cost Address_space.reserve and backed = cost Address_space.alloc in
+  if reserved >= 1024.0 || backed < float_of_int (3 * chunk) then
+    Alcotest.failf "reserve allocated %.0f host bytes, alloc %.0f" reserved backed
+
+let test_reserve_fork () =
+  let sp = Address_space.create ~bytes:(4 * chunk) in
+  let (_ : int) = Address_space.alloc sp ~bytes:64 in
+  let r = Address_space.reserve sp ~bytes:(3 * chunk) in
+  let mid = r + chunk + 64 in
+  let f = Address_space.fork sp in
+  Address_space.store f mid 7;
+  Alcotest.(check int) "the fork reads its store" 7 (load f mid);
+  Alcotest.(check int) "the source does not" 0 (load sp mid);
+  Address_space.store sp (mid + 8) 9;
+  Alcotest.(check int) "the source reads its store" 9 (load sp (mid + 8));
+  Alcotest.(check int) "the fork does not" 0 (load f (mid + 8));
+  let g = Address_space.fork f in
+  Alcotest.(check int) "a fork of the fork inherits its store" 7 (load g mid);
+  Alcotest.(check int) "but not the source's" 0 (load g (mid + 8))
+
 let test_error_messages () =
   Alcotest.check_raises "empty space"
     (Invalid_argument "Address_space.create: bytes must be positive") (fun () ->
@@ -137,21 +188,28 @@ let test_error_messages () =
         (fun () -> ignore (Address_space.alloc t ~bytes:0));
       raises "oversized alloc"
         (Failure "Address_space.alloc: out of memory (want 100000 at 0, capacity 1024)")
-        (fun () -> ignore (Address_space.alloc t ~bytes:100000)))
+        (fun () -> ignore (Address_space.alloc t ~bytes:100000));
+      raises "empty reserve" (Invalid_argument "Address_space.reserve: bytes must be positive")
+        (fun () -> ignore (Address_space.reserve t ~bytes:0));
+      raises "oversized reserve"
+        (Failure "Address_space.reserve: out of memory (want 100000 at 0, capacity 1024)")
+        (fun () -> ignore (Address_space.reserve t ~bytes:100000)))
     [ ("space", sp); ("fork", Address_space.fork sp) ]
 
-(* Model test: random allocs, stores, loads and forks over a family of
-   spaces, each checked against a flat int array plus a brk. The
-   capacities straddle the 32 KiB chunk size, and word indexes cluster
-   at chunk edges and just past the capacity. *)
+(* Model test: random allocs, reserves, stores, loads and forks over a
+   family of spaces, each checked against a flat int array plus a brk.
+   The capacities straddle the 32 KiB chunk size, and word indexes
+   cluster at chunk edges and just past the capacity. *)
 type op =
   | Alloc of int * int  (* space, bytes *)
+  | Reserve of int * int  (* space, bytes *)
   | Store of int * int * int  (* space, word, value *)
   | Load of int * int  (* space, word *)
   | Fork of int  (* space *)
 
 let pp_op = function
   | Alloc (s, b) -> Printf.sprintf "alloc s%d %d" s b
+  | Reserve (s, b) -> Printf.sprintf "reserve s%d %d" s b
   | Store (s, w, v) -> Printf.sprintf "store s%d w%d %d" s w v
   | Load (s, w) -> Printf.sprintf "load s%d w%d" s w
   | Fork s -> Printf.sprintf "fork s%d" s
@@ -176,6 +234,7 @@ let model_case =
       frequency
         [
           (2, map2 (fun s b -> Alloc (s, 1 + b)) space (oneof [ int_bound 200; int_bound cap ]));
+          (1, map2 (fun s b -> Reserve (s, 1 + b)) space (oneof [ int_bound 200; int_bound cap ]));
           (5, map3 (fun s w v -> Store (s, w, v)) space word int);
           (4, map2 (fun s w -> Load (s, w)) space word);
           (2, map (fun s -> Fork s) space);
@@ -195,16 +254,20 @@ let qcheck_fork_model =
       let pick s = !spaces.(s mod Array.length !spaces) in
       let ok = ref true in
       let expect b = if not b then ok := false in
+      (* [reserve] moves the model exactly as [alloc] does *)
+      let take f s bytes =
+        let sp, _, brk = pick s in
+        let base = (!brk + 63) / 64 * 64 in
+        match f sp ~bytes with
+        | got ->
+            expect (base + bytes <= cap && got = base);
+            brk := base + bytes
+        | exception Failure _ -> expect (base + bytes > cap)
+      in
       List.iter
         (function
-          | Alloc (s, bytes) -> (
-              let sp, _, brk = pick s in
-              let base = (!brk + 63) / 64 * 64 in
-              match Address_space.alloc sp ~bytes with
-              | got ->
-                  expect (base + bytes <= cap && got = base);
-                  brk := base + bytes
-              | exception Failure _ -> expect (base + bytes > cap))
+          | Alloc (s, bytes) -> take Address_space.alloc s bytes
+          | Reserve (s, bytes) -> take Address_space.reserve s bytes
           | Store (s, w, v) -> (
               let sp, m, _ = pick s in
               match Address_space.store sp (8 * w) v with
@@ -648,6 +711,8 @@ let () =
           Alcotest.test_case "fork of a fork" `Quick test_fork_of_fork;
           Alcotest.test_case "beyond brk reads zero" `Quick test_beyond_brk_reads_zero;
           Alcotest.test_case "fork keeps sizes" `Quick test_fork_sizes;
+          Alcotest.test_case "reserve" `Quick test_reserve;
+          Alcotest.test_case "reserve then fork" `Quick test_reserve_fork;
           Alcotest.test_case "error messages" `Quick test_error_messages;
           QCheck_alcotest.to_alcotest qcheck_fork_model;
         ] );

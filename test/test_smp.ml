@@ -519,6 +519,23 @@ let test_machine_validation () =
     (Invalid_argument "Harness.run: requests_per_core must be >= 0") (fun () ->
       ignore (Harness.run { small_params with Harness.requests_per_core = -1 }))
 
+(* [node.scav]'s contract: every scavenger context the machine runs
+   aggregates into lane 0's accumulators, so scavenger stores on
+   different cores share lines. *)
+let test_node_shared_accumulators () =
+  let p = small_params in
+  let node = Harness.node p ~per_shard:(Array.make p.Harness.cores 2) in
+  let wl = match node.Harness.scav with Some w -> w | None -> Alcotest.fail "no scavengers" in
+  let base0 = Stallhide_workloads.Group_by.acc_base wl ~lane:0 in
+  let ctxs = List.concat (Array.to_list (Harness.scavengers node ~id:Fun.id)) in
+  Alcotest.(check int) "one context per lane" (p.Harness.scav_per_core * p.Harness.cores)
+    (List.length ctxs);
+  List.iter
+    (fun (c : Context.t) ->
+      Alcotest.(check int) (Printf.sprintf "scavenger %d's r3" c.Context.id) base0
+        c.Context.regs.{Reg.r3})
+    ctxs
+
 (* Host work per dispatch slice of an untraced machine: the µop decode
    is per program and the scheduler's hide path allocates no closures,
    so what is left is the fast loop's per-slice entry cost. *)
@@ -578,6 +595,8 @@ let () =
           Alcotest.test_case "untraced streams hold only steals" `Quick test_untraced_streams;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
+          Alcotest.test_case "node scavengers share lane 0's accumulators" `Quick
+            test_node_shared_accumulators;
           Alcotest.test_case "minor words per slice" `Quick test_minor_words_per_slice;
         ] );
       ("core-sched", [ QCheck_alcotest.to_alcotest ~long:false qcheck_stealable ]);

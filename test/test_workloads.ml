@@ -323,6 +323,32 @@ let test_group_by_reset () =
   let _, _, _ = run_workload w in
   check_groups w ~lane:0 ~groups expected
 
+(* Shared lanes all aggregate into lane 0's accumulators; the ranges
+   the other lanes reserve stay 0 through a run, and [reset] restores
+   lane 0's. *)
+let test_group_by_shared () =
+  let lanes = 3 and groups = 1024 and tuples = 200 in
+  let w = Group_by.make ~shared:true ~lanes ~groups ~tuples ~seed:44 () in
+  let base0 = Group_by.acc_base w ~lane:0 in
+  for lane = 1 to lanes - 1 do
+    Alcotest.(check int) (Printf.sprintf "lane %d aggregates into lane 0's" lane) base0
+      (Group_by.acc_base w ~lane)
+  done;
+  let sum = Array.make groups 0 in
+  for lane = 0 to lanes - 1 do
+    Array.iteri (fun g v -> sum.(g) <- sum.(g) + v) (expected_groups w ~lane ~groups ~tuples)
+  done;
+  let reserved = Group_by.acc_base (Group_by.make ~lanes ~groups ~tuples ~seed:44 ()) ~lane:1 in
+  let _, counters, _ = run_workload w in
+  Alcotest.(check int) "tuples processed" (lanes * tuples) counters.ops;
+  check_groups w ~lane:0 ~groups sum;
+  for g = 0 to groups - 1 do
+    Alcotest.(check int) "lane 1's reserved range untouched" 0
+      (Address_space.load w.Workload.image (reserved + (g * 64)))
+  done;
+  w.Workload.reset ();
+  check_groups w ~lane:0 ~groups (Array.make groups 0)
+
 (* --- kv server --- *)
 
 let test_kv_server () =
@@ -398,7 +424,9 @@ let test_shared_image_too_small () =
 (* The serving harnesses size one shared image as the sum of the
    generators' [image_bytes], built in their order: the kv shards
    (empty shards skipped), then the group-by lanes. Every region must
-   fit, with nothing left over. *)
+   fit, with nothing left over, and a shared group-by puts every tuple
+   array where a private one would: it reserves what it does not
+   back. *)
 let qcheck_image_bytes_exact =
   let gen =
     QCheck.Gen.(
@@ -409,16 +437,18 @@ let qcheck_image_bytes_exact =
       let* groups = int_range 2 300 in
       (* mostly counts whose 16-byte tuples end mid-line *)
       let* tuples = int_range 1 100 in
-      return (shards, table_slots, requests, (scav_lanes, groups, tuples)))
+      let* shared = bool in
+      return (shards, table_slots, requests, (scav_lanes, groups, tuples, shared)))
   in
-  let print (shards, table_slots, requests, (scav_lanes, groups, tuples)) =
-    Printf.sprintf "shards=[%s] table_slots=%d requests=%d scav_lanes=%d groups=%d tuples=%d"
+  let print (shards, table_slots, requests, (scav_lanes, groups, tuples, shared)) =
+    Printf.sprintf
+      "shards=[%s] table_slots=%d requests=%d scav_lanes=%d groups=%d tuples=%d shared=%b"
       (String.concat ";" (List.map string_of_int shards))
-      table_slots requests scav_lanes groups tuples
+      table_slots requests scav_lanes groups tuples shared
   in
   QCheck.Test.make ~name:"summed image_bytes hold exactly what the generators allocate"
     ~count:100 (QCheck.make ~print gen)
-    (fun (shards, table_slots, requests, (scav_lanes, groups, tuples)) ->
+    (fun (shards, table_slots, requests, (scav_lanes, groups, tuples, shared)) ->
       let shards = List.filter (fun lanes -> lanes > 0) shards in
       let bytes =
         List.fold_left
@@ -427,14 +457,22 @@ let qcheck_image_bytes_exact =
         + if scav_lanes = 0 then 0 else Group_by.image_bytes ~lanes:scav_lanes ~groups ~tuples
       in
       QCheck.assume (bytes > 0);
-      let image = Address_space.create ~bytes in
-      List.iteri
-        (fun s lanes ->
-          ignore (Kv_server.make ~image ~lanes ~table_slots ~requests ~seed:(100 + s) ()))
-        shards;
-      if scav_lanes > 0 then
-        ignore (Group_by.make ~image ~lanes:scav_lanes ~groups ~tuples ~seed:3 ());
-      Address_space.used_bytes image = bytes)
+      let build ~shared =
+        let image = Address_space.create ~bytes in
+        List.iteri
+          (fun s lanes ->
+            ignore (Kv_server.make ~image ~lanes ~table_slots ~requests ~seed:(100 + s) ()))
+          shards;
+        let scav =
+          if scav_lanes = 0 then None
+          else Some (Group_by.make ~image ~shared ~lanes:scav_lanes ~groups ~tuples ~seed:3 ())
+        in
+        (image, scav)
+      in
+      let image, scav = build ~shared in
+      let _, private_scav = build ~shared:false in
+      let cursors = Option.map (fun w -> Array.map (List.assoc Reg.r1) w.Workload.lanes) in
+      Address_space.used_bytes image = bytes && cursors scav = cursors private_scav)
 
 (* --- workload API --- *)
 
@@ -528,6 +566,7 @@ let () =
           Alcotest.test_case "correct" `Quick test_group_by_correct;
           Alcotest.test_case "interleaving safe" `Quick test_group_by_interleaving_safe;
           Alcotest.test_case "reset" `Quick test_group_by_reset;
+          Alcotest.test_case "shared accumulators" `Quick test_group_by_shared;
         ] );
       ( "offload",
         [
