@@ -8,6 +8,7 @@
 open Cmdliner
 open Stallhide
 open Stallhide_binopt
+module Scavenger_pass = Stallhide_analysis.Scavenger_pass
 open Stallhide_workloads
 
 let workload_names =
@@ -212,17 +213,6 @@ let run_cmd =
           (m, Some i, None, stream)
       | other -> invalid_arg other
     in
-    (* An uncovered loop means a yield-free cycle: the inter-yield
-       interval is unbounded, so the scavenger pass failed its one job
-       there. Surface it even in quiet runs ([lint --strict] turns it
-       into a failure). *)
-    (match inst with
-    | Some { Pipeline.scavenger = Some r; _ } when r.Scavenger_pass.uncovered_loops > 0 ->
-        Printf.eprintf
-          "stallhide: warning: scavenger left %d loop(s) without a yield (unbounded inter-yield \
-           interval)\n"
-          r.Scavenger_pass.uncovered_loops
-    | _ -> ());
     (match stream with Some s -> warn_dropped "run" s | None -> ());
     (match trace_out with
     | Some path -> write_file path (fun path -> Obs.Perfetto.write ~path (Option.get stream))
@@ -273,8 +263,7 @@ let run_cmd =
             i.Pipeline.primary.Primary_pass.coalesced_groups;
           (match i.Pipeline.scavenger with
           | Some r ->
-              Printf.printf "scavenger pass: %d conditional yields, %d uncovered loops\n"
-                r.Scavenger_pass.inserted r.Scavenger_pass.uncovered_loops
+              Printf.printf "scavenger pass: %d conditional yields\n" r.Scavenger_pass.inserted
           | None -> ())
       | None -> ());
       Format.printf "%a@." Metrics.pp metrics;
@@ -418,13 +407,6 @@ let instrument_cmd =
         Printf.eprintf "stallhide: internal error: emitted program does not reassemble (line %d: %s)\n"
           line msg;
         exit 1);
-    (match inst.Pipeline.scavenger with
-    | Some r when r.Scavenger_pass.uncovered_loops > 0 ->
-        Printf.eprintf
-          "stallhide: warning: scavenger left %d loop(s) without a yield (unbounded inter-yield \
-           interval)\n"
-          r.Scavenger_pass.uncovered_loops
-    | _ -> ());
     match output with
     | Some path ->
         write_file path (fun path ->
@@ -476,54 +458,32 @@ let lint_cmd =
       { Primary_pass.default_opts with Primary_pass.policy = policy_of_string policy }
     in
     let registry = Stallhide_obs.Registry.create () in
-    (* The scavenger pass's own report of yield-free loops, as a
-       diagnostic: the interval check independently rediscovers the
-       cycle as an error, but the count must surface even when only the
-       pass noticed (e.g. verifier checks partially disabled). *)
-    let uncovered_diags n =
-      if n = 0 then []
-      else
-        [
-          D.warning D.Interval
-            (Printf.sprintf "scavenger pass reports %d loop(s) left without a yield" n);
-        ]
-    in
     let lint_one name pass =
       let w = make_workload name ~lanes ~ops ~manual:false ~seed in
       let orig = w.Workload.program in
       (* full-trace estimates: lint grades the passes, not the profiler *)
       let estimates = lazy (Pipeline.oracle_estimates w) in
-      let outcome, extra =
-        match pass with
-        | "primary" ->
-            let prog, map, _ = Primary_pass.run primary (Lazy.force estimates) orig in
-            (V.validate ~orig ~orig_of_new:map ~registry prog, [])
-        | "scavenger" ->
-            let opts =
-              { Scavenger_pass.default_opts with Scavenger_pass.target_interval = interval }
-            in
-            let prog, map, rep = Scavenger_pass.run opts orig in
-            ( V.validate ~orig ~orig_of_new:map ~target_interval:interval ~registry prog,
-              uncovered_diags rep.Scavenger_pass.uncovered_loops )
-        | "sfi" ->
-            let prog, map, _ = Sfi_pass.run Sfi_pass.default_opts orig in
-            (V.validate ~orig ~orig_of_new:map ~expect_sfi:true ~registry prog, [])
-        | "pgo" ->
-            let inst =
-              Pipeline.instrument_with ~estimates:(Lazy.force estimates) ~primary
-                ~scavenger_interval:interval ~verify:false orig
-            in
-            let extra =
-              match inst.Pipeline.scavenger with
-              | Some r -> uncovered_diags r.Scavenger_pass.uncovered_loops
-              | None -> []
-            in
-            ( V.validate ~orig ~orig_of_new:inst.Pipeline.orig_of_new ~target_interval:interval
-                ~registry inst.Pipeline.program,
-              extra )
-        | other -> invalid_arg ("unknown pass " ^ other)
-      in
-      { outcome with V.diags = outcome.V.diags @ extra }
+      match pass with
+      | "primary" ->
+          let prog, map, _ = Primary_pass.run primary (Lazy.force estimates) orig in
+          V.validate ~orig ~orig_of_new:map ~registry prog
+      | "scavenger" ->
+          let opts =
+            { Scavenger_pass.default_opts with Scavenger_pass.target_interval = interval }
+          in
+          let prog, map, _ = Scavenger_pass.run opts orig in
+          V.validate ~orig ~orig_of_new:map ~target_interval:interval ~registry prog
+      | "sfi" ->
+          let prog, map, _ = Sfi_pass.run Sfi_pass.default_opts orig in
+          V.validate ~orig ~orig_of_new:map ~expect_sfi:true ~registry prog
+      | "pgo" ->
+          let inst =
+            Pipeline.instrument_with ~estimates:(Lazy.force estimates) ~primary
+              ~scavenger_interval:interval ~verify:false orig
+          in
+          V.validate ~orig ~orig_of_new:inst.Pipeline.orig_of_new ~target_interval:interval
+            ~registry inst.Pipeline.program
+      | other -> invalid_arg ("unknown pass " ^ other)
     in
     let results =
       List.concat_map
@@ -1275,6 +1235,8 @@ let why_cmd =
   let why workload lanes ops seed repeats metric injection sweep critical json =
     check_workload workload;
     check_sizes ~lanes ~ops ();
+    (* [Why] raises on fewer than one repeat; say which flag *)
+    if repeats < 1 then usage_error "--repeats must be at least 1 (got %d)" repeats;
     let metric =
       match Obs.Sweep.metric_of_string metric with
       | Some m -> m

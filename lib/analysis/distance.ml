@@ -36,99 +36,120 @@ let prefetch_lead (mem : Memconfig.t) prog ~prefetch_pc ~load_pc =
   done;
   !d
 
-type budgeted = { header_pc : int; trips : int; budget : float }
+(* Every yield-free natural loop, with a budget when the loop's trip
+   count is proven on this CFG: (trips - 1) times the summed body cost,
+   an upper bound on the cycles the iterations after the first add. *)
+let yield_free_loops ~cost cfg =
+  let bounds = lazy (Loop_bounds.infer cfg (Dominators.compute cfg) (Value.block_envs cfg)) in
+  List.map
+    (fun (l : Dominators.loop) ->
+      let header_pc = (Cfg.block cfg l.Dominators.header).Cfg.first in
+      let budget t =
+        let body_cost =
+          List.fold_left
+            (fun acc pc -> acc +. cost pc)
+            0.0
+            (Loop_bounds.body_pcs cfg l.Dominators.body)
+        in
+        float_of_int (t - 1) *. body_cost
+      in
+      (l, Option.map budget (Loop_bounds.trips_at (Lazy.force bounds) ~header_pc)))
+    (Dominators.unyielded_loops cfg)
+
+type flow = {
+  cut : (int * int, unit) Hashtbl.t;
+  budget : float array;
+  dist_out : float array;
+  converged : bool;
+}
+
+let in_dist flow (b : Cfg.block) =
+  List.fold_left
+    (fun acc p -> if Hashtbl.mem flow.cut (b.Cfg.id, p) then acc else max acc flow.dist_out.(p))
+    0.0 b.Cfg.preds
+  +. flow.budget.(b.Cfg.id)
+
+(* The block fixpoint: a block's incoming distance is the max over its
+   predecessors' outgoing distances, minus the cut back edges, plus the
+   budgets charged to it as a header. Once every yield-free loop's back
+   edge is cut (or a yield is planned in it), all remaining feedback
+   passes a yield, so the fixpoint converges in O(nb) rounds with no
+   target-proportional cap; a round cap of 2 nb + 8 stops an
+   irreducible yield-free cycle. *)
+let solve ~walk ~cut cfg =
+  let nb = Cfg.block_count cfg in
+  let flow =
+    { cut = Hashtbl.create 8; budget = Array.make nb 0.0; dist_out = Array.make nb 0.0; converged = false }
+  in
+  List.iter
+    (fun ((l : Dominators.loop), b) ->
+      Hashtbl.replace flow.cut (l.Dominators.header, l.Dominators.back_edge_src) ();
+      flow.budget.(l.Dominators.header) <- flow.budget.(l.Dominators.header) +. b)
+    cut;
+  let max_iters = (2 * nb) + 8 in
+  let iters = ref 0 and changed = ref true in
+  while !changed && !iters < max_iters do
+    changed := false;
+    incr iters;
+    for id = 0 to nb - 1 do
+      let b = Cfg.block cfg id in
+      let out = walk b (in_dist flow b) in
+      if abs_float (out -. flow.dist_out.(id)) > 1e-9 then begin
+        flow.dist_out.(id) <- out;
+        changed := true
+      end
+    done
+  done;
+  { flow with converged = not !changed }
+
+let fixpoint ~walk ~cut cfg = (solve ~walk ~cut cfg).converged
 
 type result = {
   converged : bool;
   worst : float;
   worst_pc : int;
   witness : int list;
-  budgeted : budgeted list;
+  budgeted : int;
   unproven : Dominators.loop list;
 }
 
 (* Longest yield-free path, in cycles, over the CFG — the inter-yield
-   interval bound. Yield-free natural loops do not make the interval
-   unbounded when their trip count is proven: the back edge is cut and
-   the header charged a budget of (trips - 1) times the summed body
-   cost, an upper bound on the cycles the remaining iterations add.
-   Yield-free loops without a proven bound are returned in [unproven]
-   (their back edges are cut too, purely so the fixpoint converges —
-   callers must treat them as unbounded). Irreducible yield-free
-   cycles surface as [converged = false]. *)
-let yield_free_paths ~cost ~trips cfg =
+   interval bound. Every yield-free loop's back edge is cut: a loop
+   with a proven trip count charges its header its budget, and one
+   without is returned in [unproven] (its back edge is cut purely so
+   the fixpoint converges — callers must treat it as unbounded).
+   Irreducible yield-free cycles surface as [converged = false]. *)
+let yield_free_paths ~cost cfg =
   let prog = Cfg.program cfg in
   let nb = Cfg.block_count cfg in
-  let is_yield pc =
-    match Program.instr prog pc with
-    | Instr.Yield _ | Instr.Yield_cond _ -> true
-    | _ -> false
-  in
-  let budget = Array.make nb 0.0 in
-  let cut = Hashtbl.create 8 in
-  let budgeted = ref [] and unproven = ref [] in
-  List.iter
-    (fun (l : Dominators.loop) ->
-      Hashtbl.replace cut (l.Dominators.header, l.Dominators.back_edge_src) ();
-      let header_pc = (Cfg.block cfg l.Dominators.header).Cfg.first in
-      match trips ~header_pc with
-      | Some t ->
-          let body_cost =
-            List.fold_left
-              (fun acc pc -> acc +. cost pc)
-              0.0
-              (Loop_bounds.body_pcs cfg l.Dominators.body)
-          in
-          let b = float_of_int (t - 1) *. body_cost in
-          budget.(l.Dominators.header) <- budget.(l.Dominators.header) +. b;
-          budgeted := { header_pc; trips = t; budget = b } :: !budgeted
-      | None -> unproven := l :: !unproven)
-    (Dominators.unyielded_loops cfg);
-  let dist_out = Array.make nb 0.0 in
+  let loops = yield_free_loops ~cost cfg in
   let walk (b : Cfg.block) d0 =
     let d = ref d0 and best = ref neg_infinity and best_pc = ref b.Cfg.first in
     for pc = b.Cfg.first to b.Cfg.last do
-      if is_yield pc then d := 0.0
-      else begin
-        let c = cost pc in
-        if !d +. c > !best then begin
-          best := !d +. c;
-          best_pc := pc
-        end;
-        d := !d +. c
-      end
+      match Program.instr prog pc with
+      | Instr.Yield _ | Instr.Yield_cond _ -> d := 0.0
+      | _ ->
+          let c = cost pc in
+          if !d +. c > !best then begin
+            best := !d +. c;
+            best_pc := pc
+          end;
+          d := !d +. c
     done;
     (!d, !best, !best_pc)
   in
-  let in_dist (b : Cfg.block) =
-    List.fold_left
-      (fun acc p -> if Hashtbl.mem cut (b.Cfg.id, p) then acc else max acc dist_out.(p))
-      0.0 b.Cfg.preds
-    +. budget.(b.Cfg.id)
+  let flow =
+    solve
+      ~walk:(fun b d0 ->
+        let out, _, _ = walk b d0 in
+        out)
+      ~cut:(List.map (fun (l, b) -> (l, Option.value b ~default:0.0)) loops)
+      cfg
   in
-  (* with every yield-free natural-loop back edge cut, all remaining
-     feedback passes a yield (constant out-distance), so the fixpoint
-     converges in O(nb) rounds — no target-proportional cap needed *)
-  let max_iters = (2 * nb) + 8 in
-  let iters = ref 0 in
-  let changed = ref true in
-  while !changed && !iters < max_iters do
-    changed := false;
-    incr iters;
-    for id = 0 to nb - 1 do
-      let b = Cfg.block cfg id in
-      let out, _, _ = walk b (in_dist b) in
-      if abs_float (out -. dist_out.(id)) > 1e-9 then begin
-        dist_out.(id) <- out;
-        changed := true
-      end
-    done
-  done;
-  let converged = not !changed in
   let worst = ref neg_infinity and worst_pc = ref 0 and worst_block = ref 0 in
   for id = 0 to nb - 1 do
     let b = Cfg.block cfg id in
-    let _, m, mpc = walk b (in_dist b) in
+    let _, m, mpc = walk b (in_dist flow b) in
     if m > !worst then begin
       worst := m;
       worst_pc := mpc;
@@ -138,23 +159,23 @@ let yield_free_paths ~cost ~trips cfg =
   let best_pred (b : Cfg.block) =
     List.fold_left
       (fun bp p ->
-        if Hashtbl.mem cut (b.Cfg.id, p) then bp
-        else if bp < 0 || dist_out.(p) > dist_out.(bp) then p
+        if Hashtbl.mem flow.cut (b.Cfg.id, p) then bp
+        else if bp < 0 || flow.dist_out.(p) > flow.dist_out.(bp) then p
         else bp)
       (-1) b.Cfg.preds
   in
   let rec chain id acc steps =
     let b = Cfg.block cfg id in
     let p = best_pred b in
-    if steps > nb || p < 0 || dist_out.(p) <= 1e-9 then b.Cfg.first :: acc
+    if steps > nb || p < 0 || flow.dist_out.(p) <= 1e-9 then b.Cfg.first :: acc
     else chain p (b.Cfg.first :: acc) (steps + 1)
   in
   let witness = chain !worst_block [ !worst_pc ] 0 in
   {
-    converged;
+    converged = flow.converged;
     worst = !worst;
     worst_pc = !worst_pc;
     witness;
-    budgeted = List.rev !budgeted;
-    unproven = List.rev !unproven;
+    budgeted = List.length (List.filter (fun (_, b) -> Option.is_some b) loops);
+    unproven = List.filter_map (fun (l, b) -> if Option.is_none b then Some l else None) loops;
   }

@@ -1,9 +1,9 @@
 (** Cycle-distance analysis: min/max instruction costs, prefetch lead
-    distances, and proven inter-yield interval bounds.
-
-    This subsumes the witness search of [Verify.Checks.interval_bound]
-    and the distance fixpoint of [Binopt.Scavenger_pass]: yield-free
-    counted loops with proven trip counts get a finite cycle budget
+    distances, and the yield-free distance analysis that both the
+    scavenger pass ({!Scavenger_pass}) and the verifier's interval check
+    run: one enumeration of yield-free loops with their proven budgets,
+    and one block fixpoint over yield-free distances. A yield-free
+    counted loop with a proven trip count gets a finite cycle budget
     instead of being declared unbounded, and the fixpoint needs no
     target-proportional iteration cap because every yield-free back
     edge is cut. *)
@@ -28,11 +28,23 @@ val max_cost : Memconfig.t -> Instr.t -> int
     A lead of at least [dram_latency] proves the load hits. *)
 val prefetch_lead : Memconfig.t -> Program.t -> prefetch_pc:int -> load_pc:int -> int
 
-type budgeted = {
-  header_pc : int;
-  trips : int;
-  budget : float;  (** (trips - 1) x summed body cost, in cycles *)
-}
+(** Every natural loop some iteration of which runs yield-free
+    ({!Dominators.unyielded_loops}), with its budget when
+    {!Loop_bounds.infer} proves its trip count on this CFG: (trips - 1)
+    x the body's summed cost under the per-pc cost model [cost], in
+    cycles. [None] when no trip count is proven. *)
+val yield_free_loops : cost:(int -> float) -> Cfg.t -> (Dominators.loop * float option) list
+
+(** [fixpoint ~walk ~cut cfg] iterates [walk block d_in] (the block's
+    outgoing yield-free distance given its incoming one) over the
+    blocks until no outgoing distance moves. A block's incoming
+    distance is the max over its predecessors' outgoing distances,
+    skipping the back edge of every loop in [cut], plus the budget
+    [cut] charges the block as that loop's header. Returns [false] when
+    2 x blocks + 8 rounds end without convergence, which only an
+    irreducible yield-free cycle causes. *)
+val fixpoint :
+  walk:(Cfg.block -> float -> float) -> cut:(Dominators.loop * float) list -> Cfg.t -> bool
 
 type result = {
   converged : bool;
@@ -41,14 +53,13 @@ type result = {
   worst : float;  (** longest yield-free path, cycles *)
   worst_pc : int;
   witness : int list;  (** block-entry chain feeding [worst_pc] *)
-  budgeted : budgeted list;  (** yield-free loops with proven budgets *)
+  budgeted : int;  (** how many yield-free loops have proven budgets *)
   unproven : Dominators.loop list;
       (** yield-free loops with no proven trip count: unbounded *)
 }
 
-(** [yield_free_paths ~cost ~trips cfg]: longest yield-free path in
-    cycles under the per-pc cost model [cost], bounding yield-free
-    loops via [trips] (proven iteration count by header pc, e.g.
-    {!Loop_bounds.trips_at}). *)
-val yield_free_paths :
-  cost:(int -> float) -> trips:(header_pc:int -> int option) -> Cfg.t -> result
+(** [yield_free_paths ~cost cfg]: longest yield-free path in cycles
+    under the per-pc cost model [cost]: {!fixpoint} over
+    {!yield_free_loops}, with every loop's back edge cut and each
+    proven loop's header charged its budget. *)
+val yield_free_paths : cost:(int -> float) -> Cfg.t -> result

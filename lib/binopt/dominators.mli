@@ -35,6 +35,8 @@ val natural_loops : Cfg.t -> t -> loop list
 (** Natural loops with no yield on a block dominating the back-edge
     source — i.e. loops some iteration of which can run yield-free, so
     their inter-yield interval is unbounded. A yield on a
-    conditionally-skipped path does not cover the loop. Used to verify
-    scavenger-pass coverage. *)
+    conditionally-skipped path does not cover the loop. The loops the
+    scavenger pass budgets or seeds with a yield, and the verifier's
+    interval check prices, through
+    {!Stallhide_analysis.Distance.yield_free_loops}. *)
 val unyielded_loops : Cfg.t -> loop list

@@ -149,10 +149,10 @@ let check_primary cfg prog =
 
 let check_scavenger cfg prog =
   let ref_arm = deterministic "reference" (fun () -> reference cfg prog) in
-  let opts =
-    { Scavenger_pass.default_opts with target_interval = cfg.Gen.scavenger_interval }
+  let module S = Stallhide_analysis.Scavenger_pass in
+  let prog', orig_of_new, _report =
+    S.run { S.default_opts with target_interval = cfg.Gen.scavenger_interval } prog
   in
-  let prog', orig_of_new, _report = Scavenger_pass.run opts prog in
   let outcome =
     Verify.validate ~orig:prog ~orig_of_new ~target_interval:cfg.Gen.scavenger_interval
       prog'

@@ -3,6 +3,7 @@ open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_pmu
 open Stallhide_binopt
+module Scavenger_pass = Stallhide_analysis.Scavenger_pass
 open Stallhide_runtime
 open Stallhide_workloads
 
@@ -149,25 +150,11 @@ let instrument_with_unchecked ~estimates ~pc_cycles ?wait_stalls ~primary
         | Instr.Load _ when Hashtbl.mem selected_set map1.(pc) -> None
         | _ -> pc_cycles map1.(pc)
       in
-      (* Proven trip counts let the scavenger budget short counted
-         loops instead of yielding inside them; bounds are computed on
-         the post-primary program, the coordinates the scavenger sees. *)
-      let cfg1 = Stallhide_binopt.Cfg.build prog1 in
-      let doms1 = Stallhide_binopt.Dominators.compute cfg1 in
-      let bounds =
-        Stallhide_analysis.Loop_bounds.infer cfg1 doms1
-          (Stallhide_analysis.Value.block_envs cfg1)
+      let prog2, map2, rep2 =
+        Scavenger_pass.run
+          { Scavenger_pass.target_interval = interval; pc_cycles = adjusted_pc_cycles }
+          prog1
       in
-      let opts =
-        {
-          Scavenger_pass.target_interval = interval;
-          pc_cycles = adjusted_pc_cycles;
-          loop_bounds =
-            (fun header_pc ->
-              Stallhide_analysis.Loop_bounds.trips_at bounds ~header_pc);
-        }
-      in
-      let prog2, map2, rep2 = Scavenger_pass.run opts prog1 in
       {
         program = prog2;
         orig_of_new = Rewrite.compose map2 map1;

@@ -78,7 +78,7 @@ type instrumented = {
   program : Program.t;
   orig_of_new : int array;  (** new pc -> original pc *)
   primary : Primary_pass.report;
-  scavenger : Scavenger_pass.report option;
+  scavenger : Stallhide_analysis.Scavenger_pass.report option;
 }
 
 (** Instrument a program from estimators. [pc_cycles] (original

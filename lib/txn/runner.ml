@@ -2,7 +2,7 @@ open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_runtime
 open Stallhide_workloads
-open Stallhide_binopt
+module Scavenger_pass = Stallhide_analysis.Scavenger_pass
 open Stallhide_smp
 open Stallhide
 
@@ -82,16 +82,31 @@ let counters_into reg (o : outcome) =
 
 (* --- dual-mode: K transaction primaries over analytics-scan scavengers --- *)
 
-(* Scavenger-instrumented analytics scan sharing the transaction image:
-   the batch work that fills transaction stall windows under §3.3. *)
-let scan_scavengers ~image ~count ~seed =
-  let scan = Array_scan.make ~image ~lanes:(max 1 count) ~block_words:64 ~ops:64 ~seed () in
-  let opts = { Scavenger_pass.default_opts with target_interval = 200 } in
-  let prog, _orig_of_new, _report = Scavenger_pass.run opts scan.Workload.program in
-  List.init count (fun i ->
-      let ctx = Context.create ~id:(5000 + i) ~mode:Context.Scavenger prog in
-      Context.set_regs ctx scan.Workload.lanes.(i);
-      ctx)
+(* Scavenger-instrumented analytics scans sharing the transaction
+   image, [count] per core: the batch work that fills transaction stall
+   windows under §3.3. The scan's program text is the same for every
+   seed, so the pass runs once, on core 0's scan, and its rewrite is
+   translation-validated like every other before any core runs it. *)
+let scan_scavengers ~image ~cores ~count ~seed =
+  let scans =
+    Array.init cores (fun c ->
+        Array_scan.make ~image ~lanes:(max 1 count) ~block_words:64 ~ops:64 ~seed:(seed + c) ())
+  in
+  let module V = Stallhide_verify.Verify in
+  let target_interval = 200 in
+  let orig = scans.(0).Workload.program in
+  let prog, orig_of_new, _report =
+    Scavenger_pass.run { Scavenger_pass.default_opts with target_interval } orig
+  in
+  let outcome = V.validate ~orig ~orig_of_new ~target_interval prog in
+  if not (V.ok outcome) then raise (V.Rejected outcome);
+  Array.map
+    (fun scan ->
+      List.init count (fun i ->
+          let ctx = Context.create ~id:(5000 + i) ~mode:Context.Scavenger prog in
+          Context.set_regs ctx scan.Workload.lanes.(i);
+          ctx))
+    scans
 
 (* --- the lib/smp leg: one transaction per request, K-deep queues --- *)
 
@@ -153,8 +168,7 @@ let run_smp ?(cores = 4) mode p =
     match mode with
     | Seq -> Array.make cores []
     | Interleaved | Interleaved_pgo ->
-        Array.init cores (fun c ->
-            scan_scavengers ~image ~count:scavengers_per_core ~seed:(p.seed + 977 + c))
+        scan_scavengers ~image ~cores ~count:scavengers_per_core ~seed:(p.seed + 977)
   in
   let config =
     { Machine.default_config with cores; max_cycles = 200_000_000 }

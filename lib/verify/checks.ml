@@ -229,18 +229,12 @@ let prefetch_pairing ?(is_inserted = fun _ -> false)
 
 let interval_bound ~target prog =
   if target <= 0 then invalid_arg "Checks.interval_bound: target must be positive";
-  let cost = Scavenger_pass.static_cost prog in
   let cfg = Cfg.build prog in
   (* Yield-free loops are only unbounded when no iteration bound can be
-     proven: re-derive the bounds here (never trusting the pass) and
-     charge bounded loops their (trips - 1) x body-cost budget. *)
-  let doms = Dominators.compute cfg in
-  let bounds = A.Loop_bounds.infer cfg doms (A.Value.block_envs cfg) in
-  let r =
-    A.Distance.yield_free_paths ~cost
-      ~trips:(fun ~header_pc -> A.Loop_bounds.trips_at bounds ~header_pc)
-      cfg
-  in
+     proven: the analysis derives the bounds on the program it is given
+     (never trusting the pass) and charges bounded loops their
+     (trips - 1) x body-cost budget. *)
+  let r = A.Distance.yield_free_paths ~cost:(A.Scavenger_pass.static_cost prog) cfg in
   let diags = ref [] in
   List.iter
     (fun (l : Dominators.loop) ->
@@ -260,13 +254,12 @@ let interval_bound ~target prog =
         "irreducible yield-free cycle: inter-yield interval is unbounded"
       :: !diags;
   if r.A.Distance.unproven = [] && r.A.Distance.converged then begin
-    let bound = Scavenger_pass.bound ~target in
+    let bound = A.Scavenger_pass.bound ~target in
     if r.A.Distance.worst > float_of_int bound +. 1e-9 then begin
       let budget_note =
         match r.A.Distance.budgeted with
-        | [] -> ""
-        | bs ->
-            Printf.sprintf " (includes %d proven loop budget(s))" (List.length bs)
+        | 0 -> ""
+        | n -> Printf.sprintf " (includes %d proven loop budget(s))" n
       in
       diags :=
         D.error D.Interval ~pc:r.A.Distance.worst_pc ~witness:r.A.Distance.witness
@@ -371,45 +364,20 @@ let sfi_completeness ?(guard_loads = true) ?(guard_stores = true) prog =
 (* --- Cooperative-atomicity lint --- *)
 
 let atomicity prog =
-  let cfg = Cfg.build prog in
-  let diags = ref [] in
-  for id = 0 to Cfg.block_count cfg - 1 do
-    let b = Cfg.block cfg id in
-    (* key -> (opening load pc, yields seen inside the window so far) *)
-    let windows : (int * int, int * int list) Hashtbl.t = Hashtbl.create 4 in
-    let kill_defs i =
-      let defs = Instr.defs i in
-      if defs <> 0 then
-        Hashtbl.iter
-          (fun (rs, d) _ ->
-            if defs land (1 lsl rs) <> 0 then Hashtbl.remove windows (rs, d))
-          (Hashtbl.copy windows)
-    in
-    for pc = b.Cfg.first to b.Cfg.last do
-      let i = Program.instr prog pc in
-      match i with
-      | Instr.Load (_, rs, disp) ->
-          kill_defs i;
-          Hashtbl.replace windows (rs, disp) (pc, [])
-      | Instr.Store (rs, disp, _) -> (
-          match Hashtbl.find_opt windows (rs, disp) with
-          | Some (start, yields) ->
-              List.iter
-                (fun ypc ->
-                  diags :=
-                    D.warning D.Atomicity ~pc:ypc ~witness:[ start; pc ]
-                      (Printf.sprintf
-                         "yield between load (pc %d) and dependent store (pc %d) to %s"
-                         start pc (addr_str rs disp))
-                    :: !diags)
-                (List.rev yields);
-              Hashtbl.remove windows (rs, disp)
-          | None -> ())
-      | Instr.Yield _ | Instr.Yield_cond _ ->
-          Hashtbl.iter
-            (fun k (start, yields) -> Hashtbl.replace windows k (start, pc :: yields))
-            (Hashtbl.copy windows)
-      | _ -> kill_defs i
-    done
-  done;
-  List.rev !diags
+  List.concat_map
+    (fun (load, store) ->
+      match Program.instr prog store with
+      | Instr.Store (rs, disp, _) ->
+          List.filter_map
+            (fun pc ->
+              match Program.instr prog pc with
+              | Instr.Yield _ | Instr.Yield_cond _ ->
+                  Some
+                    (D.warning D.Atomicity ~pc ~witness:[ load; store ]
+                       (Printf.sprintf
+                          "yield between load (pc %d) and dependent store (pc %d) to %s" load
+                          store (addr_str rs disp)))
+              | _ -> None)
+            (List.init (store - load - 1) (fun k -> load + 1 + k))
+      | _ -> [])
+    (A.Scavenger_pass.windows (Cfg.build prog))

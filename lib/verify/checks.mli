@@ -50,16 +50,17 @@ val prefetch_pairing :
   Program.t ->
   Diagnostic.t list
 
-(** Longest yield-free path check for scavenger output: every cycle of
-    the CFG must either contain a yield or carry a {i proven} iteration
-    bound (re-derived here via {!Stallhide_analysis.Loop_bounds}, never
-    trusted from the pass), in which case the loop is charged a budget
-    of (trips - 1) x body cost; a yield-free cycle with no proven bound
-    is an error with the loop body as witness. The maximum-cost
-    yield-free path, budgets included and priced with
-    {!Stallhide_binopt.Scavenger_pass.static_cost}, must not exceed
-    {!Stallhide_binopt.Scavenger_pass.bound}. The witness
-    of a too-long path is the chain of block-entry pcs ending at the
+(** Longest yield-free path check for scavenger output, by
+    {!Stallhide_analysis.Distance.yield_free_paths}, the analysis the
+    pass plans with: every cycle of the CFG must either contain a yield
+    or carry a {i proven} iteration bound (derived on the checked
+    program, never trusted from the pass), in which case the loop is
+    charged a budget of (trips - 1) x body cost; a yield-free cycle with
+    no proven bound, or an irreducible one, is an error. The
+    maximum-cost yield-free path, budgets included and priced with
+    {!Stallhide_analysis.Scavenger_pass.static_cost}, must not exceed
+    {!Stallhide_analysis.Scavenger_pass.bound}. The witness of a
+    too-long path is the chain of block-entry pcs ending at the
     instruction where the bound is exceeded. *)
 val interval_bound : target:int -> Program.t -> Diagnostic.t list
 
@@ -73,9 +74,11 @@ val interval_bound : target:int -> Program.t -> Diagnostic.t list
 val sfi_completeness :
   ?guard_loads:bool -> ?guard_stores:bool -> Program.t -> Diagnostic.t list
 
-(** Cooperative-atomicity lint: a yield strictly between a [Load] of
-    [rs + d] and a later [Store] to the same [rs + d] (base not
-    redefined in between, same basic block) lets another lane observe
-    or clobber the half-done read-modify-write — the store-mutating
-    BFS/group-by hazard. Reported as warnings. *)
+(** Cooperative-atomicity lint: a yield strictly inside a
+    read-modify-write window ({!Stallhide_analysis.Scavenger_pass.windows},
+    the rule the pass plans around: a [Load] of [rs + d] and the next
+    [Store] to the same [rs + d] in its basic block, base not redefined
+    in between) lets another lane observe or clobber the half-done
+    read-modify-write — the store-mutating BFS/group-by hazard.
+    Reported as warnings. *)
 val atomicity : Program.t -> Diagnostic.t list

@@ -42,7 +42,7 @@ exception Rejected of outcome
     [orig] through the rewriter's pc map [orig_of_new], [new pc ->
     original pc]), liveness, pairing (findings at inserted pcs are
     errors), atomicity, plus the interval-bound check against
-    {!Stallhide_binopt.Scavenger_pass.bound} of [target_interval] and
+    {!Stallhide_analysis.Scavenger_pass.bound} of [target_interval] and
     the guard-completeness check when [expect_sfi] (default [false]).
     Diagnostics are also counted in [registry] when given (counters
     [verify.programs], [verify.checks],

@@ -215,16 +215,18 @@ let pick_site cfg prepared =
 
 (* ---- causal attribution ------------------------------------------- *)
 
-let seeds_of cfg = List.init (max 1 cfg.repeats) (fun i -> cfg.seed + i)
+let seeds_of cfg =
+  if cfg.repeats < 1 then
+    invalid_arg (Printf.sprintf "Why: repeats must be at least 1 (got %d)" cfg.repeats);
+  List.init cfg.repeats (fun i -> cfg.seed + i)
 
 let analyze cfg =
-  let cfg = { cfg with repeats = max 1 cfg.repeats } in
+  let seeds = seeds_of cfg in
   let prepared = prepare cfg in
   let injected_site =
     match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
   in
   let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
-  let seeds = seeds_of cfg in
   let base seed =
     run_single cfg prepared ~seed ~zero_level:None ~zero_site:None ~inject_site:inject_pcs ()
   in
@@ -382,12 +384,12 @@ let smp_sweep cfg =
   Sweep.run ~seeds ~base ~knobs
 
 let single_sweep cfg =
+  let seeds = seeds_of cfg in
   let prepared = prepare cfg in
   let injected_site =
     match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
   in
   let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
-  let seeds = seeds_of cfg in
   let run ?memcfg ?lanes seed =
     run_single cfg prepared ?memcfg ?lanes ~seed ~zero_level:None ~zero_site:None
       ~inject_site:inject_pcs ()
@@ -432,7 +434,6 @@ let single_sweep cfg =
   Sweep.run ~seeds ~base:(fun seed -> run seed) ~knobs
 
 let sweep cfg =
-  let cfg = { cfg with repeats = max 1 cfg.repeats } in
   match (cfg.workload, cfg.injection) with
   (* site injection needs the single-core instrumentation's pc map;
      the SMP harness instruments its own program *)

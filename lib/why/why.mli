@@ -47,7 +47,7 @@ type config = {
   lanes : int;
   ops : int;  (** per-lane operations / requests *)
   seed : int;  (** first seed; repeats use [seed, seed+1, ...] *)
-  repeats : int;
+  repeats : int;  (** at least 1: {!analyze} and {!sweep} raise [Invalid_argument] below *)
   metric : Sweep.metric;
   injection : injection option;
 }

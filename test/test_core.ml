@@ -461,7 +461,7 @@ let test_placements_pinned () =
         inst.Pipeline.primary.Primary_pass.yield_sites;
       Alcotest.(check int) (label ^ ": scavenger insertions") scav_inserted
         (match inst.Pipeline.scavenger with
-        | Some r -> r.Stallhide_binopt.Scavenger_pass.inserted
+        | Some r -> r.Stallhide_analysis.Scavenger_pass.inserted
         | None -> -1))
     pinned_placements;
   (* the serving harness places both twins the same way, verifier-clean *)

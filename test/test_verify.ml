@@ -1,5 +1,6 @@
 open Stallhide_isa
 open Stallhide_binopt
+module Scavenger_pass = Stallhide_analysis.Scavenger_pass
 open Stallhide_verify
 module D = Diagnostic
 
@@ -216,6 +217,36 @@ let test_interval_rejects_long_path () =
   (* the witness traces a path: non-empty, ending at the worst pc *)
   let d = List.find (fun d -> d.D.check = D.Interval) diags in
   Alcotest.(check bool) "witness path present" true (d.D.witness <> [])
+
+(* A cycle entered at two blocks has no natural loop, so no back edge
+   can be cut: the verifier reports it, and the pass's fixpoint must
+   converge by planning a yield in it. *)
+let irreducible_src =
+  {|
+  br eq r1, 0, b
+a:
+  add r2, r2, 1
+  add r2, r2, 1
+b:
+  add r3, r3, 1
+  br ne r4, 0, a
+  halt
+|}
+
+let test_interval_irreducible_cycle () =
+  let orig = Asm.parse irreducible_src in
+  Alcotest.(check bool) "irreducible cycle reported" true
+    (List.exists
+       (fun d ->
+         d.D.severity = D.Error
+         && d.D.message = "irreducible yield-free cycle: inter-yield interval is unbounded")
+       (Checks.interval_bound ~target:10 orig));
+  let opts = { Scavenger_pass.default_opts with Scavenger_pass.target_interval = 10 } in
+  let p', map, _ = Scavenger_pass.run opts orig in
+  let o = Verify.validate ~orig ~orig_of_new:map ~target_interval:10 p' in
+  Alcotest.(check (list string)) "verifier accepts the rewrite" []
+    (List.map (Format.asprintf "%a" D.pp) o.Verify.diags);
+  Alcotest.(check int) "one yield" 1 (Program.yield_count p')
 
 let test_interval_bad_target () =
   match Checks.interval_bound ~target:0 (straight_loop 5) with
@@ -694,6 +725,7 @@ let () =
           Alcotest.test_case "rejects yield-free loop" `Quick
             test_interval_rejects_yield_free_loop;
           Alcotest.test_case "rejects long path" `Quick test_interval_rejects_long_path;
+          Alcotest.test_case "irreducible cycle" `Quick test_interval_irreducible_cycle;
           Alcotest.test_case "bad target" `Quick test_interval_bad_target;
           Alcotest.test_case "bound is twice the target" `Quick
             test_interval_bound_is_twice_target;

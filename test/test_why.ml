@@ -93,6 +93,15 @@ let test_critical_kv_only () =
       Alcotest.(check bool) "tail is a subset" true
         (c.Why.tail.n <= t.n && c.Why.tail.latency <= t.latency)
 
+(* fewer than one repeat is an error, not a silent single run *)
+let test_repeats_below_one () =
+  List.iter
+    (fun (name, f) ->
+      match f { (cfg ()) with Why.repeats = 0 } with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s accepted 0 repeats" name)
+    [ ("analyze", fun c -> ignore (Why.analyze c)); ("sweep", fun c -> ignore (Why.sweep c)) ]
+
 let () =
   Alcotest.run "why"
     [
@@ -103,7 +112,10 @@ let () =
           Alcotest.test_case "site injection recovered" `Quick test_recovers_site_injection;
         ] );
       ( "analysis",
-        [ Alcotest.test_case "deterministic" `Quick test_analysis_deterministic ] );
+        [
+          Alcotest.test_case "deterministic" `Quick test_analysis_deterministic;
+          Alcotest.test_case "repeats below one" `Quick test_repeats_below_one;
+        ] );
       ("sweep", [ Alcotest.test_case "knobs + ranking" `Quick test_sweep_shape ]);
       ("critical", [ Alcotest.test_case "kv decomposition" `Quick test_critical_kv_only ]);
     ]
