@@ -16,7 +16,9 @@ let bound ~target = 2 * target
    read-modify-write. A window opens at a load and closes at the next
    store to the same base register and displacement in its block; any
    instruction that redefines the base, a load included, drops it. A
-   yield does not close a window: it splits it. *)
+   load that overwrites its own base ([load r1, [r1+8]]) opens none: a
+   later store through that register writes another word. A yield does
+   not close a window: it splits it. *)
 let windows cfg =
   let prog = Cfg.program cfg in
   let found = ref [] in
@@ -31,7 +33,7 @@ let windows cfg =
           (fun (rs, _) start -> if defs land (1 lsl rs) <> 0 then None else Some start)
           open_at;
       match i with
-      | Instr.Load (_, rs, disp) -> Hashtbl.replace open_at (rs, disp) pc
+      | Instr.Load (rd, rs, disp) when rd <> rs -> Hashtbl.replace open_at (rs, disp) pc
       | Instr.Store (rs, disp, _) -> (
           match Hashtbl.find_opt open_at (rs, disp) with
           | Some start ->

@@ -48,10 +48,10 @@ val static_cost : Program.t -> int -> float
 val bound : target:int -> int
 
 (** The read-modify-write windows of a program, as (load pc, store pc)
-    pairs in store order. A window opens at a load and closes at the
-    next store to the same base register and displacement in the
-    block; an instruction that redefines the base drops it, and a yield
-    does not close it. The pass inserts no yield strictly inside one,
+    pairs in store order. A window opens at a load whose destination is
+    not its base and closes at the next store to the same base register
+    and displacement in the block; an instruction that redefines the
+    base drops it, and a yield does not close it. The pass inserts no yield strictly inside one,
     and {!Stallhide_verify.Checks.atomicity} warns on a yield there. *)
 val windows : Stallhide_binopt.Cfg.t -> (int * int) list
 

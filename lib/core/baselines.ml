@@ -20,25 +20,26 @@ let default_opts =
     obs = None;
   }
 
-let op_counter () =
-  let ops = ref 0 in
-  (ops, { Events.nop with Events.on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr ops) })
-
-(* Op counter + latency recorder (+ telemetry when requested) composed
-   onto the caller's hooks. The first two watch only opmarks, so an arm
-   without [obs] or caller hooks keeps the decoded-µop loop. *)
+(* The latency recorder, which also counts ops (+ telemetry when
+   requested), composed onto the caller's hooks. The recorder watches
+   only opmarks, so an arm without [obs] or caller hooks keeps the
+   decoded-µop loop, and [compose] calls the recorder directly. *)
 let instrumented_engine opts =
-  let ops, count_ops = op_counter () in
   let recorder = Latency.recorder () in
   let hooks =
     Events.compose
-      ([ opts.engine.Engine.hooks; count_ops; Latency.hooks recorder ]
+      ([ opts.engine.Engine.hooks; Latency.hooks recorder ]
       @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
   in
-  (ops, recorder, { opts.engine with Engine.hooks = hooks })
+  (recorder, { opts.engine with Engine.hooks = hooks })
+
+let of_recorder ~label recorder r =
+  Metrics.of_sched ~label ~ops:(Latency.ops recorder)
+    ~latency:(Latency.summarize_recorder recorder)
+    r
 
 let run_sequential ?label ?(opts = default_opts) w =
-  let ops, recorder, engine = instrumented_engine opts in
+  let recorder, engine = instrumented_engine opts in
   let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
   let r =
@@ -46,9 +47,7 @@ let run_sequential ?label ?(opts = default_opts) w =
       w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/none" in
-  Metrics.of_sched ~label ~ops:!ops
-    ~latency:(Latency.summarize (Latency.all recorder))
-    r
+  of_recorder ~label recorder r
 
 let run_ooo ?label ?(opts = default_opts) ~window w =
   let opts = { opts with engine = { opts.engine with Engine.ooo_window = window } } in
@@ -56,24 +55,21 @@ let run_ooo ?label ?(opts = default_opts) ~window w =
   run_sequential ~label ~opts w
 
 let run_smt ?label ?(opts = default_opts) w =
-  let ops, count_ops = op_counter () in
-  let hooks =
-    Events.compose
-      ([ opts.engine.Engine.hooks; count_ops ]
-      @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
-  in
+  let recorder, engine = instrumented_engine opts in
   let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
-  let r = Smt.run ~hooks hier w.Workload.image ctxs ~max_cycles:opts.max_cycles in
+  let r =
+    Smt.run ~hooks:engine.Engine.hooks hier w.Workload.image ctxs ~max_cycles:opts.max_cycles
+  in
   let label =
     match label with
     | Some l -> l
     | None -> Printf.sprintf "%s/smt-%d" w.Workload.name (Workload.lane_count w)
   in
-  Metrics.of_smt ~label ~ops:!ops r
+  Metrics.of_smt ~label ~ops:(Latency.ops recorder) r
 
 let run_round_robin ?label ?(opts = default_opts) w =
-  let ops, recorder, engine = instrumented_engine opts in
+  let recorder, engine = instrumented_engine opts in
   let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
   let r =
@@ -81,9 +77,7 @@ let run_round_robin ?label ?(opts = default_opts) w =
       ~switch:opts.switch hier w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/rr" in
-  Metrics.of_sched ~label ~ops:!ops
-    ~latency:(Latency.summarize (Latency.all recorder))
-    r
+  of_recorder ~label recorder r
 
 let run_pgo ?label ?opts ?(placement = Pipeline.Pgo) ?profile_config ?primary
     ?scavenger_interval ?verify w =
@@ -148,7 +142,7 @@ type dual_result = {
 let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   if primary.Workload.image != scavengers.Workload.image then
     invalid_arg "Baselines.run_dual: primary and scavengers must share one memory image";
-  let ops, recorder, engine = instrumented_engine opts in
+  let recorder, engine = instrumented_engine opts in
   let hier = Hierarchy.create opts.mem_cfg in
   let p_ctx = Workload.context primary ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
@@ -167,10 +161,7 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
     | None -> Printf.sprintf "%s+%s/dual" primary.Workload.name scavengers.Workload.name
   in
   {
-    metrics =
-      Metrics.of_sched ~label ~ops:!ops
-        ~latency:(Latency.summarize (Latency.all recorder))
-        r.Dual_mode.sched;
-    primary_latency = Latency.summarize (Latency.of_ctx recorder 0);
+    metrics = of_recorder ~label recorder r.Dual_mode.sched;
+    primary_latency = Latency.summarize_recorder ~ctx:0 recorder;
     stats = r.Dual_mode.stats;
   }

@@ -1,10 +1,12 @@
 (** Runners for every mechanism compared in the paper.
 
     Each runner builds a fresh cache hierarchy from [mem_cfg], attaches
-    an op counter and a latency recorder, executes the workload, and
-    returns {!Metrics.t}. Both watch only opmarks, so unless [obs] or
-    the caller's engine hooks observe more, the run takes the
-    decoded-µop loop:
+    one {!Latency.hooks} observer, executes the workload, and returns
+    {!Metrics.t}: [ops] is the recorder's opmark count ({!Latency.ops})
+    and, except for {!run_smt}, [latency] its summary over every
+    context. The observer watches
+    only opmarks, so unless [obs] or the caller's engine hooks observe
+    more, the run takes the decoded-µop loop:
 
     - {!run_sequential} — no hiding at all ("none"): every stall paid.
     - {!run_ooo} — sequential with an out-of-order overlap window
@@ -36,12 +38,6 @@ type opts = {
 }
 
 val default_opts : opts
-
-(** [op_counter ()] is a count of retired [Opmark]s and the hooks that
-    keep it. Every other field is {!Events.nop}'s, so composing it onto
-    an engine keeps {!Engine.fast_engaged}. Every runner here counts
-    ops this way. *)
-val op_counter : unit -> int ref * Events.t
 
 val run_sequential : ?label:string -> ?opts:opts -> Workload.t -> Metrics.t
 

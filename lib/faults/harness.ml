@@ -227,7 +227,9 @@ let run_rogue ~opts ~workload ~count ~compute fault =
         (Hierarchy.create Memconfig.default)
         w.Workload.image ~primary ~scavengers:(Array.append legit rogues)
     in
-    let latency = Latency.summary (Latency.of_ctx recorder 0) in
+    let latency =
+      Option.value (Latency.summarize_recorder ~ctx:0 recorder) ~default:Latency.empty_summary
+    in
     (r, latency, primary)
   in
   (* the hidden-cycles reference: the stall the primary pays alone *)

@@ -1,38 +1,73 @@
 open Stallhide_cpu
 open Stallhide_util
 
-type recorder = { last : (int, int) Hashtbl.t; lats : (int, int Vec.t) Hashtbl.t }
+(* Per-context state in arrays indexed by context id, grown on demand:
+   [last] holds the cycle of the context's last opmark ([unarmed] until
+   its first), [lats] its latencies in an array that doubles, of which
+   the first [len] are recorded. Storage stays in proportion to what a
+   context records: an unarmed or once-seen context holds the shared
+   empty array. *)
+type recorder = {
+  mutable last : int array;
+  mutable len : int array;
+  mutable lats : int array array;
+  mutable ops : int;
+}
 
-let recorder () = { last = Hashtbl.create 16; lats = Hashtbl.create 16 }
+(* An opmark at cycle 0 is legal, so "not armed yet" needs a cycle no
+   clock reads. *)
+let unarmed = min_int
 
-(* The lookups below run at every opmark, often on the decoded-µop
-   loop: [find] with [exception Not_found] allocates nothing where
-   [find_opt] boxes a [Some]. A context enters [lats] at its second
-   opmark, with its first latency; that fixes the order [all] folds
-   in. *)
-let vec_of r ctx =
-  match Hashtbl.find r.lats ctx with
-  | v -> v
-  | exception Not_found ->
-      let v = Vec.create () in
-      Hashtbl.add r.lats ctx v;
-      v
+let recorder () = { last = [||]; len = [||]; lats = [||]; ops = 0 }
 
+let ops r = r.ops
+
+(* Make room for context [ctx]: at least double, so ids met in
+   ascending order cost amortized constant time. *)
+let fit r ctx =
+  if ctx < 0 then invalid_arg (Printf.sprintf "Latency.hooks: negative context id %d" ctx);
+  let n = Array.length r.last in
+  let size = max (ctx + 1) (max 16 (2 * n)) in
+  let grow a fill =
+    let b = Array.make size fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  r.last <- grow r.last unarmed;
+  r.len <- grow r.len 0;
+  r.lats <- grow r.lats [||]
+
+let push r ctx lat =
+  let n = r.len.(ctx) in
+  let a = r.lats.(ctx) in
+  let a =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 b 0 n;
+      r.lats.(ctx) <- b;
+      b
+    end
+  in
+  a.(n) <- lat;
+  r.len.(ctx) <- n + 1
+
+(* The one opmark observer every [Baselines] arm attaches: it counts the
+   opmark and, from a context's second opmark on, records the distance
+   from the previous one. It allocates only when an array grows. *)
 let hooks r =
   let on_opmark ~ctx ~pc:_ ~cycle =
-    match Hashtbl.find r.last ctx with
-    | prev ->
-        Vec.push (vec_of r ctx) (cycle - prev);
-        Hashtbl.replace r.last ctx cycle
-    | exception Not_found ->
-        (* first opmark arms the recorder: no defined start *)
-        Hashtbl.add r.last ctx cycle
+    if ctx >= Array.length r.last || ctx < 0 then fit r ctx;
+    r.ops <- r.ops + 1;
+    let prev = r.last.(ctx) in
+    r.last.(ctx) <- cycle;
+    (* the first opmark arms the recorder: no defined start *)
+    if prev <> unarmed then push r ctx (cycle - prev)
   in
   { Events.nop with on_opmark }
 
-let of_ctx r ctx = match Hashtbl.find_opt r.lats ctx with Some v -> Vec.to_list v | None -> []
-
-let all r = Hashtbl.fold (fun _ v acc -> Vec.to_list v @ acc) r.lats []
+let of_ctx r ctx =
+  if ctx >= Array.length r.len then [] else Array.to_list (Array.sub r.lats.(ctx) 0 r.len.(ctx))
 
 type summary = {
   count : int;
@@ -45,10 +80,50 @@ type summary = {
   max : int;
 }
 
-let sorted xs =
-  let a = Array.of_list xs in
-  Array.stable_sort Int.compare a;
-  a
+(* LSD radix sort of [a] in place, 8 bits per pass over [x - min], with
+   one scratch array. The offsets are read as unsigned 63-bit words
+   ([lsr] is logical), so a span wider than [max_int] (say [min_int]
+   and [max_int] together) still sorts; passes stop at the span's top
+   byte. *)
+let sort_ints a =
+  let n = Array.length a in
+  if n > 1 then begin
+    let lo = ref a.(0) and hi = ref a.(0) in
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    done;
+    let lo = !lo in
+    let span = !hi - lo in
+    let count = Array.make 256 0 in
+    let src = ref a and dst = ref (Array.make n 0) in
+    let shift = ref 0 in
+    while !shift < Sys.int_size && span lsr !shift <> 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 256 0;
+      for i = 0 to n - 1 do
+        let b = ((s.(i) - lo) lsr sh) land 0xff in
+        count.(b) <- count.(b) + 1
+      done;
+      let total = ref 0 in
+      for b = 0 to 255 do
+        let c = count.(b) in
+        count.(b) <- !total;
+        total := !total + c
+      done;
+      for i = 0 to n - 1 do
+        let x = s.(i) in
+        let b = ((x - lo) lsr sh) land 0xff in
+        d.(count.(b)) <- x;
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
 
 (* Linear interpolation between closest ranks (numpy's "linear" /
    "inclusive" method): rank = q*(n-1); interpolate between the samples
@@ -69,38 +144,63 @@ let percentile_sorted a q =
 let percentile xs q =
   match xs with
   | [] -> invalid_arg "Latency.percentile: empty"
-  | _ -> percentile_sorted (sorted xs) q
-
-(* One integer sort serves every order statistic. The [sq_dev] fold
-   stays over [xs] in its given order: float addition is not
-   associative, so folding in sorted order could move stddev in the
-   last bit. *)
-let summarize xs =
-  match xs with
-  | [] -> None
   | _ ->
-      let a = sorted xs in
-      let n = Array.length a in
-      let sum = List.fold_left ( + ) 0 xs in
-      let mean = float_of_int sum /. float_of_int n in
-      let sq_dev =
-        List.fold_left
-          (fun acc x ->
-            let d = float_of_int x -. mean in
-            acc +. (d *. d))
-          0.0 xs
-      in
-      Some
-        {
-          count = n;
-          mean;
-          stddev = sqrt (sq_dev /. float_of_int n);
-          p50 = percentile_sorted a 0.50;
-          p90 = percentile_sorted a 0.90;
-          p99 = percentile_sorted a 0.99;
-          p999 = percentile_sorted a 0.999;
-          max = a.(n - 1);
-        }
+      let a = Array.of_list xs in
+      sort_ints a;
+      percentile_sorted a q
+
+(* Every summary takes this path over an array it owns. The mean comes
+   from the integer sum and the [sq_dev] fold runs in the array's order
+   before the sort: float addition is not associative, so folding in
+   sorted order could move stddev in the last bit. One sort then serves
+   every order statistic. *)
+let summarize_array a =
+  let n = Array.length a in
+  if n = 0 then None
+  else begin
+    let sum = ref 0 in
+    for i = 0 to n - 1 do
+      sum := !sum + a.(i)
+    done;
+    let mean = float_of_int !sum /. float_of_int n in
+    let sq_dev = ref 0.0 in
+    for i = 0 to n - 1 do
+      let d = float_of_int a.(i) -. mean in
+      sq_dev := !sq_dev +. (d *. d)
+    done;
+    sort_ints a;
+    Some
+      {
+        count = n;
+        mean;
+        stddev = sqrt (!sq_dev /. float_of_int n);
+        p50 = percentile_sorted a 0.50;
+        p90 = percentile_sorted a 0.90;
+        p99 = percentile_sorted a 0.99;
+        p999 = percentile_sorted a 0.999;
+        max = a.(n - 1);
+      }
+  end
+
+let summarize xs = summarize_array (Array.of_list xs)
+
+(* One context's latencies oldest first, or every context's in
+   ascending id, copied into one array. *)
+let summarize_recorder ?ctx r =
+  let contexts = Array.length r.len in
+  match ctx with
+  | Some c when c < 0 ->
+      invalid_arg (Printf.sprintf "Latency.summarize_recorder: negative context id %d" c)
+  | Some c when c >= contexts -> None
+  | Some c -> summarize_array (Array.sub r.lats.(c) 0 r.len.(c))
+  | None ->
+      let a = Array.make (Array.fold_left ( + ) 0 r.len) 0 in
+      let at = ref 0 in
+      for c = 0 to contexts - 1 do
+        Array.blit r.lats.(c) 0 a !at r.len.(c);
+        at := !at + r.len.(c)
+      done;
+      summarize_array a
 
 let empty_summary =
   { count = 0; mean = 0.0; stddev = 0.0; p50 = 0; p90 = 0; p99 = 0; p999 = 0; max = 0 }

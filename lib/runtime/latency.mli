@@ -6,20 +6,32 @@
     recorder (a context's dispatch time is scheduler business the PMU
     cannot see). Latency includes time spent yielded away — which is
     precisely the latency impact §3.3's asymmetric concurrency is
-    designed to control. *)
+    designed to control.
+
+    A recorder keeps flat per-context arrays indexed by context id and
+    grown on demand: the cycle of each context's last opmark, and its
+    latencies in an [int array] that doubles from small, so a context's
+    storage stays in proportion to what it records. Context ids must
+    be non-negative, and should be small (lane numbers and the like):
+    the per-context arrays span every id up to the largest seen. *)
 
 type recorder
 
 val recorder : unit -> recorder
 
-(** Hooks to compose into the engine configuration. *)
+(** The recorder's one observer, to compose into the engine
+    configuration: it counts every opmark and records each context's
+    latencies. Only [on_opmark] differs from {!Events.nop}, so an engine
+    with just this observer keeps the decoded-µop loop.
+    @raise Invalid_argument at an opmark with a negative context id. *)
 val hooks : recorder -> Stallhide_cpu.Events.t
 
-(** Latencies recorded for context [ctx], oldest first. *)
-val of_ctx : recorder -> int -> int list
+(** Every opmark the hooks saw, each context's arming one included. *)
+val ops : recorder -> int
 
-(** All latencies across contexts. *)
-val all : recorder -> int list
+(** Latencies recorded for context [ctx], oldest first.
+    Exported for [test_runtime] only. *)
+val of_ctx : recorder -> int -> int list
 
 type summary = {
   count : int;
@@ -32,7 +44,20 @@ type summary = {
   max : int;
 }
 
+(** [summarize xs] is [None] on an empty list. Every summary, this
+    one's and {!summarize_recorder}'s, copies its samples into one
+    [int array], folds mean and stddev over it, then sorts it in place
+    with a monomorphic radix sort for the order statistics. The mean
+    comes from the integer sum; stddev folds the samples in the list's
+    own order. *)
 val summarize : int list -> summary option
+
+(** [summarize_recorder ?ctx r] summarizes context [ctx]'s latencies,
+    or every context's when [ctx] is omitted; [None] when there are
+    none. Stddev folds one context oldest first, and all of them in
+    ascending context id, each oldest first.
+    @raise Invalid_argument on a negative [ctx]. *)
+val summarize_recorder : ?ctx:int -> recorder -> summary option
 
 (** All-zero summary: what an empty sample set summarizes to. *)
 val empty_summary : summary
@@ -43,6 +68,11 @@ val empty_summary : summary
     every request shed under overload — so consumers must not have to
     guard the empty case themselves. *)
 val summary : int list -> summary
+
+(** [sort_ints a] sorts [a] ascending in place: an LSD radix sort, 8
+    bits per pass over [x - min a], for any span (offsets are read as
+    unsigned words). Exported for [test_runtime] only. *)
+val sort_ints : int array -> unit
 
 (** [percentile xs q] with [q] in [0,1]; [xs] need not be sorted.
     Linear interpolation between closest ranks (numpy's "linear"

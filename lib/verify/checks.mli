@@ -76,9 +76,9 @@ val sfi_completeness :
 
 (** Cooperative-atomicity lint: a yield strictly inside a
     read-modify-write window ({!Stallhide_analysis.Scavenger_pass.windows},
-    the rule the pass plans around: a [Load] of [rs + d] and the next
-    [Store] to the same [rs + d] in its basic block, base not redefined
-    in between) lets another lane observe or clobber the half-done
+    the rule the pass plans around: a [Load] of [rs + d] into a register
+    other than [rs] and the next [Store] to the same [rs + d] in its
+    basic block, base not redefined in between) lets another lane observe or clobber the half-done
     read-modify-write — the store-mutating BFS/group-by hazard.
     Reported as warnings. *)
 val atomicity : Program.t -> Diagnostic.t list

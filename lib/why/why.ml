@@ -184,7 +184,8 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_lev
     Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image
       (Workload.contexts wl)
   in
-  sample_of_summary (Latency.summary (Latency.all recorder))
+  sample_of_summary
+    (Option.value (Latency.summarize_recorder recorder) ~default:Latency.empty_summary)
 
 (* The "dominant" yield site for ground-truth injection: the selected
    site whose covered loads execute the most in a clean baseline run

@@ -175,7 +175,7 @@ let test_dual_latency_vs_symmetric () =
       ~switch:Stallhide_runtime.Switch_cost.coroutine (Hierarchy.create Memconfig.default) im2
       (Array.append [| kv_ctx |] sc_ctxs)
   in
-  let sym_lat = Stallhide_runtime.Latency.summarize (Stallhide_runtime.Latency.of_ctx recorder 0) in
+  let sym_lat = Stallhide_runtime.Latency.summarize_recorder ~ctx:0 recorder in
   match (dual.Baselines.primary_latency, sym_lat) with
   | Some d, Some s ->
       Alcotest.(check bool)
@@ -338,6 +338,23 @@ let test_metrics_row_shape () =
   Alcotest.(check int) "row arity matches header"
     (List.length Experiment.metrics_header)
     (List.length (Experiment.metrics_row m))
+
+(* A [Baselines] arm's op count and latencies come from one observer:
+   every opmark counts, and each lane's first only arms its context,
+   so a 16-lane [none] arm records 16 fewer latencies than ops. *)
+let test_ops_and_latencies_agree () =
+  List.iter
+    (fun name ->
+      let w = Stallhide_why.Why.make_workload name ~lanes:16 ~ops:20 ~manual:false ~seed:1 in
+      let m = Baselines.run_sequential w in
+      match m.Metrics.latency with
+      | None -> Alcotest.failf "%s: no latencies" name
+      | Some l ->
+          Alcotest.(check int)
+            (name ^ ": ops - latencies")
+            16
+            (m.Metrics.ops - l.Stallhide_runtime.Latency.count))
+    Stallhide_why.Why.workload_names
 
 (* --- pinned profiles ---
 
@@ -530,6 +547,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "math" `Quick test_metrics_math;
+          Alcotest.test_case "ops and latencies from one observer" `Quick
+            test_ops_and_latencies_agree;
           Alcotest.test_case "formatting" `Quick test_experiment_formatting;
           Alcotest.test_case "row shape" `Quick test_metrics_row_shape;
         ] );

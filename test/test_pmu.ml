@@ -52,26 +52,29 @@ let run_with hooks ~hops =
 
 (* The fixed counters a PMU exposes, read from what the simulator
    already keeps: the context (instructions, stall cycles), the
-   hierarchy's demand counters (loads by serving level), an opmark
-   counter (ops) and a branch observer. *)
+   hierarchy's demand counters (loads by serving level), a latency
+   recorder's opmark count (ops) and a branch observer. *)
 let test_counters () =
   let hops = 500 in
   let _, mem, ctx = build_chase ~hops in
   let hier = Hierarchy.create cfg in
-  let ops, count_ops = Stallhide.Baselines.op_counter () in
+  let module Latency = Stallhide_runtime.Latency in
+  let recorder = Latency.recorder () in
   let branches = ref 0 and taken_branches = ref 0 in
   let on_branch ~ctx:_ ~pc:_ ~target:_ ~taken ~cycle:_ =
     incr branches;
     if taken then incr taken_branches
   in
-  let hooks = Events.compose [ count_ops; { Events.nop with Events.on_branch } ] in
+  let hooks =
+    Events.compose [ Latency.hooks recorder; { Events.nop with Events.on_branch } ]
+  in
   (match Engine.run { Engine.default_config with Engine.hooks } hier mem ~clock:(ref 0) ctx with
   | Engine.Halted -> ()
   | s -> Alcotest.fail (Format.asprintf "unexpected stop %a" Engine.pp_stop s));
   let m = Hierarchy.stats hier in
   Alcotest.(check int) "instructions" ((hops * 5) + 1) ctx.Context.instructions;
   Alcotest.(check int) "loads" (hops * 2) m.Mem_stats.demand_accesses;
-  Alcotest.(check int) "ops" hops !ops;
+  Alcotest.(check int) "ops" hops (Latency.ops recorder);
   Alcotest.(check int) "branches" hops !branches;
   Alcotest.(check int) "taken branches" (hops - 1) !taken_branches;
   (* hop loads miss (4096 nodes >> L1+L2), warm load hits after first touch *)

@@ -95,7 +95,113 @@ let test_recorder_skips_first () =
   h.Events.on_opmark ~ctx:3 ~pc:0 ~cycle:175;
   Alcotest.(check (list int)) "gaps only" [ 50; 25 ] (Latency.of_ctx r 3);
   Alcotest.(check (list int)) "other ctx empty" [] (Latency.of_ctx r 4);
-  Alcotest.(check int) "all" 2 (List.length (Latency.all r))
+  Alcotest.(check int) "ops" 3 (Latency.ops r);
+  Alcotest.(check (option int)) "all" (Some 2)
+    (Option.map (fun s -> s.Latency.count) (Latency.summarize_recorder r))
+
+let test_recorder_negative_ctx () =
+  let r = Latency.recorder () in
+  let h = Latency.hooks r in
+  h.Events.on_opmark ~ctx:0 ~pc:0 ~cycle:0;
+  (match h.Events.on_opmark ~ctx:(-1) ~pc:0 ~cycle:10 with
+  | () -> Alcotest.fail "negative context id recorded"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "not counted" 1 (Latency.ops r);
+  match Latency.summarize_recorder ~ctx:(-1) r with
+  | _ -> Alcotest.fail "negative context id summarized"
+  | exception Invalid_argument _ -> ()
+
+(* The recorder before per-context arrays, kept as the model: one table
+   of each context's last opmark cycle and one of its latencies (newest
+   first), every opmark counted. [all] folds the table in bucket order,
+   as that recorder's summaries did. *)
+module Model = struct
+  type t = { last : (int, int) Hashtbl.t; lats : (int, int list) Hashtbl.t; mutable ops : int }
+
+  let create () = { last = Hashtbl.create 16; lats = Hashtbl.create 16; ops = 0 }
+
+  let opmark m ~ctx ~cycle =
+    m.ops <- m.ops + 1;
+    match Hashtbl.find_opt m.last ctx with
+    | Some prev ->
+        let old = Option.value (Hashtbl.find_opt m.lats ctx) ~default:[] in
+        Hashtbl.replace m.lats ctx ((cycle - prev) :: old);
+        Hashtbl.replace m.last ctx cycle
+    | None -> Hashtbl.add m.last ctx cycle
+
+  let of_ctx m ctx = List.rev (Option.value (Hashtbl.find_opt m.lats ctx) ~default:[])
+
+  let all m = Hashtbl.fold (fun _ v acc -> List.rev v @ acc) m.lats []
+
+  let ascending m =
+    let ids = List.sort compare (Hashtbl.fold (fun c _ acc -> c :: acc) m.lats []) in
+    List.concat_map (of_ctx m) ids
+end
+
+let model_ctxs = List.init 21 Fun.id @ [ 5000; 5001; 5002; 5003 ]
+
+(* Random opmark streams: context ids from {0..20} ∪ {5000..5003}, each
+   context's clock starting at 0 and never going back, so some opmarks
+   (first ones included) land on cycle 0 and some latencies are 0. *)
+let qcheck_recorder_matches_model =
+  QCheck.Test.make ~name:"recorder matches the hash-table model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (oneofl model_ctxs) (int_range 0 50)))
+    (fun stream ->
+      let r = Latency.recorder () and m = Model.create () in
+      let h = Latency.hooks r in
+      let clock = Hashtbl.create 32 in
+      List.iter
+        (fun (ctx, step) ->
+          let cycle = Option.value (Hashtbl.find_opt clock ctx) ~default:0 + step in
+          Hashtbl.replace clock ctx cycle;
+          h.Events.on_opmark ~ctx ~pc:0 ~cycle;
+          Model.opmark m ~ctx ~cycle)
+        stream;
+      let same_stats (a : Latency.summary) (b : Latency.summary) =
+        a.Latency.count = b.Latency.count
+        && Float.equal a.Latency.mean b.Latency.mean
+        && a.Latency.p50 = b.Latency.p50
+        && a.Latency.p90 = b.Latency.p90
+        && a.Latency.p99 = b.Latency.p99
+        && a.Latency.p999 = b.Latency.p999
+        && a.Latency.max = b.Latency.max
+      in
+      Latency.ops r = m.Model.ops
+      && List.for_all
+           (fun c ->
+             Latency.of_ctx r c = Model.of_ctx m c
+             && Latency.summarize_recorder ~ctx:c r = Latency.summarize (Model.of_ctx m c))
+           model_ctxs
+      &&
+      match
+        ( Latency.summarize_recorder r,
+          Latency.summarize (Model.all m),
+          Latency.summarize (Model.ascending m) )
+      with
+      | None, None, None -> true
+      | Some s, Some bucket, Some asc ->
+          same_stats s bucket && Float.equal s.Latency.stddev asc.Latency.stddev
+      | _ -> false)
+
+(* The radix sort against [List.sort compare]: small ranges force
+   duplicates, negatives are in range, and some arrays hold [min_int]
+   and [max_int] together, whose span overflows [max_int]. *)
+let qcheck_sort_ints =
+  let extremes =
+    QCheck.Gen.oneofl
+      [ []; [ min_int ]; [ max_int ]; [ min_int; max_int ]; [ max_int; 0; min_int; -1 ] ]
+  in
+  QCheck.Test.make ~name:"sort_ints agrees with List.sort compare" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list int)
+       QCheck.Gen.(
+         map2 ( @ ) extremes
+           (list_size (0 -- 300)
+              (oneof [ int_range (-20) 20; int_range (-100_000) 100_000; int; return 0 ]))))
+    (fun xs ->
+      let a = Array.of_list xs in
+      Latency.sort_ints a;
+      Array.to_list a = List.sort compare xs)
 
 (* --- Schedulers --- *)
 
@@ -316,7 +422,7 @@ let test_dual_mode_primary_latency_bounded () =
   let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
   let config = { Dual_mode.default_config with Dual_mode.engine } in
   let (_ : Dual_mode.result) = Dual_mode.run ~config (Hierarchy.create cfg) mem ~primary ~scavengers in
-  match Latency.summarize (Latency.of_ctx recorder 0) with
+  match Latency.summarize_recorder ~ctx:0 recorder with
   | None -> Alcotest.fail "no primary latencies"
   | Some s ->
       (* an op alone costs ~200+; scavenger detour adds bounded time *)
@@ -513,6 +619,9 @@ let () =
           Alcotest.test_case "summarize" `Quick test_summarize;
           QCheck_alcotest.to_alcotest qcheck_summarize_agrees;
           Alcotest.test_case "recorder" `Quick test_recorder_skips_first;
+          Alcotest.test_case "recorder rejects negative ids" `Quick test_recorder_negative_ctx;
+          QCheck_alcotest.to_alcotest qcheck_recorder_matches_model;
+          QCheck_alcotest.to_alcotest qcheck_sort_ints;
         ] );
       ( "scheduler",
         [

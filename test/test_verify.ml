@@ -506,7 +506,10 @@ let test_atomicity_clean_cases () =
   (* base redefined before the store: not the same address *)
   clean "load r4, [r3]\nadd r3, r3, 8\nyield\nstore [r3], r4\nhalt";
   (* different displacement: different word *)
-  clean "load r4, [r3]\nyield\nstore [r3+8], r4\nhalt"
+  clean "load r4, [r3]\nyield\nstore [r3+8], r4\nhalt";
+  (* the load overwrites its own base: the store writes another word *)
+  clean "load r1, [r1+8]\nyield\nstore [r1+8], r4\nhalt";
+  clean "load r1, [r1]\nyield\nstore [r1], r4\nhalt"
 
 let test_atomicity_clean_after_scavenger () =
   (* the scavenger pass defers yields past RMW windows; the lint must

@@ -13,8 +13,8 @@ type counts = { ops : int; mem : Mem_stats.t }
 (* Run all lanes sequentially; return the contexts, the counts and the
    scheduler's result. *)
 let run_workload (w : Workload.t) =
-  let ops, hooks = Stallhide.Baselines.op_counter () in
-  let engine = { Engine.default_config with Engine.hooks } in
+  let recorder = Latency.recorder () in
+  let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
   let hier = Hierarchy.create cfg in
   let ctxs = Workload.contexts w in
   let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
@@ -25,7 +25,7 @@ let run_workload (w : Workload.t) =
       | Context.Faulted m -> Alcotest.fail ("fault: " ^ m)
       | Context.Ready -> Alcotest.fail "did not finish")
     ctxs;
-  (ctxs, { ops = !ops; mem = Hierarchy.stats hier }, r)
+  (ctxs, { ops = Latency.ops recorder; mem = Hierarchy.stats hier }, r)
 
 let reg_init lane r =
   match List.assoc_opt r lane with Some v -> v | None -> 0
