@@ -332,7 +332,7 @@ let make_dual ~interval () =
 (* Symmetric round-robin over the same mixed contexts, for comparison. *)
 let run_symmetric { kv; scav } =
   let recorder = Latency.recorder () in
-  let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+  let engine = { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder } in
   let kv_ctx = Workload.context kv ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
     Array.init (Workload.lane_count scav) (fun l ->
@@ -610,7 +610,9 @@ let c13 () =
         let run_sfi (w : Workload.t) =
           let w = Workload.with_program w sfi_prog in
           let recorder = Latency.recorder () in
-          let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+          let engine =
+            { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder }
+          in
           let ctxs = sandboxed w (Workload.contexts w) in
           let r = Scheduler.run_sequential ~engine (Hierarchy.create Memconfig.default) w.Workload.image ctxs in
           Metrics.of_sched ~label:(name ^ "/sfi") ~ops:(Latency.ops recorder) r
@@ -619,7 +621,9 @@ let c13 () =
           let w = Workload.with_program w sfi_prog in
           let w', _ = Pipeline.place w in
           let recorder = Latency.recorder () in
-          let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+          let engine =
+            { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder }
+          in
           let ctxs = sandboxed w' (Workload.contexts w') in
           let r =
             Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine

@@ -571,12 +571,13 @@ let trace_cmd =
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let w', _ = Pipeline.place ?scavenger_interval:interval w in
-    (* one stream carries both the engine events (hooks) and the
+    (* one stream carries both the engine events (its probe) and the
        scheduler events (?obs); the ASCII chart is a view over it *)
     let stream = Obs.Stream.create () in
+    let probe = Stallhide_cpu.Probe.create () in
+    Obs.Stream.attach stream probe;
     let engine =
-      { Stallhide_cpu.Engine.default_config with
-        Stallhide_cpu.Engine.hooks = Obs.Stream.hooks stream }
+      { Stallhide_cpu.Engine.default_config with Stallhide_cpu.Engine.probe = Some probe }
     in
     let ctxs = Workload.contexts w' in
     let (_ : Stallhide_runtime.Scheduler.result) =
@@ -990,7 +991,7 @@ let smp_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:
-               "Trace the run (which selects the slower, hooked interpreter) and write a \
+               "Trace the run (every core's engine events through its probe) and write a \
                 Perfetto trace with one named track per core to $(docv).")
   in
   let term =

@@ -60,7 +60,7 @@ type flow = {
   cut : (int * int, unit) Hashtbl.t;
   budget : float array;
   dist_out : float array;
-  converged : bool;
+  moved : int list;  (* blocks whose outgoing distance moved in the last round *)
 }
 
 let in_dist flow (b : Cfg.block) =
@@ -79,7 +79,7 @@ let in_dist flow (b : Cfg.block) =
 let solve ~walk ~cut cfg =
   let nb = Cfg.block_count cfg in
   let flow =
-    { cut = Hashtbl.create 8; budget = Array.make nb 0.0; dist_out = Array.make nb 0.0; converged = false }
+    { cut = Hashtbl.create 8; budget = Array.make nb 0.0; dist_out = Array.make nb 0.0; moved = [] }
   in
   List.iter
     (fun ((l : Dominators.loop), b) ->
@@ -87,22 +87,22 @@ let solve ~walk ~cut cfg =
       flow.budget.(l.Dominators.header) <- flow.budget.(l.Dominators.header) +. b)
     cut;
   let max_iters = (2 * nb) + 8 in
-  let iters = ref 0 and changed = ref true in
-  while !changed && !iters < max_iters do
-    changed := false;
+  let iters = ref 0 and moved = ref [ -1 ] in
+  while !moved <> [] && !iters < max_iters do
+    moved := [];
     incr iters;
     for id = 0 to nb - 1 do
       let b = Cfg.block cfg id in
       let out = walk b (in_dist flow b) in
       if abs_float (out -. flow.dist_out.(id)) > 1e-9 then begin
         flow.dist_out.(id) <- out;
-        changed := true
+        moved := id :: !moved
       end
     done
   done;
-  { flow with converged = not !changed }
+  { flow with moved = List.rev !moved }
 
-let fixpoint ~walk ~cut cfg = (solve ~walk ~cut cfg).converged
+let fixpoint ~walk ~cut cfg = (solve ~walk ~cut cfg).moved
 
 type result = {
   converged : bool;
@@ -172,7 +172,7 @@ let yield_free_paths ~cost cfg =
   in
   let witness = chain !worst_block [ !worst_pc ] 0 in
   {
-    converged = flow.converged;
+    converged = flow.moved = [];
     worst = !worst;
     worst_pc = !worst_pc;
     witness;

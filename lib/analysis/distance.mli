@@ -40,11 +40,12 @@ val yield_free_loops : cost:(int -> float) -> Cfg.t -> (Dominators.loop * float 
     blocks until no outgoing distance moves. A block's incoming
     distance is the max over its predecessors' outgoing distances,
     skipping the back edge of every loop in [cut], plus the budget
-    [cut] charges the block as that loop's header. Returns [false] when
-    2 x blocks + 8 rounds end without convergence, which only an
-    irreducible yield-free cycle causes. *)
+    [cut] charges the block as that loop's header. Returns the blocks
+    whose outgoing distance still moved when 2 x blocks + 8 rounds
+    ended, ascending, which only an irreducible yield-free cycle
+    causes; [[]] when it converged. *)
 val fixpoint :
-  walk:(Cfg.block -> float -> float) -> cut:(Dominators.loop * float) list -> Cfg.t -> bool
+  walk:(Cfg.block -> float -> float) -> cut:(Dominators.loop * float) list -> Cfg.t -> int list
 
 type result = {
   converged : bool;

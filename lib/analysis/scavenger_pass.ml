@@ -65,25 +65,29 @@ let run opts prog =
         no_insert.(k) <- true
       done)
     (windows cfg);
+  (* Where a yield that must break a block's feedback goes: the
+     block's last pc outside a window, else its first pc (a cycle must
+     get a yield even inside a window). *)
+  let last_site id =
+    let b = Cfg.block cfg id in
+    let site = ref b.Cfg.first in
+    for pc = b.Cfg.first to b.Cfg.last do
+      if not no_insert.(pc) then site := pc
+    done;
+    !site
+  in
   (* A yield-free loop whose proven budget fits inside the target is
      budgeted: its back edge is cut and its header charged the budget.
      Every other yield-free loop gets a scavenger yield seeded up front
-     in its latch block, at the last pc outside a window, else at the
-     block's first pc (an unbounded loop must get a yield even inside a
-     window), which caps the loop's feedback the moment the fixpoint
-     starts. *)
+     in its latch block, which caps the loop's feedback the moment the
+     fixpoint starts. *)
   let cut =
     List.filter_map
       (fun ((l : Dominators.loop), budget) ->
         match budget with
         | Some budget when budget <= target -> Some (l, budget)
         | Some _ | None ->
-            let latch = Cfg.block cfg l.Dominators.back_edge_src in
-            let site = ref latch.Cfg.first in
-            for pc = latch.Cfg.first to latch.Cfg.last do
-              if not no_insert.(pc) then site := pc
-            done;
-            Hashtbl.replace planned !site ();
+            Hashtbl.replace planned (last_site l.Dominators.back_edge_src) ();
             None)
       (Distance.yield_free_loops ~cost cfg)
   in
@@ -121,11 +125,25 @@ let run opts prog =
     done;
     !d
   in
-  (* A planned yield ends the feedback through it, so an irreducible
-     cycle, which has no back edge to cut, converges by planning one
-     once its distance passes the target inside the round cap. The
-     pass adds no verdict of its own: the verifier judges the rewrite. *)
-  ignore (Distance.fixpoint ~walk:walk_block ~cut cfg : bool);
+  (* A planned yield ends the feedback through it. An irreducible
+     cycle has no back edge to cut: when its distance passes the target
+     inside the round cap, the walk plans a yield there; when the cap
+     ends the fixpoint first, every block whose distance still moved
+     gets a yield at its last site and the fixpoint runs again. The
+     pass adds no verdict of its own: the verifier judges the
+     rewrite. *)
+  let rec settle () =
+    let sites =
+      List.filter
+        (fun pc -> not (Hashtbl.mem planned pc))
+        (List.map last_site (Distance.fixpoint ~walk:walk_block ~cut cfg))
+    in
+    if sites <> [] then begin
+      List.iter (fun pc -> Hashtbl.replace planned pc ()) sites;
+      settle ()
+    end
+  in
+  settle ();
   let prog', map =
     Rewrite.insert_before prog (fun pc ->
         if Hashtbl.mem planned pc then [ Instr.Yield Instr.Scavenger ] else [])

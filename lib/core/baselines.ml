@@ -20,18 +20,19 @@ let default_opts =
     obs = None;
   }
 
-(* The latency recorder, which also counts ops (+ telemetry when
-   requested), composed onto the caller's hooks. The recorder watches
-   only opmarks, so an arm without [obs] or caller hooks keeps the
-   decoded-µop loop, and [compose] calls the recorder directly. *)
+(* A fresh probe feeding [stream]. *)
+let traced stream =
+  let p = Probe.create () in
+  Stallhide_obs.Stream.attach stream p;
+  Some p
+
+(* The latency recorder, which also counts ops, as the engine's opmark
+   observer, and the telemetry stream, when requested, on a probe of
+   its own. *)
 let instrumented_engine opts =
   let recorder = Latency.recorder () in
-  let hooks =
-    Events.compose
-      ([ opts.engine.Engine.hooks; Latency.hooks recorder ]
-      @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
-  in
-  (recorder, { opts.engine with Engine.hooks = hooks })
+  let probe = match opts.obs with Some s -> traced s | None -> opts.engine.Engine.probe in
+  (recorder, { opts.engine with Engine.on_opmark = Latency.on_opmark recorder; probe })
 
 let of_recorder ~label recorder r =
   Metrics.of_sched ~label ~ops:(Latency.ops recorder)
@@ -58,15 +59,15 @@ let run_smt ?label ?(opts = default_opts) w =
   let recorder, engine = instrumented_engine opts in
   let hier = Hierarchy.create opts.mem_cfg in
   let ctxs = Workload.contexts w in
-  let r =
-    Smt.run ~hooks:engine.Engine.hooks hier w.Workload.image ctxs ~max_cycles:opts.max_cycles
-  in
+  let r = Smt.run ~engine hier w.Workload.image ctxs ~max_cycles:opts.max_cycles in
   let label =
     match label with
     | Some l -> l
     | None -> Printf.sprintf "%s/smt-%d" w.Workload.name (Workload.lane_count w)
   in
-  Metrics.of_smt ~label ~ops:(Latency.ops recorder) r
+  Metrics.of_smt ~label ~ops:(Latency.ops recorder)
+    ~latency:(Latency.summarize_recorder recorder)
+    r
 
 let run_round_robin ?label ?(opts = default_opts) w =
   let recorder, engine = instrumented_engine opts in
@@ -105,16 +106,10 @@ let run_pgo_attributed ?label ?opts ?profile_config ?(primary = Stallhide_binopt
   let profiled = Pipeline.profile ?config:profile_config ~mem_cfg:o.mem_cfg w in
   let w', inst = Pipeline.instrument ~primary ?scavenger_interval ?verify profiled w in
   (* Baseline stall map: the uninstrumented workload run once more with
-     engine telemetry attached (the hooks do not touch the clock, so
+     engine telemetry attached (the probe does not touch the clock, so
      this is exactly the run_sequential baseline). *)
   let baseline = Stallhide_obs.Stream.create () in
-  let base_engine =
-    {
-      o.engine with
-      Engine.hooks =
-        Events.compose [ o.engine.Engine.hooks; Stallhide_obs.Stream.hooks baseline ];
-    }
-  in
+  let base_engine = { o.engine with Engine.probe = traced baseline } in
   let (_ : Scheduler.result) =
     Scheduler.run_sequential ~engine:base_engine ~max_cycles:o.max_cycles
       (Hierarchy.create o.mem_cfg) w.Workload.image (Workload.contexts w)

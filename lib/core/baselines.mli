@@ -1,12 +1,11 @@
 (** Runners for every mechanism compared in the paper.
 
-    Each runner builds a fresh cache hierarchy from [mem_cfg], attaches
-    one {!Latency.hooks} observer, executes the workload, and returns
+    Each runner builds a fresh cache hierarchy from [mem_cfg], sets one
+    {!Latency.on_opmark} recorder as the engine's opmark observer
+    (in place of any in [engine]), executes the workload, and returns
     {!Metrics.t}: [ops] is the recorder's opmark count ({!Latency.ops})
-    and, except for {!run_smt}, [latency] its summary over every
-    context. The observer watches
-    only opmarks, so unless [obs] or the caller's engine hooks observe
-    more, the run takes the decoded-µop loop:
+    and [latency] its summary over every context. [engine.fast] alone
+    picks the interpreter, traced or not:
 
     - {!run_sequential} — no hiding at all ("none"): every stall paid.
     - {!run_ooo} — sequential with an out-of-order overlap window
@@ -32,9 +31,10 @@ type opts = {
   engine : Engine.config;
   max_cycles : int;
   obs : Stallhide_obs.Stream.t option;
-      (** telemetry stream; when set, the engine hooks and the
-          scheduler feed it (cycle counts are unaffected — hooks never
-          touch the clock) *)
+      (** telemetry stream; when set, a fresh probe attached to it
+          takes the engine's probe, and the scheduler feeds it too
+          (cycle counts are unaffected — observers never touch the
+          clock) *)
 }
 
 val default_opts : opts

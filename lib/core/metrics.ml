@@ -32,7 +32,7 @@ let of_sched ~label ~ops ?(latency = None) (r : Scheduler.result) =
     latency;
   }
 
-let of_smt ~label ~ops (r : Stallhide_cpu.Smt.result) =
+let of_smt ~label ~ops ~latency (r : Stallhide_cpu.Smt.result) =
   {
     label;
     cycles = r.Stallhide_cpu.Smt.cycles;
@@ -46,7 +46,7 @@ let of_smt ~label ~ops (r : Stallhide_cpu.Smt.result) =
       (if r.Stallhide_cpu.Smt.cycles = 0 then 1.0
        else float_of_int r.Stallhide_cpu.Smt.busy /. float_of_int r.Stallhide_cpu.Smt.cycles);
     throughput = throughput_of ~ops ~cycles:r.Stallhide_cpu.Smt.cycles;
-    latency = None;
+    latency;
   }
 
 let speedup a b = if a.cycles = 0 then infinity else float_of_int b.cycles /. float_of_int a.cycles

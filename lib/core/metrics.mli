@@ -24,7 +24,8 @@ type t = {
 val of_sched :
   label:string -> ops:int -> ?latency:Latency.summary option -> Scheduler.result -> t
 
-val of_smt : label:string -> ops:int -> Stallhide_cpu.Smt.result -> t
+val of_smt :
+  label:string -> ops:int -> latency:Latency.summary option -> Stallhide_cpu.Smt.result -> t
 
 (** Speedup of [a] over [b] in completed cycles (b.cycles / a.cycles). *)
 val speedup : t -> t -> float

@@ -45,10 +45,10 @@ type profiled = {
 
 (** Profiling run: all lanes sequentially, uninstrumented, PMU attached.
     The PEBS units and the LBR are fed from a {!Stallhide_cpu.Probe} on
-    the decoded-µop loop, not from per-instruction hooks: the samples,
-    snapshots and simulated cycles are exactly those the hooked
-    reference interpreter gives (a differential test holds them
-    equal), at a fraction of the host cost. *)
+    the decoded-µop loop: the samples, snapshots and simulated cycles
+    are exactly those a probe on the reference interpreter gives (a
+    differential test holds them equal), at a fraction of the host
+    cost. *)
 val profile : ?config:profile_config -> ?mem_cfg:Memconfig.t -> Workload.t -> profiled
 
 (** Full-trace per-load statistics [pc -> (executions, misses, stall

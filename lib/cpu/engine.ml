@@ -4,7 +4,7 @@ open Stallhide_mem
 let cond_check_cost = 1
 
 type config = {
-  hooks : Events.t;
+  on_opmark : ctx:int -> pc:int -> cycle:int -> unit;
   ooo_window : int;
   stall_shape : int array;
   fast : bool;
@@ -12,7 +12,13 @@ type config = {
 }
 
 let default_config =
-  { hooks = Events.nop; ooo_window = 0; stall_shape = [||]; fast = true; probe = None }
+  {
+    on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> ());
+    ooo_window = 0;
+    stall_shape = [||];
+    fast = true;
+    probe = None;
+  }
 
 (* The raw stall at [pc] plus its shape delta, clamped at 0; a delta of
    [-max_int] cannot overflow a non-negative stall. *)
@@ -81,18 +87,39 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
     let i = Program.instr program pc in
     ctx.instructions <- ctx.instructions + 1;
     let id = ctx.id in
+    let probe = cfg.probe in
     (* front-end: instruction fetch may stall on an icache miss *)
     let fstall = Hierarchy.fetch hier ~now:!clock pc in
     if fstall > 0 then begin
       clock := !clock + fstall;
       ctx.stall_cycles <- ctx.stall_cycles + fstall;
-      cfg.hooks.on_frontend_stall ~ctx:id ~pc ~cycles:fstall ~cycle:!clock
+      match probe with
+      | Some p -> Probe.frontend p ~ctx:id ~pc ~stall:fstall ~cycle:!clock
+      | None -> ()
     end;
     let advance cost = clock := !clock + cost in
-    let retire () = cfg.hooks.on_retire ~ctx:id ~pc ~instr:i ~cycle:!clock in
     let next () = ctx.pc <- pc + 1 in
+    (* the probe points, each at the cycle after the instruction's cost *)
+    let taken target =
+      match probe with
+      | Some p ->
+          Probe.branch p ~ctx:id ~instructions:ctx.instructions ~from_pc:pc ~to_pc:target
+            ~cycle:!clock
+      | None -> ()
+    in
+    let yielded kind ~fired =
+      match probe with
+      | Some p -> Probe.yield p ~ctx:id ~pc ~kind ~fired ~cycle:!clock
+      | None -> ()
+    in
+    let stalled paid =
+      match probe with
+      | Some p when paid > 0 -> Probe.stall p ~ctx:id ~pc ~stall:paid ~cycle:!clock
+      | _ -> ()
+    in
     (* Demand load: returns the paid cost and remaining stall after the
-       OoO window, firing load/stall hooks. *)
+       OoO window, with the serving level's code and the queueing delay
+       for the probe. *)
     let demand_load addr =
       let r = Hierarchy.access hier ~now:!clock addr in
       (* The stall shape rewrites the miss penalty charged at this pc —
@@ -103,7 +130,12 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
       let hidden = min cfg.ooo_window stall in
       let paid_stall = stall - hidden in
       let cost = Cost.base i + latency - hidden in
-      (cost, paid_stall, r.level, min r.queued paid_stall)
+      (cost, paid_stall, Hierarchy.last_level hier, min r.queued paid_stall)
+    in
+    let loaded ~addr ~level ~stall ~queue =
+      match probe with
+      | Some p -> Probe.load p ~ctx:id ~pc ~addr ~level ~stall ~queue ~cycle:!clock
+      | None -> ()
     in
     match i with
     | Instr.Binop (op, rd, rs, o) -> (
@@ -113,13 +145,11 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
             ctx.regs.{rd} <- v;
             advance (Cost.base i);
             next ();
-            retire ();
             Normal)
     | Instr.Mov (rd, o) ->
         ctx.regs.{rd} <- operand_value ctx o;
         advance (Cost.base i);
         next ();
-        retire ();
         Normal
     | Instr.Load (rd, rs, disp) ->
         let addr = ctx.regs.{rs} + disp in
@@ -134,19 +164,14 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
             let issue_cost = cost - paid_stall in
             let data_at = !clock + cost in
             advance issue_cost;
-            cfg.hooks.on_load
-              { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
-            retire ();
+            loaded ~addr ~level ~stall:paid_stall ~queue;
             Blocked_until data_at
           end
           else begin
             advance cost;
             ctx.stall_cycles <- ctx.stall_cycles + paid_stall;
-            cfg.hooks.on_load
-              { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
-            if paid_stall > 0 then
-              cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid_stall ~cycle:!clock;
-            retire ();
+            loaded ~addr ~level ~stall:paid_stall ~queue;
+            stalled paid_stall;
             Normal
           end
         end
@@ -159,7 +184,6 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           Hierarchy.write hier ~now:!clock addr;
           advance (Cost.base i);
           next ();
-          retire ();
           Normal
         end
     | Instr.Prefetch (rs, disp) ->
@@ -168,22 +192,21 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         if Address_space.valid_addr mem addr then Hierarchy.prefetch hier ~now:!clock addr;
         advance (Hierarchy.config hier).prefetch_issue_cost;
         next ();
-        retire ();
         Normal
     | Instr.Branch (c, rs, o, _) ->
-        let taken = eval_cond c ctx.regs.{rs} (operand_value ctx o) in
         let target = Program.resolved_target program pc in
         advance (Cost.base i);
-        ctx.pc <- (if taken then target else pc + 1);
-        cfg.hooks.on_branch ~ctx:id ~pc ~target:ctx.pc ~taken ~cycle:!clock;
-        retire ();
+        if eval_cond c ctx.regs.{rs} (operand_value ctx o) then begin
+          ctx.pc <- target;
+          taken target
+        end
+        else next ();
         Normal
     | Instr.Jump _ ->
         let target = Program.resolved_target program pc in
         advance (Cost.base i);
         ctx.pc <- target;
-        cfg.hooks.on_branch ~ctx:id ~pc ~target ~taken:true ~cycle:!clock;
-        retire ();
+        taken target;
         Normal
     | Instr.Call _ ->
         if Context.call_depth ctx >= max_call_depth then
@@ -193,8 +216,7 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           let target = Program.resolved_target program pc in
           advance (Cost.base i);
           ctx.pc <- target;
-          cfg.hooks.on_branch ~ctx:id ~pc ~target ~taken:true ~cycle:!clock;
-          retire ();
+          taken target;
           Normal
         end
     | Instr.Ret ->
@@ -203,22 +225,19 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           let ret_pc = Context.pop_call ctx in
           advance (Cost.base i);
           ctx.pc <- ret_pc;
-          cfg.hooks.on_branch ~ctx:id ~pc ~target:ret_pc ~taken:true ~cycle:!clock;
-          retire ();
+          taken ret_pc;
           Normal
         end
     | Instr.Yield Instr.Primary ->
         ctx.yields <- ctx.yields + 1;
         next ();
-        cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:true ~cycle:!clock;
-        retire ();
+        yielded Instr.Primary ~fired:true;
         Stop (Yielded (Instr.Primary, pc))
     | Instr.Yield Instr.Scavenger ->
         if ctx.mode = Context.Scavenger then begin
           ctx.yields <- ctx.yields + 1;
           next ();
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Scavenger ~fired:true ~cycle:!clock;
-          retire ();
+          yielded Instr.Scavenger ~fired:true;
           Stop (Yielded (Instr.Scavenger, pc))
         end
         else begin
@@ -226,8 +245,7 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           ctx.cond_checks <- ctx.cond_checks + 1;
           advance cond_check_cost;
           next ();
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Scavenger ~fired:false ~cycle:!clock;
-          retire ();
+          yielded Instr.Scavenger ~fired:false;
           Normal
         end
     | Instr.Yield_cond (rs, disp) ->
@@ -243,16 +261,14 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         in
         next ();
         if resident then begin
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:false ~cycle:!clock;
-          retire ();
+          yielded Instr.Primary ~fired:false;
           Normal
         end
         else begin
           Hierarchy.prefetch hier ~now:!clock addr;
           advance (Hierarchy.config hier).prefetch_issue_cost;
           ctx.yields <- ctx.yields + 1;
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:true ~cycle:!clock;
-          retire ();
+          yielded Instr.Primary ~fired:true;
           Stop (Yielded (Instr.Primary, pc))
         end
     | Instr.Accel_issue (rs, disp) ->
@@ -266,7 +282,6 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
             ctx.accel_result <- accel_transform (Address_space.load mem addr);
             ctx.accel_done_at <- !clock + (Hierarchy.config hier).accel_latency;
             next ();
-            retire ();
             Normal
           end
     | Instr.Accel_wait rd ->
@@ -283,14 +298,12 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           if block && paid > 0 then begin
             let data_at = !clock + Cost.base i + paid in
             advance (Cost.base i);
-            retire ();
             Blocked_until data_at
           end
           else begin
             advance (Cost.base i + paid);
             ctx.stall_cycles <- ctx.stall_cycles + paid;
-            if paid > 0 then cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid ~cycle:!clock;
-            retire ();
+            stalled paid;
             Normal
           end
         end
@@ -302,27 +315,26 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         in
         if ok then begin
           next ();
-          retire ();
           Normal
         end
         else fault ctx "sfi violation: address %d outside domain at pc %d" addr pc
     | Instr.Opmark ->
         next ();
-        cfg.hooks.on_opmark ~ctx:id ~pc ~cycle:!clock;
-        retire ();
+        cfg.on_opmark ~ctx:id ~pc ~cycle:!clock;
+        (match probe with Some p -> Probe.opmark p ~ctx:id ~pc ~cycle:!clock | None -> ());
         Normal
     | Instr.Nop ->
         advance (Cost.base i);
         next ();
-        retire ();
         Normal
     | Instr.Halt ->
         ctx.status <- Context.Done;
         ctx.finished_at <- !clock;
-        retire ();
         Stop Halted
   end
 
+(* The loop body of the reference interpreter, entered with [ctx]
+   ready. *)
 let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let rec loop () =
     match ctx.status with
@@ -345,27 +357,28 @@ let fast_fault ~clock (ctx : Context.t) now pc msg =
   ctx.status <- Context.Faulted msg;
   Fault msg
 
-(* A taken control transfer in the fast loop, for the probe's LBRs. *)
+(* Probe points the fast loop reaches from several opcodes: inline, a
+   test of [probe] and nothing more without one. *)
 let[@inline] probe_branch probe (ctx : Context.t) ~pc ~target ~cycle =
   match probe with
-  | Some p -> Probe.branch p ~instructions:ctx.instructions ~from_pc:pc ~to_pc:target ~cycle
+  | Some p ->
+      Probe.branch p ~ctx:ctx.id ~instructions:ctx.instructions ~from_pc:pc ~to_pc:target ~cycle
   | None -> ()
 
-(* The fast path: one monolithic loop over the decoded micro-op arrays,
-   no per-cycle heap allocation (no closures, no tuples, no hook
-   records). Engaged by [run] only when every per-instruction hook is
-   [Events.nop]'s (by physical equality), so nothing observable differs
-   from [run_reference]: the cycle accounting below mirrors the
-   reference instruction-for-instruction, and [test_engine_diff] holds
-   the two bit-identical. The one hook it does fire is [on_opmark],
-   with the arguments [step] passes. The stall shape is read at loads
-   and accelerator waits, unchecked: [run] has checked its length.
+let[@inline] probe_yield probe (ctx : Context.t) ~pc ~kind ~fired ~cycle =
+  match probe with Some p -> Probe.yield p ~ctx:ctx.id ~pc ~kind ~fired ~cycle | None -> ()
 
-   A probe is read at loads, paid stalls and taken branches only, with
-   the cycle [step] would pass its hooks; without one each of those
-   paths pays one test of [probe]. [exec] is allocated per call, so
-   every value it captures costs a word per call: read rarely used
-   ones through [ctx] or [hier] instead. *)
+(* The fast path: one monolithic loop over the decoded micro-op arrays,
+   no per-cycle heap allocation (no closures, no tuples, no event
+   records). Nothing observable differs from [run_reference]: the cycle
+   accounting below mirrors the reference instruction-for-instruction,
+   and [test_engine_diff] holds the two bit-identical. It calls
+   [on_opmark] and the probe at the points and with the arguments
+   [step] does; without a probe each probe point pays one test of
+   [probe]. The stall shape is read at loads and accelerator waits,
+   unchecked: [run] has checked its length. [exec] is allocated per
+   call, so every value it captures costs a word per call: read rarely
+   used ones through [ctx] or [hier] instead. *)
 let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let u = Program.uops ctx.program in
   let ops = u.Uop.op
@@ -376,7 +389,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   and utarget = u.Uop.target in
   let plen = u.Uop.len in
   let regs = ctx.regs in
-  let on_opmark = cfg.hooks.Events.on_opmark in
+  let on_opmark = cfg.on_opmark in
   let probe = cfg.probe in
   let mcfg = Hierarchy.config hier in
   let l1_latency = mcfg.Memconfig.l1.latency in
@@ -406,7 +419,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           if fstall > 0 then begin
             ctx.stall_cycles <- ctx.stall_cycles + fstall;
             match probe with
-            | Some p -> Probe.frontend p ~pc ~stall:fstall ~cycle:(now + fstall)
+            | Some p -> Probe.frontend p ~ctx:ctx.id ~pc ~stall:fstall ~cycle:(now + fstall)
             | None -> ()
           end;
           now + fstall
@@ -491,7 +504,11 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           let now = now + Array.unsafe_get ucost pc + latency + (stall - raw) - hidden in
           (match probe with
           | Some p ->
-              Probe.load p ~pc ~addr ~level:(Hierarchy.last_level hier) ~stall:paid ~cycle:now
+              let queue = Hierarchy.last_queued hier in
+              Probe.load p ~ctx:ctx.id ~pc ~addr ~level:(Hierarchy.last_level hier) ~stall:paid
+                ~queue:(if queue < paid then queue else paid)
+                ~cycle:now;
+              if paid > 0 then Probe.stall p ~ctx:ctx.id ~pc ~stall:paid ~cycle:now
           | None -> ());
           exec now (pc + 1)
         end
@@ -542,6 +559,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       end
       else if op = Uop.op_yield_primary then begin
         ctx.yields <- ctx.yields + 1;
+        probe_yield probe ctx ~pc ~kind:Instr.Primary ~fired:true ~cycle:now;
         clock := now;
         ctx.pc <- pc + 1;
         Yielded (Instr.Primary, pc)
@@ -549,13 +567,16 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       else if op = Uop.op_yield_scavenger then begin
         if ctx.mode = Context.Scavenger then begin
           ctx.yields <- ctx.yields + 1;
+          probe_yield probe ctx ~pc ~kind:Instr.Scavenger ~fired:true ~cycle:now;
           clock := now;
           ctx.pc <- pc + 1;
           Yielded (Instr.Scavenger, pc)
         end
         else begin
           ctx.cond_checks <- ctx.cond_checks + 1;
-          exec (now + cond_check_cost) (pc + 1)
+          let now = now + cond_check_cost in
+          probe_yield probe ctx ~pc ~kind:Instr.Scavenger ~fired:false ~cycle:now;
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_yield_cond then begin
@@ -568,10 +589,14 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           let rcode = Hierarchy.resident_code hier ~now addr in
           rcode >= 0 && rcode <= 1
         in
-        if resident then exec now (pc + 1)
+        if resident then begin
+          probe_yield probe ctx ~pc ~kind:Instr.Primary ~fired:false ~cycle:now;
+          exec now (pc + 1)
+        end
         else begin
           Hierarchy.prefetch hier ~now addr;
           ctx.yields <- ctx.yields + 1;
+          probe_yield probe ctx ~pc ~kind:Instr.Primary ~fired:true ~cycle:(now + pf_cost);
           clock := now + pf_cost;
           ctx.pc <- pc + 1;
           Yielded (Instr.Primary, pc)
@@ -616,14 +641,17 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           ctx.accel_done_at <- -1;
           ctx.stall_cycles <- ctx.stall_cycles + paid;
           let now = now + Array.unsafe_get ucost pc + paid in
-          (match probe with Some p -> Probe.wait p ~pc ~stall:paid ~cycle:now | None -> ());
+          (match probe with
+          | Some p when paid > 0 -> Probe.stall p ~ctx:ctx.id ~pc ~stall:paid ~cycle:now
+          | _ -> ());
           exec now (pc + 1)
         end
       end
       else if op = Uop.op_opmark then begin
         (* [now] is already past any front-end stall, as [!clock] is
-           when [step] fires the hook. *)
+           when [step] calls the observers. *)
         on_opmark ~ctx:ctx.id ~pc ~cycle:now;
+        (match probe with Some p -> Probe.opmark p ~ctx:ctx.id ~pc ~cycle:now | None -> ());
         exec now (pc + 1)
       end
       else if op = Uop.op_nop then exec (now + Array.unsafe_get ucost pc) (pc + 1)
@@ -637,63 +665,52 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       end
     end
   in
-  match ctx.status with
-  | Context.Done -> Halted
-  | Context.Faulted msg -> Fault msg
-  | Context.Ready -> (
-      match probe with
-      | None -> exec !clock ctx.pc
-      | Some p ->
-          Probe.start p ~instructions:ctx.instructions ~length:plen;
-          let stop = exec !clock ctx.pc in
-          (* Every fault but "pc out of range" counted an instruction
-             that never retired. *)
-          let unretired =
-            match stop with Fault _ when ctx.pc >= 0 && ctx.pc < plen -> 1 | _ -> 0
-          in
-          Probe.finish p ~retired:(ctx.instructions - unretired);
-          stop)
+  exec !clock ctx.pc
 
-let fast_engaged cfg =
-  let h = cfg.hooks and n = Events.nop in
-  cfg.fast
-  && h.on_retire == n.on_retire
-  && h.on_load == n.on_load
-  && h.on_branch == n.on_branch
-  && h.on_stall == n.on_stall
-  && h.on_frontend_stall == n.on_frontend_stall
-  && h.on_yield == n.on_yield
-
-(* Checked once per call, at entry: a probe is read only by the µop
-   loop, so anywhere else it would be silently ignored; a shape shorter
-   than the program would be read out of bounds. *)
-let refuse_probe name cfg =
-  match cfg.probe with
-  | Some _ ->
-      invalid_arg (name ^ ": a probe needs the decoded-µop loop (fast, no per-instruction hook)")
-  | None -> ()
-
+(* Checked once per call, at entry: a shape shorter than the program
+   would be read out of bounds. *)
 let check_shape name cfg (ctx : Context.t) =
   let n = Array.length cfg.stall_shape and len = Program.length ctx.program in
   if n > 0 && n < len then
     invalid_arg (Printf.sprintf "%s: stall_shape holds %d pcs, program has %d" name n len)
 
-let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
-  check_shape "Engine.run" cfg ctx;
-  if fast_engaged cfg then run_fast cfg hier mem ~clock ~deadline ctx
-  else begin
-    refuse_probe "Engine.run" cfg;
-    run_reference cfg hier mem ~clock ~deadline ctx
-  end
+(* Both loops run through here: a finished context stops at once, and a
+   probe brackets the run with [Probe.start] and [Probe.finish]. *)
+let observed loop name cfg hier mem ~clock ~deadline (ctx : Context.t) =
+  check_shape name cfg ctx;
+  match ctx.status with
+  | Context.Done -> Halted
+  | Context.Faulted msg -> Fault msg
+  | Context.Ready -> (
+      match cfg.probe with
+      | None -> loop cfg hier mem ~clock ~deadline ctx
+      | Some p ->
+          let len = Program.length ctx.program in
+          Probe.start p ~instructions:ctx.instructions ~length:len;
+          let stop = loop cfg hier mem ~clock ~deadline ctx in
+          (* Every fault but "pc out of range" counted an instruction
+             that never retired. *)
+          let unretired =
+            match stop with Fault _ when ctx.pc >= 0 && ctx.pc < len -> 1 | _ -> 0
+          in
+          Probe.finish p ~retired:(ctx.instructions - unretired);
+          stop)
 
-let run_reference cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =
-  refuse_probe "Engine.run_reference" cfg;
-  check_shape "Engine.run_reference" cfg ctx;
-  run_reference cfg hier mem ~clock ~deadline ctx
+let run cfg hier mem ~clock ?(deadline = max_int) ctx =
+  let loop = if cfg.fast then run_fast else run_reference in
+  observed loop "Engine.run" cfg hier mem ~clock ~deadline ctx
+
+let run_reference cfg hier mem ~clock ?(deadline = max_int) ctx =
+  observed run_reference "Engine.run_reference" cfg hier mem ~clock ~deadline ctx
 
 let step cfg hier mem ~clock (ctx : Context.t) =
-  refuse_probe "Engine.step" cfg;
   check_shape "Engine.step" cfg ctx;
+  (match cfg.probe with
+  | Some p ->
+      if Probe.records_branches p then
+        invalid_arg "Engine.step: LBR snapshots need one context per run";
+      Probe.start p ~instructions:ctx.instructions ~length:(Program.length ctx.program)
+  | None -> ());
   step ~block:true cfg hier mem ~clock ctx
 
 let pp_stop fmt = function

@@ -1,9 +1,15 @@
 (** Cycle-level in-order execution engine.
 
     The engine interprets one context at a time against a shared clock,
-    memory image and cache hierarchy, firing {!Events} hooks as
-    instructions retire. Control returns to the caller (the scheduler)
-    at yields, halts, faults, or when the clock reaches a deadline.
+    memory image and cache hierarchy, calling an opmark observer and a
+    {!Probe} as instructions retire. Control returns to the caller (the
+    scheduler) at yields, halts, faults, or when the clock reaches a
+    deadline.
+
+    Two interpreters implement it: a decoded-µop loop, and the
+    reference interpreter it is held bit-identical to. [config.fast]
+    alone picks between them; both call the observers at the same
+    points with the same arguments.
 
     Two knobs change the timing model without changing semantics:
     - [ooo_window] — cycles of each memory stall hidden by out-of-order
@@ -23,7 +29,10 @@ open Stallhide_mem
 val cond_check_cost : int
 
 type config = {
-  hooks : Events.t;
+  on_opmark : ctx:int -> pc:int -> cycle:int -> unit;
+      (** default: does nothing. Called at each [Opmark] with the
+          context id, its pc and the cycle after any front-end stall;
+          [Baselines] sets its latency recorder here. *)
   ooo_window : int;  (** default 0 (in-order) *)
   stall_shape : int array;
       (** default [[||]] (no shaping). Entry [pc] is a delta added to
@@ -40,31 +49,22 @@ type config = {
           ([Invalid_argument]), because the µop loop reads it
           unchecked. *)
   fast : bool;
-      (** default [true]. Allow {!run} to take the decoded-µop fast
-          path — a zero-allocation-per-cycle loop over {!Uop} arrays —
-          whenever {!fast_engaged} holds: no per-instruction hook is
-          set. An [on_opmark] observer (an op counter, a latency
-          recorder) does not stop it; the fast loop fires [on_opmark]
-          itself, and a [probe] and a [stall_shape] ride it too.
-          Architectural results and every hook call are bit-identical
-          to the reference interpreter ([test_engine_diff] is the
-          gate); set [false] to force the reference path, e.g. as the
-          baseline arm of the C25 speed bench. *)
+      (** default [true]: {!run} takes the decoded-µop loop, a
+          zero-allocation-per-cycle loop over {!Uop} arrays; [false]
+          takes the reference interpreter, e.g. as the baseline arm of
+          the C25 speed bench. Architectural results and every
+          observer call are bit-identical between the two
+          ([test_engine_diff] is the gate). *)
   probe : Probe.t option;
-      (** default [None]. The sampling fabric of the µop loop: PEBS
-          countdowns, LBR rings and the per-pc ground-truth tally
-          ({!Probe}). The loop touches it only at loads, paid stalls
-          and taken branches, with the same pc, address, stall and
-          cycle the reference interpreter passes [on_load],
-          [on_stall], [on_frontend_stall] and [on_branch]; LBR
-          snapshots, due every so many retired instructions, are taken
-          at the next ring push or at the end of the run, which is
-          exact because a snapshot depends only on the ring (see
-          {!Probe}). A probe is read by nothing else: {!run} raises
-          [Invalid_argument] when it is set and {!fast_engaged} does
-          not hold, and {!run_reference} and {!step} whenever it is
-          set. [Pipeline.profile] and [Pipeline.ground_truth] set
-          it. *)
+      (** default [None]. The per-instruction observer: PEBS
+          countdowns, LBR rings, the per-pc ground-truth tally and
+          traced streams ({!Probe}). Both interpreters call it at
+          front-end stalls, loads, paid stalls, taken branches, yields
+          and opmarks; LBR snapshots, due every so many retired
+          instructions, are taken at the next ring push or at the end
+          of the run, which is exact because a snapshot depends only
+          on the ring (see {!Probe}). [Pipeline.profile],
+          [Pipeline.ground_truth] and every traced run set it. *)
 }
 
 val default_config : config
@@ -90,9 +90,11 @@ val accel_transform : int -> int
     pipeline but {e blocks the context}: [clock] advances by the issue
     cost only, and the result is [Blocked_until] the cycle the data
     arrives, so the caller can run another hardware context in the
-    gap.
-    @raise Invalid_argument if [config.probe] is set or
-    [config.stall_shape] is too short. *)
+    gap. A blocked load reaches the probe as a load with its paid
+    stall, and no stall point.
+    @raise Invalid_argument if [config.probe] has an LBR ring
+    (deferred snapshots need one context per run), if its tally or
+    [config.stall_shape] is shorter than the program. *)
 val step :
   config ->
   Hierarchy.t ->
@@ -102,11 +104,10 @@ val step :
   step_result
 
 (** Run [ctx] until it yields, halts, faults, or [clock] reaches
-    [deadline]. Dispatches to the decoded-µop fast loop when
-    {!fast_engaged} holds, else to {!run_reference}.
-    @raise Invalid_argument if [config.probe] is set and
-    {!fast_engaged} does not hold, or if [config.stall_shape] is too
-    short. *)
+    [deadline]: on the decoded-µop loop when [config.fast] holds, else
+    on {!run_reference}.
+    @raise Invalid_argument if [config.stall_shape] or the probe's
+    tally is shorter than the program. *)
 val run :
   config ->
   Hierarchy.t ->
@@ -119,7 +120,7 @@ val run :
 (** The original variant-matching interpreter, kept reachable as the
     differential-test reference arm regardless of [config.fast].
     Exported for [test_cpu] only.
-    @raise Invalid_argument as {!step}. *)
+    @raise Invalid_argument as {!run}. *)
 val run_reference :
   config ->
   Hierarchy.t ->
@@ -128,17 +129,6 @@ val run_reference :
   ?deadline:int ->
   Context.t ->
   stop
-
-(** Would {!run} take the fast path under this config? It does when
-    [fast] is set and [on_retire], [on_load], [on_branch], [on_stall],
-    [on_frontend_stall] and [on_yield] are each physically
-    {!Events.nop}'s field — as {!Events.compose} leaves every field no
-    element observes. [on_opmark] may be anything: the fast loop calls
-    it at each [Opmark] with the same [~ctx ~pc ~cycle] as {!step}.
-    Neither [probe] nor [stall_shape] enters into it: a probe needs
-    the fast loop, and both loops apply a shape.
-    Exported for [test_engine_diff] only. *)
-val fast_engaged : config -> bool
 
 (** Exported for [test_binopt], [test_core], [test_cpu], [test_pmu] only. *)
 val pp_stop : Format.formatter -> stop -> unit

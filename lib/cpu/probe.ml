@@ -78,6 +78,15 @@ type event = Loads_all | L2_miss_loads | L3_miss_loads | Stall_cycles | Frontend
 
 type sink = pc:int -> addr:int -> stall:int -> cycle:int -> unit
 
+type tracer = {
+  load : ctx:int -> pc:int -> addr:int -> level:int -> stall:int -> queue:int -> cycle:int -> unit;
+  stall : ctx:int -> pc:int -> stall:int -> cycle:int -> unit;
+  frontend : ctx:int -> pc:int -> stall:int -> cycle:int -> unit;
+  yield :
+    ctx:int -> pc:int -> kind:Stallhide_isa.Instr.yield_kind -> fired:bool -> cycle:int -> unit;
+  opmark : ctx:int -> pc:int -> cycle:int -> unit;
+}
+
 type sampler = { counter : countdown; sink : sink }
 
 type lbr = { ring : ring; retires : countdown; snapshot : unit -> unit }
@@ -89,6 +98,7 @@ type t = {
   mutable stalls : sampler array;  (* stall cycles of any cause *)
   mutable frontends : sampler array;  (* front-end stall cycles only *)
   mutable lbrs : lbr array;
+  mutable tracers : tracer array;
   mutable execs : int array;
   mutable misses : int array;
   mutable load_stall : int array;
@@ -103,6 +113,7 @@ let create () =
     stalls = [||];
     frontends = [||];
     lbrs = [||];
+    tracers = [||];
     execs = [||];
     misses = [||];
     load_stall = [||];
@@ -120,6 +131,10 @@ let sample p event counter sink =
 
 let record_branches p ring retires snapshot =
   p.lbrs <- Array.append p.lbrs [| { ring; retires; snapshot } |]
+
+let records_branches p = Array.length p.lbrs > 0
+
+let trace p tr = p.tracers <- Array.append p.tracers [| tr |]
 
 let tally p ~length =
   p.execs <- Array.make length 0;
@@ -148,7 +163,15 @@ let fire ss n ~pc ~addr ~stall ~cycle =
   done
 [@@inline]
 
-let load p ~pc ~addr ~level ~stall ~cycle =
+let frontend p ~ctx ~pc ~stall ~cycle =
+  fire p.stalls stall ~pc ~addr:0 ~stall ~cycle;
+  fire p.frontends stall ~pc ~addr:0 ~stall ~cycle;
+  let trs = p.tracers in
+  for i = 0 to Array.length trs - 1 do
+    (Array.unsafe_get trs i).frontend ~ctx ~pc ~stall ~cycle
+  done
+
+let load p ~ctx ~pc ~addr ~level ~stall ~queue ~cycle =
   if Array.length p.execs > 0 then begin
     p.execs.(pc) <- p.execs.(pc) + 1;
     if level >= 2 then p.misses.(pc) <- p.misses.(pc) + 1;
@@ -159,13 +182,17 @@ let load p ~pc ~addr ~level ~stall ~cycle =
     fire p.l2_misses 1 ~pc ~addr ~stall ~cycle;
     if level >= 3 then fire p.l3_misses 1 ~pc ~addr ~stall ~cycle
   end;
-  if stall > 0 then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
+  let trs = p.tracers in
+  for i = 0 to Array.length trs - 1 do
+    (Array.unsafe_get trs i).load ~ctx ~pc ~addr ~level ~stall ~queue ~cycle
+  done
 
-let wait p ~pc ~stall ~cycle = if stall > 0 then fire p.stalls stall ~pc ~addr:0 ~stall ~cycle
-
-let frontend p ~pc ~stall ~cycle =
+let stall p ~ctx ~pc ~stall ~cycle =
   fire p.stalls stall ~pc ~addr:0 ~stall ~cycle;
-  fire p.frontends stall ~pc ~addr:0 ~stall ~cycle
+  let trs = p.tracers in
+  for i = 0 to Array.length trs - 1 do
+    (Array.unsafe_get trs i).stall ~ctx ~pc ~stall ~cycle
+  done
 
 (* Take every snapshot due by the [retired]-th instruction. *)
 let settle p ~retired =
@@ -179,7 +206,7 @@ let settle p ~retired =
     done
   done
 
-let branch p ~instructions ~from_pc ~to_pc ~cycle =
+let branch p ~ctx:_ ~instructions ~from_pc ~to_pc ~cycle =
   let lbrs = p.lbrs in
   if Array.length lbrs > 0 then begin
     (* the branch itself retires after its push *)
@@ -188,5 +215,17 @@ let branch p ~instructions ~from_pc ~to_pc ~cycle =
       push (Array.unsafe_get lbrs i).ring ~from_pc ~to_pc ~cycle
     done
   end
+
+let yield p ~ctx ~pc ~kind ~fired ~cycle =
+  let trs = p.tracers in
+  for i = 0 to Array.length trs - 1 do
+    (Array.unsafe_get trs i).yield ~ctx ~pc ~kind ~fired ~cycle
+  done
+
+let opmark p ~ctx ~pc ~cycle =
+  let trs = p.tracers in
+  for i = 0 to Array.length trs - 1 do
+    (Array.unsafe_get trs i).opmark ~ctx ~pc ~cycle
+  done
 
 let finish p ~retired = if Array.length p.lbrs > 0 then settle p ~retired

@@ -1,20 +1,23 @@
-(** A preallocated event probe for the decoded-µop loop.
+(** The engine's one per-instruction observer.
 
-    The PMU models ({!Stallhide_pmu.Pebs}, {!Stallhide_pmu.Lbr}) and
-    the full-trace ground truth need to see loads, stalls and taken
-    branches. Per-instruction {!Events} hooks would send the run to the
-    reference interpreter; a probe set in [Engine.config.probe] instead
-    rides the µop loop, which touches it only where a sampler counts
-    something:
-    - each retired load: the load-event countdowns, and the per-pc
-      tally when armed;
-    - each paid memory, accelerator or front-end stall: the stall-cycle
-      countdowns;
-    - each taken branch, jump, call or return: a push onto every armed
-      LBR ring.
+    Both interpreters feed a probe set in [Engine.config.probe], at the
+    same points and with the same arguments, each carrying the context
+    id:
+    - a front-end (instruction-fetch) stall;
+    - a retired load, with its serving level, paid stall and queueing
+      delay;
+    - a paid memory or accelerator stall;
+    - a taken branch, jump, call or return;
+    - a yield-family instruction, with its kind and whether it fired;
+    - an opmark.
 
-    Nothing is allocated on those paths unless a countdown fires, and
-    the loop does no per-instruction work for the probe.
+    Three kinds of observer ride it: PEBS-style countdowns
+    ({!Stallhide_pmu.Pebs}), LBR rings ({!Stallhide_pmu.Lbr}) and the
+    per-pc ground-truth tally, which count at loads, stalls and taken
+    branches; and full-trace observers ([Stallhide_obs.Stream]), which
+    see every point. Nothing is allocated on those paths unless a
+    countdown fires or a tracer allocates, and the µop loop does no
+    per-instruction work for the probe.
 
     {b Deferred LBR snapshots.} A snapshot is due every
     [snapshot_period] retired instructions, and its content depends
@@ -23,10 +26,10 @@
     before the next one. The probe therefore takes those snapshots at
     the next push, or at the end of the run, counting retired
     instructions from [Context.instructions]: the same snapshots, in
-    the same order, as a hook that counts every retire.
-
-    The countdown arithmetic ({!count}) and the ring ({!push}) are the
-    ones the reference hooks use, so the two arms cannot drift apart. *)
+    the same order, as a countdown stepped at every retire. This
+    assumes a run of one context at a time, so [Engine.step], which
+    the SMT model interleaves per instruction, refuses a probe with a
+    ring. *)
 
 (** {1 Countdowns} *)
 
@@ -36,10 +39,6 @@ type countdown
 
 (** @raise Invalid_argument if [period <= 0]. *)
 val countdown : period:int -> countdown
-
-(** [count c n] adds [n] occurrences and returns how many period
-    boundaries they crossed: the number of samples to record. *)
-val count : countdown -> int -> int
 
 val period : countdown -> int
 
@@ -55,8 +54,6 @@ type ring
 
 (** @raise Invalid_argument if [depth <= 0]. *)
 val ring : depth:int -> ring
-
-val push : ring -> from_pc:int -> to_pc:int -> cycle:int -> unit
 
 (** Valid entries, at most [depth]. *)
 val ring_length : ring -> int
@@ -79,9 +76,22 @@ type event = Loads_all | L2_miss_loads | L3_miss_loads | Stall_cycles | Frontend
 (** Where a fired countdown's samples go: called once per sample. *)
 type sink = pc:int -> addr:int -> stall:int -> cycle:int -> unit
 
+(** A full-trace observer: one callback per point, called with the
+    point's arguments. [level] is a serving-level code
+    ({!Stallhide_mem.Hierarchy.last_level}), and [queue] the part of
+    the paid stall queued at the shared-L3 port. *)
+type tracer = {
+  load : ctx:int -> pc:int -> addr:int -> level:int -> stall:int -> queue:int -> cycle:int -> unit;
+  stall : ctx:int -> pc:int -> stall:int -> cycle:int -> unit;
+  frontend : ctx:int -> pc:int -> stall:int -> cycle:int -> unit;
+  yield :
+    ctx:int -> pc:int -> kind:Stallhide_isa.Instr.yield_kind -> fired:bool -> cycle:int -> unit;
+  opmark : ctx:int -> pc:int -> cycle:int -> unit;
+}
+
 type t
 
-(** An empty probe: no countdown, no ring, no tally. *)
+(** An empty probe: no countdown, no ring, no tally, no tracer. *)
 val create : unit -> t
 
 (** [sample p event c sink] counts [event] on [c] and calls [sink] with
@@ -95,6 +105,12 @@ val sample : t -> event -> countdown -> sink -> unit
     retired instructions. *)
 val record_branches : t -> ring -> countdown -> (unit -> unit) -> unit
 
+(** Whether {!record_branches} armed a ring. *)
+val records_branches : t -> bool
+
+(** [trace p tr] calls [tr] at every point, after the countdowns. *)
+val trace : t -> tracer -> unit
+
 (** Arm the per-pc tally for programs of up to [length] instructions:
     executions, beyond-L2 loads and paid stall of every load pc.
     Runs on longer programs raise [Invalid_argument]. *)
@@ -107,7 +123,7 @@ val load_misses : t -> int array
 
 val load_stalls : t -> int array
 
-(** {1 Called by the µop loop} *)
+(** {1 Called by the engine} *)
 
 (** [start p ~instructions ~length] opens a run of a context whose
     instruction count is [instructions], on a program of [length]
@@ -115,20 +131,25 @@ val load_stalls : t -> int array
     @raise Invalid_argument if the tally is shorter than the program. *)
 val start : t -> instructions:int -> length:int -> unit
 
-(** A retired load: serving level code
-    ({!Stallhide_mem.Hierarchy.last_level}), paid stall, and the cycle
-    after its cost. *)
-val load : t -> pc:int -> addr:int -> level:int -> stall:int -> cycle:int -> unit
+val frontend : t -> ctx:int -> pc:int -> stall:int -> cycle:int -> unit
 
-(** A paid accelerator wait, with the cycle after its cost. *)
-val wait : t -> pc:int -> stall:int -> cycle:int -> unit
+(** A retired load, with the cycle after its cost. *)
+val load :
+  t -> ctx:int -> pc:int -> addr:int -> level:int -> stall:int -> queue:int -> cycle:int -> unit
 
-(** A front-end (instruction-fetch) stall, with the cycle after it. *)
-val frontend : t -> pc:int -> stall:int -> cycle:int -> unit
+(** A paid memory or accelerator stall ([stall > 0]), after the load
+    or wait that paid it. *)
+val stall : t -> ctx:int -> pc:int -> stall:int -> cycle:int -> unit
 
 (** A taken control transfer by the instruction whose fetch brought
     the context's count to [instructions]. *)
-val branch : t -> instructions:int -> from_pc:int -> to_pc:int -> cycle:int -> unit
+val branch :
+  t -> ctx:int -> instructions:int -> from_pc:int -> to_pc:int -> cycle:int -> unit
+
+val yield :
+  t -> ctx:int -> pc:int -> kind:Stallhide_isa.Instr.yield_kind -> fired:bool -> cycle:int -> unit
+
+val opmark : t -> ctx:int -> pc:int -> cycle:int -> unit
 
 (** Close the run: [retired] is the context's instruction count less
     any instruction that faulted. *)

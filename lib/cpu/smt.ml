@@ -1,10 +1,9 @@
 
 type result = { cycles : int; busy : int; idle : int; instructions : int; faults : string list }
 
-let run ?(hooks = Events.nop) hier mem (ctxs : Context.t array) ~max_cycles =
+let run ?(engine = Engine.default_config) hier mem (ctxs : Context.t array) ~max_cycles =
   let n = Array.length ctxs in
   if n = 0 then invalid_arg "Smt.run: no contexts";
-  let engine_cfg = { Engine.default_config with hooks } in
   let clock = ref 0 in
   let wake = Array.make n 0 in
   let busy = ref 0 in
@@ -42,7 +41,7 @@ let run ?(hooks = Events.nop) hier mem (ctxs : Context.t array) ~max_cycles =
     | i -> (
         let before = !clock in
         (* every load that would stall blocks its context instead *)
-        let r = Engine.step engine_cfg hier mem ~clock ctxs.(i) in
+        let r = Engine.step engine hier mem ~clock ctxs.(i) in
         busy := !busy + (!clock - before);
         rr := (i + 1) mod n;
         match r with

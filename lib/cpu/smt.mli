@@ -18,10 +18,13 @@ type result = {
   faults : string list;
 }
 
-(** Run all contexts to completion (or until [max_cycles]), firing
-    [hooks] (default {!Events.nop}). *)
+(** Run all contexts to completion (or until [max_cycles]), stepping
+    each through {!Engine.step} under [engine] (default
+    {!Engine.default_config}), whose opmark observer and probe see
+    every context.
+    @raise Invalid_argument as {!Engine.step}. *)
 val run :
-  ?hooks:Events.t ->
+  ?engine:Engine.config ->
   Stallhide_mem.Hierarchy.t ->
   Stallhide_mem.Address_space.t ->
   Context.t array ->

@@ -207,7 +207,7 @@ let run_rogue ~opts ~workload ~count ~compute fault =
   let arm ~rogue ~watchdog =
     let w = make ~workload ~lanes ~ops ~manual:true ~seed ~ws_scale:1 () in
     let recorder = Latency.recorder () in
-    let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+    let engine = { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder } in
     let primary = Workload.context w ~lane:0 ~id:0 ~mode:Context.Primary in
     let legit =
       Array.init (lanes - 1) (fun i ->

@@ -192,6 +192,8 @@ let access_latency t ~now addr =
 
 let last_level t = t.p_level
 
+let last_queued t = t.p_queued
+
 let access t ~now addr =
   let latency = access_latency t ~now addr in
   {

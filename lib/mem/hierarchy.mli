@@ -11,6 +11,10 @@ type level = L1 | L2 | L3 | Dram
 
 val level_name : level -> string
 
+(** The level of a code ([0 = L1], [1 = L2], [2 = L3], [3 = Dram]);
+    any code past [2] is [Dram]. *)
+val level_of_code : int -> level
+
 type result = {
   level : level;  (** level that served the access *)
   latency : int;  (** total load-to-use cycles *)
@@ -72,10 +76,14 @@ val access : t -> now:int -> int -> result
     implemented on top of it) but returns only the total latency. *)
 val access_latency : t -> now:int -> int -> int
 
-(** Level code ([0 = L1], [1 = L2], [2 = L3], [3 = Dram]) that served
-    the last {!access} or {!access_latency}, for the fast loop's load
-    samplers. Allocation free; a {!prefetch} in between overwrites it. *)
+(** Level code ({!level_of_code}) that served the last {!access} or
+    {!access_latency}, for the engine's load probe. Allocation free; a
+    {!prefetch} in between overwrites it. *)
 val last_level : t -> int
+
+(** Cycles the last {!access} or {!access_latency} queued at the
+    shared-L3 port ([result.queued]); 0 on single-core hierarchies. *)
+val last_queued : t -> int
 
 val prefetch : t -> now:int -> int -> unit
 

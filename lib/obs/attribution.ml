@@ -20,8 +20,6 @@ type report = {
   sites : site list;
   total_baseline_stall : int;
   total_residual_stall : int;
-  baseline_dropped : int;
-  dropped : int;
 }
 
 (* Static covering map over the instrumented program: each selected
@@ -114,8 +112,6 @@ let build ~program ~orig_of_new ~selected ~machine ~estimates ~baseline stream =
     sites;
     total_baseline_stall = total base_stall;
     total_residual_stall = total residual;
-    baseline_dropped = Stream.dropped baseline;
-    dropped = Stream.dropped stream;
   }
 
 let pp_report fmt r =
@@ -135,10 +131,7 @@ let pp_report fmt r =
     r.sites;
   Format.fprintf fmt "total stall: baseline=%d residual=%d hidden=%d@." r.total_baseline_stall
     r.total_residual_stall
-    (r.total_baseline_stall - r.total_residual_stall);
-  if r.dropped > 0 || r.baseline_dropped > 0 then
-    Format.fprintf fmt "warning: %d + %d events dropped; per-site numbers under-count@."
-      r.baseline_dropped r.dropped
+    (r.total_baseline_stall - r.total_residual_stall)
 
 let to_json r =
   Json.Obj
@@ -164,6 +157,4 @@ let to_json r =
              r.sites) );
       ("total_baseline_stall", Json.Int r.total_baseline_stall);
       ("total_residual_stall", Json.Int r.total_residual_stall);
-      ("baseline_dropped", Json.Int r.baseline_dropped);
-      ("dropped", Json.Int r.dropped);
     ]

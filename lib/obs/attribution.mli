@@ -8,8 +8,10 @@
     same workload: the stall the covered loads still pay in the
     instrumented run ([residual_stall]) against what they paid
     uninstrumented ([baseline_stall]), and the context-switch cycles the
-    site was charged. The model's promise is {!Gain_cost.expected_gain}
-    evaluated with the same estimates the selection used. *)
+    site was charged, read from the streams' per-pc tallies, which count
+    every event however many the buffers dropped. The model's promise
+    is {!Gain_cost.expected_gain} evaluated with the same estimates the
+    selection used. *)
 
 open Stallhide_isa
 open Stallhide_binopt
@@ -32,8 +34,6 @@ type report = {
   sites : site list;  (** ascending [yield_pc] *)
   total_baseline_stall : int;  (** all pcs, not just covered ones *)
   total_residual_stall : int;
-  baseline_dropped : int;  (** events lost to buffer caps: attribution *)
-  dropped : int;  (** under-counts when either is non-zero *)
 }
 
 (** Static covering map over an instrumented program: each yield-family

@@ -2,7 +2,7 @@
     (timeline rendering, Perfetto export, yield-site attribution, the
     counter registry) reads.
 
-    Producers: the execution engine (via {!Stream.hooks}), and the
+    Producers: the execution engine (via {!Stream.attach}), and the
     schedulers/servers, which push scheduling-level events
     ([Context_switch], [Dispatch], [Scavenger_escalation]) directly.
     All cycle stamps come from the shared simulated clock, so events of

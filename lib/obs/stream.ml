@@ -7,26 +7,59 @@ type t = {
   capacity : int;
   mutable dropped : int;
   registry : Registry.t;
+  (* Per-pc tallies of every event, dropped or not, indexed by pc and
+     grown on demand: what attribution reads. *)
+  mutable stall_at : int array;  (* [Stall] cycles *)
+  mutable fired_at : int array;  (* fired [Yield]s *)
+  mutable skipped_at : int array;  (* [Yield]s that fell through *)
+  mutable switch_at : int array;  (* [Context_switch] cost charged at a yield site *)
 }
 
 let create ?(capacity = 1 lsl 18) () =
-  { buf = Vec.create (); capacity; dropped = 0; registry = Registry.create () }
+  {
+    buf = Vec.create ();
+    capacity;
+    dropped = 0;
+    registry = Registry.create ();
+    stall_at = [||];
+    fired_at = [||];
+    skipped_at = [||];
+    switch_at = [||];
+  }
+
+(* [a] with [n] added at [pc], grown (at least doubled) to fit. *)
+let bump a pc n =
+  let a =
+    if pc < Array.length a then a
+    else begin
+      let b = Array.make (max (pc + 1) (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+  in
+  a.(pc) <- a.(pc) + n;
+  a
 
 let count t event =
   let r = t.registry in
   match event with
-  | Event.Yield { ctx; fired; _ } ->
+  | Event.Yield { ctx; pc; fired; _ } ->
+      if pc >= 0 then
+        if fired then t.fired_at <- bump t.fired_at pc 1
+        else t.skipped_at <- bump t.skipped_at pc 1;
       Registry.incr (Registry.counter r ~ctx (if fired then "yield.fired" else "yield.skipped"))
   | Event.Cache_access { ctx; level; stall; queue; _ } ->
       Registry.incr (Registry.counter r ~ctx ("load." ^ Hierarchy.level_name level));
       if stall > 0 then Registry.observe (Registry.histogram r ~ctx "load.stall") stall;
       if queue > 0 then Registry.incr ~by:queue (Registry.counter r ~ctx "load.queue_cycles")
-  | Event.Stall { ctx; cycles; _ } ->
+  | Event.Stall { ctx; pc; cycles; _ } ->
+      if pc >= 0 then t.stall_at <- bump t.stall_at pc cycles;
       Registry.incr ~by:cycles (Registry.counter r ~ctx "stall.cycles")
   | Event.Frontend_stall { ctx; cycles; _ } ->
       Registry.incr ~by:cycles (Registry.counter r ~ctx "frontend_stall.cycles")
   | Event.Op_retired { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "ops")
-  | Event.Context_switch { from_ctx; cost; _ } ->
+  | Event.Context_switch { from_ctx; at_pc; cost; _ } ->
+      if at_pc >= 0 then t.switch_at <- bump t.switch_at at_pc cost;
       Registry.incr (Registry.counter r ~ctx:from_ctx "switch.count");
       Registry.observe (Registry.histogram r ~ctx:from_ctx "switch.cost") cost
   | Event.Scavenger_escalation { ctx; _ } ->
@@ -61,66 +94,57 @@ let dropped t = t.dropped
 let reset t =
   Vec.clear t.buf;
   t.dropped <- 0;
-  Registry.reset t.registry
+  Registry.reset t.registry;
+  t.stall_at <- [||];
+  t.fired_at <- [||];
+  t.skipped_at <- [||];
+  t.switch_at <- [||]
 
 let registry t = t.registry
 
-let hooks t =
-  {
-    Events.nop with
-    Events.on_load =
-      (fun (info : Events.load_info) ->
-        record t
-          (Event.Cache_access
-             {
-               ctx = info.Events.ctx;
-               pc = info.Events.pc;
-               addr = info.Events.addr;
-               level = info.Events.level;
-               stall = info.Events.stall;
-               queue = info.Events.queue;
-               cycle = info.Events.cycle;
-             }));
-    on_stall = (fun ~ctx ~pc ~cycles ~cycle -> record t (Event.Stall { ctx; pc; cycles; cycle }));
-    on_frontend_stall =
-      (fun ~ctx ~pc ~cycles ~cycle -> record t (Event.Frontend_stall { ctx; pc; cycles; cycle }));
-    on_opmark = (fun ~ctx ~pc ~cycle -> record t (Event.Op_retired { ctx; pc; cycle }));
-    on_yield =
-      (fun ~ctx ~pc ~kind ~fired ~cycle -> record t (Event.Yield { ctx; pc; kind; fired; cycle }));
-  }
+let attach t probe =
+  Probe.trace probe
+    {
+      Probe.load =
+        (fun ~ctx ~pc ~addr ~level ~stall ~queue ~cycle ->
+          record t
+            (Event.Cache_access
+               { ctx; pc; addr; level = Hierarchy.level_of_code level; stall; queue; cycle }));
+      stall =
+        (fun ~ctx ~pc ~stall ~cycle -> record t (Event.Stall { ctx; pc; cycles = stall; cycle }));
+      frontend =
+        (fun ~ctx ~pc ~stall ~cycle ->
+          record t (Event.Frontend_stall { ctx; pc; cycles = stall; cycle }));
+      yield =
+        (fun ~ctx ~pc ~kind ~fired ~cycle ->
+          record t (Event.Yield { ctx; pc; kind; fired; cycle }));
+      opmark = (fun ~ctx ~pc ~cycle -> record t (Event.Op_retired { ctx; pc; cycle }));
+    }
 
-let fold_tbl t select =
+(* The non-zero entries of a tally, summed per [map pc]. *)
+let table ?(map = fun pc -> pc) a =
   let tbl = Hashtbl.create 64 in
-  iter
-    (fun e ->
-      match select e with
-      | Some (key, v) ->
-          Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      | None -> ())
-    t;
+  Array.iteri
+    (fun pc v ->
+      if v <> 0 then begin
+        let key = map pc in
+        Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+      end)
+    a;
   tbl
 
-let stall_by_pc ?(map = fun pc -> pc) t =
-  fold_tbl t (function
-    | Event.Stall { pc; cycles; _ } -> Some (map pc, cycles)
-    | _ -> None)
+let stall_by_pc ?map t = table ?map t.stall_at
 
 let yields_by_pc t =
   let tbl = Hashtbl.create 32 in
-  iter
-    (fun e ->
-      match e with
-      | Event.Yield { pc; fired; _ } ->
-          let f, s = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl pc) in
-          Hashtbl.replace tbl pc (if fired then (f + 1, s) else (f, s + 1))
-      | _ -> ())
-    t;
+  let at a pc = if pc < Array.length a then a.(pc) else 0 in
+  for pc = 0 to max (Array.length t.fired_at) (Array.length t.skipped_at) - 1 do
+    let f = at t.fired_at pc and s = at t.skipped_at pc in
+    if f + s > 0 then Hashtbl.replace tbl pc (f, s)
+  done;
   tbl
 
-let switch_cycles_by_pc t =
-  fold_tbl t (function
-    | Event.Context_switch { at_pc; cost; _ } when at_pc >= 0 -> Some (at_pc, cost)
-    | _ -> None)
+let switch_cycles_by_pc t = table t.switch_at
 
 let spans t =
   List.filter_map

@@ -2,12 +2,13 @@
     plus a {!Registry.t} maintained incrementally as events arrive.
 
     Zero-cost discipline: nothing in the simulator ever *requires* a
-    stream. Engine hooks default to no-ops, schedulers take
-    [?obs:Stream.t option] defaulting to [None], and no hook ever
+    stream. The engine's probe defaults to none, schedulers take
+    [?obs:Stream.t option] defaulting to [None], and no observer ever
     touches the simulated clock — so cycle counts are identical with
     telemetry on or off (asserted by the obs tests). When the buffer
     fills, later events are counted in {!dropped} rather than recorded
-    (the registry keeps counting — only the raw event log is bounded). *)
+    (the registry and the per-pc views keep counting — only the raw
+    event log is bounded). *)
 
 type t
 
@@ -32,11 +33,17 @@ val reset : t -> unit
     counters; stall, switch-cost and dispatch-length histograms). *)
 val registry : t -> Registry.t
 
-(** Engine hooks that feed the stream: loads, stalls, yields, opmarks.
-    Compose into [Engine.config.hooks]. *)
-val hooks : t -> Stallhide_cpu.Events.t
+(** [attach t p] records the engine's events from probe [p]: a
+    [Cache_access] per retired load, then a [Stall] when it paid one,
+    and [Stall] (accelerator waits), [Frontend_stall], [Yield] and
+    [Op_retired] events, each as either interpreter reaches it. Set
+    [p] in [Engine.config.probe]; attach a stream to one probe. *)
+val attach : t -> Stallhide_cpu.Probe.t -> unit
 
-(** {2 Derived views used by attribution and exporters} *)
+(** {2 Derived views used by attribution and exporters}
+
+    The three per-pc views read tallies kept as every event arrives, so
+    they count exactly whatever the buffer dropped. *)
 
 (** Per-pc totals of back-end stall cycles ([Stall] events), optionally
     re-keyed through [map] (e.g. new-pc to original-pc). *)

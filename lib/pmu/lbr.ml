@@ -43,19 +43,6 @@ let snapshot t =
 
 let attach t probe = Probe.record_branches probe t.ring t.retires (fun () -> snapshot t)
 
-(* The reference arm: a push per taken branch and a countdown step per
-   retire, through per-instruction hooks. *)
-let hooks t =
-  let on_branch ~ctx:_ ~pc ~target ~taken ~cycle =
-    if taken then Probe.push t.ring ~from_pc:pc ~to_pc:target ~cycle
-  in
-  let on_retire ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ =
-    for _ = 1 to Probe.count t.retires 1 do
-      snapshot t
-    done
-  in
-  { Events.nop with on_branch; on_retire }
-
 let snapshot_start t s =
   if s < 0 || s >= snapshot_count t then invalid_arg "Lbr: snapshot index out of range";
   Int_vec.get t.starts s

@@ -9,15 +9,13 @@
     instrumentation phase consumes these (via {!Profile}) to estimate
     basic-block latencies and hot paths, as §3.3 proposes.
 
-    {!attach} arms the ring on a {!Stallhide_cpu.Probe}: the
-    decoded-µop loop pushes each taken branch and counts no retires.
-    A snapshot depends only on the ring, and the ring changes only at
-    a push, so the snapshots due since the previous push are all taken
+    {!attach} arms the ring on a {!Stallhide_cpu.Probe}: either
+    interpreter pushes each taken branch and counts no retires. A
+    snapshot depends only on the ring, and the ring changes only at a
+    push, so the snapshots due since the previous push are all taken
     just before the next one (or at the end of the run), from the
     retired-instruction count: exactly the snapshots a per-retire
-    countdown takes. {!hooks} is that per-retire countdown, on the
-    reference interpreter, kept as the differential test's reference
-    arm; both use the same ring and countdown. *)
+    countdown takes. *)
 
 type record = { from_pc : int; to_pc : int; cycle : int }
 
@@ -29,14 +27,8 @@ type t
     positive. *)
 val create : ?depth:int -> ?max_snapshots:int -> snapshot_period:int -> unit -> t
 
-(** Record this unit's branches on the probe. Attach to one probe, and
-    feed the unit either from a probe or from {!hooks}, not both. *)
+(** Record this unit's branches on the probe. Attach to one probe. *)
 val attach : t -> Stallhide_cpu.Probe.t -> unit
-
-(** Per-instruction hooks (the reference arm; a run with them takes
-    the reference interpreter).
-    Exported for [test_pmu] only. *)
-val hooks : t -> Stallhide_cpu.Events.t
 
 (** Each snapshot lists records oldest-first. The unit keeps them
     flat; this builds the records.

@@ -1,5 +1,4 @@
 open Stallhide_cpu
-open Stallhide_mem
 open Stallhide_util
 
 type event = Probe.event =
@@ -125,40 +124,7 @@ let record t ~pc ~addr ~stall ~cycle =
         push_sample t ~pc ~addr ~stall ~cycle
       end
 
-(* [count t n ...] advances the event counter by [n] occurrences and
-   records one sample per period boundary crossed. *)
-let count t n ~pc ~addr ~stall ~cycle =
-  for _ = 1 to Probe.count t.counter n do
-    record t ~pc ~addr ~stall ~cycle
-  done
-
 let attach t probe = Probe.sample probe t.ev t.counter (record t)
-
-(* The reference arm: the same events through per-instruction hooks,
-   which keep the run on the reference interpreter. *)
-let hooks t =
-  let on_load (info : Events.load_info) =
-    let sample () = count t 1 ~pc:info.pc ~addr:info.addr ~stall:info.stall ~cycle:info.cycle in
-    match (t.ev, info.level) with
-    | Loads_all, _ -> sample ()
-    | L2_miss_loads, (Hierarchy.L3 | Hierarchy.Dram) -> sample ()
-    | L3_miss_loads, Hierarchy.Dram -> sample ()
-    | (L2_miss_loads | L3_miss_loads), (Hierarchy.L1 | Hierarchy.L2) -> ()
-    | L3_miss_loads, Hierarchy.L3 -> ()
-    | (Stall_cycles | Frontend_stalls), _ -> ()
-  in
-  let on_stall ~ctx:_ ~pc ~cycles ~cycle =
-    match t.ev with
-    | Stall_cycles -> count t cycles ~pc ~addr:0 ~stall:cycles ~cycle
-    | Loads_all | L2_miss_loads | L3_miss_loads | Frontend_stalls -> ()
-  in
-  let on_frontend_stall ~ctx:_ ~pc ~cycles ~cycle =
-    (* the generic stalled-cycles event cannot tell causes apart *)
-    match t.ev with
-    | Stall_cycles | Frontend_stalls -> count t cycles ~pc ~addr:0 ~stall:cycles ~cycle
-    | Loads_all | L2_miss_loads | L3_miss_loads -> ()
-  in
-  { Events.nop with on_load; on_stall; on_frontend_stall }
 
 let sample_pc t i =
   if i < 0 || i >= sample_count t then invalid_arg "Pebs.sample_pc: index out of range";

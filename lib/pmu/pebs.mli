@@ -18,14 +18,10 @@
       §3.2's "additional events ... to filter out stalls due to other
       reasons" subtracts these from [Stall_cycles].
 
-    A unit is fed one of two ways. {!attach} arms it on a
-    {!Stallhide_cpu.Probe}, which the decoded-µop loop updates at loads
-    and paid stalls: a sample record is built only when the countdown
-    fires. {!hooks} feeds it from per-instruction {!Stallhide_cpu.Events}
-    hooks, which keep the run on the reference interpreter; it is kept
-    as the reference arm of the differential test. Both count on the
-    same {!Stallhide_cpu.Probe.countdown} and record through the same
-    buffer and degradation rules, so they give identical samples. *)
+    {!attach} arms a unit on a {!Stallhide_cpu.Probe}, which either
+    interpreter updates at loads and paid stalls: a sample record is
+    built only when the countdown fires, so both interpreters give
+    identical samples. *)
 
 type event = Stallhide_cpu.Probe.event =
   | Loads_all
@@ -71,14 +67,9 @@ val event : t -> event
 
 val period : t -> int
 
-(** Count this unit's event on the probe. Attach a unit to one probe,
-    and feed it either from a probe or from {!hooks}, not both. *)
+(** Count this unit's event on the probe. Attach a unit to one
+    probe. *)
 val attach : t -> Stallhide_cpu.Probe.t -> unit
-
-(** Per-instruction hooks counting this unit's event (the reference
-    arm; a run with them takes the reference interpreter).
-    Exported for [test_pmu] only. *)
-val hooks : t -> Stallhide_cpu.Events.t
 
 (** The buffered samples, oldest first. The buffer keeps them flat;
     this builds the records.

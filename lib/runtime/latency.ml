@@ -1,4 +1,3 @@
-open Stallhide_cpu
 open Stallhide_util
 
 (* Per-context state in arrays indexed by context id, grown on demand:
@@ -25,7 +24,7 @@ let ops r = r.ops
 (* Make room for context [ctx]: at least double, so ids met in
    ascending order cost amortized constant time. *)
 let fit r ctx =
-  if ctx < 0 then invalid_arg (Printf.sprintf "Latency.hooks: negative context id %d" ctx);
+  if ctx < 0 then invalid_arg (Printf.sprintf "Latency.on_opmark: negative context id %d" ctx);
   let n = Array.length r.last in
   let size = max (ctx + 1) (max 16 (2 * n)) in
   let grow a fill =
@@ -55,16 +54,13 @@ let push r ctx lat =
 (* The one opmark observer every [Baselines] arm attaches: it counts the
    opmark and, from a context's second opmark on, records the distance
    from the previous one. It allocates only when an array grows. *)
-let hooks r =
-  let on_opmark ~ctx ~pc:_ ~cycle =
-    if ctx >= Array.length r.last || ctx < 0 then fit r ctx;
-    r.ops <- r.ops + 1;
-    let prev = r.last.(ctx) in
-    r.last.(ctx) <- cycle;
-    (* the first opmark arms the recorder: no defined start *)
-    if prev <> unarmed then push r ctx (cycle - prev)
-  in
-  { Events.nop with on_opmark }
+let on_opmark r ~ctx ~pc:_ ~cycle =
+  if ctx >= Array.length r.last || ctx < 0 then fit r ctx;
+  r.ops <- r.ops + 1;
+  let prev = r.last.(ctx) in
+  r.last.(ctx) <- cycle;
+  (* the first opmark arms the recorder: no defined start *)
+  if prev <> unarmed then push r ctx (cycle - prev)
 
 let of_ctx r ctx =
   if ctx >= Array.length r.len then [] else Array.to_list (Array.sub r.lats.(ctx) 0 r.len.(ctx))

@@ -19,14 +19,12 @@ type recorder
 
 val recorder : unit -> recorder
 
-(** The recorder's one observer, to compose into the engine
-    configuration: it counts every opmark and records each context's
-    latencies. Only [on_opmark] differs from {!Events.nop}, so an engine
-    with just this observer keeps the decoded-µop loop.
+(** The recorder's one observer, for [Engine.config.on_opmark]: it
+    counts every opmark and records each context's latencies.
     @raise Invalid_argument at an opmark with a negative context id. *)
-val hooks : recorder -> Stallhide_cpu.Events.t
+val on_opmark : recorder -> ctx:int -> pc:int -> cycle:int -> unit
 
-(** Every opmark the hooks saw, each context's arming one included. *)
+(** Every opmark the observer saw, each context's arming one included. *)
 val ops : recorder -> int
 
 (** Latencies recorded for context [ctx], oldest first.

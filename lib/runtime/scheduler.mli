@@ -63,8 +63,8 @@ val collect :
 (** [traced ?obs engine hier mem ~clock ~deadline ctx] runs the engine
     and records the dispatch span into the telemetry stream [obs]
     (scheduler building block). Scheduling-level events ([Dispatch],
-    [Context_switch], [Scavenger_escalation]) go to [obs]; the
-    engine-level hooks in [engine] are independent of it. An empty
+    [Context_switch], [Scavenger_escalation]) go to [obs]; engine-level
+    events come from [engine]'s probe, independent of it. An empty
     dispatch (no cycle elapsed) records no span.
     {!Stallhide_obs.Stream.timeline} draws the spans. *)
 val traced :

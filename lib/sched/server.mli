@@ -84,7 +84,7 @@ val efficiency : result -> float
 
 (** Tasks must be sorted by arrival time. [obs] receives
     scheduling-level telemetry ([Dispatch] spans, [Context_switch],
-    [Scavenger_escalation]); engine-level events come from the hooks in
+    [Scavenger_escalation]); engine-level events come from the probe in
     [config.engine], independent of it.
     @raise Invalid_argument otherwise. *)
 val run :

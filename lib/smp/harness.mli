@@ -61,10 +61,10 @@ type params = {
       (** forwarded to {!Machine.config.prepare_core} (default no-op) *)
   trace : bool;
       (** forwarded to {!Machine.config.trace} (default [false]: the
-          decoded-µop fast path runs and the per-core streams carry
-          only steals); [true] records the per-instruction, per-slice
-          and per-request events the critical path and Perfetto export
-          read *)
+          per-core streams carry only steals); [true] records the
+          per-instruction, per-slice and per-request events the
+          critical path and Perfetto export read, on either
+          interpreter *)
   engine_fast : bool;
       (** {!Stallhide_cpu.Engine.config.fast} on every core (default
           [true]); [false] pins the reference interpreter — the

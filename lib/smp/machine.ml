@@ -98,22 +98,16 @@ module Live = struct
       Array.init n (fun i ->
           let hier = Hierarchy.create_core config.memcfg ~shared in
           config.prepare_core i hier;
-          (* [trace = false] keeps the engine hooks exactly as given
-             (normally [Events.nop]) and drops the per-slice dispatch
-             stream, so {!Engine.fast_engaged} can hold and the decoded
-             µop loop carries the whole window. *)
+          (* [trace = false] keeps the engine exactly as given and
+             drops the per-slice dispatch stream; [trace = true] gives
+             the core a probe of its own feeding its stream. *)
           let engine =
             if not config.trace then config.core.Core_sched.engine
-            else
-              {
-                config.core.Core_sched.engine with
-                Engine.hooks =
-                  Events.compose
-                    [
-                      config.core.Core_sched.engine.Engine.hooks;
-                      Stallhide_obs.Stream.hooks streams.(i);
-                    ];
-              }
+            else begin
+              let probe = Probe.create () in
+              Stallhide_obs.Stream.attach streams.(i) probe;
+              { config.core.Core_sched.engine with Engine.probe = Some probe }
+            end
           in
           let obs = if config.trace then Some streams.(i) else None in
           Core_sched.create ~config:{ config.core with Core_sched.engine } ?obs hier mem)

@@ -37,14 +37,15 @@ type config = {
           core deterministically (default: no-op) *)
   sync : sync;  (** always [Interleaved] *)
   trace : bool;
-      (** default [false]: the engine hooks stay as given (normally
-          {!Events.nop}) so the decoded-µop fast path engages, and the
+      (** default [false]: the engine stays as given, and the
           per-core event streams carry only [Steal] events. [true]
-          composes each core's event stream into the engine hooks and
-          records per-slice dispatch events and per-request
+          gives each core's engine a probe of its own (in place of any
+          in [core.engine]) feeding that core's stream, and records
+          per-slice dispatch events and per-request
           [Span_open]/[Span_close] — what the critical-path extractor
-          and Perfetto export read. Simulated statistics are the same
-          either way. *)
+          and Perfetto export read. [core.engine.fast] picks the
+          interpreter either way, and simulated statistics are the
+          same. *)
 }
 
 (** 4 cores, default memory geometry, window 32 / budget 16,

@@ -178,7 +178,7 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_lev
   in
   let recorder = Latency.recorder () in
   let engine =
-    { Engine.default_config with hooks = Latency.hooks recorder; stall_shape }
+    { Engine.default_config with on_opmark = Latency.on_opmark recorder; stall_shape }
   in
   let _ =
     Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image

@@ -163,7 +163,7 @@ let test_dual_latency_vs_symmetric () =
   let engine =
     {
       Stallhide_cpu.Engine.default_config with
-      Stallhide_cpu.Engine.hooks = Stallhide_runtime.Latency.hooks recorder;
+      Stallhide_cpu.Engine.on_opmark = Stallhide_runtime.Latency.on_opmark recorder;
     }
   in
   let kv_ctx = Workload.context kv2' ~lane:0 ~id:0 ~mode:Stallhide_cpu.Context.Primary in
@@ -356,6 +356,20 @@ let test_ops_and_latencies_agree () =
             (m.Metrics.ops - l.Stallhide_runtime.Latency.count))
     Stallhide_why.Why.workload_names
 
+(* An SMT arm reports the latencies its recorder records: one fewer
+   than the ops on every lane. *)
+let test_smt_latency () =
+  List.iter
+    (fun lanes ->
+      let m = Baselines.run_smt (chase ~lanes ()) in
+      match m.Metrics.latency with
+      | None -> Alcotest.failf "smt-%d: no latencies" lanes
+      | Some l ->
+          Alcotest.(check int)
+            (Printf.sprintf "smt-%d: latencies = ops - lanes" lanes)
+            (m.Metrics.ops - lanes) l.Stallhide_runtime.Latency.count)
+    [ 2; 8 ]
+
 (* --- pinned profiles ---
 
    [Pipeline.profile] samples on the µop loop and builds the profile
@@ -501,7 +515,8 @@ let test_placements_pinned () =
 
 (* Profiling allocates only when a sampler fires, and keeps samples
    in flat chunks: far below one minor word per profiled instruction.
-   Per-instruction hooks on the reference interpreter take about 27. *)
+   The per-instruction hooks that fed the samplers before the probe
+   took about 27. *)
 let test_profile_allocation () =
   let w = kv_twin () in
   let r =
@@ -549,6 +564,7 @@ let () =
           Alcotest.test_case "math" `Quick test_metrics_math;
           Alcotest.test_case "ops and latencies from one observer" `Quick
             test_ops_and_latencies_agree;
+          Alcotest.test_case "SMT latency" `Quick test_smt_latency;
           Alcotest.test_case "formatting" `Quick test_experiment_formatting;
           Alcotest.test_case "row shape" `Quick test_metrics_row_shape;
         ] );

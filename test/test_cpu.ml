@@ -23,6 +23,15 @@ let run ?(engine = Engine.default_config) ?deadline (_, mem, hier, ctx) =
 let check_stop msg expected actual =
   Alcotest.(check string) msg expected (Format.asprintf "%a" Engine.pp_stop actual)
 
+(* A stream fed by a fresh probe, and [engine] with that probe set. *)
+let traced engine =
+  let stream = Stallhide_obs.Stream.create () in
+  let probe = Probe.create () in
+  Stallhide_obs.Stream.attach stream probe;
+  (stream, probe, { engine with Engine.probe = Some probe })
+
+let both_loops = [ ("µop loop", true); ("reference", false) ]
+
 (* --- functional semantics --- *)
 
 let test_arith () =
@@ -236,29 +245,32 @@ let test_icache_fetch_stalls () =
   Buffer.add_string b "halt";
   let prog = Asm.parse (Buffer.contents b) in
   let mem = Address_space.create ~bytes:1024 in
-  let hier = Hierarchy.create icfg in
-  let fe = ref 0 in
-  let hooks =
-    { Events.nop with
-      Events.on_frontend_stall = (fun ~ctx:_ ~pc:_ ~cycles ~cycle:_ -> fe := !fe + cycles) }
-  in
-  let ctx = Context.create ~id:0 ~mode:Context.Primary prog in
-  let clock = ref 0 in
-  (match Engine.run { Engine.default_config with Engine.hooks } hier mem ~clock ctx with
-  | Engine.Halted -> ()
-  | s -> Alcotest.fail (Format.asprintf "stop %a" Engine.pp_stop s));
-  (* 41 instructions at 4B = pcs 0..40 -> lines 0..2 (and pc 40 in line 2): 3 misses *)
-  Alcotest.(check int) "three line fills" (3 * 14) !fe;
-  Alcotest.(check int) "stall accounted" (3 * 14) ctx.Context.stall_cycles;
-  Alcotest.(check int) "cycles = base + fetch stalls" (40 + (3 * 14)) !clock;
-  (* warm second run: no fetch stalls *)
-  Context.reset ctx;
-  fe := 0;
-  let clock = ref 0 in
-  (match Engine.run { Engine.default_config with Engine.hooks } hier mem ~clock ctx with
-  | Engine.Halted -> ()
-  | s -> Alcotest.fail (Format.asprintf "stop %a" Engine.pp_stop s));
-  Alcotest.(check int) "warm icache" 0 !fe
+  List.iter
+    (fun (loop, fast) ->
+      let hier = Hierarchy.create icfg in
+      let ctx = Context.create ~id:0 ~mode:Context.Primary prog in
+      (* front-end stall cycles as the probe reports them *)
+      let fetch_stalls () =
+        let stream, _, engine = traced { Engine.default_config with Engine.fast } in
+        let clock = ref 0 in
+        (match Engine.run engine hier mem ~clock ctx with
+        | Engine.Halted -> ()
+        | s -> Alcotest.fail (Format.asprintf "stop %a" Engine.pp_stop s));
+        let fe = ref 0 in
+        Stallhide_obs.Stream.iter
+          (function Stallhide_obs.Event.Frontend_stall { cycles; _ } -> fe := !fe + cycles | _ -> ())
+          stream;
+        (!fe, !clock)
+      in
+      let fe, clock = fetch_stalls () in
+      (* 41 instructions at 4B = pcs 0..40 -> lines 0..2 (and pc 40 in line 2): 3 misses *)
+      Alcotest.(check int) (loop ^ ": three line fills") (3 * 14) fe;
+      Alcotest.(check int) (loop ^ ": stall accounted") (3 * 14) ctx.Context.stall_cycles;
+      Alcotest.(check int) (loop ^ ": cycles = base + fetch stalls") (40 + (3 * 14)) clock;
+      (* warm second run: no fetch stalls *)
+      Context.reset ctx;
+      Alcotest.(check int) (loop ^ ": warm icache") 0 (fst (fetch_stalls ())))
+    both_loops
 
 let test_no_icache_no_stalls () =
   let env = setup "add r1, r1, 1\nhalt" in
@@ -360,40 +372,39 @@ let test_guard_semantics () =
   | Engine.Fault _ -> ()
   | s -> Alcotest.fail (Format.asprintf "hi bound not exclusive: %a" Engine.pp_stop s)
 
-(* --- hooks --- *)
+(* --- the probe's points, read from a stream it feeds --- *)
 
 let test_hooks () =
-  let loads = ref [] in
-  let stalls = ref 0 in
-  let marks = ref 0 in
-  let branches = ref 0 in
-  let retired = ref 0 in
-  let hooks =
-    {
-      Events.on_retire = (fun ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ -> incr retired);
-      on_load = (fun info -> loads := info :: !loads);
-      on_branch = (fun ~ctx:_ ~pc:_ ~target:_ ~taken:_ ~cycle:_ -> incr branches);
-      on_stall = (fun ~ctx:_ ~pc:_ ~cycles ~cycle:_ -> stalls := !stalls + cycles);
-      on_frontend_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ());
-      on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr marks);
-      on_yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ());
-    }
-  in
-  let engine = { Engine.default_config with Engine.hooks } in
-  let env = setup "mov r1, 256\nload r2, [r1]\nopmark\nbr eq r2, 0, done\ndone:\nhalt" in
-  let stop, _ = run ~engine env in
-  check_stop "halts" "halted" stop;
-  Alcotest.(check int) "one load event" 1 (List.length !loads);
-  (match !loads with
-  | [ info ] ->
-      Alcotest.(check int) "load addr" 256 info.Events.addr;
-      Alcotest.(check int) "load pc" 1 info.Events.pc;
-      Alcotest.(check int) "load stall" (dram - l1) info.Events.stall
-  | _ -> Alcotest.fail "loads");
-  Alcotest.(check int) "stall hook total" (dram - l1) !stalls;
-  Alcotest.(check int) "opmark" 1 !marks;
-  Alcotest.(check int) "branch" 1 !branches;
-  Alcotest.(check int) "retired" 5 !retired
+  List.iter
+    (fun (loop, fast) ->
+      let stream, probe, engine = traced { Engine.default_config with Engine.fast } in
+      let ring = Probe.ring ~depth:8 in
+      Probe.record_branches probe ring (Probe.countdown ~period:1_000) ignore;
+      let marks = ref 0 in
+      let engine = { engine with Engine.on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr marks) } in
+      let env = setup "mov r1, 256\nload r2, [r1]\nopmark\nbr eq r2, 0, done\ndone:\nhalt" in
+      let stop, _ = run ~engine env in
+      check_stop (loop ^ ": halts") "halted" stop;
+      let module E = Stallhide_obs.Event in
+      let loads = ref [] and stalls = ref 0 and ops = ref 0 in
+      Stallhide_obs.Stream.iter
+        (function
+          | E.Cache_access { addr; pc; stall; _ } -> loads := (addr, pc, stall) :: !loads
+          | E.Stall { cycles; _ } -> stalls := !stalls + cycles
+          | E.Op_retired _ -> incr ops
+          | _ -> ())
+        stream;
+      Alcotest.(check (list (triple int int int)))
+        (loop ^ ": one load: addr, pc, stall")
+        [ (256, 1, dram - l1) ]
+        !loads;
+      Alcotest.(check int) (loop ^ ": stall total") (dram - l1) !stalls;
+      Alcotest.(check int) (loop ^ ": opmark observer") 1 !marks;
+      Alcotest.(check int) (loop ^ ": opmark event") 1 !ops;
+      Alcotest.(check int) (loop ^ ": taken branch pushed") 1 (Probe.ring_length ring);
+      let _, _, _, ctx = env in
+      Alcotest.(check int) (loop ^ ": retired") 5 ctx.Context.instructions)
+    both_loops
 
 (* --- SMT --- *)
 
@@ -686,9 +697,7 @@ let test_decode_bad_register () =
     | stop -> Alcotest.failf "context %d ran to %s" id (Format.asprintf "%a" Engine.pp_stop stop)
   done
 
-(* --- a probe is refused where it would be silently ignored --- *)
-
-let probed engine = { engine with Engine.probe = Some (Probe.create ()) }
+(* --- a probe rides both loops; [step] refuses only an LBR ring --- *)
 
 let refused name f =
   match f () with
@@ -704,38 +713,40 @@ done:
   halt
 |}
 
-let test_probe_refused_off_the_loop () =
-  let n = Events.nop in
-  let off_loop =
-    [
-      ("fast = false", { Engine.default_config with Engine.fast = false });
-      ( "on_retire hook",
-        {
-          Engine.default_config with
-          Engine.hooks = { n with Events.on_retire = (fun ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ -> ()) };
-        } );
-      ( "on_load hook",
-        { Engine.default_config with Engine.hooks = { n with Events.on_load = (fun _ -> ()) } } );
-    ]
+let test_probe_on_both_loops () =
+  let arm label run =
+    let stream, _, engine = traced Engine.default_config in
+    let _, mem, hier, ctx = setup probe_src in
+    check_stop (label ^ " halts") "halted" (run engine hier mem ctx);
+    Stallhide_obs.Stream.events stream
   in
-  List.iter
-    (fun (label, engine) ->
-      let _, mem, hier, ctx = setup probe_src in
-      refused "Engine.run" (fun () -> Engine.run (probed engine) hier mem ~clock:(ref 0) ctx);
-      Alcotest.(check int) (label ^ ": nothing ran") 0 ctx.Context.instructions)
-    off_loop;
-  (* on the loop it runs *)
-  let env = setup probe_src in
-  let stop, _ = run ~engine:(probed Engine.default_config) env in
-  check_stop "probe on the µop loop" "halted" stop
+  let fast = arm "µop loop" (fun e h m c -> Engine.run e h m ~clock:(ref 0) c) in
+  let slow =
+    arm "fast = false" (fun e h m c -> Engine.run { e with Engine.fast = false } h m ~clock:(ref 0) c)
+  in
+  let reference = arm "run_reference" (fun e h m c -> Engine.run_reference e h m ~clock:(ref 0) c) in
+  Alcotest.(check int) "the load and its stall" 2 (List.length fast);
+  Alcotest.(check bool) "fast = false sees the same events" true (slow = fast);
+  Alcotest.(check bool) "run_reference sees the same events" true (reference = fast)
 
-let test_probe_refused_by_reference_and_step () =
+let test_probe_step_refuses_lbr () =
   let _, mem, hier, ctx = setup probe_src in
-  refused "Engine.run_reference" (fun () ->
-      Engine.run_reference (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
+  let probe = Probe.create () in
+  Probe.record_branches probe (Probe.ring ~depth:4) (Probe.countdown ~period:1) ignore;
   refused "Engine.step" (fun () ->
-      Engine.step (probed Engine.default_config) hier mem ~clock:(ref 0) ctx);
-  Alcotest.(check int) "nothing ran" 0 ctx.Context.instructions
+      Engine.step { Engine.default_config with Engine.probe = Some probe } hier mem
+        ~clock:(ref 0) ctx);
+  Alcotest.(check int) "nothing ran" 0 ctx.Context.instructions;
+  (* without a ring it steps, and the blocked load reaches the probe
+     with its paid stall and no stall point *)
+  let stream, _, engine = traced Engine.default_config in
+  (match Engine.step engine hier mem ~clock:(ref 0) ctx with
+  | Engine.Blocked_until _ -> ()
+  | _ -> Alcotest.fail "the cold load did not block");
+  match Stallhide_obs.Stream.events stream with
+  | [ Stallhide_obs.Event.Cache_access { pc = 0; stall; _ } ] ->
+      Alcotest.(check int) "paid stall" (dram - l1) stall
+  | es -> Alcotest.failf "%d events for one blocked load" (List.length es)
 
 (* --- the stall shape: a per-pc delta on the raw memory stall, before
    OoO hiding, clamped at 0, applied alike by both loops --- *)
@@ -839,9 +850,8 @@ let () =
         ] );
       ( "probe",
         [
-          Alcotest.test_case "refused off the µop loop" `Quick test_probe_refused_off_the_loop;
-          Alcotest.test_case "refused by run_reference and step" `Quick
-            test_probe_refused_by_reference_and_step;
+          Alcotest.test_case "accepted on both loops" `Quick test_probe_on_both_loops;
+          Alcotest.test_case "refused by step with LBR rings" `Quick test_probe_step_refuses_lbr;
         ] );
       ( "stall shape",
         [

@@ -2,12 +2,15 @@
    fast loop must be architecturally bit-identical to the reference
    interpreter — registers, memory, Mem_stats, instruction/stall/cycle
    counts — on every workload, on hundreds of generated programs,
-   through every [Baselines] runner with its opmark observers attached,
-   and through the whole SMP harness in every placement mode. The
-   zero-allocation regression keeps the fast path actually fast: its
-   per-simulated-cycle minor-heap delta must be zero (only a small
-   per-[Engine.run]-call constant is allowed, for the returned [stop]
-   value), with or without an opmark observer. *)
+   through every [Baselines] runner with its opmark observer attached,
+   and through the whole SMP harness in every placement mode. Each is
+   run in four arms, each interpreter traced and untraced: a trace is a
+   stream fed by the engine's probe, and the two traced streams must
+   match event for event. The zero-allocation regression keeps the
+   fast path actually fast: its per-simulated-cycle minor-heap delta
+   must be zero (only a small per-[Engine.run]-call constant is
+   allowed, for the returned [stop] value), with or without observers,
+   while the reference interpreter allocates per instruction. *)
 
 open Stallhide_mem
 open Stallhide_cpu
@@ -15,12 +18,11 @@ open Stallhide_runtime
 open Stallhide_workloads
 open Stallhide_check
 module Harness = Stallhide_smp.Harness
+module Stream = Stallhide_obs.Stream
 
 let memcfg = Memconfig.default
 
 let fast_engine = Engine.default_config
-
-let ref_engine = { Engine.default_config with Engine.fast = false }
 
 (* The nine workloads, fresh per arm (runs mutate the image), on their
    own image unless given one to share. *)
@@ -53,6 +55,86 @@ let manual_makers : (string * fixed_maker) list =
     ("offload", fun ?image () -> Offload.make ?image ~manual:true ~seed:42 ());
   ]
 
+(* --- the four arms --- *)
+
+type arm = { fast : bool; traced : bool }
+
+(* The untraced reference arm first: every other arm is checked
+   against it. *)
+let arms =
+  [
+    { fast = false; traced = false };
+    { fast = true; traced = false };
+    { fast = false; traced = true };
+    { fast = true; traced = true };
+  ]
+
+let traced = List.filter (fun a -> a.traced) arms
+
+let arm_name a =
+  Printf.sprintf "%s%s" (if a.fast then "µop loop" else "reference")
+    (if a.traced then ", traced" else "")
+
+(* [base] with the arm's loop, and when traced a stream on a fresh
+   probe. *)
+let arm_engine ?(base = Engine.default_config) a =
+  let engine = { base with Engine.fast = a.fast } in
+  if not a.traced then (None, engine)
+  else begin
+    let stream = Stream.create () in
+    let probe = Probe.create () in
+    Stream.attach stream probe;
+    (Some stream, { engine with Engine.probe = Some probe })
+  end
+
+(* The two traced streams must agree event for event, and on what they
+   dropped and counted. *)
+let check_streams label (a : Stream.t) (b : Stream.t) =
+  let rec first i xs ys =
+    match (xs, ys) with
+    | x :: xs, y :: ys ->
+        if x <> y then
+          Alcotest.failf "%s: event %d: %s vs %s" label i
+            (Format.asprintf "%a" Stallhide_obs.Event.pp x)
+            (Format.asprintf "%a" Stallhide_obs.Event.pp y)
+        else first (i + 1) xs ys
+    | [], [] -> ()
+    | _ -> Alcotest.failf "%s: %d vs %d events" label (Stream.length a) (Stream.length b)
+  in
+  first 0 (Stream.events a) (Stream.events b);
+  Alcotest.(check int) (label ^ ": dropped") (Stream.dropped a) (Stream.dropped b);
+  Alcotest.(check string)
+    (label ^ ": registry")
+    (Stallhide_util.Json.to_string (Stallhide_obs.Registry.to_json (Stream.registry a)))
+    (Stallhide_util.Json.to_string (Stallhide_obs.Registry.to_json (Stream.registry b)))
+
+(* Events the traced arms compared, so a test can tell that it traced
+   something. *)
+let traced_events = ref 0
+
+let expect_traced label f =
+  let before = !traced_events in
+  f ();
+  if !traced_events = before then Alcotest.failf "%s: nothing traced" label
+
+(* Run [run] in every arm of [arms] (default: all four); check each
+   against the first with [same] and two traced arms' streams against
+   each other. [run] returns its result and the stream it traced into,
+   if any. *)
+let four_arms ?(arms = arms) label ~run ~same =
+  let results = List.map (fun a -> (a, run a)) arms in
+  match results with
+  | (_, (first, _)) :: rest ->
+      List.iter (fun (a, (r, _)) -> same (label ^ " [" ^ arm_name a ^ "]") first r) rest;
+      (match List.filter_map (fun (_, (_, s)) -> s) results with
+      | [ reference; fast ] ->
+          traced_events := !traced_events + Stream.length reference;
+          check_streams (label ^ ": traced streams") reference fast
+      | [] | [ _ ] -> ()
+      | _ -> assert false);
+      first
+  | [] -> assert false
+
 let check_mem_stats label (a : Mem_stats.t) (b : Mem_stats.t) =
   let f name g = Alcotest.(check int) (label ^ ": " ^ name) (g a) (g b) in
   f "demand_accesses" (fun s -> s.Mem_stats.demand_accesses);
@@ -65,57 +147,93 @@ let check_mem_stats label (a : Mem_stats.t) (b : Mem_stats.t) =
   f "useless_prefetches" (fun s -> s.Mem_stats.useless_prefetches)
 
 (* Run one arm of the single-engine differential: all lanes
-   sequentially on a private hierarchy. Returns everything observable. *)
-let run_arm engine (w : Workload.t) =
-  let hier = Hierarchy.create memcfg in
-  let ctxs = Workload.contexts w in
-  let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
-  (ctxs, hier, r)
+   sequentially on a private hierarchy, the scheduler feeding the
+   arm's stream too. Returns everything observable. *)
+type run = {
+  state : State.t;
+  result : Scheduler.result;
+  mem_stats : Mem_stats.t;
+  per_ctx : (int * int) array;  (* instructions, stall cycles *)
+}
 
-(* [shape] builds a stall-shape table for the workload's program;
-   both arms run under it. *)
-let diff_one ?(shape = fun _ -> [||]) label ~make =
-  let wf = make () in
-  let wr = make () in
-  let stall_shape = shape wf.Workload.program in
-  let cf, hf, rf = run_arm { fast_engine with Engine.stall_shape } wf in
-  let cr, hr, rr = run_arm { ref_engine with Engine.stall_shape } wr in
-  let sf = State.capture ~mem:wf.Workload.image cf in
-  let sr = State.capture ~mem:wr.Workload.image cr in
-  (match State.diff sr sf with
+(* [contended] runs on one core of a machine with tiny private caches
+   and a shared L3 that admits one below-L2 service per 32 cycles, so
+   loads hit in L3 and queue there; with [ooo_window] hiding more than
+   an L3 hit's stall, the queueing delay can pass the paid stall. *)
+let contended_memcfg =
+  {
+    memcfg with
+    Memconfig.l1 = { memcfg.Memconfig.l1 with Memconfig.size_bytes = 256; ways = 2 };
+    l2 = { memcfg.Memconfig.l2 with Memconfig.size_bytes = 1024; ways = 2 };
+  }
+
+let run_arm ?(stall_shape = [||]) ?(contended = false) a (w : Workload.t) =
+  let base =
+    { fast_engine with Engine.stall_shape; ooo_window = (if contended then 64 else 0) }
+  in
+  let obs, engine = arm_engine ~base a in
+  let hier =
+    if contended then
+      Hierarchy.create_core contended_memcfg
+        ~shared:(Shared_l3.create ~window:32 ~budget:1 contended_memcfg)
+    else Hierarchy.create memcfg
+  in
+  let ctxs = Workload.contexts w in
+  let result = Scheduler.run_sequential ~engine ?obs hier w.Workload.image ctxs in
+  ( {
+      state = State.capture ~mem:w.Workload.image ctxs;
+      result;
+      mem_stats = Hierarchy.stats hier;
+      per_ctx =
+        Array.map (fun (c : Context.t) -> (c.Context.instructions, c.Context.stall_cycles)) ctxs;
+    },
+    obs )
+
+let same_run label (r : run) (f : run) =
+  (match State.diff r.state f.state with
   | None -> ()
-  | Some d -> Alcotest.fail (label ^ ": fast/reference state diff: " ^ d));
+  | Some d -> Alcotest.fail (label ^ ": state diff: " ^ d));
+  let rr = r.result and rf = f.result in
   Alcotest.(check int) (label ^ ": cycles") rr.Scheduler.cycles rf.Scheduler.cycles;
   Alcotest.(check int) (label ^ ": stall") rr.Scheduler.stall rf.Scheduler.stall;
   Alcotest.(check int)
     (label ^ ": instructions")
     rr.Scheduler.instructions rf.Scheduler.instructions;
   Alcotest.(check int) (label ^ ": completed") rr.Scheduler.completed rf.Scheduler.completed;
-  check_mem_stats label (Hierarchy.stats hr) (Hierarchy.stats hf);
+  check_mem_stats label r.mem_stats f.mem_stats;
   (* commit order: the engine is in-order, so identical per-context
      instruction counts + identical final state pin the retire sequence *)
-  Array.iter2
-    (fun (a : Context.t) (b : Context.t) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s: ctx %d instructions" label a.Context.id)
-        a.Context.instructions b.Context.instructions;
-      Alcotest.(check int)
-        (Printf.sprintf "%s: ctx %d stall_cycles" label a.Context.id)
-        a.Context.stall_cycles b.Context.stall_cycles)
-    cr cf;
-  rf.Scheduler.cycles
+  Alcotest.(check (array (pair int int)))
+    (label ^ ": per-context instructions, stall_cycles")
+    r.per_ctx f.per_ctx
+
+(* [shape] builds a stall-shape table for the workload's program;
+   every arm runs under it. *)
+let diff_one ?arms ?(shape = fun _ -> [||]) ?contended label ~make =
+  let r =
+    four_arms ?arms label ~same:same_run ~run:(fun a ->
+        let w = make () in
+        run_arm ~stall_shape:(shape w.Workload.program) ?contended a w)
+  in
+  r.result.Scheduler.cycles
 
 let test_workloads_diff () =
-  List.iter (fun (name, (make : maker)) -> ignore (diff_one name ~make:(fun () -> make 42))) makers;
-  List.iter
-    (fun (name, (mk : fixed_maker)) ->
-      ignore (diff_one (name ^ "/manual") ~make:(fun () -> mk ())))
-    manual_makers
+  expect_traced "workloads" (fun () ->
+      List.iter
+        (fun (name, (make : maker)) -> ignore (diff_one name ~make:(fun () -> make 42)))
+        makers;
+      List.iter
+        (fun (name, (mk : fixed_maker)) ->
+          ignore (diff_one (name ^ "/manual") ~make:(fun () -> mk ())))
+        manual_makers)
 
 (* --- stall shapes on both loops: a table that zeroes the stall at
    every other load and accelerator wait, and one that adds -60..+180
    cycles by pc. Each must move the run (else the arms agree
-   trivially) and leave the two loops bit-identical. --- *)
+   trivially) and leave the two loops bit-identical. Untraced here: the
+   generated-program property traces shaped runs. --- *)
+
+let untraced = List.filter (fun a -> not a.traced) arms
 
 let zeroing prog =
   let seen = ref 0 in
@@ -130,122 +248,128 @@ let additive prog = Array.init (Stallhide_isa.Program.length prog) (fun pc -> (p
 
 let test_shaped_diff () =
   let both name make =
-    let plain = diff_one name ~make in
+    let plain = diff_one ~arms:untraced name ~make in
     List.iter
       (fun (tname, shape) ->
-        let shaped = diff_one ~shape (name ^ " " ^ tname) ~make in
+        let shaped = diff_one ~arms:untraced ~shape (name ^ " " ^ tname) ~make in
         if shaped = plain then Alcotest.failf "%s: the %s table moved nothing" name tname)
       [ ("zeroing", zeroing); ("additive", additive) ]
   in
   List.iter (fun (name, (make : maker)) -> both name (fun () -> make 42)) makers;
   List.iter (fun (name, (mk : fixed_maker)) -> both (name ^ "/manual") (fun () -> mk ())) manual_makers
 
-(* --- the [Baselines] runners: they attach an op counter and a latency
-   recorder, both opmark observers, so their fast arm runs the µop loop
-   with hooks firing. Every figure they report, down to the last bit of
-   the latency mean and stddev, must match the reference arm. --- *)
+(* --- the [Baselines] runners: they attach a latency recorder as the
+   opmark observer, and a traced arm sets [obs]. Every figure they
+   report, down to the last bit of the latency mean and stddev, must
+   match the untraced reference arm. --- *)
 
 let metrics = Alcotest.testable Stallhide.Metrics.pp ( = )
 
 let latency = Alcotest.(option (testable Latency.pp_summary ( = )))
 
-let baselines_opts fast =
-  { Stallhide.Baselines.default_opts with
-    Stallhide.Baselines.engine = { Engine.default_config with Engine.fast } }
+let baselines_opts a =
+  let obs = if a.traced then Some (Stream.create ()) else None in
+  ( { Stallhide.Baselines.default_opts with
+      Stallhide.Baselines.engine = { Engine.default_config with Engine.fast = a.fast };
+      obs },
+    obs )
 
 let diff_baselines label ~(make : fixed_maker) =
   let module B = Stallhide.Baselines in
-  let both run = (run (baselines_opts false), run (baselines_opts true)) in
-  let r, f = both (fun opts -> B.run_sequential ~opts (make ())) in
-  Alcotest.check metrics (label ^ ": run_sequential") r f;
-  let r, f = both (fun opts -> B.run_round_robin ~opts (make ())) in
-  Alcotest.check metrics (label ^ ": run_round_robin") r f;
+  let metrics_of ?arms name run =
+    ignore
+      (four_arms ?arms (label ^ ": " ^ name)
+         ~same:(fun l r f -> Alcotest.check metrics l r f)
+         ~run:(fun a ->
+           let opts, obs = baselines_opts a in
+           (run opts, obs)))
+  in
+  metrics_of "run_sequential" (fun opts -> B.run_sequential ~opts (make ()));
+  metrics_of "run_ooo" (fun opts -> B.run_ooo ~opts ~window:48 (make ()));
+  (* SMT steps through [Engine.step] whatever [fast] says *)
+  metrics_of ~arms:(List.filter (fun a -> not a.fast) arms) "run_smt" (fun opts ->
+      B.run_smt ~opts (make ()));
+  metrics_of "run_round_robin" (fun opts -> B.run_round_robin ~opts (make ()));
   (* dual mode: the workload's lanes scavenge behind one kv-server
      primary lane on a shared image *)
-  let r, f =
-    both (fun opts ->
-        let image = Address_space.create ~bytes:(1 lsl 24) in
-        let primary = Kv_server.make ~image ~requests:200 ~seed:42 () in
-        B.run_dual ~opts ~primary ~scavengers:(make ~image ()) ())
-  in
-  Alcotest.check metrics (label ^ ": run_dual") r.B.metrics f.B.metrics;
-  Alcotest.check latency (label ^ ": run_dual primary latency") r.B.primary_latency
-    f.B.primary_latency;
-  Alcotest.(check int)
-    (label ^ ": run_dual scavenger switches")
-    r.B.stats.Core_sched.scav_dispatches f.B.stats.Core_sched.scav_dispatches
+  ignore
+    (four_arms (label ^ ": run_dual")
+       ~same:(fun l r f ->
+         Alcotest.check metrics l r.B.metrics f.B.metrics;
+         Alcotest.check latency (l ^ " primary latency") r.B.primary_latency f.B.primary_latency;
+         Alcotest.(check int)
+           (l ^ " scavenger switches")
+           r.B.stats.Core_sched.scav_dispatches f.B.stats.Core_sched.scav_dispatches)
+       ~run:(fun a ->
+         let opts, obs = baselines_opts a in
+         let image = Address_space.create ~bytes:(1 lsl 24) in
+         let primary = Kv_server.make ~image ~requests:200 ~seed:42 () in
+         (B.run_dual ~opts ~primary ~scavengers:(make ~image ()) (), obs)));
+  (* the attributed pgo arm always traces its own streams, so only
+     the traced arms run it *)
+  ignore
+    (four_arms ~arms:traced (label ^ ": run_pgo_attributed")
+       ~same:(fun l r f ->
+         Alcotest.check metrics l r.B.pgo_metrics f.B.pgo_metrics;
+         Alcotest.(check string)
+           (l ^ " attribution")
+           (Stallhide_util.Json.to_string (Stallhide_obs.Attribution.to_json r.B.attribution))
+           (Stallhide_util.Json.to_string (Stallhide_obs.Attribution.to_json f.B.attribution)))
+       ~run:(fun a ->
+         let opts, _ = baselines_opts { a with traced = false } in
+         let r = B.run_pgo_attributed ~opts (make ()) in
+         (r, Some r.B.stream)))
 
 let test_baselines_diff () =
-  List.iter
-    (fun (name, (make : maker)) -> diff_baselines name ~make:(fun ?image () -> make ?image 42))
-    makers;
-  List.iter (fun (name, mk) -> diff_baselines (name ^ "/manual") ~make:mk) manual_makers
+  expect_traced "Baselines" (fun () ->
+      List.iter
+        (fun (name, (make : maker)) -> diff_baselines name ~make:(fun ?image () -> make ?image 42))
+        makers;
+      List.iter (fun (name, mk) -> diff_baselines (name ^ "/manual") ~make:mk) manual_makers)
 
 (* 500 generated programs, raw and scavenger-instrumented: the fast
    path must agree with the reference on programs it has never seen. *)
 let test_gen_programs_diff () =
-  for seed = 0 to 499 do
-    let case = Gen.case ~seed () in
-    let label = Printf.sprintf "gen seed %d" seed in
-    ignore (diff_one label ~make:(fun () -> Gen.workload ~prog:case.Gen.program case.Gen.cfg))
-  done
+  expect_traced "generated programs" (fun () ->
+      for seed = 0 to 499 do
+        let case = Gen.case ~seed () in
+        let label = Printf.sprintf "gen seed %d" seed in
+        ignore (diff_one label ~make:(fun () -> Gen.workload ~prog:case.Gen.program case.Gen.cfg))
+      done)
 
-let test_fast_engaged_sanity () =
-  let engaged hooks = Engine.fast_engaged { fast_engine with Engine.hooks } in
-  Alcotest.(check bool) "default engages" true (Engine.fast_engaged fast_engine);
-  Alcotest.(check bool) "fast=false disengages" false (Engine.fast_engaged ref_engine);
-  Alcotest.(check bool) "stream hooks disengage" false
-    (engaged (Stallhide_obs.Stream.hooks (Stallhide_obs.Stream.create ())));
-  (* both loops apply a shape, so it does not choose between them *)
-  Alcotest.(check bool) "stall_shape keeps the µop loop" true
-    (Engine.fast_engaged { fast_engine with Engine.stall_shape = [| 0; -max_int; 300 |] });
-  (* any one per-instruction observer, or a yield observer, needs the
-     reference interpreter *)
-  let n = Events.nop in
-  List.iter
-    (fun (field, hooks) -> Alcotest.(check bool) (field ^ " disengages") false (engaged hooks))
-    [
-      ("on_retire", { n with Events.on_retire = (fun ~ctx:_ ~pc:_ ~instr:_ ~cycle:_ -> ()) });
-      ("on_load", { n with Events.on_load = (fun _ -> ()) });
-      ( "on_branch",
-        { n with Events.on_branch = (fun ~ctx:_ ~pc:_ ~target:_ ~taken:_ ~cycle:_ -> ()) } );
-      ("on_stall", { n with Events.on_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ()) });
-      ( "on_frontend_stall",
-        { n with Events.on_frontend_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ()) } );
-      ( "on_yield",
-        { n with Events.on_yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ()) } );
-    ];
-  (* opmark observers ride the fast loop, alone or composed *)
-  let r = Latency.recorder () in
-  Alcotest.(check bool) "latency recorder engages" true (engaged (Latency.hooks r));
-  Alcotest.(check bool) "composed with nop engages" true
-    (engaged (Events.compose [ Events.nop; Latency.hooks r ]));
-  Alcotest.(check bool) "two composed recorders engage" true
-    (engaged (Events.compose [ Latency.hooks (Latency.recorder ()); Latency.hooks r ]));
-  (* compose leaves unobserved fields physically nop's *)
-  let c = Events.compose [] in
-  let same field a b = Alcotest.(check bool) ("compose [] keeps nop's " ^ field) true (a == b) in
-  same "on_retire" c.Events.on_retire n.Events.on_retire;
-  same "on_load" c.Events.on_load n.Events.on_load;
-  same "on_branch" c.Events.on_branch n.Events.on_branch;
-  same "on_stall" c.Events.on_stall n.Events.on_stall;
-  same "on_frontend_stall" c.Events.on_frontend_stall n.Events.on_frontend_stall;
-  same "on_opmark" c.Events.on_opmark n.Events.on_opmark;
-  same "on_yield" c.Events.on_yield n.Events.on_yield
+(* The same over 500 random seeds, each program also run with a
+   faulting lane, under a stall shape, and on a contended core. *)
+let qcheck_gen_programs =
+  QCheck.Test.make ~name:"four arms agree on generated programs" ~count:500
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let case = Gen.case ~seed () in
+      let make () = Gen.workload ~prog:case.Gen.program case.Gen.cfg in
+      let label = Printf.sprintf "gen seed %d" seed in
+      ignore (diff_one label ~make);
+      ignore (diff_one ~shape:additive (label ^ " additive") ~make);
+      ignore (diff_one ~contended:true (label ^ " contended") ~make);
+      ignore
+        (diff_one (label ^ " faulting lane") ~make:(fun () ->
+             let w = make () in
+             let lanes = Array.copy w.Workload.lanes in
+             lanes.(0) <- lanes.(0) @ [ (Stallhide_isa.Reg.r0, -64); (Stallhide_isa.Reg.r1, -64) ];
+             { w with Workload.lanes }));
+      true)
 
-(* --- whole-machine differential: the SMP harness in every placement
-   mode, fast (trace off) vs reference (trace on). The trace flag only
-   adds observation, never timing, so the two arms must agree on every
-   architectural and timing figure. --- *)
+(* --- whole-machine differential: the 4-core SMP harness in every
+   placement mode, in all four arms. Tracing only adds observation,
+   never timing, so every arm must agree on every architectural and
+   timing figure, and the traced arms on every core's stream. --- *)
 
-let harness_params ~placement ~fast =
+let harness_params ~placement a =
   {
     Harness.default_params with
     Harness.placement = placement;
     requests_per_core = 16;
     scav_tuples = 60;
-    trace = not fast;
-    engine_fast = fast;
+    trace = a.traced;
+    engine_fast = a.fast;
   }
 
 let check_harness_equal label (a : Harness.run) (b : Harness.run) =
@@ -300,19 +424,31 @@ let test_harness_placements_diff () =
   List.iter
     (fun placement ->
       let label = "harness/" ^ Stallhide.Pipeline.placement_name placement in
-      let r_ref = Harness.run (harness_params ~placement ~fast:false) in
-      let r_fast = Harness.run (harness_params ~placement ~fast:true) in
-      check_harness_equal label r_ref r_fast)
+      let runs = List.map (fun a -> (a, Harness.run (harness_params ~placement a))) arms in
+      let first = snd (List.hd runs) in
+      List.iter (fun (a, r) -> check_harness_equal (label ^ " [" ^ arm_name a ^ "]") first r) runs;
+      let core_streams a =
+        Array.map
+          (fun (c : Stallhide_smp.Machine.core_result) -> c.Stallhide_smp.Machine.stream)
+          (List.assoc a runs).Harness.result.Stallhide_smp.Machine.per_core
+      in
+      Array.iteri
+        (fun i reference ->
+          check_streams (Printf.sprintf "%s: core %d traced streams" label i) reference
+            (core_streams { fast = true; traced = true }).(i))
+        (core_streams { fast = false; traced = true }))
     [ Harness.Pgo; Harness.Static; Harness.Hybrid ]
 
 (* --- zero-allocation regression ---
 
-   Drive >= 10k simulated cycles of every workload through the engaged
-   fast path with a pre-warmed µop cache and assert the minor-heap
-   delta is bounded by a small constant per [Engine.run] call (the
-   returned [stop] value) — i.e. zero words per simulated cycle. *)
+   Drive >= 10k simulated cycles of every workload through the fast
+   path with a pre-warmed µop cache and assert the minor-heap delta is
+   bounded by a small constant per [Engine.run] call (the returned
+   [stop] value) — i.e. zero words per simulated cycle. *)
 
-let zero_alloc_run label engine (w : Workload.t) =
+(* The words [engine] allocates over a 10k-cycle window, the per-call
+   allowance, the cycles and the calls. *)
+let window_alloc engine (w : Workload.t) =
   let hier = Hierarchy.create memcfg in
   let ctxs = Workload.contexts w in
   let clock = ref 0 in
@@ -331,36 +467,69 @@ let zero_alloc_run label engine (w : Workload.t) =
   let m0 = Gc.minor_words () in
   Array.iter drive ctxs;
   let m1 = Gc.minor_words () in
-  let words = m1 -. m0 in
   (* 48 words/call covers the per-[run]-entry constant: the fast
      loop's two local closures and the [Yielded]/[stop] result.
      Anything per-cycle or per-instruction would show up as thousands
      of words over a 10k-cycle window. *)
-  let allowance = float_of_int ((!calls * 48) + 64) in
+  (m1 -. m0, float_of_int ((!calls * 48) + 64), !clock, !calls)
+
+let zero_alloc_run label engine w =
+  let words, allowance, cycles, calls = window_alloc engine w in
   if words > allowance then
     Alcotest.failf "%s: fast path allocated %.0f minor words over %d cycles (%d calls)" label
-      words !clock !calls
+      words cycles calls
 
-(* Opmark observers that allocate nothing must not cost the loop an
-   allocation either: the fast loop calls them in place, and [compose]
-   fires several from an array, with no boxing. (A latency recorder
-   allocates when one of its arrays grows, so these are plain
-   counters.) *)
-let opmark_counter () =
-  let n = ref 0 in
-  (n, { Events.nop with Events.on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr n) })
+(* Observers that allocate nothing must not cost the loop an
+   allocation either: an opmark observer and a probe whose tracer
+   counts (a stream allocates its events, so these are plain
+   counters). *)
+let counting_observers () =
+  let marks = ref 0 and events = ref 0 in
+  let probe = Probe.create () in
+  let count ~ctx:_ ~pc:_ ~stall:_ ~cycle:_ = incr events in
+  Probe.trace probe
+    {
+      Probe.load = (fun ~ctx:_ ~pc:_ ~addr:_ ~level:_ ~stall:_ ~queue:_ ~cycle:_ -> incr events);
+      stall = count;
+      frontend = count;
+      yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> incr events);
+      opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr events);
+    };
+  ( marks,
+    events,
+    {
+      fast_engine with
+      Engine.on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr marks);
+      probe = Some probe;
+    } )
 
 let test_zero_alloc () =
   List.iter
     (fun (name, (make : maker)) ->
       zero_alloc_run name fast_engine (make 7);
-      let ops_a, count_a = opmark_counter () in
-      let ops_b, count_b = opmark_counter () in
-      zero_alloc_run (name ^ " + two opmark counters")
-        { fast_engine with Engine.hooks = Events.compose [ count_a; count_b ] }
-        (make 7);
-      if !ops_a = 0 || !ops_a <> !ops_b then
-        Alcotest.failf "%s: opmark counters fired %d and %d times" name !ops_a !ops_b)
+      let marks, events, engine = counting_observers () in
+      zero_alloc_run (name ^ " + observers") engine (make 7);
+      if !marks = 0 || !events <= !marks then
+        Alcotest.failf "%s: %d opmarks, %d probe events" name !marks !events)
+    makers
+
+(* [fast] alone picks the loop: with every observer attached and a
+   stall shape, [fast] keeps the allocation-free µop loop, and
+   [fast = false] the reference interpreter, which allocates per
+   instruction. *)
+let test_fast_picks_the_loop () =
+  List.iter
+    (fun (name, (make : maker)) ->
+      let _, _, engine = counting_observers () in
+      let w = make 7 in
+      let stall_shape = additive w.Workload.program in
+      zero_alloc_run (name ^ ": fast") { engine with Engine.stall_shape } w;
+      let words, allowance, _, _ =
+        window_alloc { engine with Engine.stall_shape; fast = false } (make 7)
+      in
+      if words <= 4.0 *. allowance then
+        Alcotest.failf "%s: fast = false allocated %.0f words, as little as the µop loop" name
+          words)
     makers
 
 let () =
@@ -368,9 +537,10 @@ let () =
     [
       ( "fast-vs-reference",
         [
-          Alcotest.test_case "fast_engaged gating" `Quick test_fast_engaged_sanity;
+          Alcotest.test_case "fast alone picks the loop" `Quick test_fast_picks_the_loop;
           Alcotest.test_case "nine workloads (+manual variants)" `Quick test_workloads_diff;
           Alcotest.test_case "500 generated programs" `Slow test_gen_programs_diff;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_gen_programs;
           Alcotest.test_case "Baselines runners (+manual variants)" `Quick test_baselines_diff;
           Alcotest.test_case "stall shapes, nine workloads (+manual variants)" `Quick
             test_shaped_diff;

@@ -95,7 +95,15 @@ let test_trace_json_roundtrip () =
 let test_attribution_invariants () =
   let r = Baselines.run_pgo_attributed (chase ()) in
   let a = r.Baselines.attribution in
-  Alcotest.(check int) "no events dropped" 0 (a.Obs.Attribution.dropped + a.Obs.Attribution.baseline_dropped);
+  (* the per-pc views count every event, so the totals are exact *)
+  Alcotest.(check int) "residual total = measured stall" r.Baselines.pgo_metrics.Metrics.stall
+    a.Obs.Attribution.total_residual_stall;
+  let registry = Obs.Stream.registry r.Baselines.stream in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 a.Obs.Attribution.sites in
+  Alcotest.(check int) "fires = yield.fired" (Obs.Registry.total registry "yield.fired")
+    (sum (fun s -> s.Obs.Attribution.fires));
+  Alcotest.(check int) "skips = yield.skipped" (Obs.Registry.total registry "yield.skipped")
+    (sum (fun s -> s.Obs.Attribution.skips));
   Alcotest.(check bool) "sites found" true (a.Obs.Attribution.sites <> []);
   let hidden =
     List.fold_left (fun acc s -> acc + s.Obs.Attribution.hidden_stall) 0 a.Obs.Attribution.sites
@@ -135,6 +143,36 @@ let test_stream_drop_accounting () =
   Alcotest.(check int) "registry uncapped" 10 (Obs.Registry.total (Obs.Stream.registry s) "ops");
   Obs.Stream.reset s;
   Alcotest.(check int) "reset clears" 0 (Obs.Stream.length s + Obs.Stream.dropped s)
+
+(* The per-pc views attribution reads count every event, kept or
+   dropped, and [reset] clears them. *)
+let test_stream_per_pc_views () =
+  let s = Obs.Stream.create ~capacity:2 () in
+  let module E = Obs.Event in
+  for i = 0 to 9 do
+    Obs.Stream.record s (E.Stall { ctx = 0; pc = i mod 3; cycles = 10; cycle = i });
+    let kind = Stallhide_isa.Instr.Primary in
+    Obs.Stream.record s (E.Yield { ctx = 0; pc = 100; kind; fired = i mod 2 = 0; cycle = i });
+    let switch ~at_pc ~cost = E.Context_switch { from_ctx = 0; to_ctx = 1; at_pc; cost; cycle = i } in
+    Obs.Stream.record s (switch ~at_pc:100 ~cost:7);
+    Obs.Stream.record s (switch ~at_pc:(-1) ~cost:50)
+  done;
+  Alcotest.(check int) "almost all dropped" 38 (Obs.Stream.dropped s);
+  let bindings t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  Alcotest.(check (list (pair int int)))
+    "stall by pc" [ (0, 40); (1, 30); (2, 30) ]
+    (bindings (Obs.Stream.stall_by_pc s));
+  Alcotest.(check (list (pair int int)))
+    "stall by pc, mapped" [ (7, 100) ]
+    (bindings (Obs.Stream.stall_by_pc ~map:(fun _ -> 7) s));
+  Alcotest.(check (list (pair int (pair int int))))
+    "yields by pc" [ (100, (5, 5)) ]
+    (bindings (Obs.Stream.yields_by_pc s));
+  Alcotest.(check (list (pair int int)))
+    "switch cycles at yield sites" [ (100, 70) ]
+    (bindings (Obs.Stream.switch_cycles_by_pc s));
+  Obs.Stream.reset s;
+  Alcotest.(check int) "reset clears the views" 0 (Hashtbl.length (Obs.Stream.stall_by_pc s))
 
 (* --- Golden-file regression for the Perfetto exporter ---
 
@@ -402,7 +440,11 @@ let () =
       ("perfetto", [ Alcotest.test_case "round-trip + monotone" `Quick test_trace_json_roundtrip ]);
       ("golden", [ Alcotest.test_case "perfetto exporter" `Quick test_perfetto_golden ]);
       ("attribution", [ Alcotest.test_case "invariants" `Quick test_attribution_invariants ]);
-      ("stream", [ Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting ]);
+      ( "stream",
+        [
+          Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting;
+          Alcotest.test_case "per-pc views count dropped events" `Quick test_stream_per_pc_views;
+        ] );
       ("prometheus", [ Alcotest.test_case "text exposition round-trip" `Quick test_prometheus_roundtrip ]);
       ("spans", [ Alcotest.test_case "pairing + nesting" `Quick test_span_pairing ]);
       ( "causal-drivers",

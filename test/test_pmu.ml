@@ -38,11 +38,14 @@ let build_chase ~hops =
   Context.set_regs ctx [ (Reg.r1, base); (Reg.r2, hops); (Reg.r4, warm) ];
   (prog, mem, ctx)
 
-let run_with hooks ~hops =
+(* Run the chase with the units [attach] arms on one probe. *)
+let run_with attach ~hops =
   let prog, mem, ctx = build_chase ~hops in
   let hier = Hierarchy.create cfg in
   let clock = ref 0 in
-  let engine = { Engine.default_config with Engine.hooks } in
+  let probe = Probe.create () in
+  attach probe;
+  let engine = { Engine.default_config with Engine.probe = Some probe } in
   (match Engine.run engine hier mem ~clock ctx with
   | Engine.Halted -> ()
   | s -> Alcotest.fail (Format.asprintf "unexpected stop %a" Engine.pp_stop s));
@@ -53,30 +56,32 @@ let run_with hooks ~hops =
 (* The fixed counters a PMU exposes, read from what the simulator
    already keeps: the context (instructions, stall cycles), the
    hierarchy's demand counters (loads by serving level), a latency
-   recorder's opmark count (ops) and a branch observer. *)
+   recorder's opmark count (ops) and the taken branches a probe's ring
+   saw. *)
 let test_counters () =
   let hops = 500 in
   let _, mem, ctx = build_chase ~hops in
   let hier = Hierarchy.create cfg in
   let module Latency = Stallhide_runtime.Latency in
   let recorder = Latency.recorder () in
-  let branches = ref 0 and taken_branches = ref 0 in
-  let on_branch ~ctx:_ ~pc:_ ~target:_ ~taken ~cycle:_ =
-    incr branches;
-    if taken then incr taken_branches
+  let probe = Probe.create () in
+  let ring = Probe.ring ~depth:(2 * hops) in
+  Probe.record_branches probe ring (Probe.countdown ~period:max_int) ignore;
+  let engine =
+    {
+      Engine.default_config with
+      Engine.on_opmark = Latency.on_opmark recorder;
+      probe = Some probe;
+    }
   in
-  let hooks =
-    Events.compose [ Latency.hooks recorder; { Events.nop with Events.on_branch } ]
-  in
-  (match Engine.run { Engine.default_config with Engine.hooks } hier mem ~clock:(ref 0) ctx with
+  (match Engine.run engine hier mem ~clock:(ref 0) ctx with
   | Engine.Halted -> ()
   | s -> Alcotest.fail (Format.asprintf "unexpected stop %a" Engine.pp_stop s));
   let m = Hierarchy.stats hier in
   Alcotest.(check int) "instructions" ((hops * 5) + 1) ctx.Context.instructions;
   Alcotest.(check int) "loads" (hops * 2) m.Mem_stats.demand_accesses;
   Alcotest.(check int) "ops" hops (Latency.ops recorder);
-  Alcotest.(check int) "branches" hops !branches;
-  Alcotest.(check int) "taken branches" (hops - 1) !taken_branches;
+  Alcotest.(check int) "taken branches" (hops - 1) (Probe.ring_length ring);
   (* hop loads miss (4096 nodes >> L1+L2), warm load hits after first touch *)
   Alcotest.(check bool) "mostly dram" true (m.Mem_stats.dram_accesses >= hops - 1);
   Alcotest.(check bool) "warm hits in l1" true (m.Mem_stats.l1_hits >= hops - 1);
@@ -88,14 +93,14 @@ let test_counters () =
 let test_pebs_period () =
   let p = Pebs.create ~event:Pebs.Loads_all ~period:10 () in
   let hops = 500 in
-  let _, _ = run_with (Pebs.hooks p) ~hops in
+  let _, _ = run_with (Pebs.attach p) ~hops in
   Alcotest.(check int) "occurrences = all loads" (hops * 2) (Pebs.occurrences p);
   Alcotest.(check int) "samples = occurrences/period" (hops * 2 / 10) (Pebs.sample_count p);
   Alcotest.(check int) "nothing dropped" 0 (Pebs.dropped p)
 
 let test_pebs_miss_event_precision () =
   let p = Pebs.create ~event:Pebs.L2_miss_loads ~period:7 () in
-  let _, _ = run_with (Pebs.hooks p) ~hops:500 in
+  let _, _ = run_with (Pebs.attach p) ~hops:500 in
   (* Every miss sample must carry the pc of the missing load (pc 0). *)
   List.iter
     (fun (s : Pebs.sample) -> Alcotest.(check int) "precise pc" 0 s.Pebs.pc)
@@ -104,7 +109,7 @@ let test_pebs_miss_event_precision () =
 
 let test_pebs_stall_event () =
   let p = Pebs.create ~event:Pebs.Stall_cycles ~period:1000 () in
-  let _, _ = run_with (Pebs.hooks p) ~hops:500 in
+  let _, _ = run_with (Pebs.attach p) ~hops:500 in
   (* ~500 misses x 196 stall cycles = ~98k occurrences -> ~98 samples *)
   let n = Pebs.sample_count p in
   Alcotest.(check bool) "stall samples in range" true (n > 50 && n < 150);
@@ -113,7 +118,7 @@ let test_pebs_stall_event () =
 
 let test_pebs_buffer_overflow () =
   let p = Pebs.create ~buffer_capacity:10 ~event:Pebs.Loads_all ~period:1 () in
-  let _, _ = run_with (Pebs.hooks p) ~hops:100 in
+  let _, _ = run_with (Pebs.attach p) ~hops:100 in
   Alcotest.(check int) "buffer capped" 10 (Pebs.sample_count p);
   Alcotest.(check int) "rest dropped" (200 - 10) (Pebs.dropped p);
   Pebs.clear p;
@@ -128,7 +133,7 @@ let test_pebs_bad_period () =
 
 let test_lbr_ring () =
   let l = Lbr.create ~depth:4 ~snapshot_period:50 () in
-  let _, _ = run_with (Lbr.hooks l) ~hops:100 in
+  let _, _ = run_with (Lbr.attach l) ~hops:100 in
   Alcotest.(check bool) "snapshots taken" true (Lbr.snapshot_count l > 0);
   List.iter
     (fun snap ->
@@ -149,7 +154,13 @@ let test_lbr_depth_bound () =
   (* a deeper ring keeps more records per snapshot *)
   let shallow = Lbr.create ~depth:2 ~snapshot_period:97 () in
   let deep = Lbr.create ~depth:16 ~snapshot_period:97 () in
-  let _, _ = run_with (Events.compose [ Lbr.hooks shallow; Lbr.hooks deep ]) ~hops:200 in
+  let _, _ =
+    run_with
+      (fun p ->
+        Lbr.attach shallow p;
+        Lbr.attach deep p)
+      ~hops:200
+  in
   let max_len l =
     List.fold_left (fun m s -> max m (Array.length s)) 0 (Lbr.snapshots l)
   in
@@ -161,7 +172,7 @@ let test_lbr_depth_bound () =
 
 let test_lbr_clear () =
   let l = Lbr.create ~snapshot_period:10 () in
-  let _, _ = run_with (Lbr.hooks l) ~hops:50 in
+  let _, _ = run_with (Lbr.attach l) ~hops:50 in
   Lbr.clear l;
   Alcotest.(check int) "cleared" 0 (Lbr.snapshot_count l)
 
@@ -174,11 +185,11 @@ let profile_of_chase ~hops =
   let miss = Pebs.create ~event:Pebs.L2_miss_loads ~period:7 () in
   let stall = Pebs.create ~event:Pebs.Stall_cycles ~period:97 () in
   let lbr = Lbr.create ~snapshot_period:111 () in
-  let hooks =
-    Events.compose [ Pebs.hooks exec; Pebs.hooks miss; Pebs.hooks stall; Lbr.hooks lbr ]
-  in
+  let probe = Probe.create () in
+  List.iter (fun u -> Pebs.attach u probe) [ exec; miss; stall ];
+  Lbr.attach lbr probe;
   let clock = ref 0 in
-  let engine = { Engine.default_config with Engine.hooks } in
+  let engine = { Engine.default_config with Engine.probe = Some probe } in
   (match Engine.run engine hier mem ~clock ctx with
   | Engine.Halted -> ()
   | _ -> Alcotest.fail "profiling run did not halt");
@@ -270,11 +281,13 @@ let test_frontend_filtering () =
   let hier = Hierarchy.create thrash_cfg in
   let stall = Pebs.create ~event:Pebs.Stall_cycles ~period:13 () in
   let fe = Pebs.create ~event:Pebs.Frontend_stalls ~period:13 () in
-  let hooks = Events.compose [ Pebs.hooks stall; Pebs.hooks fe ] in
+  let probe = Probe.create () in
+  Pebs.attach stall probe;
+  Pebs.attach fe probe;
   let ctx = Context.create ~id:0 ~mode:Context.Primary prog in
   Context.set_regs ctx [ (Reg.r2, 50) ];
   let clock = ref 0 in
-  (match Engine.run { Engine.default_config with Engine.hooks } hier mem ~clock ctx with
+  (match Engine.run { Engine.default_config with Engine.probe = Some probe } hier mem ~clock ctx with
   | Engine.Halted -> ()
   | s -> Alcotest.fail (Format.asprintf "stop %a" Engine.pp_stop s));
   Alcotest.(check bool) "generic event saw the stalls" true (Pebs.sample_count stall > 50);
@@ -328,9 +341,9 @@ let test_overhead_counts_every_unit () =
     ]
   in
   let w = workload () in
-  let engine =
-    { Engine.default_config with Engine.hooks = Events.compose (List.map Pebs.hooks units) }
-  in
+  let probe = Probe.create () in
+  List.iter (fun u -> Pebs.attach u probe) units;
+  let engine = { Engine.default_config with Engine.probe = Some probe } in
   ignore
     (Stallhide_runtime.Scheduler.run_sequential ~engine (Hierarchy.create thrash_cfg)
        w.W.image (W.contexts w));
@@ -341,12 +354,12 @@ let test_overhead_counts_every_unit () =
   Alcotest.(check int) "overhead over all four units" want
     profiled.Stallhide.Pipeline.overhead_cycles
 
-(* --- the probe on the µop loop vs the hooks on the reference ---
+(* --- the probe on the µop loop vs the probe on the reference ---
 
-   [Pebs.attach]/[Lbr.attach] feed the units from a probe on the
-   decoded-µop loop; [Pebs.hooks]/[Lbr.hooks] feed identical units from
-   per-instruction hooks on the reference interpreter. Every sample,
-   drop, occurrence, injected degradation and LBR snapshot must agree. *)
+   [Pebs.attach]/[Lbr.attach] feed identical units from a probe on the
+   decoded-µop loop and from one on the reference interpreter. Every
+   sample, drop, occurrence, injected degradation and LBR snapshot must
+   agree. *)
 
 (* Tiny private caches, so small programs also hit in L2 and L3. *)
 let mem_of ~icache ~small =
@@ -480,8 +493,8 @@ let case_workload c =
   | _ -> Stallhide_txn.Txn_oltp.workload ~lanes:2 ~txns:3 ~seed:c.seed ()
 
 (* One arm: the five PEBS units and an LBR, fed from a probe on the µop
-   loop or from hooks on the reference interpreter. *)
-let pmu_arm ~probe c =
+   loop ([fast]) or on the reference interpreter. *)
+let pmu_arm ~fast c =
   let w = case_workload c in
   let units =
     List.map2
@@ -495,6 +508,9 @@ let pmu_arm ~probe c =
   let lbr =
     Lbr.create ~depth:c.depth ?max_snapshots:c.max_snapshots ~snapshot_period:c.lbr_period ()
   in
+  let p = Probe.create () in
+  List.iter (fun u -> Pebs.attach u p) units;
+  Lbr.attach lbr p;
   let engine =
     {
       Engine.default_config with
@@ -503,16 +519,9 @@ let pmu_arm ~probe c =
         (if c.shaped then
            Array.init (Stallhide_isa.Program.length w.W.program) (fun pc -> (pc mod 7 * 40) - 60)
          else [||]);
+      fast;
+      probe = Some p;
     }
-  in
-  let engine =
-    if probe then begin
-      let p = Probe.create () in
-      List.iter (fun u -> Pebs.attach u p) units;
-      Lbr.attach lbr p;
-      { engine with Engine.probe = Some p }
-    end
-    else { engine with Engine.hooks = Events.compose (Lbr.hooks lbr :: List.map Pebs.hooks units) }
   in
   let hier = Hierarchy.create (mem_of ~icache:c.icache ~small:c.small_caches) in
   let r =
@@ -520,9 +529,9 @@ let pmu_arm ~probe c =
   in
   (r, units, lbr)
 
-let probe_matches_hooks c =
-  let rr, ur, lr = pmu_arm ~probe:false c in
-  let rf, uf, lf = pmu_arm ~probe:true c in
+let loops_agree c =
+  let rr, ur, lr = pmu_arm ~fast:false c in
+  let rf, uf, lf = pmu_arm ~fast:true c in
   let fail fmt = QCheck.Test.fail_reportf fmt in
   let module S = Stallhide_runtime.Scheduler in
   if rr.S.cycles <> rf.S.cycles || rr.S.faults <> rf.S.faults then
@@ -531,7 +540,8 @@ let probe_matches_hooks c =
     (fun r f ->
       let name = Pebs.event_name (Pebs.event r) in
       if Pebs.samples r <> Pebs.samples f then
-        fail "%s: %d hooked samples, %d probed, or they differ" name (Pebs.sample_count r)
+        fail "%s: %d samples on the reference, %d on the µop loop, or they differ" name
+          (Pebs.sample_count r)
           (Pebs.sample_count f);
       if Pebs.dropped r <> Pebs.dropped f then
         fail "%s: dropped %d vs %d" name (Pebs.dropped r) (Pebs.dropped f);
@@ -541,16 +551,17 @@ let probe_matches_hooks c =
         fail "%s: degradation differs" name)
     ur uf;
   if Lbr.snapshots lr <> Lbr.snapshots lf then
-    fail "LBR: %d hooked snapshots, %d probed, or they differ" (Lbr.snapshot_count lr)
+    fail "LBR: %d snapshots on the reference, %d on the µop loop, or they differ"
+      (Lbr.snapshot_count lr)
       (Lbr.snapshot_count lf);
   true
 
-let qcheck_probe_matches_hooks =
-  QCheck.Test.make ~name:"probe on the µop loop = hooks on the reference" ~count:400
+let qcheck_loops_agree =
+  QCheck.Test.make ~name:"probe on the µop loop = probe on the reference" ~count:400
     (QCheck.make
        ~print:(fun seed -> show_probe_case (probe_case_of seed))
        QCheck.Gen.(int_bound 1_000_000))
-    (fun seed -> probe_matches_hooks (probe_case_of seed))
+    (fun seed -> loops_agree (probe_case_of seed))
 
 (* The deferred snapshot's two faulting exits, pinned: a fault after the
    pc check (division by zero) retires one instruction fewer than it
@@ -574,34 +585,75 @@ let test_probe_fault_exits () =
           ooo = 0;
         }
       in
-      let r, units, l = pmu_arm ~probe:true c in
+      let r, units, l = pmu_arm ~fast:true c in
       Alcotest.(check int) "two lanes fault" 2 (List.length r.Stallhide_runtime.Scheduler.faults);
       Alcotest.(check bool) "snapshots taken" true (Lbr.snapshot_count l > 0);
       Alcotest.(check bool) "loads sampled" true (Pebs.sample_count (List.hd units) > 0);
-      ignore (probe_matches_hooks c : bool))
-    [ 1; 2; 7 ]
-
-(* [Pipeline.ground_truth] tallies per pc on the probe; an [on_load]
-   hook on the reference interpreter builds the reference table. *)
-let hooked_ground_truth (w : W.t) =
-  let table = Hashtbl.create 64 in
-  let on_load (info : Events.load_info) =
-    let execs, misses, stall =
-      Option.value (Hashtbl.find_opt table info.Events.pc) ~default:(0, 0, 0)
-    in
-    let miss = match info.Events.level with Hierarchy.L3 | Hierarchy.Dram -> 1 | _ -> 0 in
-    Hashtbl.replace table info.Events.pc (execs + 1, misses + miss, stall + info.Events.stall)
+      ignore (loops_agree c : bool))
+    [ 1; 2; 7 ];
+  (* Counted by hand, on both loops: a taken jump, then a nop, then the
+     exit. A snapshot is due at every [period]-th retire, and the jump's
+     push comes before its own retire. *)
+  let snapshots ~fast src ~period =
+    let lbr = Lbr.create ~depth:4 ~snapshot_period:period () in
+    let p = Probe.create () in
+    Lbr.attach lbr p;
+    let ctx = Context.create ~id:0 ~mode:Context.Primary (Asm.parse src) in
+    (match
+       Engine.run
+         { Engine.default_config with Engine.fast; probe = Some p }
+         (Hierarchy.create cfg)
+         (Address_space.create ~bytes:1024)
+         ~clock:(ref 0) ctx
+     with
+    | Engine.Fault _ -> ()
+    | s -> Alcotest.fail (Format.asprintf "stop %a" Engine.pp_stop s));
+    Lbr.snapshot_count lbr
   in
-  let engine = { Engine.default_config with Engine.hooks = { Events.nop with Events.on_load } } in
+  let divides = "jmp a\na:\nnop\ndiv r1, r1, r0" and runs_off = "jmp a\na:\nnop" in
+  List.iter
+    (fun fast ->
+      let check label want got =
+        Alcotest.(check int) (Printf.sprintf "%s (fast %b)" label fast) want got
+      in
+      (* three counted, two retired *)
+      check "division by zero, period 2" 1 (snapshots ~fast divides ~period:2);
+      check "division by zero, period 3" 0 (snapshots ~fast divides ~period:3);
+      (* two counted, two retired *)
+      check "off the end, period 2" 1 (snapshots ~fast runs_off ~period:2);
+      check "off the end, period 3" 0 (snapshots ~fast runs_off ~period:3))
+    [ true; false ]
+
+(* [Pipeline.ground_truth] tallies per pc on the probe of the µop loop;
+   a tracer's [load] callback on the reference interpreter builds the
+   reference table. *)
+let traced_ground_truth (w : W.t) =
+  let table = Hashtbl.create 64 in
+  let load ~ctx:_ ~pc ~addr:_ ~level ~stall ~queue:_ ~cycle:_ =
+    let execs, misses, stalls = Option.value (Hashtbl.find_opt table pc) ~default:(0, 0, 0) in
+    let miss = match Hierarchy.level_of_code level with Hierarchy.L3 | Hierarchy.Dram -> 1 | _ -> 0 in
+    Hashtbl.replace table pc (execs + 1, misses + miss, stalls + stall)
+  in
+  let ignore4 ~ctx:_ ~pc:_ ~stall:_ ~cycle:_ = () in
+  let probe = Probe.create () in
+  Probe.trace probe
+    {
+      Probe.load;
+      stall = ignore4;
+      frontend = ignore4;
+      yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ());
+      opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> ());
+    };
+  let engine = { Engine.default_config with Engine.fast = false; probe = Some probe } in
   let hier = Hierarchy.create cfg in
   ignore (Stallhide_runtime.Scheduler.run_sequential ~engine hier w.W.image (W.contexts w));
   table
 
-let test_ground_truth_matches_hook () =
+let test_ground_truth_matches_trace () =
   let bindings t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
   let load_pcs = ref 0 in
   let check label make =
-    let want = bindings (hooked_ground_truth (make ())) in
+    let want = bindings (traced_ground_truth (make ())) in
     let got = bindings (Stallhide.Pipeline.ground_truth (make ())) in
     load_pcs := !load_pcs + List.length want;
     Alcotest.(check (list (pair int (triple int int int)))) label want got
@@ -621,6 +673,101 @@ let test_ground_truth_matches_hook () =
           Stallhide_why.Why.make_workload name ~lanes:2 ~ops:12 ~manual:false ~seed:3))
     Stallhide_why.Why.workload_names;
   Alcotest.(check bool) "load pcs compared" true (!load_pcs > 200)
+
+(* --- deferred LBR snapshots = per-retire snapshots ---
+
+   The probe takes the snapshots due since the last push just before
+   the next push, or when a run finishes. A model that steps a
+   countdown at every retire and copies the ring each time it fires
+   must take the same snapshots, over random interleavings of plain
+   retires and taken branches, split into runs of several contexts,
+   some ending in a fault (one instruction counted, never retired). *)
+
+type lbr_run = { ctx : int; ops : bool list; (* taken branch? *) faulted : bool }
+
+type lbr_case = { depth : int; period : int; max_snapshots : int; runs : lbr_run list }
+
+(* The branch every context's [n]-th instruction would take. *)
+let branch_record ctx n = { Lbr.from_pc = (ctx * 1000) + n; to_pc = n mod 13; cycle = (n * 3) + ctx }
+
+let model_snapshots c =
+  let counts = Array.make 3 0 in
+  let ring = ref [] (* newest first *) and left = ref c.period and snaps = ref [] in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun taken ->
+          counts.(r.ctx) <- counts.(r.ctx) + 1;
+          if taken then
+            ring :=
+              List.filteri (fun i _ -> i < c.depth) (branch_record r.ctx counts.(r.ctx) :: !ring);
+          decr left;
+          if !left = 0 then begin
+            left := c.period;
+            if !ring <> [] && List.length !snaps < c.max_snapshots then
+              snaps := Array.of_list (List.rev !ring) :: !snaps
+          end)
+        r.ops;
+      if r.faulted then counts.(r.ctx) <- counts.(r.ctx) + 1)
+    c.runs;
+  List.rev !snaps
+
+let probe_snapshots c =
+  let lbr = Lbr.create ~depth:c.depth ~max_snapshots:c.max_snapshots ~snapshot_period:c.period () in
+  let p = Probe.create () in
+  Lbr.attach lbr p;
+  let counts = Array.make 3 0 in
+  List.iter
+    (fun r ->
+      Probe.start p ~instructions:counts.(r.ctx) ~length:1;
+      List.iter
+        (fun taken ->
+          counts.(r.ctx) <- counts.(r.ctx) + 1;
+          let n = counts.(r.ctx) in
+          if taken then begin
+            let b = branch_record r.ctx n in
+            Probe.branch p ~ctx:r.ctx ~instructions:n ~from_pc:b.Lbr.from_pc ~to_pc:b.Lbr.to_pc
+              ~cycle:b.Lbr.cycle
+          end)
+        r.ops;
+      if r.faulted then counts.(r.ctx) <- counts.(r.ctx) + 1;
+      Probe.finish p ~retired:(counts.(r.ctx) - if r.faulted then 1 else 0))
+    c.runs;
+  Lbr.snapshots lbr
+
+let lbr_case_gen =
+  QCheck.Gen.(
+    let run =
+      map3
+        (fun ctx ops faulted -> { ctx; ops; faulted })
+        (int_bound 2)
+        (list_size (int_bound 60) (map (fun k -> k < 3) (int_bound 9)))
+        (map (fun k -> k = 0) (int_bound 5))
+    in
+    map
+      (fun (depth, period, max_snapshots, runs) -> { depth; period; max_snapshots; runs })
+      (quad (oneofl [ 1; 2; 3; 8 ]) (oneofl [ 1; 2; 3; 5; 17 ]) (oneofl [ 2; 1000 ])
+         (list_size (int_bound 8) run)))
+
+let show_lbr_case c =
+  Printf.sprintf "depth %d period %d max %d runs [%s]" c.depth c.period c.max_snapshots
+    (String.concat "; "
+       (List.map
+          (fun r ->
+            Printf.sprintf "ctx %d %s%s" r.ctx
+              (String.concat "" (List.map (fun t -> if t then "B" else ".") r.ops))
+              (if r.faulted then " fault" else ""))
+          c.runs))
+
+let qcheck_deferred_snapshots =
+  QCheck.Test.make ~name:"deferred snapshots = per-retire snapshots" ~count:1000
+    (QCheck.make ~print:show_lbr_case lbr_case_gen)
+    (fun c ->
+      let want = model_snapshots c and got = probe_snapshots c in
+      if want <> got then
+        QCheck.Test.fail_reportf "%d model snapshots, %d deferred, or they differ"
+          (List.length want) (List.length got);
+      true)
 
 let test_probe_tally_too_short () =
   let prog, mem, ctx = build_chase ~hops:3 in
@@ -662,9 +809,10 @@ let () =
         ] );
       ( "probe",
         [
-          QCheck_alcotest.to_alcotest ~long:false qcheck_probe_matches_hooks;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_loops_agree;
           Alcotest.test_case "faulting exits" `Quick test_probe_fault_exits;
-          Alcotest.test_case "ground truth = on_load table" `Quick test_ground_truth_matches_hook;
+          Alcotest.test_case "ground truth = on_load table" `Quick test_ground_truth_matches_trace;
           Alcotest.test_case "tally shorter than the program" `Quick test_probe_tally_too_short;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_deferred_snapshots;
         ] );
     ]

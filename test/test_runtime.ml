@@ -89,10 +89,10 @@ let qcheck_summarize_agrees =
 
 let test_recorder_skips_first () =
   let r = Latency.recorder () in
-  let h = Latency.hooks r in
-  h.Events.on_opmark ~ctx:3 ~pc:0 ~cycle:100;
-  h.Events.on_opmark ~ctx:3 ~pc:0 ~cycle:150;
-  h.Events.on_opmark ~ctx:3 ~pc:0 ~cycle:175;
+  let on_opmark = Latency.on_opmark r in
+  on_opmark ~ctx:3 ~pc:0 ~cycle:100;
+  on_opmark ~ctx:3 ~pc:0 ~cycle:150;
+  on_opmark ~ctx:3 ~pc:0 ~cycle:175;
   Alcotest.(check (list int)) "gaps only" [ 50; 25 ] (Latency.of_ctx r 3);
   Alcotest.(check (list int)) "other ctx empty" [] (Latency.of_ctx r 4);
   Alcotest.(check int) "ops" 3 (Latency.ops r);
@@ -101,9 +101,9 @@ let test_recorder_skips_first () =
 
 let test_recorder_negative_ctx () =
   let r = Latency.recorder () in
-  let h = Latency.hooks r in
-  h.Events.on_opmark ~ctx:0 ~pc:0 ~cycle:0;
-  (match h.Events.on_opmark ~ctx:(-1) ~pc:0 ~cycle:10 with
+  let on_opmark = Latency.on_opmark r in
+  on_opmark ~ctx:0 ~pc:0 ~cycle:0;
+  (match on_opmark ~ctx:(-1) ~pc:0 ~cycle:10 with
   | () -> Alcotest.fail "negative context id recorded"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "not counted" 1 (Latency.ops r);
@@ -148,13 +148,13 @@ let qcheck_recorder_matches_model =
     QCheck.(list_of_size Gen.(0 -- 400) (pair (oneofl model_ctxs) (int_range 0 50)))
     (fun stream ->
       let r = Latency.recorder () and m = Model.create () in
-      let h = Latency.hooks r in
+      let on_opmark = Latency.on_opmark r in
       let clock = Hashtbl.create 32 in
       List.iter
         (fun (ctx, step) ->
           let cycle = Option.value (Hashtbl.find_opt clock ctx) ~default:0 + step in
           Hashtbl.replace clock ctx cycle;
-          h.Events.on_opmark ~ctx ~pc:0 ~cycle;
+          on_opmark ~ctx ~pc:0 ~cycle;
           Model.opmark m ~ctx ~cycle)
         stream;
       let same_stats (a : Latency.summary) (b : Latency.summary) =
@@ -418,7 +418,7 @@ let test_dual_mode_primary_latency_bounded () =
   (* Primary per-op latency under dual mode stays within a few switch +
      interval lengths of the alone case. *)
   let recorder = Latency.recorder () in
-  let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+  let engine = { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder } in
   let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
   let config = { Dual_mode.default_config with Dual_mode.engine } in
   let (_ : Dual_mode.result) = Dual_mode.run ~config (Hierarchy.create cfg) mem ~primary ~scavengers in

@@ -219,8 +219,10 @@ let test_interval_rejects_long_path () =
   Alcotest.(check bool) "witness path present" true (d.D.witness <> [])
 
 (* A cycle entered at two blocks has no natural loop, so no back edge
-   can be cut: the verifier reports it, and the pass's fixpoint must
-   converge by planning a yield in it. *)
+   can be cut: the verifier reports it, and the pass must plan a yield
+   in it, whether its distance passes the target inside the fixpoint's
+   round cap (target 10) or not (targets of 80 and up, against about 4
+   cycles a trip). *)
 let irreducible_src =
   {|
   br eq r1, 0, b
@@ -241,12 +243,21 @@ let test_interval_irreducible_cycle () =
          d.D.severity = D.Error
          && d.D.message = "irreducible yield-free cycle: inter-yield interval is unbounded")
        (Checks.interval_bound ~target:10 orig));
-  let opts = { Scavenger_pass.default_opts with Scavenger_pass.target_interval = 10 } in
-  let p', map, _ = Scavenger_pass.run opts orig in
-  let o = Verify.validate ~orig ~orig_of_new:map ~target_interval:10 p' in
-  Alcotest.(check (list string)) "verifier accepts the rewrite" []
-    (List.map (Format.asprintf "%a" D.pp) o.Verify.diags);
-  Alcotest.(check int) "one yield" 1 (Program.yield_count p')
+  let rewrite target =
+    let opts = { Scavenger_pass.default_opts with Scavenger_pass.target_interval = target } in
+    let p', map, _ = Scavenger_pass.run opts orig in
+    let o = Verify.validate ~orig ~orig_of_new:map ~target_interval:target p' in
+    Alcotest.(check (list string))
+      (Printf.sprintf "target %d: verifier accepts the rewrite" target)
+      []
+      (List.map (Format.asprintf "%a" D.pp) o.Verify.diags);
+    Program.yield_count p'
+  in
+  Alcotest.(check int) "target 10: one yield" 1 (rewrite 10);
+  List.iter
+    (fun target ->
+      Alcotest.(check bool) (Printf.sprintf "target %d: a yield" target) true (rewrite target >= 1))
+    [ 50; 80; 100; 200 ]
 
 let test_interval_bad_target () =
   match Checks.interval_bound ~target:0 (straight_loop 5) with

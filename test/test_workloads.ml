@@ -14,7 +14,7 @@ type counts = { ops : int; mem : Mem_stats.t }
    scheduler's result. *)
 let run_workload (w : Workload.t) =
   let recorder = Latency.recorder () in
-  let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
+  let engine = { Engine.default_config with Engine.on_opmark = Latency.on_opmark recorder } in
   let hier = Hierarchy.create cfg in
   let ctxs = Workload.contexts w in
   let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
