@@ -818,6 +818,10 @@ let smp_cmd =
       Printf.eprintf "stallhide: --requests-per-core must be >= 0 (got %d)\n" requests_per_core;
       exit 2
     end;
+    if interarrival < 0 then begin
+      Printf.eprintf "stallhide: --interarrival must be >= 0 (got %d)\n" interarrival;
+      exit 2
+    end;
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
@@ -849,8 +853,6 @@ let smp_cmd =
     in
     let speedup = Smp.Harness.speedup ~base r in
     let efficiency = Smp.Harness.efficiency ~base r in
-    let reg = Obs.Registry.create () in
-    Smp.Machine.counters_into reg r.Smp.Harness.result;
     (match trace_out with
     | Some path ->
         Array.iter
@@ -883,7 +885,8 @@ let smp_cmd =
                         ("speedup", J.Float speedup);
                         ("efficiency", J.Float efficiency);
                       ] );
-                  ("registry", J.Obj [ ("core", Obs.Registry.namespace_json reg ~prefix:"core") ]);
+                  ( "registry",
+                    J.Obj [ ("core", Smp.Machine.counters_json r.Smp.Harness.result) ] );
                 ])))
     end
     else begin
@@ -1029,6 +1032,10 @@ let cluster_cmd =
     end;
     if requests <= 0 then begin
       Printf.eprintf "stallhide: --requests must be positive (got %d)\n" requests;
+      exit 2
+    end;
+    if interarrival < 0 then begin
+      Printf.eprintf "stallhide: --interarrival must be >= 0 (got %d)\n" interarrival;
       exit 2
     end;
     let lb =
@@ -1421,7 +1428,7 @@ let txn_cmd =
                   ("cycles", J.Int o.R.cycles);
                   ("completed", J.Int o.R.completed);
                   ("txn_throughput_tpk", J.Float o.R.txn_throughput);
-                  ("latency", Metrics.latency_to_json s);
+                  ("latency", L.summary_to_json s);
                   ("counters", counters_json o.R.smp_counters);
                   ("scav_dispatches", J.Int o.R.scav_dispatches);
                 ]))

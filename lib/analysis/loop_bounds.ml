@@ -19,15 +19,6 @@ type bound = {
    anything that would make the trip simulation below noticeable. *)
 let trip_cap = 1 lsl 22
 
-let eval_cond c a b =
-  match (c : Instr.cond) with
-  | Instr.Eq -> a = b
-  | Instr.Ne -> a <> b
-  | Instr.Lt -> a < b
-  | Instr.Le -> a <= b
-  | Instr.Gt -> a > b
-  | Instr.Ge -> a >= b
-
 (* Can [start] reach itself without passing through [header]? If so, a
    path from header to latch may execute [start] more than once and it
    cannot be a plain induction step. Covers nested natural loops and
@@ -71,7 +62,7 @@ let body_pcs cfg body =
    cycle check), so iterate the exact machine arithmetic. *)
 let simulate ~init ~step ~limit ~cond ~continue_if_taken =
   let continue v =
-    let t = eval_cond cond v limit in
+    let t = Instr.eval_cond cond v limit in
     if continue_if_taken then t else not t
   in
   let rec go v trips =

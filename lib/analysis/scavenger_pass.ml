@@ -128,20 +128,35 @@ let run opts prog =
   (* A planned yield ends the feedback through it. An irreducible
      cycle has no back edge to cut: when its distance passes the target
      inside the round cap, the walk plans a yield there; when the cap
-     ends the fixpoint first, every block whose distance still moved
-     gets a yield at its last site and the fixpoint runs again. The
-     pass adds no verdict of its own: the verifier judges the
-     rewrite. *)
+     ends the fixpoint first, the first still-moving block that reaches
+     itself through moving blocks gets a yield at its last site and the
+     fixpoint runs again. Blocks the cycle only feeds move with it but
+     need no yield of their own. The pass adds no verdict of its own:
+     the verifier judges the rewrite. *)
   let rec settle () =
-    let sites =
-      List.filter
-        (fun pc -> not (Hashtbl.mem planned pc))
-        (List.map last_site (Distance.fixpoint ~walk:walk_block ~cut cfg))
+    let moving = Distance.fixpoint ~walk:walk_block ~cut cfg in
+    let on_cycle id =
+      let seen = Hashtbl.create 8 in
+      let rec reaches b =
+        List.exists (fun s -> List.mem s moving && (s = id || visit s)) (Cfg.block cfg b).Cfg.succs
+      and visit s =
+        (not (Hashtbl.mem seen s))
+        && begin
+             Hashtbl.replace seen s ();
+             reaches s
+           end
+      in
+      reaches id
     in
-    if sites <> [] then begin
-      List.iter (fun pc -> Hashtbl.replace planned pc ()) sites;
-      settle ()
-    end
+    match
+      List.find_opt
+        (fun id -> (not (Hashtbl.mem planned (last_site id))) && on_cycle id)
+        moving
+    with
+    | Some id ->
+        Hashtbl.replace planned (last_site id) ();
+        settle ()
+    | None -> ()
   in
   settle ();
   let prog', map =

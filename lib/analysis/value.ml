@@ -42,32 +42,19 @@ let join_env dst src =
 
 let operand env = function Instr.Imm i -> Const i | Instr.Reg r -> (env : t array).(r)
 
-(* Constant folding must agree with [Engine.eval_binop] bit for bit:
-   a wrong constant would place a load on the wrong cache line and the
-   must analysis would claim hits about a line the program never
-   touches. *)
-let const_binop op x y =
-  match (op : Instr.binop) with
-  | Instr.Add -> Some (x + y)
-  | Instr.Sub -> Some (x - y)
-  | Instr.Mul -> Some (x * y)
-  | Instr.Div -> if y = 0 then None else Some (x / y)
-  | Instr.Rem -> if y = 0 then None else Some (x mod y)
-  | Instr.And -> Some (x land y)
-  | Instr.Or -> Some (x lor y)
-  | Instr.Xor -> Some (x lxor y)
-  | Instr.Shl -> Some (x lsl (y land 63))
-  | Instr.Shr -> Some (x asr (y land 63))
-
 (* Pointer taint: a result derived from a loaded value stays [Loaded]
    (it prices as pointer-chasing for placement priors); everything else
    unrepresentable collapses to [Top]. *)
 let taint2 a b = match (a, b) with Loaded, _ | _, Loaded -> Loaded | _ -> Top
 
+(* Constants fold with the machine's own arithmetic: a constant the
+   machine would not compute would place a load on the wrong cache line,
+   and the must analysis would claim hits about a line the program
+   never touches. *)
 let binop op a b =
   match (a, b) with
   | Const x, Const y -> (
-      match const_binop op x y with Some v -> Const v | None -> Top)
+      match Instr.eval_binop op x y with Some v -> Const v | None -> Top)
   | Init (r, o), Const c -> (
       match op with
       | Instr.Add -> Init (r, o + c)

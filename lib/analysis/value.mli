@@ -6,7 +6,7 @@
     are therefore tracked {i symbolically relative to program entry}:
 
     - [Const c] — exactly [c] on every execution (constant folding
-      mirrors [Engine.eval_binop] exactly);
+      evaluates {!Instr.eval_binop}, the machine's own arithmetic);
     - [Init (r, o)] — the entry value of register [r] plus [o]: two
       occurrences of the same [(r, o)] denote the same address on any
       given run, which is what the cache domain keys on;

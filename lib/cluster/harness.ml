@@ -141,6 +141,7 @@ let run p =
   if p.machines <= 0 then invalid_arg "Cluster.Harness.run: machines must be positive";
   if p.cores <= 0 then invalid_arg "Cluster.Harness.run: cores must be positive";
   if p.requests <= 0 then invalid_arg "Cluster.Harness.run: requests must be positive";
+  if p.interarrival < 0 then invalid_arg "Cluster.Harness.run: interarrival must be >= 0";
   let kv_program, scav_program =
     if not p.pgo then (None, None)
     else

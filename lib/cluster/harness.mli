@@ -28,7 +28,7 @@ type params = {
   scav_interval : int;
   skew : float;
   key_universe : int;
-  interarrival : int;  (** mean per-core cycles between arrivals *)
+  interarrival : int;  (** mean per-core cycles between arrivals; 0 is back to back *)
   seed : int;
   net : Netconfig.t;
   defense : Defense.t option;
@@ -73,7 +73,7 @@ val node_factory :
   Cluster.node_impl
 
 (** @raise Invalid_argument if [machines], [cores] or [requests] is not
-    positive. *)
+    positive, or [interarrival] is negative. *)
 val run : params -> run
 
 (** [calibrate p] tunes a defense from the fault-free undefended run of

@@ -51,19 +51,6 @@ let of_smt ~label ~ops ~latency (r : Stallhide_cpu.Smt.result) =
 
 let speedup a b = if a.cycles = 0 then infinity else float_of_int b.cycles /. float_of_int a.cycles
 
-let latency_to_json (s : Latency.summary) =
-  Stallhide_util.Json.Obj
-    [
-      ("count", Stallhide_util.Json.Int s.Latency.count);
-      ("mean", Stallhide_util.Json.Float s.Latency.mean);
-      ("stddev", Stallhide_util.Json.Float s.Latency.stddev);
-      ("p50", Stallhide_util.Json.Int s.Latency.p50);
-      ("p90", Stallhide_util.Json.Int s.Latency.p90);
-      ("p99", Stallhide_util.Json.Int s.Latency.p99);
-      ("p999", Stallhide_util.Json.Int s.Latency.p999);
-      ("max", Stallhide_util.Json.Int s.Latency.max);
-    ]
-
 let to_json t =
   let open Stallhide_util in
   Json.Obj
@@ -78,7 +65,7 @@ let to_json t =
       ("ops", Json.Int t.ops);
       ("efficiency", Json.Float t.efficiency);
       ("throughput", Json.Float t.throughput);
-      ("latency", match t.latency with Some s -> latency_to_json s | None -> Json.Null);
+      ("latency", match t.latency with Some s -> Latency.summary_to_json s | None -> Json.Null);
     ]
 
 let pp fmt t =

@@ -30,8 +30,6 @@ val of_smt :
 (** Speedup of [a] over [b] in completed cycles (b.cycles / a.cycles). *)
 val speedup : t -> t -> float
 
-val latency_to_json : Latency.summary -> Stallhide_util.Json.t
-
 (** Stable machine-readable form: every field of {!t} under its own
     name; [latency] is [null] when absent. *)
 val to_json : t -> Stallhide_util.Json.t

@@ -53,28 +53,6 @@ let operand_value (ctx : Context.t) = function
   | Instr.Reg r -> ctx.regs.{r}
   | Instr.Imm i -> i
 
-let eval_binop op a b =
-  match op with
-  | Instr.Add -> Some (a + b)
-  | Instr.Sub -> Some (a - b)
-  | Instr.Mul -> Some (a * b)
-  | Instr.Div -> if b = 0 then None else Some (a / b)
-  | Instr.Rem -> if b = 0 then None else Some (a mod b)
-  | Instr.And -> Some (a land b)
-  | Instr.Or -> Some (a lor b)
-  | Instr.Xor -> Some (a lxor b)
-  | Instr.Shl -> Some (a lsl (b land 63))
-  | Instr.Shr -> Some (a asr (b land 63))
-
-let eval_cond c a b =
-  match c with
-  | Instr.Eq -> a = b
-  | Instr.Ne -> a <> b
-  | Instr.Lt -> a < b
-  | Instr.Le -> a <= b
-  | Instr.Gt -> a > b
-  | Instr.Ge -> a >= b
-
 (* [~block] holds for the exported [step], which the SMT model drives,
    and not under [run_reference]. *)
 let step ~block cfg hier mem ~clock (ctx : Context.t) =
@@ -139,7 +117,7 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
     in
     match i with
     | Instr.Binop (op, rd, rs, o) -> (
-        match eval_binop op ctx.regs.{rs} (operand_value ctx o) with
+        match Instr.eval_binop op ctx.regs.{rs} (operand_value ctx o) with
         | None -> fault ctx "division by zero at pc %d" pc
         | Some v ->
             ctx.regs.{rd} <- v;
@@ -196,7 +174,7 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
     | Instr.Branch (c, rs, o, _) ->
         let target = Program.resolved_target program pc in
         advance (Cost.base i);
-        if eval_cond c ctx.regs.{rs} (operand_value ctx o) then begin
+        if Instr.eval_cond c ctx.regs.{rs} (operand_value ctx o) then begin
           ctx.pc <- target;
           taken target
         end

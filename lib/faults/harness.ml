@@ -55,7 +55,7 @@ let row_to_json r =
       ("cycles", Json.Int r.cycles);
       ("completed", Json.Int r.completed);
       ("hidden_cycles", Json.Int r.hidden_cycles);
-      ("latency", Metrics.latency_to_json r.latency);
+      ("latency", Latency.summary_to_json r.latency);
       ("split", (match r.split with Some s -> Latency.split_to_json s | None -> Json.Null));
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counters));
     ]

@@ -68,6 +68,28 @@ let ends_block = function
 
 let equal (a : t) (b : t) = a = b
 
+let eval_binop op a b =
+  match op with
+  | Add -> Some (a + b)
+  | Sub -> Some (a - b)
+  | Mul -> Some (a * b)
+  | Div -> if b = 0 then None else Some (a / b)
+  | Rem -> if b = 0 then None else Some (a mod b)
+  | And -> Some (a land b)
+  | Or -> Some (a lor b)
+  | Xor -> Some (a lxor b)
+  | Shl -> Some (a lsl (b land 63))
+  | Shr -> Some (a asr (b land 63))
+
+let eval_cond c a b =
+  match c with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | Lt -> a < b
+  | Le -> a <= b
+  | Gt -> a > b
+  | Ge -> a >= b
+
 let binop_name = function
   | Add -> "add"
   | Sub -> "sub"

@@ -74,6 +74,15 @@ val ends_block : t -> bool
 
 val equal : t -> t -> bool
 
+(** The machine's arithmetic: [eval_binop op a b] is [a op b] on 63-bit
+    OCaml integers, shifts taking their count modulo 64; [None] on a
+    division or remainder by zero. The reference interpreter, constant
+    folding and trip-count simulation all evaluate through it. *)
+val eval_binop : binop -> int -> int -> int option
+
+(** [eval_cond c a b]: does [a c b] hold (signed comparison)? *)
+val eval_cond : cond -> int -> int -> bool
+
 (** Exported for [test_isa] only. *)
 val pp : Format.formatter -> t -> unit
 

@@ -125,9 +125,8 @@ let pp_report fmt r =
         | pcs -> String.concat "," (List.map string_of_int pcs)
       in
       Format.fprintf fmt "%-8d %-10s %-14s %8d %8d %9d %9d %8d %10.1f %10d@." s.yield_pc
-        (match s.kind with Instr.Primary -> "primary" | Instr.Scavenger -> "scavenger")
-        covers s.fires s.skips s.baseline_stall s.residual_stall s.switch_paid s.predicted_gain
-        s.measured_gain)
+        (Event.kind_name s.kind) covers s.fires s.skips s.baseline_stall s.residual_stall
+        s.switch_paid s.predicted_gain s.measured_gain)
     r.sites;
   Format.fprintf fmt "total stall: baseline=%d residual=%d hidden=%d@." r.total_baseline_stall
     r.total_residual_stall

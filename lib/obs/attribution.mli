@@ -9,9 +9,15 @@
     instrumented run ([residual_stall]) against what they paid
     uninstrumented ([baseline_stall]), and the context-switch cycles the
     site was charged, read from the streams' per-pc tallies, which count
-    every event however many the buffers dropped. The model's promise
-    is {!Gain_cost.expected_gain} evaluated with the same estimates the
-    selection used. *)
+    every event however many the buffers dropped.
+
+    The model's promise prices the site as one coalesced group, with
+    the same estimates the selection used. Per execution of the site it
+    sums (miss probability x stall per miss - prefetch cost) over the
+    covered loads, then subtracts one round trip of switches priced at
+    the yield's live registers. {!Gain_cost.expected_gain} charges a
+    round trip per load, so the two differ for any group of two or more
+    loads. *)
 
 open Stallhide_isa
 open Stallhide_binopt

@@ -113,64 +113,6 @@ let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.histograms
 
-(* "core3.steals" with prefix "core" -> Some (3, "steals"). *)
-let split_namespaced ~prefix name =
-  let pl = String.length prefix in
-  let nl = String.length name in
-  if nl <= pl || not (String.sub name 0 pl = prefix) then None
-  else begin
-    let rec digits i = if i < nl && name.[i] >= '0' && name.[i] <= '9' then digits (i + 1) else i in
-    let d = digits pl in
-    if d = pl || d >= nl || name.[d] <> '.' || d + 1 = nl then None
-    else Some (int_of_string (String.sub name pl (d - pl)), String.sub name (d + 1) (nl - d - 1))
-  end
-
-let namespace_indices t ~prefix =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      match split_namespaced ~prefix n with
-      | Some (i, _) -> Hashtbl.replace tbl i ()
-      | None -> ())
-    (names t);
-  Hashtbl.fold (fun i () acc -> i :: acc) tbl [] |> List.sort compare
-
-let namespace_names t ~prefix =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      match split_namespaced ~prefix n with
-      | Some (_, bare) -> Hashtbl.replace tbl bare ()
-      | None -> ())
-    (names t);
-  Hashtbl.fold (fun n () acc -> n :: acc) tbl [] |> List.sort compare
-
-let namespace_total t ~prefix name =
-  List.fold_left
-    (fun acc i -> acc + total t (Printf.sprintf "%s%d.%s" prefix i name))
-    0
-    (namespace_indices t ~prefix)
-
-let namespace_json t ~prefix =
-  let indices = namespace_indices t ~prefix in
-  let bare = namespace_names t ~prefix in
-  let aggregate =
-    List.map (fun n -> (n, Json.Int (namespace_total t ~prefix n))) bare
-  in
-  let per =
-    List.map
-      (fun i ->
-        ( string_of_int i,
-          Json.Obj
-            (List.filter_map
-               (fun n ->
-                 let full = Printf.sprintf "%s%d.%s" prefix i n in
-                 if List.mem full (names t) then Some (n, Json.Int (total t full)) else None)
-               bare) ))
-      indices
-  in
-  Json.Obj [ ("aggregate", Json.Obj aggregate); ("per", Json.Obj per) ]
-
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots and dashes
    become underscores; "a.b" and "a_b" therefore collide — acceptable
    for our fixed vocabulary. *)

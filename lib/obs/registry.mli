@@ -46,36 +46,7 @@ val hist_count : histogram -> int
 (** Exported for [test_obs] only. *)
 val hist_sum : histogram -> int
 
-(** All registered series names (counters and histograms), sorted.
-    Exported for [test_smp] only. *)
-val names : t -> string list
-
 val reset : t -> unit
-
-(** {2 Namespaces}
-
-    SMP runs register per-core series under ["<prefix><i>.<name>"]
-    (e.g. ["core3.steals"]). The namespace view groups them back
-    together: per-index values next to a machine-wide aggregate,
-    without the writer having to maintain both. *)
-
-(** Indices [i] for which some ["<prefix><i>.<name>"] series exists,
-    sorted.
-    Exported for [test_smp] only. *)
-val namespace_indices : t -> prefix:string -> int list
-
-(** Bare series names appearing under the namespace, sorted.
-    Exported for [test_smp] only. *)
-val namespace_names : t -> prefix:string -> string list
-
-(** [namespace_total t ~prefix name] sums ["<prefix><i>.<name>"] over
-    all indices (counters; 0 when absent).
-    Exported for [test_smp] only. *)
-val namespace_total : t -> prefix:string -> string -> int
-
-(** [{aggregate: {name: total}, per: {"<i>": {name: total}}}] over the
-    namespace's counters. *)
-val namespace_json : t -> prefix:string -> Stallhide_util.Json.t
 
 (** Stable machine-readable dump: counters as
     [{total, by_ctx}] and histograms as

@@ -40,6 +40,12 @@ let bump a pc n =
   a.(pc) <- a.(pc) + n;
   a
 
+(* A [Cache_access]'s counter name, built once per serving level. *)
+let load_counter =
+  let name l = "load." ^ Hierarchy.level_name l in
+  let l1 = name Hierarchy.L1 and l2 = name L2 and l3 = name L3 and dram = name Dram in
+  function Hierarchy.L1 -> l1 | L2 -> l2 | L3 -> l3 | Dram -> dram
+
 let count t event =
   let r = t.registry in
   match event with
@@ -49,7 +55,7 @@ let count t event =
         else t.skipped_at <- bump t.skipped_at pc 1;
       Registry.incr (Registry.counter r ~ctx (if fired then "yield.fired" else "yield.skipped"))
   | Event.Cache_access { ctx; level; stall; queue; _ } ->
-      Registry.incr (Registry.counter r ~ctx ("load." ^ Hierarchy.level_name level));
+      Registry.incr (Registry.counter r ~ctx (load_counter level));
       if stall > 0 then Registry.observe (Registry.histogram r ~ctx "load.stall") stall;
       if queue > 0 then Registry.incr ~by:queue (Registry.counter r ~ctx "load.queue_cycles")
   | Event.Stall { ctx; pc; cycles; _ } ->

@@ -92,6 +92,9 @@ val merge : summary list -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
+(** [{count, mean, stddev, p50, p90, p99, p999, max}]. *)
+val summary_to_json : summary -> Stallhide_util.Json.t
+
 (** Goodput vs offered accounting for runs that drop work.
 
     A request shed by overload protection, expired past its deadline or

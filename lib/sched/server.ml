@@ -58,7 +58,7 @@ let efficiency r =
   else
     float_of_int (r.cycles - r.idle - r.switch_cycles - r.stall) /. float_of_int r.cycles
 
-let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
+let run ?(config = default_config) ?(max_cycles = max_int) hier mem tasks =
   let rec sorted = function
     | a :: (b :: _ as rest) -> a.Task.arrival <= b.Task.arrival && sorted rest
     | [ _ ] | [] -> true
@@ -77,7 +77,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
   let switches = ref 0 in
   let switch_cycles = ref 0 in
   let pending = ref tasks in
-  let rq : Task.t Ready_queue.t = Ready_queue.create () in
+  let rq : Task.t Queue.t = Queue.create () in
   let active : Task.t Stallhide_util.Vec.t = Stallhide_util.Vec.create () in
   let completed = ref 0 in
   let faulted = ref 0 in
@@ -101,24 +101,16 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
   let window_start : (int, int) Hashtbl.t = Hashtbl.create 32 in
   (* (eligible_at, task) pairs awaiting retry, kept sorted by time *)
   let delayed : (int * Task.t) list ref = ref [] in
-  let bump name =
-    match obs with
-    | Some s ->
-        Stallhide_obs.Registry.incr
-          (Stallhide_obs.Registry.counter (Stallhide_obs.Stream.registry s) ~ctx:(-1) name)
-    | None -> ()
-  in
   let deadline_start (t : Task.t) =
     match Hashtbl.find_opt window_start t.Task.id with Some c -> c | None -> t.Task.arrival
   in
   let absorb () =
     let enqueue (t : Task.t) =
       match config.protection with
-      | Some p when Ready_queue.length rq >= p.max_queue ->
+      | Some p when Queue.length rq >= p.max_queue ->
           (* queue-depth admission control: drop at the door *)
-          incr shed;
-          bump "server.shed"
-      | _ -> Ready_queue.push rq t
+          incr shed
+      | _ -> Queue.add t rq
     in
     let rec go () =
       match !pending with
@@ -143,13 +135,12 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
      deadline window is not worth starting (its client has given up) —
      retry it later or expire it. *)
   let rec pop_live () =
-    match Ready_queue.pop_opt rq with
+    match Queue.take_opt rq with
     | None -> None
     | Some t -> (
         match config.protection with
         | Some p when !clock > deadline_start t + p.deadline -> begin
             incr timed_out;
-            bump "server.timeout";
             let r = match Hashtbl.find_opt retries_tbl t.Task.id with Some r -> r | None -> 0 in
             if r < p.max_retries then begin
               Hashtbl.replace retries_tbl t.Task.id (r + 1);
@@ -161,13 +152,9 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
                 List.merge
                   (fun (a, _) (b, _) -> compare a b)
                   !delayed [ (at, t) ];
-              incr retried;
-              bump "server.retry"
+              incr retried
             end
-            else begin
-              incr expired;
-              bump "server.expired"
-            end;
+            else incr expired;
             pop_live ()
           end
         | _ -> Some t)
@@ -184,10 +171,10 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
        latency task must not wait behind batch arrivals (stable within
        each class). *)
     if config.policy = Event_aware then begin
-      let all = Ready_queue.peek_all rq in
-      Ready_queue.clear rq;
-      let lat, batch = List.partition (fun (t : Task.t) -> t.Task.class_ = Task.Latency) all in
-      List.iter (Ready_queue.push rq) (lat @ batch)
+      let queued = List.of_seq (Queue.to_seq rq) in
+      let lat, batch = List.partition (fun (t : Task.t) -> t.Task.class_ = Task.Latency) queued in
+      Queue.clear rq;
+      List.iter (fun t -> Queue.add t rq) (lat @ batch)
     end;
     let cap = match config.policy with Run_to_completion -> 1 | _ -> config.max_active in
     let rec go () =
@@ -219,35 +206,20 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
     Stallhide_util.Vec.clear active;
     Stallhide_util.Vec.iter (Stallhide_util.Vec.push active) live
   in
-  let emit event =
-    match obs with Some s -> Stallhide_obs.Stream.record s event | None -> ()
-  in
-  let switch_event ~from_ctx ~at_pc cost =
-    emit
-      (Stallhide_obs.Event.Context_switch { from_ctx; to_ctx = -1; at_pc; cost; cycle = !clock })
-  in
   let charge (t : Task.t) pc =
     incr switches;
     let c = Switch_cost.at_site config.switch t.Task.ctx.Context.program pc in
     switch_cycles := !switch_cycles + c;
-    switch_event ~from_ctx:t.Task.ctx.Context.id ~at_pc:pc c;
     clock := !clock + c
   in
   let charge_base () =
     incr switches;
     switch_cycles := !switch_cycles + config.switch.Switch_cost.base;
-    switch_event ~from_ctx:(-1) ~at_pc:(-1) config.switch.Switch_cost.base;
     clock := !clock + config.switch.Switch_cost.base
   in
   let dispatch (t : Task.t) =
     if t.Task.started_at < 0 then t.Task.started_at <- !clock;
-    let before = !clock in
-    let r = Engine.run config.engine hier mem ~clock ~deadline:max_cycles t.Task.ctx in
-    if !clock > before then
-      emit
-        (Stallhide_obs.Event.Dispatch
-           { ctx = t.Task.ctx.Context.id; start = before; stop = !clock });
-    r
+    Engine.run config.engine hier mem ~clock ~deadline:max_cycles t.Task.ctx
   in
   (* Event-aware: batch tasks fill a latency task's stall until one of
      them reaches a scavenger-phase yield. *)
@@ -273,9 +245,6 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
           match dispatch t with
           | Engine.Yielded (Instr.Scavenger, pc) -> charge t pc
           | Engine.Yielded (Instr.Primary, pc) ->
-              emit
-                (Stallhide_obs.Event.Scavenger_escalation
-                   { ctx = t.Task.ctx.Context.id; pc; cycle = !clock });
               charge t pc;
               hide (guard - 1)
           | Engine.Halted | Engine.Fault _ ->
@@ -299,7 +268,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
   while
     !continue && !clock < max_cycles
     && (Stallhide_util.Vec.length active > 0
-       || (not (Ready_queue.is_empty rq))
+       || (not (Queue.is_empty rq))
        || !pending <> [] || !delayed <> [])
   do
     admit ();
@@ -333,7 +302,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
           rr := j + 1;
           let t = Stallhide_util.Vec.get active j in
           match dispatch t with
-          | Engine.Yielded (_, pc) -> if n > 1 || not (Ready_queue.is_empty rq) then charge t pc
+          | Engine.Yielded (_, pc) -> if n > 1 || not (Queue.is_empty rq) then charge t pc
           | Engine.Halted | Engine.Fault _ | Engine.Out_of_budget -> ())
       | Event_aware -> (
           match oldest_latency () with

@@ -28,20 +28,19 @@ val policy_name : policy -> string
 (** Overload protection (runtime self-defense under latency faults):
 
     - {b admission control} — an arrival finding [max_queue] requests
-      already queued is shed at the door ([server.shed]);
+      already queued is shed at the door ([shed]);
     - {b deadline} — a queued request older than [deadline] cycles
       (counted from arrival, or from its last retry release) is not
-      started: its client has given up ([server.timeout]);
+      started: its client has given up ([timed_out]);
     - {b retry} — a timed-out request is re-released after a jittered
       exponential backoff ([retry_backoff · 2^k] plus uniform jitter of
       up to the same, seeded by [seed]) at most [max_retries] times
-      ([server.retry]); after that it expires for good
-      ([server.expired]).
+      ([retried]); after that it expires for good ([expired]).
 
     Started tasks always run to completion: a coroutine cannot be
     restarted mid-flight, and abandoning paid-for work is the overload
-    anti-pattern. Counters land in the [obs] stream registry with
-    [ctx = -1]. *)
+    anti-pattern. The bracketed names are the {!result} fields that
+    count each outcome. *)
 type protection = {
   deadline : int;
   max_retries : int;
@@ -82,15 +81,12 @@ type result = {
 
 val efficiency : result -> float
 
-(** Tasks must be sorted by arrival time. [obs] receives
-    scheduling-level telemetry ([Dispatch] spans, [Context_switch],
-    [Scavenger_escalation]); engine-level events come from the probe in
-    [config.engine], independent of it.
+(** Tasks must be sorted by arrival time; engine-level events come from
+    the probe in [config.engine].
     @raise Invalid_argument otherwise. *)
 val run :
   ?config:config ->
   ?max_cycles:int ->
-  ?obs:Stallhide_obs.Stream.t ->
   Hierarchy.t ->
   Address_space.t ->
   Task.t list ->

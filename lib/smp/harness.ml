@@ -201,6 +201,7 @@ let setup params =
   let p = params in
   if p.cores <= 0 then invalid_arg "Harness.run: cores must be positive";
   if p.requests_per_core < 0 then invalid_arg "Harness.run: requests_per_core must be >= 0";
+  if p.interarrival < 0 then invalid_arg "Harness.run: interarrival must be >= 0";
   let total = p.requests_per_core * p.cores in
   let st = Random.State.make [| p.seed; 0xC19 |] in
   (* Draw the request trace: Zipfian keys, key-hash homes, jittered

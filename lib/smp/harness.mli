@@ -46,7 +46,7 @@ type params = {
   scav_interval : int;  (** scavenger-pass yield interval under PGO *)
   skew : float;  (** Zipf exponent over the key universe *)
   key_universe : int;
-  interarrival : int;  (** mean per-core cycles between arrivals *)
+  interarrival : int;  (** mean per-core cycles between arrivals; 0 is back to back *)
   seed : int;
   l3_window : int;
   l3_budget : int;
@@ -150,7 +150,8 @@ type run = {
   verify_warnings : int;
 }
 
-(** @raise Invalid_argument if [cores <= 0] or [requests_per_core < 0]. *)
+(** @raise Invalid_argument if [cores <= 0], [requests_per_core < 0] or
+    [interarrival < 0]. *)
 val run : params -> run
 
 (** The machine {!run} drives, built the same way with every request

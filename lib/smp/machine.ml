@@ -330,34 +330,39 @@ let throughput r =
   if r.cycles = 0 then 0.0
   else 1000.0 *. float_of_int r.completed /. float_of_int r.cycles
 
-let counters_into reg r =
-  let set name v =
-    let c = Stallhide_obs.Registry.counter reg ~ctx:(-1) name in
-    Stallhide_obs.Registry.incr ~by:v c
+(* One core's counters, names in ascending order: the order the
+   aggregate and every core's object print in. *)
+let core_counters (c : core_result) =
+  let s = c.stats and m = c.mem in
+  [
+    ("completions", s.Core_sched.completions);
+    ("cycles", c.cycles);
+    ("demand_accesses", m.Mem_stats.demand_accesses);
+    ("dispatches", s.Core_sched.dispatches);
+    ("donated", s.Core_sched.donated);
+    ("dram_accesses", m.Mem_stats.dram_accesses);
+    ("escalations", s.Core_sched.escalations);
+    ("faults", s.Core_sched.fault_count);
+    ("l1_hits", m.Mem_stats.l1_hits);
+    ("l2_hits", m.Mem_stats.l2_hits);
+    ("l3_hits", m.Mem_stats.l3_hits);
+    ("prefetches", m.Mem_stats.prefetches);
+    ("scav_dispatches", s.Core_sched.scav_dispatches);
+    ("steals", s.Core_sched.steals);
+    ("switch_cycles", s.Core_sched.switch_cycles);
+    ("switches", s.Core_sched.switches);
+  ]
+
+let counters_json r =
+  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
+  let per = Array.to_list (Array.map (fun c -> (c.core_id, core_counters c)) r.per_core) in
+  let aggregate =
+    match List.map snd per with
+    | [] -> []
+    | first :: rest -> List.fold_left (List.map2 (fun (k, a) (_, b) -> (k, a + b))) first rest
   in
-  Array.iter
-    (fun (c : core_result) ->
-      let p fmt = Printf.sprintf ("core%d." ^^ fmt) c.core_id in
-      let s = c.stats in
-      set (p "cycles") c.cycles;
-      set (p "dispatches") s.Core_sched.dispatches;
-      set (p "scav_dispatches") s.Core_sched.scav_dispatches;
-      set (p "switches") s.Core_sched.switches;
-      set (p "switch_cycles") s.Core_sched.switch_cycles;
-      set (p "steals") s.Core_sched.steals;
-      set (p "donated") s.Core_sched.donated;
-      set (p "escalations") s.Core_sched.escalations;
-      set (p "completions") s.Core_sched.completions;
-      set (p "faults") s.Core_sched.fault_count;
-      set (p "demand_accesses") c.mem.Mem_stats.demand_accesses;
-      set (p "l1_hits") c.mem.Mem_stats.l1_hits;
-      set (p "l2_hits") c.mem.Mem_stats.l2_hits;
-      set (p "l3_hits") c.mem.Mem_stats.l3_hits;
-      set (p "dram_accesses") c.mem.Mem_stats.dram_accesses;
-      set (p "prefetches") c.mem.Mem_stats.prefetches)
-    r.per_core;
-  set "l3.admitted" r.l3.Shared_l3.admitted;
-  set "l3.queued" r.l3.Shared_l3.queued;
-  set "l3.queue_cycles" r.l3.Shared_l3.queue_cycles;
-  set "l3.writes" r.l3.Shared_l3.writes;
-  set "l3.invalidations" r.l3.Shared_l3.invalidations
+  Json.Obj
+    [
+      ("aggregate", ints aggregate);
+      ("per", Json.Obj (List.map (fun (id, kvs) -> (string_of_int id, ints kvs)) per));
+    ]

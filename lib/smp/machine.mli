@@ -174,8 +174,9 @@ val run :
 (** Throughput in completed requests per kilocycle. *)
 val throughput : result -> float
 
-(** [counters_into reg r] publishes per-core counters under the
-    ["core<i>."] namespace (dispatches, steals, switch cycles, cache
-    hits, ...) plus machine-wide ["l3.*"] counters, so
-    {!Stallhide_obs.Registry.namespace_json} renders both views. *)
-val counters_into : Stallhide_obs.Registry.t -> result -> unit
+(** Per-core counters as [{aggregate: {name: n}, per: {"<core id>":
+    {name: n}}}]: each core's scheduler stats (dispatches, steals,
+    switch cycles, ...) and memory stats (demand accesses, hits per
+    level, prefetches), cores in id order, names in ascending order;
+    [aggregate] sums each name over the cores. *)
+val counters_json : result -> Stallhide_util.Json.t

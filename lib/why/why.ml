@@ -249,15 +249,12 @@ let analyze cfg =
     List.map
       (fun (pc, kind, covered) ->
         let pcs = covered_pcs prepared covered in
-        let kind_name =
-          match kind with Stallhide_isa.Instr.Primary -> "primary" | Scavenger -> "scavenger"
-        in
         ( {
             Causal.id = Printf.sprintf "site:%d" pc;
             kind = Causal.Site;
             detail =
-              Printf.sprintf "zero residual stall at %s yield@%d (%d loads)" kind_name pc
-                (List.length covered);
+              Printf.sprintf "zero residual stall at %s yield@%d (%d loads)"
+                (Stallhide_obs.Event.kind_name kind) pc (List.length covered);
           },
           fun seed ->
             run_single cfg prepared ~seed ~zero_level:None ~zero_site:(Some pcs)

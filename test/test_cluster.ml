@@ -248,7 +248,10 @@ let counter r k = try List.assoc k r.CH.result.Cluster.counters with Not_found -
 let test_harness_validation () =
   Alcotest.check_raises "cores = 0"
     (Invalid_argument "Cluster.Harness.run: cores must be positive") (fun () ->
-      ignore (CH.run { small_params with CH.cores = 0 }))
+      ignore (CH.run { small_params with CH.cores = 0 }));
+  Alcotest.check_raises "interarrival < 0"
+    (Invalid_argument "Cluster.Harness.run: interarrival must be >= 0") (fun () ->
+      ignore (CH.run { small_params with CH.interarrival = -1 }))
 
 let test_replay_determinism () =
   let defense, slo = CH.calibrate small_params in

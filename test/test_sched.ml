@@ -5,60 +5,6 @@ open Stallhide_sched
 
 let cfg = Memconfig.default
 
-(* --- Ready queue --- *)
-
-let test_queue_fifo () =
-  let q = Ready_queue.create () in
-  Alcotest.(check bool) "empty" true (Ready_queue.is_empty q);
-  Ready_queue.push q 1;
-  Ready_queue.push q 2;
-  Ready_queue.push q 3;
-  Alcotest.(check int) "length" 3 (Ready_queue.length q);
-  Alcotest.(check (list int)) "peek order" [ 1; 2; 3 ] (Ready_queue.peek_all q);
-  Alcotest.(check (option int)) "pop" (Some 1) (Ready_queue.pop_opt q);
-  Alcotest.(check (option int)) "then 2" (Some 2) (Ready_queue.pop_opt q);
-  Alcotest.(check (option int)) "then 3" (Some 3) (Ready_queue.pop_opt q);
-  Alcotest.(check (option int)) "drained" None (Ready_queue.pop_opt q)
-
-let test_queue_interleaved () =
-  let q = Ready_queue.create () in
-  Ready_queue.push q 1;
-  ignore (Ready_queue.pop_opt q);
-  Ready_queue.push q 2;
-  Ready_queue.push q 3;
-  Alcotest.(check (list int)) "peek after wrap" [ 2; 3 ] (Ready_queue.peek_all q)
-
-(* model-based check: the queue behaves like a list under a random
-   push/pop script *)
-let qcheck_queue_model =
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [ (3, map (fun n -> `Push n) small_int); (3, return `Pop) ])
-  in
-  QCheck.Test.make ~name:"ready queue matches list model" ~count:300
-    (QCheck.make QCheck.Gen.(small_list gen_op))
-    (fun script ->
-      let q = Ready_queue.create () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | `Push n ->
-              Ready_queue.push q n;
-              model := !model @ [ n ];
-              true
-          | `Pop -> (
-              match (Ready_queue.pop_opt q, !model) with
-              | None, [] -> true
-              | Some x, y :: rest when x = y ->
-                  model := rest;
-                  true
-              | _ -> false))
-        script
-      && Ready_queue.peek_all q = !model
-      && Ready_queue.length q = List.length !model)
-
 (* --- Task --- *)
 
 let dummy_ctx id = Context.create ~id ~mode:Context.Primary (Asm.parse "halt")
@@ -184,12 +130,6 @@ let test_determinism () =
 let () =
   Alcotest.run "sched"
     [
-      ( "ready-queue",
-        [
-          Alcotest.test_case "fifo" `Quick test_queue_fifo;
-          Alcotest.test_case "interleaved" `Quick test_queue_interleaved;
-          QCheck_alcotest.to_alcotest qcheck_queue_model;
-        ] );
       ("task", [ Alcotest.test_case "lifecycle" `Quick test_task ]);
       ( "server",
         [

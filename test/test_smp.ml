@@ -195,63 +195,6 @@ let test_latency_merge_edges () =
   check_all "singleton + empties identity" s
     (Latency.merge [ Latency.summary []; s; Latency.summary [] ])
 
-(* --- Registry namespaces --- *)
-
-let test_registry_namespace () =
-  let module R = Stallhide_obs.Registry in
-  let reg = R.create () in
-  let bump name v = R.incr ~by:v (R.counter reg ~ctx:(-1) name) in
-  bump "core0.steals" 2;
-  bump "core1.steals" 3;
-  bump "core0.cycles" 100;
-  bump "core1.cycles" 140;
-  bump "l3.writes" 7;
-  Alcotest.(check (list int)) "indices" [ 0; 1 ] (R.namespace_indices reg ~prefix:"core");
-  Alcotest.(check (list string)) "names" [ "cycles"; "steals" ]
-    (R.namespace_names reg ~prefix:"core");
-  Alcotest.(check int) "aggregate steals" 5 (R.namespace_total reg ~prefix:"core" "steals");
-  Alcotest.(check int) "aggregate cycles" 240 (R.namespace_total reg ~prefix:"core" "cycles");
-  match R.namespace_json reg ~prefix:"core" with
-  | Stallhide_util.Json.Obj fields ->
-      Alcotest.(check bool) "aggregate present" true (List.mem_assoc "aggregate" fields);
-      (match List.assoc "per" fields with
-      | Stallhide_util.Json.Obj per ->
-          Alcotest.(check (list string)) "per-core keys" [ "0"; "1" ] (List.map fst per)
-      | _ -> Alcotest.fail "per is not an object")
-  | _ -> Alcotest.fail "namespace_json is not an object"
-
-(* Namespace-collision behavior, pinned: matching is purely textual
-   ("<prefix><digits>.<name>"), so a counter from a *longer* prefix
-   ("corequeue2.depth") is invisible under "core" (non-digit after the
-   prefix), while a *numeric* continuation ("core12.steals" read with
-   prefix "core1") parses as index 2 of "core1" — consumers that nest
-   namespaces numerically must pick non-overlapping prefixes. *)
-let test_registry_namespace_collision () =
-  let module R = Stallhide_obs.Registry in
-  let reg = R.create () in
-  let bump name v = R.incr ~by:v (R.counter reg ~ctx:(-1) name) in
-  bump "core0.steals" 1;
-  bump "core12.steals" 4;
-  bump "corequeue2.depth" 9;
-  bump "core.steals" 11;
-  (* no index digits at all *)
-  bump "core3steals" 13;
-  (* digits but no dot *)
-  Alcotest.(check (list int)) "longer-prefix names invisible" [ 0; 12 ]
-    (R.namespace_indices reg ~prefix:"core");
-  Alcotest.(check int) "collision-free total" 5 (R.namespace_total reg ~prefix:"core" "steals");
-  Alcotest.(check (list string)) "only dotted digit names counted" [ "steals" ]
-    (R.namespace_names reg ~prefix:"core");
-  (* the sharp edge: "core12.steals" is a valid member of namespace
-     "core1" (index 2) — numeric prefixes overlap by construction *)
-  Alcotest.(check (list int)) "numeric continuation parses" [ 2 ]
-    (R.namespace_indices reg ~prefix:"core1");
-  Alcotest.(check int) "and is aggregated there" 4
-    (R.namespace_total reg ~prefix:"core1" "steals");
-  (* an unrelated namespace sees nothing *)
-  Alcotest.(check (list int)) "disjoint prefix empty" []
-    (R.namespace_indices reg ~prefix:"l3")
-
 (* --- Dispatch --- *)
 
 let test_dispatch_home () =
@@ -492,6 +435,59 @@ let test_untraced_streams () =
     res.Machine.per_core;
   Alcotest.(check int) "one event per steal" res.Machine.steals !recorded
 
+(* [Machine.counters_json]: one object per core, in id order, holding
+   that core's own scheduler and memory stats under ascending names;
+   the aggregate sums each name over the cores. *)
+let test_counters_json () =
+  let module J = Stallhide_util.Json in
+  let res = (Harness.run small_params).Harness.result in
+  let obj = function J.Obj kvs -> kvs | _ -> Alcotest.fail "not an object" in
+  let int = function J.Int n -> n | _ -> Alcotest.fail "not an int" in
+  let doc = obj (Machine.counters_json res) in
+  let per = obj (List.assoc "per" doc) in
+  Alcotest.(check (list string)) "per keys are the core ids in order" [ "0"; "1"; "2"; "3" ]
+    (List.map fst per);
+  let own (c : Machine.core_result) =
+    let s = c.Machine.stats and m = c.Machine.mem in
+    [
+      ("cycles", c.Machine.cycles);
+      ("dispatches", s.Core_sched.dispatches);
+      ("scav_dispatches", s.Core_sched.scav_dispatches);
+      ("switches", s.Core_sched.switches);
+      ("switch_cycles", s.Core_sched.switch_cycles);
+      ("steals", s.Core_sched.steals);
+      ("donated", s.Core_sched.donated);
+      ("escalations", s.Core_sched.escalations);
+      ("completions", s.Core_sched.completions);
+      ("faults", s.Core_sched.fault_count);
+      ("demand_accesses", m.Mem_stats.demand_accesses);
+      ("l1_hits", m.Mem_stats.l1_hits);
+      ("l2_hits", m.Mem_stats.l2_hits);
+      ("l3_hits", m.Mem_stats.l3_hits);
+      ("dram_accesses", m.Mem_stats.dram_accesses);
+      ("prefetches", m.Mem_stats.prefetches);
+    ]
+  in
+  let names = List.sort compare (List.map fst (own res.Machine.per_core.(0))) in
+  Array.iteri
+    (fun i (c : Machine.core_result) ->
+      let got = obj (List.assoc (string_of_int c.Machine.core_id) per) in
+      Alcotest.(check (list string)) (Printf.sprintf "core %d names ascending" i) names
+        (List.map fst got);
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check int) (Printf.sprintf "core %d %s" i name) v (int (List.assoc name got)))
+        (own c))
+    res.Machine.per_core;
+  let aggregate = obj (List.assoc "aggregate" doc) in
+  Alcotest.(check (list string)) "aggregate names ascending" names (List.map fst aggregate);
+  List.iter
+    (fun name ->
+      let sum = List.fold_left (fun acc (_, o) -> acc + int (List.assoc name (obj o))) 0 per in
+      Alcotest.(check int) ("aggregate " ^ name) sum (int (List.assoc name aggregate)))
+    names;
+  Alcotest.(check int) "aggregate steals" res.Machine.steals (int (List.assoc "steals" aggregate))
+
 let test_no_steal_means_none () =
   let r = Harness.run { small_params with Harness.steal = false } in
   Alcotest.(check int) "no steals when disabled" 0 r.Harness.result.Machine.steals;
@@ -517,7 +513,10 @@ let test_machine_validation () =
       ignore (Harness.run { small_params with Harness.cores = 0 }));
   Alcotest.check_raises "harness requests_per_core < 0"
     (Invalid_argument "Harness.run: requests_per_core must be >= 0") (fun () ->
-      ignore (Harness.run { small_params with Harness.requests_per_core = -1 }))
+      ignore (Harness.run { small_params with Harness.requests_per_core = -1 }));
+  Alcotest.check_raises "harness interarrival < 0"
+    (Invalid_argument "Harness.run: interarrival must be >= 0") (fun () ->
+      ignore (Harness.live { small_params with Harness.interarrival = -1 }))
 
 (* [node.scav]'s contract: every scavenger context the machine runs
    aggregates into lane 0's accumulators, so scavenger stores on
@@ -576,11 +575,6 @@ let () =
           Alcotest.test_case "identical shards exact" `Quick test_latency_merge_identical;
           Alcotest.test_case "empty and singleton merges" `Quick test_latency_merge_edges;
         ] );
-      ( "registry",
-        [
-          Alcotest.test_case "core namespaces" `Quick test_registry_namespace;
-          Alcotest.test_case "namespace collisions" `Quick test_registry_namespace_collision;
-        ] );
       ( "dispatch",
         [
           Alcotest.test_case "key-hash home" `Quick test_dispatch_home;
@@ -593,6 +587,7 @@ let () =
           Alcotest.test_case "serves all requests" `Quick test_machine_completes;
           Alcotest.test_case "steal correctness" `Quick test_steal_correctness;
           Alcotest.test_case "untraced streams hold only steals" `Quick test_untraced_streams;
+          Alcotest.test_case "per-core counters json" `Quick test_counters_json;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
           Alcotest.test_case "node scavengers share lane 0's accumulators" `Quick
