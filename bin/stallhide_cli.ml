@@ -41,6 +41,12 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* A serving command's input rules live in the library's [validate],
+   which runs before anything is simulated; its refusal is a usage
+   error. The run itself stays outside any handler, so an exception a
+   bug raises mid-run is never mistaken for bad input. *)
+let usage validate x = try validate x with Invalid_argument m -> usage_error "%s" m
+
 let policy_of_string = function
   | "always" -> Gain_cost.Always
   | "cost-benefit" -> Gain_cost.Cost_benefit
@@ -157,19 +163,13 @@ let run_cmd =
       attribution no_verify =
     check_workload workload;
     check_sizes ?interval ~lanes ~ops ();
-    if attribution && mechanism <> "pgo" then begin
-      Printf.eprintf "stallhide: --attribution needs --mechanism pgo (got %s)\n" mechanism;
-      exit 2
-    end;
-    if attribution && placement <> Pipeline.Pgo then begin
-      Printf.eprintf "stallhide: --attribution needs --placement pgo (got %s)\n"
+    if attribution && mechanism <> "pgo" then
+      usage_error "--attribution needs --mechanism pgo (got %s)" mechanism;
+    if attribution && placement <> Pipeline.Pgo then
+      usage_error "--attribution needs --placement pgo (got %s)"
         (Pipeline.placement_name placement);
-      exit 2
-    end;
-    if placement <> Pipeline.Pgo && mechanism <> "pgo" then begin
-      Printf.eprintf "stallhide: --placement applies to --mechanism pgo (got %s)\n" mechanism;
-      exit 2
-    end;
+    if placement <> Pipeline.Pgo && mechanism <> "pgo" then
+      usage_error "--placement applies to --mechanism pgo (got %s)" mechanism;
     let module Obs = Stallhide_obs in
     let stream =
       if json || trace_out <> None || prom_out <> None then Some (Obs.Stream.create ())
@@ -672,11 +672,9 @@ let inject_cmd =
     let workloads =
       if workload = "all" then H.workload_names
       else begin
-        if not (List.mem workload H.workload_names || workload = "kv-cluster") then begin
-          Printf.eprintf "stallhide: inject supports workloads %s, kv-cluster (or all), got %S\n"
+        if not (List.mem workload H.workload_names || workload = "kv-cluster") then
+          usage_error "inject supports workloads %s, kv-cluster (or all), got %S"
             (String.concat ", " H.workload_names) workload;
-          exit 2
-        end;
         [ workload ]
       end
     in
@@ -689,12 +687,12 @@ let inject_cmd =
       else F.fault_names
     in
     let faults =
-      try List.map F.parse_spec specs
-      with Invalid_argument msg ->
-        Printf.eprintf "stallhide: %s\n" msg;
-        exit 2
+      try List.map F.parse_spec specs with Invalid_argument msg -> usage_error "%s" msg
     in
     let net_faults = List.filter F.is_net faults in
+    let module CH = Stallhide_cluster.Harness in
+    let cluster = { CH.default_params with seed } in
+    if net_faults <> [] then usage CH.validate { cluster with faults = net_faults };
     let machine_specs =
       List.filter (fun s -> not (F.is_net (F.parse_spec s))) specs
     in
@@ -702,24 +700,13 @@ let inject_cmd =
       if machine_specs = [] || workload = "kv-cluster" then []
       else begin
         let plan =
-          try F.of_specs ~seed machine_specs
-          with Invalid_argument msg ->
-            Printf.eprintf "stallhide: %s\n" msg;
-            exit 2
+          try F.of_specs ~seed machine_specs with Invalid_argument msg -> usage_error "%s" msg
         in
         let opts = { H.lanes; ops; seed } in
         H.run_plan ~opts ~workloads:(List.filter (fun w -> w <> "kv-cluster") workloads) plan
       end
     in
-    let cluster_rows =
-      if net_faults = [] then []
-      else
-        let module CH = Stallhide_cluster.Harness in
-        try CH.fault_rows { CH.default_params with seed } net_faults
-        with Invalid_argument msg ->
-          Printf.eprintf "stallhide: %s\n" msg;
-          exit 2
-    in
+    let cluster_rows = if net_faults = [] then [] else CH.fault_rows cluster net_faults in
     let rows = machine_rows @ cluster_rows in
     let doc =
       Stallhide_util.Json.Obj
@@ -807,27 +794,11 @@ let smp_cmd =
        workloads keep their single-core `run` path *)
     (match workload with
     | "kv-server" | "kv_server" -> ()
-    | other ->
-        Printf.eprintf "stallhide: smp serves the sharded kv-server (got %S)\n" other;
-        exit 2);
-    if cores <= 0 then begin
-      Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-      exit 2
-    end;
-    if requests_per_core < 0 then begin
-      Printf.eprintf "stallhide: --requests-per-core must be >= 0 (got %d)\n" requests_per_core;
-      exit 2
-    end;
-    if interarrival < 0 then begin
-      Printf.eprintf "stallhide: --interarrival must be >= 0 (got %d)\n" interarrival;
-      exit 2
-    end;
+    | other -> usage_error "smp serves the sharded kv-server (got %S)" other);
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
-      | None ->
-          Printf.eprintf "stallhide: unknown policy %S (available: d-fcfs, jbsq)\n" policy;
-          exit 2
+      | None -> usage_error "unknown policy %S (available: d-fcfs, jbsq)" policy
     in
     let params =
       {
@@ -845,6 +816,7 @@ let smp_cmd =
         trace = trace_out <> None;
       }
     in
+    usage Smp.Harness.validate params;
     let r = Smp.Harness.run params in
     (* single-core reference of the same config, for scaling numbers *)
     let base =
@@ -1022,68 +994,19 @@ let cluster_cmd =
   let module J = Stallhide_util.Json in
   let cluster machines cores lb policy specs defend pgo requests interarrival skew seed json
       output =
-    if machines <= 0 then begin
-      Printf.eprintf "stallhide: --machines must be positive (got %d)\n" machines;
-      exit 2
-    end;
-    if cores <= 0 then begin
-      Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-      exit 2
-    end;
-    if requests <= 0 then begin
-      Printf.eprintf "stallhide: --requests must be positive (got %d)\n" requests;
-      exit 2
-    end;
-    if interarrival < 0 then begin
-      Printf.eprintf "stallhide: --interarrival must be >= 0 (got %d)\n" interarrival;
-      exit 2
-    end;
     let lb =
       match Lb.policy_of_string lb with
       | Some l -> l
-      | None ->
-          Printf.eprintf "stallhide: unknown LB policy %S (available: hash, least, p2c)\n" lb;
-          exit 2
+      | None -> usage_error "unknown LB policy %S (available: hash, least, p2c)" lb
     in
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
-      | None ->
-          Printf.eprintf "stallhide: unknown policy %S (available: d-fcfs, jbsq)\n" policy;
-          exit 2
+      | None -> usage_error "unknown policy %S (available: d-fcfs, jbsq)" policy
     in
     let faults =
-      try List.map F.parse_spec specs
-      with Invalid_argument msg ->
-        Printf.eprintf "stallhide: %s\n" msg;
-        exit 2
+      try List.map F.parse_spec specs with Invalid_argument msg -> usage_error "%s" msg
     in
-    (match List.find_opt (fun f -> not (F.is_net f)) faults with
-    | Some f ->
-        Printf.eprintf
-          "stallhide: %s is a single-machine fault; cluster takes crash | slownode | netloss \
-           | nicdrop\n"
-          (F.name f);
-        exit 2
-    | None -> ());
-    (match
-       List.find_opt
-         (function
-           | F.Crash { machine; _ } | F.Slownode { machine; _ } ->
-               machine < 0 || machine >= machines
-           | _ -> false)
-         faults
-     with
-    | Some f ->
-        let m =
-          match f with
-          | F.Crash { machine; _ } | F.Slownode { machine; _ } -> machine
-          | _ -> assert false
-        in
-        Printf.eprintf "stallhide: %s machine %d out of range (machines=%d)\n" (F.name f) m
-          machines;
-        exit 2
-    | None -> ());
     let params =
       {
         CH.default_params with
@@ -1099,6 +1022,7 @@ let cluster_cmd =
         faults;
       }
     in
+    usage CH.validate params;
     let params =
       if not defend then params
       else begin
@@ -1248,9 +1172,7 @@ let why_cmd =
     let metric =
       match Obs.Sweep.metric_of_string metric with
       | Some m -> m
-      | None ->
-          Printf.eprintf "stallhide: unknown metric %S (mean | p50 | p90 | p99 | p999)\n" metric;
-          exit 2
+      | None -> usage_error "unknown metric %S (mean | p50 | p90 | p99 | p999)" metric
     in
     let injection =
       match injection with
@@ -1258,14 +1180,9 @@ let why_cmd =
       | Some s -> (
           match Why.injection_of_string s with
           | Ok i -> Some i
-          | Error msg ->
-              Printf.eprintf "stallhide: %s\n" msg;
-              exit 2)
+          | Error msg -> usage_error "%s" msg)
     in
-    if sweep && critical then begin
-      Printf.eprintf "stallhide: --sweep and --critical-path are mutually exclusive\n";
-      exit 2
-    end;
+    if sweep && critical then usage_error "--sweep and --critical-path are mutually exclusive";
     let cfg = { Why.workload; lanes; ops; seed; repeats; metric; injection } in
     let emit mode payload = print_endline
         (J.to_string_pretty
@@ -1281,10 +1198,7 @@ let why_cmd =
       | Some c ->
           if json then emit "critical" [ ("critical", Why.critical_to_json c) ]
           else Format.printf "%a@." Why.pp_critical c
-      | None ->
-          Printf.eprintf
-            "stallhide: --critical-path decomposes the SMP kv-server run (got %S)\n" workload;
-          exit 2
+      | None -> usage_error "--critical-path decomposes the SMP kv-server run (got %S)" workload
     end
     else begin
       let a = Why.analyze cfg in
@@ -1363,24 +1277,10 @@ let txn_cmd =
     let mode =
       match R.mode_of_string mode with
       | Some m -> m
-      | None ->
-          Printf.eprintf
-            "stallhide: unknown mode %S (available: seq, interleaved, interleaved-pgo)\n" mode;
-          exit 2
+      | None -> usage_error "unknown mode %S (available: seq, interleaved, interleaved-pgo)" mode
     in
-    if batch < 1 || batch > 8 then begin
-      Printf.eprintf "stallhide: --batch must be in 1..8 (got %d)\n" batch;
-      exit 2
-    end;
-    if mix < 0 || mix > 100 then begin
-      Printf.eprintf "stallhide: --mix must be in 0..100 (got %d)\n" mix;
-      exit 2
-    end;
-    if inflight <= 0 || txns <= 0 || keys <= 0 then begin
-      Printf.eprintf "stallhide: --inflight, --txns and --keys must be positive\n";
-      exit 2
-    end;
     let p = { R.inflight; txns; batch; mix; keys; theta; seed } in
+    usage (R.validate ?cores:(if smp then Some cores else None)) p;
     let params_json =
       J.Obj
         [
@@ -1409,10 +1309,6 @@ let txn_cmd =
         c.R.commits c.R.aborts c.R.latch_waits c.R.group_prefetch_hits c.R.lookups
     in
     if smp then begin
-      if cores <= 0 then begin
-        Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-        exit 2
-      end;
       let o = R.run_smp ~cores mode p in
       let s = o.R.summary in
       if json then
@@ -1433,8 +1329,8 @@ let txn_cmd =
                   ("scav_dispatches", J.Int o.R.scav_dispatches);
                 ]))
       else begin
-        Printf.printf "txn (smp): %d core(s), mode %s, K=%d, batch=%d, mix=%d%%, seed %d\n"
-          cores (R.mode_to_string mode) inflight batch mix seed;
+        Printf.printf "txn (smp): %d core(s), mode %s, batch=%d, mix=%d%%, seed %d\n" cores
+          (R.mode_to_string mode) batch mix seed;
         Printf.printf "transactions: %d committed in %d cycles (%.3f txn/kcycle)\n"
           o.R.completed o.R.cycles o.R.txn_throughput;
         Printf.printf "per-txn latency: mean=%.0f p50=%d p90=%d p99=%d p999=%d max=%d\n"
@@ -1481,7 +1377,9 @@ let txn_cmd =
   let inflight_arg =
     Arg.(value & opt int R.default_params.R.inflight
          & info [ "inflight" ] ~docv:"K"
-             ~doc:"In-flight transaction coroutines per core (the two-level mapping's K).")
+             ~doc:
+               "In-flight transaction coroutines per core (the two-level mapping's K). The \
+                $(b,--smp) leg serves one transaction per request and reads no K.")
   in
   let txns_arg =
     Arg.(value & opt int R.default_params.R.txns
@@ -1540,9 +1438,7 @@ let fuzz_cmd =
         (* replay a saved counterexample and report its verdict *)
         let repro =
           try Check.Repro.load path
-          with Sys_error m | Invalid_argument m ->
-            Printf.eprintf "stallhide: cannot load repro %s: %s\n" path m;
-            exit 2
+          with Sys_error m | Invalid_argument m -> usage_error "cannot load repro %s: %s" path m
         in
         let verdict = Check.Repro.replay repro in
         if json then
@@ -1577,11 +1473,10 @@ let fuzz_cmd =
                   match Check.Oracle.of_string n with
                   | Some o -> o
                   | None ->
-                      Printf.eprintf
-                        "stallhide: unknown oracle %S (available: primary, scavenger, smp, \
-                         fault, soundness, cluster, txn, mutant, all)\n"
-                        n;
-                      exit 2)
+                      usage_error
+                        "unknown oracle %S (available: primary, scavenger, smp, fault, \
+                         soundness, cluster, txn, mutant, all)"
+                        n)
                 names
         in
         let opts =

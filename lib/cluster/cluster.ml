@@ -166,17 +166,25 @@ type ev =
   | CrashAt of { m : int; down : int }
   | RecoverAt of int
 
-let run c ~node:make_impl ~requests =
-  if c.machines <= 0 then invalid_arg "Cluster.run: machines must be positive";
-  if c.slo_deadline <= 0 then invalid_arg "Cluster.run: slo_deadline must be positive";
+let validate c =
+  let fail fmt = Printf.ksprintf invalid_arg ("Cluster: " ^^ fmt) in
+  if c.machines <= 0 then fail "machines must be positive (got %d)" c.machines;
+  if c.slo_deadline <= 0 then fail "slo_deadline must be positive (got %d)" c.slo_deadline;
   List.iter
     (fun f ->
       if not (Faults.is_net f) then
-        invalid_arg
-          (Printf.sprintf "Cluster.run: %s is a single-machine fault; use the faults harness"
-             (Faults.name f)))
+        fail "%s is a single-machine fault; a cluster takes %s" (Faults.name f)
+          (String.concat " | " Faults.net_fault_names);
+      match f with
+      | Faults.Crash { machine; _ } | Faults.Slownode { machine; _ }
+        when machine < 0 || machine >= c.machines ->
+          fail "%s machine %d out of range (machines=%d)" (Faults.name f) machine c.machines
+      | _ -> ())
     c.faults;
-  (match c.defense with Some d -> Defense.validate d | None -> ());
+  Option.iter Defense.validate c.defense
+
+let run c ~node:make_impl ~requests =
+  validate c;
   let reqs = Array.of_list requests in
   Array.iteri
     (fun i (s : spec) ->
@@ -392,10 +400,6 @@ let run c ~node:make_impl ~requests =
     (fun f ->
       match f with
       | Faults.Crash { machine; at; percent; down } ->
-          if machine >= c.machines then
-            invalid_arg
-              (Printf.sprintf "Cluster.run: crash machine %d out of range (machines=%d)" machine
-                 c.machines);
           let at_cycles = if percent then at * last_send / 100 else at in
           Heap.push heap at_cycles (CrashAt { m = machine; down })
       | _ -> ())

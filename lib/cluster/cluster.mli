@@ -118,12 +118,18 @@ type result = {
   counters : (string * int) list;
 }
 
+(** The config's rules: [machines > 0], [slo_deadline > 0], net faults
+    only, every crash and slownode machine in [0 .. machines - 1], and a
+    defense that passes {!Defense.validate}. {!run} calls it before it
+    builds any node.
+    @raise Invalid_argument naming the rule and the offending value. *)
+val validate : config -> unit
+
 (** [run config ~node ~requests] — requests must be sorted by [send]
     with distinct [rid]s; [node ~machine ~restart] builds replica
     incarnations.
-    @raise Invalid_argument on unsorted/duplicate requests, a
-    single-machine fault in [config.faults], a crash aimed past
-    [machines], or an invalid defense. *)
+    @raise Invalid_argument as {!validate}, or on unsorted/duplicate
+    requests. *)
 val run :
   config -> node:(machine:int -> restart:int -> node_impl) -> requests:spec list -> result
 

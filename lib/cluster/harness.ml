@@ -137,11 +137,29 @@ let node_factory ?kv_program ?scav_program p =
     let scavengers = Harness.scavengers node ~id:(fun k -> 8 * (total + k)) in
     { Cluster.config; mem = Address_space.fork node.Harness.image; scavengers; make_ctx }
 
+let config p =
+  {
+    Cluster.machines = p.machines;
+    policy = p.policy;
+    lb = p.lb;
+    net = p.net;
+    defense = p.defense;
+    slo_deadline = p.slo_deadline;
+    seed = p.seed;
+    faults = p.faults;
+    horizon = p.horizon;
+  }
+
+let validate p =
+  let fail fmt = Printf.ksprintf invalid_arg ("Cluster.Harness: " ^^ fmt) in
+  if p.cores <= 0 then fail "cores must be positive (got %d)" p.cores;
+  if p.requests <= 0 then fail "requests must be positive (got %d)" p.requests;
+  if p.interarrival < 0 then fail "interarrival must be >= 0 (got %d)" p.interarrival;
+  if not (Float.is_finite p.skew) then fail "skew must be finite (got %g)" p.skew;
+  Cluster.validate (config p)
+
 let run p =
-  if p.machines <= 0 then invalid_arg "Cluster.Harness.run: machines must be positive";
-  if p.cores <= 0 then invalid_arg "Cluster.Harness.run: cores must be positive";
-  if p.requests <= 0 then invalid_arg "Cluster.Harness.run: requests must be positive";
-  if p.interarrival < 0 then invalid_arg "Cluster.Harness.run: interarrival must be >= 0";
+  validate p;
   let kv_program, scav_program =
     if not p.pgo then (None, None)
     else
@@ -149,20 +167,7 @@ let run p =
       (Some kvp, Some scp)
   in
   let node = node_factory ?kv_program ?scav_program p in
-  let config =
-    {
-      Cluster.machines = p.machines;
-      policy = p.policy;
-      lb = p.lb;
-      net = p.net;
-      defense = p.defense;
-      slo_deadline = p.slo_deadline;
-      seed = p.seed;
-      faults = p.faults;
-      horizon = p.horizon;
-    }
-  in
-  let result = Cluster.run config ~node ~requests:(trace p) in
+  let result = Cluster.run (config p) ~node ~requests:(trace p) in
   let goodput_rpk =
     if result.Cluster.cycles = 0 then 0.0
     else float_of_int result.Cluster.acked /. float_of_int result.Cluster.cycles *. 1000.0
@@ -203,13 +208,7 @@ let calibrate p =
    single-machine ones. hidden_cycles compares each arm against its own
    no-stall-hiding (pgo off) twin. *)
 let fault_rows p faults =
-  List.iter
-    (fun f ->
-      if not (Faults.is_net f) then
-        invalid_arg
-          (Printf.sprintf "Cluster.Harness.fault_rows: %s is a single-machine fault"
-             (Faults.name f)))
-    faults;
+  validate { p with faults };
   let module FH = Stallhide_faults.Harness in
   let defense, slo = calibrate p in
   let base = { p with slo_deadline = slo } in

@@ -72,8 +72,14 @@ val node_factory :
   restart:int ->
   Cluster.node_impl
 
-(** @raise Invalid_argument if [machines], [cores] or [requests] is not
-    positive, or [interarrival] is negative. *)
+(** The serving input rules, checked before anything is built: [cores]
+    and [requests] positive, [interarrival >= 0] and a finite [skew],
+    then {!Cluster.validate} of the config these params build (which
+    holds [machines > 0] and the fault and defense rules).
+    @raise Invalid_argument naming the rule and the offending value. *)
+val validate : params -> unit
+
+(** @raise Invalid_argument as {!validate}, which it calls first. *)
 val run : params -> run
 
 (** [calibrate p] tunes a defense from the fault-free undefended run of
@@ -87,7 +93,8 @@ val calibrate : params -> Defense.t * int
     one table): per net fault, fault-free / undefended /
     calibrated-defense arms, each arm's [hidden_cycles] measured
     against its own stall-hiding-off twin.
-    @raise Invalid_argument on a single-machine fault. *)
+    @raise Invalid_argument as {!validate} of [{ p with faults }],
+    before any run. *)
 val fault_rows : params -> Faults.fault list -> Stallhide_faults.Harness.row list
 
 val to_json : run -> Stallhide_util.Json.t

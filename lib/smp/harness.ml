@@ -194,14 +194,20 @@ let scavengers node ~id =
     node.scav;
   per_core
 
+let validate p =
+  let fail fmt = Printf.ksprintf invalid_arg ("Smp.Harness: " ^^ fmt) in
+  if p.cores <= 0 then fail "cores must be positive (got %d)" p.cores;
+  if p.requests_per_core < 0 then
+    fail "requests_per_core must be >= 0 (got %d)" p.requests_per_core;
+  if p.interarrival < 0 then fail "interarrival must be >= 0 (got %d)" p.interarrival;
+  if not (Float.is_finite p.skew) then fail "skew must be finite (got %g)" p.skew
+
 (* Everything [run] hands to the machine: its config, the shared
    image, the requests in arrival order, each core's scavengers, and
    the verifier counts. *)
 let setup params =
+  validate params;
   let p = params in
-  if p.cores <= 0 then invalid_arg "Harness.run: cores must be positive";
-  if p.requests_per_core < 0 then invalid_arg "Harness.run: requests_per_core must be >= 0";
-  if p.interarrival < 0 then invalid_arg "Harness.run: interarrival must be >= 0";
   let total = p.requests_per_core * p.cores in
   let st = Random.State.make [| p.seed; 0xC19 |] in
   (* Draw the request trace: Zipfian keys, key-hash homes, jittered
@@ -316,41 +322,9 @@ let to_json r =
             ("writes", Json.Int l3.Shared_l3.writes);
             ("invalidations", Json.Int l3.Shared_l3.invalidations);
           ] );
-      ( "latency",
-        Json.Obj
-          [
-            ("count", Json.Int s.Latency.count);
-            ("mean", Json.Float s.Latency.mean);
-            ("p50", Json.Int s.Latency.p50);
-            ("p90", Json.Int s.Latency.p90);
-            ("p99", Json.Int s.Latency.p99);
-            ("p999", Json.Int s.Latency.p999);
-            ("max", Json.Int s.Latency.max);
-          ] );
+      ("latency", Latency.summary_to_json s);
       ( "per_core",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun (c : Machine.core_result) ->
-                  let st = c.Machine.stats in
-                  Json.Obj
-                    [
-                      ("core", Json.Int c.Machine.core_id);
-                      ("cycles", Json.Int c.Machine.cycles);
-                      ("dispatches", Json.Int st.Core_sched.dispatches);
-                      ("scav_dispatches", Json.Int st.Core_sched.scav_dispatches);
-                      ("switches", Json.Int st.Core_sched.switches);
-                      ("switch_cycles", Json.Int st.Core_sched.switch_cycles);
-                      ("steals", Json.Int st.Core_sched.steals);
-                      ("donated", Json.Int st.Core_sched.donated);
-                      ("escalations", Json.Int st.Core_sched.escalations);
-                      ("completions", Json.Int st.Core_sched.completions);
-                      ("faults", Json.Int st.Core_sched.fault_count);
-                      ("demand_accesses", Json.Int c.Machine.mem.Mem_stats.demand_accesses);
-                      ("l3_hits", Json.Int c.Machine.mem.Mem_stats.l3_hits);
-                      ("dram_accesses", Json.Int c.Machine.mem.Mem_stats.dram_accesses);
-                    ])
-                r.result.Machine.per_core)) );
+        Json.List (Array.to_list (Array.map Machine.core_json r.result.Machine.per_core)) );
       ( "verify",
         Json.Obj
           [

@@ -150,8 +150,13 @@ type run = {
   verify_warnings : int;
 }
 
-(** @raise Invalid_argument if [cores <= 0], [requests_per_core < 0] or
-    [interarrival < 0]. *)
+(** The serving input rules, checked before anything is drawn or
+    built: [cores > 0], [requests_per_core >= 0], [interarrival >= 0]
+    and a finite [skew]. {!run} and {!live} call it first.
+    @raise Invalid_argument naming the rule and the offending value. *)
+val validate : params -> unit
+
+(** @raise Invalid_argument as {!validate}. *)
 val run : params -> run
 
 (** The machine {!run} drives, built the same way with every request

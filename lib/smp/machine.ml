@@ -87,9 +87,11 @@ module Live = struct
 
   let create ?(config = default_config) ~policy ~mem ~scavengers () =
     let n = config.cores in
-    if n <= 0 then invalid_arg "Machine: cores must be positive";
+    if n <= 0 then invalid_arg (Printf.sprintf "Machine: cores must be positive (got %d)" n);
     if Array.length scavengers <> n then
-      invalid_arg "Machine: scavengers must have one list per core";
+      invalid_arg
+        (Printf.sprintf "Machine: scavengers must have one list per core (got %d for %d cores)"
+           (Array.length scavengers) n);
     let shared =
       Shared_l3.create ~window:config.l3_window ~budget:config.l3_budget config.memcfg
     in
@@ -183,9 +185,15 @@ module Live = struct
     Array.iter (fun s -> Core_sched.set_scavengers_enabled s enabled) t.scheds
 
   let submit t r =
-    if r.home < 0 || r.home >= t.n then invalid_arg "Machine: request home out of range";
+    if r.home < 0 || r.home >= t.n then
+      invalid_arg
+        (Printf.sprintf "Machine: request %d's home %d out of range (cores=%d)" r.rid r.home t.n);
     if r.arrival < t.last_arrival then
-      invalid_arg "Machine: requests must be submitted in arrival order";
+      invalid_arg
+        (Printf.sprintf
+           "Machine: requests must be submitted in arrival order (request %d arrives at %d, \
+            before the previous submission's %d)"
+           r.rid r.arrival t.last_arrival);
     t.last_arrival <- r.arrival;
     Hashtbl.replace t.by_ctx r.ctx.Context.id r;
     Queue.push r t.pending;
@@ -308,16 +316,8 @@ module Live = struct
 end
 
 let run ?(config = default_config) ~policy ~mem ~requests ~scavengers () =
-  let reqs = Array.of_list requests in
-  Array.iteri
-    (fun i r ->
-      if i > 0 && r.arrival < reqs.(i - 1).arrival then
-        invalid_arg "Machine.run: requests must be sorted by arrival";
-      if r.home < 0 || r.home >= config.cores then
-        invalid_arg "Machine.run: request home out of range")
-    reqs;
   let live = Live.create ~config ~policy ~mem ~scavengers () in
-  Array.iter (Live.submit live) reqs;
+  List.iter (Live.submit live) requests;
   let running = ref true in
   while !running do
     if Live.clock live >= config.max_cycles then running := false
@@ -331,7 +331,7 @@ let throughput r =
   else 1000.0 *. float_of_int r.completed /. float_of_int r.cycles
 
 (* One core's counters, names in ascending order: the order the
-   aggregate and every core's object print in. *)
+   aggregate and every core's row print in. *)
 let core_counters (c : core_result) =
   let s = c.stats and m = c.mem in
   [
@@ -353,16 +353,14 @@ let core_counters (c : core_result) =
     ("switches", s.Core_sched.switches);
   ]
 
+let ints kvs = List.map (fun (k, v) -> (k, Json.Int v)) kvs
+
+let core_json c = Json.Obj (("core", Json.Int c.core_id) :: ints (core_counters c))
+
 let counters_json r =
-  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
-  let per = Array.to_list (Array.map (fun c -> (c.core_id, core_counters c)) r.per_core) in
   let aggregate =
-    match List.map snd per with
+    match Array.to_list (Array.map core_counters r.per_core) with
     | [] -> []
     | first :: rest -> List.fold_left (List.map2 (fun (k, a) (_, b) -> (k, a + b))) first rest
   in
-  Json.Obj
-    [
-      ("aggregate", ints aggregate);
-      ("per", Json.Obj (List.map (fun (id, kvs) -> (string_of_int id, ints kvs)) per));
-    ]
+  Json.Obj [ ("aggregate", Json.Obj (ints aggregate)) ]

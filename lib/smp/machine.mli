@@ -159,9 +159,10 @@ end
     with [scavengers.(i)] seeded into core [i]'s pool. All contexts
     must address [mem]. Returns when every request has completed or
     faulted, or at [max_cycles]. Scavenger leftovers are not drained —
-    the makespan is request-serving time.
-    @raise Invalid_argument on unsorted requests, a scavenger array of
-    the wrong length, or [cores <= 0]. *)
+    the makespan is request-serving time. It checks nothing itself:
+    {!Live.create} and {!Live.submit} raise.
+    @raise Invalid_argument on [cores <= 0], a scavenger array of the
+    wrong length, an unsorted request or a home out of range. *)
 val run :
   ?config:config ->
   policy:Dispatch.policy ->
@@ -174,9 +175,12 @@ val run :
 (** Throughput in completed requests per kilocycle. *)
 val throughput : result -> float
 
-(** Per-core counters as [{aggregate: {name: n}, per: {"<core id>":
-    {name: n}}}]: each core's scheduler stats (dispatches, steals,
-    switch cycles, ...) and memory stats (demand accesses, hits per
-    level, prefetches), cores in id order, names in ascending order;
-    [aggregate] sums each name over the cores. *)
+(** One core's row: [core] (its id), then its 16 counters in ascending
+    name order: its clock ([cycles]), its scheduler stats (dispatches,
+    steals, switch cycles, ...) and its memory stats (demand accesses,
+    hits per level, prefetches). *)
+val core_json : core_result -> Stallhide_util.Json.t
+
+(** [{aggregate: {name: n}}]: each of {!core_json}'s counters summed
+    over the cores, names in the same order. *)
 val counters_json : result -> Stallhide_util.Json.t

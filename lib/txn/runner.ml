@@ -51,6 +51,14 @@ let read_counters image (lay : Txn_oltp.layout) =
     lookups = lay.Txn_oltp.lookups;
   }
 
+let validate ?cores p =
+  (match cores with
+  | Some c when c <= 0 ->
+      invalid_arg (Printf.sprintf "Txn.Runner: cores must be positive (got %d)" c)
+  | _ -> ());
+  Txn_oltp.validate ~lanes:p.inflight ~txns:p.txns ~batch:p.batch ~mix:p.mix ~keys:p.keys
+    ~theta:p.theta
+
 let build ~manual p =
   Txn_oltp.make ~manual ~lanes:p.inflight ~txns:p.txns ~batch:p.batch ~mix:p.mix
     ~keys:p.keys ~theta:p.theta ~seed:p.seed ()
@@ -108,7 +116,7 @@ let scan_scavengers ~image ~cores ~count ~seed =
           ctx))
     scans
 
-(* --- the lib/smp leg: one transaction per request, K-deep queues --- *)
+(* --- the lib/smp leg: one transaction per request --- *)
 
 type smp_outcome = {
   smp_mode : mode;
@@ -124,10 +132,13 @@ type smp_outcome = {
 
 (* Each core gets its own table instance (shared-word mutation is only
    cooperative within a core), [txns] single-transaction lanes submitted
-   as requests with K-deep staggered arrivals, and scavenger scans to
-   hide yields (two per core). The program is address-free, so the interleaved-pgo leg
-   instruments core 0's twin once and rebinds it everywhere. *)
+   as requests with staggered arrivals, and scavenger scans to hide
+   yields (two per core). A core serves one transaction at a time, so
+   [inflight] is read by [validate] only. The program is address-free,
+   so the interleaved-pgo leg instruments core 0's twin once and rebinds
+   it everywhere. *)
 let run_smp ?(cores = 4) mode p =
+  validate ~cores p;
   let scavengers_per_core = 2 in
   let manual = mode = Interleaved in
   let reqs_per_core = p.txns in

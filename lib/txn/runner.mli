@@ -30,6 +30,11 @@ type params = {
 
 val default_params : params
 
+(** The params' rules: {!Txn_oltp.validate} with [inflight] as its
+    [lanes], plus [cores > 0] when [cores] is given.
+    @raise Invalid_argument naming the rule and the offending value. *)
+val validate : ?cores:int -> params -> unit
+
 type counters = {
   commits : int;
   aborts : int;
@@ -69,5 +74,8 @@ type smp_outcome = {
     [Txn_oltp.make] each — cooperative atomicity holds only within a
     core), [txns] single-transaction requests per core with staggered
     arrivals, and two analytics-scan scavengers per core hiding
-    transaction yields in the interleaved modes. *)
+    transaction yields in the interleaved modes. A core serves one
+    transaction at a time, so this leg reads no [inflight].
+    @raise Invalid_argument as {!validate} [~cores], which it calls
+    first. *)
 val run_smp : ?cores:int -> mode -> params -> smp_outcome

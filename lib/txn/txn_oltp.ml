@@ -90,12 +90,19 @@ let find image lay key =
   in
   go (lay.table + (((key * hash_const) lsr 11) mod lay.slots * line)) 0
 
+let validate ~lanes ~txns ~batch ~mix ~keys ~theta =
+  let fail fmt = Printf.ksprintf invalid_arg ("Txn_oltp: " ^^ fmt) in
+  if lanes <= 0 then fail "lanes (K, --inflight) must be positive (got %d)" lanes;
+  if txns <= 0 then fail "txns must be positive (got %d)" txns;
+  if batch < 1 || batch > 8 then fail "batch must be in 1..8 (got %d)" batch;
+  if mix < 0 || mix > 100 then fail "mix must be in 0..100 (got %d)" mix;
+  if keys < 4 * batch then
+    fail "keys must be at least 4 * batch (got keys=%d, batch=%d)" keys batch;
+  if not (Float.is_finite theta) then fail "theta must be finite (got %g)" theta
+
 let make ?image ?(manual = false) ?(lanes = 8) ?(txns = 64) ?(batch = 4) ?(mix = 0)
     ?(keys = 4096) ?(theta = 0.8) ~seed () =
-  if lanes <= 0 || txns <= 0 then invalid_arg "Txn_oltp.make: bad parameters";
-  if batch < 1 || batch > 8 then invalid_arg "Txn_oltp.make: batch must be in 1..8";
-  if mix < 0 || mix > 100 then invalid_arg "Txn_oltp.make: mix must be a percentage";
-  if keys < 4 * batch then invalid_arg "Txn_oltp.make: keys too small for batch";
+  validate ~lanes ~txns ~batch ~mix ~keys ~theta;
   let st = Random.State.make [| seed; 0x5bd1e995 |] in
   let slots = 2 * keys in
   let stream_bytes = Gen_util.round_line (txns * (1 + batch) * 8) in

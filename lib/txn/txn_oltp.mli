@@ -30,13 +30,20 @@ type layout = {
           continuation) *)
 }
 
+(** [make]'s rules: [lanes] and [txns] positive, [batch] in 1..8, [mix]
+    in 0..100, [keys >= 4 * batch] and a finite [theta]. [lanes] is the
+    runner's [inflight] K ([--inflight] on the command line).
+    @raise Invalid_argument naming the rule and the offending value. *)
+val validate : lanes:int -> txns:int -> batch:int -> mix:int -> keys:int -> theta:float -> unit
+
 (** [make ~seed ()] builds the workload and its memory layout.
     [lanes] is K (in-flight transactions per core), [txns] the
     transactions per lane, [batch] the keys per transaction (1..8,
     distinct, sorted), [mix] the multi-put percentage (0 = batch-of-gets),
     [keys] the table population and [theta] the Zipfian skew. The manual
     variant carries per-key [prefetch; yield] pairs (the expert
-    CoroBase baseline); the plain variant is the pipeline's input. *)
+    CoroBase baseline); the plain variant is the pipeline's input.
+    @raise Invalid_argument as {!validate}, which it calls first. *)
 val make :
   ?image:Address_space.t ->
   ?manual:bool ->

@@ -245,13 +245,58 @@ let small_params =
 
 let counter r k = try List.assoc k r.CH.result.Cluster.counters with Not_found -> 0
 
+(* The cluster config [Cluster.Harness.run] builds from its params. *)
+let cluster_config (p : CH.params) =
+  {
+    Cluster.machines = p.CH.machines;
+    policy = p.CH.policy;
+    lb = p.CH.lb;
+    net = p.CH.net;
+    defense = p.CH.defense;
+    slo_deadline = p.CH.slo_deadline;
+    seed = p.CH.seed;
+    faults = p.CH.faults;
+    horizon = p.CH.horizon;
+  }
+
+(* Every entry refuses bad input before it runs anything: the harness's
+   own rules, then [Cluster.validate]'s, which [Cluster.run] checks
+   before it builds a node. *)
 let test_harness_validation () =
-  Alcotest.check_raises "cores = 0"
-    (Invalid_argument "Cluster.Harness.run: cores must be positive") (fun () ->
-      ignore (CH.run { small_params with CH.cores = 0 }));
-  Alcotest.check_raises "interarrival < 0"
-    (Invalid_argument "Cluster.Harness.run: interarrival must be >= 0") (fun () ->
-      ignore (CH.run { small_params with CH.interarrival = -1 }))
+  let refuses label msg f =
+    Alcotest.check_raises label (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let with_faults faults = { small_params with CH.faults } in
+  refuses "machines = 0" "Cluster: machines must be positive (got 0)" (fun () ->
+      CH.run { small_params with CH.machines = 0 });
+  refuses "cores = 0" "Cluster.Harness: cores must be positive (got 0)" (fun () ->
+      CH.run { small_params with CH.cores = 0 });
+  refuses "requests = 0" "Cluster.Harness: requests must be positive (got 0)" (fun () ->
+      CH.run { small_params with CH.requests = 0 });
+  refuses "interarrival < 0" "Cluster.Harness: interarrival must be >= 0 (got -1)" (fun () ->
+      CH.run { small_params with CH.interarrival = -1 });
+  refuses "skew = nan" "Cluster.Harness: skew must be finite (got nan)" (fun () ->
+      CH.run { small_params with CH.skew = Float.nan });
+  refuses "single-machine fault"
+    "Cluster: drift is a single-machine fault; a cluster takes crash | slownode | netloss | \
+     nicdrop" (fun () -> CH.run (with_faults [ Faults.Drift { shrink = 128 } ]));
+  (* a crash or slow node one past the last machine, through each entry *)
+  let m = small_params.CH.machines in
+  List.iter
+    (fun f ->
+      let name = Faults.name f in
+      let msg = Printf.sprintf "Cluster: %s machine %d out of range (machines=%d)" name m m in
+      refuses (name ^ " via Cluster.Harness.run") msg (fun () -> CH.run (with_faults [ f ]));
+      refuses (name ^ " via fault_rows") msg (fun () -> CH.fault_rows small_params [ f ]);
+      refuses (name ^ " via Cluster.run") msg (fun () ->
+          Cluster.run
+            (cluster_config (with_faults [ f ]))
+            ~node:(fun ~machine:_ ~restart:_ -> Alcotest.fail "a node was built")
+            ~requests:[]))
+    [
+      Faults.Crash { machine = m; at = 50; percent = true; down = 0 };
+      Faults.Slownode { machine = m; mult = 6 };
+    ]
 
 let test_replay_determinism () =
   let defense, slo = CH.calibrate small_params in
@@ -455,20 +500,7 @@ let run_traced ~trace (p : CH.params) =
     let impl = factory ~machine ~restart in
     { impl with Cluster.config = { impl.Cluster.config with Stallhide_smp.Machine.trace } }
   in
-  let config =
-    {
-      Cluster.machines = p.CH.machines;
-      policy = p.CH.policy;
-      lb = p.CH.lb;
-      net = p.CH.net;
-      defense = p.CH.defense;
-      slo_deadline = p.CH.slo_deadline;
-      seed = p.CH.seed;
-      faults = p.CH.faults;
-      horizon = p.CH.horizon;
-    }
-  in
-  Cluster.run config ~node ~requests:(CH.trace p)
+  Cluster.run (cluster_config p) ~node ~requests:(CH.trace p)
 
 let check_trace_parity (p : CH.params) =
   let module M = Stallhide_smp.Machine in

@@ -435,18 +435,14 @@ let test_untraced_streams () =
     res.Machine.per_core;
   Alcotest.(check int) "one event per steal" res.Machine.steals !recorded
 
-(* [Machine.counters_json]: one object per core, in id order, holding
-   that core's own scheduler and memory stats under ascending names;
-   the aggregate sums each name over the cores. *)
+(* [Machine.core_json]: a core's id, then that core's own scheduler
+   and memory stats under ascending names; [Machine.counters_json]'s
+   aggregate sums each name over the cores and holds nothing else. *)
 let test_counters_json () =
   let module J = Stallhide_util.Json in
   let res = (Harness.run small_params).Harness.result in
   let obj = function J.Obj kvs -> kvs | _ -> Alcotest.fail "not an object" in
   let int = function J.Int n -> n | _ -> Alcotest.fail "not an int" in
-  let doc = obj (Machine.counters_json res) in
-  let per = obj (List.assoc "per" doc) in
-  Alcotest.(check (list string)) "per keys are the core ids in order" [ "0"; "1"; "2"; "3" ]
-    (List.map fst per);
   let own (c : Machine.core_result) =
     let s = c.Machine.stats and m = c.Machine.mem in
     [
@@ -469,21 +465,26 @@ let test_counters_json () =
     ]
   in
   let names = List.sort compare (List.map fst (own res.Machine.per_core.(0))) in
+  let rows = Array.map (fun c -> obj (Machine.core_json c)) res.Machine.per_core in
   Array.iteri
     (fun i (c : Machine.core_result) ->
-      let got = obj (List.assoc (string_of_int c.Machine.core_id) per) in
-      Alcotest.(check (list string)) (Printf.sprintf "core %d names ascending" i) names
-        (List.map fst got);
+      let row = rows.(i) in
+      Alcotest.(check (list string)) (Printf.sprintf "core %d: id, then names ascending" i)
+        ("core" :: names) (List.map fst row);
+      Alcotest.(check int) (Printf.sprintf "core %d id" i) c.Machine.core_id
+        (int (List.assoc "core" row));
       List.iter
         (fun (name, v) ->
-          Alcotest.(check int) (Printf.sprintf "core %d %s" i name) v (int (List.assoc name got)))
+          Alcotest.(check int) (Printf.sprintf "core %d %s" i name) v (int (List.assoc name row)))
         (own c))
     res.Machine.per_core;
+  let doc = obj (Machine.counters_json res) in
+  Alcotest.(check (list string)) "aggregate only" [ "aggregate" ] (List.map fst doc);
   let aggregate = obj (List.assoc "aggregate" doc) in
   Alcotest.(check (list string)) "aggregate names ascending" names (List.map fst aggregate);
   List.iter
     (fun name ->
-      let sum = List.fold_left (fun acc (_, o) -> acc + int (List.assoc name (obj o))) 0 per in
+      let sum = Array.fold_left (fun acc row -> acc + int (List.assoc name row)) 0 rows in
       Alcotest.(check int) ("aggregate " ^ name) sum (int (List.assoc name aggregate)))
     names;
   Alcotest.(check int) "aggregate steals" res.Machine.steals (int (List.assoc "steals" aggregate))
@@ -507,16 +508,39 @@ let test_machine_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "scavenger arity mismatch accepted");
-  (* the serving harness names a bad size before drawing any traffic *)
+  (* [Machine.run] checks nothing itself: [Live.submit] refuses an
+     out-of-range home and an unsorted request list *)
+  let req ~rid ~home ~arrival =
+    Machine.request ~rid ~key:rid ~home ~arrival
+      (Context.create ~id:rid ~mode:Context.Primary primary)
+  in
+  let serve requests =
+    ignore
+      (Machine.run
+         ~config:{ Machine.default_config with Machine.cores = 2 }
+         ~policy:Dispatch.Jbsq ~mem ~requests ~scavengers:[| []; [] |] ())
+  in
+  Alcotest.check_raises "home out of range"
+    (Invalid_argument "Machine: request 0's home 2 out of range (cores=2)") (fun () ->
+      serve [ req ~rid:0 ~home:2 ~arrival:0 ]);
+  Alcotest.check_raises "unsorted requests"
+    (Invalid_argument
+       "Machine: requests must be submitted in arrival order (request 1 arrives at 10, before \
+        the previous submission's 20)") (fun () ->
+      serve [ req ~rid:0 ~home:0 ~arrival:20; req ~rid:1 ~home:1 ~arrival:10 ]);
+  (* the serving harness names a bad input before drawing any traffic *)
   Alcotest.check_raises "harness cores = 0"
-    (Invalid_argument "Harness.run: cores must be positive") (fun () ->
+    (Invalid_argument "Smp.Harness: cores must be positive (got 0)") (fun () ->
       ignore (Harness.run { small_params with Harness.cores = 0 }));
   Alcotest.check_raises "harness requests_per_core < 0"
-    (Invalid_argument "Harness.run: requests_per_core must be >= 0") (fun () ->
+    (Invalid_argument "Smp.Harness: requests_per_core must be >= 0 (got -1)") (fun () ->
       ignore (Harness.run { small_params with Harness.requests_per_core = -1 }));
   Alcotest.check_raises "harness interarrival < 0"
-    (Invalid_argument "Harness.run: interarrival must be >= 0") (fun () ->
-      ignore (Harness.live { small_params with Harness.interarrival = -1 }))
+    (Invalid_argument "Smp.Harness: interarrival must be >= 0 (got -1)") (fun () ->
+      ignore (Harness.live { small_params with Harness.interarrival = -1 }));
+  Alcotest.check_raises "harness skew = nan"
+    (Invalid_argument "Smp.Harness: skew must be finite (got nan)") (fun () ->
+      ignore (Harness.run { small_params with Harness.skew = Float.nan }))
 
 (* [node.scav]'s contract: every scavenger context the machine runs
    aggregates into lane 0's accumulators, so scavenger stores on

@@ -102,6 +102,35 @@ let test_registry_counters () =
   Alcotest.(check int) "txn.group_prefetch_hits total" o.R.counters.R.group_prefetch_hits
     (Stallhide_obs.Registry.total reg "txn.group_prefetch_hits")
 
+(* --- input rules: one home, [Txn_oltp.validate] --- *)
+
+(* [Txn_oltp.make] and [Runner.validate] refuse the same knobs with the
+   same message, before a table is built; [Runner.validate ~cores] adds
+   the SMP leg's core count. *)
+let test_validation () =
+  let refuses label msg f =
+    Alcotest.check_raises label (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun (label, p, msg) ->
+      refuses (label ^ " via Txn_oltp.make") msg (fun () ->
+          Txn_oltp.make ~lanes:p.R.inflight ~txns:p.R.txns ~batch:p.R.batch ~mix:p.R.mix
+            ~keys:p.R.keys ~theta:p.R.theta ~seed:p.R.seed ());
+      refuses (label ^ " via Runner.validate") msg (fun () -> R.validate p))
+    [
+      ( "keys < 4 * batch",
+        { small with R.keys = 5; batch = 4 },
+        "Txn_oltp: keys must be at least 4 * batch (got keys=5, batch=4)" );
+      ("batch = 9", { small with R.batch = 9 }, "Txn_oltp: batch must be in 1..8 (got 9)");
+      ("mix = 101", { small with R.mix = 101 }, "Txn_oltp: mix must be in 0..100 (got 101)");
+      ( "theta = nan",
+        { small with R.theta = Float.nan },
+        "Txn_oltp: theta must be finite (got nan)" );
+    ];
+  refuses "cores = 0" "Txn.Runner: cores must be positive (got 0)" (fun () ->
+      R.validate ~cores:0 small);
+  R.validate ~cores:1 small
+
 (* --- QCheck: commutative multi-puts are order-insensitive --- *)
 
 (* mix=100 makes every transaction a multi-put of per-key deltas
@@ -156,5 +185,6 @@ let () =
           Alcotest.test_case "hot-key progress" `Quick test_hot_key_progress;
         ] );
       ("registry", [ Alcotest.test_case "txn.* counters" `Quick test_registry_counters ]);
+      ("validation", [ Alcotest.test_case "bad knobs refused" `Quick test_validation ]);
       ("schedules", [ QCheck_alcotest.to_alcotest qcheck_multiput_order_insensitive ]);
     ]
