@@ -571,21 +571,11 @@ let trace_cmd =
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let w', _ = Pipeline.place ?scavenger_interval:interval w in
-    (* one stream carries both the engine events (its probe) and the
-       scheduler events (?obs); the ASCII chart is a view over it *)
+    (* the stream carries both the engine and the scheduler events; the
+       ASCII chart is a view over it *)
     let stream = Obs.Stream.create () in
-    let probe = Stallhide_cpu.Probe.create () in
-    Obs.Stream.attach stream probe;
-    let engine =
-      { Stallhide_cpu.Engine.default_config with Stallhide_cpu.Engine.probe = Some probe }
-    in
-    let ctxs = Workload.contexts w' in
-    let (_ : Stallhide_runtime.Scheduler.result) =
-      Stallhide_runtime.Scheduler.run_round_robin ~engine ~obs:stream ~max_cycles:cycles
-        ~switch:Stallhide_runtime.Switch_cost.coroutine
-        (Stallhide_mem.Hierarchy.create Stallhide_mem.Memconfig.default)
-        w'.Workload.image ctxs
-    in
+    let opts = { Baselines.default_opts with Baselines.obs = Some stream; max_cycles = cycles } in
+    let (_ : Metrics.t) = Baselines.run_round_robin ~opts w' in
     match format with
     | "perfetto" ->
         let path = match output with Some p -> p | None -> "trace.json" in
@@ -689,22 +679,16 @@ let inject_cmd =
     let faults =
       try List.map F.parse_spec specs with Invalid_argument msg -> usage_error "%s" msg
     in
-    let net_faults = List.filter F.is_net faults in
+    let net_faults, machine_faults = List.partition F.is_net faults in
     let module CH = Stallhide_cluster.Harness in
     let cluster = { CH.default_params with seed } in
-    if net_faults <> [] then usage CH.validate { cluster with faults = net_faults };
-    let machine_specs =
-      List.filter (fun s -> not (F.is_net (F.parse_spec s))) specs
-    in
+    (* the kv-cluster takes every fault, so [CH.validate] refuses a
+       single-machine one *)
+    let cluster_faults = if workload = "kv-cluster" then faults else net_faults in
+    if cluster_faults <> [] then usage CH.validate { cluster with faults = cluster_faults };
     let machine_rows =
-      if machine_specs = [] || workload = "kv-cluster" then []
-      else begin
-        let plan =
-          try F.of_specs ~seed machine_specs with Invalid_argument msg -> usage_error "%s" msg
-        in
-        let opts = { H.lanes; ops; seed } in
-        H.run_plan ~opts ~workloads:(List.filter (fun w -> w <> "kv-cluster") workloads) plan
-      end
+      if machine_faults = [] then []
+      else H.run_plan ~opts:{ H.lanes; ops; seed } ~workloads { F.faults = machine_faults; seed }
     in
     let cluster_rows = if net_faults = [] then [] else CH.fault_rows cluster net_faults in
     let rows = machine_rows @ cluster_rows in

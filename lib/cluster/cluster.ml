@@ -191,7 +191,7 @@ let run c ~node:make_impl ~requests =
       if i > 0 && s.send < reqs.(i - 1).send then
         invalid_arg "Cluster.run: requests must be sorted by send time")
     reqs;
-  let plan = Faults.of_specs ~seed:c.seed [] in
+  let plan = Faults.no_faults ~seed:c.seed in
   let sub salt = Faults.sub_seed plan ~salt in
   (* net-fault knobs *)
   let loss, reorder =

@@ -15,15 +15,7 @@ type params = {
   policy : Dispatch.policy;
   pgo : bool;
   requests : int;
-  req_ops : int;
-  service_compute : int;
-  table_slots : int;
-  scav_per_core : int;
-  scav_tuples : int;
-  scav_groups : int;
-  scav_interval : int;
   skew : float;
-  key_universe : int;
   interarrival : int;  (* mean per-core cycles between arrivals, as in Smp.Harness *)
   seed : int;
   net : Netconfig.t;
@@ -41,15 +33,7 @@ let default_params =
     policy = Dispatch.Jbsq;
     pgo = true;
     requests = 192;
-    req_ops = 6;
-    service_compute = 40;
-    table_slots = 4096;
-    scav_per_core = 6;
-    scav_tuples = 120;
-    scav_groups = 2048;
-    scav_interval = 150;
     skew = 1.1;
-    key_universe = 512;
     interarrival = 2800;
     seed = 42;
     net = Netconfig.default;
@@ -65,35 +49,24 @@ type run = {
   goodput_rpk : float;  (* acked requests per kilocycle of cluster makespan *)
 }
 
-(* Deterministic open-loop trace: Zipfian keys over the key universe,
-   jittered arrivals at constant cluster-wide offered load. Only a
-   function of the params, so every arm of an experiment (defended,
-   undefended, fault-free baseline) replays the same clients. *)
+(* Deterministic open-loop trace: Zipfian keys over a replica's key
+   universe, jittered arrivals at constant cluster-wide offered load.
+   Only a function of the params, so every arm of an experiment
+   (defended, undefended, fault-free baseline) replays the same
+   clients. *)
 let trace p =
-  let st = Random.State.make [| p.seed; 0xC23 |] in
-  let cdf = Harness.zipf_cdf ~universe:p.key_universe ~skew:p.skew in
-  let gap = max 1 (p.interarrival / max 1 (p.machines * p.cores)) in
-  let t = ref 0 in
+  let arrivals =
+    Harness.open_loop
+      (Random.State.make [| p.seed; 0xC23 |])
+      ~universe:Harness.default_params.Harness.key_universe ~skew:p.skew
+      ~gap:(max 1 (p.interarrival / max 1 (p.machines * p.cores)))
+      p.requests
+  in
   List.init p.requests (fun rid ->
-      let key = Harness.zipf_sample cdf st in
-      t := !t + (gap / 2) + Random.State.int st (max 1 gap);
-      { Cluster.rid; key; send = !t })
+      let key, send = arrivals.(rid) in
+      { Cluster.rid; key; send })
 
-(* A replica in the single-machine harness's terms: the twins and the
-   node builder read only these fields. *)
-let smp_params p =
-  {
-    Harness.default_params with
-    Harness.cores = p.cores;
-    req_ops = p.req_ops;
-    service_compute = p.service_compute;
-    table_slots = p.table_slots;
-    scav_per_core = p.scav_per_core;
-    scav_tuples = p.scav_tuples;
-    scav_groups = p.scav_groups;
-    scav_interval = p.scav_interval;
-    seed = p.seed;
-  }
+let smp_params p = { Harness.default_params with Harness.cores = p.cores; seed = p.seed }
 
 (* Every machine must be able to serve any request (retries and hedges
    go to machines the request has not tried), so a replica hosts a lane
@@ -118,15 +91,9 @@ let node_factory ?kv_program ?scav_program p =
         lane)
       home_of
   in
-  let node = Harness.node ?kv_program ?scav_program (smp_params p) ~per_shard in
-  let config =
-    {
-      Machine.default_config with
-      Machine.cores = p.cores;
-      core = { Core_sched.default_config with Core_sched.steal_budget = 2 };
-      max_cycles = p.horizon;
-    }
-  in
+  let replica = smp_params p in
+  let node = Harness.node ?kv_program ?scav_program replica ~per_shard in
+  let config = { (Harness.machine_config replica) with Machine.max_cycles = p.horizon } in
   let make_ctx ~rid ~attempt =
     let wl = match node.Harness.shards.(home_of.(rid)) with Some w -> w | None -> assert false in
     (* id is unique per (rid, attempt) so concurrent attempts on

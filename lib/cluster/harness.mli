@@ -19,15 +19,7 @@ type params = {
   policy : Dispatch.policy;  (** intra-machine steering *)
   pgo : bool;  (** instrument for stall-hiding (yields + scavengers) *)
   requests : int;  (** total offered *)
-  req_ops : int;
-  service_compute : int;
-  table_slots : int;
-  scav_per_core : int;
-  scav_tuples : int;
-  scav_groups : int;
-  scav_interval : int;
-  skew : float;
-  key_universe : int;
+  skew : float;  (** Zipf exponent over a replica's key universe *)
   interarrival : int;  (** mean per-core cycles between arrivals; 0 is back to back *)
   seed : int;
   net : Netconfig.t;
@@ -46,20 +38,25 @@ type run = {
 }
 
 (** The deterministic client trace for these params — shared verbatim
-    by every arm of an experiment. *)
+    by every arm of an experiment. {!Stallhide_smp.Harness.open_loop}
+    over the key universe of {!Stallhide_smp.Harness.default_params},
+    at [skew], one arrival per [interarrival / (machines × cores)]
+    cycles on average. *)
 val trace : params -> Cluster.spec list
 
-(** A replica's shape as {!Stallhide_smp.Harness.params}: [cores], the
-    request and table sizes, the scavenger sizes, [scav_interval] and
-    [seed], with [Pgo] placement and the default memory. The replica
-    twins are {!Stallhide_smp.Harness.instrument_twins} of it, and
-    {!node_factory} builds every node with
-    {!Stallhide_smp.Harness.node}. *)
+(** A replica as {!Stallhide_smp.Harness.params}: exactly
+    {!Stallhide_smp.Harness.default_params} with this cluster's
+    [cores] and [seed]; every other replica size is the SMP harness's
+    default. The replica twins are
+    {!Stallhide_smp.Harness.instrument_twins} of it. *)
 val smp_params : params -> Stallhide_smp.Harness.params
 
 (** The replica factory (optionally serving instrumented programs);
     exposed so that callers can time node builds or replay one
-    incarnation through a single machine. Nodes are untraced
+    incarnation through a single machine. Every node is
+    {!Stallhide_smp.Harness.node} of {!smp_params} and runs on
+    {!Stallhide_smp.Harness.machine_config} of it with [max_cycles] set
+    to [horizon]. Nodes are untraced
     ({!Stallhide_smp.Machine.config.trace} is [false]): nothing in the
     cluster reads their event streams. Applying it to [params]
     generates the replica image once; each incarnation gets its own

@@ -133,9 +133,9 @@ let parse_spec spec =
       let loss = getf "loss" 0.4 in
       let skid = geti "skid" 3 in
       let misattr = getf "misattr" 0.25 in
-      if loss < 0.0 || loss > 1.0 then
+      if not (loss >= 0.0 && loss <= 1.0) then
         fail "Faults.parse_spec: pebs: loss must be in [0,1] (got %g)" loss;
-      if misattr < 0.0 || misattr > 1.0 then
+      if not (misattr >= 0.0 && misattr <= 1.0) then
         fail "Faults.parse_spec: pebs: misattr must be in [0,1] (got %g)" misattr;
       if skid < 0 then fail "Faults.parse_spec: pebs: skid must be >= 0 (got %d)" skid;
       Degrade { loss; skid; misattr }
@@ -195,9 +195,9 @@ let parse_spec spec =
       known [ "p"; "reorder" ];
       let p = getf "p" 0.05 in
       let reorder = getf "reorder" 0.0 in
-      if p < 0.0 || p >= 1.0 then
+      if not (p >= 0.0 && p < 1.0) then
         fail "Faults.parse_spec: netloss: p must be in [0,1) (got %g)" p;
-      if reorder < 0.0 || reorder >= 1.0 then
+      if not (reorder >= 0.0 && reorder < 1.0) then
         fail "Faults.parse_spec: netloss: reorder must be in [0,1) (got %g)" reorder;
       Netloss { p; reorder }
   | "nicdrop" ->
@@ -208,8 +208,6 @@ let parse_spec spec =
   | other ->
       fail "Faults.parse_spec: unknown fault %S (expected %s)" other
         (String.concat " | " (fault_names @ net_fault_names))
-
-let of_specs ~seed specs = { faults = List.map parse_spec specs; seed }
 
 (* Stable per-injector sub-seed so the drift shuffle, the PEBS coin
    flips and the retry jitter never share a random stream. *)

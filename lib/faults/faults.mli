@@ -78,8 +78,6 @@ val to_json : fault -> Stallhide_util.Json.t
     @raise Invalid_argument with a usable message on malformed specs. *)
 val parse_spec : string -> fault
 
-val of_specs : seed:int -> string list -> plan
-
 (** Stable injector-specific seed derivation: same [plan.seed] and
     [salt] always yield the same sub-seed, different salts decorrelate
     the injectors' random streams. *)

@@ -9,8 +9,8 @@ type t = {
 }
 
 let create ?(loss = 0.0) ?(reorder = 0.0) ?(jitter = 0) ~seed () =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Link: loss must be in [0,1)";
-  if reorder < 0.0 || reorder >= 1.0 then invalid_arg "Link: reorder must be in [0,1)";
+  if not (loss >= 0.0 && loss < 1.0) then invalid_arg "Link: loss must be in [0,1)";
+  if not (reorder >= 0.0 && reorder < 1.0) then invalid_arg "Link: reorder must be in [0,1)";
   if jitter < 0 then invalid_arg "Link: jitter must be non-negative";
   {
     loss;

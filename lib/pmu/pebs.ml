@@ -60,8 +60,9 @@ let event t = t.ev
 let period t = Probe.period t.counter
 
 let degrade t spec =
-  if spec.loss < 0.0 || spec.loss > 1.0 then invalid_arg "Pebs.degrade: loss must be in [0,1]";
-  if spec.misattr < 0.0 || spec.misattr > 1.0 then
+  if not (spec.loss >= 0.0 && spec.loss <= 1.0) then
+    invalid_arg "Pebs.degrade: loss must be in [0,1]";
+  if not (spec.misattr >= 0.0 && spec.misattr <= 1.0) then
     invalid_arg "Pebs.degrade: misattr must be in [0,1]";
   if spec.skid < 0 then invalid_arg "Pebs.degrade: skid must be >= 0";
   t.degradation <-

@@ -98,6 +98,14 @@ let zipf_sample cdf st =
   in
   bisect 0 (n - 1)
 
+let open_loop st ~universe ~skew ~gap n =
+  let cdf = zipf_cdf ~universe ~skew in
+  let t = ref 0 in
+  Array.init n (fun _ ->
+      let key = zipf_sample cdf st in
+      t := !t + (gap / 2) + Random.State.int st (max 1 gap);
+      (key, !t))
+
 (* Place once on a small twin workload with the same program text and
    validate the rewrite once, fail-fast, keeping the counts; callers
    rebind the program to the serving workloads. *)
@@ -202,6 +210,26 @@ let validate p =
   if p.interarrival < 0 then fail "interarrival must be >= 0 (got %d)" p.interarrival;
   if not (Float.is_finite p.skew) then fail "skew must be finite (got %g)" p.skew
 
+let machine_config p =
+  {
+    Machine.default_config with
+    Machine.cores = p.cores;
+    memcfg = p.memcfg;
+    l3_window = p.l3_window;
+    l3_budget = p.l3_budget;
+    core =
+      {
+        Core_sched.engine = { Engine.default_config with Engine.fast = p.engine_fast };
+        switch = Switch_cost.coroutine;
+        steal_budget = p.steal_budget;
+        steal_cost = p.steal_cost;
+      };
+    steal = p.steal;
+    max_cycles = p.max_cycles;
+    prepare_core = p.prepare_core;
+    trace = p.trace;
+  }
+
 (* Everything [run] hands to the machine: its config, the shared
    image, the requests in arrival order, each core's scavengers, and
    the verifier counts. *)
@@ -209,21 +237,18 @@ let setup params =
   validate params;
   let p = params in
   let total = p.requests_per_core * p.cores in
-  let st = Random.State.make [| p.seed; 0xC19 |] in
-  (* Draw the request trace: Zipfian keys, key-hash homes, jittered
+  (* The request trace: Zipfian keys, key-hash homes, jittered
      open-loop arrivals with constant per-core offered load. *)
-  let cdf = zipf_cdf ~universe:p.key_universe ~skew:p.skew in
-  let gap = max 1 (p.interarrival / p.cores) in
   let trace =
-    let t = ref 0 in
-    Array.init total (fun rid ->
-        let key = zipf_sample cdf st in
-        let home = Dispatch.home ~shards:p.cores key in
-        t := !t + (gap / 2) + Random.State.int st (max 1 gap);
-        (rid, key, home, !t))
+    open_loop
+      (Random.State.make [| p.seed; 0xC19 |])
+      ~universe:p.key_universe ~skew:p.skew
+      ~gap:(max 1 (p.interarrival / p.cores))
+      total
   in
+  let homes = Array.map (fun (key, _) -> Dispatch.home ~shards:p.cores key) trace in
   let per_shard = Array.make p.cores 0 in
-  Array.iter (fun (_, _, home, _) -> per_shard.(home) <- per_shard.(home) + 1) trace;
+  Array.iter (fun home -> per_shard.(home) <- per_shard.(home) + 1) homes;
   let kv_program, scav_program, verify_programs, verify_errors, verify_warnings =
     if not p.pgo then (None, None, 0, 0, 0)
     else
@@ -234,8 +259,9 @@ let setup params =
   let next_lane = Array.make p.cores 0 in
   let requests =
     Array.to_list
-      (Array.map
-         (fun (rid, key, home, arrival) ->
+      (Array.mapi
+         (fun rid (key, arrival) ->
+           let home = homes.(rid) in
            let wl = match node.shards.(home) with Some w -> w | None -> assert false in
            let lane = next_lane.(home) in
            next_lane.(home) <- lane + 1;
@@ -244,27 +270,8 @@ let setup params =
          trace)
   in
   let scavengers = scavengers node ~id:(fun k -> total + k) in
-  let config =
-    {
-      Machine.default_config with
-      Machine.cores = p.cores;
-      memcfg = p.memcfg;
-      l3_window = p.l3_window;
-      l3_budget = p.l3_budget;
-      core =
-        {
-          Core_sched.engine = { Engine.default_config with Engine.fast = p.engine_fast };
-          switch = Switch_cost.coroutine;
-          steal_budget = p.steal_budget;
-          steal_cost = p.steal_cost;
-        };
-      steal = p.steal;
-      max_cycles = p.max_cycles;
-      prepare_core = p.prepare_core;
-      trace = p.trace;
-    }
-  in
-  (config, node.image, requests, scavengers, (verify_programs, verify_errors, verify_warnings))
+  let verify = (verify_programs, verify_errors, verify_warnings) in
+  (machine_config p, node.image, requests, scavengers, verify)
 
 let live params =
   let config, mem, requests, scavengers, _ = setup params in

@@ -20,8 +20,10 @@
     shard. [verify_errors] and [verify_warnings] are that one
     validation's counts, so callers can assert verifier-cleanliness.
 
-    {!node} is what a kv-serving machine is made of; the cluster
-    harness builds its replicas with it. *)
+    {!node} is what a kv-serving machine is made of and
+    {!machine_config} what it runs on; a cluster replica is
+    {!default_params} at the cluster's [cores] and [seed], built with
+    both. *)
 
 open Stallhide_sched
 open Stallhide_workloads
@@ -74,11 +76,20 @@ type params = {
 val default_params : params
 
 (** Cumulative Zipf table over the key universe (weight
-    [1/(rank+1)^skew]) and a sampler over it — shared with the cluster
-    harness's open-loop clients. *)
+    [1/(rank+1)^skew]) and a sampler over it: the serving clients'
+    key popularity ({!open_loop}) and the txn engine's key batches. *)
 val zipf_cdf : universe:int -> skew:float -> float array
 
 val zipf_sample : float array -> Random.State.t -> int
+
+(** [open_loop st ~universe ~skew ~gap n] draws [n] open-loop requests
+    from [st]: per request a Zipfian key ({!zipf_sample}), then a gap
+    of [gap / 2] plus a uniform jitter below [max 1 gap] cycles after
+    the previous arrival. Returns each request's [(key, arrival)] in
+    arrival order. The SMP clients and the cluster's draw through it,
+    each with its own seed salt and gap. *)
+val open_loop :
+  Random.State.t -> universe:int -> skew:float -> gap:int -> int -> (int * int) array
 
 (** {!Stallhide.Pipeline.place} once on a small twin workload with the
     same program text, validated once ({!Stallhide_verify.Verify.validate}
@@ -155,6 +166,13 @@ type run = {
     and a finite [skew]. {!run} and {!live} call it first.
     @raise Invalid_argument naming the rule and the offending value. *)
 val validate : params -> unit
+
+(** The serving machine's config: [cores], [memcfg], the shared-L3
+    window and budget, a coroutine-switch {!Stallhide_runtime.Core_sched.config} with
+    [steal_budget] and [steal_cost] on [engine_fast], and [steal],
+    [max_cycles], [prepare_core] and [trace]. {!run} serves on it, and
+    every cluster replica on it at the cluster's horizon. *)
+val machine_config : params -> Machine.config
 
 (** @raise Invalid_argument as {!validate}. *)
 val run : params -> run

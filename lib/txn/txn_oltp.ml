@@ -60,26 +60,6 @@ type layout = {
           probe continuation) — the group-prefetch hit count *)
 }
 
-let zipf_cdf ~theta n =
-  let w = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  let acc = ref 0.0 in
-  Array.map
-    (fun x ->
-      acc := !acc +. x;
-      !acc /. total)
-    w
-
-let zipf_sample st cdf =
-  let u = Random.State.float st 1.0 in
-  let n = Array.length cdf in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cdf.(mid) < u then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 let find image lay key =
   let rec go addr steps =
     if steps > lay.slots then raise Not_found;
@@ -151,11 +131,11 @@ let make ?image ?(manual = false) ?(lanes = 8) ?(txns = 64) ?(batch = 4) ?(mix =
   let occupied = !occupied in
   (* Zipfian batches: [batch] distinct ranks, collisions pushed to the
      next free rank so sampling terminates deterministically. *)
-  let cdf = zipf_cdf ~theta keys in
+  let cdf = Stallhide_smp.Harness.zipf_cdf ~universe:keys ~skew:theta in
   let pick_batch () =
     let picked = ref [] in
     for _ = 1 to batch do
-      let r = ref (zipf_sample st cdf) in
+      let r = ref (Stallhide_smp.Harness.zipf_sample cdf st) in
       while List.mem !r !picked do
         r := (!r + 1) mod keys
       done;

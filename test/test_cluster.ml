@@ -93,6 +93,12 @@ let test_link_determinism () =
   Alcotest.(check bool) "same seed, same fate" true (sequence 7 = sequence 7);
   Alcotest.(check bool) "different seed diverges somewhere" true (sequence 7 <> sequence 8)
 
+let test_link_rejects_nan () =
+  Alcotest.check_raises "NaN loss" (Invalid_argument "Link: loss must be in [0,1)") (fun () ->
+      ignore (Link.create ~loss:Float.nan ~seed:3 ()));
+  Alcotest.check_raises "NaN reorder" (Invalid_argument "Link: reorder must be in [0,1)")
+    (fun () -> ignore (Link.create ~reorder:Float.nan ~seed:3 ()))
+
 (* --- Defense: knob validation, backoff, retry budget --- *)
 
 let test_defense_validation () =
@@ -236,9 +242,6 @@ let small_params =
     cores = 2;
     pgo = false;
     requests = 48;
-    scav_per_core = 2;
-    scav_tuples = 40;
-    scav_groups = 256;
     interarrival = 1500;
     seed = 11;
   }
@@ -578,6 +581,7 @@ let () =
           Alcotest.test_case "pristine pricing" `Quick test_link_pristine;
           Alcotest.test_case "loss and reorder" `Quick test_link_loss_and_reorder;
           Alcotest.test_case "seeded determinism" `Quick test_link_determinism;
+          Alcotest.test_case "NaN knobs refused" `Quick test_link_rejects_nan;
         ] );
       ( "defense",
         [

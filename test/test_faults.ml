@@ -46,6 +46,20 @@ let test_spec_rejects () =
   rejected "rogue:count=0";
   rejected "rogue:compute"
 
+(* NaN passes a range test written [x < lo || x >= hi]; each knob is
+   refused with its range message *)
+let test_spec_rejects_nan () =
+  List.iter
+    (fun (spec, msg) ->
+      Alcotest.check_raises spec (Invalid_argument ("Faults.parse_spec: " ^ msg)) (fun () ->
+          ignore (Faults.parse_spec spec)))
+    [
+      ("netloss:p=nan", "netloss: p must be in [0,1) (got nan)");
+      ("netloss:reorder=nan", "netloss: reorder must be in [0,1) (got nan)");
+      ("pebs:loss=nan", "pebs: loss must be in [0,1] (got nan)");
+      ("pebs:misattr=nan", "pebs: misattr must be in [0,1] (got nan)");
+    ]
+
 let test_sub_seed_stable () =
   let p = Faults.no_faults ~seed:42 in
   Alcotest.(check int) "stable" (Faults.sub_seed p ~salt:1) (Faults.sub_seed p ~salt:1);
@@ -420,6 +434,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;
           Alcotest.test_case "defaults" `Quick test_spec_defaults;
           Alcotest.test_case "rejects" `Quick test_spec_rejects;
+          Alcotest.test_case "rejects NaN knobs" `Quick test_spec_rejects_nan;
           Alcotest.test_case "sub-seed" `Quick test_sub_seed_stable;
         ] );
       ( "injectors",

@@ -129,6 +129,14 @@ let test_pebs_bad_period () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "period 0 accepted"
 
+let test_pebs_degrade_rejects_nan () =
+  let p = Pebs.create ~event:Pebs.Loads_all ~period:31 () in
+  let spec = { Pebs.loss = 0.0; skid = 0; misattr = 0.0; seed = 0 } in
+  Alcotest.check_raises "NaN loss" (Invalid_argument "Pebs.degrade: loss must be in [0,1]")
+    (fun () -> Pebs.degrade p { spec with Pebs.loss = Float.nan });
+  Alcotest.check_raises "NaN misattr" (Invalid_argument "Pebs.degrade: misattr must be in [0,1]")
+    (fun () -> Pebs.degrade p { spec with Pebs.misattr = Float.nan })
+
 (* --- LBR --- *)
 
 let test_lbr_ring () =
@@ -790,6 +798,7 @@ let () =
           Alcotest.test_case "stall attribution" `Quick test_pebs_stall_event;
           Alcotest.test_case "buffer overflow" `Quick test_pebs_buffer_overflow;
           Alcotest.test_case "bad period" `Quick test_pebs_bad_period;
+          Alcotest.test_case "degrade refuses NaN" `Quick test_pebs_degrade_rejects_nan;
         ] );
       ( "lbr",
         [
