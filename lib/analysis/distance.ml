@@ -2,25 +2,16 @@ open Stallhide_isa
 open Stallhide_mem
 open Stallhide_binopt
 
-(* Guaranteed (resp. worst-case) cycles an instruction occupies the
-   core, bracketing the engine's charge: loads pay base plus the
-   serving-level latency (L1 at best, DRAM at worst); a prefetch is
-   charged the configured issue cost instead of its table cost; an
-   accelerator wait pays up to the full operation latency; a yield's
-   own cost is zero (switch cost is the scheduler's). *)
+(* Guaranteed cycles an instruction occupies the core, a floor under
+   the engine's charge: loads pay base plus at least the L1 latency; a
+   prefetch is charged the configured issue cost instead of its table
+   cost; a yield's own cost is zero (switch cost is the scheduler's). *)
 let min_cost (mem : Memconfig.t) i =
   match i with
   | Instr.Prefetch _ -> mem.Memconfig.prefetch_issue_cost
   | _ ->
       Cost.base i
       + if Instr.is_load i then mem.Memconfig.l1.Memconfig.latency else 0
-
-let max_cost (mem : Memconfig.t) i =
-  match i with
-  | Instr.Prefetch _ -> mem.Memconfig.prefetch_issue_cost
-  | Instr.Load _ -> Cost.base i + mem.Memconfig.dram_latency
-  | Instr.Accel_wait _ -> Cost.base i + mem.Memconfig.accel_latency
-  | _ -> Cost.base i
 
 (* Cycles guaranteed to elapse between a prefetch issuing at
    [prefetch_pc] and the demand load at [load_pc] reaching the memory

@@ -1,4 +1,4 @@
-(** Cycle-distance analysis: min/max instruction costs, prefetch lead
+(** Cycle-distance analysis: minimum instruction costs, prefetch lead
     distances, and the yield-free distance analysis that both the
     scavenger pass ({!Scavenger_pass}) and the verifier's interval check
     run: one enumeration of yield-free loops with their proven budgets,
@@ -16,11 +16,6 @@ open Stallhide_binopt
     at least the L1 latency).
     Exported for [test_analysis] only. *)
 val min_cost : Memconfig.t -> Instr.t -> int
-
-(** Worst-case cycles (loads pay DRAM, accelerator waits pay the full
-    operation latency).
-    Exported for [test_analysis] only. *)
-val max_cost : Memconfig.t -> Instr.t -> int
 
 (** Guaranteed cycles between a prefetch issuing at [prefetch_pc] and
     the paired demand load at [load_pc] on the straight-line path

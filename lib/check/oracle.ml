@@ -462,8 +462,7 @@ let check_cluster cfg prog =
      no payloads and never shrink the makespan *)
   let aggressive =
     {
-      Defense.deadline = budget;
-      timeout = 3_000;
+      Defense.timeout = 3_000;
       max_retries = 2;
       retry_budget_pct = 100;
       backoff = 100;

@@ -87,7 +87,6 @@ type rq = {
   mutable hedges : int;
   mutable done_at : int;
   mutable winner : int;
-  mutable winner_attempt : int;
   mutable winner_ctx : Context.t option;
   mutable outcome : outcome;
 }
@@ -181,7 +180,13 @@ let validate c =
           fail "%s machine %d out of range (machines=%d)" (Faults.name f) machine c.machines
       | _ -> ())
     c.faults;
-  Option.iter Defense.validate c.defense
+  Netconfig.validate c.net;
+  Option.iter
+    (fun (d : Defense.t) ->
+      Defense.validate d;
+      if d.timeout > c.slo_deadline then
+        fail "defense timeout %d exceeds slo_deadline %d" d.timeout c.slo_deadline)
+    c.defense
 
 let run c ~node:make_impl ~requests =
   validate c;
@@ -228,7 +233,6 @@ let run c ~node:make_impl ~requests =
             hedges = 0;
             done_at = -1;
             winner = -1;
-            winner_attempt = -1;
             winner_ctx = None;
             outcome = Pending;
           }
@@ -455,7 +459,6 @@ let run c ~node:make_impl ~requests =
         | Pending ->
             r.done_at <- now;
             r.winner <- m;
-            r.winner_attempt <- aix;
             r.winner_ctx <- att.a_ctx;
             resolve r Acked;
             incr acked;

@@ -58,7 +58,6 @@ type rq = {
   mutable hedges : int;
   mutable done_at : int;
   mutable winner : int;  (** machine id of the winning attempt *)
-  mutable winner_attempt : int;
   mutable winner_ctx : Stallhide_cpu.Context.t option;
   mutable outcome : outcome;
 }
@@ -92,7 +91,10 @@ type config = {
   lb : Lb.policy;
   net : Stallhide_net.Netconfig.t;
   defense : Defense.t option;  (** [None] = undefended arm *)
-  slo_deadline : int;  (** censor point for dropped requests *)
+  slo_deadline : int;
+      (** end-to-end per-request SLO: a defended request not answered
+          within it of its send expires, and dropped requests' latencies
+          are censored there *)
   seed : int;
   faults : Stallhide_faults.Faults.fault list;
   horizon : int;
@@ -119,9 +121,10 @@ type result = {
 }
 
 (** The config's rules: [machines > 0], [slo_deadline > 0], net faults
-    only, every crash and slownode machine in [0 .. machines - 1], and a
-    defense that passes {!Defense.validate}. {!run} calls it before it
-    builds any node.
+    only, every crash and slownode machine in [0 .. machines - 1], a net
+    that passes {!Stallhide_net.Netconfig.validate}, and a defense that
+    passes {!Defense.validate} with a [timeout] no greater than
+    [slo_deadline]. {!run} calls it before it builds any node.
     @raise Invalid_argument naming the rule and the offending value. *)
 val validate : config -> unit
 

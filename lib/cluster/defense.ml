@@ -1,7 +1,6 @@
 open Stallhide_util
 
 type t = {
-  deadline : int;
   timeout : int;
   max_retries : int;
   retry_budget_pct : int;
@@ -15,7 +14,6 @@ type t = {
 
 let default =
   {
-    deadline = 30_000;
     timeout = 6_000;
     max_retries = 2;
     retry_budget_pct = 20;
@@ -28,9 +26,7 @@ let default =
   }
 
 let validate t =
-  if t.deadline <= 0 then invalid_arg "Defense: deadline must be positive";
   if t.timeout <= 0 then invalid_arg "Defense: timeout must be positive";
-  if t.timeout > t.deadline then invalid_arg "Defense: timeout must not exceed the deadline";
   if t.max_retries < 0 then invalid_arg "Defense: max_retries must be >= 0";
   if t.retry_budget_pct < 0 || t.retry_budget_pct > 100 then
     invalid_arg "Defense: retry_budget_pct must be in [0,100]";
@@ -54,7 +50,6 @@ let retry_budget t ~offered =
 let to_json t =
   Json.Obj
     [
-      ("deadline", Json.Int t.deadline);
       ("timeout", Json.Int t.timeout);
       ("max_retries", Json.Int t.max_retries);
       ("retry_budget_pct", Json.Int t.retry_budget_pct);

@@ -1,17 +1,16 @@
 (** Client/LB defense configuration: the knobs every resilience
     mechanism in the cluster reads.
 
-    - [deadline] — end-to-end per-request SLO; a request not answered
-      within [deadline] of its send is expired (and its latency is
-      censored there in the offered-load summary);
     - [timeout] — per-attempt client timeout; firing costs the target
-      machine a health strike and may trigger a retry;
+      machine a health strike and may trigger a retry. It may not
+      exceed the cluster's [slo_deadline] ({!Cluster.validate}), the
+      end-to-end per-request SLO that expires a request;
     - [max_retries]/[retry_budget_pct]/[backoff] — jittered exponential
       backoff retries ([backoff * 2^attempt] plus uniform jitter of the
       same magnitude), at most [max_retries] per request and at most
       [retry_budget_pct]% of offered load cluster-wide ({!retry_budget});
     - [hedge_after]/[hedge_max] — after [hedge_after] cycles without a
-      response (tuned to the fault-free p95 by the harness), send up to
+      response (tuned to the fault-free p90 by the harness), send up to
       [hedge_max] duplicate attempts to other machines; the first
       response wins and later ones are discarded. [hedge_after <= 0]
       disables hedging;
@@ -25,7 +24,6 @@
       deadline are shed at the front end. [<= 0] disables. *)
 
 type t = {
-  deadline : int;
   timeout : int;
   max_retries : int;
   retry_budget_pct : int;
@@ -39,8 +37,8 @@ type t = {
 
 val default : t
 
-(** @raise Invalid_argument on non-positive windows, a timeout above
-    the deadline, or an out-of-range budget. *)
+(** @raise Invalid_argument on non-positive windows or an out-of-range
+    budget. *)
 val validate : t -> unit
 
 (** [backoff_delay t ~seed ~rid ~attempt] — exponential base with

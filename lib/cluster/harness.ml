@@ -155,8 +155,7 @@ let calibrate p =
   let deadline = 16 * p99 in
   let d =
     {
-      Defense.deadline;
-      timeout = min deadline (2 * p99);
+      Defense.timeout = min deadline (2 * p99);
       max_retries = 2;
       retry_budget_pct = 20;
       backoff = max 100 (p50 / 2);

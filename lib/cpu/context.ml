@@ -20,10 +20,7 @@ type t = {
   mutable accel_result : int;
   mutable instructions : int;
   mutable stall_cycles : int;
-  mutable cond_checks : int;
-  mutable yields : int;
   mutable started_at : int;
-  mutable finished_at : int;
 }
 
 let make_regs () =
@@ -46,10 +43,7 @@ let create ~id ~mode program =
     accel_result = 0;
     instructions = 0;
     stall_cycles = 0;
-    cond_checks = 0;
-    yields = 0;
     started_at = -1;
-    finished_at = -1;
   }
 
 let set_regs t l = List.iter (fun (r, v) -> t.regs.{r} <- v) l
@@ -74,16 +68,3 @@ let pop_call t =
   t.call_stack.(t.call_sp)
 
 let is_ready t = match t.status with Ready -> true | Done | Faulted _ -> false
-
-let reset t =
-  t.pc <- 0;
-  t.status <- Ready;
-  t.call_sp <- 0;
-  t.accel_done_at <- -1;
-  t.accel_result <- 0;
-  t.instructions <- 0;
-  t.stall_cycles <- 0;
-  t.cond_checks <- 0;
-  t.yields <- 0;
-  t.started_at <- -1;
-  t.finished_at <- -1

@@ -39,10 +39,7 @@ type t = {
   (* accounting *)
   mutable instructions : int;
   mutable stall_cycles : int;
-  mutable cond_checks : int;
-  mutable yields : int;
   mutable started_at : int;  (** first cycle the context ran, -1 before *)
-  mutable finished_at : int;  (** cycle of [Halt], -1 before *)
 }
 
 (** [create ~id ~mode program] starts at pc 0 with zeroed registers. *)
@@ -63,8 +60,3 @@ val push_call : t -> int -> unit
 val pop_call : t -> int
 
 val is_ready : t -> bool
-
-(** Reset pc/status/stack/accounting for a fresh run; registers keep
-    their current values.
-    Exported for [test_cpu] only. *)
-val reset : t -> unit

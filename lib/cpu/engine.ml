@@ -207,20 +207,17 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           Normal
         end
     | Instr.Yield Instr.Primary ->
-        ctx.yields <- ctx.yields + 1;
         next ();
         yielded Instr.Primary ~fired:true;
         Stop (Yielded (Instr.Primary, pc))
     | Instr.Yield Instr.Scavenger ->
         if ctx.mode = Context.Scavenger then begin
-          ctx.yields <- ctx.yields + 1;
           next ();
           yielded Instr.Scavenger ~fired:true;
           Stop (Yielded (Instr.Scavenger, pc))
         end
         else begin
           (* Conditional yield switched off: pay the check and move on. *)
-          ctx.cond_checks <- ctx.cond_checks + 1;
           advance cond_check_cost;
           next ();
           yielded Instr.Scavenger ~fired:false;
@@ -228,7 +225,6 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         end
     | Instr.Yield_cond (rs, disp) ->
         let addr = ctx.regs.{rs} + disp in
-        ctx.cond_checks <- ctx.cond_checks + 1;
         advance cond_check_cost;
         let resident =
           (not (Address_space.valid_addr mem addr))
@@ -245,7 +241,6 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         else begin
           Hierarchy.prefetch hier ~now:!clock addr;
           advance (Hierarchy.config hier).prefetch_issue_cost;
-          ctx.yields <- ctx.yields + 1;
           yielded Instr.Primary ~fired:true;
           Stop (Yielded (Instr.Primary, pc))
         end
@@ -307,7 +302,6 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         Normal
     | Instr.Halt ->
         ctx.status <- Context.Done;
-        ctx.finished_at <- !clock;
         Stop Halted
   end
 
@@ -536,7 +530,6 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         end
       end
       else if op = Uop.op_yield_primary then begin
-        ctx.yields <- ctx.yields + 1;
         probe_yield probe ctx ~pc ~kind:Instr.Primary ~fired:true ~cycle:now;
         clock := now;
         ctx.pc <- pc + 1;
@@ -544,14 +537,12 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       end
       else if op = Uop.op_yield_scavenger then begin
         if ctx.mode = Context.Scavenger then begin
-          ctx.yields <- ctx.yields + 1;
           probe_yield probe ctx ~pc ~kind:Instr.Scavenger ~fired:true ~cycle:now;
           clock := now;
           ctx.pc <- pc + 1;
           Yielded (Instr.Scavenger, pc)
         end
         else begin
-          ctx.cond_checks <- ctx.cond_checks + 1;
           let now = now + cond_check_cost in
           probe_yield probe ctx ~pc ~kind:Instr.Scavenger ~fired:false ~cycle:now;
           exec now (pc + 1)
@@ -559,7 +550,6 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       end
       else if op = Uop.op_yield_cond then begin
         let addr = Bigarray.Array1.unsafe_get regs (Array.unsafe_get rb pc) + Array.unsafe_get rc pc in
-        ctx.cond_checks <- ctx.cond_checks + 1;
         let now = now + cond_check_cost in
         let resident =
           (not (Address_space.valid_addr mem addr))
@@ -573,7 +563,6 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         end
         else begin
           Hierarchy.prefetch hier ~now addr;
-          ctx.yields <- ctx.yields + 1;
           probe_yield probe ctx ~pc ~kind:Instr.Primary ~fired:true ~cycle:(now + pf_cost);
           clock := now + pf_cost;
           ctx.pc <- pc + 1;
@@ -636,7 +625,6 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       else begin
         (* halt *)
         ctx.status <- Context.Done;
-        ctx.finished_at <- now;
         clock := now;
         ctx.pc <- pc;
         Halted

@@ -1,13 +1,12 @@
-type countdown = { period : int; mutable left : int; mutable occurrences : int }
+type countdown = { period : int; mutable left : int }
 
 let countdown ~period =
   if period <= 0 then invalid_arg "Probe.countdown: period must be positive";
-  { period; left = period; occurrences = 0 }
+  { period; left = period }
 
 (* An increment spanning k period boundaries fires k times; the
    remainder carries into the next period. *)
 let count c n =
-  c.occurrences <- c.occurrences + n;
   if n < c.left then begin
     c.left <- c.left - n;
     0
@@ -20,12 +19,6 @@ let count c n =
 [@@inline]
 
 let period c = c.period
-
-let occurrences c = c.occurrences
-
-let reset c =
-  c.left <- c.period;
-  c.occurrences <- 0
 
 type ring = {
   depth : int;
@@ -69,10 +62,6 @@ let copy_ring r ~from_pc ~to_pc ~cycle =
   copy r.from_pc from_pc;
   copy r.to_pc to_pc;
   copy r.cycle cycle
-
-let clear_ring r =
-  r.filled <- 0;
-  r.head <- 0
 
 type event = Loads_all | L2_miss_loads | L3_miss_loads | Stall_cycles | Frontend_stalls
 

@@ -42,11 +42,6 @@ val countdown : period:int -> countdown
 
 val period : countdown -> int
 
-(** Occurrences counted since creation or the last {!reset}. *)
-val occurrences : countdown -> int
-
-val reset : countdown -> unit
-
 (** {1 LBR ring} *)
 
 (** The last [depth] taken branches, as flat int arrays. *)
@@ -66,8 +61,6 @@ val copy_ring :
   to_pc:Stallhide_util.Int_vec.t ->
   cycle:Stallhide_util.Int_vec.t ->
   unit
-
-val clear_ring : ring -> unit
 
 (** {1 The probe} *)
 

@@ -57,7 +57,8 @@ val code : t -> Instr.t array
 val load_sites : t -> int list
 
 (** Number of [Yield]/[Yield_cond] instructions.
-    Exported for [test_binopt], [test_core], [test_faults], [test_isa], [test_workloads] only. *)
+    Exported for [test_binopt], [test_core], [test_faults], [test_isa], [test_verify],
+    [test_workloads] only. *)
 val yield_count : t -> int
 
 (** Disassembly that {!Asm.parse} accepts back (labels + instructions,

@@ -22,11 +22,7 @@ type t = {
      second scan of the set; [-1] once any slot changes. *)
   mutable miss_line : int;
   mutable miss_slot : int;
-  mutable hit_count : int;
-  mutable miss_count : int;
 }
-
-type lookup = Hit | In_flight of int | Miss
 
 let log2 n =
   let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
@@ -50,11 +46,7 @@ let create ~line_bytes (cfg : Memconfig.level_cfg) =
     tick = 0;
     miss_line = 0;
     miss_slot = -1;
-    hit_count = 0;
-    miss_count = 0;
   }
-
-let lines t = t.sets * t.ways
 
 let line_of t addr = addr lsr t.line_shift
 
@@ -109,12 +101,11 @@ let scan t line =
     (Bigarray.Array1.unsafe_get t.stamp base)
 
 (* Shared by [lookup_code] and [prefetch_code]; [touch_ready] says
-   whether a present, ready line counts as a hit and refreshes LRU. *)
+   whether a present, ready line refreshes LRU. *)
 let classify t ~now ~touch_ready addr =
   let line = line_of t addr in
   let r = scan t line in
   if r < 0 then begin
-    t.miss_count <- t.miss_count + 1;
     t.miss_line <- line;
     t.miss_slot <- lnot r;
     -1
@@ -123,22 +114,16 @@ let classify t ~now ~touch_ready addr =
     let ra = Bigarray.Array1.unsafe_get t.ready r in
     if ra <= now && not touch_ready then 0
     else begin
-      t.hit_count <- t.hit_count + 1;
       touch t r;
       if ra <= now then 0 else ra
     end
 
 (* Packed classification: [-1] miss, [0] ready hit, [ready_at > 0] an
    in-flight fill completing at that cycle. In-flight implies
-   [ready_at > now >= 0], so the codes cannot collide. Refreshes LRU
-   and hit/miss counters exactly like [lookup]. *)
+   [ready_at > now >= 0], so the codes cannot collide. *)
 let lookup_code t ~now addr = classify t ~now ~touch_ready:true addr
 
 let prefetch_code t ~now addr = classify t ~now ~touch_ready:false addr
-
-let lookup t ~now addr =
-  let c = lookup_code t ~now addr in
-  if c < 0 then Miss else if c = 0 then Hit else In_flight c
 
 let insert t ~now ~ready_at addr =
   ignore now;
@@ -171,11 +156,3 @@ let invalidate t addr =
     t.tags.{slot} <- -1;
     true
   end
-
-let hits t = t.hit_count
-
-let misses t = t.miss_count
-
-let reset_stats t =
-  t.hit_count <- 0;
-  t.miss_count <- 0

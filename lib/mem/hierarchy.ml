@@ -103,11 +103,6 @@ let counterfactual t lcode latency =
       base + ((max 0 (latency - base)) * percent / 100)
   | _ -> latency
 
-let spike_active t ~now =
-  match t.spike with
-  | Some s -> now >= s.from_cycle && now < s.until_cycle
-  | None -> false
-
 (* Below-L2 service latency with any active spike applied; in-flight
    waits are not re-scaled (the fill was priced when it started). *)
 let l3_latency t ~now =
@@ -184,7 +179,6 @@ let access_latency t ~now addr =
   else if lcode = code_l2 then s.l2_hits <- s.l2_hits + 1
   else if lcode = code_l3 then s.l3_hits <- s.l3_hits + 1
   else s.dram_accesses <- s.dram_accesses + 1;
-  if t.p_inflight then s.inflight_hits <- s.inflight_hits + 1;
   (* The demand load itself pays [latency]; by the time the core can
      issue another access, the line is usable, so fill with [now]. *)
   fill t ~ready_at:now ~now lcode addr;
@@ -243,7 +237,7 @@ let fetch t ~now pc =
       let addr = pc * 4 in
       let c = Cache.lookup_code ic ~now addr in
       (* icache fills always complete instantly (ready_at = now), so an
-         In_flight line can only mean the caller's clock restarted:
+         in-flight line can only mean the caller's clock restarted:
          treat it as present *)
       if c >= 0 then 0
       else begin
@@ -252,10 +246,3 @@ let fetch t ~now pc =
       end)
 
 let stats t = t.stats
-
-let reset_stats t =
-  Mem_stats.reset t.stats;
-  Cache.reset_stats t.l1;
-  Cache.reset_stats t.l2;
-  Cache.reset_stats t.l3;
-  match t.icache with Some ic -> Cache.reset_stats ic | None -> ()

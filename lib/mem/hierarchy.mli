@@ -65,10 +65,6 @@ val inject_spike :
     @raise Invalid_argument if [percent < 0]. *)
 val set_level_scale : t -> level -> percent:int -> unit
 
-(** Whether an injected spike covers cycle [now]. Exported for
-    [test_faults] only, which checks the window's edges with it. *)
-val spike_active : t -> now:int -> bool
-
 val access : t -> now:int -> int -> result
 
 (** Allocation-free [access] for the fast step loop: performs the same
@@ -104,10 +100,6 @@ val resident : t -> now:int -> int -> level option
 val resident_code : t -> now:int -> int -> int
 
 val stats : t -> Mem_stats.t
-
-(** Clears statistics but not cache contents (used to exclude warmup).
-    Exported for [test_mem] only. *)
-val reset_stats : t -> unit
 
 (** [fetch t ~now pc] models instruction fetch of the instruction at
     index [pc] (4 bytes each): returns the front-end stall in cycles —

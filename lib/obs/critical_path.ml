@@ -100,35 +100,6 @@ let tail ~frac bs =
       let keep = max 1 (int_of_float (Float.round (frac *. float_of_int n))) in
       List.filteri (fun i _ -> i < keep) sorted
 
-let pair_spans events =
-  let evs =
-    List.stable_sort (fun a b -> compare (Event.cycle_of a) (Event.cycle_of b)) events
-  in
-  let open_tbl = Hashtbl.create 16 in
-  let items = ref [] in
-  List.iter
-    (fun e ->
-      match e with
-      | Event.Span_open { ctx; name; cycle } ->
-          let cell = ref None in
-          items := (ctx, name, cycle, cell) :: !items;
-          let q =
-            match Hashtbl.find_opt open_tbl (ctx, name) with
-            | Some q -> q
-            | None ->
-                let q = Queue.create () in
-                Hashtbl.add open_tbl (ctx, name) q;
-                q
-          in
-          Queue.push cell q
-      | Event.Span_close { ctx; name; cycle } -> (
-          match Hashtbl.find_opt open_tbl (ctx, name) with
-          | Some q when not (Queue.is_empty q) -> Queue.pop q := Some cycle
-          | _ -> () (* unmatched close: dropped *))
-      | _ -> ())
-    evs;
-  List.rev_map (fun (ctx, name, cycle, cell) -> (ctx, name, cycle, !cell)) !items
-
 let pct part whole = if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
 let pp_totals fmt t =

@@ -64,15 +64,6 @@ val totals : breakdown list -> totals
     one request when the input is non-empty. *)
 val tail : frac:float -> breakdown list -> breakdown list
 
-(** Pair [Span_open]/[Span_close] events by [(ctx, name)] across the
-    whole merged list (cross-core pairing included — a span may open on
-    one core's stream and close on another's after a steal). Returns
-    [(ctx, name, open_cycle, close_cycle option)] in open order;
-    [None] marks an unbalanced open. Unmatched closes are dropped.
-    Multiple concurrent opens of the same key close in FIFO order.
-    Exported for [test_obs] only. *)
-val pair_spans : Event.t list -> (int * string * int * int option) list
-
 val pp_totals : Format.formatter -> totals -> unit
 
 val to_json : totals -> Stallhide_util.Json.t

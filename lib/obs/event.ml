@@ -46,21 +46,6 @@ let ctx_of = function
       ctx
   | Context_switch { from_ctx; _ } -> from_ctx
 
-let cycle_of = function
-  | Yield { cycle; _ }
-  | Cache_access { cycle; _ }
-  | Stall { cycle; _ }
-  | Frontend_stall { cycle; _ }
-  | Op_retired { cycle; _ }
-  | Context_switch { cycle; _ }
-  | Scavenger_escalation { cycle; _ }
-  | Watchdog { cycle; _ }
-  | Span_open { cycle; _ }
-  | Span_close { cycle; _ }
-  | Steal { cycle; _ } ->
-      cycle
-  | Dispatch { start; _ } -> start
-
 let kind_name = function Instr.Primary -> "primary" | Instr.Scavenger -> "scavenger"
 
 let pp fmt = function

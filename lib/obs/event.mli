@@ -2,9 +2,11 @@
     (timeline rendering, Perfetto export, yield-site attribution, the
     counter registry) reads.
 
-    Producers: the execution engine (via {!Stream.attach}), and the
-    schedulers/servers, which push scheduling-level events
-    ([Context_switch], [Dispatch], [Scavenger_escalation]) directly.
+    Producers: the execution engine (via {!Stream.attach}); the
+    schedulers ([Scheduler], [Core_sched]), which push scheduling-level
+    events ([Context_switch], [Dispatch], [Scavenger_escalation],
+    [Watchdog]) directly; and [Machine], which records request spans
+    and steals.
     All cycle stamps come from the shared simulated clock, so events of
     one context are monotone in recording order. *)
 
@@ -58,8 +60,7 @@ type t =
   | Span_open of { ctx : int; name : string; cycle : int }
       (** start of a named logical interval on [ctx] — e.g. a request's
           lifetime from enqueue to completion. Spans of the same ctx may
-          overlap across cores (migration); pair them with
-          {!Critical_path.pair_spans}, not by stack discipline. *)
+          overlap across cores (migration), so they need not nest. *)
   | Span_close of { ctx : int; name : string; cycle : int }
   | Steal of { ctx : int; from_core : int; to_core : int; cycle : int }
       (** [ctx] migrated from [from_core]'s backlog to [to_core]
@@ -68,11 +69,8 @@ type t =
 (** Context the event belongs to ([from_ctx] for switches). *)
 val ctx_of : t -> int
 
-(** Cycle stamp ([start] for dispatch spans). *)
-val cycle_of : t -> int
-
 (** ["primary"] or ["scavenger"]. *)
 val kind_name : Instr.yield_kind -> string
 
-(** Exported for [test_runtime] only. *)
+(** Exported for [test_engine_diff], [test_runtime], [test_smp] only. *)
 val pp : Format.formatter -> t -> unit

@@ -83,10 +83,6 @@ let merged t name =
     t.histograms;
   !acc
 
-let hist_count h = h.count
-
-let hist_sum h = h.sum
-
 let hist_max h = if h.count = 0 then 0 else h.max
 
 let hist_quantile h q =
@@ -108,10 +104,6 @@ let names t =
   Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace tbl n ()) t.counters;
   Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace tbl n ()) t.histograms;
   Hashtbl.fold (fun n () acc -> n :: acc) tbl [] |> List.sort compare
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.histograms
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots and dashes
    become underscores; "a.b" and "a_b" therefore collide — acceptable

@@ -28,7 +28,8 @@ val observe : histogram -> int -> unit
 
 (** {2 Reading} *)
 
-(** Sum of a counter across all contexts; 0 when never written. *)
+(** Sum of a counter across all contexts; 0 when never written.
+    Exported for [test_faults], [test_obs], [test_runtime], [test_txn], [test_verify] only. *)
 val total : t -> string -> int
 
 (** Per-context values of a counter, sorted by context id.
@@ -39,14 +40,6 @@ val by_ctx : t -> string -> (int * int) list
     never written.
     Exported for [test_obs] only. *)
 val merged : t -> string -> histogram option
-
-(** Exported for [test_obs] only. *)
-val hist_count : histogram -> int
-
-(** Exported for [test_obs] only. *)
-val hist_sum : histogram -> int
-
-val reset : t -> unit
 
 (** Stable machine-readable dump: counters as
     [{total, by_ctx}] and histograms as

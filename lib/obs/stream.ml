@@ -97,15 +97,6 @@ let length t = Vec.length t.buf
 
 let dropped t = t.dropped
 
-let reset t =
-  Vec.clear t.buf;
-  t.dropped <- 0;
-  Registry.reset t.registry;
-  t.stall_at <- [||];
-  t.fired_at <- [||];
-  t.skipped_at <- [||];
-  t.switch_at <- [||]
-
 let registry t = t.registry
 
 let attach t probe =

@@ -26,9 +26,6 @@ val length : t -> int
 
 val dropped : t -> int
 
-(** Exported for [test_obs] only. *)
-val reset : t -> unit
-
 (** The registry fed by this stream (yield fired/skipped and load-level
     counters; stall, switch-cost and dispatch-length histograms). *)
 val registry : t -> Registry.t

@@ -12,7 +12,8 @@
 
 (** The slice of [Latency.summary] the analysis layers consume
     (duplicated here because [lib/runtime] sits above [lib/obs] in the
-    dependency DAG — the runtime's tracer feeds our streams). *)
+    dependency DAG — [Scheduler] and [Core_sched] record into our
+    streams). *)
 type sample = {
   count : int;
   mean : float;

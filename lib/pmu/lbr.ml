@@ -63,11 +63,3 @@ let snapshots t =
       Array.init (snapshot_length t s) (fun i ->
           let r = first + i in
           { from_pc = from_pc t r; to_pc = to_pc t r; cycle = cycle t r }))
-
-let clear t =
-  Probe.clear_ring t.ring;
-  Probe.reset t.retires;
-  Int_vec.clear t.starts;
-  Int_vec.clear t.froms;
-  Int_vec.clear t.tos;
-  Int_vec.clear t.cycles

@@ -4,10 +4,10 @@
     with a cycle timestamp. A profiler samples the ring every
     [snapshot_period] retired instructions. Two consecutive records in a
     snapshot delimit a straight-line run: from the target of the first
-    branch to the source of the second — which yields both an edge
-    count and a measured latency for that run. The scavenger
-    instrumentation phase consumes these (via {!Profile}) to estimate
-    basic-block latencies and hot paths, as §3.3 proposes.
+    branch to the source of the second — which yields a measured
+    latency for that run. The scavenger instrumentation phase consumes
+    these (via {!Profile}) to estimate basic-block latencies, as §3.3
+    proposes.
 
     {!attach} arms the ring on a {!Stallhide_cpu.Probe}: either
     interpreter pushes each taken branch and counts no retires. A
@@ -52,6 +52,3 @@ val from_pc : t -> int -> int
 val to_pc : t -> int -> int
 
 val cycle : t -> int -> int
-
-(** Exported for [test_pmu] only. *)
-val clear : t -> unit

@@ -8,13 +8,6 @@ type event = Probe.event =
   | Stall_cycles
   | Frontend_stalls
 
-let event_name = function
-  | Loads_all -> "LOADS_ALL"
-  | L2_miss_loads -> "L2_MISS_LOADS"
-  | L3_miss_loads -> "L3_MISS_LOADS"
-  | Stall_cycles -> "STALL_CYCLES"
-  | Frontend_stalls -> "FRONTEND_STALLS"
-
 type sample = { pc : int; addr : int; stall : int; cycle : int }
 
 type degradation_spec = { loss : float; skid : int; misattr : float; seed : int }
@@ -25,9 +18,6 @@ type degradation = {
   recent : int array;  (** ring of recently sampled pcs, misattribution donors *)
   mutable recent_len : int;
   mutable recent_at : int;
-  mutable lost : int;
-  mutable skidded : int;
-  mutable misattributed : int;
 }
 
 (* Samples are kept flat, four ints each (pc, addr, stall, cycle): a
@@ -55,8 +45,6 @@ let create ?(buffer_capacity = 1 lsl 20) ~event ~period () =
     degradation = None;
   }
 
-let event t = t.ev
-
 let period t = Probe.period t.counter
 
 let degrade t spec =
@@ -73,15 +61,7 @@ let degrade t spec =
         recent = Array.make 64 0;
         recent_len = 0;
         recent_at = 0;
-        lost = 0;
-        skidded = 0;
-        misattributed = 0;
       }
-
-let degradation_injected t =
-  match t.degradation with
-  | None -> (0, 0, 0)
-  | Some d -> (d.lost, d.skidded, d.misattributed)
 
 let sample_count t = Int_vec.length t.buf / fields
 
@@ -106,20 +86,11 @@ let record t ~pc ~addr ~stall ~cycle =
       d.recent.(d.recent_at) <- pc;
       d.recent_at <- (d.recent_at + 1) mod Array.length d.recent;
       if d.recent_len < Array.length d.recent then d.recent_len <- d.recent_len + 1;
-      if d.spec.loss > 0.0 && Random.State.float d.st 1.0 < d.spec.loss then
-        d.lost <- d.lost + 1
-      else begin
+      if not (d.spec.loss > 0.0 && Random.State.float d.st 1.0 < d.spec.loss) then begin
         let pc =
-          if d.spec.misattr > 0.0 && Random.State.float d.st 1.0 < d.spec.misattr then begin
-            let donor = d.recent.(Random.State.int d.st d.recent_len) in
-            if donor <> pc then d.misattributed <- d.misattributed + 1;
-            donor
-          end
-          else if d.spec.skid > 0 then begin
-            let delta = Random.State.int d.st (d.spec.skid + 1) in
-            if delta > 0 then d.skidded <- d.skidded + 1;
-            pc + delta
-          end
+          if d.spec.misattr > 0.0 && Random.State.float d.st 1.0 < d.spec.misattr then
+            d.recent.(Random.State.int d.st d.recent_len)
+          else if d.spec.skid > 0 then pc + Random.State.int d.st (d.spec.skid + 1)
           else pc
         in
         push_sample t ~pc ~addr ~stall ~cycle
@@ -137,18 +108,5 @@ let samples t =
       { pc = f 0; addr = f 1; stall = f 2; cycle = f 3 })
 
 let dropped t = t.dropped
-
-let occurrences t = Probe.occurrences t.counter
-
-let clear t =
-  Int_vec.clear t.buf;
-  Probe.reset t.counter;
-  t.dropped <- 0;
-  match t.degradation with
-  | None -> ()
-  | Some d ->
-      d.lost <- 0;
-      d.skidded <- 0;
-      d.misattributed <- 0
 
 let overhead_cycles t = 40 * (sample_count t + t.dropped)

@@ -30,9 +30,6 @@ type event = Stallhide_cpu.Probe.event =
   | Stall_cycles
   | Frontend_stalls
 
-(** Exported for [test_pmu] only. *)
-val event_name : event -> string
-
 type sample = { pc : int; addr : int; stall : int; cycle : int }
 
 (** Deterministic sampling-degradation fault, applied to every would-be
@@ -58,13 +55,6 @@ val create : ?buffer_capacity:int -> event:event -> period:int -> unit -> t
     skid. *)
 val degrade : t -> degradation_spec -> unit
 
-(** [(lost, skidded, misattributed)] counts injected so far.
-    Exported for [test_pmu] only. *)
-val degradation_injected : t -> int * int * int
-
-(** Exported for [test_pmu] only. *)
-val event : t -> event
-
 val period : t -> int
 
 (** Count this unit's event on the probe. Attach a unit to one
@@ -85,13 +75,6 @@ val sample_count : t -> int
 (** Samples lost to buffer overflow.
     Exported for [test_pmu] only. *)
 val dropped : t -> int
-
-(** Total event occurrences observed (for overhead accounting).
-    Exported for [test_pmu] only. *)
-val occurrences : t -> int
-
-(** Exported for [test_pmu] only. *)
-val clear : t -> unit
 
 (** Estimated profiling-run overhead in cycles: samples taken times the
     per-sample microcode/drain cost (40 cycles, the published

@@ -1,14 +1,5 @@
 open Stallhide_isa
 
-(* Edge keys are small distinct ints already: hash them as themselves. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash k = k land max_int
-end)
-
 (* Per-pc load statistics, flat. A pc has a [load] line in [save] once
    any unit sampled it (or a loaded profile listed it): [seen]. Arrays
    cover the program and any pc a skidded sample landed past its end. *)
@@ -24,7 +15,6 @@ type t = {
   stall_period : int;
   lbr_cycles : float array;  (* attributed cycles per pc *)
   lbr_execs : float array;  (* attributed executions per pc *)
-  edges : int ref Int_tbl.t;  (* [edge_key] -> taken count *)
   mutable samples : int;
 }
 
@@ -42,24 +32,8 @@ let make ~program ~pcs ~exec_period ~miss_period ~stall_period =
     stall_period;
     lbr_cycles = Array.make n 0.0;
     lbr_execs = Array.make n 0.0;
-    edges = Int_tbl.create 64;
     samples = 0;
   }
-
-(* Edges run from a pc of the program to a pc of it or one past its
-   end (a return to the call after the last instruction). *)
-let edge_key t from_pc to_pc =
-  let n = Program.length t.program in
-  if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then
-    invalid_arg
-      (Printf.sprintf "Profile: edge %d -> %d outside a %d-instruction program" from_pc to_pc n);
-  (from_pc * (n + 1)) + to_pc
-
-let add_edge t from_pc to_pc =
-  let k = edge_key t from_pc to_pc in
-  match Int_tbl.find t.edges k with
-  | r -> incr r
-  | exception Not_found -> Int_tbl.add t.edges k (ref 1)
 
 (* Static per-pc facts [add_run] needs: each instruction's base cost
    (at least 1) and whether it loads, with prefix sums of both so a
@@ -147,18 +121,27 @@ let build ~program ?exec ?miss ?stall ?frontend ?lbr () =
   | None -> ()
   | Some l ->
       let st = statics program in
+      let n = Program.length program in
       for s = 0 to Lbr.snapshot_count l - 1 do
         t.samples <- t.samples + 1;
         (* consecutive records [r], [r + 1] of one snapshot *)
         let first = Lbr.snapshot_start l s in
         let last = first + Lbr.snapshot_length l s - 1 in
-        for r = first to last - 1 do
-          let head = Lbr.to_pc l r and tail = Lbr.from_pc l (r + 1) in
-          add_edge t (Lbr.from_pc l r) head;
-          if tail >= head then
-            add_run t st ~head ~tail ~latency:(Lbr.cycle l (r + 1) - Lbr.cycle l r)
-        done;
-        if last >= first then add_edge t (Lbr.from_pc l last) (Lbr.to_pc l last)
+        for r = first to last do
+          let from_pc = Lbr.from_pc l r and head = Lbr.to_pc l r in
+          (* a branch leaves a pc of the program for a pc of it or one
+             past its end (a return to the call after the last
+             instruction) *)
+          if from_pc < 0 || from_pc >= n || head < 0 || head > n then
+            invalid_arg
+              (Printf.sprintf "Profile: LBR record %d -> %d outside a %d-instruction program"
+                 from_pc head n);
+          if r < last then begin
+            let tail = Lbr.from_pc l (r + 1) in
+            if tail >= head then
+              add_run t st ~head ~tail ~latency:(Lbr.cycle l (r + 1) - Lbr.cycle l r)
+          end
+        done
       done);
   t
 
@@ -197,12 +180,6 @@ let pc_cycles t pc =
   if pc < 0 || pc >= Array.length t.lbr_cycles || t.lbr_execs.(pc) = 0.0 then None
   else Some (t.lbr_cycles.(pc) /. t.lbr_execs.(pc))
 
-let edge_heat t from_pc to_pc =
-  let n = Program.length t.program in
-  if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then 0
-  else
-    match Int_tbl.find_opt t.edges (edge_key t from_pc to_pc) with Some r -> !r | None -> 0
-
 let total_samples t = t.samples
 
 let pp_summary fmt t =
@@ -239,14 +216,6 @@ let save t =
         Buffer.add_string buf
           (Printf.sprintf "lbr pc=%d cycles=%h execs=%h\n" pc t.lbr_cycles.(pc) execs))
     t.lbr_execs;
-  (* keys order edges by (from, to) *)
-  let stride = Program.length t.program + 1 in
-  let edges = List.sort compare (Int_tbl.fold (fun k v acc -> (k, !v) :: acc) t.edges []) in
-  List.iter
-    (fun (k, c) ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge from=%d to=%d count=%d\n" (k / stride) (k mod stride) c))
-    edges;
   Buffer.contents buf
 
 let load ~program text =
@@ -258,6 +227,17 @@ let load ~program text =
     match String.split_on_char '=' kv with
     | [ k; v ] when k = key -> v
     | _ -> fail "Profile.load: expected %s= in %S" key line
+  in
+  (* a value no profiling run produces is refused, like a malformed one *)
+  let checked parse ok rule line kv key =
+    let v = parse (field line kv key) in
+    if not (ok v) then fail "Profile.load: %s %s in %S" key rule line;
+    v
+  in
+  let count = checked int_of_string (fun v -> v >= 0) "must not be negative" in
+  let period = checked int_of_string (fun v -> v > 0) "period must be positive" in
+  let estimate =
+    checked float_of_string (fun v -> Float.is_finite v && v >= 0.0) "must be finite and >= 0"
   in
   let lines = String.split_on_char '\n' text in
   (match lines with
@@ -272,31 +252,24 @@ let load ~program text =
             let plen = int_of_string (field line len "program_length") in
             if plen <> n then
               fail "Profile.load: profile is for a %d-instruction program, got %d" plen n;
-            t.samples <- int_of_string (field line samples "samples")
+            t.samples <- count line samples "samples"
         | [ "periods"; e; m; st ] ->
-            exec_period := int_of_string (field line e "exec");
-            miss_period := int_of_string (field line m "miss");
-            stall_period := int_of_string (field line st "stall")
+            exec_period := period line e "exec";
+            miss_period := period line m "miss";
+            stall_period := period line st "stall"
         | [ "load"; pc; e; m; st; fe ] ->
             let pc = int_of_string (field line pc "pc") in
             if pc < 0 || pc >= n then fail "Profile.load: load pc %d out of range" pc;
             t.seen.(pc) <- true;
-            t.exec_samples.(pc) <- int_of_string (field line e "exec");
-            t.miss_samples.(pc) <- int_of_string (field line m "miss");
-            t.stall_sampled.(pc) <- int_of_string (field line st "stall");
-            t.frontend_sampled.(pc) <- int_of_string (field line fe "frontend")
+            t.exec_samples.(pc) <- count line e "exec";
+            t.miss_samples.(pc) <- count line m "miss";
+            t.stall_sampled.(pc) <- count line st "stall";
+            t.frontend_sampled.(pc) <- count line fe "frontend"
         | [ "lbr"; pc; cyc; ex ] ->
             let pc = int_of_string (field line pc "pc") in
             if pc < 0 || pc >= n then fail "Profile.load: lbr pc %d out of range" pc;
-            t.lbr_cycles.(pc) <- float_of_string (field line cyc "cycles");
-            t.lbr_execs.(pc) <- float_of_string (field line ex "execs")
-        | [ "edge"; f; to_; c ] ->
-            let from_pc = int_of_string (field line f "from") in
-            let to_pc = int_of_string (field line to_ "to") in
-            if from_pc < 0 || from_pc >= n || to_pc < 0 || to_pc > n then
-              fail "Profile.load: edge %d -> %d out of range" from_pc to_pc;
-            Int_tbl.replace t.edges (edge_key t from_pc to_pc)
-              (ref (int_of_string (field line c "count")))
+            t.lbr_cycles.(pc) <- estimate line cyc "cycles";
+            t.lbr_execs.(pc) <- estimate line ex "execs"
         | _ -> fail "Profile.load: cannot parse line %S" line)
     lines;
   { t with exec_period = !exec_period; miss_period = !miss_period; stall_period = !stall_period }

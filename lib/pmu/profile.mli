@@ -10,15 +10,13 @@
     - stall cycles per miss at a pc from [Stall_cycles] samples;
     - per-pc latency from LBR straight-line runs, apportioned over the
       run's instructions proportionally to their static base cost (the
-      standard AutoFDO-style attribution);
-    - edge heat (taken-branch counts) for hot-path detection.
+      standard AutoFDO-style attribution).
 
     The database is flat: per-pc arrays of sample counts, LBR cycles
-    and executions, and taken-branch counts under one int key per edge.
-    {!build} reads the units' flat sample and snapshot buffers in place
-    ({!Pebs.sample_pc}, {!Lbr.from_pc} ...), and totals each LBR
-    straight-line run from per-pc prefix sums of base cost and load
-    count. The per-pc cycle sums are floats accumulated run by run in
+    and executions. {!build} reads the units' flat sample and snapshot
+    buffers in place ({!Pebs.sample_pc}, {!Lbr.from_pc} ...), and
+    totals each LBR straight-line run from per-pc prefix sums of base
+    cost and load count. The per-pc cycle sums are floats accumulated run by run in
     snapshot order: {!save} prints them exactly ([%h]), so that order
     is part of the format. *)
 
@@ -63,11 +61,6 @@ val candidate_loads : t -> int list
 (** LBR-estimated cycles per execution of the instruction at [pc]. *)
 val pc_cycles : t -> int -> float option
 
-(** Taken count estimate of the branch edge [from_pc -> to_pc].
-    Exported for [test_pmu] only, which checks the edge counts and
-    their save/load round trip with it. *)
-val edge_heat : t -> int -> int -> int
-
 (** Total samples aggregated (all units). *)
 val total_samples : t -> int
 
@@ -76,7 +69,10 @@ val pp_summary : Format.formatter -> t -> unit
 (** AutoFDO-style persistence: profiles are collected in production and
     applied at (re)build time, possibly in a different process. The
     format is line-oriented text; [load] validates it against the
-    program it will instrument (by length).
+    program it will instrument (by length) and refuses values no
+    profiling run produces: a period that is not positive, a negative
+    sample count, stall total or [samples], and an [lbr] estimate that
+    is negative or not finite.
 
     @raise Failure on a malformed or mismatching profile. *)
 

@@ -47,7 +47,8 @@ type summary = {
     [int array], folds mean and stddev over it, then sorts it in place
     with a monomorphic radix sort for the order statistics. The mean
     comes from the integer sum; stddev folds the samples in the list's
-    own order. *)
+    own order.
+    Exported for [test_faults], [test_runtime] only. *)
 val summarize : int list -> summary option
 
 (** [summarize_recorder ?ctx r] summarizes context [ctx]'s latencies,

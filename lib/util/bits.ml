@@ -6,11 +6,7 @@ let mem mask i = mask land (1 lsl i) <> 0
 
 let add mask i = mask lor (1 lsl i)
 
-let remove mask i = mask land lnot (1 lsl i)
-
 let diff a b = a land lnot b
-
-let all n = (1 lsl n) - 1
 
 let fold f mask acc =
   let rec loop i m acc =

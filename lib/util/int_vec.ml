@@ -48,5 +48,3 @@ let append v a pos len =
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Int_vec: index out of bounds";
   Array.unsafe_get (Array.unsafe_get v.chunks (i lsr bits)) (i land (chunk - 1))
-
-let clear v = v.len <- 0

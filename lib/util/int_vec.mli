@@ -17,5 +17,3 @@ val append : t -> int array -> int -> int -> unit
 
 (** @raise Invalid_argument if the index is out of bounds. *)
 val get : t -> int -> int
-
-val clear : t -> unit

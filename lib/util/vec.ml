@@ -22,10 +22,6 @@ let get v i =
   check v i;
   v.data.(i)
 
-let set v i x =
-  check v i;
-  v.data.(i) <- x
-
 let to_array v = Array.sub v.data 0 v.len
 
 let to_list v = Array.to_list (to_array v)
@@ -36,10 +32,3 @@ let iter f v =
   done
 
 let clear v = v.len <- 0
-
-let is_empty v = v.len = 0
-
-let of_list xs =
-  let v = create () in
-  List.iter (push v) xs;
-  v

@@ -10,9 +10,6 @@ val push : 'a t -> 'a -> unit
 
 val get : 'a t -> int -> 'a
 
-(** Exported for [test_util] only. *)
-val set : 'a t -> int -> 'a -> unit
-
 (** [to_array v] copies the contents into a fresh array. *)
 val to_array : 'a t -> 'a array
 
@@ -21,10 +18,3 @@ val to_list : 'a t -> 'a list
 val iter : ('a -> unit) -> 'a t -> unit
 
 val clear : 'a t -> unit
-
-(** Exported for [test_util] only. *)
-val is_empty : 'a t -> bool
-
-(** [of_list xs] builds a vector holding the elements of [xs] in order.
-    Exported for [test_util] only. *)
-val of_list : 'a list -> 'a t

@@ -170,15 +170,9 @@ let test_costs () =
   let load = Instr.Load (Reg.r1, Reg.r2, 0) in
   Alcotest.(check bool) "load floor is the L1 latency" true
     (Distance.min_cost mem load >= mem.Memconfig.l1.Memconfig.latency);
-  Alcotest.(check bool) "load ceiling covers DRAM" true
-    (Distance.max_cost mem load >= mem.Memconfig.dram_latency);
-  Alcotest.(check bool) "cost bracket is ordered" true
-    (Distance.min_cost mem load <= Distance.max_cost mem load);
   let pf = Instr.Prefetch (Reg.r1, 0) in
   Alcotest.(check int) "prefetch charges the issue cost"
-    mem.Memconfig.prefetch_issue_cost (Distance.min_cost mem pf);
-  Alcotest.(check int) "prefetch never blocks" (Distance.min_cost mem pf)
-    (Distance.max_cost mem pf)
+    mem.Memconfig.prefetch_issue_cost (Distance.min_cost mem pf)
 
 let test_prefetch_lead () =
   let nops n = List.init n (fun _ -> Program.Ins Instr.Nop) in

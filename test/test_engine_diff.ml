@@ -142,7 +142,6 @@ let check_mem_stats label (a : Mem_stats.t) (b : Mem_stats.t) =
   f "l2_hits" (fun s -> s.Mem_stats.l2_hits);
   f "l3_hits" (fun s -> s.Mem_stats.l3_hits);
   f "dram_accesses" (fun s -> s.Mem_stats.dram_accesses);
-  f "inflight_hits" (fun s -> s.Mem_stats.inflight_hits);
   f "prefetches" (fun s -> s.Mem_stats.prefetches);
   f "useless_prefetches" (fun s -> s.Mem_stats.useless_prefetches)
 

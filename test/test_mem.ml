@@ -299,31 +299,20 @@ let qcheck_fork_model =
 let mk_cache ?(size = 8 * 64) ?(ways = 2) () =
   Cache.create ~line_bytes:64 { Memconfig.size_bytes = size; ways; latency = 4 }
 
+(* [Cache.lookup_code]'s codes: -1 miss, 0 ready hit, else the cycle an
+   in-flight fill completes. *)
 let test_cache_hit_miss () =
   let c = mk_cache () in
-  Alcotest.(check int) "lines" 8 (Cache.lines c);
-  (match Cache.lookup c ~now:0 0 with
-  | Cache.Miss -> ()
-  | _ -> Alcotest.fail "cold cache hit");
+  Alcotest.(check int) "cold cache misses" (-1) (Cache.lookup_code c ~now:0 0);
   Cache.insert c ~now:0 ~ready_at:0 0;
-  (match Cache.lookup c ~now:1 0 with
-  | Cache.Hit -> ()
-  | _ -> Alcotest.fail "inserted line missing");
-  (match Cache.lookup c ~now:1 56 with
-  | Cache.Hit -> ()
-  | _ -> Alcotest.fail "same-line word missed");
-  Alcotest.(check int) "hits" 2 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c)
+  Alcotest.(check int) "inserted line hits" 0 (Cache.lookup_code c ~now:1 0);
+  Alcotest.(check int) "same-line word hits" 0 (Cache.lookup_code c ~now:1 56)
 
 let test_cache_inflight () =
   let c = mk_cache () in
   Cache.insert c ~now:0 ~ready_at:100 0;
-  (match Cache.lookup c ~now:50 0 with
-  | Cache.In_flight r -> Alcotest.(check int) "ready time" 100 r
-  | _ -> Alcotest.fail "expected in-flight");
-  (match Cache.lookup c ~now:100 0 with
-  | Cache.Hit -> ()
-  | _ -> Alcotest.fail "expected ready hit");
+  Alcotest.(check int) "in flight until its ready time" 100 (Cache.lookup_code c ~now:50 0);
+  Alcotest.(check int) "ready hit" 0 (Cache.lookup_code c ~now:100 0);
   Alcotest.(check bool) "not resident while filling" false (Cache.resident c ~now:50 0);
   Alcotest.(check bool) "resident after fill" true (Cache.resident c ~now:100 0)
 
@@ -331,9 +320,7 @@ let test_cache_refill_keeps_earlier () =
   let c = mk_cache () in
   Cache.insert c ~now:0 ~ready_at:50 0;
   Cache.insert c ~now:0 ~ready_at:200 0;
-  match Cache.lookup c ~now:10 0 with
-  | Cache.In_flight r -> Alcotest.(check int) "earlier fill wins" 50 r
-  | _ -> Alcotest.fail "expected in-flight"
+  Alcotest.(check int) "earlier fill wins" 50 (Cache.lookup_code c ~now:10 0)
 
 let test_cache_lru () =
   (* 2-way, 4 sets: lines 0, 4, 8 map to set 0. *)
@@ -341,14 +328,10 @@ let test_cache_lru () =
   let addr line = line * 64 in
   Cache.insert c ~now:0 ~ready_at:0 (addr 0);
   Cache.insert c ~now:0 ~ready_at:0 (addr 4);
-  ignore (Cache.lookup c ~now:1 (addr 0));
+  ignore (Cache.lookup_code c ~now:1 (addr 0));
   Cache.insert c ~now:2 ~ready_at:2 (addr 8);
-  (match Cache.lookup c ~now:3 (addr 4) with
-  | Cache.Miss -> ()
-  | _ -> Alcotest.fail "LRU line survived");
-  match Cache.lookup c ~now:3 (addr 0) with
-  | Cache.Hit -> ()
-  | _ -> Alcotest.fail "MRU line evicted"
+  Alcotest.(check int) "LRU line evicted" (-1) (Cache.lookup_code c ~now:3 (addr 4));
+  Alcotest.(check int) "MRU line kept" 0 (Cache.lookup_code c ~now:3 (addr 0))
 
 (* Model test: random lookups, prefetches, fills, invalidations and
    residency probes on small caches, with the clock rising, each step
@@ -383,12 +366,9 @@ module Cache_model = struct
     ways : int;
     line_bytes : int;
     mutable tick : int;
-    mutable hits : int;
-    mutable misses : int;
   }
 
-  let create ~line_bytes ~sets ~ways =
-    { sets = Array.make sets []; ways; line_bytes; tick = 0; hits = 0; misses = 0 }
+  let create ~line_bytes ~sets ~ways = { sets = Array.make sets []; ways; line_bytes; tick = 0 }
 
   let set t line = line mod Array.length t.sets
 
@@ -406,12 +386,9 @@ module Cache_model = struct
 
   let classify t ~now ~touch_ready addr =
     match find t addr with
-    | _, None ->
-        t.misses <- t.misses + 1;
-        -1
+    | _, None -> -1
     | _, Some l when l.ready <= now && not touch_ready -> 0
     | line, Some l ->
-        t.hits <- t.hits + 1;
         touch t line;
         if l.ready <= now then 0 else l.ready
 
@@ -498,8 +475,6 @@ let qcheck_cache_model =
               Cache_model.insert m ~ready_at:(now + d) a
           | Invalidate a -> expect (Cache.invalidate c a = Cache_model.invalidate m a)
           | Resident a -> expect (Cache.resident c ~now a = Cache_model.resident m ~now a));
-          expect (Cache.hits c = m.Cache_model.hits);
-          expect (Cache.misses c = m.Cache_model.misses);
           for line = 0 to (2 * sets * ways) - 1 do
             let a = line * line_bytes in
             expect (Cache.resident c ~now a = Cache_model.resident m ~now a)
@@ -512,12 +487,14 @@ let qcheck_cache_model =
    them may read as a line: no old line is resident, and every first
    lookup misses. Covers every level of every geometry the soundness
    oracle samples ([Memconfig.default] among them). *)
+let lines ~line_bytes (level : Memconfig.level_cfg) = level.size_bytes / line_bytes
+
 let[@inline never] fill_and_drop ~line_bytes level =
   let c = Cache.create ~line_bytes level in
-  for line = 0 to Cache.lines c - 1 do
+  for line = 0 to lines ~line_bytes level - 1 do
     Cache.insert c ~now:0 ~ready_at:0 (line * line_bytes)
   done;
-  for line = 0 to Cache.lines c - 1 do
+  for line = 0 to lines ~line_bytes level - 1 do
     if not (Cache.resident c ~now:0 (line * line_bytes)) then
       Alcotest.failf "line %d not filled" line
   done
@@ -539,11 +516,11 @@ let test_cache_storage_reuse () =
         Printf.sprintf "%d B / %d-way / %d B lines, line %d" level.size_bytes level.ways line_bytes
           line
       in
-      for line = 0 to Cache.lines c - 1 do
+      for line = 0 to lines ~line_bytes level - 1 do
         if Cache.resident c ~now:max_int (line * line_bytes) then
           Alcotest.failf "stale line resident: %s" (where line)
       done;
-      for line = 0 to Cache.lines c - 1 do
+      for line = 0 to lines ~line_bytes level - 1 do
         if Cache.lookup_code c ~now:0 (line * line_bytes) <> -1 then
           Alcotest.failf "stale line hit: %s" (where line)
       done)
@@ -608,15 +585,6 @@ let test_resident_oracle () =
   match Hierarchy.resident h ~now:(100 + cfg.Memconfig.dram_latency) 8192 with
   | Some Hierarchy.L1 -> ()
   | _ -> Alcotest.fail "expected residency after fill"
-
-let test_stats_reset () =
-  let h = Hierarchy.create cfg in
-  ignore (Hierarchy.access h ~now:0 0);
-  Hierarchy.reset_stats h;
-  let s = Hierarchy.stats h in
-  Alcotest.(check int) "reset demand" 0 s.Mem_stats.demand_accesses;
-  let r = Hierarchy.access h ~now:10 0 in
-  Alcotest.(check string) "still cached" "L1" (Hierarchy.level_name r.Hierarchy.level)
 
 let test_config_validation () =
   let bad = { cfg with Memconfig.l1 = { cfg.Memconfig.l1 with Memconfig.latency = 300 } } in
@@ -732,7 +700,6 @@ let () =
           Alcotest.test_case "prefetch hides latency" `Quick test_prefetch_hides_latency;
           Alcotest.test_case "useless prefetch" `Quick test_prefetch_useless;
           Alcotest.test_case "residency oracle" `Quick test_resident_oracle;
-          Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           QCheck_alcotest.to_alcotest qcheck_access_then_hit;
           QCheck_alcotest.to_alcotest qcheck_prefetch_monotone;

@@ -429,8 +429,8 @@ let test_untraced_streams () =
         (function
           | Stallhide_obs.Event.Steal _ -> incr recorded
           | e ->
-              Alcotest.failf "core %d recorded a non-steal event at cycle %d" c.Machine.core_id
-                (Stallhide_obs.Event.cycle_of e))
+              Alcotest.failf "core %d recorded a non-steal event: %a" c.Machine.core_id
+                Stallhide_obs.Event.pp e)
         c.Machine.stream)
     res.Machine.per_core;
   Alcotest.(check int) "one event per steal" res.Machine.steals !recorded

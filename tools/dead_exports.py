@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List every exported value of the library that no other file names.
+"""List every exported value of the library that no other file names,
+and every test-only export whose marker is missing or wrong.
 
 For each `val x` in `lib/**/*.mli` (module M, from the file name, or a
 nested `module N : sig ... end` inside it), search every `.ml` under
@@ -11,9 +12,18 @@ when it opens or aliases M (`open M`, `let open M in`, `M.( ... )`,
 (`open Stallhide_isa`) does not open its modules' values, so it does
 not count.
 
+Three rules, one line each per export that breaks one:
+- dead: no other file names the value;
+- unmarked: only files under test/ name it, and its doc comment lacks
+  an `Exported for [test_a], [test_b] only.` line naming exactly those
+  suites;
+- marked but used: its doc comment carries that line, yet a file
+  outside test/ names it as `M.x`. Only qualified names count here:
+  the open/alias heuristic over-counts.
+
 Usage: python3 tools/dead_exports.py   (from the repository root)
-Prints one `path: M.x` line per dead export and exits 1 if it printed
-any, 0 otherwise.
+Prints one `path: M.x ...` line per broken rule and exits 1 if it
+printed any, 0 otherwise.
 """
 
 import os
@@ -23,7 +33,7 @@ import sys
 SEARCH_DIRS = ["lib", "bin", "bench", "examples", "perfbench", "test"]
 SKIP_DIRS = {"_build", "_build_perfbench", "out", "__pycache__"}
 
-VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)", re.M)
+VAL = re.compile(r"^[ \t]*val\s+([a-z_][A-Za-z0-9_']*)", re.M)
 NESTED = re.compile(r"^\s*module\s+([A-Z]\w*)\s*:\s*sig\b", re.M)
 MPATH = r"[A-Z]\w*(?:\.[A-Z]\w*)*"
 QUALIFIED = re.compile(r"\b(%s)\.([a-z_][\w']*)" % MPATH)
@@ -33,21 +43,53 @@ OPENS = [
     re.compile(r"\bmodule\s+[A-Z]\w*\s*=\s*(%s)" % MPATH),
 ]
 WORD = re.compile(r"(?<![\w'])[a-z_][\w']*")
+MARKER = re.compile(r"Exported for ((?:\[test_\w+\](?:,\s*)?)+) only\b")
 
 
-def strip_comments(text):
-    # OCaml comments nest; peel innermost ones until none is left.
-    prev = None
-    while prev != text:
-        prev = text
-        text = re.sub(r"\(\*(?:(?!\(\*).)*?\*\)", " ", text, flags=re.S)
-    return text
+def mask_comments(text):
+    """Blank out (nested) OCaml comments, keeping every offset and
+    newline, so positions in the result are positions in [text]."""
+    out = list(text)
+    depth, i = 0, 0
+    while i < len(text):
+        if text.startswith("(*", i):
+            depth += 1
+            out[i] = out[i + 1] = " "
+            i += 2
+        elif depth and text.startswith("*)", i):
+            depth -= 1
+            out[i] = out[i + 1] = " "
+            i += 2
+        else:
+            if depth and text[i] != "\n":
+                out[i] = " "
+            i += 1
+    return "".join(out)
+
+
+def doc_before(text, pos):
+    """The comment that ends right before [pos] (whitespace apart), or ''."""
+    end = len(text[:pos].rstrip())
+    if not text.startswith("*)", end - 2):
+        return ""
+    depth, i = 0, end - 2
+    while i >= 0:
+        if text.startswith("*)", i):
+            depth += 1
+        elif text.startswith("(*", i):
+            depth -= 1
+            if depth == 0:
+                return text[i:end]
+        i -= 1
+    return ""
 
 
 def exported_values(path):
-    """(module path, value) pairs declared by one .mli."""
+    """(module path, value, suites its marker names or None) triples
+    declared by one .mli."""
     module = os.path.basename(path)[:-4].capitalize()
-    text = strip_comments(open(path).read())
+    raw = open(path).read()
+    text = mask_comments(raw)
     # A nested signature runs from `module N : sig` to its matching `end`.
     spans = []
     for m in NESTED.finditer(text):
@@ -58,10 +100,13 @@ def exported_values(path):
                 stop = m.end() + tok.end()
                 break
         spans.append((m.start(), stop, m.group(1)))
-    return [
-        ([module] + [n for (a, b, n) in spans if a <= m.start() < b], m.group(1))
-        for m in VAL.finditer(text)
-    ]
+    values = []
+    for m in VAL.finditer(text):
+        marker = MARKER.search(re.sub(r"\s+", " ", doc_before(raw, m.start())))
+        suites = set(re.findall(r"\[(test_\w+)\]", marker.group(1))) if marker else None
+        path_ = [module] + [n for (a, b, n) in spans if a <= m.start() < b]
+        values.append((path_, m.group(1), suites))
+    return values
 
 
 def index(text):
@@ -84,7 +129,7 @@ def sources():
             for f in files:
                 if f.endswith(".ml"):
                     p = os.path.join(root, f)
-                    yield p, index(strip_comments(open(p).read()))
+                    yield p, index(mask_comments(open(p).read()))
 
 
 def names(idx, modules, value):
@@ -95,21 +140,48 @@ def names(idx, modules, value):
     )
 
 
+def is_test(path):
+    return path.split(os.sep)[0] == "test"
+
+
+def suite(path):
+    return os.path.basename(path)[:-3]
+
+
+def listing(suites):
+    return ", ".join("[%s]" % s for s in sorted(suites))
+
+
 def main():
     files = list(sources())
-    dead = []
+    broken = []
     for root, _, fs in sorted(os.walk("lib")):
         for f in sorted(fs):
             if not f.endswith(".mli"):
                 continue
             mli = os.path.join(root, f)
             own = mli[:-1]
-            for path, value in exported_values(mli):
-                if not any(p != own and names(i, path, value) for p, i in files):
-                    dead.append("%s: %s.%s" % (mli, ".".join(path), value))
-    for line in dead:
+            for path, value, marked in exported_values(mli):
+                name = "%s: %s.%s" % (mli, ".".join(path), value)
+                users = [p for p, i in files if p != own and names(i, path, value)]
+                if not users:
+                    broken.append(name)
+                elif all(is_test(p) for p in users):
+                    suites = {suite(p) for p in users}
+                    if marked != suites:
+                        broken.append(
+                            "%s: only %s name it; its doc needs `Exported for %s only.`"
+                            % (name, listing(suites), listing(suites))
+                        )
+                if marked is not None:
+                    for p, (qualified, _, _) in files:
+                        if p != own and not is_test(p) and any(
+                            (mod, value) in qualified for mod in path
+                        ):
+                            broken.append("%s: marked test-only, but %s names it" % (name, p))
+    for line in broken:
         print(line)
-    return 1 if dead else 0
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
