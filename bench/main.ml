@@ -982,8 +982,8 @@ let c19 () =
 
 let c21 () =
   let module Why = Stallhide_why.Why in
-  let module Sweep = Stallhide_obs.Sweep in
-  let module Causal = Stallhide_obs.Causal in
+  let module Sweep = Stallhide_why.Sweep in
+  let module Causal = Stallhide_why.Causal in
   let cases =
     (* workload x injected cause; each must come back ranked #1 within
        its kind under both the mean and the p99 metric *)

@@ -568,6 +568,8 @@ let trace_cmd =
   let trace workload lanes ops seed interval width cycles format output =
     check_workload workload;
     check_sizes ?interval ~lanes ~ops ();
+    if width < 1 then usage_error "--width must be at least 1 (got %d)" width;
+    if cycles < 1 then usage_error "--cycles must be at least 1 (got %d)" cycles;
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let w', _ = Pipeline.place ?scavenger_interval:interval w in
@@ -1145,7 +1147,7 @@ let cluster_cmd =
 (* why *)
 
 let why_cmd =
-  let module Obs = Stallhide_obs in
+  let module Sweep = Stallhide_why.Sweep in
   let module Why = Stallhide_why.Why in
   let module J = Stallhide_util.Json in
   let why workload lanes ops seed repeats metric injection sweep critical json =
@@ -1154,7 +1156,7 @@ let why_cmd =
     (* [Why] raises on fewer than one repeat; say which flag *)
     if repeats < 1 then usage_error "--repeats must be at least 1 (got %d)" repeats;
     let metric =
-      match Obs.Sweep.metric_of_string metric with
+      match Sweep.metric_of_string metric with
       | Some m -> m
       | None -> usage_error "unknown metric %S (mean | p50 | p90 | p99 | p999)" metric
     in
@@ -1174,8 +1176,8 @@ let why_cmd =
     in
     if sweep then begin
       let r = Why.sweep cfg in
-      if json then emit "sweep" [ ("sweep", Obs.Sweep.to_json r) ]
-      else Format.printf "%a@." (Obs.Sweep.pp ~metric) r
+      if json then emit "sweep" [ ("sweep", Sweep.to_json r) ]
+      else Format.printf "%a@." (Sweep.pp ~metric) r
     end
     else if critical then begin
       match Why.critical cfg with

@@ -12,8 +12,6 @@ type profile_config = {
   miss_period : int;
   stall_period : int;
   frontend_period : int option;
-  lbr_snapshot_period : int;
-  buffer_capacity : int;
   degradation : Pebs.degradation_spec option;
 }
 
@@ -23,8 +21,6 @@ let default_profile_config =
     miss_period = 17;
     stall_period = 127;
     frontend_period = Some 127;
-    lbr_snapshot_period = 211;
-    buffer_capacity = 1 lsl 20;
     degradation = None;
   }
 
@@ -37,25 +33,12 @@ type profiled = {
 
 let profile ?(config = default_profile_config) ?(mem_cfg = Memconfig.default) w =
   let hier = Hierarchy.create mem_cfg in
-  let exec =
-    Pebs.create ~buffer_capacity:config.buffer_capacity ~event:Pebs.Loads_all
-      ~period:config.exec_period ()
-  in
-  let miss =
-    Pebs.create ~buffer_capacity:config.buffer_capacity ~event:Pebs.L2_miss_loads
-      ~period:config.miss_period ()
-  in
-  let stall =
-    Pebs.create ~buffer_capacity:config.buffer_capacity ~event:Pebs.Stall_cycles
-      ~period:config.stall_period ()
-  in
+  let exec = Pebs.create ~event:Pebs.Loads_all ~period:config.exec_period () in
+  let miss = Pebs.create ~event:Pebs.L2_miss_loads ~period:config.miss_period () in
+  let stall = Pebs.create ~event:Pebs.Stall_cycles ~period:config.stall_period () in
   let frontend =
-    match config.frontend_period with
-    | Some period ->
-        Some
-          (Pebs.create ~buffer_capacity:config.buffer_capacity ~event:Pebs.Frontend_stalls
-             ~period ())
-    | None -> None
+    Option.map (fun period -> Pebs.create ~event:Pebs.Frontend_stalls ~period ())
+      config.frontend_period
   in
   (match config.degradation with
   | Some spec ->
@@ -64,7 +47,8 @@ let profile ?(config = default_profile_config) ?(mem_cfg = Memconfig.default) w 
       Pebs.degrade stall spec;
       Option.iter (fun f -> Pebs.degrade f spec) frontend
   | None -> ());
-  let lbr = Lbr.create ~snapshot_period:config.lbr_snapshot_period () in
+  (* a prime, like the PEBS periods, so reads do not alias with loops *)
+  let lbr = Lbr.create ~snapshot_period:211 () in
   let units = exec :: miss :: stall :: Option.to_list frontend in
   (* The samplers ride the decoded-µop loop on a probe. *)
   let probe = Probe.create () in

@@ -21,15 +21,15 @@ type profile_config = {
       (** PEBS period for FRONTEND_STALLS; [None] skips the unit, so
           front-end stalls contaminate the memory-stall estimates
           (§3.2's cause-filtering, off) *)
-  lbr_snapshot_period : int;  (** retired instructions between LBR reads *)
-  buffer_capacity : int;  (** per-unit sample buffer entries *)
   degradation : Pebs.degradation_spec option;
       (** fault injection: degrade every PEBS unit of the profiling run
           (sample loss / skid / misattribution); [None] = clean *)
 }
 
-(** Prime periods (31/17/127/211) so sampling does not alias with loop
-    bodies. *)
+(** Prime periods (31/17/127) so sampling does not alias with loop
+    bodies. Every profiling run reads the LBR each 211 retired
+    instructions, and each PEBS unit buffers [Pebs.create]'s default
+    2^20 samples. *)
 val default_profile_config : profile_config
 
 type profiled = {

@@ -13,7 +13,7 @@ type histogram = {
 
 type t = {
   counters : (string * int, counter) Hashtbl.t;
-  histograms : (string * int, histogram) Hashtbl.t;
+  histograms : (string, histogram) Hashtbl.t;
 }
 
 let create () = { counters = Hashtbl.create 32; histograms = Hashtbl.create 32 }
@@ -28,14 +28,12 @@ let counter t ~ctx name =
 
 let incr ?(by = 1) c = c.v <- c.v + by
 
-let fresh_hist () = { count = 0; sum = 0; max = min_int; slots = Array.make buckets 0 }
-
-let histogram t ~ctx name =
-  match Hashtbl.find_opt t.histograms (name, ctx) with
+let histogram t name =
+  match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-      let h = fresh_hist () in
-      Hashtbl.add t.histograms (name, ctx) h;
+      let h = { count = 0; sum = 0; max = min_int; slots = Array.make buckets 0 } in
+      Hashtbl.add t.histograms name h;
       h
 
 (* slot 0 holds v <= 0; slot i holds 2^(i-1) <= v < 2^i *)
@@ -65,24 +63,6 @@ let by_ctx t name =
     t.counters []
   |> List.sort compare
 
-let merged t name =
-  let acc = ref None in
-  Hashtbl.iter
-    (fun (n, _) h ->
-      if String.equal n name then begin
-        let m = match !acc with Some m -> m | None ->
-          let m = fresh_hist () in
-          acc := Some m;
-          m
-        in
-        m.count <- m.count + h.count;
-        m.sum <- m.sum + h.sum;
-        if h.max > m.max then m.max <- h.max;
-        Array.iteri (fun i v -> m.slots.(i) <- m.slots.(i) + v) h.slots
-      end)
-    t.histograms;
-  !acc
-
 let hist_max h = if h.count = 0 then 0 else h.max
 
 let hist_quantile h q =
@@ -99,11 +79,16 @@ let hist_quantile h q =
     walk 0 0
   end
 
-let names t =
-  let tbl = Hashtbl.create 32 in
-  Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace tbl n ()) t.counters;
-  Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace tbl n ()) t.histograms;
-  Hashtbl.fold (fun n () acc -> n :: acc) tbl [] |> List.sort compare
+(* Counter names and histograms, each sorted by name. *)
+let series t =
+  let counters = Hashtbl.fold (fun (n, _) _ acc -> n :: acc) t.counters [] in
+  let hists = Hashtbl.fold (fun n h acc -> (n, h) :: acc) t.histograms [] in
+  (List.sort_uniq compare counters, List.sort (fun (a, _) (b, _) -> compare a b) hists)
+
+(* the highest non-empty slot, 0 when every slot is empty *)
+let last_slot h =
+  let rec go i = if i < 0 then 0 else if h.slots.(i) > 0 then i else go (i - 1) in
+  go (buckets - 1)
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots and dashes
    become underscores; "a.b" and "a_b" therefore collide — acceptable
@@ -119,87 +104,50 @@ let prom_name name =
 
 let to_prometheus t =
   let buf = Buffer.create 4096 in
-  let counter_names, hist_names =
-    let has tbl name = Hashtbl.fold (fun (n, _) _ acc -> acc || String.equal n name) tbl false in
-    List.partition (fun n -> has t.counters n) (names t)
-  in
+  let line fmt = Printf.bprintf buf fmt in
+  let counter_names, hists = series t in
   List.iter
     (fun name ->
       let m = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" m);
-      List.iter
-        (fun (ctx, v) -> Buffer.add_string buf (Printf.sprintf "%s{ctx=\"%d\"} %d\n" m ctx v))
-        (by_ctx t name))
+      line "# TYPE %s counter\n" m;
+      List.iter (fun (ctx, v) -> line "%s{ctx=\"%d\"} %d\n" m ctx v) (by_ctx t name))
     counter_names;
   List.iter
-    (fun name ->
-      match merged t name with
-      | None -> ()
-      | Some h ->
-          let m = prom_name name in
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" m);
-          let last =
-            let rec go i = if i < 0 then 0 else if h.slots.(i) > 0 then i else go (i - 1) in
-            go (buckets - 1)
-          in
-          let cum = ref 0 in
-          for i = 0 to last do
-            cum := !cum + h.slots.(i);
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" m (slot_upper i) !cum)
-          done;
-          Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m h.count);
-          Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" m h.sum);
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" m h.count))
-    hist_names;
+    (fun (name, h) ->
+      let m = prom_name name in
+      line "# TYPE %s histogram\n" m;
+      let cum = ref 0 in
+      for i = 0 to last_slot h do
+        cum := !cum + h.slots.(i);
+        line "%s_bucket{le=\"%d\"} %d\n" m (slot_upper i) !cum
+      done;
+      line "%s_bucket{le=\"+Inf\"} %d\n" m h.count;
+      line "%s_sum %d\n" m h.sum;
+      line "%s_count %d\n" m h.count)
+    hists;
   Buffer.contents buf
 
 let to_json t =
-  let counter_names, hist_names =
-    let has tbl name = Hashtbl.fold (fun (n, _) _ acc -> acc || String.equal n name) tbl false in
-    List.partition (fun n -> has t.counters n) (names t)
+  let counter_names, hists = series t in
+  let counter name =
+    let by_ctx = List.map (fun (ctx, v) -> (string_of_int ctx, Json.Int v)) (by_ctx t name) in
+    (name, Json.Obj [ ("total", Json.Int (total t name)); ("by_ctx", Json.Obj by_ctx) ])
   in
-  let counters =
-    List.map
-      (fun name ->
-        ( name,
-          Json.Obj
-            [
-              ("total", Json.Int (total t name));
-              ( "by_ctx",
-                Json.Obj
-                  (List.map (fun (ctx, v) -> (string_of_int ctx, Json.Int v)) (by_ctx t name)) );
-            ] ))
-      counter_names
+  let bucket h i = Json.Obj [ ("le", Json.Int (slot_upper i)); ("count", Json.Int h.slots.(i)) ] in
+  let histogram (name, h) =
+    ( name,
+      Json.Obj
+        [
+          ("count", Json.Int h.count);
+          ("sum", Json.Int h.sum);
+          ("max", Json.Int (hist_max h));
+          ("p50", Json.Int (hist_quantile h 0.5));
+          ("p99", Json.Int (hist_quantile h 0.99));
+          ("buckets", Json.List (List.init (last_slot h + 1) (bucket h)));
+        ] )
   in
-  let histograms =
-    List.filter_map
-      (fun name ->
-        match merged t name with
-        | None -> None
-        | Some h ->
-            let last =
-              let rec go i = if i < 0 then 0 else if h.slots.(i) > 0 then i else go (i - 1) in
-              go (buckets - 1)
-            in
-            Some
-              ( name,
-                Json.Obj
-                  [
-                    ("count", Json.Int h.count);
-                    ("sum", Json.Int h.sum);
-                    ("max", Json.Int (hist_max h));
-                    ("p50", Json.Int (hist_quantile h 0.5));
-                    ("p99", Json.Int (hist_quantile h 0.99));
-                    ( "buckets",
-                      Json.List
-                        (List.init (last + 1) (fun i ->
-                             Json.Obj
-                               [
-                                 ("le", Json.Int (slot_upper i));
-                                 ("count", Json.Int h.slots.(i));
-                               ])) );
-                  ] ))
-      hist_names
-  in
-  Json.Obj [ ("counters", Json.Obj counters); ("histograms", Json.Obj histograms) ]
+  Json.Obj
+    [
+      ("counters", Json.Obj (List.map counter counter_names));
+      ("histograms", Json.Obj (List.map histogram hists));
+    ]

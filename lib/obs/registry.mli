@@ -1,12 +1,12 @@
 (** Counter and histogram registry.
 
-    Counters and histograms are keyed by name *per context* so consumers
-    can attribute (how many yields did the primary take vs the
-    scavengers?) and merged on demand for aggregate views. Histograms
-    are log-bucketed (bucket [i] holds values [v] with
-    [2^(i-1) <= v < 2^i]; bucket 0 holds [v <= 0]), so recording is O(1)
-    and merging is bucket-wise addition — the shape CoroBase-style
-    per-coroutine accounting needs at simulation speed. *)
+    Counters are keyed by name *per context*, so consumers can
+    attribute (how many yields did the primary take vs the
+    scavengers?) and sum on demand for aggregate views. Histograms are
+    keyed by name alone: every reader wants the distribution across
+    contexts. They are log-bucketed (bucket [i] holds values [v] with
+    [2^(i-1) <= v < 2^i]; bucket 0 holds [v <= 0]), so recording is
+    O(1) at simulation speed. *)
 
 type t
 
@@ -22,7 +22,8 @@ val counter : t -> ctx:int -> string -> counter
 
 val incr : ?by:int -> counter -> unit
 
-val histogram : t -> ctx:int -> string -> histogram
+(** Get-or-create; the same name always returns the same histogram. *)
+val histogram : t -> string -> histogram
 
 val observe : histogram -> int -> unit
 
@@ -36,21 +37,16 @@ val total : t -> string -> int
     Exported for [test_runtime] only. *)
 val by_ctx : t -> string -> (int * int) list
 
-(** Bucket-wise merge of a histogram across all contexts; [None] when
-    never written.
-    Exported for [test_obs] only. *)
-val merged : t -> string -> histogram option
-
 (** Stable machine-readable dump: counters as
     [{total, by_ctx}] and histograms as
-    [{count, sum, max, p50, p99, buckets}] (merged across contexts). *)
+    [{count, sum, max, p50, p99, buckets}]. *)
 val to_json : t -> Stallhide_util.Json.t
 
 (** Prometheus text-exposition rendering of the same registry: each
     counter becomes ["stallhide_<name>{ctx=\"<i>\"} v"] lines (one per
-    context), each histogram (merged across contexts) the standard
-    cumulative [_bucket{le=...}] / [_sum] / [_count] triplet with [le]
-    bounds at the log-bucket uppers. Dots/dashes in names map to
+    context), each histogram the standard cumulative
+    [_bucket{le=...}] / [_sum] / [_count] triplet with [le] bounds at
+    the log-bucket uppers. Dots/dashes in names map to
     underscores ("load.stall" → "stallhide_load_stall"), so distinct
     registry names that differ only in separator collide — fine for
     the fixed series vocabulary this simulator emits. *)

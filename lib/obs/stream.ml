@@ -56,7 +56,7 @@ let count t event =
       Registry.incr (Registry.counter r ~ctx (if fired then "yield.fired" else "yield.skipped"))
   | Event.Cache_access { ctx; level; stall; queue; _ } ->
       Registry.incr (Registry.counter r ~ctx (load_counter level));
-      if stall > 0 then Registry.observe (Registry.histogram r ~ctx "load.stall") stall;
+      if stall > 0 then Registry.observe (Registry.histogram r "load.stall") stall;
       if queue > 0 then Registry.incr ~by:queue (Registry.counter r ~ctx "load.queue_cycles")
   | Event.Stall { ctx; pc; cycles; _ } ->
       if pc >= 0 then t.stall_at <- bump t.stall_at pc cycles;
@@ -67,7 +67,7 @@ let count t event =
   | Event.Context_switch { from_ctx; at_pc; cost; _ } ->
       if at_pc >= 0 then t.switch_at <- bump t.switch_at at_pc cost;
       Registry.incr (Registry.counter r ~ctx:from_ctx "switch.count");
-      Registry.observe (Registry.histogram r ~ctx:from_ctx "switch.cost") cost
+      Registry.observe (Registry.histogram r "switch.cost") cost
   | Event.Scavenger_escalation { ctx; _ } ->
       Registry.incr (Registry.counter r ~ctx "scavenger.escalations")
   | Event.Watchdog { ctx; action; _ } ->
@@ -79,8 +79,8 @@ let count t event =
         | Event.Readmit -> "watchdog.readmissions"
       in
       Registry.incr (Registry.counter r ~ctx name)
-  | Event.Dispatch { ctx; start; stop } ->
-      Registry.observe (Registry.histogram r ~ctx "dispatch.cycles") (stop - start)
+  | Event.Dispatch { start; stop; _ } ->
+      Registry.observe (Registry.histogram r "dispatch.cycles") (stop - start)
   | Event.Span_open { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "span.opened")
   | Event.Span_close { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "span.closed")
   | Event.Steal { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "steal.migrations")

@@ -1,8 +1,8 @@
 open Stallhide_isa
 
-(* Per-pc load statistics, flat. A pc has a [load] line in [save] once
-   any unit sampled it (or a loaded profile listed it): [seen]. Arrays
-   cover the program and any pc a skidded sample landed past its end. *)
+(* Per-pc load statistics, flat, one row per instruction. A pc has a
+   [load] line in [save] once any unit sampled it (or a loaded profile
+   listed it): [seen]. *)
 type t = {
   program : Program.t;
   seen : bool array;
@@ -18,15 +18,15 @@ type t = {
   mutable samples : int;
 }
 
-let make ~program ~pcs ~exec_period ~miss_period ~stall_period =
+let make ~program ~exec_period ~miss_period ~stall_period =
   let n = Program.length program in
   {
     program;
-    seen = Array.make pcs false;
-    exec_samples = Array.make pcs 0;
-    miss_samples = Array.make pcs 0;
-    stall_sampled = Array.make pcs 0;
-    frontend_sampled = Array.make pcs 0;
+    seen = Array.make n false;
+    exec_samples = Array.make n 0;
+    miss_samples = Array.make n 0;
+    stall_sampled = Array.make n 0;
+    frontend_sampled = Array.make n 0;
     exec_period;
     miss_period;
     stall_period;
@@ -84,32 +84,24 @@ let add_run t st ~head ~tail ~latency =
   end
 
 let build ~program ?exec ?miss ?stall ?frontend ?lbr () =
-  let units = List.filter_map Fun.id [ exec; miss; stall; frontend ] in
-  (* skid may push a sample past the last pc *)
-  let pcs =
-    List.fold_left
-      (fun acc p ->
-        let m = ref acc in
-        for i = 0 to Pebs.sample_count p - 1 do
-          m := max !m (Pebs.sample_pc p i + 1)
-        done;
-        !m)
-      (Program.length program) units
-  in
   let period = function Some p -> Pebs.period p | None -> 1 in
   let t =
-    make ~program ~pcs ~exec_period:(period exec) ~miss_period:(period miss)
+    make ~program ~exec_period:(period exec) ~miss_period:(period miss)
       ~stall_period:(period stall)
   in
-  (* each sample adds [weight] to its pc's [column] *)
+  let n = Program.length program in
+  (* each sample adds [weight] to its pc's [column]; a sample that skid
+     carried past the last pc counts, but has no row *)
   let eat unit column weight =
     Option.iter
       (fun p ->
         for i = 0 to Pebs.sample_count p - 1 do
           let pc = Pebs.sample_pc p i in
           t.samples <- t.samples + 1;
-          t.seen.(pc) <- true;
-          column.(pc) <- column.(pc) + weight
+          if pc < n then begin
+            t.seen.(pc) <- true;
+            column.(pc) <- column.(pc) + weight
+          end
         done)
       unit
   in
@@ -121,7 +113,6 @@ let build ~program ?exec ?miss ?stall ?frontend ?lbr () =
   | None -> ()
   | Some l ->
       let st = statics program in
-      let n = Program.length program in
       for s = 0 to Lbr.snapshot_count l - 1 do
         t.samples <- t.samples + 1;
         (* consecutive records [r], [r + 1] of one snapshot *)
@@ -145,7 +136,7 @@ let build ~program ?exec ?miss ?stall ?frontend ?lbr () =
       done);
   t
 
-let in_table t pc = pc >= 0 && pc < Array.length t.seen
+let in_table t pc = pc >= 0 && pc < Program.length t.program
 
 let miss_probability t pc =
   if (not (in_table t pc)) || t.exec_samples.(pc) = 0 then None
@@ -177,7 +168,7 @@ let candidate_loads t =
   !acc
 
 let pc_cycles t pc =
-  if pc < 0 || pc >= Array.length t.lbr_cycles || t.lbr_execs.(pc) = 0.0 then None
+  if (not (in_table t pc)) || t.lbr_execs.(pc) = 0.0 then None
   else Some (t.lbr_cycles.(pc) /. t.lbr_execs.(pc))
 
 let total_samples t = t.samples
@@ -221,8 +212,9 @@ let save t =
 let load ~program text =
   let fail fmt = Printf.ksprintf failwith fmt in
   let n = Program.length program in
-  let t = make ~program ~pcs:n ~exec_period:1 ~miss_period:1 ~stall_period:1 in
+  let t = make ~program ~exec_period:1 ~miss_period:1 ~stall_period:1 in
   let exec_period = ref 1 and miss_period = ref 1 and stall_period = ref 1 in
+  let has_meta = ref false in
   let field line kv key =
     match String.split_on_char '=' kv with
     | [ k; v ] when k = key -> v
@@ -252,6 +244,7 @@ let load ~program text =
             let plen = int_of_string (field line len "program_length") in
             if plen <> n then
               fail "Profile.load: profile is for a %d-instruction program, got %d" plen n;
+            has_meta := true;
             t.samples <- count line samples "samples"
         | [ "periods"; e; m; st ] ->
             exec_period := period line e "exec";
@@ -272,4 +265,6 @@ let load ~program text =
             t.lbr_execs.(pc) <- estimate line ex "execs"
         | _ -> fail "Profile.load: cannot parse line %S" line)
     lines;
+  (* the program-length check is on the meta line, so it must be there *)
+  if not !has_meta then fail "Profile.load: no meta line";
   { t with exec_period = !exec_period; miss_period = !miss_period; stall_period = !stall_period }

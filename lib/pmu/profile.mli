@@ -24,7 +24,9 @@ open Stallhide_isa
 
 type t
 
-(** Aggregate the units' samples and snapshots.
+(** Aggregate the units' samples and snapshots. A PEBS sample that
+    skid carried past the last pc counts in {!total_samples} but has
+    no row.
     @raise Invalid_argument if an LBR record leaves the program (a
     branch from outside it, or to a pc past one beyond its end). *)
 val build :
@@ -68,9 +70,10 @@ val pp_summary : Format.formatter -> t -> unit
 
 (** AutoFDO-style persistence: profiles are collected in production and
     applied at (re)build time, possibly in a different process. The
-    format is line-oriented text; [load] validates it against the
-    program it will instrument (by length) and refuses values no
-    profiling run produces: a period that is not positive, a negative
+    format is line-oriented text, with one row per instruction of the
+    program. [load] validates it against the program it will
+    instrument (by the length on its required [meta] line) and refuses
+    values no profiling run produces: a period that is not positive, a negative
     sample count, stall total or [samples], and an [lbr] estimate that
     is negative or not finite.
 

@@ -22,8 +22,6 @@ let default_protection =
 
 type config = {
   policy : policy;
-  switch : Switch_cost.t;
-  engine : Engine.config;
   max_active : int;
   protection : protection option;
 }
@@ -31,8 +29,6 @@ type config = {
 let default_config =
   {
     policy = Side_integration;
-    switch = Switch_cost.coroutine;
-    engine = Engine.default_config;
     max_active = 16;
     protection = None;
   }
@@ -58,7 +54,7 @@ let efficiency r =
   else
     float_of_int (r.cycles - r.idle - r.switch_cycles - r.stall) /. float_of_int r.cycles
 
-let run ?(config = default_config) ?(max_cycles = max_int) hier mem tasks =
+let run ?(config = default_config) hier mem tasks =
   let rec sorted = function
     | a :: (b :: _ as rest) -> a.Task.arrival <= b.Task.arrival && sorted rest
     | [ _ ] | [] -> true
@@ -208,18 +204,18 @@ let run ?(config = default_config) ?(max_cycles = max_int) hier mem tasks =
   in
   let charge (t : Task.t) pc =
     incr switches;
-    let c = Switch_cost.at_site config.switch t.Task.ctx.Context.program pc in
+    let c = Switch_cost.at_site Switch_cost.coroutine t.Task.ctx.Context.program pc in
     switch_cycles := !switch_cycles + c;
     clock := !clock + c
   in
   let charge_base () =
     incr switches;
-    switch_cycles := !switch_cycles + config.switch.Switch_cost.base;
-    clock := !clock + config.switch.Switch_cost.base
+    switch_cycles := !switch_cycles + Switch_cost.coroutine.Switch_cost.base;
+    clock := !clock + Switch_cost.coroutine.Switch_cost.base
   in
   let dispatch (t : Task.t) =
     if t.Task.started_at < 0 then t.Task.started_at <- !clock;
-    Engine.run config.engine hier mem ~clock ~deadline:max_cycles t.Task.ctx
+    Engine.run Engine.default_config hier mem ~clock t.Task.ctx
   in
   (* Event-aware: batch tasks fill a latency task's stall until one of
      them reaches a scavenger-phase yield. *)
@@ -236,7 +232,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) hier mem tasks =
     find k 0
   in
   let rec hide guard =
-    if guard > 0 && !clock < max_cycles then
+    if guard > 0 then
       match batch_at !rr with
       | None -> ()
       | Some j -> (
@@ -266,7 +262,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) hier mem tasks =
   (* Main loop: one dispatch decision per iteration. *)
   let continue = ref true in
   while
-    !continue && !clock < max_cycles
+    !continue
     && (Stallhide_util.Vec.length active > 0
        || (not (Queue.is_empty rq))
        || !pending <> [] || !delayed <> [])

@@ -17,9 +17,7 @@
     Sojourn time (completion − arrival) per class is the figure of
     merit, next to core efficiency. *)
 
-open Stallhide_cpu
 open Stallhide_mem
-open Stallhide_runtime
 
 type policy = Run_to_completion | Side_integration | Event_aware
 
@@ -55,8 +53,6 @@ val default_protection : protection
 
 type config = {
   policy : policy;
-  switch : Switch_cost.t;
-  engine : Engine.config;
   max_active : int;  (** admission bound on concurrently-live tasks *)
   protection : protection option;  (** [None] (the default) disables *)
 }
@@ -81,12 +77,12 @@ type result = {
 
 val efficiency : result -> float
 
-(** Tasks must be sorted by arrival time; engine-level events come from
-    the probe in [config.engine].
+(** Tasks must be sorted by arrival time. Tasks switch at
+    {!Stallhide_runtime.Switch_cost.coroutine} and run on
+    {!Stallhide_cpu.Engine.default_config}.
     @raise Invalid_argument otherwise. *)
 val run :
   ?config:config ->
-  ?max_cycles:int ->
   Hierarchy.t ->
   Address_space.t ->
   Task.t list ->

@@ -410,5 +410,4 @@ let make ?image ?(manual = false) ?(lanes = 8) ?(txns = 64) ?(batch = 4) ?(mix =
       direct_hits = !direct_hits;
     } )
 
-let workload ?image ?manual ?lanes ?txns ?batch ?mix ?keys ?theta ~seed () =
-  fst (make ?image ?manual ?lanes ?txns ?batch ?mix ?keys ?theta ~seed ())
+let workload ?manual ?lanes ?txns ?keys ~seed () = fst (make ?manual ?lanes ?txns ?keys ~seed ())

@@ -57,16 +57,13 @@ val make :
   unit ->
   Stallhide_workloads.Workload.t * layout
 
-(** [make] without the layout, for workload dispatch tables. *)
+(** [make] without the layout, at [make]'s default image, batch, mix
+    and theta, for workload dispatch tables. *)
 val workload :
-  ?image:Address_space.t ->
   ?manual:bool ->
   ?lanes:int ->
   ?txns:int ->
-  ?batch:int ->
-  ?mix:int ->
   ?keys:int ->
-  ?theta:float ->
   seed:int ->
   unit ->
   Stallhide_workloads.Workload.t

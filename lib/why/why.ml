@@ -6,11 +6,7 @@ module Engine = Stallhide_cpu.Engine
 module Latency = Stallhide_runtime.Latency
 module Scheduler = Stallhide_runtime.Scheduler
 module Switch_cost = Stallhide_runtime.Switch_cost
-module Context = Stallhide_cpu.Context
 module Faults = Stallhide_faults.Faults
-module Sweep = Stallhide_obs.Sweep
-module Causal = Stallhide_obs.Causal
-module Critical_path = Stallhide_obs.Critical_path
 module Stream = Stallhide_obs.Stream
 module Attribution = Stallhide_obs.Attribution
 module Dispatch = Stallhide_sched.Dispatch
@@ -102,17 +98,6 @@ type analysis = { config : config; causal : Causal.report; truth : ground_truth 
 
 (* ---- shared plumbing ---------------------------------------------- *)
 
-let sample_of_summary (s : Latency.summary) : Sweep.sample =
-  {
-    Sweep.count = s.Latency.count;
-    mean = s.mean;
-    p50 = s.p50;
-    p90 = s.p90;
-    p99 = s.p99;
-    p999 = s.p999;
-    max = s.max;
-  }
-
 (* A whole-run spike: the [Faults] window machinery with the window
    opened at cycle 0 and never closed. *)
 let spike_fault ~l3_mult ~dram_mult =
@@ -121,28 +106,23 @@ let spike_fault ~l3_mult ~dram_mult =
 (* The instrumented program is built once per analysis: the program
    text is seed-invariant (only image contents and register inits
    depend on the seed), so yield-site pcs are stable across repeated
-   seeds and the site targets stay comparable. *)
+   seeds and the site targets stay comparable. [injected] is the site a
+   [Site_load] injection picked: its yield pc and the instrumented pcs
+   its extra stall lands on. *)
 type prepared = {
   program : Stallhide_isa.Program.t;
   orig_of_new : int array;
   sites : (int * Stallhide_isa.Instr.yield_kind * int list) list;
+  injected : (int * int list) option;
 }
-
-let prepare cfg =
-  let wl = make_workload cfg.workload ~lanes:cfg.lanes ~ops:cfg.ops ~manual:false ~seed:cfg.seed in
-  let _, inst = Pipeline.place wl in
-  let sites =
-    Attribution.covering_sites inst.Pipeline.program ~orig_of_new:inst.Pipeline.orig_of_new
-      ~selected:inst.Pipeline.primary.selected
-  in
-  { program = inst.Pipeline.program; orig_of_new = inst.Pipeline.orig_of_new; sites }
 
 (* [pc] seen by the engine is an instrumented pc; site membership is
    defined over the original pcs the site covers. Returns the
    instrumented pcs that map to one of [covered]. *)
-let covered_pcs prepared covered =
-  let oon = prepared.orig_of_new in
-  List.filter (fun pc -> List.mem oon.(pc) covered) (List.init (Array.length oon) Fun.id)
+let covered_pcs orig_of_new covered =
+  List.filter
+    (fun pc -> List.mem orig_of_new.(pc) covered)
+    (List.init (Array.length orig_of_new) Fun.id)
 
 (* One deterministic single-core run: rebuild the image at [seed],
    rebind the prepared program, arm the injection (spike on the
@@ -150,8 +130,8 @@ let covered_pcs prepared covered =
    counterfactual under test (zero one level, or zero one site's
    residual stall). Both stall edits are one per-pc shape table, so the
    run stays on the µop loop. *)
-let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_level
-    ~zero_site ~inject_site () =
+let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ?zero_level ?(zero_site = [])
+    seed =
   let lanes = Option.value lanes ~default:cfg.lanes in
   let wl = make_workload cfg.workload ~lanes ~ops:cfg.ops ~manual:false ~seed in
   let wl = Workload.with_program wl prepared.program in
@@ -160,13 +140,13 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_lev
   | Some (Level_spike { l3_mult; dram_mult }) ->
       Faults.prepare_hier (spike_fault ~l3_mult ~dram_mult) hier
   | _ -> ());
-  (match zero_level with Some l -> Hierarchy.set_level_scale hier l ~percent:0 | None -> ());
+  Option.iter (fun l -> Hierarchy.set_level_scale hier l ~percent:0) zero_level;
   let inject =
-    match (cfg.injection, inject_site) with
-    | Some (Site_load { extra }), Some pcs -> List.map (fun pc -> (pc, extra)) pcs
+    match (cfg.injection, prepared.injected) with
+    | Some (Site_load { extra }), Some (_, pcs) -> List.map (fun pc -> (pc, extra)) pcs
     | _ -> []
   in
-  let zero = List.map (fun pc -> (pc, -max_int)) (Option.value zero_site ~default:[]) in
+  let zero = List.map (fun pc -> (pc, -max_int)) zero_site in
   let stall_shape =
     match inject @ zero with
     | [] -> [||]
@@ -184,35 +164,47 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ~seed ~zero_lev
     Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image
       (Workload.contexts wl)
   in
-  sample_of_summary
-    (Option.value (Latency.summarize_recorder recorder) ~default:Latency.empty_summary)
+  Option.value (Latency.summarize_recorder recorder) ~default:Latency.empty_summary
 
 (* The "dominant" yield site for ground-truth injection: the selected
    site whose covered loads execute the most in a clean baseline run
    (ties go to the lowest yield pc), counted by [Pipeline.ground_truth]
-   over the whole run. Deterministic given the seed. *)
-let pick_site cfg prepared =
-  match prepared.sites with
+   over the whole run. Deterministic given the seed. Returns the site's
+   yield pc and the instrumented pcs of its loads. *)
+let pick_site wl program orig_of_new sites =
+  match sites with
   | [] -> None
   | sites ->
-      let wl =
-        make_workload cfg.workload ~lanes:cfg.lanes ~ops:cfg.ops ~manual:false ~seed:cfg.seed
-      in
-      let truth = Pipeline.ground_truth (Workload.with_program wl prepared.program) in
+      let truth = Pipeline.ground_truth (Workload.with_program wl program) in
       let execs pc = match Hashtbl.find_opt truth pc with Some (e, _, _) -> e | None -> 0 in
-      let score covered =
-        List.fold_left (fun acc pc -> acc + execs pc) 0 (covered_pcs prepared covered)
-      in
       let best =
         List.fold_left
           (fun acc (pc, _kind, covered) ->
-            let s = score covered in
+            let pcs = covered_pcs orig_of_new covered in
+            let s = List.fold_left (fun acc pc -> acc + execs pc) 0 pcs in
             match acc with
             | Some (_, _, best_s) when best_s >= s -> acc
-            | _ -> Some (pc, covered, s))
+            | _ -> Some (pc, pcs, s))
           None sites
       in
-      Option.map (fun (pc, covered, _s) -> (pc, covered)) best
+      Option.map (fun (pc, pcs, _s) -> (pc, pcs)) best
+
+(* The prologue {!analyze} and the single-core sweep share: instrument
+   the workload at the first seed and, for a [Site_load] injection,
+   pick the injected site. *)
+let prepare cfg =
+  let wl = make_workload cfg.workload ~lanes:cfg.lanes ~ops:cfg.ops ~manual:false ~seed:cfg.seed in
+  let _, inst = Pipeline.place wl in
+  let program = inst.Pipeline.program and orig_of_new = inst.Pipeline.orig_of_new in
+  let sites =
+    Attribution.covering_sites program ~orig_of_new ~selected:inst.Pipeline.primary.selected
+  in
+  let injected =
+    match cfg.injection with
+    | Some (Site_load _) -> pick_site wl program orig_of_new sites
+    | _ -> None
+  in
+  { program; orig_of_new; sites; injected }
 
 (* ---- causal attribution ------------------------------------------- *)
 
@@ -224,13 +216,6 @@ let seeds_of cfg =
 let analyze cfg =
   let seeds = seeds_of cfg in
   let prepared = prepare cfg in
-  let injected_site =
-    match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
-  in
-  let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
-  let base seed =
-    run_single cfg prepared ~seed ~zero_level:None ~zero_site:None ~inject_site:inject_pcs ()
-  in
   let resource_targets =
     List.map
       (fun level ->
@@ -240,15 +225,12 @@ let analyze cfg =
             kind = Causal.Resource;
             detail = Printf.sprintf "re-price %s services to the L1 cost" name;
           },
-          fun seed ->
-            run_single cfg prepared ~seed ~zero_level:(Some level) ~zero_site:None
-              ~inject_site:inject_pcs () ))
+          fun seed -> run_single cfg prepared ~zero_level:level seed ))
       [ Hierarchy.L2; Hierarchy.L3; Hierarchy.Dram ]
   in
   let site_targets =
     List.map
       (fun (pc, kind, covered) ->
-        let pcs = covered_pcs prepared covered in
         ( {
             Causal.id = Printf.sprintf "site:%d" pc;
             kind = Causal.Site;
@@ -256,12 +238,15 @@ let analyze cfg =
               Printf.sprintf "zero residual stall at %s yield@%d (%d loads)"
                 (Stallhide_obs.Event.kind_name kind) pc (List.length covered);
           },
-          fun seed ->
-            run_single cfg prepared ~seed ~zero_level:None ~zero_site:(Some pcs)
-              ~inject_site:inject_pcs () ))
+          let zero_site = covered_pcs prepared.orig_of_new covered in
+          fun seed -> run_single cfg prepared ~zero_site seed ))
       prepared.sites
   in
-  let causal = Causal.run ~seeds ~base ~targets:(resource_targets @ site_targets) in
+  let causal =
+    Causal.run ~seeds
+      ~base:(fun seed -> run_single cfg prepared seed)
+      ~targets:(resource_targets @ site_targets)
+  in
   let truth =
     match cfg.injection with
     | None -> None
@@ -269,7 +254,7 @@ let analyze cfg =
         let id = if dram_mult > l3_mult then "level:DRAM" else "level:L3" in
         Some { injected = id; rank = Causal.rank_of cfg.metric causal ~id }
     | Some (Site_load _) -> (
-        match injected_site with
+        match prepared.injected with
         | None -> Some { injected = "site:?"; rank = None }
         | Some (pc, _) ->
             let id = Printf.sprintf "site:%d" pc in
@@ -342,9 +327,7 @@ let smp_params cfg seed =
     prepare_core = smp_prepare_core cfg;
   }
 
-let smp_sample params =
-  let r = Harness.run params in
-  sample_of_summary r.Harness.result.Machine.summary
+let smp_sample params = (Harness.run params).Harness.result.Machine.summary
 
 let smp_sweep cfg =
   let seeds = seeds_of cfg in
@@ -383,15 +366,7 @@ let smp_sweep cfg =
 
 let single_sweep cfg =
   let seeds = seeds_of cfg in
-  let prepared = prepare cfg in
-  let injected_site =
-    match cfg.injection with Some (Site_load _) -> pick_site cfg prepared | _ -> None
-  in
-  let inject_pcs = Option.map (fun (_pc, covered) -> covered_pcs prepared covered) injected_site in
-  let run ?memcfg ?lanes seed =
-    run_single cfg prepared ?memcfg ?lanes ~seed ~zero_level:None ~zero_site:None
-      ~inject_site:inject_pcs ()
-  in
+  let run = run_single cfg (prepare cfg) in
   let mem = Memconfig.default in
   let knobs =
     [
@@ -429,7 +404,7 @@ let single_sweep cfg =
        else ("lanes*2", "double the concurrent lanes", fun seed -> run ~lanes:(cfg.lanes * 2) seed));
     ]
   in
-  Sweep.run ~seeds ~base:(fun seed -> run seed) ~knobs
+  Sweep.run ~seeds ~base:run ~knobs
 
 let sweep cfg =
   match (cfg.workload, cfg.injection) with
@@ -453,18 +428,10 @@ let critical cfg =
         []
         r.Harness.result.Machine.per_core
     in
-    let reqs =
-      Array.to_list r.Harness.result.Machine.requests
-      |> List.map (fun (q : Machine.request) ->
-             {
-               Critical_path.rid = q.Machine.rid;
-               ctx = q.Machine.ctx.Context.id;
-               core = q.Machine.served_by;
-               arrival = q.Machine.arrival;
-               finished = q.Machine.finished_at;
-             })
+    let bds =
+      List.filter_map (Critical_path.breakdown ~events)
+        (Array.to_list r.Harness.result.Machine.requests)
     in
-    let bds = List.filter_map (fun q -> Critical_path.breakdown ~events q) reqs in
     Some
       {
         requests = List.length bds;

@@ -1,9 +1,11 @@
 (** The causal-debugging front door: `stallhide why` and bench C21.
 
-    This layer wires the workload-agnostic analysis drivers
-    ({!Stallhide_obs.Sweep}, {!Stallhide_obs.Causal},
-    {!Stallhide_obs.Critical_path}) to real simulator runs. It owns
-    the interventions:
+    This module wires the workload-agnostic analysis drivers beside it
+    ({!Sweep}, {!Causal}, {!Critical_path}) to real simulator runs:
+    each arm is a closure from seed to the run's
+    {!Stallhide_runtime.Latency.summary}, and the critical path reads
+    the served {!Stallhide_smp.Machine.request}s. It owns the
+    interventions:
 
     - resource counterfactuals arm {!Stallhide_mem.Hierarchy.set_level_scale}
       so every miss charged beyond L1 at one level is re-priced to the
@@ -17,14 +19,13 @@
       per-execution stall at one site's loads (the same table), so the
       recovered ranking can be checked against a known cause.
 
-    Each analysis instruments the workload once (the program text is
-    seed-invariant; only image contents change with the seed) and
-    re-runs it per seed per arm, so reports are deterministic given the
-    configuration. Every run of {!analyze} and {!sweep} is untraced and
+    {!analyze} and the single-core {!sweep} share one prologue: it
+    instruments the workload once (the program text is seed-invariant;
+    only image contents change with the seed) and picks the injected
+    site, and each arm re-runs the program per seed, so reports are
+    deterministic given the configuration. Every run of {!analyze} and {!sweep} is untraced and
     takes the engine's decoded-µop loop; only {!critical} reads a
     trace. *)
-
-open Stallhide_obs
 
 (** A known cause injected for ground-truth validation. *)
 type injection =

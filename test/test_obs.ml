@@ -54,8 +54,9 @@ let test_registry_counts () =
   let r = Obs.Stream.registry s in
   Alcotest.(check int) "stall.cycles matches metrics" m.Metrics.stall
     (Obs.Registry.total r "stall.cycles");
+  let histograms = Json.member "histograms" (Obs.Registry.to_json r) in
   Alcotest.(check bool) "dispatch histogram present" true
-    (Obs.Registry.merged r "dispatch.cycles" <> None)
+    (Option.bind histograms (Json.member "dispatch.cycles") <> None)
 
 (* --- Perfetto export: parses back, timestamps monotone per track --- *)
 
@@ -259,14 +260,7 @@ let test_perfetto_golden () =
   match Sys.getenv_opt "STALLHIDE_BLESS" with
   | Some path when path <> "" -> Json.write ~path got
   | _ -> (
-      (* dune runtest runs in test/; dune exec from the project root *)
-      let golden_path =
-        if Sys.file_exists "golden/perfetto_small.json" then "golden/perfetto_small.json"
-        else "test/golden/perfetto_small.json"
-      in
-      let ic = open_in golden_path in
-      let want = Json.of_string (really_input_string ic (in_channel_length ic)) in
-      close_in ic;
+      let want = Json.of_string (Golden.read "perfetto_small.json") in
       match json_diff "$" want got with
       | None -> ()
       | Some d -> Alcotest.fail ("exporter output diverges from golden file at " ^ d))
@@ -349,52 +343,14 @@ let test_prometheus_roundtrip () =
     (fst
        (List.fold_left (fun (ok, prev) v -> (ok && v >= prev, v)) (true, 0) buckets))
 
-(* --- Sweep / causal drivers on synthetic closures --- *)
+(* --- Golden registry dumps of one traced round-robin run --- *)
 
-let synth v =
-  { Obs.Sweep.count = 1; mean = float_of_int v; p50 = v; p90 = v; p99 = v; p999 = v; max = v }
-
-let test_sweep_stats () =
-  let r =
-    Obs.Sweep.run ~seeds:[ 1; 2; 3 ]
-      ~base:(fun seed -> synth (100 + seed))
-      ~knobs:[ ("k", "perturb", fun seed -> synth (150 + seed)) ]
-  in
-  let row = List.hd r.Obs.Sweep.rows in
-  let d = Obs.Sweep.series_value Obs.Sweep.P99 row.Obs.Sweep.delta in
-  (* paired differences are a constant +50, so the CI collapses to 0
-     even though both arms vary with the seed *)
-  Alcotest.(check (float 1e-9)) "paired delta" 50.0 d.Obs.Sweep.value;
-  Alcotest.(check (float 1e-9)) "paired ci" 0.0 d.Obs.Sweep.ci95;
-  let b = Obs.Sweep.series_value Obs.Sweep.Mean r.Obs.Sweep.base in
-  Alcotest.(check (float 1e-9)) "base mean" 102.0 b.Obs.Sweep.value;
-  Alcotest.(check (float 1e-3)) "base ci (sd 1, n 3)" (1.96 /. sqrt 3.0) b.Obs.Sweep.ci95
-
-let test_causal_ranking () =
-  let t id kind = { Obs.Causal.id; kind; detail = "" } in
-  let r =
-    Obs.Causal.run ~seeds:[ 7 ]
-      ~base:(fun _ -> synth 100)
-      ~targets:
-        [
-          (t "level:L3" Obs.Causal.Resource, fun _ -> synth 90);
-          (t "level:DRAM" Obs.Causal.Resource, fun _ -> synth 40);
-          (t "site:3" Obs.Causal.Site, fun _ -> synth 95);
-        ]
-  in
-  Alcotest.(check (option int)) "DRAM #1 among resources" (Some 1)
-    (Obs.Causal.rank_of Obs.Sweep.P99 r ~id:"level:DRAM");
-  Alcotest.(check (option int)) "L3 #2 among resources" (Some 2)
-    (Obs.Causal.rank_of Obs.Sweep.P99 r ~id:"level:L3");
-  Alcotest.(check (option int)) "site ranks within its own kind" (Some 1)
-    (Obs.Causal.rank_of Obs.Sweep.P99 r ~id:"site:3");
-  Alcotest.(check (option int)) "unknown id" None
-    (Obs.Causal.rank_of Obs.Sweep.P99 r ~id:"level:L1");
-  let dram =
-    List.find (fun (c : Obs.Causal.contribution) -> c.Obs.Causal.target.Obs.Causal.id = "level:DRAM")
-      r.Obs.Causal.rows
-  in
-  Alcotest.(check (float 1e-9)) "share of base" 0.6 (Obs.Causal.share Obs.Sweep.P99 r dram)
+let test_registry_golden () =
+  let opts, s = with_obs () in
+  let (_ : Metrics.t) = Baselines.run_round_robin ~opts (chase ~lanes:4 ~hops:100 ()) in
+  let r = Obs.Stream.registry s in
+  Golden.check "registry_round_robin.json" (Json.to_string_pretty (Obs.Registry.to_json r) ^ "\n");
+  Golden.check "registry_round_robin.prom" (Obs.Registry.to_prometheus r)
 
 let () =
   Alcotest.run "obs"
@@ -415,9 +371,6 @@ let () =
           Alcotest.test_case "per-pc views count dropped events" `Quick test_stream_per_pc_views;
         ] );
       ("prometheus", [ Alcotest.test_case "text exposition round-trip" `Quick test_prometheus_roundtrip ]);
-      ( "causal-drivers",
-        [
-          Alcotest.test_case "sweep stats" `Quick test_sweep_stats;
-          Alcotest.test_case "causal ranking" `Quick test_causal_ranking;
-        ] );
+      ( "golden-registry",
+        [ Alcotest.test_case "json and prometheus of a traced run" `Quick test_registry_golden ] );
     ]

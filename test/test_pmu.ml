@@ -228,11 +228,7 @@ let test_profile_build_rejects_foreign_lbr () =
 
 (* --- persistence --- *)
 
-let test_profile_roundtrip () =
-  let prog, _, _ = build_chase ~hops:10 in
-  let p = profile_of_chase ~hops:2000 in
-  let text = Profile.save p in
-  let p2 = Profile.load ~program:prog text in
+let check_same_estimates prog p p2 =
   Alcotest.(check int) "samples" (Profile.total_samples p) (Profile.total_samples p2);
   for pc = 0 to Program.length prog - 1 do
     Alcotest.(check (option (float 0.0001)))
@@ -250,6 +246,48 @@ let test_profile_roundtrip () =
       (Printf.sprintf "lbr pc %d" pc)
       (Profile.pc_cycles p pc) (Profile.pc_cycles p2 pc)
   done
+
+let test_profile_roundtrip () =
+  let prog, _, _ = build_chase ~hops:10 in
+  let p = profile_of_chase ~hops:2000 in
+  check_same_estimates prog p (Profile.load ~program:prog (Profile.save p))
+
+(* Skid 8 carries samples of a 4-instruction loop past its last pc:
+   they count in [total_samples], get no row, and the saved profile
+   loads back. *)
+let test_profile_skid_roundtrip () =
+  let prog = Asm.parse "loop:\n  load r1, [r1]\n  sub r2, r2, 1\n  br gt r2, 0, loop\n  halt" in
+  let mem = Address_space.create ~bytes:(1 lsl 20) in
+  let nodes = 1024 in
+  let base = Address_space.alloc mem ~bytes:(nodes * 64) in
+  for i = 0 to nodes - 1 do
+    Address_space.store mem (base + (i * 64)) (base + (((i + 1) mod nodes) * 64))
+  done;
+  let ctx = Context.create ~id:0 ~mode:Context.Primary prog in
+  Context.set_regs ctx [ (Reg.r1, base); (Reg.r2, 500) ];
+  let exec = Pebs.create ~event:Pebs.Loads_all ~period:3 () in
+  let miss = Pebs.create ~event:Pebs.L2_miss_loads ~period:3 () in
+  let stall = Pebs.create ~event:Pebs.Stall_cycles ~period:97 () in
+  let probe = Probe.create () in
+  List.iter
+    (fun u ->
+      Pebs.degrade u { Pebs.loss = 0.0; skid = 8; misattr = 0.0; seed = 1 };
+      Pebs.attach u probe)
+    [ exec; miss; stall ];
+  let engine = { Engine.default_config with Engine.probe = Some probe } in
+  (match Engine.run engine (Hierarchy.create cfg) mem ~clock:(ref 0) ctx with
+  | Engine.Halted -> ()
+  | _ -> Alcotest.fail "profiling run did not halt");
+  let past_end = ref 0 in
+  for i = 0 to Pebs.sample_count exec - 1 do
+    if Pebs.sample_pc exec i >= Program.length prog then incr past_end
+  done;
+  Alcotest.(check bool) "skid carried samples past the end" true (!past_end > 0);
+  let p = Profile.build ~program:prog ~exec ~miss ~stall () in
+  Alcotest.(check int) "every sample counts"
+    (Pebs.sample_count exec + Pebs.sample_count miss + Pebs.sample_count stall)
+    (Profile.total_samples p);
+  check_same_estimates prog p (Profile.load ~program:prog (Profile.save p))
 
 let test_profile_load_rejects () =
   let prog, _, _ = build_chase ~hops:10 in
@@ -290,6 +328,7 @@ let test_profile_load_rejects () =
       ("infinite lbr execs", ok ^ "lbr pc=0 cycles=1.0 execs=inf\n");
       ("negative lbr execs", ok ^ "lbr pc=0 cycles=1.0 execs=-2.0\n");
       ("edge line", ok ^ "edge from=4 to=0 count=3\n");
+      ("no meta line", "stallhide-profile v1\nperiods exec=1 miss=1 stall=1\n");
     ]
 
 (* --- front-end filtering (§3.2 footnote) --- *)
@@ -833,6 +872,7 @@ let () =
             test_profile_build_rejects_foreign_lbr;
           Alcotest.test_case "frontend filtering" `Quick test_frontend_filtering;
           Alcotest.test_case "save/load roundtrip" `Quick test_profile_roundtrip;
+          Alcotest.test_case "skidded save/load roundtrip" `Quick test_profile_skid_roundtrip;
           Alcotest.test_case "load rejects bad input" `Quick test_profile_load_rejects;
           Alcotest.test_case "overhead counts every unit" `Quick test_overhead_counts_every_unit;
         ] );

@@ -5,8 +5,8 @@
    tier-1 suite honest. *)
 
 module Why = Stallhide_why.Why
-module Sweep = Stallhide_obs.Sweep
-module Causal = Stallhide_obs.Causal
+module Sweep = Stallhide_why.Sweep
+module Causal = Stallhide_why.Causal
 
 let cfg ?injection ?(workload = "hash-join") () =
   { Why.default_config with Why.workload; repeats = 2; injection }
@@ -81,7 +81,7 @@ let test_critical_kv_only () =
   | Some c ->
       Alcotest.(check bool) "requests decomposed" true (c.Why.requests > 0);
       let t = c.Why.all in
-      let open Stallhide_obs.Critical_path in
+      let open Stallhide_why.Critical_path in
       (* the identity every breakdown satisfies, summed *)
       Alcotest.(check int) "latency = queueing + compute + stall + switch + offcore"
         t.latency
@@ -102,6 +102,82 @@ let test_repeats_below_one () =
       | () -> Alcotest.failf "%s accepted 0 repeats" name)
     [ ("analyze", fun c -> ignore (Why.analyze c)); ("sweep", fun c -> ignore (Why.sweep c)) ]
 
+(* --- Sweep / causal drivers on synthetic closures --- *)
+
+let synth v =
+  {
+    Stallhide_runtime.Latency.count = 1;
+    mean = float_of_int v;
+    stddev = 0.0;
+    p50 = v;
+    p90 = v;
+    p99 = v;
+    p999 = v;
+    max = v;
+  }
+
+let test_sweep_stats () =
+  let r =
+    Sweep.run ~seeds:[ 1; 2; 3 ]
+      ~base:(fun seed -> synth (100 + seed))
+      ~knobs:[ ("k", "perturb", fun seed -> synth (150 + seed)) ]
+  in
+  let row = List.hd r.Sweep.rows in
+  let d = Sweep.series_value Sweep.P99 row.Sweep.delta in
+  (* paired differences are a constant +50, so the CI collapses to 0
+     even though both arms vary with the seed *)
+  Alcotest.(check (float 1e-9)) "paired delta" 50.0 d.Sweep.value;
+  Alcotest.(check (float 1e-9)) "paired ci" 0.0 d.Sweep.ci95;
+  let b = Sweep.series_value Sweep.Mean r.Sweep.base in
+  Alcotest.(check (float 1e-9)) "base mean" 102.0 b.Sweep.value;
+  Alcotest.(check (float 1e-3)) "base ci (sd 1, n 3)" (1.96 /. sqrt 3.0) b.Sweep.ci95
+
+let test_causal_ranking () =
+  let t id kind = { Causal.id; kind; detail = "" } in
+  let r =
+    Causal.run ~seeds:[ 7 ]
+      ~base:(fun _ -> synth 100)
+      ~targets:
+        [
+          (t "level:L3" Causal.Resource, fun _ -> synth 90);
+          (t "level:DRAM" Causal.Resource, fun _ -> synth 40);
+          (t "site:3" Causal.Site, fun _ -> synth 95);
+        ]
+  in
+  Alcotest.(check (option int)) "DRAM #1 among resources" (Some 1)
+    (Causal.rank_of Sweep.P99 r ~id:"level:DRAM");
+  Alcotest.(check (option int)) "L3 #2 among resources" (Some 2)
+    (Causal.rank_of Sweep.P99 r ~id:"level:L3");
+  Alcotest.(check (option int)) "site ranks within its own kind" (Some 1)
+    (Causal.rank_of Sweep.P99 r ~id:"site:3");
+  Alcotest.(check (option int)) "unknown id" None
+    (Causal.rank_of Sweep.P99 r ~id:"level:L1");
+  let dram =
+    List.find (fun (c : Causal.contribution) -> c.Causal.target.Causal.id = "level:DRAM")
+      r.Causal.rows
+  in
+  Alcotest.(check (float 1e-9)) "share of base" 0.6 (Causal.share Sweep.P99 r dram)
+
+(* --- Golden outputs: small runs pinned byte for byte --- *)
+
+let small ?injection workload = { (cfg ?injection ~workload ()) with Why.lanes = 4; ops = 200 }
+
+let pretty j = Stallhide_util.Json.to_string_pretty j ^ "\n"
+
+let test_golden_analysis () =
+  let injection = match Why.injection_of_string "site" with Ok i -> i | Error e -> failwith e in
+  Golden.check "why_analysis_hash_join_site.json"
+    (pretty (Why.analysis_to_json (Why.analyze (small ~injection "hash-join"))))
+
+let test_golden_sweeps () =
+  Golden.check "why_sweep_hash_join.json" (pretty (Sweep.to_json (Why.sweep (small "hash-join"))));
+  Golden.check "why_sweep_kv_server.json" (pretty (Sweep.to_json (Why.sweep (small "kv-server"))))
+
+let test_golden_critical () =
+  match Why.critical (small "kv-server") with
+  | None -> Alcotest.fail "kv-server critical path missing"
+  | Some c -> Golden.check "why_critical_kv_server.json" (pretty (Why.critical_to_json c))
+
 let () =
   Alcotest.run "why"
     [
@@ -118,4 +194,15 @@ let () =
         ] );
       ("sweep", [ Alcotest.test_case "knobs + ranking" `Quick test_sweep_shape ]);
       ("critical", [ Alcotest.test_case "kv decomposition" `Quick test_critical_kv_only ]);
+      ( "causal-drivers",
+        [
+          Alcotest.test_case "sweep stats" `Quick test_sweep_stats;
+          Alcotest.test_case "causal ranking" `Quick test_causal_ranking;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "site-injected analysis" `Quick test_golden_analysis;
+          Alcotest.test_case "single-core and smp sweeps" `Quick test_golden_sweeps;
+          Alcotest.test_case "kv critical path" `Quick test_golden_critical;
+        ] );
     ]
