@@ -148,8 +148,8 @@ let placement_arg =
 
 (* A nonzero drop counter means the trace buffer wrapped: counters are
    exact but the event timeline (and anything derived from it —
-   Perfetto tracks, attribution, critical paths) under-reports. Always
-   warn; silence would masquerade as a complete trace. *)
+   Perfetto tracks, critical paths) under-reports. Always warn;
+   silence would masquerade as a complete trace. *)
 let warn_dropped label stream =
   let d = Stallhide_obs.Stream.dropped stream in
   if d > 0 then
@@ -180,37 +180,31 @@ let run_cmd =
     let primary =
       { Primary_pass.default_opts with Primary_pass.policy = policy_of_string policy }
     in
-    let metrics, inst, attr, stream =
+    let metrics, inst, attr =
       match mechanism with
-      | "none" -> (Baselines.run_sequential ~opts (w false), None, None, stream)
+      | "none" -> (Baselines.run_sequential ~opts (w false), None, None)
       | "manual" ->
-          (Baselines.run_round_robin ~label:(workload ^ "/manual") ~opts (w true), None, None, stream)
-      | "smt" -> (Baselines.run_smt ~opts (w false), None, None, stream)
-      | "ooo" -> (Baselines.run_ooo ~opts ~window:48 (w false), None, None, stream)
+          (Baselines.run_round_robin ~label:(workload ^ "/manual") ~opts (w true), None, None)
+      | "smt" -> (Baselines.run_smt ~opts (w false), None, None)
+      | "ooo" -> (Baselines.run_ooo ~opts ~window:48 (w false), None, None)
       | "os-threads" ->
           ( Baselines.run_round_robin ~label:(workload ^ "/os-threads")
               ~opts:{ opts with Baselines.switch = Stallhide_runtime.Switch_cost.os_process }
               (w true),
             None,
-            None,
-            stream )
+            None )
       | "pgo" when attribution ->
-          (* builds its own streams: the baseline replay pairs with the
-             measured run *)
           let a =
-            Baselines.run_pgo_attributed ~primary ?scavenger_interval:interval
+            Baselines.run_pgo_attributed ~opts ~primary ?scavenger_interval:interval
               ~verify:(not no_verify) (w false)
           in
-          ( a.Baselines.pgo_metrics,
-            Some a.Baselines.inst,
-            Some a.Baselines.attribution,
-            Some a.Baselines.stream )
+          (a.Baselines.pgo_metrics, Some a.Baselines.inst, Some a.Baselines.attribution)
       | "pgo" ->
           let m, i =
             Baselines.run_pgo ~opts ~placement ~primary ?scavenger_interval:interval
               ~verify:(not no_verify) (w false)
           in
-          (m, Some i, None, stream)
+          (m, Some i, None)
       | other -> invalid_arg other
     in
     (match stream with Some s -> warn_dropped "run" s | None -> ());
@@ -240,7 +234,7 @@ let run_cmd =
         | None -> []
       in
       let attr_json =
-        match attr with Some a -> [ ("attribution", Obs.Attribution.to_json a) ] | None -> []
+        match attr with Some a -> [ ("attribution", Attribution.to_json a) ] | None -> []
       in
       print_endline
         (Stallhide_util.Json.to_string_pretty
@@ -268,7 +262,7 @@ let run_cmd =
       | None -> ());
       Format.printf "%a@." Metrics.pp metrics;
       (match attr with
-      | Some a -> Format.printf "@.yield-site attribution:@.%a" Obs.Attribution.pp_report a
+      | Some a -> Format.printf "@.yield-site attribution:@.%a" Attribution.pp_report a
       | None -> ());
       match trace_out with
       | Some path -> Printf.printf "trace written to %s\n" path

@@ -20,18 +20,19 @@ let default_opts =
     obs = None;
   }
 
-(* A fresh probe feeding [stream]. *)
-let traced stream =
-  let p = Probe.create () in
-  Stallhide_obs.Stream.attach stream p;
-  Some p
-
 (* The latency recorder, which also counts ops, as the engine's opmark
-   observer, and the telemetry stream, when requested, on a probe of
-   its own. *)
+   observer, and the telemetry stream, when requested, on the engine's
+   probe (a fresh one when it has none). *)
 let instrumented_engine opts =
   let recorder = Latency.recorder () in
-  let probe = match opts.obs with Some s -> traced s | None -> opts.engine.Engine.probe in
+  let probe =
+    match opts.obs with
+    | Some s ->
+        let p = Option.value opts.engine.Engine.probe ~default:(Probe.create ()) in
+        Stallhide_obs.Stream.attach s p;
+        Some p
+    | None -> opts.engine.Engine.probe
+  in
   (recorder, { opts.engine with Engine.on_opmark = Latency.on_opmark recorder; probe })
 
 let of_recorder ~label recorder r =
@@ -94,39 +95,42 @@ let run_pgo ?label ?opts ?(placement = Pipeline.Pgo) ?profile_config ?primary
   (run_round_robin ~label ?opts w', inst)
 
 type attributed = {
+  baseline : Metrics.t;
   pgo_metrics : Metrics.t;
   inst : Pipeline.instrumented;
-  attribution : Stallhide_obs.Attribution.report;
-  stream : Stallhide_obs.Stream.t;
+  attribution : Attribution.report;
 }
 
-let run_pgo_attributed ?label ?opts ?profile_config ?(primary = Stallhide_binopt.Primary_pass.default_opts)
-    ?scavenger_interval ?verify w =
-  let o = match opts with Some o -> o | None -> default_opts in
-  let profiled = Pipeline.profile ?config:profile_config ~mem_cfg:o.mem_cfg w in
-  let w', inst = Pipeline.instrument ~primary ?scavenger_interval ?verify profiled w in
-  (* Baseline stall map: the uninstrumented workload run once more with
-     engine telemetry attached (the probe does not touch the clock, so
-     this is exactly the run_sequential baseline). *)
-  let baseline = Stallhide_obs.Stream.create () in
-  let base_engine = { o.engine with Engine.probe = traced baseline } in
-  let (_ : Scheduler.result) =
-    Scheduler.run_sequential ~engine:base_engine ~max_cycles:o.max_cycles
-      (Hierarchy.create o.mem_cfg) w.Workload.image (Workload.contexts w)
-  in
+(* [opts] with a fresh probe that tallies every pc of [program]. *)
+let tallied opts program =
+  let p = Probe.create () in
+  Probe.tally p ~length:(Stallhide_isa.Program.length program);
+  (p, { opts with engine = { opts.engine with Engine.probe = Some p } })
+
+let attribute ?label ?(opts = default_opts) ?(primary = Stallhide_binopt.Primary_pass.default_opts)
+    profiled inst w =
+  let base_probe, base_opts = tallied { opts with obs = None } w.Workload.program in
+  let baseline = run_sequential ~opts:base_opts w in
   w.Workload.reset ();
-  let stream = Stallhide_obs.Stream.create () in
+  let probe, measured_opts = tallied opts inst.Pipeline.program in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/pgo" in
-  let pgo_metrics = run_round_robin ~label ~opts:{ o with obs = Some stream } w' in
+  let pgo_metrics =
+    run_round_robin ~label ~opts:measured_opts (Workload.with_program w inst.Pipeline.program)
+  in
   let attribution =
-    Stallhide_obs.Attribution.build ~program:inst.Pipeline.program
-      ~orig_of_new:inst.Pipeline.orig_of_new
+    Attribution.build ~program:inst.Pipeline.program ~orig_of_new:inst.Pipeline.orig_of_new
       ~selected:inst.Pipeline.primary.Stallhide_binopt.Primary_pass.selected
       ~machine:primary.Stallhide_binopt.Primary_pass.machine
       ~estimates:(Stallhide_binopt.Gain_cost.of_profile profiled.Pipeline.profile)
-      ~baseline stream
+      ~baseline:base_probe probe
   in
-  { pgo_metrics; inst; attribution; stream }
+  { baseline; pgo_metrics; inst; attribution }
+
+let run_pgo_attributed ?label ?(opts = default_opts) ?profile_config ?primary
+    ?scavenger_interval ?verify w =
+  let profiled = Pipeline.profile ?config:profile_config ~mem_cfg:opts.mem_cfg w in
+  let _, inst = Pipeline.instrument ?primary ?scavenger_interval ?verify profiled w in
+  attribute ?label ~opts ?primary profiled inst w
 
 type dual_result = {
   metrics : Metrics.t;

@@ -31,10 +31,10 @@ type opts = {
   engine : Engine.config;
   max_cycles : int;
   obs : Stallhide_obs.Stream.t option;
-      (** telemetry stream; when set, a fresh probe attached to it
-          takes the engine's probe, and the scheduler feeds it too
-          (cycle counts are unaffected — observers never touch the
-          clock) *)
+      (** telemetry stream; when set, it is attached to the engine's
+          probe (a fresh one when [engine] has none), and the scheduler
+          feeds it too (cycle counts are unaffected — observers never
+          touch the clock) *)
 }
 
 val default_opts : opts
@@ -64,18 +64,34 @@ val run_pgo :
   Metrics.t * Pipeline.instrumented
 
 type attributed = {
-  pgo_metrics : Metrics.t;
+  baseline : Metrics.t;  (** the uninstrumented run, sequential *)
+  pgo_metrics : Metrics.t;  (** the instrumented run, round-robin *)
   inst : Pipeline.instrumented;
-  attribution : Stallhide_obs.Attribution.report;
+  attribution : Attribution.report;
       (** per yield site: model-predicted vs measured gain *)
-  stream : Stallhide_obs.Stream.t;  (** telemetry of the measured run *)
 }
 
-(** {!run_pgo} with telemetry: profiles, instruments, replays the
-    uninstrumented baseline to map per-pc stall, then runs the
-    instrumented program under round-robin with a stream attached and
-    attributes the stall delta to yield sites. Ignores [opts.obs] (it
-    builds its own streams). *)
+(** [attribute profiled inst w] measures [inst], instrumented from
+    [profiled], against [w]: it runs [w] uninstrumented and sequential,
+    resets the image, runs [inst.program] on [w] round-robin, and
+    attributes the stall delta to yield sites
+    ({!Attribution.build}). Each run counts on a probe of its own with
+    an armed tally, so neither is traced unless [opts.obs] asks for
+    telemetry of the instrumented run (the baseline is never traced).
+    [primary] is the pass options [inst] was built with (its machine
+    prices the promise); [label] names the instrumented run (default
+    [<name>/pgo]). *)
+val attribute :
+  ?label:string ->
+  ?opts:opts ->
+  ?primary:Stallhide_binopt.Primary_pass.opts ->
+  Pipeline.profiled ->
+  Pipeline.instrumented ->
+  Workload.t ->
+  attributed
+
+(** {!run_pgo} with attribution: {!Pipeline.profile},
+    {!Pipeline.instrument}, then {!attribute}. *)
 val run_pgo_attributed :
   ?label:string ->
   ?opts:opts ->

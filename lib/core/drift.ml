@@ -8,7 +8,7 @@ let min_fires = 4
 let stale_fraction = 0.25
 
 type verdict = {
-  losing : Stallhide_obs.Attribution.site list;
+  losing : Attribution.site list;
   judged : int;
   lost_cycles : int;
   stale : bool;
@@ -16,17 +16,17 @@ type verdict = {
   protected : int;
 }
 
-let assess (report : Stallhide_obs.Attribution.report) =
+let assess (report : Attribution.report) =
   let judged =
     List.filter
-      (fun s -> s.Stallhide_obs.Attribution.fires >= min_fires)
-      report.Stallhide_obs.Attribution.sites
+      (fun s -> s.Attribution.fires >= min_fires)
+      report.Attribution.sites
   in
   let losing =
-    List.filter (fun s -> s.Stallhide_obs.Attribution.measured_gain < 0) judged
+    List.filter (fun s -> s.Attribution.measured_gain < 0) judged
   in
   let lost_cycles =
-    List.fold_left (fun acc s -> acc - s.Stallhide_obs.Attribution.measured_gain) 0 losing
+    List.fold_left (fun acc s -> acc - s.Attribution.measured_gain) 0 losing
   in
   let n_judged = List.length judged in
   let stale =
@@ -89,6 +89,6 @@ let adapt ?(protect = fun _ -> false) report program =
   | losing ->
       let program', deinstrumented, protected =
         deinstrument ~protect program
-          ~pcs:(List.map (fun s -> s.Stallhide_obs.Attribution.yield_pc) losing)
+          ~pcs:(List.map (fun s -> s.Attribution.yield_pc) losing)
       in
       (program', { v with deinstrumented; protected })

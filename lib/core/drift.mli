@@ -5,7 +5,7 @@
     between profiling and production — the working set shrinks, the hot
     path moves — the bet goes bad: the loads hit, no stall is hidden,
     and every firing pays the switch for nothing. The drift detector
-    closes the loop from {!Stallhide_obs.Attribution}: sites whose
+    closes the loop from {!Attribution}: sites whose
     *measured* gain is negative (with at least 4 firings to count as
     evidence) are declared losing and their yields replaced by [Nop] —
     de-instrumentation back toward the uninstrumented binary, which is
@@ -18,7 +18,7 @@
     De-instrumentation defers to the static analysis: a yield covering
     a load proven [Always_miss] ({!Stallhide_analysis}) is useful on
     every execution regardless of what the (possibly corrupted or
-    stale) attribution stream claims, so [protect] can pin such sites
+    stale) attribution claims, so [protect] can pin such sites
     — the stale-profile defense must never turn off provably-useful
     yields.
 
@@ -28,7 +28,7 @@
 open Stallhide_isa
 
 type verdict = {
-  losing : Stallhide_obs.Attribution.site list;  (** sites to de-instrument *)
+  losing : Attribution.site list;  (** sites to de-instrument *)
   judged : int;  (** sites with at least 4 firings *)
   lost_cycles : int;  (** total cycles the losing sites cost (≥ 0) *)
   stale : bool;  (** at least a quarter of the judged sites lose *)
@@ -45,6 +45,6 @@ type verdict = {
     losing. *)
 val adapt :
   ?protect:(int -> bool) ->
-  Stallhide_obs.Attribution.report ->
+  Attribution.report ->
   Program.t ->
   Program.t * verdict

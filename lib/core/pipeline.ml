@@ -79,7 +79,7 @@ let ground_truth ?(mem_cfg = Memconfig.default) w =
   w.Workload.reset ();
   let execs = Probe.load_execs probe
   and misses = Probe.load_misses probe
-  and stalls = Probe.load_stalls probe in
+  and stalls = Probe.stalls probe in
   let table : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   for pc = 0 to n - 1 do
     if execs.(pc) > 0 then Hashtbl.replace table pc (execs.(pc), misses.(pc), stalls.(pc))

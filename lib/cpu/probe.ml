@@ -90,7 +90,10 @@ type t = {
   mutable tracers : tracer array;
   mutable execs : int array;
   mutable misses : int array;
-  mutable load_stall : int array;
+  mutable stall_at : int array;
+  mutable fired : int array;
+  mutable skipped : int array;
+  mutable switch_at : int array;
   mutable mark : int;  (* context instruction count retired so far *)
 }
 
@@ -105,7 +108,10 @@ let create () =
     tracers = [||];
     execs = [||];
     misses = [||];
-    load_stall = [||];
+    stall_at = [||];
+    fired = [||];
+    skipped = [||];
+    switch_at = [||];
     mark = 0;
   }
 
@@ -128,13 +134,22 @@ let trace p tr = p.tracers <- Array.append p.tracers [| tr |]
 let tally p ~length =
   p.execs <- Array.make length 0;
   p.misses <- Array.make length 0;
-  p.load_stall <- Array.make length 0
+  p.stall_at <- Array.make length 0;
+  p.fired <- Array.make length 0;
+  p.skipped <- Array.make length 0;
+  p.switch_at <- Array.make length 0
 
 let load_execs p = p.execs
 
 let load_misses p = p.misses
 
-let load_stalls p = p.load_stall
+let stalls p = p.stall_at
+
+let fired_yields p = p.fired
+
+let skipped_yields p = p.skipped
+
+let switch_cycles p = p.switch_at
 
 let start p ~instructions ~length =
   let tallied = Array.length p.execs in
@@ -163,8 +178,7 @@ let frontend p ~ctx ~pc ~stall ~cycle =
 let load p ~ctx ~pc ~addr ~level ~stall ~queue ~cycle =
   if Array.length p.execs > 0 then begin
     p.execs.(pc) <- p.execs.(pc) + 1;
-    if level >= 2 then p.misses.(pc) <- p.misses.(pc) + 1;
-    p.load_stall.(pc) <- p.load_stall.(pc) + stall
+    if level >= 2 then p.misses.(pc) <- p.misses.(pc) + 1
   end;
   fire p.loads 1 ~pc ~addr ~stall ~cycle;
   if level >= 2 then begin
@@ -177,6 +191,7 @@ let load p ~ctx ~pc ~addr ~level ~stall ~queue ~cycle =
   done
 
 let stall p ~ctx ~pc ~stall ~cycle =
+  if Array.length p.stall_at > 0 then p.stall_at.(pc) <- p.stall_at.(pc) + stall;
   fire p.stalls stall ~pc ~addr:0 ~stall ~cycle;
   let trs = p.tracers in
   for i = 0 to Array.length trs - 1 do
@@ -206,6 +221,10 @@ let branch p ~ctx:_ ~instructions ~from_pc ~to_pc ~cycle =
   end
 
 let yield p ~ctx ~pc ~kind ~fired ~cycle =
+  if Array.length p.fired > 0 then begin
+    let a = if fired then p.fired else p.skipped in
+    a.(pc) <- a.(pc) + 1
+  end;
   let trs = p.tracers in
   for i = 0 to Array.length trs - 1 do
     (Array.unsafe_get trs i).yield ~ctx ~pc ~kind ~fired ~cycle
@@ -218,3 +237,6 @@ let opmark p ~ctx ~pc ~cycle =
   done
 
 let finish p ~retired = if Array.length p.lbrs > 0 then settle p ~retired
+
+let switch p ~pc ~cost =
+  if pc >= 0 && Array.length p.switch_at > 0 then p.switch_at.(pc) <- p.switch_at.(pc) + cost

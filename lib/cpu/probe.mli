@@ -12,11 +12,13 @@
     - an opmark.
 
     Three kinds of observer ride it: PEBS-style countdowns
-    ({!Stallhide_pmu.Pebs}), LBR rings ({!Stallhide_pmu.Lbr}) and the
-    per-pc ground-truth tally, which count at loads, stalls and taken
-    branches; and full-trace observers ([Stallhide_obs.Stream]), which
-    see every point. Nothing is allocated on those paths unless a
-    countdown fires or a tracer allocates, and the µop loop does no
+    ({!Stallhide_pmu.Pebs}) and LBR rings ({!Stallhide_pmu.Lbr}),
+    which count at loads, stalls and taken branches; the exact per-pc
+    tally, which counts at loads, stalls and yields, and at the
+    context switches a scheduler reports through {!switch}; and
+    full-trace observers ([Stallhide_obs.Stream]), which see every
+    point. Nothing is allocated on those paths unless a countdown
+    fires or a tracer allocates, and the µop loop does no
     per-instruction work for the probe.
 
     {b Deferred LBR snapshots.} A snapshot is due every
@@ -105,16 +107,27 @@ val records_branches : t -> bool
 val trace : t -> tracer -> unit
 
 (** Arm the per-pc tally for programs of up to [length] instructions:
-    executions, beyond-L2 loads and paid stall of every load pc.
-    Runs on longer programs raise [Invalid_argument]. *)
+    executions and beyond-L2 loads of every load pc, paid stall (loads
+    and accelerator waits) at every pc, fired and skipped yields, and
+    switch cycles charged at a yield. Runs on longer programs raise
+    [Invalid_argument]. *)
 val tally : t -> length:int -> unit
 
-(** Per-pc tallies ([tally]'s arrays; empty when unarmed). *)
+(** Per-pc tallies ([tally]'s arrays, indexed by pc; empty when
+    unarmed). *)
 val load_execs : t -> int array
 
 val load_misses : t -> int array
 
-val load_stalls : t -> int array
+(** Paid stall cycles, summed over every {!stall} point. *)
+val stalls : t -> int array
+
+val fired_yields : t -> int array
+
+val skipped_yields : t -> int array
+
+(** Switch cycles a scheduler charged after a yield ({!switch}). *)
+val switch_cycles : t -> int array
 
 (** {1 Called by the engine} *)
 
@@ -147,3 +160,10 @@ val opmark : t -> ctx:int -> pc:int -> cycle:int -> unit
 (** Close the run: [retired] is the context's instruction count less
     any instruction that faulted. *)
 val finish : t -> retired:int -> unit
+
+(** {1 Called by the schedulers} *)
+
+(** [switch p ~pc ~cost]: a scheduler charged [cost] switch cycles
+    after the yield at [pc]. Tallies nothing when [pc < 0] (a switch
+    after a halt) or when the tally is unarmed. *)
+val switch : t -> pc:int -> cost:int -> unit

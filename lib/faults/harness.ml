@@ -4,7 +4,6 @@ open Stallhide_runtime
 open Stallhide_sched
 open Stallhide_workloads
 open Stallhide
-module Obs = Stallhide_obs
 module Json = Stallhide_util.Json
 
 type opts = { lanes : int; ops : int; seed : int }
@@ -87,31 +86,12 @@ let run_drift ~opts ~workload ~shrink fault =
   (* deployment: the same binary against a [shrink]x smaller working
      set — the profiled miss sites now mostly hit *)
   let drifted () = make ~workload ~lanes ~ops ~manual:false ~seed ~ws_scale:shrink () in
-  let baseline = Obs.Stream.create () in
-  let base_m =
-    Baselines.run_sequential ~label:(workload ^ "/drifted-seq")
-      ~opts:{ Baselines.default_opts with Baselines.obs = Some baseline }
-      (drifted ())
-  in
-  let s0 = base_m.Metrics.stall in
   let fresh_m, _ = Baselines.run_pgo ~label:(workload ^ "/fresh") (drifted ()) in
-  let stale_stream = Obs.Stream.create () in
-  let stale_m =
-    Baselines.run_round_robin ~label:(workload ^ "/stale")
-      ~opts:{ Baselines.default_opts with Baselines.obs = Some stale_stream }
-      (Workload.with_program (drifted ()) inst.Pipeline.program)
-  in
-  (* the defense: attribute measured vs predicted gain per yield site,
-     nop out the losers, run the de-instrumented binary *)
-  let attribution =
-    Obs.Attribution.build ~program:inst.Pipeline.program
-      ~orig_of_new:inst.Pipeline.orig_of_new
-      ~selected:inst.Pipeline.primary.Stallhide_binopt.Primary_pass.selected
-      ~machine:
-        Stallhide_binopt.Primary_pass.default_opts.Stallhide_binopt.Primary_pass.machine
-      ~estimates:(Stallhide_binopt.Gain_cost.of_profile profiled.Pipeline.profile)
-      ~baseline stale_stream
-  in
+  (* the defense: attribute measured vs predicted gain per yield site
+     of the stale binary, nop out the losers, run the de-instrumented
+     binary *)
+  let stale = Baselines.attribute ~label:(workload ^ "/stale") profiled inst (drifted ()) in
+  let s0 = stale.Baselines.baseline.Metrics.stall in
   (* Static back-stop for the defense: a yield covering a load the
      must/may analysis proved [Always_miss] hides a stall on every
      execution whatever the drifted attribution claims, so it is pinned
@@ -127,7 +107,7 @@ let run_drift ~opts ~workload ~shrink fault =
     && pc < Array.length inst.Pipeline.orig_of_new
     && Hashtbl.mem always_miss inst.Pipeline.orig_of_new.(pc)
   in
-  let prog', verdict = Drift.adapt ~protect attribution inst.Pipeline.program in
+  let prog', verdict = Drift.adapt ~protect stale.Baselines.attribution inst.Pipeline.program in
   let adapted_m =
     Baselines.run_round_robin ~label:(workload ^ "/adapted")
       (Workload.with_program (drifted ()) prog')
@@ -148,7 +128,7 @@ let run_drift ~opts ~workload ~shrink fault =
   in
   [
     mk "fault-free" fresh_m None [];
-    mk "undefended" stale_m (Some fault) [];
+    mk "undefended" stale.Baselines.pgo_metrics (Some fault) [];
     mk "defended" adapted_m (Some fault)
       (drift_counters verdict @ [ ("drift.lost_cycles", verdict.Drift.lost_cycles) ]);
   ]

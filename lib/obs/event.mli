@@ -72,5 +72,6 @@ val ctx_of : t -> int
 (** ["primary"] or ["scavenger"]. *)
 val kind_name : Instr.yield_kind -> string
 
-(** Exported for [test_engine_diff], [test_runtime], [test_smp] only. *)
+(** Exported for [test_baselines_diff_a], [test_baselines_diff_b],
+    [test_engine_diff], [test_runtime], [test_smp] only. *)
 val pp : Format.formatter -> t -> unit

@@ -7,38 +7,10 @@ type t = {
   capacity : int;
   mutable dropped : int;
   registry : Registry.t;
-  (* Per-pc tallies of every event, dropped or not, indexed by pc and
-     grown on demand: what attribution reads. *)
-  mutable stall_at : int array;  (* [Stall] cycles *)
-  mutable fired_at : int array;  (* fired [Yield]s *)
-  mutable skipped_at : int array;  (* [Yield]s that fell through *)
-  mutable switch_at : int array;  (* [Context_switch] cost charged at a yield site *)
 }
 
 let create ?(capacity = 1 lsl 18) () =
-  {
-    buf = Vec.create ();
-    capacity;
-    dropped = 0;
-    registry = Registry.create ();
-    stall_at = [||];
-    fired_at = [||];
-    skipped_at = [||];
-    switch_at = [||];
-  }
-
-(* [a] with [n] added at [pc], grown (at least doubled) to fit. *)
-let bump a pc n =
-  let a =
-    if pc < Array.length a then a
-    else begin
-      let b = Array.make (max (pc + 1) (2 * Array.length a)) 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-  in
-  a.(pc) <- a.(pc) + n;
-  a
+  { buf = Vec.create (); capacity; dropped = 0; registry = Registry.create () }
 
 (* A [Cache_access]'s counter name, built once per serving level. *)
 let load_counter =
@@ -46,26 +18,20 @@ let load_counter =
   let l1 = name Hierarchy.L1 and l2 = name L2 and l3 = name L3 and dram = name Dram in
   function Hierarchy.L1 -> l1 | L2 -> l2 | L3 -> l3 | Dram -> dram
 
-let count t event =
-  let r = t.registry in
+let count r event =
   match event with
-  | Event.Yield { ctx; pc; fired; _ } ->
-      if pc >= 0 then
-        if fired then t.fired_at <- bump t.fired_at pc 1
-        else t.skipped_at <- bump t.skipped_at pc 1;
+  | Event.Yield { ctx; fired; _ } ->
       Registry.incr (Registry.counter r ~ctx (if fired then "yield.fired" else "yield.skipped"))
   | Event.Cache_access { ctx; level; stall; queue; _ } ->
       Registry.incr (Registry.counter r ~ctx (load_counter level));
       if stall > 0 then Registry.observe (Registry.histogram r "load.stall") stall;
       if queue > 0 then Registry.incr ~by:queue (Registry.counter r ~ctx "load.queue_cycles")
-  | Event.Stall { ctx; pc; cycles; _ } ->
-      if pc >= 0 then t.stall_at <- bump t.stall_at pc cycles;
+  | Event.Stall { ctx; cycles; _ } ->
       Registry.incr ~by:cycles (Registry.counter r ~ctx "stall.cycles")
   | Event.Frontend_stall { ctx; cycles; _ } ->
       Registry.incr ~by:cycles (Registry.counter r ~ctx "frontend_stall.cycles")
   | Event.Op_retired { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "ops")
-  | Event.Context_switch { from_ctx; at_pc; cost; _ } ->
-      if at_pc >= 0 then t.switch_at <- bump t.switch_at at_pc cost;
+  | Event.Context_switch { from_ctx; cost; _ } ->
       Registry.incr (Registry.counter r ~ctx:from_ctx "switch.count");
       Registry.observe (Registry.histogram r "switch.cost") cost
   | Event.Scavenger_escalation { ctx; _ } ->
@@ -86,7 +52,7 @@ let count t event =
   | Event.Steal { ctx; _ } -> Registry.incr (Registry.counter r ~ctx "steal.migrations")
 
 let record t event =
-  count t event;
+  count t.registry event;
   if Vec.length t.buf < t.capacity then Vec.push t.buf event else t.dropped <- t.dropped + 1
 
 let events t = Vec.to_list t.buf
@@ -117,31 +83,6 @@ let attach t probe =
           record t (Event.Yield { ctx; pc; kind; fired; cycle }));
       opmark = (fun ~ctx ~pc ~cycle -> record t (Event.Op_retired { ctx; pc; cycle }));
     }
-
-(* The non-zero entries of a tally, summed per [map pc]. *)
-let table ?(map = fun pc -> pc) a =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun pc v ->
-      if v <> 0 then begin
-        let key = map pc in
-        Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      end)
-    a;
-  tbl
-
-let stall_by_pc ?map t = table ?map t.stall_at
-
-let yields_by_pc t =
-  let tbl = Hashtbl.create 32 in
-  let at a pc = if pc < Array.length a then a.(pc) else 0 in
-  for pc = 0 to max (Array.length t.fired_at) (Array.length t.skipped_at) - 1 do
-    let f = at t.fired_at pc and s = at t.skipped_at pc in
-    if f + s > 0 then Hashtbl.replace tbl pc (f, s)
-  done;
-  tbl
-
-let switch_cycles_by_pc t = table t.switch_at
 
 let spans t =
   List.filter_map

@@ -7,8 +7,8 @@
     touches the simulated clock — so cycle counts are identical with
     telemetry on or off (asserted by the obs tests). When the buffer
     fills, later events are counted in {!dropped} rather than recorded
-    (the registry and the per-pc views keep counting — only the raw
-    event log is bounded). *)
+    (the registry keeps counting — only the raw event log is
+    bounded). *)
 
 type t
 
@@ -36,22 +36,6 @@ val registry : t -> Registry.t
     [Op_retired] events, each as either interpreter reaches it. Set
     [p] in [Engine.config.probe]; attach a stream to one probe. *)
 val attach : t -> Stallhide_cpu.Probe.t -> unit
-
-(** {2 Derived views used by attribution and exporters}
-
-    The three per-pc views read tallies kept as every event arrives, so
-    they count exactly whatever the buffer dropped. *)
-
-(** Per-pc totals of back-end stall cycles ([Stall] events), optionally
-    re-keyed through [map] (e.g. new-pc to original-pc). *)
-val stall_by_pc : ?map:(int -> int) -> t -> (int, int) Hashtbl.t
-
-(** Per-yield-site (fires, skips) from [Yield] events, keyed by pc. *)
-val yields_by_pc : t -> (int, int * int) Hashtbl.t
-
-(** Per-yield-site total switch cycles charged ([Context_switch] events
-    with [at_pc >= 0]). *)
-val switch_cycles_by_pc : t -> (int, int) Hashtbl.t
 
 (** Dispatch spans as [(ctx, start, stop)], recording order.
     Exported for [test_runtime] only. *)

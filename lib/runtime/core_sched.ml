@@ -155,6 +155,7 @@ type outcome = Worked | Idle
 let charge t ~from_ctx ~at_pc cost =
   t.stats.switches <- t.stats.switches + 1;
   t.stats.switch_cycles <- t.stats.switch_cycles + cost;
+  (match t.cfg.engine.Engine.probe with Some p -> Probe.switch p ~pc:at_pc ~cost | None -> ());
   (* Build the event under the match: building it first would
      allocate the record on every switch even with no observer
      attached, and switches dominate the hot scheduling path. *)

@@ -23,6 +23,9 @@
     - otherwise report [Idle] and leave the clock alone (the machine
       advances it to the next arrival).
 
+    Every switch it charges goes to its engine config's probe too
+    ({!Stallhide_cpu.Probe.switch}), keyed by the yield's pc.
+
     Work stealing only migrates {b cold} scavengers — coroutines that
     have never executed ([Context.started_at < 0]) — so a stolen
     context runs on exactly one core and no register state migrates.

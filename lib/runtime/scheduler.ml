@@ -76,6 +76,7 @@ let run_round_robin ?(engine = Engine.default_config) ?(max_cycles = max_int) ?o
   let charge ~from_ctx ~to_ctx ~at_pc cost =
     incr switches;
     switch_cycles := !switch_cycles + cost;
+    (match engine.Engine.probe with Some p -> Probe.switch p ~pc:at_pc ~cost | None -> ());
     emit obs (Stallhide_obs.Event.Context_switch { from_ctx; to_ctx; at_pc; cost; cycle = !clock });
     clock := !clock + cost
   in

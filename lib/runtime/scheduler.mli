@@ -9,7 +9,8 @@
 
     All schedulers share one clock, hierarchy and memory image across
     contexts, so coroutines contend for cache exactly as they would on
-    one core. *)
+    one core. A switch's cost also goes to [engine]'s probe
+    ({!Probe.switch}), keyed by the yield's pc. *)
 
 open Stallhide_cpu
 

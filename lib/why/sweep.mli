@@ -16,8 +16,6 @@ type summary = Stallhide_runtime.Latency.summary
 
 type metric = Mean | P50 | P90 | P99 | P999
 
-val all_metrics : metric list
-
 (** ["mean"], ["p50"], ["p90"], ["p99"], ["p999"] (also accepts
     ["p99.9"]). *)
 val metric_of_string : string -> metric option
@@ -36,8 +34,8 @@ type series = { mean : stat; p50 : stat; p90 : stat; p99 : stat; p999 : stat }
 
 val series_value : metric -> series -> stat
 
-(** [{metric: {value, ci95}}] for every metric, in {!all_metrics}
-    order. *)
+(** [{metric: {value, ci95}}] for every metric: mean, p50, p90, p99,
+    p999. *)
 val series_json : series -> Stallhide_util.Json.t
 
 (** [of_samples samples] — across-seed stats of each metric. *)

@@ -8,7 +8,7 @@ module Scheduler = Stallhide_runtime.Scheduler
 module Switch_cost = Stallhide_runtime.Switch_cost
 module Faults = Stallhide_faults.Faults
 module Stream = Stallhide_obs.Stream
-module Attribution = Stallhide_obs.Attribution
+module Attribution = Stallhide.Attribution
 module Dispatch = Stallhide_sched.Dispatch
 module Machine = Stallhide_smp.Machine
 module Harness = Stallhide_smp.Harness

@@ -94,41 +94,46 @@ let test_trace_json_roundtrip () =
 (* --- Attribution --- *)
 
 let test_attribution_invariants () =
-  let r = Baselines.run_pgo_attributed (chase ()) in
+  let stream = Obs.Stream.create () in
+  let r =
+    Baselines.run_pgo_attributed
+      ~opts:{ Baselines.default_opts with Baselines.obs = Some stream }
+      (chase ())
+  in
   let a = r.Baselines.attribution in
-  (* the per-pc views count every event, so the totals are exact *)
+  (* the probe's tallies count every stall, so the totals are exact *)
   Alcotest.(check int) "residual total = measured stall" r.Baselines.pgo_metrics.Metrics.stall
-    a.Obs.Attribution.total_residual_stall;
-  let registry = Obs.Stream.registry r.Baselines.stream in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 a.Obs.Attribution.sites in
+    a.Attribution.total_residual_stall;
+  let registry = Obs.Stream.registry stream in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 a.Attribution.sites in
   Alcotest.(check int) "fires = yield.fired" (Obs.Registry.total registry "yield.fired")
-    (sum (fun s -> s.Obs.Attribution.fires));
+    (sum (fun s -> s.Attribution.fires));
   Alcotest.(check int) "skips = yield.skipped" (Obs.Registry.total registry "yield.skipped")
-    (sum (fun s -> s.Obs.Attribution.skips));
-  Alcotest.(check bool) "sites found" true (a.Obs.Attribution.sites <> []);
+    (sum (fun s -> s.Attribution.skips));
+  Alcotest.(check bool) "sites found" true (a.Attribution.sites <> []);
   let hidden =
-    List.fold_left (fun acc s -> acc + s.Obs.Attribution.hidden_stall) 0 a.Obs.Attribution.sites
+    List.fold_left (fun acc s -> acc + s.Attribution.hidden_stall) 0 a.Attribution.sites
   in
   (* Per-site hidden stall only covers instrumented loads, so its sum
      can never exceed the whole-program stall delta. *)
   Alcotest.(check bool) "covered hidden <= total hidden" true
-    (hidden <= a.Obs.Attribution.total_baseline_stall - a.Obs.Attribution.total_residual_stall);
+    (hidden <= a.Attribution.total_baseline_stall - a.Attribution.total_residual_stall);
   List.iter
     (fun s ->
-      Alcotest.(check int) "hidden = baseline - residual" s.Obs.Attribution.hidden_stall
-        (s.Obs.Attribution.baseline_stall - s.Obs.Attribution.residual_stall);
-      Alcotest.(check bool) "site exercised" true (s.Obs.Attribution.fires + s.Obs.Attribution.skips > 0);
-      Alcotest.(check bool) "covers something" true (s.Obs.Attribution.covered <> []))
-    a.Obs.Attribution.sites;
+      Alcotest.(check int) "hidden = baseline - residual" s.Attribution.hidden_stall
+        (s.Attribution.baseline_stall - s.Attribution.residual_stall);
+      Alcotest.(check bool) "site exercised" true (s.Attribution.fires + s.Attribution.skips > 0);
+      Alcotest.(check bool) "covers something" true (s.Attribution.covered <> []))
+    a.Attribution.sites;
   (* On the pointer chase the model and the measurement must agree the
      instrumentation was worth it. *)
   List.iter
     (fun s ->
-      Alcotest.(check bool) "predicted gain positive" true (s.Obs.Attribution.predicted_gain > 0.);
-      Alcotest.(check bool) "measured gain positive" true (s.Obs.Attribution.measured_gain > 0))
-    a.Obs.Attribution.sites;
+      Alcotest.(check bool) "predicted gain positive" true (s.Attribution.predicted_gain > 0.);
+      Alcotest.(check bool) "measured gain positive" true (s.Attribution.measured_gain > 0))
+    a.Attribution.sites;
   (* Report JSON round-trips through our own parser. *)
-  let j = Json.of_string (Json.to_string (Obs.Attribution.to_json a)) in
+  let j = Json.of_string (Json.to_string (Attribution.to_json a)) in
   Alcotest.(check bool) "report JSON has sites" true (Json.member "sites" j <> None)
 
 (* --- Stream mechanics --- *)
@@ -142,34 +147,6 @@ let test_stream_drop_accounting () =
   Alcotest.(check int) "drops counted" 6 (Obs.Stream.dropped s);
   (* the registry keeps counting past the cap *)
   Alcotest.(check int) "registry uncapped" 10 (Obs.Registry.total (Obs.Stream.registry s) "ops")
-
-(* The per-pc views attribution reads count every event, kept or
-   dropped. *)
-let test_stream_per_pc_views () =
-  let s = Obs.Stream.create ~capacity:2 () in
-  let module E = Obs.Event in
-  for i = 0 to 9 do
-    Obs.Stream.record s (E.Stall { ctx = 0; pc = i mod 3; cycles = 10; cycle = i });
-    let kind = Stallhide_isa.Instr.Primary in
-    Obs.Stream.record s (E.Yield { ctx = 0; pc = 100; kind; fired = i mod 2 = 0; cycle = i });
-    let switch ~at_pc ~cost = E.Context_switch { from_ctx = 0; to_ctx = 1; at_pc; cost; cycle = i } in
-    Obs.Stream.record s (switch ~at_pc:100 ~cost:7);
-    Obs.Stream.record s (switch ~at_pc:(-1) ~cost:50)
-  done;
-  Alcotest.(check int) "almost all dropped" 38 (Obs.Stream.dropped s);
-  let bindings t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
-  Alcotest.(check (list (pair int int)))
-    "stall by pc" [ (0, 40); (1, 30); (2, 30) ]
-    (bindings (Obs.Stream.stall_by_pc s));
-  Alcotest.(check (list (pair int int)))
-    "stall by pc, mapped" [ (7, 100) ]
-    (bindings (Obs.Stream.stall_by_pc ~map:(fun _ -> 7) s));
-  Alcotest.(check (list (pair int (pair int int))))
-    "yields by pc" [ (100, (5, 5)) ]
-    (bindings (Obs.Stream.yields_by_pc s));
-  Alcotest.(check (list (pair int int)))
-    "switch cycles at yield sites" [ (100, 70) ]
-    (bindings (Obs.Stream.switch_cycles_by_pc s))
 
 (* --- Golden-file regression for the Perfetto exporter ---
 
@@ -365,11 +342,7 @@ let () =
       ("perfetto", [ Alcotest.test_case "round-trip + monotone" `Quick test_trace_json_roundtrip ]);
       ("golden", [ Alcotest.test_case "perfetto exporter" `Quick test_perfetto_golden ]);
       ("attribution", [ Alcotest.test_case "invariants" `Quick test_attribution_invariants ]);
-      ( "stream",
-        [
-          Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting;
-          Alcotest.test_case "per-pc views count dropped events" `Quick test_stream_per_pc_views;
-        ] );
+      ("stream", [ Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting ]);
       ("prometheus", [ Alcotest.test_case "text exposition round-trip" `Quick test_prometheus_roundtrip ]);
       ( "golden-registry",
         [ Alcotest.test_case "json and prometheus of a traced run" `Quick test_registry_golden ] );

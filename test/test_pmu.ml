@@ -741,6 +741,104 @@ let test_ground_truth_matches_trace () =
     Stallhide_why.Why.workload_names;
   Alcotest.(check bool) "load pcs compared" true (!load_pcs > 200)
 
+(* --- the per-pc tally = a traced stream ---
+
+   One probe carries both the tally and a stream that drops nothing,
+   and the scheduler feeds the stream its switches. At every pc the
+   tally's stall, fired and skipped yields and switch cycles must be
+   what the stream recorded there, on both loops: a PGO round-robin
+   run (pointer chase; offload, whose accelerator waits stall too), a
+   scavenger-instrumented one (its yields skip in primary mode) and a
+   dual-mode one (switches charged by [Core_sched]). An unarmed probe
+   tallies nothing, and neither does a switch after a halt (pc -1). *)
+
+let test_tally_matches_stream () =
+  let module B = Stallhide.Baselines in
+  let module Obs = Stallhide_obs in
+  let module Wl = Stallhide_workloads in
+  (* [run opts] runs a fresh workload; [expect] names the tallies that
+     must count something, and some pc of [waits] must stall *)
+  let check ?(waits = []) label ~length ~expect run =
+    List.iter
+      (fun fast ->
+        let label = Printf.sprintf "%s (%s)" label (if fast then "µop loop" else "reference") in
+        let probe = Probe.create () in
+        Probe.tally probe ~length;
+        let stream = Obs.Stream.create ~capacity:max_int () in
+        let engine = { Engine.default_config with Engine.fast; probe = Some probe } in
+        run { B.default_opts with B.engine; obs = Some stream };
+        Alcotest.(check int) (label ^ ": dropped") 0 (Obs.Stream.dropped stream);
+        let want = Array.init 4 (fun _ -> Array.make length 0) in
+        let add k pc n = want.(k).(pc) <- want.(k).(pc) + n in
+        Obs.Stream.iter
+          (function
+            | Obs.Event.Stall { pc; cycles; _ } -> add 0 pc cycles
+            | Obs.Event.Yield { pc; fired; _ } -> add (if fired then 1 else 2) pc 1
+            | Obs.Event.Context_switch { at_pc; cost; _ } when at_pc >= 0 -> add 3 at_pc cost
+            | _ -> ())
+          stream;
+        List.iteri
+          (fun k (name, got) ->
+            Alcotest.(check (array int)) (label ^ ": " ^ name) want.(k) got;
+            if List.mem name expect && Array.for_all (( = ) 0) got then
+              Alcotest.failf "%s: no %s counted" label name)
+          [
+            ("stalls", Probe.stalls probe);
+            ("fired yields", Probe.fired_yields probe);
+            ("skipped yields", Probe.skipped_yields probe);
+            ("switch cycles", Probe.switch_cycles probe);
+          ];
+        if waits <> [] && List.for_all (fun pc -> (Probe.stalls probe).(pc) = 0) waits then
+          Alcotest.failf "%s: no accelerator wait stalled" label)
+      [ false; true ]
+  in
+  let instrumented ?scavenger_interval ?(expect = []) label make =
+    let prog = (fst (Stallhide.Pipeline.place ?scavenger_interval (make ()))).W.program in
+    let waits =
+      List.filter
+        (fun pc -> match Program.instr prog pc with Instr.Accel_wait _ -> true | _ -> false)
+        (List.init (Program.length prog) Fun.id)
+    in
+    check ~waits label ~length:(Program.length prog)
+      ~expect:([ "stalls"; "fired yields"; "switch cycles" ] @ expect)
+      (fun opts ->
+        let w, _ = Stallhide.Pipeline.place ?scavenger_interval (make ()) in
+        ignore (B.run_round_robin ~opts w))
+  in
+  instrumented "pointer-chase" (fun () -> Wl.Pointer_chase.make ~lanes:4 ~hops:200 ~seed:42 ());
+  instrumented "offload" (fun () -> Wl.Offload.make ~lanes:4 ~ops:100 ~seed:42 ());
+  instrumented ~scavenger_interval:50 ~expect:[ "skipped yields" ] "scavenger" (fun () ->
+      Wl.Hash_probe.make ~lanes:4 ~ops:100 ~seed:42 ());
+  let dual () =
+    let image = Address_space.create ~bytes:(1 lsl 24) in
+    ( Wl.Kv_server.make ~image ~manual:true ~requests:100 ~seed:42 (),
+      Wl.Pointer_chase.make ~image ~manual:true ~lanes:4 ~hops:200 ~seed:42 () )
+  in
+  let primary, scavengers = dual () in
+  check "dual-mode"
+    ~length:(max (Program.length primary.W.program) (Program.length scavengers.W.program))
+    ~expect:[ "stalls"; "fired yields"; "switch cycles" ]
+    (fun opts ->
+      let primary, scavengers = dual () in
+      ignore (B.run_dual ~opts ~primary ~scavengers ()));
+  (* the edges: unarmed, and a switch after a halt *)
+  let prog, mem, ctx = build_chase ~hops:3 in
+  let p = Probe.create () in
+  Probe.switch p ~pc:2 ~cost:5;
+  let (_ : Engine.stop) =
+    Engine.run { Engine.default_config with Engine.probe = Some p } (Hierarchy.create cfg) mem
+      ~clock:(ref 0) ctx
+  in
+  List.iter
+    (fun a -> Alcotest.(check (array int)) "unarmed probe tallies nothing" [||] a)
+    Probe.
+      [ load_execs p; load_misses p; stalls p; fired_yields p; skipped_yields p; switch_cycles p ];
+  Probe.tally p ~length:(Program.length prog);
+  Probe.switch p ~pc:(-1) ~cost:5;
+  Alcotest.(check (array int)) "switch at pc -1" [| 0; 0; 0; 0; 0; 0 |] (Probe.switch_cycles p);
+  Probe.switch p ~pc:2 ~cost:5;
+  Alcotest.(check (array int)) "switch at pc 2" [| 0; 0; 5; 0; 0; 0 |] (Probe.switch_cycles p)
+
 (* --- deferred LBR snapshots = per-retire snapshots ---
 
    The probe takes the snapshots due since the last push just before
@@ -882,6 +980,7 @@ let () =
           Alcotest.test_case "faulting exits" `Quick test_probe_fault_exits;
           Alcotest.test_case "ground truth = on_load table" `Quick test_ground_truth_matches_trace;
           Alcotest.test_case "tally shorter than the program" `Quick test_probe_tally_too_short;
+          Alcotest.test_case "tally = traced stream" `Quick test_tally_matches_stream;
           QCheck_alcotest.to_alcotest ~long:false qcheck_deferred_snapshots;
         ] );
     ]

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """List every exported value of the library that no other file names,
-and every test-only export whose marker is missing or wrong.
+every test-only export whose marker is missing or wrong, and every
+library dependency a `lib/*/dune` lists but no source of its directory
+names.
 
 For each `val x` in `lib/**/*.mli` (module M, from the file name, or a
 nested `module N : sig ... end` inside it), search every `.ml` under
@@ -12,18 +14,26 @@ when it opens or aliases M (`open M`, `let open M in`, `M.( ... )`,
 (`open Stallhide_isa`) does not open its modules' values, so it does
 not count.
 
-Three rules, one line each per export that breaks one:
+A file under test/ counts for its own suite (`test_x.ml`), or, when it
+is a helper module every suite links (like `golden.ml`), for each
+suite that names the helper.
+
+Four rules, one line each per export or dependency that breaks one:
 - dead: no other file names the value;
 - unmarked: only files under test/ name it, and its doc comment lacks
   an `Exported for [test_a], [test_b] only.` line naming exactly those
   suites;
 - marked but used: its doc comment carries that line, yet a file
   outside test/ names it as `M.x`. Only qualified names count here:
-  the open/alias heuristic over-counts.
+  the open/alias heuristic over-counts;
+- unused dependency: a `stallhide_x` entry in the `libraries` of a
+  `lib/*/dune` whose module (`Stallhide_x`, or `Stallhide` for
+  `stallhide`) no `.ml` or `.mli` of that directory names, comments
+  masked.
 
 Usage: python3 tools/dead_exports.py   (from the repository root)
-Prints one `path: M.x ...` line per broken rule and exits 1 if it
-printed any, 0 otherwise.
+Prints one `path: ...` line per broken rule and exits 1 if it printed
+any, 0 otherwise.
 """
 
 import os
@@ -144,12 +154,49 @@ def is_test(path):
     return path.split(os.sep)[0] == "test"
 
 
-def suite(path):
-    return os.path.basename(path)[:-3]
+def suites(path, files):
+    """The suites a file under test/ counts for: its own, or, for a
+    helper module, every suite that names it."""
+    name = os.path.basename(path)[:-3]
+    if name.startswith("test_"):
+        return {name}
+    module = name.capitalize()
+    return {
+        os.path.basename(p)[:-3]
+        for p, (qualified, opened, _) in files
+        if is_test(p)
+        and os.path.basename(p).startswith("test_")
+        and (module in opened or any(mod == module for mod, _ in qualified))
+    }
 
 
-def listing(suites):
-    return ", ".join("[%s]" % s for s in sorted(suites))
+LIBRARIES = re.compile(r"\(libraries\b([^()]*)\)")
+
+
+def unused_dependencies():
+    """`path: lib` lines for each stallhide library a `lib/*/dune` lists
+    that no source of its directory names."""
+    broken = []
+    for d in sorted(os.listdir("lib")):
+        dune = os.path.join("lib", d, "dune")
+        if not os.path.isfile(dune):
+            continue
+        text = "".join(
+            mask_comments(open(os.path.join("lib", d, f)).read())
+            for f in sorted(os.listdir(os.path.join("lib", d)))
+            if f.endswith((".ml", ".mli"))
+        )
+        for m in LIBRARIES.finditer(open(dune).read()):
+            for lib in m.group(1).split():
+                if re.fullmatch(r"stallhide(_\w+)?", lib):
+                    module = lib.capitalize()
+                    if not re.search(r"\b%s\b" % module, text):
+                        broken.append("%s: %s (no source names %s)" % (dune, lib, module))
+    return broken
+
+
+def listing(names):
+    return ", ".join("[%s]" % s for s in sorted(names))
 
 
 def main():
@@ -167,11 +214,11 @@ def main():
                 if not users:
                     broken.append(name)
                 elif all(is_test(p) for p in users):
-                    suites = {suite(p) for p in users}
-                    if marked != suites:
+                    named = set().union(*(suites(p, files) for p in users))
+                    if marked != named:
                         broken.append(
                             "%s: only %s name it; its doc needs `Exported for %s only.`"
-                            % (name, listing(suites), listing(suites))
+                            % (name, listing(named), listing(named))
                         )
                 if marked is not None:
                     for p, (qualified, _, _) in files:
@@ -179,6 +226,7 @@ def main():
                             (mod, value) in qualified for mod in path
                         ):
                             broken.append("%s: marked test-only, but %s names it" % (name, p))
+    broken += unused_dependencies()
     for line in broken:
         print(line)
     return 1 if broken else 0
