@@ -24,7 +24,7 @@ HOST_GROUP_KEYS = {"C25": {"reference_cps", "fast_cps", "speedup"}}
 # Table rows measured on the host, by their first cell.
 HOST_ROWS = {"C2": {"OCaml effects fiber (measured on host)"}}
 # Table columns measured on the host, by header.
-HOST_COLUMNS = {"C25": {"wall s", "Mcyc/s", "vs reference"}}
+HOST_COLUMNS = {"C25": {"wall s", "Mcyc/s", "vs reference"}, "C26": {"ns/call"}}
 
 
 def table_diffs(group, k, want, got):

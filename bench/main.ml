@@ -1567,6 +1567,124 @@ let c25 () =
     failwith (Printf.sprintf "C25: engine speedup %.2fx below the 1.35x regression floor" speedup)
 
 (* ------------------------------------------------------------------ *)
+(* C26 — host ns per memory-hierarchy call.                           *)
+(* ------------------------------------------------------------------ *)
+
+type c26_call = Access | Prefetch | Probe
+
+let c26_calls = 1 lsl 20
+
+(* The timed loops: only the call, the address fetch and the clock.
+   An access advances the clock by its latency, as a blocking core
+   would; a prefetch or probe by one cycle. The sum keeps the results
+   live and is checked against the untimed pass. *)
+let c26_loop call h ~now addrs =
+  let now = ref now and sum = ref 0 in
+  (match call with
+  | Access ->
+      for i = 0 to Array.length addrs - 1 do
+        let l = Hierarchy.access_latency h ~now:!now (Array.unsafe_get addrs i) in
+        now := !now + l;
+        sum := !sum + l
+      done
+  | Prefetch ->
+      for i = 0 to Array.length addrs - 1 do
+        Hierarchy.prefetch h ~now:!now (Array.unsafe_get addrs i);
+        incr now
+      done
+  | Probe ->
+      for i = 0 to Array.length addrs - 1 do
+        sum := !sum + Hierarchy.resident_code h ~now:!now (Array.unsafe_get addrs i);
+        incr now
+      done);
+  !sum
+
+let c26 () =
+  let random k ~bytes n =
+    let r = Random.State.make [| seed; k |] in
+    Array.init n (fun _ -> Random.State.int r (bytes / 8) * 8)
+  in
+  let n = c26_calls and mib = 1 lsl 20 in
+  (* name, call, untimed warm-up accesses, timed addresses *)
+  let streams =
+    [
+      ("L1 hits cycling over 64 lines", Access, [||], fun () -> Array.init n (fun i -> i land 63 * 64));
+      ("random L1 hits in 8 KiB", Access, [||], fun () -> random 1 ~bytes:8192 n);
+      ("random L2/L3 hits in 256 KiB", Access, [||], fun () -> random 2 ~bytes:(256 * 1024) n);
+      ("random DRAM-level lines over 64 MiB", Access, [||], fun () -> random 3 ~bytes:(64 * mib) n);
+      ("a new line every access", Access, [||], fun () -> Array.init n (fun i -> i * 64));
+      ("random prefetches over 64 MiB", Prefetch, [||], fun () -> random 4 ~bytes:(64 * mib) n);
+      ( "residency probes in 1 MiB, warm",
+        Probe,
+        random 5 ~bytes:mib 65536,
+        fun () -> random 6 ~bytes:mib n );
+    ]
+  in
+  let fresh warm =
+    let h = Hierarchy.create Memconfig.default in
+    let now = c26_loop Access h ~now:0 warm in
+    (h, now)
+  in
+  let row (name, call, warm, addrs) =
+    let addrs = addrs () in
+    (* Untimed pass: what each call returned, where it was served
+       ([last_level]; a probe's own code, absent counted as DRAM), and
+       a checksum of (result, level, queued) per call. *)
+    let h, now0 = fresh warm in
+    let levels = Array.make 4 0 and sum = ref 0 and check = ref 0 and now = ref now0 in
+    Array.iter
+      (fun a ->
+        let r, level =
+          match call with
+          | Access ->
+              let l = Hierarchy.access_latency h ~now:!now a in
+              now := !now + l;
+              (l, Hierarchy.last_level h)
+          | Prefetch ->
+              Hierarchy.prefetch h ~now:!now a;
+              incr now;
+              (0, Hierarchy.last_level h)
+          | Probe ->
+              let c = Hierarchy.resident_code h ~now:!now a in
+              incr now;
+              (c, if c < 0 then 3 else c)
+        in
+        sum := !sum + r;
+        levels.(level) <- levels.(level) + 1;
+        check := Hashtbl.hash (!check, r, level, Hierarchy.last_queued h))
+      addrs;
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let h, now = fresh warm in
+      let t0 = Unix.gettimeofday () in
+      let got = c26_loop call h ~now addrs in
+      let dt = Unix.gettimeofday () -. t0 in
+      if got <> !sum then failwith (Printf.sprintf "C26: %s: timed pass diverged" name);
+      if dt < !best then best := dt
+    done;
+    [
+      name;
+      fi n;
+      fi levels.(0);
+      fi levels.(1);
+      fi levels.(2);
+      fi levels.(3);
+      fi !sum;
+      Printf.sprintf "%08x" !check;
+      ff ~decimals:1 (!best *. 1e9 /. float_of_int n);
+    ]
+  in
+  Experiment.table ~title:"C26: host ns per memory-hierarchy call (Memconfig.default, fresh hierarchy)"
+    ~note:
+      "seeded streams; level = Hierarchy.last_level after an access or prefetch (a prefetch \
+       that finds its line in L1 leaves it unchanged), resident_code for a probe (absent \
+       counted as DRAM); sum adds the results (latencies, probe codes); check folds \
+       (result, level, queued) per call; ns/call is best of 5 \
+       timed passes on a fresh hierarchy, each checked against the untimed pass"
+    ~header:[ "stream"; "calls"; "L1"; "L2"; "L3"; "DRAM"; "sum"; "check"; "ns/call" ]
+    (List.map row streams)
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1594,6 +1712,7 @@ let experiments =
     ("C23", c23);
     ("C24", c24);
     ("C25", c25);
+    ("C26", c26);
   ]
 
 let () =

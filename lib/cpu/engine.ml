@@ -99,16 +99,17 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
        OoO window, with the serving level's code and the queueing delay
        for the probe. *)
     let demand_load addr =
-      let r = Hierarchy.access hier ~now:!clock addr in
+      let latency = Hierarchy.access_latency hier ~now:!clock addr in
+      let raw = max 0 (latency - (Hierarchy.config hier).l1.latency) in
       (* The stall shape rewrites the miss penalty charged at this pc —
          counterfactual zeroing or ground-truth inflation — without
          touching cache state or control flow. *)
-      let stall = shape_stall cfg.stall_shape ~pc r.stall in
-      let latency = r.latency + (stall - r.stall) in
+      let stall = shape_stall cfg.stall_shape ~pc raw in
+      let latency = latency + (stall - raw) in
       let hidden = min cfg.ooo_window stall in
       let paid_stall = stall - hidden in
       let cost = Cost.base i + latency - hidden in
-      (cost, paid_stall, Hierarchy.last_level hier, min r.queued paid_stall)
+      (cost, paid_stall, Hierarchy.last_level hier, min (Hierarchy.last_queued hier) paid_stall)
     in
     let loaded ~addr ~level ~stall ~queue =
       match probe with
@@ -159,7 +160,7 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
           fault ctx "store to invalid address %d at pc %d" addr pc
         else begin
           Address_space.store mem addr ctx.regs.{rv};
-          Hierarchy.write hier ~now:!clock addr;
+          Hierarchy.write hier addr;
           advance (Cost.base i);
           next ();
           Normal
@@ -229,9 +230,8 @@ let step ~block cfg hier mem ~clock (ctx : Context.t) =
         let resident =
           (not (Address_space.valid_addr mem addr))
           ||
-          match Hierarchy.resident hier ~now:!clock addr with
-          | Some (Hierarchy.L1 | Hierarchy.L2) -> true
-          | Some (Hierarchy.L3 | Hierarchy.Dram) | None -> false
+          let rcode = Hierarchy.resident_code hier ~now:!clock addr in
+          rcode >= 0 && rcode <= 1
         in
         next ();
         if resident then begin
@@ -493,7 +493,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         else begin
           Address_space.unsafe_store mem addr
             (Bigarray.Array1.unsafe_get regs (Array.unsafe_get ra pc));
-          Hierarchy.write hier ~now addr;
+          Hierarchy.write hier addr;
           exec (now + Array.unsafe_get ucost pc) (pc + 1)
         end
       end

@@ -4,18 +4,19 @@ type t = {
   line_shift : int;
   sets : int;
   ways : int;
-  (* [create] allocates these three without writing them. A set's
-     [tags] are defined from its first [scan] on, which first writes
-     every way to [-1] ([warm]); [find] treats a [cold] set as empty.
-     Invariant: the values of [ready] and [stamp] count only at slots
-     whose tag this cache has written with a line, so they need no
-     initialisation — [scan_from]'s [||] skips [stamp] at an empty
-     slot, and [vstamp] counts only while [vtag <> -1]. The cache
-     model test in test_mem guards this. *)
+  (* [create] allocates these three without writing them. A [cold]
+     set's lookups and inserts first write every way empty ([warm]),
+     and [find] treats it as empty; its first fill makes it warm. An
+     empty way has tag [-1] and stamp 0, a line's stamp is its last
+     touch, [>= 1]. Invariant: [ready] counts only at slots whose tag
+     this cache has written with a line, so it needs no
+     initialisation. The cache model test in test_mem guards this. *)
   tags : arr;  (* sets*ways; -1 = invalid *)
   ready : arr;
   stamp : arr;  (* LRU timestamps *)
-  cold : Bytes.t;  (* one byte per set: ['\001'] until its tags are written *)
+  (* One byte per set: [cold] until a line is written into it, then
+     the way of its last touched line, which lookups test first. *)
+  way : Bytes.t;
   mutable tick : int;
   (* The slot [insert] would fill with [miss_line], recorded by the
      last lookup that missed it so the fill after a miss skips a
@@ -24,12 +25,15 @@ type t = {
   mutable miss_slot : int;
 }
 
+let cold = '\255'
+
 let log2 n =
   let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
   loop n 0
 
 let create ~line_bytes (cfg : Memconfig.level_cfg) =
   if cfg.ways < 1 then invalid_arg "Cache.create: ways must be positive";
+  if cfg.ways > 255 then invalid_arg "Cache.create: at most 255 ways";
   if not (Memconfig.is_pow2 line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
   let sets = cfg.size_bytes / line_bytes / cfg.ways in
@@ -42,7 +46,7 @@ let create ~line_bytes (cfg : Memconfig.level_cfg) =
     tags = arr ();
     ready = arr ();
     stamp = arr ();
-    cold = Bytes.make sets '\001';
+    way = Bytes.make sets cold;
     tick = 0;
     miss_line = 0;
     miss_slot = -1;
@@ -62,49 +66,65 @@ let rec find_from (tags : arr) line s stop =
    set holds no line and stays cold. *)
 let find t line =
   let set = line land (t.sets - 1) in
-  if Bytes.unsafe_get t.cold set <> '\000' then -1
+  let w = Bytes.unsafe_get t.way set in
+  if w = cold then -1
   else
     let base = set * t.ways in
-    find_from t.tags line base (base + t.ways)
+    let p = base + Char.code w in
+    if Bigarray.Array1.unsafe_get t.tags p = line then p
+    else find_from t.tags line base (base + t.ways)
 
-let touch t slot =
+let[@inline] touch t set base slot =
   t.tick <- t.tick + 1;
   t.miss_slot <- -1;
-  Bigarray.Array1.unsafe_set t.stamp slot t.tick
+  Bigarray.Array1.unsafe_set t.stamp slot t.tick;
+  Bytes.unsafe_set t.way set (Char.unsafe_chr (slot - base))
 
-(* One pass over a set serves both lookup and fill: the line's slot,
-   or [lnot victim] (negative) when absent, where the victim — the slot
-   a fill evicts — is the first empty way, else the first least
-   recently used one. Top-level recursion like [find_from]. *)
-let rec scan_from (tags : arr) (stamp : arr) line s stop victim vtag vstamp =
-  if s = stop then lnot victim
+(* One pass over a warm set serves both lookup and fill: the line's
+   slot, or [lnot victim] (negative) when absent. The victim — the
+   slot a fill evicts — has the least key [stamp * 256 + way]: the
+   first empty way (stamp 0), else the first least recently used one
+   (a line's stamp is at least 1, and far below the 2^54 that would
+   overflow the key). The least key is kept with the sign mask
+   [d asr 62] of 63-bit ints, not a branch on the stamps.
+   Top-level recursion like [find_from]. *)
+let rec search (tags : arr) (stamp : arr) line base w ways least =
+  if w = ways then lnot (base + (least land 255))
   else
-    let ts = Bigarray.Array1.unsafe_get tags s in
-    if ts = line then s
-    else if vtag <> -1 && (ts = -1 || Bigarray.Array1.unsafe_get stamp s < vstamp) then
-      scan_from tags stamp line (s + 1) stop s ts (Bigarray.Array1.unsafe_get stamp s)
-    else scan_from tags stamp line (s + 1) stop victim vtag vstamp
+    let s = base + w in
+    if Bigarray.Array1.unsafe_get tags s = line then s
+    else
+      let d = ((Bigarray.Array1.unsafe_get stamp s lsl 8) lor w) - least in
+      search tags stamp line base (w + 1) ways (least + (d land (d asr 62)))
 
-(* Out of line: runs once per set, the hot path only tests the mark. *)
-let[@inline never] warm t set base =
+(* Out of line: runs until the set's first fill, which names its way
+   ([touch]); the hot path only tests the mark. *)
+let[@inline never] warm t base =
   for s = base to base + t.ways - 1 do
-    Bigarray.Array1.unsafe_set t.tags s (-1)
-  done;
-  Bytes.unsafe_set t.cold set '\000'
+    Bigarray.Array1.unsafe_set t.tags s (-1);
+    Bigarray.Array1.unsafe_set t.stamp s 0
+  done
 
-let scan t line =
-  let set = line land (t.sets - 1) in
-  let base = set * t.ways in
-  if Bytes.unsafe_get t.cold set <> '\000' then warm t set base;
-  scan_from t.tags t.stamp line base (base + t.ways) base
-    (Bigarray.Array1.unsafe_get t.tags base)
-    (Bigarray.Array1.unsafe_get t.stamp base)
+(* [search]'s answer for [line], testing the set's predicted way first.
+   A cold set is made empty, and its first way is the victim. *)
+let[@inline] slot t line set base =
+  let w = Bytes.unsafe_get t.way set in
+  if w = cold then begin
+    warm t base;
+    lnot base
+  end
+  else
+    let p = base + Char.code w in
+    if Bigarray.Array1.unsafe_get t.tags p = line then p
+    else search t.tags t.stamp line base 0 t.ways max_int
 
 (* Shared by [lookup_code] and [prefetch_code]; [touch_ready] says
    whether a present, ready line refreshes LRU. *)
-let classify t ~now ~touch_ready addr =
+let[@inline] classify t ~now ~touch_ready addr =
   let line = line_of t addr in
-  let r = scan t line in
+  let set = line land (t.sets - 1) in
+  let base = set * t.ways in
+  let r = slot t line set base in
   if r < 0 then begin
     t.miss_line <- line;
     t.miss_slot <- lnot r;
@@ -114,45 +134,47 @@ let classify t ~now ~touch_ready addr =
     let ra = Bigarray.Array1.unsafe_get t.ready r in
     if ra <= now && not touch_ready then 0
     else begin
-      touch t r;
+      touch t set base r;
       if ra <= now then 0 else ra
     end
 
 (* Packed classification: [-1] miss, [0] ready hit, [ready_at > 0] an
    in-flight fill completing at that cycle. In-flight implies
-   [ready_at > now >= 0], so the codes cannot collide. *)
-let lookup_code t ~now addr = classify t ~now ~touch_ready:true addr
+   [ready_at > now >= 0], so the codes cannot collide. Inlined, in
+   builds without [-opaque], into [Hierarchy], whose L1 hit then makes
+   no call into this module. *)
+let[@inline] lookup_code t ~now addr = classify t ~now ~touch_ready:true addr
 
-let prefetch_code t ~now addr = classify t ~now ~touch_ready:false addr
+let[@inline] prefetch_code t ~now addr = classify t ~now ~touch_ready:false addr
 
-let insert t ~now ~ready_at addr =
-  ignore now;
+let insert t ~ready_at addr =
   let line = line_of t addr in
-  let r = if t.miss_slot >= 0 && t.miss_line = line then lnot t.miss_slot else scan t line in
+  let set = line land (t.sets - 1) in
+  let base = set * t.ways in
+  let r = if t.miss_slot >= 0 && t.miss_line = line then lnot t.miss_slot else slot t line set base in
   if r >= 0 then begin
     (* Refill of a present line: keep the earlier availability. *)
     if ready_at < Bigarray.Array1.unsafe_get t.ready r then
       Bigarray.Array1.unsafe_set t.ready r ready_at;
-    touch t r
+    touch t set base r
   end
   else begin
     let victim = lnot r in
     Bigarray.Array1.unsafe_set t.tags victim line;
     Bigarray.Array1.unsafe_set t.ready victim ready_at;
-    touch t victim
+    touch t set base victim
   end
 
-let resident t ~now addr =
-  let line = line_of t addr in
-  let slot = find t line in
+let[@inline] resident t ~now addr =
+  let slot = find t (line_of t addr) in
   slot >= 0 && Bigarray.Array1.unsafe_get t.ready slot <= now
 
 let invalidate t addr =
-  let line = line_of t addr in
-  let slot = find t line in
+  let slot = find t (line_of t addr) in
   if slot < 0 then false
   else begin
     t.miss_slot <- -1;
-    t.tags.{slot} <- -1;
+    Bigarray.Array1.unsafe_set t.tags slot (-1);
+    Bigarray.Array1.unsafe_set t.stamp slot 0;
     true
   end

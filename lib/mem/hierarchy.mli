@@ -1,11 +1,11 @@
 (** Inclusive three-level cache hierarchy over DRAM.
 
-    [access] performs a demand load: it returns the level that served
-    the request, the total load-to-use latency, and the stall cycles
-    (latency beyond an L1 hit), and fills all levels above the serving
-    one. [prefetch] starts the same fill without blocking: the lines are
+    [access_latency] performs a demand load: it returns the total
+    load-to-use latency, leaves the level that served the request in
+    [last_level], and fills all levels above the serving one.
+    [prefetch] starts the same fill without blocking: the lines are
     installed with a future [ready_at], so a later demand access pays
-    only the remaining cycles. *)
+    only the remaining cycles. None of the calls allocates. *)
 
 type level = L1 | L2 | L3 | Dram
 
@@ -14,15 +14,6 @@ val level_name : level -> string
 (** The level of a code ([0 = L1], [1 = L2], [2 = L3], [3 = Dram]);
     any code past [2] is [Dram]. *)
 val level_of_code : int -> level
-
-type result = {
-  level : level;  (** level that served the access *)
-  latency : int;  (** total load-to-use cycles *)
-  stall : int;  (** cycles beyond an L1 hit, i.e. [latency - l1.latency] *)
-  queued : int;
-      (** cycles spent queued at the shared-L3 port's bandwidth budget
-          (contention, not service); 0 on single-core hierarchies *)
-}
 
 (** A transient latency fault: between [from_cycle] (inclusive) and
     [until_cycle] (exclusive), accesses served by L3 pay
@@ -65,38 +56,39 @@ val inject_spike :
     @raise Invalid_argument if [percent < 0]. *)
 val set_level_scale : t -> level -> percent:int -> unit
 
-val access : t -> now:int -> int -> result
-
-(** Allocation-free [access] for the fast step loop: performs the same
-    demand load (identical fills, admission, statistics — [access] is
-    implemented on top of it) but returns only the total latency. *)
+(** [access_latency t ~now addr] is a demand load of [addr] at cycle
+    [now]: its total load-to-use latency. Its stall is the latency
+    beyond an L1 hit. A line present and ready in L1 is answered by
+    one lookup of its set that refreshes LRU state: such a hit is
+    never admitted at the shared port or filled, and an armed
+    counterfactual leaves its latency as it is. Any other access is
+    served by the first level that holds the line, in flight or ready,
+    or by DRAM, and fills every level above that one. *)
 val access_latency : t -> now:int -> int -> int
 
-(** Level code ({!level_of_code}) that served the last {!access} or
-    {!access_latency}, for the engine's load probe. Allocation free; a
-    {!prefetch} in between overwrites it. *)
+(** Level code ({!level_of_code}) that served the last
+    {!access_latency}, for the engine's load probe. A {!prefetch} that
+    misses L1 in between overwrites it. *)
 val last_level : t -> int
 
-(** Cycles the last {!access} or {!access_latency} queued at the
-    shared-L3 port ([result.queued]); 0 on single-core hierarchies. *)
+(** Cycles the last {!access_latency} queued at the shared-L3 port's
+    bandwidth budget (contention, not service), part of its latency; 0
+    on single-core hierarchies. *)
 val last_queued : t -> int
 
 val prefetch : t -> now:int -> int -> unit
 
-(** [write t ~now addr] records a store. On a shared-L3 core this
+(** [write t addr] records a store. On a shared-L3 core this
     invalidates the line in every other core's private L1/L2 (coherence
     cost lands on the next remote reader); on a [create] hierarchy it
     is a no-op. The store itself stays single-cycle — stores retire
     through a write buffer and never stall the modeled core. *)
-val write : t -> now:int -> int -> unit
+val write : t -> int -> unit
 
-(** Deepest-cached test for the §4.1 residency oracle: [Some level] if
-    the line is present *and ready* somewhere on chip. Does not perturb
-    LRU or statistics. *)
-val resident : t -> now:int -> int -> level option
-
-(** Allocation-free {!resident}: deepest ready level's code, or [-1]
-    when the line is nowhere on chip. *)
+(** Residency test for the §4.1 oracle: the code of the first level,
+    from L1 down, where the line is present {e and ready}, or [-1]
+    when it is ready nowhere on chip. Does not perturb LRU or
+    statistics. *)
 val resident_code : t -> now:int -> int -> int
 
 val stats : t -> Mem_stats.t

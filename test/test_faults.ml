@@ -76,7 +76,7 @@ let test_spike_window () =
   (* each probe is a cold line served by DRAM; only one inside the
      window pays the multiplier *)
   let dram = cfg.Memconfig.dram_latency in
-  let latency now addr = (Hierarchy.access h ~now addr).Hierarchy.latency in
+  let latency now addr = Hierarchy.access_latency h ~now addr in
   Alcotest.(check int) "before" dram (latency 50 0x10000);
   Alcotest.(check int) "inside: dram multiplied" (6 * dram) (latency 150 0x20000);
   Alcotest.(check int) "until exclusive" dram (latency 200 0x30000)

@@ -304,13 +304,13 @@ let mk_cache ?(size = 8 * 64) ?(ways = 2) () =
 let test_cache_hit_miss () =
   let c = mk_cache () in
   Alcotest.(check int) "cold cache misses" (-1) (Cache.lookup_code c ~now:0 0);
-  Cache.insert c ~now:0 ~ready_at:0 0;
+  Cache.insert c ~ready_at:0 0;
   Alcotest.(check int) "inserted line hits" 0 (Cache.lookup_code c ~now:1 0);
   Alcotest.(check int) "same-line word hits" 0 (Cache.lookup_code c ~now:1 56)
 
 let test_cache_inflight () =
   let c = mk_cache () in
-  Cache.insert c ~now:0 ~ready_at:100 0;
+  Cache.insert c ~ready_at:100 0;
   Alcotest.(check int) "in flight until its ready time" 100 (Cache.lookup_code c ~now:50 0);
   Alcotest.(check int) "ready hit" 0 (Cache.lookup_code c ~now:100 0);
   Alcotest.(check bool) "not resident while filling" false (Cache.resident c ~now:50 0);
@@ -318,20 +318,39 @@ let test_cache_inflight () =
 
 let test_cache_refill_keeps_earlier () =
   let c = mk_cache () in
-  Cache.insert c ~now:0 ~ready_at:50 0;
-  Cache.insert c ~now:0 ~ready_at:200 0;
+  Cache.insert c ~ready_at:50 0;
+  Cache.insert c ~ready_at:200 0;
   Alcotest.(check int) "earlier fill wins" 50 (Cache.lookup_code c ~now:10 0)
 
 let test_cache_lru () =
   (* 2-way, 4 sets: lines 0, 4, 8 map to set 0. *)
   let c = mk_cache () in
   let addr line = line * 64 in
-  Cache.insert c ~now:0 ~ready_at:0 (addr 0);
-  Cache.insert c ~now:0 ~ready_at:0 (addr 4);
+  Cache.insert c ~ready_at:0 (addr 0);
+  Cache.insert c ~ready_at:0 (addr 4);
   ignore (Cache.lookup_code c ~now:1 (addr 0));
-  Cache.insert c ~now:2 ~ready_at:2 (addr 8);
+  Cache.insert c ~ready_at:2 (addr 8);
   Alcotest.(check int) "LRU line evicted" (-1) (Cache.lookup_code c ~now:3 (addr 4));
   Alcotest.(check int) "MRU line kept" 0 (Cache.lookup_code c ~now:3 (addr 0))
+
+(* The widest cache [Cache.create] accepts: 255 ways in one set, the
+   last of them a way like the others. *)
+let test_cache_widest () =
+  let ways = 255 in
+  let c = Cache.create ~line_bytes:64 { Memconfig.size_bytes = ways * 64; ways; latency = 4 } in
+  let addr line = line * 64 in
+  for line = 0 to ways - 1 do
+    Cache.insert c ~ready_at:0 (addr line)
+  done;
+  for line = 0 to ways - 1 do
+    Alcotest.(check int) (Printf.sprintf "line %d hits" line) 0 (Cache.lookup_code c ~now:1 (addr line))
+  done;
+  ignore (Cache.lookup_code c ~now:2 (addr 0));
+  Cache.insert c ~ready_at:3 (addr ways);
+  Alcotest.(check bool) "LRU line evicted" false (Cache.resident c ~now:3 (addr 1));
+  Alcotest.(check bool) "MRU line kept" true (Cache.resident c ~now:3 (addr 0));
+  Alcotest.(check int) "new line hits" 0 (Cache.lookup_code c ~now:3 (addr ways));
+  Alcotest.(check int) "last-filled line hits" 0 (Cache.lookup_code c ~now:3 (addr (ways - 1)))
 
 (* Model test: random lookups, prefetches, fills, invalidations and
    residency probes on small caches, with the clock rising, each step
@@ -426,7 +445,7 @@ end
 let cache_model_case =
   let open QCheck.Gen in
   let gen =
-    triple (int_range 1 8) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 64; 128 ]) >>= fun (ways, sets, lb) ->
+    triple (int_range 1 16) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 64; 128 ]) >>= fun (ways, sets, lb) ->
     (* twice the capacity, so sets overflow and lines get evicted *)
     let line = int_bound ((2 * sets * ways) - 1) in
     let addr = map2 (fun l off -> (l * lb) + off) line (int_bound (lb - 1)) in
@@ -471,7 +490,7 @@ let qcheck_cache_model =
           | Lookup (p, a) -> lookup p a
           | Fill (after, a, d) ->
               Option.iter (fun p -> lookup p a) after;
-              Cache.insert c ~now ~ready_at:(now + d) a;
+              Cache.insert c ~ready_at:(now + d) a;
               Cache_model.insert m ~ready_at:(now + d) a
           | Invalidate a -> expect (Cache.invalidate c a = Cache_model.invalidate m a)
           | Resident a -> expect (Cache.resident c ~now a = Cache_model.resident m ~now a));
@@ -492,7 +511,7 @@ let lines ~line_bytes (level : Memconfig.level_cfg) = level.size_bytes / line_by
 let[@inline never] fill_and_drop ~line_bytes level =
   let c = Cache.create ~line_bytes level in
   for line = 0 to lines ~line_bytes level - 1 do
-    Cache.insert c ~now:0 ~ready_at:0 (line * line_bytes)
+    Cache.insert c ~ready_at:0 (line * line_bytes)
   done;
   for line = 0 to lines ~line_bytes level - 1 do
     if not (Cache.resident c ~now:0 (line * line_bytes)) then
@@ -528,46 +547,54 @@ let test_cache_storage_reuse () =
 
 (* --- Hierarchy --- *)
 
+(* One demand load: the level that served it, its latency, and its
+   stall beyond an L1 hit. *)
+let access h ~now addr =
+  let latency = Hierarchy.access_latency h ~now addr in
+  ( Hierarchy.level_of_code (Hierarchy.last_level h),
+    latency,
+    max 0 (latency - cfg.Memconfig.l1.Memconfig.latency) )
+
 let test_hierarchy_levels () =
   let h = Hierarchy.create cfg in
-  let r1 = Hierarchy.access h ~now:0 0 in
-  Alcotest.(check string) "cold from DRAM" "DRAM" (Hierarchy.level_name r1.Hierarchy.level);
-  Alcotest.(check int) "dram latency" cfg.Memconfig.dram_latency r1.Hierarchy.latency;
+  let level, latency, stall = access h ~now:0 0 in
+  Alcotest.(check string) "cold from DRAM" "DRAM" (Hierarchy.level_name level);
+  Alcotest.(check int) "dram latency" cfg.Memconfig.dram_latency latency;
   Alcotest.(check int) "dram stall"
     (cfg.Memconfig.dram_latency - cfg.Memconfig.l1.Memconfig.latency)
-    r1.Hierarchy.stall;
-  let r2 = Hierarchy.access h ~now:300 0 in
-  Alcotest.(check string) "now in L1" "L1" (Hierarchy.level_name r2.Hierarchy.level);
-  Alcotest.(check int) "l1 latency" cfg.Memconfig.l1.Memconfig.latency r2.Hierarchy.latency;
-  Alcotest.(check int) "no stall" 0 r2.Hierarchy.stall
+    stall;
+  let level, latency, stall = access h ~now:300 0 in
+  Alcotest.(check string) "now in L1" "L1" (Hierarchy.level_name level);
+  Alcotest.(check int) "l1 latency" cfg.Memconfig.l1.Memconfig.latency latency;
+  Alcotest.(check int) "no stall" 0 stall
 
 let test_hierarchy_l2_hit () =
   let h = Hierarchy.create cfg in
   (* Evict line 0 from L1 (4-way sets) by touching 6 more lines of the
      same L1 set; they all fit in the larger L2. *)
   let line_bytes = cfg.Memconfig.line_bytes in
-  ignore (Hierarchy.access h ~now:0 0);
+  ignore (access h ~now:0 0);
   for i = 1 to 6 do
-    ignore (Hierarchy.access h ~now:(i * 1000) (i * 64 * line_bytes))
+    ignore (access h ~now:(i * 1000) (i * 64 * line_bytes))
   done;
-  let r = Hierarchy.access h ~now:100000 0 in
-  Alcotest.(check string) "served by L2" "L2" (Hierarchy.level_name r.Hierarchy.level);
-  Alcotest.(check int) "l2 latency" cfg.Memconfig.l2.Memconfig.latency r.Hierarchy.latency
+  let level, latency, _ = access h ~now:100000 0 in
+  Alcotest.(check string) "served by L2" "L2" (Hierarchy.level_name level);
+  Alcotest.(check int) "l2 latency" cfg.Memconfig.l2.Memconfig.latency latency
 
 let test_prefetch_hides_latency () =
   let h = Hierarchy.create cfg in
   Hierarchy.prefetch h ~now:0 0;
-  let r = Hierarchy.access h ~now:cfg.Memconfig.dram_latency 0 in
-  Alcotest.(check int) "no stall after covered prefetch" 0 r.Hierarchy.stall;
+  let _, _, stall = access h ~now:cfg.Memconfig.dram_latency 0 in
+  Alcotest.(check int) "no stall after covered prefetch" 0 stall;
   Hierarchy.prefetch h ~now:1000 4096;
-  let r2 = Hierarchy.access h ~now:(1000 + 100) 4096 in
+  let _, _, stall = access h ~now:(1000 + 100) 4096 in
   Alcotest.(check int) "remaining stall"
     (cfg.Memconfig.dram_latency - 100 - cfg.Memconfig.l1.Memconfig.latency)
-    r2.Hierarchy.stall
+    stall
 
 let test_prefetch_useless () =
   let h = Hierarchy.create cfg in
-  ignore (Hierarchy.access h ~now:0 0);
+  ignore (access h ~now:0 0);
   Hierarchy.prefetch h ~now:500 0;
   let s = Hierarchy.stats h in
   Alcotest.(check int) "useless prefetch counted" 1 s.Mem_stats.useless_prefetches;
@@ -575,16 +602,13 @@ let test_prefetch_useless () =
 
 let test_resident_oracle () =
   let h = Hierarchy.create cfg in
-  Alcotest.(check bool) "cold not resident" true (Hierarchy.resident h ~now:0 0 = None);
-  ignore (Hierarchy.access h ~now:0 0);
-  (match Hierarchy.resident h ~now:10 0 with
-  | Some Hierarchy.L1 -> ()
-  | _ -> Alcotest.fail "expected L1 residency");
+  Alcotest.(check int) "cold not resident" (-1) (Hierarchy.resident_code h ~now:0 0);
+  ignore (access h ~now:0 0);
+  Alcotest.(check int) "expected L1 residency" 0 (Hierarchy.resident_code h ~now:10 0);
   Hierarchy.prefetch h ~now:100 8192;
-  Alcotest.(check bool) "in-flight not resident" true (Hierarchy.resident h ~now:150 8192 = None);
-  match Hierarchy.resident h ~now:(100 + cfg.Memconfig.dram_latency) 8192 with
-  | Some Hierarchy.L1 -> ()
-  | _ -> Alcotest.fail "expected residency after fill"
+  Alcotest.(check int) "in-flight not resident" (-1) (Hierarchy.resident_code h ~now:150 8192);
+  Alcotest.(check int) "expected residency after fill" 0
+    (Hierarchy.resident_code h ~now:(100 + cfg.Memconfig.dram_latency) 8192)
 
 let test_config_validation () =
   let bad = { cfg with Memconfig.l1 = { cfg.Memconfig.l1 with Memconfig.latency = 300 } } in
@@ -618,6 +642,7 @@ let test_config_validation () =
     ignore (Cache.create ~line_bytes { Memconfig.size_bytes; ways; latency = 4 })
   in
   rejects "zero-way cache" "Cache.create: ways must be positive" (cache ~line_bytes:64 512 0);
+  rejects "256-way cache" "Cache.create: at most 255 ways" (cache ~line_bytes:64 (256 * 64) 256);
   rejects "48-byte lines" "Cache.create: line_bytes must be a power of two"
     (cache ~line_bytes:48 (8 * 48) 2);
   rejects "3 sets" "Cache.create: set count must be a power of two"
@@ -630,9 +655,9 @@ let qcheck_access_then_hit =
     (fun w ->
       let h = Hierarchy.create cfg in
       let addr = w * 8 in
-      ignore (Hierarchy.access h ~now:0 addr);
-      let r = Hierarchy.access h ~now:1000 addr in
-      r.Hierarchy.level = Hierarchy.L1 && r.Hierarchy.stall = 0)
+      ignore (access h ~now:0 addr);
+      let level, _, stall = access h ~now:1000 addr in
+      level = Hierarchy.L1 && stall = 0)
 
 let qcheck_prefetch_monotone =
   QCheck.Test.make ~name:"prefetch never increases stall" ~count:200
@@ -640,10 +665,10 @@ let qcheck_prefetch_monotone =
     (fun (w, dt) ->
       let addr = w * 64 in
       let h1 = Hierarchy.create cfg in
-      let plain = (Hierarchy.access h1 ~now:dt addr).Hierarchy.stall in
+      let _, _, plain = access h1 ~now:dt addr in
       let h2 = Hierarchy.create cfg in
       Hierarchy.prefetch h2 ~now:0 addr;
-      let with_pf = (Hierarchy.access h2 ~now:dt addr).Hierarchy.stall in
+      let _, _, with_pf = access h2 ~now:dt addr in
       with_pf <= plain)
 
 (* Property: after an access, the line survives (ways-1) subsequent
@@ -659,12 +684,336 @@ let qcheck_lru_survival =
           { Memconfig.size_bytes = sets * ways * 64; ways; latency = 4 }
       in
       let addr l = l * 64 in
-      Cache.insert c ~now:0 ~ready_at:0 (addr line0);
+      Cache.insert c ~ready_at:0 (addr line0);
       (* ways-1 distinct conflicting lines *)
       for k = 1 to ways - 1 do
-        Cache.insert c ~now:k ~ready_at:k (addr (line0 + (k * sets)))
+        Cache.insert c ~ready_at:k (addr (line0 + (k * sets)))
       done;
       Cache.resident c ~now:1000 (addr line0))
+
+(* --- Hierarchy against a model --- *)
+
+(* The demand, prefetch, residency and write semantics of [Hierarchy]
+   over three [Cache_model] levels. Shared cores share the L3 model,
+   and a second port of the same window and budget, never attached,
+   prices admission. *)
+module Hier_model = struct
+  type t = {
+    cfg : Memconfig.t;
+    l1 : Cache_model.t;
+    l2 : Cache_model.t;
+    l3 : Cache_model.t;
+    port : Shared_l3.t option;
+    peers : t list ref;  (* every core on the port, this one included *)
+    stats : Mem_stats.t;
+    mutable spike : (int * int * int * int) option;  (* from, until, l3 and dram multipliers *)
+    mutable scale : (int * int) option;  (* level code, percent *)
+    mutable level : int;
+    mutable queued : int;
+    mutable writes : int;
+    mutable invalidations : int;
+  }
+
+  let cache ~line_bytes (c : Memconfig.level_cfg) =
+    Cache_model.create ~line_bytes ~sets:(c.size_bytes / line_bytes / c.ways) ~ways:c.ways
+
+  let create ?port ?(peers = ref []) ?l3 (cfg : Memconfig.t) =
+    let line_bytes = cfg.line_bytes in
+    let l3 = match l3 with Some l3 -> l3 | None -> cache ~line_bytes cfg.l3 in
+    let m =
+      {
+        cfg;
+        l1 = cache ~line_bytes cfg.l1;
+        l2 = cache ~line_bytes cfg.l2;
+        l3;
+        port;
+        peers;
+        stats = Mem_stats.create ();
+        spike = None;
+        scale = None;
+        level = 0;
+        queued = 0;
+        writes = 0;
+        invalidations = 0;
+      }
+    in
+    peers := !peers @ [ m ];
+    m
+
+  let spiked m ~now base pick =
+    match m.spike with
+    | Some (from, until, l3m, dm) when now >= from && now < until -> base * pick (l3m, dm)
+    | _ -> base
+
+  (* serving level, latency and in-flight flag, below L1 *)
+  let below_l1 m ~now a =
+    let c2 = Cache_model.classify m.l2 ~now ~touch_ready:true a in
+    let l2 = m.cfg.l2.latency and l3 = m.cfg.l3.latency in
+    if c2 >= 0 then (1, (if c2 = 0 then l2 else max l2 (c2 - now)), c2 > 0)
+    else
+      let c3 = Cache_model.classify m.l3 ~now ~touch_ready:true a in
+      if c3 >= 0 then (2, (if c3 = 0 then spiked m ~now l3 fst else max l3 (c3 - now)), c3 > 0)
+      else (3, spiked m ~now m.cfg.dram_latency snd, false)
+
+  let priced m ~now (level, latency, inflight) =
+    let queued =
+      match m.port with
+      | Some port when level >= 2 && not inflight -> Shared_l3.admit port ~now
+      | _ -> 0
+    in
+    let latency = latency + queued in
+    let base = m.cfg.l1.latency in
+    let latency =
+      match m.scale with
+      | Some (l, percent) when l = level -> base + (max 0 (latency - base) * percent / 100)
+      | _ -> latency
+    in
+    (queued, latency)
+
+  let fill m ~ready_at level a =
+    if level >= 1 then Cache_model.insert m.l1 ~ready_at a;
+    if level >= 2 then Cache_model.insert m.l2 ~ready_at a;
+    if level >= 3 then Cache_model.insert m.l3 ~ready_at a
+
+  let access m ~now a =
+    let c1 = Cache_model.classify m.l1 ~now ~touch_ready:true a in
+    let l1 = m.cfg.l1.latency in
+    let ((level, _, _) as served) =
+      if c1 >= 0 then (0, (if c1 = 0 then l1 else max l1 (c1 - now)), c1 > 0) else below_l1 m ~now a
+    in
+    let queued, latency = priced m ~now served in
+    let s = m.stats in
+    s.demand_accesses <- s.demand_accesses + 1;
+    (match level with
+    | 0 -> s.l1_hits <- s.l1_hits + 1
+    | 1 -> s.l2_hits <- s.l2_hits + 1
+    | 2 -> s.l3_hits <- s.l3_hits + 1
+    | _ -> s.dram_accesses <- s.dram_accesses + 1);
+    fill m ~ready_at:now level a;
+    m.level <- level;
+    m.queued <- queued;
+    latency
+
+  (* A prefetch that misses L1 reports its serving level; its queueing
+     is not reported. *)
+  let prefetch m ~now a =
+    let s = m.stats in
+    s.prefetches <- s.prefetches + 1;
+    let c1 = Cache_model.classify m.l1 ~now ~touch_ready:false a in
+    if c1 = 0 then s.useless_prefetches <- s.useless_prefetches + 1
+    else if c1 < 0 then begin
+      let ((level, _, _) as served) = below_l1 m ~now a in
+      let _, latency = priced m ~now served in
+      fill m ~ready_at:(now + latency) level a;
+      m.level <- level
+    end
+
+  let resident_code m ~now a =
+    if Cache_model.resident m.l1 ~now a then 0
+    else if Cache_model.resident m.l2 ~now a then 1
+    else if Cache_model.resident m.l3 ~now a then 2
+    else -1
+
+  let write m a =
+    if m.port <> None then begin
+      m.writes <- m.writes + 1;
+      List.iter
+        (fun p ->
+          if p != m then
+            let k c = if Cache_model.invalidate c a then 1 else 0 in
+            m.invalidations <- m.invalidations + k p.l1 + k p.l2)
+        !(m.peers)
+    end
+end
+
+type hier_op =
+  | H_access of int
+  | H_prefetch of int
+  | H_resident of int
+  | H_write of int
+  | H_scale of int * int  (* level code, percent *)
+
+let pp_hier_op = function
+  | H_access a -> Printf.sprintf "access %d" a
+  | H_prefetch a -> Printf.sprintf "prefetch %d" a
+  | H_resident a -> Printf.sprintf "resident %d" a
+  | H_write a -> Printf.sprintf "write %d" a
+  | H_scale (l, p) -> Printf.sprintf "scale L%d %d%%" (l + 1) p
+
+let hier_case =
+  let open QCheck.Gen in
+  let level sets ways latency =
+    pair (oneofl sets) (oneofl ways) >|= fun (s, w) ->
+    { Memconfig.size_bytes = s * w * 64; ways = w; latency }
+  in
+  let geometry =
+    triple (level [ 1; 2; 4 ] [ 1; 2; 4 ] 4) (level [ 2; 4; 8 ] [ 2; 4; 8 ] 14)
+      (level [ 4; 8; 16 ] [ 4; 8; 16 ] 50)
+    >|= fun (l1, l2, l3) -> { Memconfig.default with Memconfig.l1; l2; l3 }
+  in
+  geometry >>= fun (mc : Memconfig.t) ->
+  (* twice the L3's lines, so every level evicts *)
+  let addr = map2 (fun l off -> (l * 64) + off) (int_bound ((2 * mc.l3.size_bytes / 64) - 1)) (int_bound 63) in
+  let op =
+    frequency
+      [
+        (8, map (fun a -> H_access a) addr);
+        (4, map (fun a -> H_prefetch a) addr);
+        (2, map (fun a -> H_resident a) addr);
+        (2, map (fun a -> H_write a) addr);
+        (1, map2 (fun l p -> H_scale (l, p)) (oneofl [ 0; 2 ]) (oneofl [ 0; 50; 150 ]));
+      ]
+  in
+  let spike = opt (map2 (fun from len -> (from, from + len, 3, 2)) (int_bound 2000) (int_bound 1000)) in
+  let ops = list_size (int_range 1 150) (triple (int_bound 40) bool op) in
+  quad (return mc) bool spike ops
+
+let print_hier_case (mc, shared, spike, ops) =
+  let lvl (c : Memconfig.level_cfg) = Printf.sprintf "%dB/%dw" c.size_bytes c.ways in
+  Printf.sprintf "L1 %s, L2 %s, L3 %s, %s, spike %s: %s" (lvl mc.Memconfig.l1) (lvl mc.l2) (lvl mc.l3)
+    (if shared then "two cores on one port" else "private")
+    (match spike with Some (f, u, _, _) -> Printf.sprintf "[%d, %d)" f u | None -> "none")
+    (String.concat "; "
+       (List.map (fun (dt, core, op) -> Printf.sprintf "+%d c%d %s" dt (Bool.to_int core) (pp_hier_op op)) ops))
+
+let qcheck_hierarchy_model =
+  QCheck.Test.make ~name:"hierarchy matches a three-level model" ~count:300
+    (QCheck.make hier_case ~print:print_hier_case)
+    (fun (mc, shared, spike, ops) ->
+      (* a budget of 2 per 32-cycle window queues bursts *)
+      let port () = Shared_l3.create ~window:32 ~budget:2 mc in
+      let cores, ports =
+        if shared then
+          let real = port () and model = port () and peers = ref [] in
+          let l3 = Hier_model.cache ~line_bytes:64 mc.l3 in
+          ( List.init 2 (fun _ ->
+                (Hierarchy.create_core mc ~shared:real, Hier_model.create ~port:model ~peers ~l3 mc)),
+            Some (real, model) )
+        else ([ (Hierarchy.create mc, Hier_model.create mc) ], None)
+      in
+      Option.iter
+        (fun (from, until, l3_mult, dram_mult) ->
+          List.iter
+            (fun (h, m) ->
+              Hierarchy.inject_spike h ~from_cycle:from ~until_cycle:until ~l3_mult ~dram_mult;
+              m.Hier_model.spike <- Some (from, until, l3_mult, dram_mult))
+            cores)
+        spike;
+      let now = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iteri
+        (fun i (dt, core, op) ->
+          now := !now + dt;
+          let now = !now in
+          let h, m = if core && shared then List.nth cores 1 else List.hd cores in
+          let agree what got want =
+            if got <> want then fail "op %d (%s): %s %d, model %d" i (pp_hier_op op) what got want
+          in
+          (match op with
+          | H_access a -> agree "latency" (Hierarchy.access_latency h ~now a) (Hier_model.access m ~now a)
+          | H_prefetch a ->
+              Hierarchy.prefetch h ~now a;
+              Hier_model.prefetch m ~now a
+          | H_resident a ->
+              agree "resident" (Hierarchy.resident_code h ~now a) (Hier_model.resident_code m ~now a)
+          | H_write a ->
+              Hierarchy.write h a;
+              Hier_model.write m a
+          | H_scale (l, percent) ->
+              Hierarchy.set_level_scale h (Hierarchy.level_of_code l) ~percent;
+              m.Hier_model.scale <- Some (l, percent));
+          agree "last_level" (Hierarchy.last_level h) m.Hier_model.level;
+          agree "last_queued" (Hierarchy.last_queued h) m.Hier_model.queued)
+        ops;
+      List.iter (fun (h, m) -> if Hierarchy.stats h <> m.Hier_model.stats then fail "Mem_stats differ") cores;
+      Option.iter
+        (fun (real, model) ->
+          let r = Shared_l3.stats real and p = Shared_l3.stats model in
+          let writes, invalidations =
+            List.fold_left
+              (fun (w, k) (_, m) -> (w + m.Hier_model.writes, k + m.Hier_model.invalidations))
+              (0, 0) cores
+          in
+          if
+            (r.admitted, r.queued, r.queue_cycles, r.writes, r.invalidations)
+            <> (p.admitted, p.queued, p.queue_cycles, writes, invalidations)
+          then fail "Shared_l3 stats differ")
+        ports;
+      true)
+
+(* The hot calls allocate nothing. Each path runs [n] times to warm
+   up, then [n] times more with [Gc.minor_words] read around them, on
+   hierarchies with no counterfactual, an L1 one and an L3 one. Each
+   path also shows it was the path taken. *)
+let test_hot_calls_allocate_nothing () =
+  let n = 10_000 and line = cfg.Memconfig.line_bytes in
+  let l1_set_stride = 64 * line (* Memconfig.default's L1 has 64 sets *) in
+  let paths armed =
+    let fresh () =
+      let h = Hierarchy.create cfg in
+      Option.iter (fun l -> Hierarchy.set_level_scale h l ~percent:50) armed;
+      h
+    in
+    let access h k a = ignore (Hierarchy.access_latency h ~now:(32 * k) a) in
+    let h_l1 = fresh () and h_l2 = fresh () and h_dram = fresh () and h_fly = fresh () in
+    let h_pf = fresh () and h_useless = fresh () and h_probe = fresh () in
+    ignore (Hierarchy.access_latency h_useless ~now:0 0);
+    Hierarchy.prefetch h_fly ~now:0 0;
+    (* the last lines in L1, older ones in L2 and L3, the first gone *)
+    for k = 0 to n - 1 do
+      ignore (Hierarchy.access_latency h_probe ~now:k (k * line))
+    done;
+    let port = Shared_l3.create cfg in
+    let core () =
+      let h = Hierarchy.create_core cfg ~shared:port in
+      Option.iter (fun l -> Hierarchy.set_level_scale h l ~percent:50) armed;
+      h
+    in
+    let writer = core () and reader = core () in
+    let s = Shared_l3.stats port in
+    let level h want = Hierarchy.last_level h = want in
+    [
+      ("L1 hit", (fun k -> access h_l1 k 0), fun () -> level h_l1 0);
+      (* five lines of one 4-way L1 set: every access misses L1, hits L2 *)
+      ("L2 hit", (fun k -> access h_l2 k (k mod 5 * l1_set_stride)), fun () -> level h_l2 1);
+      ("DRAM-level miss", (fun k -> access h_dram k ((1 lsl 30) + (k * line))), fun () -> level h_dram 3);
+      ( "in-flight hit",
+        (fun _ -> ignore (Hierarchy.access_latency h_fly ~now:1 0)),
+        fun () -> level h_fly 0 && Hierarchy.access_latency h_fly ~now:1 0 > cfg.l1.latency );
+      ( "useful prefetch",
+        (fun k -> Hierarchy.prefetch h_pf ~now:(32 * k) ((1 lsl 30) + (k * line))),
+        fun () -> (Hierarchy.stats h_pf).useless_prefetches = 0 );
+      ( "useless prefetch",
+        (fun k -> Hierarchy.prefetch h_useless ~now:(32 * k) 0),
+        fun () -> (Hierarchy.stats h_useless).useless_prefetches = 2 * n );
+      ( "residency probe",
+        (fun k -> ignore (Hierarchy.resident_code h_probe ~now:(32 * k) (k * line))),
+        fun () ->
+          Hierarchy.resident_code h_probe ~now:n 0 = -1
+          && Hierarchy.resident_code h_probe ~now:n ((n - 1) * line) = 0 );
+      ( "remote-invalidating write",
+        (fun k ->
+          ignore (Hierarchy.access_latency reader ~now:(32 * k) 0);
+          Hierarchy.write writer 0),
+        fun () -> s.Shared_l3.invalidations = 4 * n );
+    ]
+  in
+  List.iter
+    (fun armed ->
+      List.iter
+        (fun (name, step, taken) ->
+          for k = 0 to n - 1 do
+            step k
+          done;
+          let w0 = Gc.minor_words () in
+          for k = 0 to n - 1 do
+            step k
+          done;
+          let words = Gc.minor_words () -. w0 in
+          if words <> 0. then Alcotest.failf "%s: %.0f minor words over %d calls" name words n;
+          if not (taken ()) then Alcotest.failf "%s: not the path taken" name)
+        (paths armed))
+    [ None; Some Hierarchy.L1; Some Hierarchy.L3 ]
 
 let () =
   Alcotest.run "mem"
@@ -690,6 +1039,7 @@ let () =
           Alcotest.test_case "in-flight" `Quick test_cache_inflight;
           Alcotest.test_case "refill keeps earlier" `Quick test_cache_refill_keeps_earlier;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
+          Alcotest.test_case "255 ways" `Quick test_cache_widest;
           QCheck_alcotest.to_alcotest qcheck_cache_model;
           Alcotest.test_case "reused storage reads empty" `Quick test_cache_storage_reuse;
         ] );
@@ -704,5 +1054,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_access_then_hit;
           QCheck_alcotest.to_alcotest qcheck_prefetch_monotone;
           QCheck_alcotest.to_alcotest qcheck_lru_survival;
+          QCheck_alcotest.to_alcotest qcheck_hierarchy_model;
+          Alcotest.test_case "hot calls allocate nothing" `Quick test_hot_calls_allocate_nothing;
         ] );
     ]
